@@ -62,7 +62,15 @@ class CatalogEntry:
 # seeded quasi-random sampling (Halton with a seed-dependent offset)
 # ----------------------------------------------------------------------
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+def _first_primes(count: int) -> List[int]:
+    """The first ``count`` primes, one Halton base per coordinate."""
+    primes: List[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
 
 
 def _halton(index: int, prime: int) -> float:
@@ -84,6 +92,7 @@ def sample_box(
     missing = [n for n in chart.names if n not in box]
     if missing:
         raise CatalogError(f"sampling box missing coordinates {missing}")
+    primes = _first_primes(len(chart.names))
     points: List[Tuple[float, ...]] = []
     index = 1 + 1009 * (seed + 1)
     attempts = 0
@@ -91,7 +100,7 @@ def sample_box(
         pt = []
         for k, name in enumerate(chart.names):
             lo, hi = box[name]
-            pt.append(lo + (hi - lo) * _halton(index, _PRIMES[k]))
+            pt.append(lo + (hi - lo) * _halton(index, primes[k]))
         index += 1
         attempts += 1
         if attempts > 100 * count + 1000:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -109,6 +110,30 @@ def structure_file_payload(entry: CatalogEntry) -> Dict:
     return payload
 
 
+def _is_finite_number(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _check_field_types(data: Dict, path: str) -> None:
+    """Integer fields hold JSON integers; each box range is [lo, hi] with finite lo < hi."""
+    for name in ("seed", "n", "branch"):
+        value = data.get(name, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InputError(f"{path}: field {name!r} must be an integer, got {value!r}")
+    box = data.get("box", {})
+    if not isinstance(box, dict):
+        raise InputError(f"{path}: field 'box' must be an object of coordinate ranges")
+    for name, bounds in box.items():
+        pair = isinstance(bounds, list) and len(bounds) == 2 and all(map(_is_finite_number, bounds))
+        if not (pair and bounds[0] < bounds[1]):
+            raise InputError(f"{path}: box range for {name!r} must be [lo, hi] with finite lo < hi, got {bounds!r}")
+
+
 def load_structure_file(path: str) -> CatalogEntry:
     try:
         with open(path, "rb") as fh:
@@ -132,6 +157,7 @@ def load_structure_file(path: str) -> CatalogEntry:
     missing = _FAMILY_FIELDS[family] - set(data)
     if missing - {"branch"}:
         raise InputError(f"{path}: missing fields {sorted(missing)} for family {family!r}")
+    _check_field_types(data, path)
     box = None
     if "box" in data:
         box = {k: (float(v[0]), float(v[1])) for k, v in data["box"].items()}

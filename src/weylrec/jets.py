@@ -6,6 +6,8 @@ A jet holds the Taylor coefficients (derivative / alpha!) of a function at a
 base point, up to a fixed total degree.  Coefficients may be ints, Fractions
 or floats; exact inputs stay exact through +, -, *, / and integer powers,
 which is what makes the exact-rational evaluation mode possible.
+Division costs grow with the variables its operands use, not with the
+dimension of the jet space.
 
 Jets are immutable after construction and every operation returns a fresh
 value, so all of this is safe to call from concurrent contexts.
@@ -166,17 +168,23 @@ class JetPoly:
     # ring operations
     # ------------------------------------------------------------------
 
+    def _combine(self, other: "JetPoly", sign: int) -> "JetPoly":
+        """self + other (sign 1) or self - other (sign -1), coefficient-wise."""
+        self._check_shape(other)
+        if not other.coeffs:
+            return self
+        coeffs = dict(self.coeffs)
+        for a, c in other.coeffs.items():
+            s = coeffs.get(a, 0) + c if sign == 1 else coeffs.get(a, 0) - c
+            if s == 0 and not isinstance(s, float):
+                coeffs.pop(a, None)
+            else:
+                coeffs[a] = s
+        return JetPoly(self.nvars, self.order, self.base, coeffs)
+
     def __add__(self, other):
         if isinstance(other, JetPoly):
-            self._check_shape(other)
-            coeffs = dict(self.coeffs)
-            for a, c in other.coeffs.items():
-                s = coeffs.get(a, 0) + c
-                if s == 0 and not isinstance(s, float):
-                    coeffs.pop(a, None)
-                else:
-                    coeffs[a] = s
-            return JetPoly(self.nvars, self.order, self.base, coeffs)
+            return self._combine(other, 1)
         return self + self.like_constant(other)
 
     __radd__ = __add__
@@ -186,7 +194,7 @@ class JetPoly:
 
     def __sub__(self, other):
         if isinstance(other, JetPoly):
-            return self + (-other)
+            return self._combine(other, -1)
         return self + self.like_constant(-other)
 
     def __rsub__(self, other):
@@ -243,14 +251,27 @@ def _reciprocal_scalar(x):
     return 1.0 / x
 
 
+@lru_cache(maxsize=None)
+def _indices_on(nvars: int, order: int, active: Tuple[int, ...]) -> Tuple[MultiIndex, ...]:
+    """``taylor_indices(nvars, order)`` restricted to exponents supported on ``active``, same order."""
+    inactive = [i for i in range(nvars) if i not in active]
+    return tuple(a for a in taylor_indices(nvars, order) if not any(a[i] for i in inactive))
+
+
 def _divide(num: JetPoly, den: JetPoly) -> JetPoly:
-    """Graded long division; requires a nonzero constant term in ``den``."""
+    """Graded long division; requires a nonzero constant term in ``den``.
+
+    Only multi-indices over the variables that ``num`` or ``den`` use can get a
+    nonzero coefficient, so the division runs over those alone.
+    """
     b0 = den.value
     if b0 == 0:
         raise JetDomainError("division by a jet with zero constant term")
     coeffs: Dict[MultiIndex, object] = {}
     den_rest = [(a, c) for a, c in den.coeffs.items() if sum(a) > 0]
-    for alpha in taylor_indices(num.nvars, num.order):
+    exponents_by_variable = zip(*num.coeffs, *(a for a, _ in den_rest))
+    active = tuple(i for i, exponents in enumerate(exponents_by_variable) if any(exponents))
+    for alpha in _indices_on(num.nvars, num.order, active):
         acc = num.coefficient(alpha)
         for beta, cb in den_rest:
             gamma = tuple(x - y for x, y in zip(alpha, beta))

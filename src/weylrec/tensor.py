@@ -133,13 +133,14 @@ def metric_jets(structure: WeylStructure, point: Sequence, order: int) -> List[L
     zero = template.like_constant(0)
     d = structure.dim
     out: List[List[JetPoly]] = [[zero] * d for _ in range(d)]
+    evaluated: Dict[int, JetPoly] = {}  # entries sharing one Expr object share one jet
     for i in range(d):
         for j in range(i, d):
             e = structure.metric[i][j]
             if e is not None:
-                jet = eval_jet(e, env)
-                out[i][j] = jet
-                out[j][i] = jet
+                if id(e) not in evaluated:
+                    evaluated[id(e)] = eval_jet(e, env)
+                out[i][j] = out[j][i] = evaluated[id(e)]
     return out
 
 

@@ -208,6 +208,17 @@ class TestSampling:
         with pytest.raises(CatalogError, match="incompatible"):
             sample_box(entry.structure.chart, bad_box, 5)
 
+    def test_twelve_dimensional_points_inside_box(self):
+        entry = make_dim_ge4("exp(t)", 10)
+        names = entry.structure.chart.names
+        assert len(names) == 12
+        points = sample_box(entry.structure.chart, entry.box, 6, seed=2)
+        assert len(points) == 6 and len(set(points)) == 6
+        for p in points:
+            for name, x in zip(names, p):
+                lo, hi = entry.box[name]
+                assert lo <= x <= hi
+
     def test_catalog_covers_required_dimensions(self, catalog):
         dims = {e.dim for e in catalog.values()}
         assert {3, 4, 5, 6} <= dims

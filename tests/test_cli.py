@@ -91,6 +91,33 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2 and "unsupported format" in err
 
+    def test_dimension_ten_passes(self, tmp_path, capsys):
+        path = write_json(tmp_path / "d10.json", {"format": 1, "family": "dim_ge4", "psi": "exp(t)", "n": 8})
+        code, out, _ = run(capsys, "verify", path, "--samples", "2")
+        assert code == 0 and json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"seed": "x"},
+            {"seed": 1.5},
+            {"n": "2"},
+            {"branch": True},
+            {"box": {"t": [1]}},
+            {"box": {"t": [2, 1]}},
+            {"box": {"t": [1, "2"]}},
+            {"box": {"t": [1, float("inf")]}},
+            {"box": {"t": [1, 10**400]}},
+            {"box": [[1, 2]]},
+        ],
+    )
+    def test_malformed_structure_field_exits_2(self, tmp_path, capsys, fields):
+        payload = {"format": 1, "family": "dim_ge4", "psi": "exp(t)", "n": 2, **fields}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = run(capsys, "verify", str(path), "--samples", "2")
+        assert code == 2 and "Traceback" not in err and "error:" in err
+
     def test_deterministic_output(self, exp_file, capsys):
         code1, out1, _ = run(capsys, "verify", exp_file, "--samples", "4")
         code2, out2, _ = run(capsys, "verify", exp_file, "--samples", "4")

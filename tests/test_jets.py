@@ -23,6 +23,7 @@ from weylrec.jets import (
     jet_sin,
     jet_sqrt,
     jet_tan,
+    taylor_indices,
 )
 
 
@@ -165,6 +166,72 @@ def test_ring_axioms_exact(a, b, c):
     assert all(((A * B) * C).coefficient(i) == (A * (B * C)).coefficient(i) for i in idx)
     assert all((A * (B + C)).coefficient(i) == (A * B + A * C).coefficient(i) for i in idx)
     assert all((A + (B + C)).coefficient(i) == ((A + B) + C).coefficient(i) for i in idx)
+
+
+def dense_divide(num, den):
+    """Graded long division over every multi-index of the jet space: the
+    reference that the support-restricted division must reproduce exactly."""
+    b0 = den.value
+    coeffs = {}
+    den_rest = [(a, c) for a, c in den.coeffs.items() if sum(a) > 0]
+    for alpha in taylor_indices(num.nvars, num.order):
+        acc = num.coefficient(alpha)
+        for beta, cb in den_rest:
+            gamma = tuple(x - y for x, y in zip(alpha, beta))
+            if min(gamma) < 0:
+                continue
+            cg = coeffs.get(gamma)
+            if cg is not None:
+                acc = acc - cb * cg
+        if acc == 0 and not isinstance(acc, float):
+            continue
+        if isinstance(acc, (int, Fraction)) and isinstance(b0, (int, Fraction)):
+            coeffs[alpha] = Fraction(acc) / b0 if not isinstance(acc, Fraction) else acc / b0
+        else:
+            coeffs[alpha] = acc / b0
+    return coeffs
+
+
+@st.composite
+def sparse_jet_pairs(draw):
+    """Two jets in 3-5 variables, with 1 or 2 variables absent from both."""
+    nvars = draw(st.integers(3, 5))
+    order = draw(st.integers(0, 4))
+    absent = draw(st.sets(st.integers(0, nvars - 1), min_size=1, max_size=2))
+    present = [i for i in range(nvars) if i not in absent]
+    if draw(st.booleans()):
+        values = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+    else:
+        values = st.fractions(-4, 4, max_denominator=12)
+
+    def jet():
+        # each jet uses its own subset of the present variables
+        used = draw(st.sets(st.sampled_from(present)))
+        indices = [a for a in taylor_indices(nvars, order) if all(a[i] == 0 or i in used for i in range(nvars))]
+        keys = draw(st.lists(st.sampled_from(indices), unique=True, max_size=len(indices)))
+        return JetPoly(nvars, order, (0.5,) * nvars, {a: draw(values) for a in keys})
+
+    return jet(), jet()
+
+
+def items(jet):
+    return [(a, repr(c)) for a, c in jet.coeffs.items()]
+
+
+@given(sparse_jet_pairs(), st.floats(0.5, 4), st.booleans())
+def test_division_matches_dense_reference(pair, b0, negative):
+    num, den = pair
+    coeffs = dict(den.coeffs)
+    coeffs[(0,) * den.nvars] = -b0 if negative else b0
+    den = JetPoly(den.nvars, den.order, den.base, coeffs)
+    assert items(num / den) == [(a, repr(c)) for a, c in dense_divide(num, den).items()]
+
+
+@given(sparse_jet_pairs())
+def test_subtraction_matches_adding_negation(pair):
+    a, b = pair
+    assert items(a - b) == items(a + (-b))
+    assert items(b - a) == items(b + (-a))
 
 
 class TestUnivariateHelpers:

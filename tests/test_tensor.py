@@ -9,6 +9,7 @@ coordinates, Schwarzschild) and from the displayed component formulas of the
 import numpy as np
 import pytest
 
+from weylrec import tensor
 from weylrec.catalog import extra_fields, make_3d_case1, make_dim_ge4, standard_catalog
 from weylrec.exprlang import eval_jet, parse
 from weylrec.jets import JetPoly
@@ -23,6 +24,7 @@ from weylrec.tensor import (
     levi_civita,
     lie_derivative_check,
     make_structure,
+    metric_jets,
     nabla_R,
     one_form_jets,
     recurrence_theta,
@@ -126,6 +128,23 @@ class TestLeviCivita:
         lc = levi_civita(case1_xu, p, depth=1).values()
         assert lc[1, 1, 1] == pytest.approx(-0.8)  # the pure-metric term
         assert lc[2, 2, 2] == pytest.approx(0.0)  # 2 Fdot comes from the correction K
+
+
+class TestMetricJets:
+    def test_shared_entries_evaluated_once(self, monkeypatch):
+        entry = make_dim_ge4("exp(t)", 8)
+        calls = []
+
+        def counting_eval_jet(expr, env):
+            calls.append(expr)
+            return eval_jet(expr, env)
+
+        monkeypatch.setattr(tensor, "eval_jet", counting_eval_jet)
+        p = entry.sample_points(1)[0]
+        g = metric_jets(entry.structure, p, 2)
+        assert len(calls) == 2  # dt^2 and the shared factor E, not one call per entry
+        assert g[1][9] is g[2][2] and g[9][1] is g[1][9]
+        assert g[0][0].value == 1
 
 
 class TestWeylConnection:
