@@ -37,7 +37,7 @@ from .catalog import (
     make_mainth_form,
     standard_catalog,
 )
-from .einsteinweyl import ew_residual
+from .einsteinweyl import ew_report
 from .invariants import (
     SingularStratumError,
     equivalence_test,
@@ -52,13 +52,7 @@ from .invariants import (
     surface_signature_curve,
 )
 from .symmetry import classify_3d2, classify_psi
-from .tensor import (
-    conformal_weyl_tensor,
-    holonomy_span_dim,
-    one_form_jets,
-    recurrence_theta,
-    weyl_compatibility_residual,
-)
+from .tensor import PointGeometry, recurrence_theta, weyl_compatibility_residual
 
 FORMAT_VERSION = 1
 
@@ -223,8 +217,26 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
     checks: List[Dict] = []
     expected = entry.expected
     points = entry.sample_points(samples, seed)
+    rec_pts = points[:5]  # the curvature checks run at the first points
 
-    compat = max(weyl_compatibility_residual(entry.structure, p) for p in points)
+    # one geometry pass per point: every check at a curvature point reads the
+    # same Weyl connection; the other points check compatibility alone, which
+    # reads only Christoffel values and dg (a depth-0 connection)
+    compat_residuals, reports, omegas, dims, weyl_norms, ew_reports = [], [], [], [], [], []
+    for p in rec_pts:
+        geo = PointGeometry(entry.structure, p, order)
+        compat_residuals.append(geo.compatibility_residual())
+        reports.append(geo.recurrence(tol))
+        omegas.append(geo.omega)
+        if expected.get("holonomy_dim") is not None:
+            dims.append(geo.holonomy().span_dim)
+        if entry.dim >= 4 and "conformally_flat" in expected:
+            weyl_norms.append(geo.conformal_weyl().norm())
+        if "einstein_weyl" in expected:
+            ew_reports.append(ew_report(geo))
+    compat_residuals += [weyl_compatibility_residual(entry.structure, p) for p in points[len(rec_pts):]]
+
+    compat = max(compat_residuals)
     checks.append(
         {
             "name": "metric_compatibility",
@@ -234,8 +246,6 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
         }
     )
 
-    rec_pts = points[: max(2, min(len(points), 5))]
-    reports = [recurrence_theta(entry.structure, p, tol=tol, jet_order=order) for p in rec_pts]
     recurrent = all(r.status == "ok" and r.recurrent for r in reports)
     rec_check = {
         "name": "recurrence",
@@ -247,8 +257,7 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
     }
     if expected.get("is_preferred_rep") and reports[0].theta is not None:
         worst = 0.0
-        for p, r in zip(rec_pts, reports):
-            w = np.array([float(x.value) for x in one_form_jets(entry.structure, p, 0)])
+        for w, r in zip(omegas, reports):
             worst = max(worst, float(np.max(np.abs(r.theta + 3.0 * w))))
         rec_check["theta_plus_3omega"] = worst
         if worst > 1e-8 and expected.get("recurrent", True):
@@ -262,19 +271,19 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
     checks.append(rec_check)
 
     if expected.get("holonomy_dim") is not None:
-        dims = sorted({holonomy_span_dim(entry.structure, p).span_dim for p in rec_pts})
-        ok = dims == [expected["holonomy_dim"]]
+        observed = sorted(set(dims))
+        ok = observed == [expected["holonomy_dim"]]
         checks.append(
             {
                 "name": "holonomy_span_dim",
                 "status": "pass" if ok else "fail",
-                "observed": dims,
+                "observed": observed,
                 "expected": expected["holonomy_dim"],
             }
         )
 
     if entry.dim >= 4 and "conformally_flat" in expected:
-        worst = max(conformal_weyl_tensor(entry.structure, p).norm() for p in rec_pts)
+        worst = max(weyl_norms)
         ok = (worst <= 1e-9) == bool(expected["conformally_flat"])
         checks.append(
             {
@@ -286,12 +295,11 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
         )
 
     if "einstein_weyl" in expected:
-        reports = [ew_residual(entry.structure, p) for p in rec_pts]
-        worst = max(r.residual for r in reports)
+        worst = max(r.residual for r in ew_reports)
         if expected["einstein_weyl"]:
             ok = worst <= 1e-9
             rec = {"name": "einstein_weyl", "status": "pass" if ok else "fail", "max_residual": worst}
-            dkps = [r.dkp_residual for r in reports if r.dkp_residual is not None]
+            dkps = [r.dkp_residual for r in ew_reports if r.dkp_residual is not None]
             if dkps:
                 rec["max_dkp_residual"] = max(abs(v) for v in dkps)
                 if rec["max_dkp_residual"] > 1e-10:
@@ -309,6 +317,8 @@ def cmd_verify(args) -> int:
     t0 = time.monotonic()
     if args.order < 3:
         raise InputError("--order must be >= 3 (curvature checks need third metric derivatives)")
+    if args.samples < 1:
+        raise InputError("--samples must be >= 1")
     entry = load_structure_file(args.file)
     seed = _seed(args)
     checks, ok = _verify_checks(entry, args.tol, args.samples, seed, args.order)

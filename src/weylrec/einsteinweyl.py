@@ -14,7 +14,8 @@ import numpy as np
 from . import exprlang
 from .catalog import THREED_CASE2
 from .jets import JetPoly
-from .tensor import PointTensor, WeylStructure, _curvature_jets, metric_values, weyl_connection
+from .tensor import PointGeometry, PointTensor, WeylStructure
+from .tensor import _curvature_jets, weyl_connection  # noqa: F401  (names benchmarks/test_tracer.py reads here)
 
 
 def ricci_sym(structure: WeylStructure, point: Sequence) -> PointTensor:
@@ -23,15 +24,14 @@ def ricci_sym(structure: WeylStructure, point: Sequence) -> PointTensor:
     Ric_{cb} = R^a_{cab}; the Weyl connection's Ricci tensor is not symmetric
     in general, so the symmetric part is taken explicitly.
     """
-    conn = weyl_connection(structure, point, depth=1)
-    d = structure.dim
-    R = _curvature_jets(conn)
-    ric = np.zeros((d, d))
-    for c in range(d):
-        for b in range(d):
-            ric[c, b] = sum(float(R[a][c][a][b].value) for a in range(d))
-    sym = 0.5 * (ric + ric.T)
-    return PointTensor(structure.chart, tuple(point), ("d", "d"), sym)
+    return PointTensor(structure.chart, tuple(point), ("d", "d"), _ricci_sym(PointGeometry(structure, point, 2)))
+
+
+def _ricci_sym(geo: PointGeometry) -> np.ndarray:
+    R = geo.curvature
+    d = R.shape[0]
+    ric = np.array([[sum(R[a, c, a, b] for a in range(d)) for b in range(d)] for c in range(d)])
+    return 0.5 * (ric + ric.T)
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,14 @@ def ew_residual(structure: WeylStructure, point: Sequence) -> EWReport:
     coordinate scaling); the residual is |Ric_sym - lam g|.  For the 3D
     holonomy-2 family the potential residual is evaluated independently.
     """
-    ric = ricci_sym(structure, point).array
-    g = metric_values(structure, point)
+    return ew_report(PointGeometry(structure, point, 2))
+
+
+def ew_report(geo: PointGeometry) -> EWReport:
+    """:func:`ew_residual` read from a geometry pass of order >= 2."""
+    structure, point = geo.structure, geo.point
+    ric = _ricci_sym(geo)
+    g = geo.metric
     denom = float(np.sum(g * g))
     lam = float(np.sum(ric * g)) / denom
     residual = float(np.sqrt(np.sum((ric - lam * g) ** 2)))

@@ -52,6 +52,12 @@ def taylor_indices(nvars: int, order: int) -> Tuple[MultiIndex, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _unit_indices(nvars: int) -> Tuple[MultiIndex, ...]:
+    """The first-degree multi-indices, in variable order."""
+    return tuple(tuple(int(i == j) for i in range(nvars)) for j in range(nvars))
+
+
 def _multi_factorial(alpha: MultiIndex) -> int:
     f = 1
     for a in alpha:
@@ -120,13 +126,7 @@ class JetPoly:
         return {a: self.coefficient(a) * _multi_factorial(a) for a in taylor_indices(self.nvars, self.order)}
 
     def gradient(self) -> list:
-        e = [0] * self.nvars
-        out = []
-        for i in range(self.nvars):
-            e[i] = 1
-            out.append(self.coefficient(tuple(e)))
-            e[i] = 0
-        return out
+        return [self.coeffs.get(unit, 0) for unit in _unit_indices(self.nvars)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         items = ", ".join(f"{a}: {c}" for a, c in sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -150,17 +151,39 @@ def one_form_jets(structure: WeylStructure, point: Sequence, order: int) -> List
     return [zero if e is None else eval_jet(e, env) for e in structure.one_form]
 
 
+def _flatten(jets) -> Tuple[Tuple[int, ...], List[JetPoly]]:
+    """Shape of a nested list of jets and its jets in row-major order."""
+    shape: List[int] = []
+    leaves = [jets]
+    while not isinstance(leaves[0], JetPoly):
+        shape.append(len(leaves[0]))
+        leaves = [jet for sub in leaves for jet in sub]
+    return tuple(shape), leaves
+
+
+def _values(jets) -> np.ndarray:
+    """Float values at the point of a nested list of jets, in an array of its shape."""
+    shape, leaves = _flatten(jets)
+    return np.fromiter((float(jet.value) for jet in leaves), float, len(leaves)).reshape(shape)
+
+
+def _first_partials(jets) -> np.ndarray:
+    """array[e][...] = d_e of each jet of a nested list at the point (jets of order >= 1)."""
+    shape, leaves = _flatten(jets)
+    grads = np.fromiter((float(c) for jet in leaves for c in jet.gradient()), float, len(leaves) * leaves[0].nvars)
+    return np.moveaxis(grads.reshape(shape + (-1,)), -1, 0)
+
+
 def metric_values(structure: WeylStructure, point: Sequence) -> np.ndarray:
-    g = metric_jets(structure, point, 0)
-    d = structure.dim
-    return np.array([[float(g[i][j].value) for j in range(d)] for i in range(d)])
+    return _values(metric_jets(structure, point, 0))
 
 
 def check_signature(structure: WeylStructure, point: Sequence) -> np.ndarray:
-    """Check Lorentzian signature (one negative eigenvalue); returns g values."""
+    """Check Lorentzian signature (one negative eigenvalue); returns g values.
+    Singular means min |eigenvalue| <= 1e-12 max |eigenvalue|: a unit-free test."""
     gv = metric_values(structure, point)
     eig = np.linalg.eigvalsh(gv)
-    if abs(np.linalg.det(gv)) < 1e-12:
+    if np.min(np.abs(eig)) <= 1e-12 * np.max(np.abs(eig)):
         raise SingularMetricError(f"metric is singular at {tuple(point)}")
     negatives = int(np.sum(eig < 0))
     if negatives != 1:
@@ -169,14 +192,16 @@ def check_signature(structure: WeylStructure, point: Sequence) -> np.ndarray:
 
 
 def _invert_jet_matrix(g: List[List[JetPoly]]) -> List[List[JetPoly]]:
-    """Invert a matrix of jets by Gauss-Jordan with constant-term pivoting."""
+    """Invert a matrix of jets by Gauss-Jordan with constant-term pivoting; a
+    pivot at most 1e-14 of the largest entry's value means it is singular."""
     d = len(g)
     zero = g[0][0].like_constant(0)
     one = g[0][0].like_constant(1)
+    cut = 1e-14 * float(np.max(np.abs(_values(g))))
     aug = [[g[i][j] for j in range(d)] + [one if i == j else zero for j in range(d)] for i in range(d)]
     for col in range(d):
         pivot_row = max(range(col, d), key=lambda r: abs(float(aug[r][col].value)))
-        if abs(float(aug[pivot_row][col].value)) < 1e-14:
+        if abs(float(aug[pivot_row][col].value)) <= cut:
             raise SingularMetricError("metric is singular (no usable pivot)")
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         inv_pivot = 1 / aug[col][col]
@@ -197,40 +222,27 @@ def _invert_jet_matrix(g: List[List[JetPoly]]) -> List[List[JetPoly]]:
 
 @dataclass(eq=False)
 class Connection:
-    """Christoffel symbols with their partial-derivative jets to ``depth``."""
+    """Christoffel symbols with their partial-derivative jets to ``depth``,
+    and the jets they were built from."""
 
     chart: Chart
     point: Tuple
     depth: int
     gamma: List[List[List[JetPoly]]]  # gamma[a][b][c] = Gamma^a_{bc}, jets of order depth
+    metric: Optional[List[List[JetPoly]]] = None  # g_ab, jets of order depth + 1
+    one_form: Optional[List[JetPoly]] = None  # w_a, jets of order depth (Weyl connections)
+    levi_civita_gamma: Optional[List[List[List[JetPoly]]]] = None  # metric part of a Weyl connection
 
     @property
     def dim(self) -> int:
         return self.chart.dim
 
     def values(self) -> np.ndarray:
-        d = self.dim
-        out = np.zeros((d, d, d))
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    out[a, b, c] = float(self.gamma[a][b][c].value)
-        return out
+        return _values(self.gamma)
 
     def derivative_values(self) -> np.ndarray:
         """array[e][a][b][c] = d_e Gamma^a_{bc} (requires depth >= 1)."""
-        d = self.dim
-        out = np.zeros((d, d, d, d))
-        unit = [0] * d
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    jet = self.gamma[a][b][c]
-                    for e in range(d):
-                        unit[e] = 1
-                        out[e, a, b, c] = float(jet.coefficient(tuple(unit)))
-                        unit[e] = 0
-        return out
+        return _first_partials(self.gamma)
 
 
 def levi_civita(structure: WeylStructure, point: Sequence, depth: int = 1) -> Connection:
@@ -276,7 +288,9 @@ def _christoffel_from(
                 gamma[a][b][c] = entry
                 gamma[a][c][b] = entry
 
+    levi_civita_gamma = None
     if omega is not None:
+        levi_civita_gamma = [[row[:] for row in plane] for plane in gamma]
         omega_up = [zero] * d  # g^{ad} w_d
         for a in range(d):
             acc = zero
@@ -299,7 +313,7 @@ def _christoffel_from(
                         gamma[a][b][c] = entry
                         gamma[a][c][b] = entry
 
-    return Connection(chart=structure.chart, point=tuple(point), depth=depth, gamma=gamma)
+    return Connection(structure.chart, tuple(point), depth, gamma, g, omega, levi_civita_gamma)
 
 
 # ----------------------------------------------------------------------
@@ -347,54 +361,24 @@ def _curvature_jets(conn: Connection) -> List[List[List[List[JetPoly]]]]:
     return R
 
 
-def _tensor_values(jets4, d: int) -> np.ndarray:
-    out = np.zeros((d,) * 4)
-    for i in range(d):
-        for j in range(d):
-            for a in range(d):
-                for b in range(d):
-                    out[i, j, a, b] = float(jets4[i][j][a][b].value)
-    return out
-
-
 def curvature(structure: WeylStructure, point: Sequence) -> PointTensor:
     """Curvature of the Weyl connection as R^d_{cab} (see module docstring)."""
-    conn = weyl_connection(structure, point, depth=1)
-    R = _curvature_jets(conn)
-    return PointTensor(structure.chart, tuple(point), ("u", "d", "d", "d"), _tensor_values(R, structure.dim))
+    return PointTensor(structure.chart, tuple(point), ("u", "d", "d", "d"), PointGeometry(structure, point, 2).curvature)
 
 
 def nabla_R(structure: WeylStructure, point: Sequence) -> PointTensor:
     """Covariant derivative (nabla_e R)^d_{cab} of the (1,3) curvature tensor."""
-    conn = weyl_connection(structure, point, depth=2)
-    return PointTensor(
-        structure.chart, tuple(point), ("d", "u", "d", "d", "d"), _nabla_R_values(conn)
-    )
-
-
-def _nabla_R_values(conn: Connection) -> np.ndarray:
-    Rjets = _curvature_jets(conn)  # order depth-1 >= 1
-    return _nabla_R_from(conn, Rjets, _tensor_values(Rjets, conn.dim))
+    return PointTensor(structure.chart, tuple(point), ("d", "u", "d", "d", "d"), PointGeometry(structure, point, 3).nabla_R)
 
 
 def _nabla_R_from(conn: Connection, Rjets, R: np.ndarray) -> np.ndarray:
     d = conn.dim
-    dR = np.zeros((d,) * 5)
-    unit = [0] * d
-    for i in range(d):
-        for c in range(d):
-            for a in range(d):
-                for b in range(a + 1, d):
-                    jet = Rjets[i][c][a][b]
-                    for e in range(d):
-                        unit[e] = 1
-                        v = float(jet.coefficient(tuple(unit)))
-                        unit[e] = 0
-                        dR[e, i, c, a, b] = v
-                        dR[e, i, c, b, a] = -v
     G = conn.values()  # G[a, b, c] = Gamma^a_{bc}
+    a, b = np.triu_indices(d, 1)  # d_e R is read on the slots a < b; R is antisymmetric in (a, b)
+    out = np.zeros((d,) * 5)
+    out[..., a, b] = _first_partials([[[Rjets[i][c][p][q] for p, q in zip(a, b)] for c in range(d)] for i in range(d)])
+    out[..., b, a] = -out[..., a, b]
     # nabla_e R^d_cab = d_e R + G^d_ef R^f_cab - G^f_ec R^d_fab - G^f_ea R^d_cfb - G^f_eb R^d_caf
-    out = dR.copy()
     out += np.einsum("def,fcab->edcab", G, R)
     out -= np.einsum("fec,dfab->edcab", G, R)
     out -= np.einsum("fea,dcfb->edcab", G, R)
@@ -404,25 +388,7 @@ def _nabla_R_from(conn: Connection, Rjets, R: np.ndarray) -> np.ndarray:
 
 def weyl_compatibility_residual(structure: WeylStructure, point: Sequence) -> float:
     """max |(nabla g + 2 w x g)_{e,ab}| / max(1, |g|): the construction identity."""
-    conn = weyl_connection(structure, point, depth=1)
-    d = structure.dim
-    g = metric_jets(structure, point, 1)
-    omega = one_form_jets(structure, point, 0)
-    gv = np.array([[float(g[i][j].value) for j in range(d)] for i in range(d)])
-    dg = np.zeros((d, d, d))
-    unit = [0] * d
-    for i in range(d):
-        for j in range(d):
-            jet = g[i][j]
-            for e in range(d):
-                unit[e] = 1
-                dg[e, i, j] = float(jet.coefficient(tuple(unit)))
-                unit[e] = 0
-    G = conn.values()
-    w = np.array([float(o.value) for o in omega])
-    nabla_g = dg - np.einsum("fea,fb->eab", G, gv) - np.einsum("feb,af->eab", G, gv)
-    resid = nabla_g + 2.0 * np.einsum("e,ab->eab", w, gv)
-    return float(np.max(np.abs(resid)) / max(1.0, np.max(np.abs(gv))))
+    return PointGeometry(structure, point, 1).compatibility_residual()
 
 
 # ----------------------------------------------------------------------
@@ -455,34 +421,7 @@ def recurrence_theta(
     """
     if jet_order < 3:
         raise ValueError("the recurrence identity needs metric jets of order >= 3")
-    d = structure.dim
-    conn = weyl_connection(structure, point, depth=jet_order - 1)
-    Rjets = _curvature_jets(conn)
-    conn_R = _tensor_values(Rjets, d)
-    nr = _nabla_R_from(conn, Rjets, conn_R)
-    r = conn_R.ravel()
-    rnorm = float(np.sqrt(r @ r))
-    if rnorm < 1e-13:
-        return RecurrenceReport("no_curvature", False, None, 0.0, None, None, False)
-    theta = np.array([float(nr[e].ravel() @ r) / (rnorm**2) for e in range(d)])
-    max_resid = 0.0
-    for e in range(d):
-        diff = nr[e] - theta[e] * conn_R
-        dn = float(np.sqrt(np.sum(nr[e] ** 2)))
-        resid = float(np.sqrt(np.sum(diff**2)))
-        if dn > 1e-8:
-            resid /= dn
-        max_resid = max(max_resid, resid)
-    omega = one_form_jets(structure, point, 0)
-    w = np.array([float(o.value) for o in omega])
-    wnorm = float(np.sqrt(w @ w))
-    if wnorm > 1e-10:
-        weight = -float(theta @ w) / (wnorm**2)
-        weight_residual = float(np.sqrt(np.sum((theta + weight * w) ** 2)))
-        closed = False
-    else:
-        weight, weight_residual, closed = None, None, True
-    return RecurrenceReport("ok", bool(max_resid <= tol), theta, max_resid, weight, weight_residual, closed)
+    return PointGeometry(structure, point, jet_order).recurrence(tol)
 
 
 @dataclass(frozen=True)
@@ -494,19 +433,10 @@ class HolonomyReport:
 
 def holonomy_span_dim(structure: WeylStructure, point: Sequence, rank_tol: float = 1e-7) -> HolonomyReport:
     """Numerical rank of span{R(e_a, e_b)} inside End(T_pM) (Ambrose-Singer span)."""
-    R = curvature(structure, point).array
-    d = structure.dim
-    rows = [R[:, :, a, b].ravel() for a in range(d) for b in range(a + 1, d)]
-    mat = np.stack(rows)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    top = sv[0] if sv.size else 0.0
-    if top <= 0:
-        return HolonomyReport(0, sv, None)
-    rank = int(np.sum(sv > rank_tol * top))
-    return HolonomyReport(rank, sv, _common_eigendirection(structure, point, R, rank_tol))
+    return PointGeometry(structure, point, 2).holonomy(rank_tol)
 
 
-def _common_eigendirection(structure, point, R: np.ndarray, tol: float) -> Optional[np.ndarray]:
+def _common_eigendirection(gv: np.ndarray, R: np.ndarray, tol: float) -> Optional[np.ndarray]:
     """Best-effort search for the parallel null direction (report annotation)."""
     d = R.shape[0]
     mats = [R[:, :, a, b] for a in range(d) for b in range(a + 1, d)]
@@ -516,7 +446,6 @@ def _common_eigendirection(structure, point, R: np.ndarray, tol: float) -> Optio
     rng = np.random.default_rng(0)
     combo = sum(rng.uniform(0.5, 1.5) * m for m in mats)
     try:
-        gv = metric_values(structure, point)
         vals, vecs = np.linalg.eig(combo)
     except np.linalg.LinAlgError:  # pragma: no cover
         return None
@@ -544,24 +473,119 @@ def _common_eigendirection(structure, point, R: np.ndarray, tol: float) -> Optio
 def conformal_weyl_tensor(structure: WeylStructure, point: Sequence) -> PointTensor:
     """Conformal Weyl curvature C_{abcd} of the metric part (d >= 4 for the
     vanishing test to imply conformal flatness)."""
-    conn = levi_civita(structure, point, depth=1)
-    d = structure.dim
-    Rup = _tensor_values(_curvature_jets(conn), d)  # R^a_{bcd}
-    gv = metric_values(structure, point)
-    ginv = np.linalg.inv(gv)
-    Rlow = np.einsum("ae,ebcd->abcd", gv, Rup)
-    ric = np.einsum("abad->bd", Rup)
-    scal = float(np.einsum("bd,bd->", ginv, ric))
-    n = d
-    C = Rlow.copy()
-    C -= (
-        np.einsum("ac,bd->abcd", gv, ric)
-        - np.einsum("ad,bc->abcd", gv, ric)
-        + np.einsum("bd,ac->abcd", gv, ric)
-        - np.einsum("bc,ad->abcd", gv, ric)
-    ) / (n - 2)
-    C += scal * (np.einsum("ac,bd->abcd", gv, gv) - np.einsum("ad,bc->abcd", gv, gv)) / ((n - 1) * (n - 2))
-    return PointTensor(structure.chart, tuple(point), ("d", "d", "d", "d"), C)
+    return PointGeometry(structure, point, 2).conformal_weyl()
+
+
+# ----------------------------------------------------------------------
+# one geometry pass per point
+# ----------------------------------------------------------------------
+
+
+class PointGeometry:
+    """The Weyl connection at a point, built once from metric jets of ``order``,
+    with every quantity the checks read derived from it on first use.
+
+    Constant terms of a jet do not depend on its truncation order, so each
+    value read here equals the one a pass of lower order gives.  Order 1 is
+    enough for the compatibility residual, order 2 for curvature, holonomy,
+    the conformal Weyl tensor and Einstein-Weyl, order 3 for nabla R.
+    """
+
+    def __init__(self, structure: WeylStructure, point: Sequence, order: int):
+        self.structure = structure
+        self.point = tuple(point)
+        self.conn = weyl_connection(structure, point, depth=order - 1)
+
+    @cached_property
+    def metric(self) -> np.ndarray:
+        return _values(self.conn.metric)
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        return _values(self.conn.one_form)
+
+    @cached_property
+    def curvature_jets(self):
+        return _curvature_jets(self.conn)
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """R^d_{cab} of the Weyl connection."""
+        return _values(self.curvature_jets)
+
+    @cached_property
+    def nabla_R(self) -> np.ndarray:
+        return _nabla_R_from(self.conn, self.curvature_jets, self.curvature)
+
+    def compatibility_residual(self) -> float:
+        """See :func:`weyl_compatibility_residual`."""
+        G, gv, w = self.conn.values(), self.metric, self.omega
+        dg = _first_partials(self.conn.metric)
+        nabla_g = dg - np.einsum("fea,fb->eab", G, gv) - np.einsum("feb,af->eab", G, gv)
+        resid = nabla_g + 2.0 * np.einsum("e,ab->eab", w, gv)
+        return float(np.max(np.abs(resid)) / max(1.0, np.max(np.abs(gv))))
+
+    def recurrence(self, tol: float = 1e-8) -> RecurrenceReport:
+        """See :func:`recurrence_theta` (needs order >= 3)."""
+        d = self.structure.dim
+        conn_R = self.curvature
+        r = conn_R.ravel()
+        rnorm = float(np.sqrt(r @ r))
+        if rnorm < 1e-13:
+            return RecurrenceReport("no_curvature", False, None, 0.0, None, None, False)
+        nr = self.nabla_R
+        theta = np.array([float(nr[e].ravel() @ r) / (rnorm**2) for e in range(d)])
+        max_resid = 0.0
+        for e in range(d):
+            diff = nr[e] - theta[e] * conn_R
+            dn = float(np.sqrt(np.sum(nr[e] ** 2)))
+            resid = float(np.sqrt(np.sum(diff**2)))
+            if dn > 1e-8:
+                resid /= dn
+            max_resid = max(max_resid, resid)
+        w = self.omega
+        wnorm = float(np.sqrt(w @ w))
+        if wnorm > 1e-10:
+            weight = -float(theta @ w) / (wnorm**2)
+            weight_residual = float(np.sqrt(np.sum((theta + weight * w) ** 2)))
+            closed = False
+        else:
+            weight, weight_residual, closed = None, None, True
+        return RecurrenceReport("ok", bool(max_resid <= tol), theta, max_resid, weight, weight_residual, closed)
+
+    def holonomy(self, rank_tol: float = 1e-7) -> HolonomyReport:
+        """See :func:`holonomy_span_dim`."""
+        R = self.curvature
+        d = self.structure.dim
+        rows = [R[:, :, a, b].ravel() for a in range(d) for b in range(a + 1, d)]
+        mat = np.stack(rows)
+        sv = np.linalg.svd(mat, compute_uv=False)
+        top = sv[0] if sv.size else 0.0
+        if top <= 0:
+            return HolonomyReport(0, sv, None)
+        rank = int(np.sum(sv > rank_tol * top))
+        return HolonomyReport(rank, sv, _common_eigendirection(self.metric, R, rank_tol))
+
+    def conformal_weyl(self) -> PointTensor:
+        """See :func:`conformal_weyl_tensor`."""
+        # the Levi-Civita part cut to depth 1: its curvature values need no more
+        lc_gamma = [[[jet.truncated(1) for jet in row] for row in plane] for plane in self.conn.levi_civita_gamma]
+        d = self.structure.dim
+        Rup = _values(_curvature_jets(Connection(self.structure.chart, self.point, 1, lc_gamma)))  # R^a_{bcd}
+        gv = self.metric
+        ginv = np.linalg.inv(gv)
+        Rlow = np.einsum("ae,ebcd->abcd", gv, Rup)
+        ric = np.einsum("abad->bd", Rup)
+        scal = float(np.einsum("bd,bd->", ginv, ric))
+        C = Rlow.copy()
+        C -= (
+            np.einsum("ac,bd->abcd", gv, ric)
+            - np.einsum("ad,bc->abcd", gv, ric)
+            + np.einsum("bd,ac->abcd", gv, ric)
+            - np.einsum("bc,ad->abcd", gv, ric)
+        ) / (d - 2)
+        C += scal * (np.einsum("ac,bd->abcd", gv, gv) - np.einsum("ad,bc->abcd", gv, gv)) / ((d - 1) * (d - 2))
+        return PointTensor(self.structure.chart, self.point, ("d", "d", "d", "d"), C)
 
 
 # ----------------------------------------------------------------------

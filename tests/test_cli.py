@@ -146,6 +146,12 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", exp_file, "--order", "2")
         assert code == 2 and "--order" in err
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_sample_count_floor_enforced(self, exp_file, capsys, samples):
+        code, out, err = run(capsys, "verify", exp_file, "--samples", samples)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--samples" in err
+
 
 class TestInvariantsCommand:
     def test_power_values(self, tmp_path, capsys):

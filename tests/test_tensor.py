@@ -6,10 +6,13 @@ coordinates, Schwarzschild) and from the displayed component formulas of the
 3D normal forms.
 """
 
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from weylrec import tensor
+from weylrec import exprlang, tensor
 from weylrec.catalog import extra_fields, make_3d_case1, make_dim_ge4, standard_catalog
 from weylrec.exprlang import eval_jet, parse
 from weylrec.jets import JetPoly
@@ -298,6 +301,39 @@ class TestRecurrence:
         s = schwarzschild()
         rep = recurrence_theta(s, (0.0, 3.0, 1.0, 0.5))
         assert rep.closed_at_point and rep.weight is None
+
+
+class TestConstantRescaling:
+    """c g with the same 1-form has the same Weyl connection, so verdicts and
+    theta must not depend on the unit of the metric."""
+
+    @staticmethod
+    def scaled(structure, factor):
+        def scale(e):
+            return None if e is None else exprlang.mul(exprlang.const(factor), e)
+
+        return dataclasses.replace(structure, metric=tuple(tuple(scale(e) for e in row) for row in structure.metric))
+
+    @pytest.mark.parametrize("key", ["dim4-psi-exp", "dim6-psi-exp"])
+    @pytest.mark.parametrize("factor", [Fraction(1, 10**6), Fraction(1, 1000), 10**6], ids=["1e-6", "1e-3", "1e6"])
+    def test_recurrence_and_holonomy_are_unit_free(self, catalog, key, factor):
+        entry = catalog[key]
+        s, p = entry.structure, entry.sample_points(1)[0]
+        s_scaled = self.scaled(s, factor)
+        rep, rep_scaled = recurrence_theta(s, p), recurrence_theta(s_scaled, p)
+        assert rep_scaled.recurrent == rep.recurrent
+        assert np.max(np.abs(rep_scaled.theta - rep.theta)) <= 1e-9 * np.max(np.abs(rep.theta))
+        assert holonomy_span_dim(s_scaled, p).span_dim == holonomy_span_dim(s, p).span_dim
+
+    def test_jet_inverse_pivot_cut_is_relative(self):
+        def jets(rows):
+            return [[JetPoly.constant(v, 3, 1, (0, 0, 0)) for v in row] for row in rows]
+
+        tiny = 1e-15
+        inv = tensor._invert_jet_matrix(jets([[-tiny, 0, 0], [0, tiny, 0], [0, 0, 2 * tiny]]))
+        assert [inv[i][i].value for i in range(3)] == [-1 / tiny, 1 / tiny, 0.5 / tiny]
+        with pytest.raises(SingularMetricError):
+            tensor._invert_jet_matrix(jets([[tiny, tiny, 0], [tiny, tiny, 0], [0, 0, tiny]]))
 
 
 class TestHolonomy:
