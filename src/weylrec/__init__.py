@@ -32,7 +32,6 @@ from .tensor import (
 from .catalog import (
     CatalogEntry,
     CatalogError,
-    killing_and_extra_fields,
     make_3d_case1,
     make_3d_case2,
     make_dim_ge4,

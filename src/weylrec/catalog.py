@@ -7,6 +7,7 @@ that respects them; quasi-random sampling is seeded and deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -130,13 +131,7 @@ def _axis_probe(box: Dict[str, Tuple[float, float]], names: Sequence[str], count
     for name in names:
         lo, hi = box[name]
         grids.append([lo + (hi - lo) * (k + 0.5) / count for k in range(count)])
-    if len(names) == 1:
-        return [{names[0]: g} for g in grids[0]]
-    out = []
-    for a in grids[0]:
-        for b in grids[1]:
-            out.append({names[0]: a, names[1]: b})
-    return out
+    return [dict(zip(names, values)) for values in itertools.product(*grids)]
 
 
 # ----------------------------------------------------------------------
@@ -494,27 +489,10 @@ def make_homogeneous_model(
     for xnm in _xnames(n):
         box.setdefault(xnm, (-1.0, 1.0))
 
-    xs = _xnames(n)
-    fields: List[FieldSpec] = []
-
-    def comps(**by_name: str) -> Tuple[str, ...]:
-        return tuple(by_name.get(nm, "0") for nm in names)
-
-    fields.append(("d_v", comps(v="1")))
-    for xi in xs:
-        fields.append((f"d_{xi}", comps(**{xi: "1"})))
-    for xi in xs:
-        fields.append((f"{xi} d_v - u d_{xi}", comps(v=xi, **{xi: "0-u"})))
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            fields.append(
-                (
-                    f"{xs[i]} d_{xs[j]} - {xs[j]} d_{xs[i]}",
-                    comps(**{xs[j]: xs[i], xs[i]: f"0-{xs[j]}"}),
-                )
-            )
-    fields.append(("translation-boost X", comps(u="1", v="t", t="0-u")))
-    fields.append(("scaling Y", comps(t="2*t", u="u", v="3*v", **{xi: f"2*{xi}" for xi in xs})))
+    fields = killing_fields(n) + [
+        ("translation-boost X", _comps(n, u="1", v="t", t="0-u")),
+        ("scaling Y", _comps(n, t="2*t", u="u", v="3*v", **{xi: f"2*{xi}" for xi in _xnames(n)})),
+    ]
 
     return CatalogEntry(
         key=key,
@@ -541,26 +519,27 @@ def make_homogeneous_model(
 # ----------------------------------------------------------------------
 
 
+def _comps(n: int, **by_name: str) -> Tuple[str, ...]:
+    """Components of a field in the chart order (t, v, x1, ..., u) of the dim
+    n+2 forms; a coordinate not named is "0"."""
+    return tuple(by_name.get(nm, "0") for nm in ("t", "v", *_xnames(n), "u"))
+
+
 def killing_fields(n: int) -> List[FieldSpec]:
     """The (2n-1) + C(n-1,2) fields preserving every dim n+2 structure:
     d_v, d_{x^i}, x^i d_v - u d_{x^i}, and the spatial rotations."""
-    names = ("t", "v", *_xnames(n), "u")
     xs = _xnames(n)
-
-    def comps(**by_name: str) -> Tuple[str, ...]:
-        return tuple(by_name.get(nm, "0") for nm in names)
-
-    out: List[FieldSpec] = [("d_v", comps(v="1"))]
+    out: List[FieldSpec] = [("d_v", _comps(n, v="1"))]
     for xi in xs:
-        out.append((f"d_{xi}", comps(**{xi: "1"})))
+        out.append((f"d_{xi}", _comps(n, **{xi: "1"})))
     for xi in xs:
-        out.append((f"{xi} d_v - u d_{xi}", comps(v=xi, **{xi: "0-u"})))
+        out.append((f"{xi} d_v - u d_{xi}", _comps(n, v=xi, **{xi: "0-u"})))
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
             out.append(
                 (
                     f"{xs[i]} d_{xs[j]} - {xs[j]} d_{xs[i]}",
-                    comps(**{xs[j]: xs[i], xs[i]: f"0-{xs[j]}"}),
+                    _comps(n, **{xs[j]: xs[i], xs[i]: f"0-{xs[j]}"}),
                 )
             )
     return out
@@ -568,23 +547,14 @@ def killing_fields(n: int) -> List[FieldSpec]:
 
 def extra_fields(n: int) -> List[FieldSpec]:
     """The five additional coordinate-form-preserving fields of the dim n+2 family."""
-    names = ("t", "v", *_xnames(n), "u")
     xs = _xnames(n)
-
-    def comps(**by_name: str) -> Tuple[str, ...]:
-        return tuple(by_name.get(nm, "0") for nm in names)
-
-    z1 = ("Z1", comps(t="1"))
-    z2 = ("Z2", comps(t="2*t", v="6*v", **{xi: f"3*{xi}" for xi in xs}))
-    z3 = ("Z3", comps(u="1"))
-    z4 = ("Z4", comps(u="2*u", **{xi: xi for xi in xs}))
+    z1 = ("Z1", _comps(n, t="1"))
+    z2 = ("Z2", _comps(n, t="2*t", v="6*v", **{xi: f"3*{xi}" for xi in xs}))
+    z3 = ("Z3", _comps(n, u="1"))
+    z4 = ("Z4", _comps(n, u="2*u", **{xi: xi for xi in xs}))
     half_sq = "+".join(f"{xi}^2" for xi in xs)
-    z5 = ("Z5", comps(u="u^2", v=f"0-({half_sq})/2", **{xi: f"u*{xi}" for xi in xs}))
+    z5 = ("Z5", _comps(n, u="u^2", v=f"0-({half_sq})/2", **{xi: f"u*{xi}" for xi in xs}))
     return [z1, z2, z3, z4, z5]
-
-
-def killing_and_extra_fields(n: int) -> Tuple[List[FieldSpec], List[FieldSpec]]:
-    return killing_fields(n), extra_fields(n)
 
 
 # ----------------------------------------------------------------------

@@ -17,11 +17,11 @@ import math
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import __version__, catalog as cat, exprlang
+from . import __version__, exprlang
 from .catalog import (
     DIM_GE4,
     HOMOGENEOUS_MODEL,
@@ -60,6 +60,8 @@ EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
+_REPORT_HEAD = {"format": FORMAT_VERSION, "tool": f"weylrec {__version__}"}
+
 
 class InputError(Exception):
     pass
@@ -69,14 +71,81 @@ class InputError(Exception):
 # structure files
 # ----------------------------------------------------------------------
 
-_FAMILY_FIELDS = {
-    DIM_GE4: {"psi", "n", "branch"},
-    MAINTH_FORM: {"F", "a", "n"},
-    THREED_CASE1: {"F"},
-    THREED_CASE2: {"a", "c"},
-    HOMOGENEOUS_MODEL: {"n"},
-}
 _COMMON_FIELDS = {"format", "family", "box", "seed", "constraints", "key"}
+_OPTIONAL_FIELDS = {"branch"}
+
+
+def _psi_record(p: Dict, at: float, second: Optional[float]) -> Dict:
+    inv = psi_invariants(psi_jet_from_expr(p["psi"], at, order=5))
+    return {"at": at, "I": float(inv.I), "J": float(inv.J), "sign_D": inv.sign_disc}
+
+
+def _surface_record(p: Dict, at: float, second: Optional[float]) -> Dict:
+    if second is None:
+        raise InputError("the two-variable family needs --at X,U (two values)")
+    inv = surface_invariants(f_jet_from_expr(p["F"], at, second, order=4))
+    return {"at": [at, second], "I": float(inv.I), "J": float(inv.J)}
+
+
+def _pair_record(p: Dict, at: float, second: Optional[float]) -> Dict:
+    inv = pair_invariants(pair_jet_from_exprs(p["a"], p["c"], at, order=2))
+    return {"at": at, "I": float(inv.I), "J": float(inv.J), "K": float(inv.K)}
+
+
+def _surface_curve(e: CatalogEntry, rng: Tuple[float, float], samples: int):
+    side = max(2, int(round(samples**0.5)))  # a side x side grid over the (x, u) box; rng is not used
+    return surface_signature_curve(e.params["F"], e.box["x"], e.box["u"], side, side)
+
+
+class _Family(NamedTuple):
+    """What the CLI knows about one family.  The callables name the library
+    functions inside their bodies, so a function is looked up when it is called
+    (a wrapper installed on this module's name is honoured); ``None`` marks a
+    verb the family does not support."""
+
+    fields: FrozenSet[str]  # parameter fields of a structure file, as in entry.params
+    build: Callable[..., CatalogEntry]  # (data, box=, key=, seed=, constraints=) -> entry
+    range_coord: str = "u"  # coordinate whose box range is the default curve / classification interval
+    invariants: Optional[Callable[[Dict, float, Optional[float]], Dict]] = None  # (params, at, second)
+    curve: Optional[Callable[[CatalogEntry, Tuple[float, float], int], object]] = None  # (entry, range, samples)
+    csv_header: str = ""  # columns of the signature CSV
+    classify: Optional[Callable[[CatalogEntry, Tuple[float, float]], object]] = None  # (entry, interval)
+
+
+_FAMILIES: Dict[str, _Family] = {
+    DIM_GE4: _Family(
+        frozenset({"psi", "n", "branch"}),
+        lambda d, constraints, **kw: make_dim_ge4(d["psi"], d["n"], branch=d.get("branch", 1), **kw),
+        range_coord="t",
+        invariants=_psi_record,
+        curve=lambda e, rng, samples: psi_signature_curve(e.params["psi"], rng[0], rng[1], samples),
+        csv_header="param,I,J,sign_D,singular_flag",
+        classify=lambda e, interval: classify_psi(e.params["psi"], interval=interval, seed=e.seed),
+    ),
+    MAINTH_FORM: _Family(
+        frozenset({"F", "a", "n"}),
+        lambda d, **kw: make_mainth_form(d["F"], d["a"], d["n"], **kw),
+    ),
+    THREED_CASE1: _Family(
+        frozenset({"F"}),
+        lambda d, **kw: make_3d_case1(d["F"], **kw),
+        invariants=_surface_record,
+        curve=_surface_curve,
+        csv_header="param_x,param_u,I,J,dI_1,dI_2,singular_flag",
+    ),
+    THREED_CASE2: _Family(
+        frozenset({"a", "c"}),
+        lambda d, **kw: make_3d_case2(d["a"], d["c"], **kw),
+        invariants=_pair_record,
+        curve=lambda e, rng, samples: pair_signature_curve(e.params["a"], e.params["c"], rng[0], rng[1], samples),
+        csv_header="param,I,J,K,singular_flag",
+        classify=lambda e, interval: classify_3d2(e.params["a"], e.params["c"], interval=interval, seed=e.seed),
+    ),
+    HOMOGENEOUS_MODEL: _Family(
+        frozenset({"n"}),
+        lambda d, constraints, **kw: make_homogeneous_model(d["n"], **kw),
+    ),
+}
 
 
 def structure_file_payload(entry: CatalogEntry) -> Dict:
@@ -87,17 +156,7 @@ def structure_file_payload(entry: CatalogEntry) -> Dict:
         "box": {k: list(v) for k, v in entry.box.items()},
         "seed": entry.seed,
     }
-    params = entry.params
-    if entry.family == DIM_GE4:
-        payload.update({"psi": params["psi"], "n": params["n"], "branch": params["branch"]})
-    elif entry.family == MAINTH_FORM:
-        payload.update({"F": params["F"], "a": params["a"], "n": params["n"]})
-    elif entry.family == THREED_CASE1:
-        payload.update({"F": params["F"]})
-    elif entry.family == THREED_CASE2:
-        payload.update({"a": params["a"], "c": params["c"]})
-    elif entry.family == HOMOGENEOUS_MODEL:
-        payload.update({"n": params["n"]})
+    payload.update({name: entry.params[name] for name in _FAMILIES[entry.family].fields})
     constraints = [exprlang.to_source(c) for c in entry.structure.chart.constraints]
     if constraints:
         payload["constraints"] = constraints
@@ -142,36 +201,22 @@ def load_structure_file(path: str) -> CatalogEntry:
     if data.get("format") != FORMAT_VERSION:
         raise InputError(f"{path}: unsupported format {data.get('format')!r} (expected {FORMAT_VERSION})")
     family = data.get("family")
-    if family not in _FAMILY_FIELDS:
-        raise InputError(f"{path}: unknown family {family!r}; known: {sorted(_FAMILY_FIELDS)}")
-    allowed = _COMMON_FIELDS | _FAMILY_FIELDS[family]
-    unknown = set(data) - allowed
+    if family not in _FAMILIES:
+        raise InputError(f"{path}: unknown family {family!r}; known: {sorted(_FAMILIES)}")
+    row = _FAMILIES[family]
+    unknown = set(data) - _COMMON_FIELDS - row.fields
     if unknown:
         raise InputError(f"{path}: unknown fields {sorted(unknown)} (schema is closed)")
-    missing = _FAMILY_FIELDS[family] - set(data)
-    if missing - {"branch"}:
+    missing = row.fields - set(data)
+    if missing - _OPTIONAL_FIELDS:
         raise InputError(f"{path}: missing fields {sorted(missing)} for family {family!r}")
     _check_field_types(data, path)
     box = None
     if "box" in data:
         box = {k: (float(v[0]), float(v[1])) for k, v in data["box"].items()}
-    seed = int(data.get("seed", 0))
-    key = data.get("key", family)
     constraints = tuple(data.get("constraints", ()))
     try:
-        if family == DIM_GE4:
-            return make_dim_ge4(
-                data["psi"], int(data["n"]), branch=int(data.get("branch", 1)), box=box, key=key, seed=seed
-            )
-        if family == MAINTH_FORM:
-            return make_mainth_form(
-                data["F"], data["a"], int(data["n"]), box=box, key=key, seed=seed, constraints=constraints
-            )
-        if family == THREED_CASE1:
-            return make_3d_case1(data["F"], box=box, key=key, seed=seed, constraints=constraints)
-        if family == THREED_CASE2:
-            return make_3d_case2(data["a"], data["c"], box=box, key=key, seed=seed, constraints=constraints)
-        return make_homogeneous_model(int(data["n"]), box=box, key=key, seed=seed)
+        return row.build(data, box=box, key=data.get("key", family), seed=data.get("seed", 0), constraints=constraints)
     except (CatalogError, exprlang.ExprError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -182,7 +227,10 @@ def _digest(path: str) -> str:
 
 
 def _emit_json(payload: Dict, out: Optional[str] = None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _emit_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+
+
+def _emit_text(text: str, out: Optional[str] = None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -262,7 +310,7 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
         rec_check["theta_plus_3omega"] = worst
         if worst > 1e-8 and expected.get("recurrent", True):
             rec_check["status"] = "fail"
-    probe = entry.preferred if entry.preferred is not None else None
+    probe = entry.preferred
     if probe is not None and expected.get("weight") is not None:
         wrep = recurrence_theta(probe, rec_pts[0], tol=tol, jet_order=order)
         rec_check["weight_fit"] = wrep.weight
@@ -323,8 +371,7 @@ def cmd_verify(args) -> int:
     seed = _seed(args)
     checks, ok = _verify_checks(entry, args.tol, args.samples, seed, args.order)
     report = {
-        "format": FORMAT_VERSION,
-        "tool": f"weylrec {__version__}",
+        **_REPORT_HEAD,
         "input": os.path.basename(args.file),
         "input_digest": _digest(args.file),
         "family": entry.family,
@@ -342,30 +389,20 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_CHECKS_FAILED
 
 
-def _invariant_record(entry: CatalogEntry, at: float, second: Optional[float]) -> Dict:
-    if entry.family == DIM_GE4:
-        jet = psi_jet_from_expr(entry.params["psi"], at, order=5)
-        inv = psi_invariants(jet)
-        return {"family": entry.family, "at": at, "I": float(inv.I), "J": float(inv.J), "sign_D": inv.sign_disc}
-    if entry.family == THREED_CASE2:
-        inv = pair_invariants(pair_jet_from_exprs(entry.params["a"], entry.params["c"], at, order=2))
-        return {"family": entry.family, "at": at, "I": float(inv.I), "J": float(inv.J), "K": float(inv.K)}
-    if entry.family == THREED_CASE1:
-        if second is None:
-            raise InputError("the two-variable family needs --at X,U (two values)")
-        inv = surface_invariants(f_jet_from_expr(entry.params["F"], at, second, order=4))
-        return {"family": entry.family, "at": [at, second], "I": float(inv.I), "J": float(inv.J)}
-    raise InputError(f"invariants are not defined for family {entry.family!r}")
-
-
 def cmd_invariants(args) -> int:
     entry = load_structure_file(args.file)
-    vals = [float(v) for v in args.at.split(",")]
     try:
-        record = _invariant_record(entry, vals[0], vals[1] if len(vals) > 1 else None)
+        vals = [float(v) for v in args.at.split(",")]
+    except ValueError as exc:
+        raise InputError(f"--at must be a number or X,U (two numbers), got {args.at!r}") from exc
+    invariants = _FAMILIES[entry.family].invariants
+    if invariants is None:
+        raise InputError(f"invariants are not defined for family {entry.family!r}")
+    try:
+        record = invariants(entry.params, vals[0], vals[1] if len(vals) > 1 else None)
     except SingularStratumError as exc:
-        record = {"family": entry.family, "at": vals if len(vals) > 1 else vals[0], "singular": str(exc)}
-    _emit_json(record, args.json)
+        record = {"at": vals if len(vals) > 1 else vals[0], "singular": str(exc)}
+    _emit_json({"family": entry.family, **record}, args.json)
     return EXIT_OK
 
 
@@ -377,52 +414,30 @@ def _parse_range(text: str) -> Tuple[float, float]:
         raise InputError(f"bad range {text!r}; expected LO:HI") from exc
 
 
+def _range_for(entry: CatalogEntry, text: Optional[str]) -> Tuple[float, float]:
+    """The range LO:HI given on the command line, else the box range of the family's range coordinate."""
+    return _parse_range(text) if text else entry.box[_FAMILIES[entry.family].range_coord]
+
+
 def _curve_for(entry: CatalogEntry, rng: Tuple[float, float], samples: int):
-    if entry.family == DIM_GE4:
-        return psi_signature_curve(entry.params["psi"], rng[0], rng[1], samples)
-    if entry.family == THREED_CASE2:
-        return pair_signature_curve(entry.params["a"], entry.params["c"], rng[0], rng[1], samples)
-    if entry.family == THREED_CASE1:
-        xr = entry.box["x"]
-        ur = entry.box["u"]
-        side = max(2, int(round(samples**0.5)))
-        return surface_signature_curve(entry.params["F"], xr, ur, side, side)
-    raise InputError(f"signature curves are not defined for family {entry.family!r}")
+    curve = _FAMILIES[entry.family].curve
+    if curve is None:
+        raise InputError(f"signature curves are not defined for family {entry.family!r}")
+    return curve(entry, rng, samples)
 
 
 def cmd_signature(args) -> int:
     entry = load_structure_file(args.file)
-    rng = _parse_range(args.range) if args.range else _default_range(entry)
+    rng = _range_for(entry, args.range)
     curve = _curve_for(entry, rng, args.samples)
-    lines = []
-    if curve.kind == "psi":
-        lines.append("param,I,J,sign_D,singular_flag")
-        for p, tup, s in zip(curve.params, curve.tuples, curve.signs):
-            lines.append(f"{p!r},{tup[0]!r},{tup[1]!r},{s},0")
-    elif curve.kind == "pair":
-        lines.append("param,I,J,K,singular_flag")
-        for p, tup in zip(curve.params, curve.tuples):
-            lines.append(f"{p!r},{tup[0]!r},{tup[1]!r},{tup[2]!r},0")
-    else:
-        lines.append("param_x,param_u,I,J,dI_1,dI_2,singular_flag")
-        for (x, u), tup in zip(curve.params, curve.tuples):
-            lines.append(f"{x!r},{u!r},{tup[0]!r},{tup[1]!r},{tup[2]!r},{tup[3]!r},0")
+    lines = [_FAMILIES[entry.family].csv_header]
+    for i, (p, tup) in enumerate(zip(curve.params, curve.tuples)):
+        # a sample is its parameter (a number or an (x, u) pair), its invariants and, on psi curves, its sign
+        cells = (*(p if isinstance(p, tuple) else (p,)), *tup, *curve.signs[i : i + 1], 0)
+        lines.append(",".join(map(repr, cells)))
     lines.append(f"# singular_samples_dropped,{curve.n_singular}")
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit_text("\n".join(lines) + "\n", args.csv)
     return EXIT_OK
-
-
-def _default_range(entry: CatalogEntry) -> Tuple[float, float]:
-    if entry.family == DIM_GE4:
-        return entry.box["t"]
-    if entry.family in (THREED_CASE2,):
-        return entry.box["u"]
-    return entry.box.get("u", (0.5, 1.5))
 
 
 def cmd_equiv(args) -> int:
@@ -431,14 +446,12 @@ def cmd_equiv(args) -> int:
     if e1.family != e2.family:
         print(f"error: cannot compare families {e1.family!r} and {e2.family!r}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    r1 = _parse_range(args.range) if args.range else _default_range(e1)
-    r2 = _parse_range(args.range2) if args.range2 else (_parse_range(args.range) if args.range else _default_range(e2))
+    r1, r2 = _range_for(e1, args.range), _range_for(e2, args.range2 or args.range)
     c1 = _curve_for(e1, r1, args.samples)
     c2 = _curve_for(e2, r2, args.samples)
     verdict = equivalence_test(c1, c2, tol=args.tol)
     payload = {
-        "format": FORMAT_VERSION,
-        "tool": f"weylrec {__version__}",
+        **_REPORT_HEAD,
         "verdict": verdict.verdict,
         "hausdorff": verdict.hausdorff,
         "discriminant_signs": [list(s) for s in verdict.signs],
@@ -452,21 +465,16 @@ def cmd_equiv(args) -> int:
 
 def cmd_classify(args) -> int:
     entry = load_structure_file(args.file)
-    if entry.family == DIM_GE4:
-        lo, hi = entry.box["t"]
-        result = classify_psi(entry.params["psi"], interval=(lo, hi), seed=entry.seed)
-    elif entry.family == THREED_CASE2:
-        lo, hi = entry.box["u"]
-        result = classify_3d2(entry.params["a"], entry.params["c"], interval=(lo, hi), seed=entry.seed)
-    else:
+    classify = _FAMILIES[entry.family].classify
+    if classify is None:
         print(
             f"error: classification needs a one-function or pair family input, got {entry.family!r}",
             file=sys.stderr,
         )
         return EXIT_INPUT_ERROR
+    result = classify(entry, _range_for(entry, None))
     payload = {
-        "format": FORMAT_VERSION,
-        "tool": f"weylrec {__version__}",
+        **_REPORT_HEAD,
         "family": entry.family,
         "cohomogeneity": result.cohomogeneity,
         "kind": result.kind,
@@ -490,9 +498,12 @@ def cmd_classify(args) -> int:
 
 def _seed(args) -> int:
     env = os.environ.get("WEYL_SEED")
-    if env is not None:
+    if env is None:
+        return args.seed
+    try:
         return int(env)
-    return args.seed
+    except ValueError as exc:
+        raise InputError(f"WEYL_SEED must be an integer, got {env!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -557,10 +568,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (exprlang.ExprError, CatalogError) as exc:
+    except (InputError, exprlang.ExprError, CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import exprlang
 from .jets import (
@@ -524,67 +524,57 @@ def _finite(*values) -> bool:
     return all(math.isfinite(v) for v in values)
 
 
-def psi_signature_curve(psi, lo: float, hi: float, samples: int = 64) -> SignatureCurve:
+def _grid(lo: float, hi: float, count: int) -> List[float]:
+    return [lo + (hi - lo) * k / max(count - 1, 1) for k in range(count)]
+
+
+def _sampled_curve(kind: str, points: Sequence, sample_at) -> SignatureCurve:
+    """``sample_at(point)`` gives (invariant tuple, discriminant sign or None);
+    a point on a singular stratum or with a non-finite tuple is dropped and counted."""
     params, tuples, signs, singular = [], [], [], 0
-    for k in range(samples):
-        t = lo + (hi - lo) * k / (samples - 1) if samples > 1 else lo
+    for point in points:
         try:
-            jet = psi_jet_from_expr(psi, t, order=5)
-            inv = psi_invariants(jet)
+            tup, sign = sample_at(point)
         except (SingularStratumError, exprlang.ExprDomainError):
             singular += 1
             continue
-        pair = (float(inv.I), float(inv.J))
-        if not _finite(*pair):
-            singular += 1
-            continue
-        params.append(t)
-        tuples.append(pair)
-        signs.append(inv.sign_disc)
-    return SignatureCurve(PSI_CURVE, tuple(params), tuple(tuples), tuple(signs), singular)
-
-
-def pair_signature_curve(a, c, lo: float, hi: float, samples: int = 64) -> SignatureCurve:
-    params, tuples, singular = [], [], 0
-    for k in range(samples):
-        u = lo + (hi - lo) * k / (samples - 1) if samples > 1 else lo
-        try:
-            jet = pair_jet_from_exprs(a, c, u, order=2)
-            inv = pair_invariants(jet)
-        except (SingularStratumError, exprlang.ExprDomainError):
-            singular += 1
-            continue
-        tup = (float(inv.I), float(inv.J), float(inv.K))
         if not _finite(*tup):
             singular += 1
             continue
-        params.append(u)
+        params.append(point)
         tuples.append(tup)
-    return SignatureCurve(PAIR_CURVE, tuple(params), tuple(tuples), (), singular)
+        if sign is not None:
+            signs.append(sign)
+    return SignatureCurve(kind, tuple(params), tuple(tuples), tuple(signs), singular)
+
+
+def psi_signature_curve(psi, lo: float, hi: float, samples: int = 64) -> SignatureCurve:
+    def sample_at(t):
+        inv = psi_invariants(psi_jet_from_expr(psi, t, order=5))
+        return (float(inv.I), float(inv.J)), inv.sign_disc
+
+    return _sampled_curve(PSI_CURVE, _grid(lo, hi, samples), sample_at)
+
+
+def pair_signature_curve(a, c, lo: float, hi: float, samples: int = 64) -> SignatureCurve:
+    def sample_at(u):
+        inv = pair_invariants(pair_jet_from_exprs(a, c, u, order=2))
+        return (float(inv.I), float(inv.J), float(inv.K)), None
+
+    return _sampled_curve(PAIR_CURVE, _grid(lo, hi, samples), sample_at)
 
 
 def surface_signature_curve(
     F, x_range: Tuple[float, float], u_range: Tuple[float, float], nx: int = 8, nu: int = 8
 ) -> SignatureCurve:
-    params, tuples, singular = [], [], 0
-    for i in range(nx):
-        x = x_range[0] + (x_range[1] - x_range[0]) * i / max(nx - 1, 1)
-        for j in range(nu):
-            u = u_range[0] + (u_range[1] - u_range[0]) * j / max(nu - 1, 1)
-            try:
-                jet = f_jet_from_expr(F, x, u, order=4)
-                inv = surface_invariants(jet)
-                d1, d2 = surface_derived_pair(jet)
-            except (SingularStratumError, exprlang.ExprDomainError):
-                singular += 1
-                continue
-            tup = (float(inv.I), float(inv.J), float(d1), float(d2))
-            if not _finite(*tup):
-                singular += 1
-                continue
-            params.append((x, u))
-            tuples.append(tup)
-    return SignatureCurve(SURFACE_CURVE, tuple(params), tuple(tuples), (), singular)
+    def sample_at(point):
+        jet = f_jet_from_expr(F, *point, order=4)
+        inv = surface_invariants(jet)
+        d1, d2 = surface_derived_pair(jet)
+        return (float(inv.I), float(inv.J), float(d1), float(d2)), None
+
+    points = [(x, u) for x in _grid(*x_range, nx) for u in _grid(*u_range, nu)]
+    return _sampled_curve(SURFACE_CURVE, points, sample_at)
 
 
 @dataclass(frozen=True)

@@ -336,7 +336,8 @@ def jet_ln(jet: JetPoly) -> JetPoly:
     return _compose(jet, series)
 
 
-def jet_sin(jet: JetPoly) -> JetPoly:
+def jet_sin(jet: JetPoly, shift: int = 0) -> JetPoly:
+    """sin of a jet; ``shift`` advances the derivative cycle (shift 1 gives cos)."""
     x = float(jet.value)
     cycle = [math.sin(x), math.cos(x), -math.sin(x), -math.cos(x)]
     series = []
@@ -344,20 +345,12 @@ def jet_sin(jet: JetPoly) -> JetPoly:
     for i in range(jet.order + 1):
         if i > 0:
             fact *= i
-        series.append(cycle[i % 4] / fact)
+        series.append(cycle[(i + shift) % 4] / fact)
     return _compose(jet, series)
 
 
 def jet_cos(jet: JetPoly) -> JetPoly:
-    x = float(jet.value)
-    cycle = [math.cos(x), -math.sin(x), -math.cos(x), math.sin(x)]
-    series = []
-    fact = 1.0
-    for i in range(jet.order + 1):
-        if i > 0:
-            fact *= i
-        series.append(cycle[i % 4] / fact)
-    return _compose(jet, series)
+    return jet_sin(jet, 1)
 
 
 def jet_tan(jet: JetPoly) -> JetPoly:

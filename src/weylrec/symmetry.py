@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,6 +62,31 @@ def _default_samples(lo: float, hi: float, count: int, seed: int) -> List[float]
     return [lo + (hi - lo) * _halton(start + k, 2) for k in range(count)]
 
 
+def _psi_row(psi_e: Expr, t: float) -> List[float]:
+    """The symmetry-system row [psi', 2 t psi', 1, -2 psi, psi^2] at t."""
+    jet = exprlang.eval_jet(psi_e, {"t": JetPoly.variable(0, 1, 1, (t,))})
+    p0, p1 = (float(x) for x in derivatives_from_jet(jet))
+    return [p1, 2.0 * t * p1, 1.0, -2.0 * p0, p0**2]
+
+
+def _pair_rows(a_e: Expr, c_e: Expr, u: float) -> List[List[float]]:
+    """The two symmetry-system rows of the pair family at u."""
+    env = {"u": JetPoly.variable(0, 1, 1, (u,))}
+    a0, a1 = (float(x) for x in derivatives_from_jet(exprlang.eval_jet(a_e, env)))
+    c0, c1 = (float(x) for x in derivatives_from_jet(exprlang.eval_jet(c_e, env)))
+    return [[a1, 0.0, u * a1 + a0, u * a1 + 2.0 * a0], [c1, a0, u * c1 + 2.0 * c0, u * c1 + c0]]
+
+
+def _max_relative_residual(rows: np.ndarray, coeffs: Sequence[float]) -> float:
+    """max over rows of |row . coeffs| / (|row| |coeffs|)."""
+    v = np.asarray(coeffs)
+    worst = 0.0
+    for row in rows:
+        scale = float(np.linalg.norm(row)) * float(np.linalg.norm(v))
+        worst = max(worst, abs(float(row @ v)) / max(scale, 1e-300))
+    return worst
+
+
 def psi_symmetry_kernel(
     psi: Union[str, Expr],
     ts: Optional[Sequence[float]] = None,
@@ -80,25 +105,13 @@ def psi_symmetry_kernel(
     if len(ts) < 8:
         raise ValueError("need at least 8 sample points for a stable rank decision")
     psi_e = exprlang.as_expr(psi)
-    rows = []
-    for t in ts:
-        jet = exprlang.eval_jet(psi_e, {"t": JetPoly.variable(0, 1, 1, (t,))})
-        p0, p1 = derivatives_from_jet(jet)
-        rows.append([float(p1), 2.0 * t * float(p1), 1.0, -2.0 * float(p0), float(p0) ** 2])
-    return _kernel_from_rows(np.array(rows), ts)
+    return _kernel_from_rows(np.array([_psi_row(psi_e, t) for t in ts]), ts)
 
 
 def psi_symmetry_residual(psi: Union[str, Expr], coeffs: Sequence[float], ts: Sequence[float]) -> float:
     """Max relative residual of the symmetry ODE at fresh sample points."""
     psi_e = exprlang.as_expr(psi)
-    worst = 0.0
-    for t in ts:
-        jet = exprlang.eval_jet(psi_e, {"t": JetPoly.variable(0, 1, 1, (t,))})
-        p0, p1 = (float(x) for x in derivatives_from_jet(jet))
-        row = np.array([p1, 2.0 * t * p1, 1.0, -2.0 * p0, p0 * p0])
-        scale = float(np.linalg.norm(row)) * float(np.linalg.norm(coeffs))
-        worst = max(worst, abs(float(row @ np.asarray(coeffs))) / max(scale, 1e-300))
-    return worst
+    return _max_relative_residual(np.array([_psi_row(psi_e, t) for t in ts]), coeffs)
 
 
 def kernel_3d2(
@@ -117,29 +130,12 @@ def kernel_3d2(
     if us is None:
         us = _default_samples(interval[0], interval[1], n_samples, seed)
     a_e, c_e = exprlang.as_expr(a), exprlang.as_expr(c)
-    rows = []
-    for u in us:
-        env = {"u": JetPoly.variable(0, 1, 1, (u,))}
-        a0, a1 = (float(x) for x in derivatives_from_jet(exprlang.eval_jet(a_e, env)))
-        c0, c1 = (float(x) for x in derivatives_from_jet(exprlang.eval_jet(c_e, env)))
-        rows.append([a1, 0.0, u * a1 + a0, u * a1 + 2.0 * a0])
-        rows.append([c1, a0, u * c1 + 2.0 * c0, u * c1 + c0])
-    return _kernel_from_rows(np.array(rows), us)
+    return _kernel_from_rows(np.array([row for u in us for row in _pair_rows(a_e, c_e, u)]), us)
 
 
 def kernel_3d2_residual(a, c, coeffs: Sequence[float], us: Sequence[float]) -> float:
     a_e, c_e = exprlang.as_expr(a), exprlang.as_expr(c)
-    worst = 0.0
-    v = np.asarray(coeffs)
-    for u in us:
-        env = {"u": JetPoly.variable(0, 1, 1, (u,))}
-        a0, a1 = (float(x) for x in derivatives_from_jet(exprlang.eval_jet(a_e, env)))
-        c0, c1 = (float(x) for x in derivatives_from_jet(exprlang.eval_jet(c_e, env)))
-        for row in ([a1, 0.0, u * a1 + a0, u * a1 + 2.0 * a0], [c1, a0, u * c1 + 2.0 * c0, u * c1 + c0]):
-            row = np.asarray(row)
-            scale = float(np.linalg.norm(row)) * float(np.linalg.norm(v))
-            worst = max(worst, abs(float(row @ v)) / max(scale, 1e-300))
-    return worst
+    return _max_relative_residual(np.array([row for u in us for row in _pair_rows(a_e, c_e, u)]), coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -183,6 +179,35 @@ def _psi_kind_from_vector(v: np.ndarray) -> Tuple[str, Optional[float]]:
     return "Log", -a3 / (2.0 * a2)
 
 
+def _invariant_evidence(
+    invariants_at: Callable[[float], Sequence], interval: Tuple[float, float], kern: SymmetryKernel
+) -> Tuple[Dict[str, object], bool, bool]:
+    """Invariant-constancy evidence on 11 evenly spaced points of the interval:
+    the evidence record, whether the invariants are constant there, and
+    whether every point is singular."""
+    lo, hi = interval
+    probe = [lo + (hi - lo) * k / 10 for k in range(11)]
+    n_singular = 0
+    values = []
+    for x in probe:
+        try:
+            values.append(tuple(float(v) for v in invariants_at(x)))
+        except (SingularStratumError, exprlang.ExprDomainError):
+            n_singular += 1
+    if values:
+        scale = max(1.0, max(abs(v) for tup in values for v in tup))
+        spread = max(max(p[k] for p in values) - min(p[k] for p in values) for k in range(len(values[0])))
+        constant_invariants = spread <= 1e-6 * scale
+    else:
+        spread, constant_invariants = 0.0, True
+    evidence: Dict[str, object] = {
+        "invariant_spread": spread,
+        "singular_samples": n_singular,
+        "kernel_singular_values": kern.singular_values.tolist(),
+    }
+    return evidence, constant_invariants, n_singular == len(probe)
+
+
 def classify_psi(
     psi: Union[str, Expr],
     interval: Tuple[float, float] = (0.6, 1.8),
@@ -195,32 +220,9 @@ def classify_psi(
     a mismatch is reported as kind "Inconsistent", never silently resolved.
     """
     kern = psi_symmetry_kernel(psi, interval=interval, n_samples=n_samples, seed=seed)
-    lo, hi = interval
-    probe = [lo + (hi - lo) * k / 10 for k in range(11)]
-    n_singular = 0
-    values = []
-    for t in probe:
-        try:
-            inv = psi_invariants(psi_jet_from_expr(psi, t, order=5))
-            values.append((float(inv.I), float(inv.J)))
-        except (SingularStratumError, exprlang.ExprDomainError):
-            n_singular += 1
-    if values:
-        scale = max(1.0, max(abs(v) for pair in values for v in pair))
-        spread = max(
-            max(p[k] for p in values) - min(p[k] for p in values) for k in range(2)
-        )
-        constant_invariants = spread <= 1e-6 * scale
-    else:
-        spread = 0.0
-        constant_invariants = True
-    all_singular = n_singular == len(probe)
-
-    evidence: Dict[str, object] = {
-        "invariant_spread": spread,
-        "singular_samples": n_singular,
-        "kernel_singular_values": kern.singular_values.tolist(),
-    }
+    evidence, constant_invariants, all_singular = _invariant_evidence(
+        lambda t: psi_invariants(psi_jet_from_expr(psi, t, order=5))[:2], interval, kern
+    )
 
     cohom = 2 - kern.dim
     if kern.dim == 2:
@@ -254,27 +256,9 @@ def classify_3d2(
     """Cohomogeneity (= 3 - kernel dim: the pair family has no automatic
     symmetries) and symmetry count for the 3D holonomy-2 family."""
     kern = kernel_3d2(a, c, interval=interval, n_samples=n_samples, seed=seed)
-    lo, hi = interval
-    probe = [lo + (hi - lo) * k / 10 for k in range(11)]
-    n_singular = 0
-    values = []
-    for u in probe:
-        try:
-            inv = pair_invariants(pair_jet_from_exprs(a, c, u, order=2))
-            values.append(tuple(float(x) for x in inv))
-        except (SingularStratumError, exprlang.ExprDomainError):
-            n_singular += 1
-    if values:
-        scale = max(1.0, max(abs(v) for tup in values for v in tup))
-        spread = max(max(p[k] for p in values) - min(p[k] for p in values) for k in range(3))
-        constant_invariants = spread <= 1e-6 * scale
-    else:
-        spread, constant_invariants = 0.0, True
-    evidence = {
-        "invariant_spread": spread,
-        "singular_samples": n_singular,
-        "kernel_singular_values": kern.singular_values.tolist(),
-    }
+    evidence, constant_invariants, _ = _invariant_evidence(
+        lambda u: pair_invariants(pair_jet_from_exprs(a, c, u, order=2)), interval, kern
+    )
     kind = _3D2_KINDS.get(kern.dim, "Inconsistent")
     consistent = (kern.dim == 0) == (not constant_invariants) and kind != "Inconsistent"
     cohom = 3 - kern.dim
@@ -328,10 +312,6 @@ def symmetry_residual_3d1(
 # ----------------------------------------------------------------------
 
 Poly = Dict[Tuple[int, ...], Fraction]
-
-
-def _poly_zero() -> Poly:
-    return {}
 
 
 def _poly_add(p: Poly, q: Poly, factor: Fraction = Fraction(1)) -> Poly:

@@ -6,7 +6,8 @@ import pytest
 
 from weylrec.catalog import (
     CatalogError,
-    killing_and_extra_fields,
+    extra_fields,
+    killing_fields,
     make_3d_case1,
     make_3d_case2,
     make_dim_ge4,
@@ -158,13 +159,13 @@ class TestHomogeneousModel:
 class TestFieldLists:
     @pytest.mark.parametrize("n,count", [(2, 3), (3, 6), (4, 10)])
     def test_killing_count(self, n, count):
-        killing, extra = killing_and_extra_fields(n)
+        killing, extra = killing_fields(n), extra_fields(n)
         # (2n - 1) + C(n-1, 2)
         assert len(killing) == (2 * n - 1) + math.comb(n - 1, 2) == count
         assert len(extra) == 5
 
     def test_component_lengths(self):
-        killing, extra = killing_and_extra_fields(3)
+        killing, extra = killing_fields(3), extra_fields(3)
         for label, comps in killing + extra:
             assert len(comps) == 5
 

@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+from weylrec import catalog, cli
+from weylrec.catalog import standard_catalog
 from weylrec.cli import main
 
 
@@ -285,3 +287,71 @@ class TestConstructorErrorsSurface:
         path = write_json(tmp_path / "bad.json", {"format": 1, "family": "dim_ge4", "psi": "2t", "n": 2})
         code, _, err = run(capsys, "verify", path)
         assert code == 2
+
+
+class TestInputContract:
+    """Bad values from the environment or the command line end in an
+    ``error:`` line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("value", ["abc", "", "1.5"])
+    def test_bad_seed_env_exits_2(self, exp_file, capsys, monkeypatch, value):
+        monkeypatch.setenv("WEYL_SEED", value)
+        code, out, err = run(capsys, "verify", exp_file, "--samples", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "WEYL_SEED" in err
+
+    @pytest.mark.parametrize("at", ["abc", "", "1,,2", "1.0,x"])
+    def test_bad_at_exits_2(self, exp_file, capsys, at):
+        code, out, err = run(capsys, "invariants", exp_file, "--at", at)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--at" in err
+
+
+@pytest.fixture(scope="module")
+def entries():
+    return standard_catalog()
+
+
+class TestFamilyTable:
+    def test_one_row_per_family_and_a_catalog_entry_per_row(self, entries):
+        tags = {
+            catalog.DIM_GE4,
+            catalog.MAINTH_FORM,
+            catalog.THREED_CASE1,
+            catalog.THREED_CASE2,
+            catalog.HOMOGENEOUS_MODEL,
+        }
+        assert set(cli._FAMILIES) == tags == {e.family for e in entries.values()}
+
+    def test_row_fields_are_the_entry_params(self, entries):
+        for entry in entries.values():
+            assert set(entry.params) == cli._FAMILIES[entry.family].fields, entry.key
+
+    @pytest.mark.parametrize("key", list(standard_catalog()))
+    def test_structure_file_round_trip(self, entries, tmp_path, key):
+        entry = entries[key]
+        back = cli.load_structure_file(write_json(tmp_path / f"{key}.json", cli.structure_file_payload(entry)))
+        assert (back.family, back.key, back.params, back.box, back.seed) == (
+            entry.family,
+            entry.key,
+            entry.params,
+            entry.box,
+            entry.seed,
+        )
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("make_dim_ge4", ["verify", "@", "--samples", "1"]),
+            ("psi_invariants", ["invariants", "@", "--at", "1.1"]),
+            ("psi_signature_curve", ["signature", "@", "--samples", "4"]),
+            ("classify_psi", ["classify", "@"]),
+        ],
+    )
+    def test_rows_call_the_module_level_function(self, exp_file, capsys, monkeypatch, name, argv):
+        # a wrapper installed on the module name (as a profiler does) sees every call
+        calls = []
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(name) or original(*a, **k))
+        code, _, _ = run(capsys, *[exp_file if a == "@" else a for a in argv])
+        assert code in (0, 1) and calls
