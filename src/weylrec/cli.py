@@ -75,21 +75,35 @@ _COMMON_FIELDS = {"format", "family", "box", "seed", "constraints", "key"}
 _OPTIONAL_FIELDS = {"branch"}
 
 
-def _psi_record(p: Dict, at: float, second: Optional[float]) -> Dict:
+def _psi_record(p: Dict, at: float) -> Dict:
     inv = psi_invariants(psi_jet_from_expr(p["psi"], at, order=5))
     return {"at": at, "I": float(inv.I), "J": float(inv.J), "sign_D": inv.sign_disc}
 
 
-def _surface_record(p: Dict, at: float, second: Optional[float]) -> Dict:
-    if second is None:
-        raise InputError("the two-variable family needs --at X,U (two values)")
-    inv = surface_invariants(f_jet_from_expr(p["F"], at, second, order=4))
-    return {"at": [at, second], "I": float(inv.I), "J": float(inv.J)}
+def _surface_record(p: Dict, x: float, u: float) -> Dict:
+    inv = surface_invariants(f_jet_from_expr(p["F"], x, u, order=4))
+    return {"at": [x, u], "I": float(inv.I), "J": float(inv.J)}
 
 
-def _pair_record(p: Dict, at: float, second: Optional[float]) -> Dict:
+def _pair_record(p: Dict, at: float) -> Dict:
     inv = pair_invariants(pair_jet_from_exprs(p["a"], p["c"], at, order=2))
     return {"at": at, "I": float(inv.I), "J": float(inv.J), "K": float(inv.K)}
+
+
+def _normalised(source: str) -> str:
+    return exprlang.to_source(exprlang.parse(source))
+
+
+def _derived_constraints(entry: CatalogEntry, data: Dict) -> CatalogEntry:
+    """``entry``, whose family derives its chart constraints, once a
+    ``constraints`` list in the file is checked to name the same ones."""
+    if "constraints" in data:
+        derived = sorted(exprlang.to_source(c) for c in entry.structure.chart.constraints)
+        given = sorted(data["constraints"])
+        # emitted files hold the derived sources verbatim; others are compared once parsed
+        if given != derived and sorted(map(_normalised, given)) != sorted(map(_normalised, derived)):
+            raise ValueError(f"family {entry.family!r} derives its constraints {derived}; the file lists {given}")
+    return entry
 
 
 def _surface_curve(e: CatalogEntry, rng: Tuple[float, float], samples: int):
@@ -106,7 +120,8 @@ class _Family(NamedTuple):
     fields: FrozenSet[str]  # parameter fields of a structure file, as in entry.params
     build: Callable[..., CatalogEntry]  # (data, box=, key=, seed=, constraints=) -> entry
     range_coord: str = "u"  # coordinate whose box range is the default curve / classification interval
-    invariants: Optional[Callable[[Dict, float, Optional[float]], Dict]] = None  # (params, at, second)
+    invariants: Optional[Callable[..., Dict]] = None  # (params, *values of --at)
+    at_values: int = 1  # how many numbers --at takes
     curve: Optional[Callable[[CatalogEntry, Tuple[float, float], int], object]] = None  # (entry, range, samples)
     csv_header: str = ""  # columns of the signature CSV
     classify: Optional[Callable[[CatalogEntry, Tuple[float, float]], object]] = None  # (entry, interval)
@@ -115,7 +130,9 @@ class _Family(NamedTuple):
 _FAMILIES: Dict[str, _Family] = {
     DIM_GE4: _Family(
         frozenset({"psi", "n", "branch"}),
-        lambda d, constraints, **kw: make_dim_ge4(d["psi"], d["n"], branch=d.get("branch", 1), **kw),
+        lambda d, constraints, **kw: _derived_constraints(
+            make_dim_ge4(d["psi"], d["n"], branch=d.get("branch", 1), **kw), d
+        ),
         range_coord="t",
         invariants=_psi_record,
         curve=lambda e, rng, samples: psi_signature_curve(e.params["psi"], rng[0], rng[1], samples),
@@ -130,6 +147,7 @@ _FAMILIES: Dict[str, _Family] = {
         frozenset({"F"}),
         lambda d, **kw: make_3d_case1(d["F"], **kw),
         invariants=_surface_record,
+        at_values=2,
         curve=_surface_curve,
         csv_header="param_x,param_u,I,J,dI_1,dI_2,singular_flag",
     ),
@@ -143,7 +161,7 @@ _FAMILIES: Dict[str, _Family] = {
     ),
     HOMOGENEOUS_MODEL: _Family(
         frozenset({"n"}),
-        lambda d, constraints, **kw: make_homogeneous_model(d["n"], **kw),
+        lambda d, constraints, **kw: _derived_constraints(make_homogeneous_model(d["n"], **kw), d),
     ),
 }
 
@@ -173,11 +191,15 @@ def _is_finite_number(x) -> bool:
 
 
 def _check_field_types(data: Dict, path: str) -> None:
-    """Integer fields hold JSON integers; each box range is [lo, hi] with finite lo < hi."""
+    """Integer fields hold JSON integers, constraints a list of expression
+    strings; each box range is [lo, hi] with finite lo < hi."""
     for name in ("seed", "n", "branch"):
         value = data.get(name, 0)
         if isinstance(value, bool) or not isinstance(value, int):
             raise InputError(f"{path}: field {name!r} must be an integer, got {value!r}")
+    constraints = data.get("constraints", [])
+    if not (isinstance(constraints, list) and all(isinstance(c, str) for c in constraints)):
+        raise InputError(f"{path}: field 'constraints' must be a list of expressions, got {constraints!r}")
     box = data.get("box", {})
     if not isinstance(box, dict):
         raise InputError(f"{path}: field 'box' must be an object of coordinate ranges")
@@ -395,11 +417,13 @@ def cmd_invariants(args) -> int:
         vals = [float(v) for v in args.at.split(",")]
     except ValueError as exc:
         raise InputError(f"--at must be a number or X,U (two numbers), got {args.at!r}") from exc
-    invariants = _FAMILIES[entry.family].invariants
-    if invariants is None:
+    row = _FAMILIES[entry.family]
+    if row.invariants is None:
         raise InputError(f"invariants are not defined for family {entry.family!r}")
+    if len(vals) != row.at_values:
+        raise InputError(f"--at for family {entry.family!r} takes {row.at_values} value(s), got {len(vals)}: {args.at!r}")
     try:
-        record = invariants(entry.params, vals[0], vals[1] if len(vals) > 1 else None)
+        record = row.invariants(entry.params, *vals)
     except SingularStratumError as exc:
         record = {"at": vals if len(vals) > 1 else vals[0], "singular": str(exc)}
     _emit_json({"family": entry.family, **record}, args.json)

@@ -331,25 +331,34 @@ class SurfaceInvariants(NamedTuple):
     J: object
 
 
-def _fpart(jet: JetPoly, i: int, j: int):
-    """Raw partial d_x^i d_u^j F."""
-    return jet.partial((i, j))
+# the raw partials d_x^i d_u^j F the surface invariants read: F_u, F_x, F_ux, F_uux, F_uxx, F_uuxx
+_SURFACE_PARTIALS = ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2))
+
+
+def _surface_partials(jet: JetPoly) -> List:
+    """The raw partials of ``_SURFACE_PARTIALS`` from an order >= 4 jet in
+    (x, u); raises SingularStratumError where F_ux vanishes."""
+    if jet.nvars != 2 or jet.order < 4:
+        raise ValueError("need an order >= 4 jet in (x, u)")
+    f = [jet.partial(alpha) for alpha in _SURFACE_PARTIALS]
+    fu, fx, fux = f[:3]
+    scale = max(abs(float(fu)), abs(float(fx)), abs(float(fux)), 1e-300)
+    if abs(float(fux)) <= 1e-10 * scale:
+        raise SingularStratumError("mixed derivative F_ux vanishes")
+    return f
+
+
+def _surface_first(fu, fx, fux, fuux, fuxx):
+    """The first generating invariant I from the partials, evaluated on
+    anything with field arithmetic (numbers or jets)."""
+    return (-2 * fu * fux + fuux) * (fx * fux + fuxx) / fux**3
 
 
 def surface_invariants(jet: JetPoly) -> SurfaceInvariants:
     """Generating invariants of the two-variable family (order >= 4 jet)."""
-    if jet.nvars != 2 or jet.order < 4:
-        raise ValueError("need an order >= 4 jet in (x, u)")
-    fu, fx = _fpart(jet, 0, 1), _fpart(jet, 1, 0)
-    fux = _fpart(jet, 1, 1)
-    fuux, fuxx = _fpart(jet, 1, 2), _fpart(jet, 2, 1)
-    fuuxx = _fpart(jet, 2, 2)
-    scale = max(abs(float(fu)), abs(float(fx)), abs(float(fux)), 1e-300)
-    if abs(float(fux)) <= 1e-10 * scale:
-        raise SingularStratumError("mixed derivative F_ux vanishes")
-    first = (-2 * fu * fux + fuux) * (fx * fux + fuxx) / fux**3
+    fu, fx, fux, fuux, fuxx, fuuxx = _surface_partials(jet)
     second = (-2 * fu * fx * fux - 2 * fu * fuxx + fx * fuux + fuuxx) / _sq(fux)
-    return SurfaceInvariants(first, second)
+    return SurfaceInvariants(_surface_first(fu, fx, fux, fuux, fuxx), second)
 
 
 def surface_derived_pair(jet: JetPoly) -> Tuple[object, object]:
@@ -357,32 +366,15 @@ def surface_derived_pair(jet: JetPoly) -> Tuple[object, object]:
 
     nabla_1 = ((F_uxx + F_x F_ux)/F_ux^2) D_u,  nabla_2 = ((F_uux - 2 F_u F_ux)/F_ux^2) D_x.
     """
-    if jet.nvars != 2 or jet.order < 4:
-        raise ValueError("need an order >= 4 jet in (x, u)")
-    fu, fx = _fpart(jet, 0, 1), _fpart(jet, 1, 0)
-    fux = _fpart(jet, 1, 1)
-    fuux, fuxx = _fpart(jet, 1, 2), _fpart(jet, 2, 1)
-    scale = max(abs(float(fu)), abs(float(fx)), abs(float(fux)), 1e-300)
-    if abs(float(fux)) <= 1e-10 * scale:
-        raise SingularStratumError("mixed derivative F_ux vanishes")
-    out = []
-    for direction in (_U, _X):
-        lift = {}
-        for (i, j) in [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)]:
-            shifted = (i, j + 1) if direction == _U else (i + 1, j)
-            lift[(i, j)] = JetPoly(
-                1, 1, (0.0,), {(0,): jet.partial((i, j)), (1,): jet.partial(shifted)}
-            )
-        p = {
-            "fu": lift[(0, 1)],
-            "fx": lift[(1, 0)],
-            "fux": lift[(1, 1)],
-            "fuux": lift[(1, 2)],
-            "fuxx": lift[(2, 1)],
-        }
-        first = (-2 * p["fu"] * p["fux"] + p["fuux"]) * (p["fx"] * p["fux"] + p["fuxx"]) / p["fux"] ** 3
-        out.append(first.coefficient((1,)))
-    dI_du, dI_dx = out
+    fu, fx, fux, fuux, fuxx, _ = _surface_partials(jet)
+    dI = []
+    for shift in ((0, 1), (1, 0)):  # D_u, then D_x: lift the partials I reads to 1-jets along the direction
+        lifted = [
+            JetPoly(1, 1, (0.0,), {(0,): jet.partial((i, j)), (1,): jet.partial((i + shift[0], j + shift[1]))})
+            for i, j in _SURFACE_PARTIALS[:5]
+        ]
+        dI.append(_surface_first(*lifted).coefficient((1,)))
+    dI_du, dI_dx = dI
     nabla1 = (fuxx + fx * fux) / _sq(fux) * dI_du
     nabla2 = (fuux - 2 * fu * fux) / _sq(fux) * dI_dx
     return nabla1, nabla2

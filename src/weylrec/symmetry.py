@@ -311,84 +311,46 @@ def symmetry_residual_3d1(
 # Lie-bracket closure for polynomial vector fields
 # ----------------------------------------------------------------------
 
-Poly = Dict[Tuple[int, ...], Fraction]
+
+def _degree(node: Expr, names: Sequence[str]) -> int:
+    """A bound on the degree of a polynomial Expr in ``names``; raises
+    ValueError on anything that is not a polynomial."""
+    if isinstance(node, exprlang.Const):
+        return 0
+    if isinstance(node, exprlang.Var):
+        if node.name not in names:
+            raise ValueError(f"unknown coordinate {node.name!r}")
+        return 1
+    if isinstance(node, exprlang.Neg):
+        return _degree(node.operand, names)
+    if isinstance(node, exprlang.BinOp):
+        if node.op == "^":
+            if not isinstance(node.right, exprlang.Const) or Fraction(node.right.value).denominator != 1:
+                raise ValueError("only integer powers in polynomial fields")
+            if node.right.value < 0:
+                raise ValueError("negative powers are not polynomial")
+            return int(node.right.value) * _degree(node.left, names)
+        if node.op == "/":
+            if list(expr_to_poly(node.right, names).coeffs) != [(0,) * len(names)]:
+                raise ValueError("division only by constants in polynomial fields")
+            return _degree(node.left, names)
+        left, right = _degree(node.left, names), _degree(node.right, names)
+        return left + right if node.op == "*" else max(left, right)
+    raise ValueError(f"not a polynomial expression: {exprlang.to_source(node)}")
 
 
-def _poly_add(p: Poly, q: Poly, factor: Fraction = Fraction(1)) -> Poly:
-    out = dict(p)
-    for k, v in q.items():
-        s = out.get(k, Fraction(0)) + factor * v
-        if s == 0:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
+def _origin_env(names: Sequence[str], order: int) -> Dict[str, JetPoly]:
+    """Exact coordinate jets of ``order`` at the origin of ``names``."""
+    origin = (0,) * len(names)
+    return {name: JetPoly.variable(i, len(names), order, origin) for i, name in enumerate(names)}
 
 
-def _poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for k1, v1 in p.items():
-        for k2, v2 in q.items():
-            key = tuple(a + b for a, b in zip(k1, k2))
-            s = out.get(key, Fraction(0)) + v1 * v2
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
-
-
-def _poly_diff(p: Poly, i: int) -> Poly:
-    out: Poly = {}
-    for k, v in p.items():
-        if k[i] > 0:
-            key = tuple(a - 1 if j == i else a for j, a in enumerate(k))
-            out[key] = v * k[i]
-    return out
-
-
-def expr_to_poly(e: Union[str, Expr], names: Sequence[str]) -> Poly:
-    """Exact polynomial form of an Expr; raises if the Expr is not polynomial."""
+def expr_to_poly(e: Union[str, Expr], names: Sequence[str]) -> JetPoly:
+    """Exact polynomial form of an Expr: its jet at the origin of ``names``,
+    of order the degree bound, whose Taylor coefficients are the monomial
+    coefficients; raises ValueError if the Expr is not a polynomial."""
     e = exprlang.as_expr(e)
-    n = len(names)
-
-    def walk(node) -> Poly:
-        if isinstance(node, exprlang.Const):
-            return {(0,) * n: Fraction(node.value)} if node.value != 0 else {}
-        if isinstance(node, exprlang.Var):
-            if node.name not in names:
-                raise ValueError(f"unknown coordinate {node.name!r}")
-            key = tuple(1 if names[i] == node.name else 0 for i in range(n))
-            return {key: Fraction(1)}
-        if isinstance(node, exprlang.Neg):
-            return {k: -v for k, v in walk(node.operand).items()}
-        if isinstance(node, exprlang.BinOp):
-            if node.op == "+":
-                return _poly_add(walk(node.left), walk(node.right))
-            if node.op == "-":
-                return _poly_add(walk(node.left), walk(node.right), Fraction(-1))
-            if node.op == "*":
-                return _poly_mul(walk(node.left), walk(node.right))
-            if node.op == "/":
-                right = walk(node.right)
-                if list(right.keys()) not in ([()], [(0,) * n]) or (0,) * n not in right:
-                    raise ValueError("division only by constants in polynomial fields")
-                cval = right[(0,) * n]
-                return {k: v / cval for k, v in walk(node.left).items()}
-            if node.op == "^":
-                if not isinstance(node.right, exprlang.Const) or Fraction(node.right.value).denominator != 1:
-                    raise ValueError("only integer powers in polynomial fields")
-                m = int(node.right.value)
-                if m < 0:
-                    raise ValueError("negative powers are not polynomial")
-                out = {(0,) * n: Fraction(1)}
-                base = walk(node.left)
-                for _ in range(m):
-                    out = _poly_mul(out, base)
-                return out
-        raise ValueError(f"not a polynomial expression: {exprlang.to_source(node)}")
-
-    return walk(e)
+    return exprlang.eval_jet(e, _origin_env(names, _degree(e, names)))
 
 
 @dataclass(frozen=True)
@@ -398,15 +360,19 @@ class BracketClosure:
     failures: Tuple[Tuple[int, int], ...]
 
 
-def field_bracket(X: Sequence[Poly], Y: Sequence[Poly]) -> List[Poly]:
-    """[X, Y]^a = X^b d_b Y^a - Y^b d_b X^a for polynomial component vectors."""
+def field_bracket(X: Sequence[JetPoly], Y: Sequence[JetPoly]) -> List[JetPoly]:
+    """[X, Y]^a = X^b d_b Y^a - Y^b d_b X^a for polynomial fields whose
+    components are exact jets of one order k at the origin; the bracket has
+    order k - 1 and is exact when k is at least the sum of the two fields'
+    degrees."""
     n = len(X)
+    X_low = [x.truncated(x.order - 1) for x in X]
+    Y_low = [y.truncated(y.order - 1) for y in Y]
     out = []
     for a in range(n):
-        acc: Poly = {}
+        acc = X_low[a].like_constant(0)
         for b in range(n):
-            acc = _poly_add(acc, _poly_mul(X[b], _poly_diff(Y[a], b)))
-            acc = _poly_add(acc, _poly_mul(Y[b], _poly_diff(X[a], b)), Fraction(-1))
+            acc = acc + X_low[b] * Y[a].derivative(b) - Y_low[b] * X[a].derivative(b)
         out.append(acc)
     return out
 
@@ -417,8 +383,10 @@ def bracket_closure(
 ) -> BracketClosure:
     """Pairwise Lie brackets of polynomial vector fields, expanded exactly and
     expressed in the span; non-representable brackets are flagged."""
-    polys = [[expr_to_poly(comp, names) for comp in f] for f in fields]
-    n = len(names)
+    exprs = [[exprlang.as_expr(comp) for comp in f] for f in fields]
+    top = max((_degree(comp, names) for f in exprs for comp in f), default=0)
+    env = _origin_env(names, 2 * top + 1)  # the brackets, of order 2 top, hold degree 2 top - 1 whole
+    polys = [[exprlang.eval_jet(comp, env) for comp in f] for f in exprs]
 
     # collect all monomial slots appearing anywhere (fields and brackets)
     brackets = {}
@@ -426,20 +394,17 @@ def bracket_closure(
         for j in range(i + 1, len(polys)):
             brackets[(i, j)] = field_bracket(polys[i], polys[j])
     slots = set()
-    for f in polys:
+    for f in [*polys, *brackets.values()]:
         for a, comp in enumerate(f):
-            slots.update((a, k) for k in comp)
-    for br in brackets.values():
-        for a, comp in enumerate(br):
-            slots.update((a, k) for k in comp)
+            slots.update((a, k) for k in comp.coeffs)
     slots = sorted(slots)
     index = {s: i for i, s in enumerate(slots)}
 
-    def vectorize(f: Sequence[Poly]) -> List[Fraction]:
+    def vectorize(f: Sequence[JetPoly]) -> List[Fraction]:
         v = [Fraction(0)] * len(slots)
         for a, comp in enumerate(f):
-            for k, val in comp.items():
-                v[index[(a, k)]] = val
+            for k, val in comp.coeffs.items():
+                v[index[(a, k)]] = Fraction(val)
         return v
 
     basis_vecs = [vectorize(f) for f in polys]

@@ -14,7 +14,7 @@ main path).  Index conventions, used consistently throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -174,14 +174,10 @@ def _first_partials(jets) -> np.ndarray:
     return np.moveaxis(grads.reshape(shape + (-1,)), -1, 0)
 
 
-def metric_values(structure: WeylStructure, point: Sequence) -> np.ndarray:
-    return _values(metric_jets(structure, point, 0))
-
-
-def check_signature(structure: WeylStructure, point: Sequence) -> np.ndarray:
-    """Check Lorentzian signature (one negative eigenvalue); returns g values.
-    Singular means min |eigenvalue| <= 1e-12 max |eigenvalue|: a unit-free test."""
-    gv = metric_values(structure, point)
+def check_signature(gv: np.ndarray, point: Sequence) -> np.ndarray:
+    """Check that metric values ``gv`` at ``point`` are Lorentzian (one negative
+    eigenvalue); returns gv.  Singular means min |eigenvalue| <= 1e-12 max
+    |eigenvalue|: a unit-free test."""
     eig = np.linalg.eigvalsh(gv)
     if np.min(np.abs(eig)) <= 1e-12 * np.max(np.abs(eig)):
         raise SingularMetricError(f"metric is singular at {tuple(point)}")
@@ -230,7 +226,7 @@ class Connection:
     depth: int
     gamma: List[List[List[JetPoly]]]  # gamma[a][b][c] = Gamma^a_{bc}, jets of order depth
     metric: Optional[List[List[JetPoly]]] = None  # g_ab, jets of order depth + 1
-    one_form: Optional[List[JetPoly]] = None  # w_a, jets of order depth (Weyl connections)
+    one_form: Optional[List[JetPoly]] = None  # w_a, jets of order depth (zero for Levi-Civita)
     levi_civita_gamma: Optional[List[List[List[JetPoly]]]] = None  # metric part of a Weyl connection
 
     @property
@@ -246,20 +242,19 @@ class Connection:
 
 
 def levi_civita(structure: WeylStructure, point: Sequence, depth: int = 1) -> Connection:
-    """Levi-Civita connection of the metric alone: half g^{ad}(d_b g_dc + d_c g_bd - d_d g_bc)."""
-    check_domain(structure, point)
-    check_signature(structure, point)
-    g = metric_jets(structure, point, depth + 1)
-    return _christoffel_from(structure, point, depth, g, omega=None)
+    """Levi-Civita connection of the metric alone, half g^{ad}(d_b g_dc + d_c g_bd - d_d g_bc):
+    the Weyl connection of the same metric with a zero 1-form (the structure's
+    1-form is never evaluated)."""
+    return weyl_connection(replace(structure, one_form=(None,) * structure.dim), point, depth)
 
 
 def weyl_connection(structure: WeylStructure, point: Sequence, depth: int = 1) -> Connection:
     """Weyl connection: Levi-Civita plus K^a_bc = delta^a_b w_c + delta^a_c w_b - g_bc g^{ad} w_d."""
     check_domain(structure, point)
-    check_signature(structure, point)
     g = metric_jets(structure, point, depth + 1)
+    check_signature(_values(g), point)
     omega = one_form_jets(structure, point, depth)
-    return _christoffel_from(structure, point, depth, g, omega=omega)
+    return _christoffel_from(structure, point, depth, g, omega)
 
 
 def _christoffel_from(
@@ -267,7 +262,7 @@ def _christoffel_from(
     point: Sequence,
     depth: int,
     g: List[List[JetPoly]],
-    omega: Optional[List[JetPoly]],
+    omega: List[JetPoly],
 ) -> Connection:
     d = structure.dim
     dg = [[[g[i][j].derivative(e) for e in range(d)] for j in range(d)] for i in range(d)]
@@ -288,30 +283,28 @@ def _christoffel_from(
                 gamma[a][b][c] = entry
                 gamma[a][c][b] = entry
 
-    levi_civita_gamma = None
-    if omega is not None:
-        levi_civita_gamma = [[row[:] for row in plane] for plane in gamma]
-        omega_up = [zero] * d  # g^{ad} w_d
-        for a in range(d):
-            acc = zero
-            for e in range(d):
-                if ginv[a][e].coeffs and omega[e].coeffs:
-                    acc = acc + ginv[a][e] * omega[e]
-            omega_up[a] = acc
-        for a in range(d):
-            for b in range(d):
-                for c in range(b, d):
-                    k = zero
-                    if a == b and omega[c].coeffs:
-                        k = k + omega[c]
-                    if a == c and omega[b].coeffs:
-                        k = k + omega[b]
-                    if g_low[b][c].coeffs and omega_up[a].coeffs:
-                        k = k - g_low[b][c] * omega_up[a]
-                    if k.coeffs:
-                        entry = gamma[a][b][c] + k
-                        gamma[a][b][c] = entry
-                        gamma[a][c][b] = entry
+    levi_civita_gamma = [[row[:] for row in plane] for plane in gamma]
+    omega_up = [zero] * d  # g^{ad} w_d
+    for a in range(d):
+        acc = zero
+        for e in range(d):
+            if ginv[a][e].coeffs and omega[e].coeffs:
+                acc = acc + ginv[a][e] * omega[e]
+        omega_up[a] = acc
+    for a in range(d):
+        for b in range(d):
+            for c in range(b, d):
+                k = zero
+                if a == b and omega[c].coeffs:
+                    k = k + omega[c]
+                if a == c and omega[b].coeffs:
+                    k = k + omega[b]
+                if g_low[b][c].coeffs and omega_up[a].coeffs:
+                    k = k - g_low[b][c] * omega_up[a]
+                if k.coeffs:
+                    entry = gamma[a][b][c] + k
+                    gamma[a][b][c] = entry
+                    gamma[a][c][b] = entry
 
     return Connection(structure.chart, tuple(point), depth, gamma, g, omega, levi_civita_gamma)
 

@@ -111,6 +111,10 @@ class TestVerifyCommand:
             {"box": {"t": [1, float("inf")]}},
             {"box": {"t": [1, 10**400]}},
             {"box": [[1, 2]]},
+            {"constraints": 5},
+            {"constraints": "u"},
+            {"constraints": [["u"]]},
+            {"constraints": [5]},
         ],
     )
     def test_malformed_structure_field_exits_2(self, tmp_path, capsys, fields):
@@ -305,6 +309,48 @@ class TestInputContract:
         code, out, err = run(capsys, "invariants", exp_file, "--at", at)
         assert code == 2 and out == ""
         assert err.startswith("error:") and "--at" in err
+
+    @pytest.mark.parametrize(
+        "key,at",
+        [("dim4-psi-exp", "1.1,7"), ("dim4-psi-exp", "1.1,7,9"), ("3d2-generic", "1.1,2"), ("3d1-xu", "0.6,1.9,3")],
+    )
+    def test_more_at_values_than_the_family_reads_exit_2(self, tmp_path, capsys, key, at):
+        path = str(tmp_path / f"{key}.json")
+        assert run(capsys, "catalog", "emit", key, path)[0] == 0
+        code, out, err = run(capsys, "invariants", path, "--at", at)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--at" in err and "value(s)" in err
+
+    @pytest.mark.parametrize("key", ["mainth-a0", "homog-n2"])
+    def test_unsupported_family_is_reported_before_the_value_count(self, tmp_path, capsys, key):
+        path = str(tmp_path / f"{key}.json")
+        assert run(capsys, "catalog", "emit", key, path)[0] == 0
+        code, out, err = run(capsys, "invariants", path, "--at", "1,2,3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "not defined for family" in err
+
+    @pytest.mark.parametrize(
+        "key,constraints",
+        [("dim4-psi-exp", ["0-1"]), ("dim4-psi-exp", []), ("dim4-psi-exp", ["exp(t)"]), ("homog-n2", []), ("homog-n2", ["u"])],
+    )
+    def test_constraints_that_differ_from_the_derived_ones_exit_2(self, tmp_path, capsys, key, constraints):
+        """dim_ge4 and homogeneous build their own constraints; a file that
+        lists others is an input error, not silently dropped."""
+        path = tmp_path / f"{key}.json"
+        assert run(capsys, "catalog", "emit", key, str(path))[0] == 0
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["constraints"] = constraints
+        code, out, err = run(capsys, "verify", write_json(path, data), "--samples", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "derives its constraints" in err
+
+    def test_derived_constraints_in_another_order_and_spelling_pass(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path / "exp.json",
+            {"format": 1, "family": "dim_ge4", "psi": "exp(t)", "n": 2, "constraints": ["u + exp(t)", "exp(t)"]},
+        )
+        code, out, _ = run(capsys, "verify", path, "--samples", "2")
+        assert code == 0 and json.loads(out)["pass"] is True
 
 
 @pytest.fixture(scope="module")

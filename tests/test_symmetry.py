@@ -267,6 +267,13 @@ class TestBracketClosure:
         assert not result.closed
         assert (2, 3) in result.failures  # [t^2 d_t, t^3 d_t] = t^4 d_t leaves the span
 
-    def test_non_polynomial_rejected(self):
+    def test_bracket_of_top_degree_fields_is_kept_whole(self):
+        """[t^3 d_t, t^3 d_u] = 3 t^5 d_u has degree 2*3 - 1: a jet order too
+        low to hold it would drop it and report a closed algebra."""
+        result = bracket_closure([("t^3", "0", "0"), ("0", "0", "t^3")], ("t", "v", "u"))
+        assert not result.closed and result.failures == ((0, 1),)
+
+    @pytest.mark.parametrize("expr", ["exp(t)", "1/t", "t^(1/2)", "t^(0-1)", "t^u", "sqrt(t)", "t/0"])
+    def test_non_polynomial_rejected(self, expr):
         with pytest.raises(ValueError, match="polynomial"):
-            expr_to_poly("exp(t)", ("t", "v", "u"))
+            expr_to_poly(expr, ("t", "v", "u"))

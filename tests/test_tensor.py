@@ -151,6 +151,34 @@ class TestMetricJets:
 
 
 class TestWeylConnection:
+    def test_one_metric_evaluation_per_connection(self, catalog, monkeypatch):
+        """The signature check reads the metric jets the connection is built
+        from; it does not evaluate the metric a second time."""
+        entry = catalog["dim4-psi-exp"]
+        calls = []
+
+        def counting_metric_jets(*args):
+            calls.append(args)
+            return metric_jets(*args)
+
+        monkeypatch.setattr(tensor, "metric_jets", counting_metric_jets)
+        p = entry.sample_points(1)[0]
+        for depth in range(3):
+            calls.clear()
+            weyl_connection(entry.structure, p, depth=depth)
+            assert len(calls) == 1 and calls[0][2] == depth + 1
+
+    def test_levi_civita_ignores_an_undefined_one_form(self, flat3):
+        """The Levi-Civita connection reads the metric alone, so a 1-form that
+        is undefined at the point (ln of a negative number) does not matter."""
+        s = dataclasses.replace(flat3, one_form=(parse("ln(x)"), None, None))
+        p = (0.1, -0.5, 0.3)
+        with pytest.raises(exprlang.ExprDomainError):
+            weyl_connection(s, p, depth=1)
+        conn = levi_civita(s, p, depth=1)
+        assert np.max(np.abs(conn.values())) == 0.0
+        assert np.array_equal(conn.values(), levi_civita(flat3, p, depth=1).values())
+
     def test_zero_one_form_reduces_to_levi_civita(self, catalog):
         s = schwarzschild()
         p = (0.0, 3.0, 1.0, 0.5)
