@@ -254,8 +254,11 @@ def _emit_json(payload: Dict, out: Optional[str] = None) -> None:
 
 def _emit_text(text: str, out: Optional[str] = None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

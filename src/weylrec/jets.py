@@ -7,7 +7,9 @@ base point, up to a fixed total degree.  Coefficients may be ints, Fractions
 or floats; exact inputs stay exact through +, -, *, / and integer powers,
 which is what makes the exact-rational evaluation mode possible.
 Division costs grow with the variables its operands use, not with the
-dimension of the jet space.
+dimension of the jet space.  Products look up each pair's multi-index sum in
+a memo per truncation order, filled only with the pairs that products meet,
+so it is bounded by the square of the index set.
 
 Jets are immutable after construction and every operation returns a fresh
 value, so all of this is safe to call from concurrent contexts.
@@ -16,9 +18,10 @@ value, so all of this is safe to call from concurrent contexts.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 MultiIndex = Tuple[int, ...]
 
@@ -63,6 +66,28 @@ def _multi_factorial(alpha: MultiIndex) -> int:
     for a in alpha:
         f *= math.factorial(a)
     return f
+
+
+class _IndexSums(dict):
+    """``a2 -> a1 + a2`` for one multi-index ``a1``, or None where the sum's
+    degree exceeds the order; each entry is made on first lookup."""
+
+    __slots__ = ("a1", "budget")
+
+    def __init__(self, a1: MultiIndex, order: int):
+        super().__init__()
+        self.a1 = a1
+        self.budget = order - sum(a1)
+
+    def __missing__(self, a2: MultiIndex) -> Optional[MultiIndex]:
+        key = None if sum(a2) > self.budget else tuple(x + y for x, y in zip(self.a1, a2))
+        self[a2] = key
+        return key
+
+
+# order -> a1 -> its _IndexSums; entries are pure functions of their keys, so
+# a lookup racing a fill in another thread stores the same value
+_INDEX_SUMS: Dict[int, Dict[MultiIndex, _IndexSums]] = defaultdict(dict)
 
 
 class JetPoly:
@@ -157,11 +182,9 @@ class JetPoly:
             raise JetShapeError("cannot differentiate an order-0 jet")
         coeffs: Dict[MultiIndex, object] = {}
         for alpha, c in self.coeffs.items():
-            if alpha[index] >= 1:
-                beta = list(alpha)
-                beta[index] -= 1
-                if sum(beta) <= self.order - 1:
-                    coeffs[tuple(beta)] = c * alpha[index]
+            k = alpha[index]
+            if k >= 1 and sum(alpha) <= self.order:
+                coeffs[alpha[:index] + (k - 1,) + alpha[index + 1 :]] = c * k
         return JetPoly(self.nvars, self.order - 1, self.base, coeffs)
 
     # ------------------------------------------------------------------
@@ -205,13 +228,15 @@ class JetPoly:
             self._check_shape(other)
             order = self.order
             coeffs: Dict[MultiIndex, object] = {}
+            memo = _INDEX_SUMS[order]
             for a1, c1 in self.coeffs.items():
-                d1 = sum(a1)
+                sums = memo.get(a1)
+                if sums is None:
+                    sums = memo[a1] = _IndexSums(a1, order)
                 for a2, c2 in other.coeffs.items():
-                    if d1 + sum(a2) > order:
-                        continue
-                    key = tuple(x + y for x, y in zip(a1, a2))
-                    coeffs[key] = coeffs.get(key, 0) + c1 * c2
+                    key = sums[a2]
+                    if key is not None:
+                        coeffs[key] = coeffs.get(key, 0) + c1 * c2
             for a in [a for a, c in coeffs.items() if c == 0 and not isinstance(c, float)]:
                 del coeffs[a]
             return JetPoly(self.nvars, order, self.base, coeffs)

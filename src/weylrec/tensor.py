@@ -257,6 +257,21 @@ def weyl_connection(structure: WeylStructure, point: Sequence, depth: int = 1) -
     return _christoffel_from(structure, point, depth, g, omega)
 
 
+def _once_per_jet(jets, fn):
+    """``fn`` of each jet of a nested list, in the list's shape, computed once
+    per distinct jet object, so that entries sharing a jet share the result."""
+    done: Dict[int, object] = {}
+
+    def walk(node):
+        if isinstance(node, JetPoly):
+            if id(node) not in done:
+                done[id(node)] = fn(node)
+            return done[id(node)]
+        return [walk(sub) for sub in node]
+
+    return walk(jets)
+
+
 def _christoffel_from(
     structure: WeylStructure,
     point: Sequence,
@@ -265,18 +280,18 @@ def _christoffel_from(
     omega: List[JetPoly],
 ) -> Connection:
     d = structure.dim
-    dg = [[[g[i][j].derivative(e) for e in range(d)] for j in range(d)] for i in range(d)]
-    g_low = [[g[i][j].truncated(depth) for j in range(d)] for i in range(d)]
+    dg = _once_per_jet(g, lambda jet: [jet.derivative(e) for e in range(d)])
+    g_low = _once_per_jet(g, lambda jet: jet.truncated(depth))
     ginv = _invert_jet_matrix(g_low)
     zero = g_low[0][0].like_constant(0)
 
     gamma: List[List[List[JetPoly]]] = [[[zero] * d for _ in range(d)] for _ in range(d)]
     for b in range(d):
         for c in range(b, d):
+            brackets = [dg[e][c][b] + dg[b][e][c] - dg[b][c][e] for e in range(d)]
             for a in range(d):
                 acc = zero
-                for e in range(d):
-                    bracket = dg[e][c][b] + dg[b][e][c] - dg[b][c][e]
+                for e, bracket in enumerate(brackets):
                     if bracket.coeffs and ginv[a][e].coeffs:
                         acc = acc + ginv[a][e] * bracket
                 entry = acc / 2
@@ -330,17 +345,19 @@ class PointTensor:
 def _curvature_jets(conn: Connection) -> List[List[List[List[JetPoly]]]]:
     """R[d][c][a][b] jets of order depth-1; antisymmetric slots (a, b)."""
     d = conn.dim
-    gamma = conn.gamma
-    dgamma = [[[[gamma[x][y][z].derivative(e) for e in range(d)] for z in range(d)] for y in range(d)] for x in range(d)]
+    dgamma = _once_per_jet(conn.gamma, lambda jet: [jet.derivative(e) for e in range(d)])
     zero = dgamma[0][0][0][0].like_constant(0)
-    gl = [[[gamma[x][y][z].truncated(conn.depth - 1) for z in range(d)] for y in range(d)] for x in range(d)]
+    gl = _once_per_jet(conn.gamma, lambda jet: jet.truncated(conn.depth - 1))
+    # nonzero[x][y]: the f with gl[x][y][f] nonzero, outside which no product term survives
+    nonzero = [[{f for f, jet in enumerate(row) if jet.coeffs} for row in plane] for plane in gl]
     R = [[[[zero] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
     for a in range(d):
         for b in range(a + 1, d):
             for dd in range(d):
+                fs = sorted(nonzero[dd][a] | nonzero[dd][b])
                 for c in range(d):
                     acc = dgamma[dd][b][c][a] - dgamma[dd][a][c][b]
-                    for f in range(d):
+                    for f in fs:
                         t1 = gl[dd][a][f]
                         t2 = gl[f][b][c]
                         if t1.coeffs and t2.coeffs:
@@ -562,7 +579,7 @@ class PointGeometry:
     def conformal_weyl(self) -> PointTensor:
         """See :func:`conformal_weyl_tensor`."""
         # the Levi-Civita part cut to depth 1: its curvature values need no more
-        lc_gamma = [[[jet.truncated(1) for jet in row] for row in plane] for plane in self.conn.levi_civita_gamma]
+        lc_gamma = _once_per_jet(self.conn.levi_civita_gamma, lambda jet: jet.truncated(1))
         d = self.structure.dim
         Rup = _values(_curvature_jets(Connection(self.structure.chart, self.point, 1, lc_gamma)))  # R^a_{bcd}
         gv = self.metric

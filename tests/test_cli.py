@@ -352,6 +352,22 @@ class TestInputContract:
         code, out, _ = run(capsys, "verify", path, "--samples", "2")
         assert code == 0 and json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalog", "emit", "dim4-psi-exp", "{missing}/x.json"],
+            ["verify", "@", "--samples", "2", "--json", "{missing}/r.json"],
+            ["signature", "@", "--samples", "4", "--csv", "{missing}/c.csv"],
+        ],
+        ids=["catalog-emit", "verify-json", "signature-csv"],
+    )
+    def test_output_path_in_a_missing_directory_exits_2(self, exp_file, tmp_path, capsys, argv):
+        missing = tmp_path / "no" / "such" / "dir"
+        argv = [exp_file if a == "@" else a.format(missing=missing) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "cannot write" in err and str(missing) in err
+
 
 @pytest.fixture(scope="module")
 def entries():

@@ -258,3 +258,88 @@ class TestUnivariateHelpers:
         direct = jet_sin(inner)
         for k in range(6):
             assert float(comp.coefficient((k,))) == pytest.approx(float(direct.coefficient((k,))), abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the product and derivative kernels against their plain loops
+# ----------------------------------------------------------------------
+
+
+def reference_mul(self, other):
+    """The jet-by-jet product loop of ``JetPoly.__mul__`` before the
+    index-sum memo, verbatim: the memoised kernel must reproduce it bit for bit."""
+    order = self.order
+    coeffs = {}
+    for a1, c1 in self.coeffs.items():
+        d1 = sum(a1)
+        for a2, c2 in other.coeffs.items():
+            if d1 + sum(a2) > order:
+                continue
+            key = tuple(x + y for x, y in zip(a1, a2))
+            coeffs[key] = coeffs.get(key, 0) + c1 * c2
+    for a in [a for a, c in coeffs.items() if c == 0 and not isinstance(c, float)]:
+        del coeffs[a]
+    return coeffs
+
+
+def reference_derivative(self, index):
+    """``JetPoly.derivative`` before its keys were built by slicing, verbatim."""
+    coeffs = {}
+    for alpha, c in self.coeffs.items():
+        if alpha[index] >= 1:
+            beta = list(alpha)
+            beta[index] -= 1
+            if sum(beta) <= self.order - 1:
+                coeffs[tuple(beta)] = c * alpha[index]
+    return coeffs
+
+
+def exact_items(coeffs):
+    """Keys in order with each coefficient's type and exact value (float bits via hex, so -0.0 != 0.0)."""
+    return [(a, type(c), c.hex() if isinstance(c, float) else c) for a, c in coeffs.items()]
+
+
+# small integers cancel exactly; the floats include both zeros
+kernel_coeff = st.one_of(
+    st.integers(-2, 2),
+    st.fractions(-2, 2, max_denominator=4),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def kernel_jet_pairs(draw, min_order=0):
+    """Two sparse jets of one shape: 1-5 variables, orders ``min_order``-5."""
+    nvars = draw(st.integers(1, 5))
+    order = draw(st.integers(min_order, 5))
+    indices = taylor_indices(nvars, order)
+
+    def jet():
+        keys = draw(st.lists(st.sampled_from(indices), unique=True, max_size=min(12, len(indices))))
+        return JetPoly(nvars, order, (0.5,) * nvars, {a: draw(kernel_coeff) for a in keys})
+
+    return jet(), jet()
+
+
+@given(kernel_jet_pairs())
+def test_product_matches_reference_loop(pair):
+    a, b = pair
+    for left, right in ((a, b), (b, a), (a, a), (a, b)):  # the repeat reads the memo it filled
+        assert exact_items((left * right).coeffs) == exact_items(reference_mul(left, right))
+
+
+@given(kernel_jet_pairs(min_order=1), st.data())
+def test_derivative_matches_reference_loop(pair, data):
+    jet, _ = pair
+    index = data.draw(st.integers(0, jet.nvars - 1))
+    assert exact_items(jet.derivative(index).coeffs) == exact_items(reference_derivative(jet, index))
+
+
+def test_product_keeps_signed_zeros_and_drops_exact_cancellations():
+    x = JetPoly(2, 2, (0, 0), {(0, 0): 1, (1, 0): 1})
+    y = JetPoly(2, 2, (0, 0), {(0, 0): 1, (1, 0): -1})
+    assert (x * y).coeffs == {(0, 0): 1, (2, 0): -1}  # (1 + s)(1 - s): the s term cancels to int 0
+    # each sum starts from int 0, so a lone -0.0 product is stored as +0.0 (and kept: it is a float)
+    z = JetPoly(2, 2, (0, 0), {(0, 1): -0.0})
+    assert exact_items((x * z).coeffs) == exact_items(reference_mul(x, z)) == [((0, 1), float, "0x0.0p+0"), ((1, 1), float, "0x0.0p+0")]

@@ -234,6 +234,42 @@ class TestWeylConnection:
 
 
 class TestCurvature:
+    @staticmethod
+    def count_derivatives(monkeypatch):
+        """Record the jet of every ``JetPoly.derivative`` call from now on."""
+        calls = []
+        derivative = JetPoly.derivative
+
+        def counting_derivative(jet, index):
+            calls.append(id(jet))
+            return derivative(jet, index)
+
+        monkeypatch.setattr(JetPoly, "derivative", counting_derivative)
+        return calls
+
+    @pytest.mark.parametrize("key", ["dim4-psi-exp", "3d2-inv-u"])
+    def test_one_derivative_per_distinct_christoffel_jet(self, catalog, monkeypatch, key):
+        """gamma[a][b][c] is gamma[a][c][b], so the curvature differentiates each
+        distinct Christoffel jet once in each of the d directions."""
+        entry = catalog[key]
+        conn = weyl_connection(entry.structure, entry.sample_points(1)[0], depth=2)
+        distinct = {id(jet) for plane in conn.gamma for row in plane for jet in row}
+        calls = self.count_derivatives(monkeypatch)
+        tensor._curvature_jets(conn)
+        assert len(calls) == conn.dim * len(distinct) < conn.dim**4
+        assert set(calls) == distinct
+
+    def test_conformal_weyl_truncation_keeps_the_symmetric_pairs_shared(self, catalog, monkeypatch):
+        """At order 3 the Levi-Civita jets are truncated before the curvature;
+        each distinct jet is cut once, so gamma[a][c][b] is still gamma[a][b][c]."""
+        entry = catalog["dim4-psi-exp"]
+        geo = tensor.PointGeometry(entry.structure, entry.sample_points(1)[0], 3)
+        d = entry.structure.dim
+        distinct = {id(jet) for plane in geo.conn.levi_civita_gamma for row in plane for jet in row}
+        calls = self.count_derivatives(monkeypatch)
+        geo.conformal_weyl()
+        assert len(calls) == d * len(distinct) < d**4
+
     def test_flat_curvature_vanishes(self, flat3):
         assert curvature(flat3, (0.0, 0.1, 0.2)).norm() == 0.0
         assert nabla_R(flat3, (0.0, 0.1, 0.2)).norm() == 0.0
