@@ -112,18 +112,18 @@ def sample_box(
     return points
 
 
-def _check_positive(expr: Expr, points: Sequence[dict], what: str) -> None:
+def _check_on_domain(expr: Expr, points: Sequence[dict], what: str, nonvanishing: bool = False) -> None:
+    """``expr`` is positive at every point or, with ``nonvanishing``, of modulus above 1e-9."""
     for env in points:
         v = exprlang.eval_number(expr, env)
-        if not v > 0:
-            raise CatalogError(f"{what} must be positive on the domain; value {v} at {env}")
+        if abs(v) <= 1e-9 if nonvanishing else not v > 0:
+            must = "non-vanishing" if nonvanishing else "positive"
+            raise CatalogError(f"{what} must be {must} on the domain; value {v} at {env}")
 
 
-def _check_nonvanishing(expr: Expr, points: Sequence[dict], what: str, floor: float = 1e-9) -> None:
-    for env in points:
-        v = exprlang.eval_number(expr, env)
-        if abs(v) <= floor:
-            raise CatalogError(f"{what} must be non-vanishing on the domain; value {v} at {env}")
+def _kind(expected_kind: Optional[str]) -> Dict[str, str]:
+    """The ``expected`` item that records a classification kind, if one is given."""
+    return {"kind": expected_kind} if expected_kind else {}
 
 
 def _axis_probe(box: Dict[str, Tuple[float, float]], names: Sequence[str], count: int = 9) -> List[dict]:
@@ -189,11 +189,11 @@ def make_dim_ge4(
         box.setdefault(x, (-1.0, 1.0))
 
     probes = _axis_probe(box, ("t",))
-    _check_positive(dpsi, probes, "psi'(t)")
+    _check_on_domain(dpsi, probes, "psi'(t)")
     probes_tu = _axis_probe(box, ("t", "u"))
-    _check_positive(u_plus_pos, probes_tu, "the branch sign of u + psi(t)")
+    _check_on_domain(u_plus_pos, probes_tu, "the branch sign of u + psi(t)")
 
-    entry = CatalogEntry(
+    return CatalogEntry(
         key=key,
         family=DIM_GE4,
         structure=structure,
@@ -208,13 +208,11 @@ def make_dim_ge4(
             "weight": 3.0,
             "conformally_flat": True,
             "einstein_weyl": False,
+            **_kind(expected_kind),
         },
         symmetry_fields=killing_fields(n),
         description=f"dim {n + 2} family, psi = {exprlang.to_source(psi_e)}",
     )
-    if expected_kind:
-        entry.expected["kind"] = expected_kind
-    return entry
 
 
 def make_mainth_form(
@@ -273,7 +271,7 @@ def make_mainth_form(
         box.setdefault(f"x{i}", (0.4, 1.4) if i == n else (-1.0, 1.0))
 
     probes = _axis_probe(box, (xn, "u"))
-    _check_nonvanishing(dn_Fdot, probes, f"d_{xn} dF/du")
+    _check_on_domain(dn_Fdot, probes, f"d_{xn} dF/du", nonvanishing=True)
 
     return CatalogEntry(
         key=key,
@@ -343,8 +341,8 @@ def make_3d_case1(
             env_ok.append(env)
     if not env_ok:
         raise CatalogError("no probe point satisfies the constraints")
-    _check_nonvanishing(dx_Fdot, env_ok, "d_x dF/du")
-    entry = CatalogEntry(
+    _check_on_domain(dx_Fdot, env_ok, "d_x dF/du", nonvanishing=True)
+    return CatalogEntry(
         key=key,
         family=THREED_CASE1,
         structure=structure,
@@ -358,13 +356,11 @@ def make_3d_case1(
             "is_preferred_rep": False,
             "weight": 3.0,
             "einstein_weyl": False,
+            **_kind(expected_kind),
         },
         symmetry_fields=[("d_v", ("1", "0", "0"))],
         description=f"3D holonomy-1 family, F = {exprlang.to_source(F_e)}",
     )
-    if expected_kind:
-        entry.expected["kind"] = expected_kind
-    return entry
 
 
 def make_3d_case2(
@@ -417,7 +413,7 @@ def make_3d_case2(
     box.setdefault("x", (0.3, 1.3))
     box.setdefault("u", (0.5, 1.5))
     probes = _axis_probe(box, ("u",))
-    _check_nonvanishing(a_e, probes, "a(u)")
+    _check_on_domain(a_e, probes, "a(u)", nonvanishing=True)
 
     # preferred representative h = e^{(4/5) ln|a|} g, omega_h = a x du - (2/5)(a'/a) du
     scale = call("exp", mul(div(const(4), const(5)), call("ln", call("abs", a_e))))
@@ -429,7 +425,7 @@ def make_3d_case2(
     omega_h = sub(omega_u, mul(div(const(2), const(5)), div(adot, a_e)))
     preferred = make_structure(chart, h_entries, {"u": omega_h}, family=THREED_CASE2, params={"representative": "weight-5/2"})
 
-    entry = CatalogEntry(
+    return CatalogEntry(
         key=key,
         family=THREED_CASE2,
         structure=structure,
@@ -444,12 +440,10 @@ def make_3d_case2(
             "is_preferred_rep": False,
             "weight": 2.5,
             "einstein_weyl": True,
+            **_kind(expected_kind),
         },
         description=f"3D holonomy-2 family, a = {exprlang.to_source(a_e)}, c = {exprlang.to_source(c_e)}",
     )
-    if expected_kind:
-        entry.expected["kind"] = expected_kind
-    return entry
 
 
 def make_homogeneous_model(

@@ -73,6 +73,9 @@ class InputError(Exception):
 
 _COMMON_FIELDS = {"format", "family", "box", "seed", "constraints", "key"}
 _OPTIONAL_FIELDS = {"branch"}
+# largest dimension n + 2 a structure file may ask for: nabla R is a dense
+# d^5 float64 array, 64 MB at d = 24 (268 MB at d = 32)
+MAX_DIMENSION = 24
 
 
 def _psi_record(p: Dict, at: float) -> Dict:
@@ -191,12 +194,15 @@ def _is_finite_number(x) -> bool:
 
 
 def _check_field_types(data: Dict, path: str) -> None:
-    """Integer fields hold JSON integers, constraints a list of expression
-    strings; each box range is [lo, hi] with finite lo < hi."""
+    """Integer fields hold JSON integers, with n + 2 <= MAX_DIMENSION (checked
+    before any construction), constraints a list of expression strings; each
+    box range is [lo, hi] with finite lo < hi."""
     for name in ("seed", "n", "branch"):
         value = data.get(name, 0)
         if isinstance(value, bool) or not isinstance(value, int):
             raise InputError(f"{path}: field {name!r} must be an integer, got {value!r}")
+    if data.get("n", 0) + 2 > MAX_DIMENSION:
+        raise InputError(f"{path}: field 'n' = {data['n']} asks for dimension n + 2 above the supported {MAX_DIMENSION}")
     constraints = data.get("constraints", [])
     if not (isinstance(constraints, list) and all(isinstance(c, str) for c in constraints)):
         raise InputError(f"{path}: field 'constraints' must be a list of expressions, got {constraints!r}")

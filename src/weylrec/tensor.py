@@ -9,10 +9,18 @@ main path).  Index conventions, used consistently throughout:
   stored as array[d][c][a][b]; equivalently R(e_a,e_b) is the matrix
   dGamma_b/dx^a - dGamma_a/dx^b + [Gamma_a, Gamma_b].
 * nabla R stored as array[e][d][c][a][b] = (nabla_e R)^d_{cab}.
+
+An empty jet (no coefficients) is a structural zero, which the geometry pass
+skips: it differentiates no empty jet (the derivatives are one shared row of
+zero jets), forms no bracket, difference, quotient or negation whose operands
+are all empty (the slot keeps a shared zero), and its value readers write 0.0
+for an empty jet without reading it.  Every other jet goes through the same
+operations, in the same order, as in a dense pass, so no bit changes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -22,7 +30,7 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import Expr, eval_jet, eval_number
-from .jets import JetPoly
+from .jets import JetPoly, JetShapeError
 
 
 class DomainViolation(ValueError):
@@ -162,16 +170,23 @@ def _flatten(jets) -> Tuple[Tuple[int, ...], List[JetPoly]]:
 
 
 def _values(jets) -> np.ndarray:
-    """Float values at the point of a nested list of jets, in an array of its shape."""
+    """Float values at the point of a nested list of jets, in an array of its
+    shape; an empty jet reads 0.0 unopened."""
     shape, leaves = _flatten(jets)
-    return np.fromiter((float(jet.value) for jet in leaves), float, len(leaves)).reshape(shape)
+    return np.fromiter((float(jet.value) if jet.coeffs else 0.0 for jet in leaves), float, len(leaves)).reshape(shape)
 
 
 def _first_partials(jets) -> np.ndarray:
-    """array[e][...] = d_e of each jet of a nested list at the point (jets of order >= 1)."""
+    """array[e][...] = d_e of each jet of a nested list at the point (jets of
+    order >= 1); only the non-empty jets are read, the rest are rows of 0.0."""
     shape, leaves = _flatten(jets)
-    grads = np.fromiter((float(c) for jet in leaves for c in jet.gradient()), float, len(leaves) * leaves[0].nvars)
-    return np.moveaxis(grads.reshape(shape + (-1,)), -1, 0)
+    nvars = leaves[0].nvars
+    live = [i for i, jet in enumerate(leaves) if jet.coeffs]
+    grads = np.zeros((len(leaves), nvars))
+    grads[live] = np.fromiter(
+        (float(c) for i in live for c in leaves[i].gradient()), float, len(live) * nvars
+    ).reshape(-1, nvars)
+    return np.moveaxis(grads.reshape(shape + (nvars,)), -1, 0)
 
 
 def check_signature(gv: np.ndarray, point: Sequence) -> np.ndarray:
@@ -272,6 +287,14 @@ def _once_per_jet(jets, fn):
     return walk(jets)
 
 
+def _derivatives_once(jets, zero: JetPoly):
+    """``[d_0 jet, ..., d_{n-1} jet]`` of each jet of a nested list, computed
+    once per distinct jet object; every empty jet maps to one shared row of
+    ``zero`` (a jet of one order less) and is never differentiated."""
+    row = [zero] * zero.nvars
+    return _once_per_jet(jets, lambda jet: [jet.derivative(e) for e in range(jet.nvars)] if jet.coeffs else row)
+
+
 def _christoffel_from(
     structure: WeylStructure,
     point: Sequence,
@@ -280,23 +303,30 @@ def _christoffel_from(
     omega: List[JetPoly],
 ) -> Connection:
     d = structure.dim
-    dg = _once_per_jet(g, lambda jet: [jet.derivative(e) for e in range(d)])
     g_low = _once_per_jet(g, lambda jet: jet.truncated(depth))
     ginv = _invert_jet_matrix(g_low)
     zero = g_low[0][0].like_constant(0)
+    dg = _derivatives_once(g, zero)
 
     gamma: List[List[List[JetPoly]]] = [[[zero] * d for _ in range(d)] for _ in range(d)]
     for b in range(d):
         for c in range(b, d):
-            brackets = [dg[e][c][b] + dg[b][e][c] - dg[b][c][e] for e in range(d)]
+            brackets = []  # (e, dg[e][c][b] + dg[b][e][c] - dg[b][c][e]) where it is nonzero
+            for e in range(d):
+                x, y, z = dg[e][c][b], dg[b][e][c], dg[b][c][e]
+                if x.coeffs or y.coeffs or z.coeffs:
+                    bracket = x + y - z
+                    if bracket.coeffs:
+                        brackets.append((e, bracket))
             for a in range(d):
                 acc = zero
-                for e, bracket in enumerate(brackets):
-                    if bracket.coeffs and ginv[a][e].coeffs:
+                for e, bracket in brackets:
+                    if ginv[a][e].coeffs:
                         acc = acc + ginv[a][e] * bracket
-                entry = acc / 2
-                gamma[a][b][c] = entry
-                gamma[a][c][b] = entry
+                if acc.coeffs:
+                    entry = acc / 2
+                    gamma[a][b][c] = entry
+                    gamma[a][c][b] = entry
 
     levi_civita_gamma = [[row[:] for row in plane] for plane in gamma]
     omega_up = [zero] * d  # g^{ad} w_d
@@ -345,18 +375,28 @@ class PointTensor:
 def _curvature_jets(conn: Connection) -> List[List[List[List[JetPoly]]]]:
     """R[d][c][a][b] jets of order depth-1; antisymmetric slots (a, b)."""
     d = conn.dim
-    dgamma = _once_per_jet(conn.gamma, lambda jet: [jet.derivative(e) for e in range(d)])
-    zero = dgamma[0][0][0][0].like_constant(0)
-    gl = _once_per_jet(conn.gamma, lambda jet: jet.truncated(conn.depth - 1))
+    if conn.depth < 1:
+        raise JetShapeError("cannot differentiate an order-0 jet")
+    template = conn.gamma[0][0][0]
+    zero = JetPoly(template.nvars, conn.depth - 1, template.base)
+    dgamma = _derivatives_once(conn.gamma, zero)
+    gl = _once_per_jet(conn.gamma, lambda jet: jet.truncated(conn.depth - 1) if jet.coeffs else zero)
+    # live[x][y]: some gamma[x][y][c] is nonzero; without it, gl[x][y] and its derivatives are empty
+    live = [[any(jet.coeffs for jet in row) for row in plane] for plane in conn.gamma]
     # nonzero[x][y]: the f with gl[x][y][f] nonzero, outside which no product term survives
     nonzero = [[{f for f, jet in enumerate(row) if jet.coeffs} for row in plane] for plane in gl]
     R = [[[[zero] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
     for a in range(d):
         for b in range(a + 1, d):
             for dd in range(d):
+                if not (live[dd][a] or live[dd][b]):
+                    continue  # every R[dd][c][a][b] is zero
                 fs = sorted(nonzero[dd][a] | nonzero[dd][b])
                 for c in range(d):
-                    acc = dgamma[dd][b][c][a] - dgamma[dd][a][c][b]
+                    acc = dgamma[dd][b][c][a]
+                    sub = dgamma[dd][a][c][b]
+                    if sub.coeffs:
+                        acc = acc - sub
                     for f in fs:
                         t1 = gl[dd][a][f]
                         t2 = gl[f][b][c]
@@ -366,8 +406,9 @@ def _curvature_jets(conn: Connection) -> List[List[List[List[JetPoly]]]]:
                         t4 = gl[f][a][c]
                         if t3.coeffs and t4.coeffs:
                             acc = acc - t3 * t4
-                    R[dd][c][a][b] = acc
-                    R[dd][c][b][a] = -acc
+                    if acc.coeffs:
+                        R[dd][c][a][b] = acc
+                        R[dd][c][b][a] = -acc
     return R
 
 
@@ -384,9 +425,10 @@ def nabla_R(structure: WeylStructure, point: Sequence) -> PointTensor:
 def _nabla_R_from(conn: Connection, Rjets, R: np.ndarray) -> np.ndarray:
     d = conn.dim
     G = conn.values()  # G[a, b, c] = Gamma^a_{bc}
-    a, b = np.triu_indices(d, 1)  # d_e R is read on the slots a < b; R is antisymmetric in (a, b)
+    pairs = list(itertools.combinations(range(d), 2))  # d_e R is read on the slots a < b; R is antisymmetric in (a, b)
+    a, b = np.array(pairs).T
     out = np.zeros((d,) * 5)
-    out[..., a, b] = _first_partials([[[Rjets[i][c][p][q] for p, q in zip(a, b)] for c in range(d)] for i in range(d)])
+    out[..., a, b] = _first_partials([[[Rjets[i][c][p][q] for p, q in pairs] for c in range(d)] for i in range(d)])
     out[..., b, a] = -out[..., a, b]
     # nabla_e R^d_cab = d_e R + G^d_ef R^f_cab - G^f_ec R^d_fab - G^f_ea R^d_cfb - G^f_eb R^d_caf
     out += np.einsum("def,fcab->edcab", G, R)

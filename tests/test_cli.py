@@ -353,6 +353,30 @@ class TestInputContract:
         assert code == 0 and json.loads(out)["pass"] is True
 
     @pytest.mark.parametrize(
+        "constructor,payload",
+        [
+            ("make_dim_ge4", {"family": "dim_ge4", "psi": "exp(t)"}),
+            ("make_mainth_form", {"family": "mainth", "F": "0-ln(u+x2)", "a": "0", "constraints": ["u+x2"]}),
+            ("make_homogeneous_model", {"family": "homogeneous"}),
+        ],
+    )
+    @pytest.mark.parametrize("n", [23, 10**9])
+    def test_dimension_above_the_ceiling_is_refused_before_construction(
+        self, tmp_path, capsys, monkeypatch, constructor, payload, n
+    ):
+        """A structure file whose dimension n + 2 exceeds 24 never reaches the
+        family constructor, which would allocate d^2 entries before failing."""
+        monkeypatch.setattr(cli, constructor, lambda *a, **k: pytest.fail(f"{constructor} called with n = {n}"))
+        path = write_json(tmp_path / "big.json", {"format": 1, "n": n, **payload})
+        code, out, err = run(capsys, "verify", path, "--samples", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "'n'" in err and "24" in err
+
+    def test_dimension_at_the_ceiling_is_built(self, tmp_path):
+        path = write_json(tmp_path / "d24.json", {"format": 1, "family": "homogeneous", "n": 22})
+        assert cli.load_structure_file(path).dim == cli.MAX_DIMENSION == 24
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["catalog", "emit", "dim4-psi-exp", "{missing}/x.json"],

@@ -11,11 +11,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from weylrec import exprlang, tensor
 from weylrec.catalog import extra_fields, make_3d_case1, make_dim_ge4, standard_catalog
 from weylrec.exprlang import eval_jet, parse
-from weylrec.jets import JetPoly
+from weylrec.jets import JetPoly, taylor_indices
 from weylrec.tensor import (
     Chart,
     DomainViolation,
@@ -241,34 +242,45 @@ class TestCurvature:
         derivative = JetPoly.derivative
 
         def counting_derivative(jet, index):
-            calls.append(id(jet))
+            calls.append(jet)
             return derivative(jet, index)
 
         monkeypatch.setattr(JetPoly, "derivative", counting_derivative)
         return calls
 
+    @staticmethod
+    def distinct_nonempty(gamma):
+        """ids of the distinct non-empty jets of gamma, and whether gamma has an empty one."""
+        jets = [jet for plane in gamma for row in plane for jet in row]
+        return {id(jet) for jet in jets if jet.coeffs}, any(not jet.coeffs for jet in jets)
+
     @pytest.mark.parametrize("key", ["dim4-psi-exp", "3d2-inv-u"])
     def test_one_derivative_per_distinct_christoffel_jet(self, catalog, monkeypatch, key):
         """gamma[a][b][c] is gamma[a][c][b], so the curvature differentiates each
-        distinct Christoffel jet once in each of the d directions."""
+        distinct non-empty Christoffel jet once in each of the d directions, and
+        no empty one at all."""
         entry = catalog[key]
         conn = weyl_connection(entry.structure, entry.sample_points(1)[0], depth=2)
-        distinct = {id(jet) for plane in conn.gamma for row in plane for jet in row}
+        distinct, has_empty = self.distinct_nonempty(conn.gamma)
+        assert has_empty
         calls = self.count_derivatives(monkeypatch)
         tensor._curvature_jets(conn)
         assert len(calls) == conn.dim * len(distinct) < conn.dim**4
-        assert set(calls) == distinct
+        assert {id(jet) for jet in calls} == distinct
 
     def test_conformal_weyl_truncation_keeps_the_symmetric_pairs_shared(self, catalog, monkeypatch):
         """At order 3 the Levi-Civita jets are truncated before the curvature;
-        each distinct jet is cut once, so gamma[a][c][b] is still gamma[a][b][c]."""
+        each distinct jet is cut once, so gamma[a][c][b] is still gamma[a][b][c],
+        and only the non-empty ones are differentiated."""
         entry = catalog["dim4-psi-exp"]
         geo = tensor.PointGeometry(entry.structure, entry.sample_points(1)[0], 3)
         d = entry.structure.dim
-        distinct = {id(jet) for plane in geo.conn.levi_civita_gamma for row in plane for jet in row}
+        distinct, has_empty = self.distinct_nonempty(geo.conn.levi_civita_gamma)
+        assert has_empty
         calls = self.count_derivatives(monkeypatch)
         geo.conformal_weyl()
         assert len(calls) == d * len(distinct) < d**4
+        assert all(jet.coeffs for jet in calls)
 
     def test_flat_curvature_vanishes(self, flat3):
         assert curvature(flat3, (0.0, 0.1, 0.2)).norm() == 0.0
@@ -487,3 +499,172 @@ class TestLieDerivative:
         for label, comps in entry.symmetry_fields:
             rep = lie_derivative_check(entry.structure, comps, p)
             assert max(rep.metric_residual, rep.one_form_residual, abs(rep.lam)) <= 1e-9, label
+
+
+# ----------------------------------------------------------------------
+# the structural-zero kernels against their dense loops
+# ----------------------------------------------------------------------
+
+
+def reference_christoffel_from(structure, point, depth, g, omega):
+    """``tensor._christoffel_from`` before it skipped empty brackets and
+    empty sums, verbatim: the sparse loop must reproduce it bit for bit."""
+    d = structure.dim
+    dg = tensor._once_per_jet(g, lambda jet: [jet.derivative(e) for e in range(d)])
+    g_low = tensor._once_per_jet(g, lambda jet: jet.truncated(depth))
+    ginv = tensor._invert_jet_matrix(g_low)
+    zero = g_low[0][0].like_constant(0)
+
+    gamma = [[[zero] * d for _ in range(d)] for _ in range(d)]
+    for b in range(d):
+        for c in range(b, d):
+            brackets = [dg[e][c][b] + dg[b][e][c] - dg[b][c][e] for e in range(d)]
+            for a in range(d):
+                acc = zero
+                for e, bracket in enumerate(brackets):
+                    if bracket.coeffs and ginv[a][e].coeffs:
+                        acc = acc + ginv[a][e] * bracket
+                entry = acc / 2
+                gamma[a][b][c] = entry
+                gamma[a][c][b] = entry
+
+    levi_civita_gamma = [[row[:] for row in plane] for plane in gamma]
+    omega_up = [zero] * d  # g^{ad} w_d
+    for a in range(d):
+        acc = zero
+        for e in range(d):
+            if ginv[a][e].coeffs and omega[e].coeffs:
+                acc = acc + ginv[a][e] * omega[e]
+        omega_up[a] = acc
+    for a in range(d):
+        for b in range(d):
+            for c in range(b, d):
+                k = zero
+                if a == b and omega[c].coeffs:
+                    k = k + omega[c]
+                if a == c and omega[b].coeffs:
+                    k = k + omega[b]
+                if g_low[b][c].coeffs and omega_up[a].coeffs:
+                    k = k - g_low[b][c] * omega_up[a]
+                if k.coeffs:
+                    entry = gamma[a][b][c] + k
+                    gamma[a][b][c] = entry
+                    gamma[a][c][b] = entry
+
+    return tensor.Connection(structure.chart, tuple(point), depth, gamma, g, omega, levi_civita_gamma)
+
+
+def reference_curvature_jets(conn):
+    """``tensor._curvature_jets`` before it skipped structural zeros, verbatim."""
+    d = conn.dim
+    dgamma = tensor._once_per_jet(conn.gamma, lambda jet: [jet.derivative(e) for e in range(d)])
+    zero = dgamma[0][0][0][0].like_constant(0)
+    gl = tensor._once_per_jet(conn.gamma, lambda jet: jet.truncated(conn.depth - 1))
+    # nonzero[x][y]: the f with gl[x][y][f] nonzero, outside which no product term survives
+    nonzero = [[{f for f, jet in enumerate(row) if jet.coeffs} for row in plane] for plane in gl]
+    R = [[[[zero] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    for a in range(d):
+        for b in range(a + 1, d):
+            for dd in range(d):
+                fs = sorted(nonzero[dd][a] | nonzero[dd][b])
+                for c in range(d):
+                    acc = dgamma[dd][b][c][a] - dgamma[dd][a][c][b]
+                    for f in fs:
+                        t1 = gl[dd][a][f]
+                        t2 = gl[f][b][c]
+                        if t1.coeffs and t2.coeffs:
+                            acc = acc + t1 * t2
+                        t3 = gl[dd][b][f]
+                        t4 = gl[f][a][c]
+                        if t3.coeffs and t4.coeffs:
+                            acc = acc - t3 * t4
+                    R[dd][c][a][b] = acc
+                    R[dd][c][b][a] = -acc
+    return R
+
+
+def slot_items(jets):
+    """Every slot's order and its (multi-index, coefficient repr) pairs in key
+    order; the repr tells an int from a float and -0.0 from 0.0."""
+    return [(jet.order, [(a, repr(c)) for a, c in jet.coeffs.items()]) for jet in tensor._flatten(jets)[1]]
+
+
+# float jets also hold ints (a coordinate jet's linear term is int 1), and int 0s and both float zeros
+EXACT_COEFFS = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=4))
+FLOAT_COEFFS = st.one_of(
+    st.integers(-2, 2), st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-4, 4, allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def sparse_jets(draw, d, order, exact, constants=True):
+    """A draw -> jet maker: mostly empty jets (one shared zero or a fresh one),
+    the rest with a few random terms, some of them above every truncation.
+    ``jet(constant)`` is a non-empty jet with that constant term; without
+    ``constants`` no other jet has one."""
+    coeff = EXACT_COEFFS if exact else FLOAT_COEFFS
+    base = (Fraction(1, 2) if exact else 0.5,) * d
+    zero = JetPoly(d, order, base)
+    indices = taylor_indices(d, order)
+
+    def jet(constant=None):
+        if constant is None and not draw(st.booleans()):
+            return zero if draw(st.booleans()) else JetPoly(d, order, base)
+        pool = indices if constants and constant is None else indices[1:]
+        keys = draw(st.lists(st.sampled_from(pool), unique=True, max_size=4))
+        coeffs = {} if constant is None else {(0,) * d: constant}
+        coeffs.update((a, draw(coeff)) for a in keys)
+        return JetPoly(d, order, base, coeffs)
+
+    jet.zero = zero
+    return jet
+
+
+@st.composite
+def sparse_connections(draw):
+    """A connection in 3-6 dimensions of depth 1-3 whose Christoffel jets are
+    mostly empty, with gamma[a][b][c] is gamma[a][c][b] as built.  Only the
+    (b, c) in a drawn set of each plane a may be nonzero, so whole rows
+    gamma[a][b] are empty, as in the conformally flat families."""
+    d, depth, exact = draw(st.integers(3, 6)), draw(st.integers(1, 3)), draw(st.booleans())
+    jet = draw(sparse_jets(d, depth, exact))
+    gamma = [[[None] * d for _ in range(d)] for _ in range(d)]
+    for a in range(d):
+        live = draw(st.sets(st.integers(0, d - 1)))
+        for b in range(d):
+            for c in range(b, d):
+                gamma[a][b][c] = gamma[a][c][b] = jet() if b in live and c in live else jet.zero
+    chart = Chart(tuple(f"x{i}" for i in range(d)))
+    return tensor.Connection(chart, jet.zero.base, depth, gamma)
+
+
+@st.composite
+def sparse_metrics(draw):
+    """(structure, depth, g, omega): a sparse symmetric metric of jets of order
+    depth + 1 in 3-6 dimensions, diagonal at the point so that it inverts, and
+    a sparse 1-form of jets of order depth."""
+    d, depth, exact = draw(st.integers(3, 6)), draw(st.integers(1, 3)), draw(st.booleans())
+    metric_jet = draw(sparse_jets(d, depth + 1, exact, constants=False))
+    g = [[None] * d for _ in range(d)]
+    for i in range(d):
+        g[i][i] = metric_jet(constant=draw(st.sampled_from([1, -1, 2, Fraction(1, 3)] if exact else [1.0, -1.0, 2.5])))
+        for j in range(i + 1, d):
+            g[i][j] = g[j][i] = metric_jet()
+    omega_jet = draw(sparse_jets(d, depth, exact))
+    structure = make_structure(Chart(tuple(f"x{i}" for i in range(d))), {})
+    return structure, depth, g, [omega_jet() for _ in range(d)]
+
+
+@given(sparse_connections())
+def test_curvature_jets_match_the_dense_loop(conn):
+    assert slot_items(tensor._curvature_jets(conn)) == slot_items(reference_curvature_jets(conn))
+
+
+@given(sparse_metrics())
+def test_christoffel_jets_match_the_dense_loop(case):
+    structure, depth, g, omega = case
+    point = g[0][0].base
+    conn = tensor._christoffel_from(structure, point, depth, g, omega)
+    ref = reference_christoffel_from(structure, point, depth, g, omega)
+    assert slot_items(conn.gamma) == slot_items(ref.gamma)
+    assert slot_items(conn.levi_civita_gamma) == slot_items(ref.levi_civita_gamma)
