@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import exprlang
 from .exprlang import Expr, add, call, const, derivative, div, mul, neg, parse, pow_, sub, var
-from .jets import JetPoly
+from .jets import coordinate_jets
 from .tensor import Chart, WeylStructure, make_structure
 
 
@@ -298,7 +298,7 @@ def riccati_residual(F: Union[str, Expr], a: Union[str, Expr], point: Dict[str, 
     a_e = exprlang.as_expr(a)
     names = sorted(set(exprlang.variables_of(F_e)) | set(exprlang.variables_of(a_e)) | {"u"})
     base = tuple(point[n] for n in names)
-    env = {n: JetPoly.variable(i, len(names), 2, base) for i, n in enumerate(names)}
+    env = coordinate_jets(names, base, 2)
     Fj = exprlang.eval_jet(F_e, env)
     aj = exprlang.eval_jet(a_e, env)
     iu = names.index("u")

@@ -52,7 +52,7 @@ from .invariants import (
     surface_signature_curve,
 )
 from .symmetry import classify_3d2, classify_psi
-from .tensor import PointGeometry, recurrence_theta, weyl_compatibility_residual
+from .tensor import recurrence_theta, weyl_compatibility_residual, weyl_connection
 
 FORMAT_VERSION = 1
 
@@ -301,21 +301,11 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
     # one geometry pass per point: every check at a curvature point reads the
     # same Weyl connection; the other points check compatibility alone, which
     # reads only Christoffel values and dg (a depth-0 connection)
-    compat_residuals, reports, omegas, dims, weyl_norms, ew_reports = [], [], [], [], [], []
-    for p in rec_pts:
-        geo = PointGeometry(entry.structure, p, order)
-        compat_residuals.append(geo.compatibility_residual())
-        reports.append(geo.recurrence(tol))
-        omegas.append(geo.omega)
-        if expected.get("holonomy_dim") is not None:
-            dims.append(geo.holonomy().span_dim)
-        if entry.dim >= 4 and "conformally_flat" in expected:
-            weyl_norms.append(geo.conformal_weyl().norm())
-        if "einstein_weyl" in expected:
-            ew_reports.append(ew_report(geo))
-    compat_residuals += [weyl_compatibility_residual(entry.structure, p) for p in points[len(rec_pts):]]
-
-    compat = max(compat_residuals)
+    conns = [weyl_connection(entry.structure, p, order - 1) for p in rec_pts]
+    compat = max(
+        [conn.compatibility_residual() for conn in conns]
+        + [weyl_compatibility_residual(entry.structure, p) for p in points[len(rec_pts):]]
+    )
     checks.append(
         {
             "name": "metric_compatibility",
@@ -325,6 +315,7 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
         }
     )
 
+    reports = [conn.recurrence(tol) for conn in conns]
     recurrent = all(r.status == "ok" and r.recurrent for r in reports)
     rec_check = {
         "name": "recurrence",
@@ -336,8 +327,8 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
     }
     if expected.get("is_preferred_rep") and reports[0].theta is not None:
         worst = 0.0
-        for w, r in zip(omegas, reports):
-            worst = max(worst, float(np.max(np.abs(r.theta + 3.0 * w))))
+        for conn, r in zip(conns, reports):
+            worst = max(worst, float(np.max(np.abs(r.theta + 3.0 * conn.one_form_values))))
         rec_check["theta_plus_3omega"] = worst
         if worst > 1e-8 and expected.get("recurrent", True):
             rec_check["status"] = "fail"
@@ -350,7 +341,7 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
     checks.append(rec_check)
 
     if expected.get("holonomy_dim") is not None:
-        observed = sorted(set(dims))
+        observed = sorted({conn.holonomy().span_dim for conn in conns})
         ok = observed == [expected["holonomy_dim"]]
         checks.append(
             {
@@ -362,7 +353,7 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
         )
 
     if entry.dim >= 4 and "conformally_flat" in expected:
-        worst = max(weyl_norms)
+        worst = max(conn.conformal_weyl().norm() for conn in conns)
         ok = (worst <= 1e-9) == bool(expected["conformally_flat"])
         checks.append(
             {
@@ -374,6 +365,7 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
         )
 
     if "einstein_weyl" in expected:
+        ew_reports = [ew_report(entry.structure, conn) for conn in conns]
         worst = max(r.residual for r in ew_reports)
         if expected["einstein_weyl"]:
             ok = worst <= 1e-9

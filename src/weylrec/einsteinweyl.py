@@ -13,9 +13,9 @@ import numpy as np
 
 from . import exprlang
 from .catalog import THREED_CASE2
-from .jets import JetPoly
-from .tensor import PointGeometry, PointTensor, WeylStructure
-from .tensor import _curvature_jets, weyl_connection  # noqa: F401  (names benchmarks/test_tracer.py reads here)
+from .jets import coordinate_jets
+from .tensor import Connection, PointTensor, WeylStructure, weyl_connection
+from .tensor import _curvature_jets  # noqa: F401  (a name benchmarks/test_tracer.py reads here)
 
 
 def ricci_sym(structure: WeylStructure, point: Sequence) -> PointTensor:
@@ -24,13 +24,11 @@ def ricci_sym(structure: WeylStructure, point: Sequence) -> PointTensor:
     Ric_{cb} = R^a_{cab}; the Weyl connection's Ricci tensor is not symmetric
     in general, so the symmetric part is taken explicitly.
     """
-    return PointTensor(structure.chart, tuple(point), ("d", "d"), _ricci_sym(PointGeometry(structure, point, 2)))
+    return PointTensor(structure.chart, tuple(point), ("d", "d"), _ricci_sym(weyl_connection(structure, point, 1)))
 
 
-def _ricci_sym(geo: PointGeometry) -> np.ndarray:
-    R = geo.curvature
-    d = R.shape[0]
-    ric = np.array([[sum(R[a, c, a, b] for a in range(d)) for b in range(d)] for c in range(d)])
+def _ricci_sym(conn: Connection) -> np.ndarray:
+    ric = np.einsum("abad->bd", conn.curvature)
     return 0.5 * (ric + ric.T)
 
 
@@ -49,11 +47,7 @@ def dkp_residual(H, point_vxu: Sequence) -> float:
     2dvdu + (dx)^2 + H (du)^2 with 1-form H_v du; it is evaluated directly
     from H and so cross-checks the curvature pipeline.
     """
-    env = {
-        name: JetPoly.variable(i, 3, 2, tuple(point_vxu))
-        for i, name in enumerate(("v", "x", "u"))
-    }
-    Hj = exprlang.eval_jet(H, env)
+    Hj = exprlang.eval_jet(H, coordinate_jets(("v", "x", "u"), point_vxu, 2))
     H0 = float(Hj.value)
     Hv = float(Hj.partial((1, 0, 0)))
     Hvv = float(Hj.partial((2, 0, 0)))
@@ -69,14 +63,14 @@ def ew_residual(structure: WeylStructure, point: Sequence) -> EWReport:
     coordinate scaling); the residual is |Ric_sym - lam g|.  For the 3D
     holonomy-2 family the potential residual is evaluated independently.
     """
-    return ew_report(PointGeometry(structure, point, 2))
+    return ew_report(structure, weyl_connection(structure, point, 1))
 
 
-def ew_report(geo: PointGeometry) -> EWReport:
-    """:func:`ew_residual` read from a geometry pass of order >= 2."""
-    structure, point = geo.structure, geo.point
-    ric = _ricci_sym(geo)
-    g = geo.metric
+def ew_report(structure: WeylStructure, conn: Connection) -> EWReport:
+    """:func:`ew_residual` read from the Weyl connection of ``structure`` at a
+    point, of depth >= 1."""
+    ric = _ricci_sym(conn)
+    g = conn.metric_values
     denom = float(np.sum(g * g))
     lam = float(np.sum(ric * g)) / denom
     residual = float(np.sqrt(np.sum((ric - lam * g) ** 2)))
@@ -85,7 +79,7 @@ def ew_report(geo: PointGeometry) -> EWReport:
         i_u = structure.chart.index("u")
         H_expr = structure.metric[i_u][i_u]
         if H_expr is not None:
-            dkp = dkp_residual(H_expr, point)
+            dkp = dkp_residual(H_expr, conn.point)
         else:
             dkp = 0.0
     return EWReport(ric_sym=ric, lam=lam, residual=residual, dkp_residual=dkp)

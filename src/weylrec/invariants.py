@@ -26,6 +26,7 @@ from .jets import (
     JetDomainError,
     JetPoly,
     compose_univariate,
+    coordinate_jets,
     derivatives_from_jet,
     inverse_univariate,
     jet_from_derivatives,
@@ -78,8 +79,7 @@ class PsiJet:
 
 
 def psi_jet_from_expr(psi: Union[str, exprlang.Expr], t, order: int = 6) -> PsiJet:
-    env = {"t": JetPoly.variable(0, 1, order, (t,))}
-    jet = exprlang.eval_jet(psi, env)
+    jet = exprlang.eval_jet(psi, coordinate_jets(("t",), (t,), order))
     return PsiJet(base=t, derivs=tuple(derivatives_from_jet(jet)))
 
 
@@ -247,7 +247,7 @@ class PairJet:
 
 
 def pair_jet_from_exprs(a, c, u, order: int = 2) -> PairJet:
-    env = {"u": JetPoly.variable(0, 1, order, (u,))}
+    env = coordinate_jets(("u",), (u,), order)
     aj = exprlang.eval_jet(a, env)
     cj = exprlang.eval_jet(c, env)
     return PairJet(base=u, a=tuple(derivatives_from_jet(aj)), c=tuple(derivatives_from_jet(cj)))
@@ -319,11 +319,7 @@ _X, _U = 0, 1
 
 
 def f_jet_from_expr(F, x, u, order: int = 4) -> JetPoly:
-    env = {
-        "x": JetPoly.variable(_X, 2, order, (x, u)),
-        "u": JetPoly.variable(_U, 2, order, (x, u)),
-    }
-    return exprlang.eval_jet(F, env)
+    return exprlang.eval_jet(F, coordinate_jets(("x", "u"), (x, u), order))
 
 
 class SurfaceInvariants(NamedTuple):

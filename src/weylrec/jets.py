@@ -268,6 +268,12 @@ class JetPoly:
         return result
 
 
+def coordinate_jets(names: Sequence[str], point: Sequence, order: int) -> Dict[str, JetPoly]:
+    """``{name: x^i}``: the coordinate jets of ``order`` at ``point``, the i-th
+    coordinate named ``names[i]``; the environment an Expr is evaluated in."""
+    return {name: JetPoly.variable(i, len(names), order, point) for i, name in enumerate(names)}
+
+
 def _reciprocal_scalar(x):
     if isinstance(x, (int, Fraction)):
         if x == 0:

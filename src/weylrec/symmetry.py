@@ -25,7 +25,7 @@ from .invariants import (
     psi_invariants,
     psi_jet_from_expr,
 )
-from .jets import JetPoly, derivatives_from_jet
+from .jets import JetPoly, coordinate_jets, derivatives_from_jet
 
 KERNEL_SV_TOL = 1e-9
 PATTERN_TOL = 1e-7
@@ -64,14 +64,14 @@ def _default_samples(lo: float, hi: float, count: int, seed: int) -> List[float]
 
 def _psi_row(psi_e: Expr, t: float) -> List[float]:
     """The symmetry-system row [psi', 2 t psi', 1, -2 psi, psi^2] at t."""
-    jet = exprlang.eval_jet(psi_e, {"t": JetPoly.variable(0, 1, 1, (t,))})
+    jet = exprlang.eval_jet(psi_e, coordinate_jets(("t",), (t,), 1))
     p0, p1 = (float(x) for x in derivatives_from_jet(jet))
     return [p1, 2.0 * t * p1, 1.0, -2.0 * p0, p0**2]
 
 
 def _pair_rows(a_e: Expr, c_e: Expr, u: float) -> List[List[float]]:
     """The two symmetry-system rows of the pair family at u."""
-    env = {"u": JetPoly.variable(0, 1, 1, (u,))}
+    env = coordinate_jets(("u",), (u,), 1)
     a0, a1 = (float(x) for x in derivatives_from_jet(exprlang.eval_jet(a_e, env)))
     c0, c1 = (float(x) for x in derivatives_from_jet(exprlang.eval_jet(c_e, env)))
     return [[a1, 0.0, u * a1 + a0, u * a1 + 2.0 * a0], [c1, a0, u * c1 + 2.0 * c0, u * c1 + c0]]
@@ -290,16 +290,10 @@ def symmetry_residual_3d1(
         raise ValueError("B must depend only on u")
     worst = 0.0
     for x, u in points:
-        env2 = {
-            "x": JetPoly.variable(0, 2, 1, (x, u)),
-            "u": JetPoly.variable(1, 2, 1, (x, u)),
-        }
-        Fj = exprlang.eval_jet(F_e, env2)
+        Fj = exprlang.eval_jet(F_e, coordinate_jets(("x", "u"), (x, u), 1))
         fx, fu = (float(v) for v in Fj.gradient())
-        envx = {"x": JetPoly.variable(0, 1, 1, (x,))}
-        envu = {"u": JetPoly.variable(0, 1, 1, (u,))}
-        Aj = exprlang.eval_jet(A_e, envx)
-        Bj = exprlang.eval_jet(B_e, envu)
+        Aj = exprlang.eval_jet(A_e, coordinate_jets(("x",), (x,), 1))
+        Bj = exprlang.eval_jet(B_e, coordinate_jets(("u",), (u,), 1))
         A0, A1 = (float(v) for v in derivatives_from_jet(Aj))
         B0, B1 = (float(v) for v in derivatives_from_jet(Bj))
         resid = A0 * fx + B0 * fu + (C1 + B1) / 2.0 - A1
@@ -339,18 +333,12 @@ def _degree(node: Expr, names: Sequence[str]) -> int:
     raise ValueError(f"not a polynomial expression: {exprlang.to_source(node)}")
 
 
-def _origin_env(names: Sequence[str], order: int) -> Dict[str, JetPoly]:
-    """Exact coordinate jets of ``order`` at the origin of ``names``."""
-    origin = (0,) * len(names)
-    return {name: JetPoly.variable(i, len(names), order, origin) for i, name in enumerate(names)}
-
-
 def expr_to_poly(e: Union[str, Expr], names: Sequence[str]) -> JetPoly:
     """Exact polynomial form of an Expr: its jet at the origin of ``names``,
     of order the degree bound, whose Taylor coefficients are the monomial
     coefficients; raises ValueError if the Expr is not a polynomial."""
     e = exprlang.as_expr(e)
-    return exprlang.eval_jet(e, _origin_env(names, _degree(e, names)))
+    return exprlang.eval_jet(e, coordinate_jets(names, (0,) * len(names), _degree(e, names)))
 
 
 @dataclass(frozen=True)
@@ -385,7 +373,8 @@ def bracket_closure(
     expressed in the span; non-representable brackets are flagged."""
     exprs = [[exprlang.as_expr(comp) for comp in f] for f in fields]
     top = max((_degree(comp, names) for f in exprs for comp in f), default=0)
-    env = _origin_env(names, 2 * top + 1)  # the brackets, of order 2 top, hold degree 2 top - 1 whole
+    # the brackets, of order 2 top, hold degree 2 top - 1 whole
+    env = coordinate_jets(names, (0,) * len(names), 2 * top + 1)
     polys = [[exprlang.eval_jet(comp, env) for comp in f] for f in exprs]
 
     # collect all monomial slots appearing anywhere (fields and brackets)

@@ -21,7 +21,6 @@ operations, in the same order, as in a dense pass, so no bit changes.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import Expr, eval_jet, eval_number
-from .jets import JetPoly, JetShapeError
+from .jets import JetPoly, JetShapeError, coordinate_jets
 
 
 class DomainViolation(ValueError):
@@ -121,11 +120,6 @@ def make_structure(
 # ----------------------------------------------------------------------
 
 
-def coordinate_jets(chart: Chart, point: Sequence, order: int) -> Dict[str, JetPoly]:
-    d = chart.dim
-    return {name: JetPoly.variable(i, d, order, point) for i, name in enumerate(chart.names)}
-
-
 def check_domain(structure: WeylStructure, point: Sequence) -> None:
     env = dict(zip(structure.chart.names, point))
     for c in structure.chart.constraints:
@@ -137,7 +131,7 @@ def check_domain(structure: WeylStructure, point: Sequence) -> None:
 
 
 def metric_jets(structure: WeylStructure, point: Sequence, order: int) -> List[List[JetPoly]]:
-    env = coordinate_jets(structure.chart, point, order)
+    env = coordinate_jets(structure.chart.names, point, order)
     template = env[structure.chart.names[0]]
     zero = template.like_constant(0)
     d = structure.dim
@@ -154,7 +148,7 @@ def metric_jets(structure: WeylStructure, point: Sequence, order: int) -> List[L
 
 
 def one_form_jets(structure: WeylStructure, point: Sequence, order: int) -> List[JetPoly]:
-    env = coordinate_jets(structure.chart, point, order)
+    env = coordinate_jets(structure.chart.names, point, order)
     zero = env[structure.chart.names[0]].like_constant(0)
     return [zero if e is None else eval_jet(e, env) for e in structure.one_form]
 
@@ -233,8 +227,16 @@ def _invert_jet_matrix(g: List[List[JetPoly]]) -> List[List[JetPoly]]:
 
 @dataclass(eq=False)
 class Connection:
-    """Christoffel symbols with their partial-derivative jets to ``depth``,
-    and the jets they were built from."""
+    """The Weyl connection at a point: Christoffel symbols with their
+    partial-derivative jets to ``depth``, the jets they were built from, and
+    every quantity the checks read, each derived from them on first use.
+
+    Constant terms of a jet do not depend on its truncation order, so each
+    value read here equals the one a connection of lower depth gives.  Depth 0
+    is enough for the compatibility residual, depth 1 for curvature,
+    holonomy, the conformal Weyl tensor and Einstein-Weyl, depth 2 for
+    nabla R and the recurrence fit.
+    """
 
     chart: Chart
     point: Tuple
@@ -254,6 +256,98 @@ class Connection:
     def derivative_values(self) -> np.ndarray:
         """array[e][a][b][c] = d_e Gamma^a_{bc} (requires depth >= 1)."""
         return _first_partials(self.gamma)
+
+    @cached_property
+    def metric_values(self) -> np.ndarray:
+        return _values(self.metric)
+
+    @cached_property
+    def one_form_values(self) -> np.ndarray:
+        return _values(self.one_form)
+
+    @cached_property
+    def curvature_jets(self):
+        return _curvature_jets(self)
+
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """R^d_{cab} of the connection."""
+        return _values(self.curvature_jets)
+
+    @cached_property
+    def nabla_R(self) -> np.ndarray:
+        return _nabla_R_from(self, self.curvature_jets, self.curvature)
+
+    def compatibility_residual(self) -> float:
+        """See :func:`weyl_compatibility_residual`."""
+        G, gv, w = self.values(), self.metric_values, self.one_form_values
+        dg = _first_partials(self.metric)
+        nabla_g = dg - np.einsum("fea,fb->eab", G, gv) - np.einsum("feb,af->eab", G, gv)
+        resid = nabla_g + 2.0 * np.einsum("e,ab->eab", w, gv)
+        return float(np.max(np.abs(resid)) / max(1.0, np.max(np.abs(gv))))
+
+    def recurrence(self, tol: float = 1e-8) -> RecurrenceReport:
+        """See :func:`recurrence_theta` (needs depth >= 2)."""
+        d = self.dim
+        conn_R = self.curvature
+        r = conn_R.ravel()
+        rnorm = float(np.sqrt(r @ r))
+        if rnorm < 1e-13:
+            return RecurrenceReport("no_curvature", False, None, 0.0, None, None, False)
+        nr = self.nabla_R
+        theta = np.array([float(nr[e].ravel() @ r) / (rnorm**2) for e in range(d)])
+        max_resid = 0.0
+        for e in range(d):
+            diff = nr[e] - theta[e] * conn_R
+            dn = float(np.sqrt(np.sum(nr[e] ** 2)))
+            resid = float(np.sqrt(np.sum(diff**2)))
+            if dn > 1e-8:
+                resid /= dn
+            max_resid = max(max_resid, resid)
+        w = self.one_form_values
+        wnorm = float(np.sqrt(w @ w))
+        if wnorm > 1e-10:
+            weight = -float(theta @ w) / (wnorm**2)
+            weight_residual = float(np.sqrt(np.sum((theta + weight * w) ** 2)))
+            closed = False
+        else:
+            weight, weight_residual, closed = None, None, True
+        return RecurrenceReport("ok", bool(max_resid <= tol), theta, max_resid, weight, weight_residual, closed)
+
+    def holonomy(self, rank_tol: float = 1e-7) -> HolonomyReport:
+        """See :func:`holonomy_span_dim`."""
+        R = self.curvature
+        d = self.dim
+        rows = [R[:, :, a, b].ravel() for a in range(d) for b in range(a + 1, d)]
+        mat = np.stack(rows)
+        sv = np.linalg.svd(mat, compute_uv=False)
+        top = sv[0] if sv.size else 0.0
+        if top <= 0:
+            return HolonomyReport(0, sv, None)
+        rank = int(np.sum(sv > rank_tol * top))
+        return HolonomyReport(rank, sv, _common_eigendirection(self.metric_values, R, rank_tol))
+
+    def conformal_weyl(self) -> PointTensor:
+        """See :func:`conformal_weyl_tensor`."""
+        # the Levi-Civita part cut to depth 1: its curvature values need no more
+        # (the copy keeps this connection's other fields, and only its curvature is read)
+        lc_gamma = _once_per_jet(self.levi_civita_gamma, lambda jet: jet.truncated(1))
+        d = self.dim
+        Rup = replace(self, depth=1, gamma=lc_gamma).curvature  # R^a_{bcd}
+        gv = self.metric_values
+        ginv = np.linalg.inv(gv)
+        Rlow = np.einsum("ae,ebcd->abcd", gv, Rup)
+        ric = np.einsum("abad->bd", Rup)
+        scal = float(np.einsum("bd,bd->", ginv, ric))
+        C = Rlow.copy()
+        C -= (
+            np.einsum("ac,bd->abcd", gv, ric)
+            - np.einsum("ad,bc->abcd", gv, ric)
+            + np.einsum("bd,ac->abcd", gv, ric)
+            - np.einsum("bc,ad->abcd", gv, ric)
+        ) / (d - 2)
+        C += scal * (np.einsum("ac,bd->abcd", gv, gv) - np.einsum("ad,bc->abcd", gv, gv)) / ((d - 1) * (d - 2))
+        return PointTensor(self.chart, self.point, ("d", "d", "d", "d"), C)
 
 
 def levi_civita(structure: WeylStructure, point: Sequence, depth: int = 1) -> Connection:
@@ -275,16 +369,15 @@ def weyl_connection(structure: WeylStructure, point: Sequence, depth: int = 1) -
 def _once_per_jet(jets, fn):
     """``fn`` of each jet of a nested list, in the list's shape, computed once
     per distinct jet object, so that entries sharing a jet share the result."""
+    shape, leaves = _flatten(jets)
     done: Dict[int, object] = {}
-
-    def walk(node):
-        if isinstance(node, JetPoly):
-            if id(node) not in done:
-                done[id(node)] = fn(node)
-            return done[id(node)]
-        return [walk(sub) for sub in node]
-
-    return walk(jets)
+    for jet in leaves:
+        if id(jet) not in done:
+            done[id(jet)] = fn(jet)
+    out = [done[id(jet)] for jet in leaves]
+    for n in reversed(shape[1:]):
+        out = [out[i : i + n] for i in range(0, len(out), n)]
+    return out
 
 
 def _derivatives_once(jets, zero: JetPoly):
@@ -414,12 +507,12 @@ def _curvature_jets(conn: Connection) -> List[List[List[List[JetPoly]]]]:
 
 def curvature(structure: WeylStructure, point: Sequence) -> PointTensor:
     """Curvature of the Weyl connection as R^d_{cab} (see module docstring)."""
-    return PointTensor(structure.chart, tuple(point), ("u", "d", "d", "d"), PointGeometry(structure, point, 2).curvature)
+    return PointTensor(structure.chart, tuple(point), ("u", "d", "d", "d"), weyl_connection(structure, point, 1).curvature)
 
 
 def nabla_R(structure: WeylStructure, point: Sequence) -> PointTensor:
     """Covariant derivative (nabla_e R)^d_{cab} of the (1,3) curvature tensor."""
-    return PointTensor(structure.chart, tuple(point), ("d", "u", "d", "d", "d"), PointGeometry(structure, point, 3).nabla_R)
+    return PointTensor(structure.chart, tuple(point), ("d", "u", "d", "d", "d"), weyl_connection(structure, point, 2).nabla_R)
 
 
 def _nabla_R_from(conn: Connection, Rjets, R: np.ndarray) -> np.ndarray:
@@ -440,7 +533,7 @@ def _nabla_R_from(conn: Connection, Rjets, R: np.ndarray) -> np.ndarray:
 
 def weyl_compatibility_residual(structure: WeylStructure, point: Sequence) -> float:
     """max |(nabla g + 2 w x g)_{e,ab}| / max(1, |g|): the construction identity."""
-    return PointGeometry(structure, point, 1).compatibility_residual()
+    return weyl_connection(structure, point, 0).compatibility_residual()
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +566,7 @@ def recurrence_theta(
     """
     if jet_order < 3:
         raise ValueError("the recurrence identity needs metric jets of order >= 3")
-    return PointGeometry(structure, point, jet_order).recurrence(tol)
+    return weyl_connection(structure, point, jet_order - 1).recurrence(tol)
 
 
 @dataclass(frozen=True)
@@ -485,7 +578,7 @@ class HolonomyReport:
 
 def holonomy_span_dim(structure: WeylStructure, point: Sequence, rank_tol: float = 1e-7) -> HolonomyReport:
     """Numerical rank of span{R(e_a, e_b)} inside End(T_pM) (Ambrose-Singer span)."""
-    return PointGeometry(structure, point, 2).holonomy(rank_tol)
+    return weyl_connection(structure, point, 1).holonomy(rank_tol)
 
 
 def _common_eigendirection(gv: np.ndarray, R: np.ndarray, tol: float) -> Optional[np.ndarray]:
@@ -525,119 +618,7 @@ def _common_eigendirection(gv: np.ndarray, R: np.ndarray, tol: float) -> Optiona
 def conformal_weyl_tensor(structure: WeylStructure, point: Sequence) -> PointTensor:
     """Conformal Weyl curvature C_{abcd} of the metric part (d >= 4 for the
     vanishing test to imply conformal flatness)."""
-    return PointGeometry(structure, point, 2).conformal_weyl()
-
-
-# ----------------------------------------------------------------------
-# one geometry pass per point
-# ----------------------------------------------------------------------
-
-
-class PointGeometry:
-    """The Weyl connection at a point, built once from metric jets of ``order``,
-    with every quantity the checks read derived from it on first use.
-
-    Constant terms of a jet do not depend on its truncation order, so each
-    value read here equals the one a pass of lower order gives.  Order 1 is
-    enough for the compatibility residual, order 2 for curvature, holonomy,
-    the conformal Weyl tensor and Einstein-Weyl, order 3 for nabla R.
-    """
-
-    def __init__(self, structure: WeylStructure, point: Sequence, order: int):
-        self.structure = structure
-        self.point = tuple(point)
-        self.conn = weyl_connection(structure, point, depth=order - 1)
-
-    @cached_property
-    def metric(self) -> np.ndarray:
-        return _values(self.conn.metric)
-
-    @cached_property
-    def omega(self) -> np.ndarray:
-        return _values(self.conn.one_form)
-
-    @cached_property
-    def curvature_jets(self):
-        return _curvature_jets(self.conn)
-
-    @cached_property
-    def curvature(self) -> np.ndarray:
-        """R^d_{cab} of the Weyl connection."""
-        return _values(self.curvature_jets)
-
-    @cached_property
-    def nabla_R(self) -> np.ndarray:
-        return _nabla_R_from(self.conn, self.curvature_jets, self.curvature)
-
-    def compatibility_residual(self) -> float:
-        """See :func:`weyl_compatibility_residual`."""
-        G, gv, w = self.conn.values(), self.metric, self.omega
-        dg = _first_partials(self.conn.metric)
-        nabla_g = dg - np.einsum("fea,fb->eab", G, gv) - np.einsum("feb,af->eab", G, gv)
-        resid = nabla_g + 2.0 * np.einsum("e,ab->eab", w, gv)
-        return float(np.max(np.abs(resid)) / max(1.0, np.max(np.abs(gv))))
-
-    def recurrence(self, tol: float = 1e-8) -> RecurrenceReport:
-        """See :func:`recurrence_theta` (needs order >= 3)."""
-        d = self.structure.dim
-        conn_R = self.curvature
-        r = conn_R.ravel()
-        rnorm = float(np.sqrt(r @ r))
-        if rnorm < 1e-13:
-            return RecurrenceReport("no_curvature", False, None, 0.0, None, None, False)
-        nr = self.nabla_R
-        theta = np.array([float(nr[e].ravel() @ r) / (rnorm**2) for e in range(d)])
-        max_resid = 0.0
-        for e in range(d):
-            diff = nr[e] - theta[e] * conn_R
-            dn = float(np.sqrt(np.sum(nr[e] ** 2)))
-            resid = float(np.sqrt(np.sum(diff**2)))
-            if dn > 1e-8:
-                resid /= dn
-            max_resid = max(max_resid, resid)
-        w = self.omega
-        wnorm = float(np.sqrt(w @ w))
-        if wnorm > 1e-10:
-            weight = -float(theta @ w) / (wnorm**2)
-            weight_residual = float(np.sqrt(np.sum((theta + weight * w) ** 2)))
-            closed = False
-        else:
-            weight, weight_residual, closed = None, None, True
-        return RecurrenceReport("ok", bool(max_resid <= tol), theta, max_resid, weight, weight_residual, closed)
-
-    def holonomy(self, rank_tol: float = 1e-7) -> HolonomyReport:
-        """See :func:`holonomy_span_dim`."""
-        R = self.curvature
-        d = self.structure.dim
-        rows = [R[:, :, a, b].ravel() for a in range(d) for b in range(a + 1, d)]
-        mat = np.stack(rows)
-        sv = np.linalg.svd(mat, compute_uv=False)
-        top = sv[0] if sv.size else 0.0
-        if top <= 0:
-            return HolonomyReport(0, sv, None)
-        rank = int(np.sum(sv > rank_tol * top))
-        return HolonomyReport(rank, sv, _common_eigendirection(self.metric, R, rank_tol))
-
-    def conformal_weyl(self) -> PointTensor:
-        """See :func:`conformal_weyl_tensor`."""
-        # the Levi-Civita part cut to depth 1: its curvature values need no more
-        lc_gamma = _once_per_jet(self.conn.levi_civita_gamma, lambda jet: jet.truncated(1))
-        d = self.structure.dim
-        Rup = _values(_curvature_jets(Connection(self.structure.chart, self.point, 1, lc_gamma)))  # R^a_{bcd}
-        gv = self.metric
-        ginv = np.linalg.inv(gv)
-        Rlow = np.einsum("ae,ebcd->abcd", gv, Rup)
-        ric = np.einsum("abad->bd", Rup)
-        scal = float(np.einsum("bd,bd->", ginv, ric))
-        C = Rlow.copy()
-        C -= (
-            np.einsum("ac,bd->abcd", gv, ric)
-            - np.einsum("ad,bc->abcd", gv, ric)
-            + np.einsum("bd,ac->abcd", gv, ric)
-            - np.einsum("bc,ad->abcd", gv, ric)
-        ) / (d - 2)
-        C += scal * (np.einsum("ac,bd->abcd", gv, gv) - np.einsum("ad,bc->abcd", gv, gv)) / ((d - 1) * (d - 2))
-        return PointTensor(self.structure.chart, self.point, ("d", "d", "d", "d"), C)
+    return weyl_connection(structure, point, 1).conformal_weyl()
 
 
 # ----------------------------------------------------------------------
@@ -658,24 +639,24 @@ def lie_derivative_check(
     """Residuals of L_Y g = 2 lam g and L_Y omega = -d lam for a vector field Y.
 
     lam is recovered pointwise by the Frobenius fit of L_Y g against 2 g and
-    its differential comes from carrying the fit through order-1 jets.
+    its differential comes from carrying the fit through order-1 jets.  The
+    metric and 1-form jets are those of the Weyl connection at the point, so
+    the metric must be Lorentzian there.
     """
     chart = structure.chart
     d = chart.dim
     if len(field_components) != d:
         raise ValueError(f"field needs {d} components, got {len(field_components)}")
-    check_domain(structure, point)
-    env2 = coordinate_jets(chart, point, 2)
-    g2 = metric_jets(structure, point, 2)
-    w2 = one_form_jets(structure, point, 2)
+    conn = weyl_connection(structure, point, depth=1)
+    env2 = coordinate_jets(chart.names, point, 2)
     Y2 = [eval_jet(exprlang.as_expr(c), env2) for c in field_components]
 
-    g1 = [[g2[i][j].truncated(1) for j in range(d)] for i in range(d)]
+    g1 = _once_per_jet(conn.metric, lambda jet: jet.truncated(1))
     Y1 = [y.truncated(1) for y in Y2]
-    dg = [[[g2[i][j].derivative(e) for e in range(d)] for j in range(d)] for i in range(d)]
+    zero = g1[0][0].like_constant(0)
+    dg = _derivatives_once(conn.metric, zero)  # dg[a][b][c] = d_c g_ab
     dY = [[Y2[c].derivative(a) for a in range(d)] for c in range(d)]  # dY[c][a] = d_a Y^c
 
-    zero = g1[0][0].like_constant(0)
     lie_g = [[zero] * d for _ in range(d)]
     for a in range(d):
         for b in range(a, d):
@@ -701,21 +682,9 @@ def lie_derivative_check(
     lam_jet = num / (2 * den)
     lam0 = float(lam_jet.value)
     dlam = np.array([float(x) for x in lam_jet.gradient()])
+    res_g = float(np.linalg.norm(_values(lie_g) - 2.0 * lam0 * _values(g1)))
 
-    res_g = 0.0
-    for a in range(d):
-        for b in range(d):
-            res_g += (float(lie_g[a][b].value) - 2.0 * lam0 * float(g1[a][b].value)) ** 2
-    res_g = math.sqrt(res_g)
-
-    w1 = [w.truncated(1) for w in w2]
-    dw = [[w2[a].derivative(c) for c in range(d)] for a in range(d)]  # dw[a][c] = d_c w_a
-    lie_w = np.zeros(d)
-    for a in range(d):
-        acc = 0.0
-        for c in range(d):
-            acc += float(Y1[c].value) * float(dw[a][c].value)
-            acc += float(w1[c].value) * float(dY[c][a].value)
-        lie_w[a] = acc
+    # (L_Y w)_a = Y^c d_c w_a + w_c d_a Y^c
+    lie_w = _first_partials(conn.one_form).T @ _values(Y1) + _first_partials(Y1) @ conn.one_form_values
     res_w = float(np.linalg.norm(lie_w + dlam))
-    return LieDerivativeReport(lam=lam0, metric_residual=float(res_g), one_form_residual=res_w)
+    return LieDerivativeReport(lam=lam0, metric_residual=res_g, one_form_residual=res_w)

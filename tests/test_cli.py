@@ -148,6 +148,24 @@ class TestVerifyCommand:
         assert checks["recurrence"]["weight_fit"] == pytest.approx(2.5, abs=1e-6)
         assert checks["holonomy_span_dim"]["observed"] == [2]
 
+    def test_one_connection_per_sample_point(self, exp_file, capsys, monkeypatch):
+        """Every check at a curvature point reads one Weyl connection built at
+        --order; each other point builds one of depth 0 for compatibility."""
+        from weylrec import tensor
+
+        depths = []
+        build = tensor.weyl_connection
+
+        def counting_build(structure, point, depth=1):
+            depths.append(depth)
+            return build(structure, point, depth)
+
+        monkeypatch.setattr(cli, "weyl_connection", counting_build)
+        monkeypatch.setattr(tensor, "weyl_connection", counting_build)
+        code, _, _ = run(capsys, "verify", exp_file)
+        assert code == 0
+        assert sorted(depths) == [0] * 15 + [2] * 5
+
     def test_order_floor_enforced(self, exp_file, capsys):
         code, _, err = run(capsys, "verify", exp_file, "--order", "2")
         assert code == 2 and "--order" in err

@@ -6,7 +6,7 @@ import pytest
 from weylrec.catalog import make_3d_case1, make_3d_case2, standard_catalog
 from weylrec.einsteinweyl import dkp_residual, ew_residual, ricci_sym
 from weylrec.exprlang import mul, const
-from weylrec.tensor import Chart, make_structure
+from weylrec.tensor import Chart, curvature, make_structure
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +31,16 @@ class TestRicciSym:
             entry = catalog[key]
             for p in entry.sample_points(3):
                 assert np.max(np.abs(ricci_sym(entry.structure, p).array)) < 1e-12
+
+    def test_contraction_matches_the_loop(self, catalog):
+        """Ric_cb = sum_a R^a_cab, summed in the order a = 0, 1, ... as a Python
+        loop sums it: the same float bits at every sample point."""
+        for entry in catalog.values():
+            for p in entry.sample_points(5):
+                R = curvature(entry.structure, p).array
+                d = R.shape[0]
+                ric = np.array([[sum(R[a, c, a, b] for a in range(d)) for b in range(d)] for c in range(d)])
+                assert np.array_equal(ricci_sym(entry.structure, p).array, 0.5 * (ric + ric.T)), entry.key
 
     def test_flat_structure(self):
         flat = make_structure(Chart(("v", "x", "u")), {("v", "u"): "1", ("x", "x"): "1"}, {})

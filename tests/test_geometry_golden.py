@@ -1,6 +1,7 @@
 """Golden contract for the jet layers under every geometry check: the
-Christoffel jets and the curvature jets of a ``PointGeometry``, every
-coefficient's ``repr`` in the key order of its jet, hashed with SHA-256.
+Christoffel jets and the curvature jets of a Weyl ``Connection`` built from
+metric jets of order k (depth k - 1), every coefficient's ``repr`` in the key
+order of its jet, hashed with SHA-256.
 
 The cases are 3 sample points of each catalog entry at jet orders 3 and 5,
 plus one point of the dimension-10 ``exp(t)`` structure at order 3.  These
@@ -25,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from weylrec.catalog import make_dim_ge4, standard_catalog
-from weylrec.tensor import PointGeometry, _flatten
+from weylrec.tensor import _flatten, weyl_connection
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "goldens" / "geometry_jets.json"
 ORDERS = (3, 5)
@@ -61,8 +62,8 @@ def jets_digest(jets) -> str:
 
 
 def geometry_digests(structure, point, order) -> dict:
-    geo = PointGeometry(structure, point, order)
-    return {"christoffel": jets_digest(geo.conn.gamma), "curvature": jets_digest(geo.curvature_jets)}
+    conn = weyl_connection(structure, point, order - 1)
+    return {"christoffel": jets_digest(conn.gamma), "curvature": jets_digest(conn.curvature_jets)}
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,8 @@ coordinates, Schwarzschild) and from the displayed component formulas of the
 """
 
 import dataclasses
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -169,6 +171,25 @@ class TestWeylConnection:
             weyl_connection(entry.structure, p, depth=depth)
             assert len(calls) == 1 and calls[0][2] == depth + 1
 
+    def test_freed_by_reference_counting(self, catalog):
+        """No reference cycle holds a connection once its readers have run, so
+        it and its cached jets go with the last reference, not at the next
+        cyclic garbage collection."""
+        entry = catalog["dim4-psi-exp"]
+        gc.collect()
+        gc.disable()
+        try:
+            conn = weyl_connection(entry.structure, entry.sample_points(1)[0], depth=2)
+            conn.compatibility_residual()
+            conn.recurrence()
+            conn.holonomy()
+            conn.conformal_weyl()
+            ref = weakref.ref(conn)
+            del conn
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_levi_civita_ignores_an_undefined_one_form(self, flat3):
         """The Levi-Civita connection reads the metric alone, so a 1-form that
         is undefined at the point (ln of a negative number) does not matter."""
@@ -273,12 +294,12 @@ class TestCurvature:
         each distinct jet is cut once, so gamma[a][c][b] is still gamma[a][b][c],
         and only the non-empty ones are differentiated."""
         entry = catalog["dim4-psi-exp"]
-        geo = tensor.PointGeometry(entry.structure, entry.sample_points(1)[0], 3)
+        conn = weyl_connection(entry.structure, entry.sample_points(1)[0], 2)
         d = entry.structure.dim
-        distinct, has_empty = self.distinct_nonempty(geo.conn.levi_civita_gamma)
+        distinct, has_empty = self.distinct_nonempty(conn.levi_civita_gamma)
         assert has_empty
         calls = self.count_derivatives(monkeypatch)
-        geo.conformal_weyl()
+        conn.conformal_weyl()
         assert len(calls) == d * len(distinct) < d**4
         assert all(jet.coeffs for jet in calls)
 
@@ -492,6 +513,14 @@ class TestLieDerivative:
         combo = tuple(f"({a})+({b})" for a, b in zip(fields["Z2"], fields["Z4"]))
         rep = lie_derivative_check(entry.structure, combo, entry.sample_points(1)[0])
         assert rep.metric_residual <= 1e-9 and rep.one_form_residual <= 1e-9
+
+    def test_one_form_derivative_of_a_boost(self):
+        """On Minkowski space with w = x dt, the boost Y = x d_t + t d_x is
+        Killing (lam = 0) and (L_Y w)_a = Y^c d_c w_a + w_c d_a Y^c = (t, x, 0)."""
+        s = make_structure(Chart(("t", "x", "y")), {("t", "t"): "0-1", ("x", "x"): "1", ("y", "y"): "1"}, {"t": "x"})
+        rep = lie_derivative_check(s, ("x", "t", "0"), (0.3, 0.5, 0.2))
+        assert rep.lam == 0.0 and rep.metric_residual == 0.0
+        assert rep.one_form_residual == pytest.approx(np.hypot(0.3, 0.5), rel=1e-15)
 
     def test_homogeneous_model_annihilated(self, catalog):
         entry = catalog["homog-n2"]
