@@ -11,6 +11,7 @@ wall time goes to stderr.  Exit codes: 0 all checks met, 1 checks failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -39,6 +40,7 @@ from .catalog import (
 )
 from .einsteinweyl import ew_report
 from .invariants import (
+    NotIncreasingError,
     SingularStratumError,
     equivalence_test,
     pair_invariants,
@@ -388,8 +390,6 @@ def cmd_verify(args) -> int:
     t0 = time.monotonic()
     if args.order < 3:
         raise InputError("--order must be >= 3 (curvature checks need third metric derivatives)")
-    if args.samples < 1:
-        raise InputError("--samples must be >= 1")
     entry = load_structure_file(args.file)
     seed = _seed(args)
     checks, ok = _verify_checks(entry, args.tol, args.samples, seed, args.order)
@@ -418,6 +418,8 @@ def cmd_invariants(args) -> int:
         vals = [float(v) for v in args.at.split(",")]
     except ValueError as exc:
         raise InputError(f"--at must be a number or X,U (two numbers), got {args.at!r}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise InputError(f"--at values must be finite, got {args.at!r}")
     row = _FAMILIES[entry.family]
     if row.invariants is None:
         raise InputError(f"invariants are not defined for family {entry.family!r}")
@@ -431,12 +433,27 @@ def cmd_invariants(args) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str) -> Tuple[float, float]:
+def _parse_range(text: str, flag: str = "--range") -> Tuple[float, float]:
     try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
+        lo, hi = (float(x) for x in text.split(":"))
     except ValueError as exc:
-        raise InputError(f"bad range {text!r}; expected LO:HI") from exc
+        raise InputError(f"bad range {text!r} for {flag}; expected LO:HI") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise InputError(f"{flag} must be LO:HI with finite LO < HI, got {text!r}")
+    return lo, hi
+
+
+def _check_numeric_flags(args) -> None:
+    """The numeric-flag contract, checked before any file is read: --samples
+    >= 1, a finite --tol > 0, and finite LO < HI in --range and --range2."""
+    if getattr(args, "samples", 1) < 1:
+        raise InputError("--samples must be >= 1")
+    tol = getattr(args, "tol", 1.0)
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"--tol must be a finite number > 0, got {tol!r}")
+    for flag in ("range", "range2"):
+        if getattr(args, flag, None):
+            _parse_range(getattr(args, flag), f"--{flag}")
 
 
 def _range_for(entry: CatalogEntry, text: Optional[str]) -> Tuple[float, float]:
@@ -579,6 +596,13 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; ``parse_args``
+    makes a fresh namespace on every call, so no state carries over."""
+    return build_parser()
+
+
 _DISPATCH = {
     "catalog": cmd_catalog,
     "verify": cmd_verify,
@@ -590,10 +614,11 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
+        _check_numeric_flags(args)
         return _DISPATCH[args.command](args)
-    except (InputError, exprlang.ExprError, CatalogError) as exc:
+    except (InputError, exprlang.ExprError, CatalogError, NotIncreasingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

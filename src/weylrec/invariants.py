@@ -23,7 +23,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import exprlang
 from .jets import (
-    JetDomainError,
     JetPoly,
     compose_univariate,
     coordinate_jets,
@@ -36,6 +35,10 @@ from .jets import (
 
 class SingularStratumError(ValueError):
     """The jet sits on a singular stratum where the invariants are undefined."""
+
+
+class NotIncreasingError(ValueError):
+    """psi'(t) <= 0 at the jet's base point, which lies off the one-function family's domain."""
 
 
 class MobiusPoleError(ValueError):
@@ -67,7 +70,9 @@ class PsiJet:
         if len(self.derivs) < 2:
             raise ValueError("need at least a 1-jet")
         if not self.derivs[1] > 0:
-            raise ValueError(f"the defining function must have positive derivative (got {self.derivs[1]})")
+            raise NotIncreasingError(
+                f"the defining function must have positive derivative (got {self.derivs[1]} at t = {self.base})"
+            )
 
     @property
     def order(self) -> int:
@@ -537,6 +542,8 @@ def _sampled_curve(kind: str, points: Sequence, sample_at) -> SignatureCurve:
 
 
 def psi_signature_curve(psi, lo: float, hi: float, samples: int = 64) -> SignatureCurve:
+    psi = exprlang.as_expr(psi)  # parsed once, not at every sample
+
     def sample_at(t):
         inv = psi_invariants(psi_jet_from_expr(psi, t, order=5))
         return (float(inv.I), float(inv.J)), inv.sign_disc
@@ -545,6 +552,8 @@ def psi_signature_curve(psi, lo: float, hi: float, samples: int = 64) -> Signatu
 
 
 def pair_signature_curve(a, c, lo: float, hi: float, samples: int = 64) -> SignatureCurve:
+    a, c = exprlang.as_expr(a), exprlang.as_expr(c)
+
     def sample_at(u):
         inv = pair_invariants(pair_jet_from_exprs(a, c, u, order=2))
         return (float(inv.I), float(inv.J), float(inv.K)), None
@@ -555,6 +564,8 @@ def pair_signature_curve(a, c, lo: float, hi: float, samples: int = 64) -> Signa
 def surface_signature_curve(
     F, x_range: Tuple[float, float], u_range: Tuple[float, float], nx: int = 8, nu: int = 8
 ) -> SignatureCurve:
+    F = exprlang.as_expr(F)
+
     def sample_at(point):
         jet = f_jet_from_expr(F, *point, order=4)
         inv = surface_invariants(jet)

@@ -219,6 +219,7 @@ def classify_psi(
     Cross-checks the kernel dimension against invariant-constancy evidence;
     a mismatch is reported as kind "Inconsistent", never silently resolved.
     """
+    psi = exprlang.as_expr(psi)  # parsed once for the kernel and the 11 evidence points
     kern = psi_symmetry_kernel(psi, interval=interval, n_samples=n_samples, seed=seed)
     evidence, constant_invariants, all_singular = _invariant_evidence(
         lambda t: psi_invariants(psi_jet_from_expr(psi, t, order=5))[:2], interval, kern
@@ -255,6 +256,7 @@ def classify_3d2(
 ) -> ClassificationResult:
     """Cohomogeneity (= 3 - kernel dim: the pair family has no automatic
     symmetries) and symmetry count for the 3D holonomy-2 family."""
+    a, c = exprlang.as_expr(a), exprlang.as_expr(c)
     kern = kernel_3d2(a, c, interval=interval, n_samples=n_samples, seed=seed)
     evidence, constant_invariants, _ = _invariant_evidence(
         lambda u: pair_invariants(pair_jet_from_exprs(a, c, u, order=2)), interval, kern

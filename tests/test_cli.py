@@ -411,6 +411,62 @@ class TestInputContract:
         assert err.startswith("error:") and "cannot write" in err and str(missing) in err
 
 
+class TestNumericFlagContract:
+    """Finite --at and --range / --range2 with LO < HI, --samples >= 1 and a
+    finite --tol > 0; anything else is an ``error:`` line naming the flag and
+    exit 2, never a traceback, a silent accept or a failed check."""
+
+    @pytest.mark.parametrize("at", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_at_exits_2(self, exp_file, capsys, at):
+        code, out, err = run(capsys, "invariants", exp_file, f"--at={at}")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--at" in err
+
+    def test_non_finite_second_at_value_exits_2(self, tmp_path, capsys):
+        path = str(tmp_path / "xu.json")
+        assert run(capsys, "catalog", "emit", "3d1-xu", path)[0] == 0
+        code, out, err = run(capsys, "invariants", path, "--at", "0.6,nan")
+        assert code == 2 and out == "" and err.startswith("error:") and "--at" in err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["signature", "@", "--range", "0:1e400"], "--range"),
+            (["signature", "@", "--range", "2:1"], "--range"),
+            (["signature", "@", "--range", "1:1"], "--range"),
+            (["equiv", "@", "@", "--range", "nan:1"], "--range"),
+            (["equiv", "@", "@", "--range2", "1:-inf"], "--range2"),
+            (["equiv", "@", "@", "--range2", "1:x"], "--range2"),
+            (["signature", "@", "--samples", "0"], "--samples"),
+            (["signature", "@", "--samples", "-3"], "--samples"),
+            (["equiv", "@", "@", "--samples", "0"], "--samples"),
+            (["equiv", "@", "@", "--tol", "nan"], "--tol"),
+            (["equiv", "@", "@", "--tol", "-1"], "--tol"),
+            (["equiv", "@", "@", "--tol", "0"], "--tol"),
+            (["equiv", "@", "@", "--tol", "inf"], "--tol"),
+            (["verify", "@", "--tol", "nan"], "--tol"),
+            (["verify", "@", "--tol", "-1"], "--tol"),
+        ],
+    )
+    def test_bad_numeric_flag_exits_2(self, exp_file, capsys, argv, flag):
+        code, out, err = run(capsys, *[exp_file if a == "@" else a for a in argv])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and flag in err
+
+    @pytest.mark.parametrize(
+        "argv", [["invariants", "@", "--at", "0.1"], ["signature", "@", "--range", "0.1:2", "--samples", "3"]]
+    )
+    def test_non_increasing_psi_at_a_requested_parameter_exits_2(self, tmp_path, capsys, argv):
+        """psi = t^3 - t is increasing on its box t in [1, 2], not at t = 0.1."""
+        path = write_json(
+            tmp_path / "cubic.json",
+            {"format": 1, "family": "dim_ge4", "psi": "t^3-t", "n": 2, "box": {"t": [1, 2]}},
+        )
+        code, out, err = run(capsys, *[path if a == "@" else a for a in argv])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "positive derivative" in err and "t = 0.1" in err
+
+
 @pytest.fixture(scope="module")
 def entries():
     return standard_catalog()
