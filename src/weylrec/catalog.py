@@ -7,6 +7,7 @@ that respects them; quasi-random sampling is seeded and deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +31,9 @@ THREED_CASE2 = "threed_case2"
 HOMOGENEOUS_MODEL = "homogeneous"
 
 FieldSpec = Tuple[str, Tuple[str, ...]]  # (label, component sources in chart order)
+Box = Dict[str, Tuple[float, float]]  # coordinate -> (lo, hi)
+# (expression, what it is, probed coordinates, "positive" or "non-vanishing")
+Probe = Tuple[Expr, str, Tuple[str, ...], str]
 
 
 @dataclass(eq=False)
@@ -37,7 +41,7 @@ class CatalogEntry:
     key: str
     family: str
     structure: WeylStructure
-    box: Dict[str, Tuple[float, float]]
+    box: Box
     expected: Dict[str, object]
     params: Dict[str, object] = field(default_factory=dict)
     seed: int = 0
@@ -83,55 +87,76 @@ def _halton(index: int, prime: int) -> float:
     return out
 
 
-def sample_box(
-    chart: Chart,
-    box: Dict[str, Tuple[float, float]],
-    count: int,
-    seed: int = 0,
-) -> List[Tuple[float, ...]]:
+def sample_box(chart: Chart, box: Box, count: int, seed: int = 0) -> List[Tuple[float, ...]]:
     """Deterministic low-discrepancy points in the box, filtered by the chart constraints."""
     missing = [n for n in chart.names if n not in box]
     if missing:
         raise CatalogError(f"sampling box missing coordinates {missing}")
     primes = _first_primes(len(chart.names))
     points: List[Tuple[float, ...]] = []
-    index = 1 + 1009 * (seed + 1)
-    attempts = 0
+    index = start = 1 + 1009 * (seed + 1)
     while len(points) < count:
+        if index - start >= 100 * count + 1000:
+            raise CatalogError("sampling box is incompatible with the chart constraints")
         pt = []
         for k, name in enumerate(chart.names):
             lo, hi = box[name]
             pt.append(lo + (hi - lo) * _halton(index, primes[k]))
         index += 1
-        attempts += 1
-        if attempts > 100 * count + 1000:
-            raise CatalogError("sampling box is incompatible with the chart constraints")
-        env = dict(zip(chart.names, pt))
-        if all(exprlang.eval_number(c, env) > 0 for c in chart.constraints):
+        if chart.violated(dict(zip(chart.names, pt))) is None:
             points.append(tuple(pt))
     return points
 
 
-def _check_on_domain(expr: Expr, points: Sequence[dict], what: str, nonvanishing: bool = False) -> None:
-    """``expr`` is positive at every point or, with ``nonvanishing``, of modulus above 1e-9."""
+# ----------------------------------------------------------------------
+# entry assembly: one box rule, one probe rule, one dependency rule
+# ----------------------------------------------------------------------
+
+def _probe(expr: Expr, what: str, axes: Sequence[str], must: str, box: Box, chart: Optional[Chart] = None) -> None:
+    """``expr`` is positive, or of modulus above 1e-9, at the 9 mid-points per
+    axis of ``box`` over ``axes``.  With a ``chart``, only at the points it
+    allows, each coordinate not probed at 0.0."""
+    grids = [[lo + (hi - lo) * (k + 0.5) / 9 for k in range(9)] for lo, hi in (box[a] for a in axes)]
+    points = [dict(zip(axes, values)) for values in itertools.product(*grids)]
+    if chart is not None:
+        zeros = dict.fromkeys(chart.names, 0.0)
+        points = [env for env in points if chart.violated({**zeros, **env}) is None]
+        if not points:
+            raise CatalogError("no probe point satisfies the constraints")
     for env in points:
         v = exprlang.eval_number(expr, env)
-        if abs(v) <= 1e-9 if nonvanishing else not v > 0:
-            must = "non-vanishing" if nonvanishing else "positive"
+        if abs(v) <= 1e-9 if must == "non-vanishing" else not v > 0:
             raise CatalogError(f"{what} must be {must} on the domain; value {v} at {env}")
 
 
-def _kind(expected_kind: Optional[str]) -> Dict[str, str]:
-    """The ``expected`` item that records a classification kind, if one is given."""
-    return {"kind": expected_kind} if expected_kind else {}
+def _depends_only(expr: Expr, what: str, *allowed: str) -> None:
+    if set(exprlang.variables_of(expr)) - set(allowed):
+        listed = allowed[0] if len(allowed) == 1 else f"({', '.join(allowed)})"
+        raise CatalogError(f"{what} must depend only on {listed}")
 
 
-def _axis_probe(box: Dict[str, Tuple[float, float]], names: Sequence[str], count: int = 9) -> List[dict]:
-    grids = []
-    for name in names:
-        lo, hi = box[name]
-        grids.append([lo + (hi - lo) * (k + 0.5) / count for k in range(count)])
-    return [dict(zip(names, values)) for values in itertools.product(*grids)]
+def _entry(
+    structure: WeylStructure,
+    box: Optional[Box],
+    default_box: Box,
+    expected: Dict[str, object],
+    kind: Optional[str] = None,
+    probes: Sequence[Probe] = (),
+    probe_allowed_only: bool = False,
+    **fields,
+) -> CatalogEntry:
+    """The entry of ``structure``: the caller's ``box`` overrides the family's
+    default, which is (-1, 1) for a coordinate ``default_box`` does not name;
+    every probe must hold on it (with ``probe_allowed_only``, where the chart
+    allows), and ``expected`` gains ``kind`` when one is given."""
+    box = {**dict.fromkeys(structure.chart.names, (-1.0, 1.0)), **default_box, **(box or {})}
+    for probe in probes:
+        _probe(*probe, box, structure.chart if probe_allowed_only else None)
+    if kind:
+        expected = {**expected, "kind": kind}
+    return CatalogEntry(
+        family=structure.family, structure=structure, box=box, expected=expected, params=dict(structure.params), **fields
+    )
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +172,7 @@ def make_dim_ge4(
     psi: Union[str, Expr],
     n: int,
     branch: int = 1,
-    box: Optional[Dict[str, Tuple[float, float]]] = None,
+    box: Optional[Box] = None,
     key: str = "dim_ge4",
     seed: int = 0,
     n_points: int = 20,
@@ -157,7 +182,8 @@ def make_dim_ge4(
 
     Metric (dt)^2 + E (2 dv du + sum (dx^i)^2) with E = psi'(t)/(u+psi(t))^2,
     1-form (psi'/(u+psi) - psi''/(2 psi')) dt; requires psi' > 0 and a fixed
-    sign of u + psi(t) (``branch``).
+    sign of u + psi(t) (``branch``).  These two are both the chart
+    constraints and the probes, so the box itself must satisfy them.
     """
     if n < 2:
         raise CatalogError("dim_ge4 family needs n >= 2 (dimension >= 4)")
@@ -167,51 +193,34 @@ def make_dim_ge4(
     dpsi = derivative(psi_e, "t")
     ddpsi = derivative(dpsi, "t")
     u_plus = add(var("u"), psi_e)
-    if branch == -1:
-        u_plus_pos = neg(u_plus)
-    else:
-        u_plus_pos = u_plus
+    u_plus_pos = neg(u_plus) if branch == -1 else u_plus
     E = div(dpsi, pow_(u_plus, const(2)))
     omega_t = sub(div(dpsi, u_plus), div(ddpsi, mul(const(2), dpsi)))
 
-    names = ("t", "v", *_xnames(n), "u")
-    chart = Chart(names, constraints=(dpsi, u_plus_pos))
-    entries: Dict[Tuple[str, str], Expr] = {("t", "t"): const(1), ("v", "u"): E}
-    for x in _xnames(n):
-        entries[(x, x)] = E
-    structure = make_structure(chart, entries, {"t": omega_t}, family=DIM_GE4, params={"psi": exprlang.to_source(psi_e), "n": n, "branch": branch})
-
-    box = dict(box or {})
-    box.setdefault("t", (0.6, 1.8))
-    box.setdefault("v", (-1.0, 1.0))
-    box.setdefault("u", (0.1, 1.2) if branch == 1 else (-3.0, -2.5))
-    for x in _xnames(n):
-        box.setdefault(x, (-1.0, 1.0))
-
-    probes = _axis_probe(box, ("t",))
-    _check_on_domain(dpsi, probes, "psi'(t)")
-    probes_tu = _axis_probe(box, ("t", "u"))
-    _check_on_domain(u_plus_pos, probes_tu, "the branch sign of u + psi(t)")
-
-    return CatalogEntry(
-        key=key,
-        family=DIM_GE4,
-        structure=structure,
-        box=box,
-        params=dict(structure.params),
-        seed=seed,
-        n_points=n_points,
-        expected={
+    chart = Chart(("t", "v", *_xnames(n), "u"), constraints=(dpsi, u_plus_pos))
+    entries = {("t", "t"): const(1), ("v", "u"): E, **{(x, x): E for x in _xnames(n)}}
+    psi_src = exprlang.to_source(psi_e)
+    structure = make_structure(chart, entries, {"t": omega_t}, family=DIM_GE4, params={"psi": psi_src, "n": n, "branch": branch})
+    return _entry(
+        structure,
+        box,
+        {"t": (0.6, 1.8), "u": (0.1, 1.2) if branch == 1 else (-3.0, -2.5)},
+        {
             "recurrent": True,
             "holonomy_dim": n,
             "is_preferred_rep": True,
             "weight": 3.0,
             "conformally_flat": True,
             "einstein_weyl": False,
-            **_kind(expected_kind),
         },
+        expected_kind,
+        probes=[
+            (dpsi, "psi'(t)", ("t",), "positive"),
+            (u_plus_pos, "the branch sign of u + psi(t)", ("t", "u"), "positive"),
+        ],
+        key=key, seed=seed, n_points=n_points,
         symmetry_fields=killing_fields(n),
-        description=f"dim {n + 2} family, psi = {exprlang.to_source(psi_e)}",
+        description=f"dim {n + 2} family, psi = {psi_src}",
     )
 
 
@@ -219,7 +228,7 @@ def make_mainth_form(
     F: Union[str, Expr],
     a: Union[str, Expr],
     n: int,
-    box: Optional[Dict[str, Tuple[float, float]]] = None,
+    box: Optional[Box] = None,
     key: str = "mainth",
     seed: int = 0,
     n_points: int = 20,
@@ -236,59 +245,30 @@ def make_mainth_form(
     F_e = exprlang.as_expr(F)
     a_e = exprlang.as_expr(a)
     xn = f"x{n}"
-    allowed = {xn, "u"}
-    if set(exprlang.variables_of(F_e)) - allowed:
-        raise CatalogError(f"F must depend only on ({xn}, u)")
-    if set(exprlang.variables_of(a_e)) - {"u"}:
-        raise CatalogError("a must depend only on u")
+    _depends_only(F_e, "F", xn, "u")
+    _depends_only(a_e, "a", "u")
     Fdot = derivative(F_e, "u")
-    dn_Fdot = derivative(Fdot, xn)
 
-    names = ("v", *[f"x{i}" for i in range(1, n + 1)], "u")
-    chart = Chart(names, constraints=tuple(exprlang.as_expr(c) for c in constraints))
-    entries: Dict[Tuple[str, str], Expr] = {("v", "u"): const(1)}
-    for i in range(1, n):
-        entries[(f"x{i}", f"x{i}")] = const(1)
-    entries[(xn, xn)] = call("exp", mul(const(-2), F_e))
-    square_sum: Expr = const(0)
-    for i in range(1, n):
-        square_sum = add(square_sum, pow_(var(f"x{i}"), const(2)))
-    g_uu = mul(a_e, square_sum)
+    chart = Chart(("v", *_xnames(n + 1), "u"), constraints=tuple(map(exprlang.as_expr, constraints)))
+    entries = {("v", "u"): const(1), **{(x, x): const(1) for x in _xnames(n)}, (xn, xn): call("exp", mul(const(-2), F_e))}
+    g_uu = mul(a_e, functools.reduce(add, (pow_(var(x), const(2)) for x in _xnames(n)), const(0)))
     if not (isinstance(g_uu, exprlang.Const) and g_uu.value == 0):
         entries[("u", "u")] = g_uu
-    structure = make_structure(
-        chart,
-        entries,
-        {"u": Fdot},
-        family=MAINTH_FORM,
-        params={"F": exprlang.to_source(F_e), "a": exprlang.to_source(a_e), "n": n},
-    )
-
-    box = dict(box or {})
-    box.setdefault("v", (-1.0, 1.0))
-    box.setdefault("u", (0.2, 1.2))
-    for i in range(1, n + 1):
-        box.setdefault(f"x{i}", (0.4, 1.4) if i == n else (-1.0, 1.0))
-
-    probes = _axis_probe(box, (xn, "u"))
-    _check_on_domain(dn_Fdot, probes, f"d_{xn} dF/du", nonvanishing=True)
-
-    return CatalogEntry(
-        key=key,
-        family=MAINTH_FORM,
-        structure=structure,
-        box=box,
-        params=dict(structure.params),
-        seed=seed,
-        n_points=n_points,
-        expected={
+    params = {"F": exprlang.to_source(F_e), "a": exprlang.to_source(a_e), "n": n}
+    return _entry(
+        make_structure(chart, entries, {"u": Fdot}, family=MAINTH_FORM, params=params),
+        box,
+        {"u": (0.2, 1.2), xn: (0.4, 1.4)},
+        {
             "recurrent": expect_recurrent,
             "holonomy_dim": n if expect_recurrent else None,
             "is_preferred_rep": False,
             "conformally_flat": expect_recurrent,
             "einstein_weyl": False,
         },
-        description=f"dim {n + 2} normal form, F = {exprlang.to_source(F_e)}, a = {exprlang.to_source(a_e)}",
+        probes=[(derivative(Fdot, xn), f"d_{xn} dF/du", (xn, "u"), "non-vanishing")],
+        key=key, seed=seed, n_points=n_points,
+        description=f"dim {n + 2} normal form, F = {params['F']}, a = {params['a']}",
     )
 
 
@@ -309,64 +289,45 @@ def riccati_residual(F: Union[str, Expr], a: Union[str, Expr], point: Dict[str, 
 
 def make_3d_case1(
     F: Union[str, Expr],
-    box: Optional[Dict[str, Tuple[float, float]]] = None,
+    box: Optional[Box] = None,
     key: str = "threed_case1",
     seed: int = 0,
     n_points: int = 20,
     constraints: Sequence[Union[str, Expr]] = (),
     expected_kind: Optional[str] = None,
 ) -> CatalogEntry:
-    """3D family with 1-dimensional holonomy: 2dvdu + e^{-2F}(dx)^2, omega = (dF/du) du."""
+    """3D family with 1-dimensional holonomy: 2dvdu + e^{-2F}(dx)^2, omega = (dF/du) du;
+    d_x(dF/du) is probed only where the chart constraints allow."""
     F_e = exprlang.as_expr(F)
-    if set(exprlang.variables_of(F_e)) - {"x", "u"}:
-        raise CatalogError("F must depend only on (x, u)")
+    _depends_only(F_e, "F", "x", "u")
     Fdot = derivative(F_e, "u")
-    dx_Fdot = derivative(Fdot, "x")
-    chart = Chart(("v", "x", "u"), constraints=tuple(exprlang.as_expr(c) for c in constraints))
+    chart = Chart(("v", "x", "u"), constraints=tuple(map(exprlang.as_expr, constraints)))
+    F_src = exprlang.to_source(F_e)
     structure = make_structure(
         chart,
         {("v", "u"): const(1), ("x", "x"): call("exp", mul(const(-2), F_e))},
         {"u": Fdot},
         family=THREED_CASE1,
-        params={"F": exprlang.to_source(F_e)},
+        params={"F": F_src},
     )
-    box = dict(box or {})
-    box.setdefault("v", (-1.0, 1.0))
-    box.setdefault("x", (0.2, 1.0))
-    box.setdefault("u", (1.4, 2.4))
-    probes = _axis_probe(box, ("x", "u"))
-    env_ok = []
-    for env in probes:
-        if all(exprlang.eval_number(c, {**env, "v": 0.0}) > 0 for c in chart.constraints):
-            env_ok.append(env)
-    if not env_ok:
-        raise CatalogError("no probe point satisfies the constraints")
-    _check_on_domain(dx_Fdot, env_ok, "d_x dF/du", nonvanishing=True)
-    return CatalogEntry(
-        key=key,
-        family=THREED_CASE1,
-        structure=structure,
-        box=box,
-        params=dict(structure.params),
-        seed=seed,
-        n_points=n_points,
-        expected={
-            "recurrent": True,
-            "holonomy_dim": 1,
-            "is_preferred_rep": False,
-            "weight": 3.0,
-            "einstein_weyl": False,
-            **_kind(expected_kind),
-        },
+    return _entry(
+        structure,
+        box,
+        {"x": (0.2, 1.0), "u": (1.4, 2.4)},
+        {"recurrent": True, "holonomy_dim": 1, "is_preferred_rep": False, "weight": 3.0, "einstein_weyl": False},
+        expected_kind,
+        probes=[(derivative(Fdot, "x"), "d_x dF/du", ("x", "u"), "non-vanishing")],
+        probe_allowed_only=True,
+        key=key, seed=seed, n_points=n_points,
         symmetry_fields=[("d_v", ("1", "0", "0"))],
-        description=f"3D holonomy-1 family, F = {exprlang.to_source(F_e)}",
+        description=f"3D holonomy-1 family, F = {F_src}",
     )
 
 
 def make_3d_case2(
     a: Union[str, Expr],
     c: Union[str, Expr],
-    box: Optional[Dict[str, Tuple[float, float]]] = None,
+    box: Optional[Box] = None,
     key: str = "threed_case2",
     seed: int = 0,
     n_points: int = 20,
@@ -383,9 +344,8 @@ def make_3d_case2(
     """
     a_e = exprlang.as_expr(a)
     c_e = exprlang.as_expr(c)
-    for e, nm in ((a_e, "a"), (c_e, "c")):
-        if set(exprlang.variables_of(e)) - {"u"}:
-            raise CatalogError(f"{nm} must depend only on u")
+    _depends_only(a_e, "a", "u")
+    _depends_only(c_e, "c", "u")
     adot = derivative(a_e, "u")
     x = var("x")
     H = add(
@@ -398,22 +358,16 @@ def make_3d_case2(
             mul(c_e, x),
         ),
     )
-    chart = Chart(("v", "x", "u"), constraints=tuple(exprlang.as_expr(cc) for cc in constraints))
+    chart = Chart(("v", "x", "u"), constraints=tuple(map(exprlang.as_expr, constraints)))
     omega_u = mul(a_e, x)
+    params = {"a": exprlang.to_source(a_e), "c": exprlang.to_source(c_e)}
     structure = make_structure(
         chart,
         {("v", "u"): const(1), ("x", "x"): const(1), ("u", "u"): H},
         {"u": omega_u},
         family=THREED_CASE2,
-        params={"a": exprlang.to_source(a_e), "c": exprlang.to_source(c_e)},
+        params=params,
     )
-
-    box = dict(box or {})
-    box.setdefault("v", (-1.0, 1.0))
-    box.setdefault("x", (0.3, 1.3))
-    box.setdefault("u", (0.5, 1.5))
-    probes = _axis_probe(box, ("u",))
-    _check_on_domain(a_e, probes, "a(u)", nonvanishing=True)
 
     # preferred representative h = e^{(4/5) ln|a|} g, omega_h = a x du - (2/5)(a'/a) du
     scale = call("exp", mul(div(const(4), const(5)), call("ln", call("abs", a_e))))
@@ -425,30 +379,22 @@ def make_3d_case2(
     omega_h = sub(omega_u, mul(div(const(2), const(5)), div(adot, a_e)))
     preferred = make_structure(chart, h_entries, {"u": omega_h}, family=THREED_CASE2, params={"representative": "weight-5/2"})
 
-    return CatalogEntry(
-        key=key,
-        family=THREED_CASE2,
-        structure=structure,
-        box=box,
-        params=dict(structure.params),
-        seed=seed,
-        n_points=n_points,
+    return _entry(
+        structure,
+        box,
+        {"x": (0.3, 1.3), "u": (0.5, 1.5)},
+        {"recurrent": True, "holonomy_dim": 2, "is_preferred_rep": False, "weight": 2.5, "einstein_weyl": True},
+        expected_kind,
+        probes=[(a_e, "a(u)", ("u",), "non-vanishing")],
+        key=key, seed=seed, n_points=n_points,
         preferred=preferred,
-        expected={
-            "recurrent": True,
-            "holonomy_dim": 2,
-            "is_preferred_rep": False,
-            "weight": 2.5,
-            "einstein_weyl": True,
-            **_kind(expected_kind),
-        },
-        description=f"3D holonomy-2 family, a = {exprlang.to_source(a_e)}, c = {exprlang.to_source(c_e)}",
+        description=f"3D holonomy-2 family, a = {params['a']}, c = {params['c']}",
     )
 
 
 def make_homogeneous_model(
     n: int,
-    box: Optional[Dict[str, Tuple[float, float]]] = None,
+    box: Optional[Box] = None,
     key: str = "homogeneous",
     seed: int = 0,
     n_points: int = 20,
@@ -465,45 +411,20 @@ def make_homogeneous_model(
         raise CatalogError("homogeneous model needs n >= 2")
     q = parse("2*t+u^2")
     scale = div(const(4), pow_(q, const(2)))
-    names = ("t", "v", *_xnames(n), "u")
-    chart = Chart(names, constraints=(q,))
-    entries: Dict[Tuple[str, str], Expr] = {("t", "t"): scale, ("v", "u"): scale}
-    for xnm in _xnames(n):
-        entries[(xnm, xnm)] = scale
-    omega = {
-        "u": parse("2*u/(2*t+u^2) - 1/sqrt(2*t+u^2)"),
-        "t": parse("2/(2*t+u^2)"),
-    }
-    structure = make_structure(chart, entries, omega, family=HOMOGENEOUS_MODEL, params={"n": n})
-
-    box = dict(box or {})
-    box.setdefault("t", (0.5, 1.5))
-    box.setdefault("v", (-1.0, 1.0))
-    box.setdefault("u", (-0.8, 0.8))
-    for xnm in _xnames(n):
-        box.setdefault(xnm, (-1.0, 1.0))
-
-    fields = killing_fields(n) + [
-        ("translation-boost X", _comps(n, u="1", v="t", t="0-u")),
-        ("scaling Y", _comps(n, t="2*t", u="u", v="3*v", **{xi: f"2*{xi}" for xi in _xnames(n)})),
-    ]
-
-    return CatalogEntry(
-        key=key,
-        family=HOMOGENEOUS_MODEL,
-        structure=structure,
-        box=box,
-        params={"n": n},
-        seed=seed,
-        n_points=n_points,
-        expected={
-            "recurrent": True,
-            "holonomy_dim": n,
-            "is_preferred_rep": False,
-            "einstein_weyl": False,
-            "kind": "Homogeneous",
-        },
-        symmetry_fields=fields,
+    chart = Chart(("t", "v", *_xnames(n), "u"), constraints=(q,))
+    entries = {("t", "t"): scale, ("v", "u"): scale, **{(x, x): scale for x in _xnames(n)}}
+    omega = {"u": parse("2*u/(2*t+u^2) - 1/sqrt(2*t+u^2)"), "t": parse("2/(2*t+u^2)")}
+    return _entry(
+        make_structure(chart, entries, omega, family=HOMOGENEOUS_MODEL, params={"n": n}),
+        box,
+        {"t": (0.5, 1.5), "u": (-0.8, 0.8)},
+        {"recurrent": True, "holonomy_dim": n, "is_preferred_rep": False, "einstein_weyl": False},
+        "Homogeneous",
+        key=key, seed=seed, n_points=n_points,
+        symmetry_fields=killing_fields(n) + [
+            ("translation-boost X", _comps(n, u="1", v="t", t="0-u")),
+            ("scaling Y", _comps(n, t="2*t", u="u", v="3*v", **{x: f"2*{x}" for x in _xnames(n)})),
+        ],
         description=f"dim {n + 2} homogeneous model (group presentation)",
     )
 
@@ -528,14 +449,8 @@ def killing_fields(n: int) -> List[FieldSpec]:
         out.append((f"d_{xi}", _comps(n, **{xi: "1"})))
     for xi in xs:
         out.append((f"{xi} d_v - u d_{xi}", _comps(n, v=xi, **{xi: "0-u"})))
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            out.append(
-                (
-                    f"{xs[i]} d_{xs[j]} - {xs[j]} d_{xs[i]}",
-                    _comps(n, **{xs[j]: xs[i], xs[i]: f"0-{xs[j]}"}),
-                )
-            )
+    for xi, xj in itertools.combinations(xs, 2):
+        out.append((f"{xi} d_{xj} - {xj} d_{xi}", _comps(n, **{xj: xi, xi: f"0-{xj}"})))
     return out
 
 
@@ -555,30 +470,28 @@ def extra_fields(n: int) -> List[FieldSpec]:
 # the one-function normal forms of the cohomogeneity <= 1 classification
 # ----------------------------------------------------------------------
 
-PSI_KINDS = ("Homogeneous", "Exp", "Tan", "Log", "TanLog", "Power")
+# psi source of each extra-symmetry family; "{A}" stands for the family parameter
+_PSI_SOURCES = {
+    "Homogeneous": "t",
+    "Exp": "exp(t)",
+    "Tan": "tan(t)",
+    "Log": "{A}*ln(t)",
+    "TanLog": "tan({A}*ln(t))",
+    "Power": "t^{A}",
+}
+PSI_KINDS = tuple(_PSI_SOURCES)
 
 
 def symmetric_psi_family(kind: str, A: Optional[float] = None) -> str:
     """psi source text for the extra-symmetry families; A is the family parameter."""
-    if kind == "Homogeneous":
-        return "t"
-    if kind == "Exp":
-        return "exp(t)"
-    if kind == "Tan":
-        return "tan(t)"
-    if kind == "Log":
-        if A is None or not A > 0:
-            raise CatalogError("Log family needs A > 0")
-        return f"{_num(A)}*ln(t)"
-    if kind == "TanLog":
-        if A is None or not A > 0:
-            raise CatalogError("TanLog family needs A > 0")
-        return f"tan({_num(A)}*ln(t))"
-    if kind == "Power":
-        if A is None or A == 1 or A <= 0:
-            raise CatalogError("Power family needs A > 0, A != 1 (A = 1 is the homogeneous case)")
-        return f"t^{_num(A)}"
-    raise CatalogError(f"unknown family kind {kind!r}; known: {', '.join(PSI_KINDS)}")
+    if kind not in _PSI_SOURCES:
+        raise CatalogError(f"unknown family kind {kind!r}; known: {', '.join(PSI_KINDS)}")
+    if kind in ("Log", "TanLog") and (A is None or not A > 0):
+        raise CatalogError(f"{kind} family needs A > 0")
+    if kind == "Power" and (A is None or A == 1 or A <= 0):
+        raise CatalogError("Power family needs A > 0, A != 1 (A = 1 is the homogeneous case)")
+    source = _PSI_SOURCES[kind]
+    return source.format(A=_num(A)) if "{A}" in source else source
 
 
 def _num(A) -> str:

@@ -288,8 +288,7 @@ def cmd_catalog(args) -> int:
         return EXIT_OK
     # emit
     if args.key not in entries:
-        print(f"error: unknown catalog entry {args.key!r}; run 'catalog list'", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise InputError(f"unknown catalog entry {args.key!r}; run 'catalog list'")
     _emit_json(structure_file_payload(entries[args.key]), args.path)
     return EXIT_OK
 
@@ -486,8 +485,7 @@ def cmd_equiv(args) -> int:
     e1 = load_structure_file(args.file1)
     e2 = load_structure_file(args.file2)
     if e1.family != e2.family:
-        print(f"error: cannot compare families {e1.family!r} and {e2.family!r}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise InputError(f"cannot compare families {e1.family!r} and {e2.family!r}")
     r1, r2 = _range_for(e1, args.range), _range_for(e2, args.range2 or args.range)
     c1 = _curve_for(e1, r1, args.samples)
     c2 = _curve_for(e2, r2, args.samples)
@@ -509,11 +507,7 @@ def cmd_classify(args) -> int:
     entry = load_structure_file(args.file)
     classify = _FAMILIES[entry.family].classify
     if classify is None:
-        print(
-            f"error: classification needs a one-function or pair family input, got {entry.family!r}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT_ERROR
+        raise InputError(f"classification needs a one-function or pair family input, got {entry.family!r}")
     result = classify(entry, _range_for(entry, None))
     payload = {
         **_REPORT_HEAD,
@@ -613,8 +607,20 @@ _DISPATCH = {
 }
 
 
+def _attach_range_values(argv: Sequence[str]) -> List[str]:
+    """``--range LO:HI`` and ``--range2 LO:HI`` as ``--range=LO:HI``, so that
+    argparse reads a negative LO as the flag's value, not as an option."""
+    out: List[str] = []
+    for token in argv:
+        if out and out[-1] in ("--range", "--range2") and token.startswith("-") and ":" in token:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attach_range_values(sys.argv[1:] if argv is None else argv))
     try:
         _check_numeric_flags(args)
         return _DISPATCH[args.command](args)

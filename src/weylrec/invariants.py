@@ -94,9 +94,6 @@ class PsiInvariants(NamedTuple):
     sign_disc: int
 
 
-_SINGULAR_CUT = Fraction(1, 10**10)
-
-
 def _discriminant(p: Sequence):
     return 2 * p[1] * p[3] - 3 * _sq(p[2])
 

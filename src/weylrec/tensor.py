@@ -68,6 +68,14 @@ class Chart:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
+    def violated(self, env: Dict[str, object]) -> Optional[Tuple[Expr, object]]:
+        """The first constraint, in order, that is not > 0 at ``env``, with its value; None if all hold."""
+        for c in self.constraints:
+            value = eval_number(c, env)
+            if not value > 0:
+                return c, value
+        return None
+
 
 @dataclass(frozen=True, eq=False)
 class WeylStructure:
@@ -121,13 +129,10 @@ def make_structure(
 
 
 def check_domain(structure: WeylStructure, point: Sequence) -> None:
-    env = dict(zip(structure.chart.names, point))
-    for c in structure.chart.constraints:
-        value = eval_number(c, env)
-        if not value > 0:
-            raise DomainViolation(
-                f"constraint {exprlang.to_source(c)} > 0 violated at {tuple(point)} (value {value})"
-            )
+    bad = structure.chart.violated(dict(zip(structure.chart.names, point)))
+    if bad is not None:
+        constraint, value = bad
+        raise DomainViolation(f"constraint {exprlang.to_source(constraint)} > 0 violated at {tuple(point)} (value {value})")
 
 
 def metric_jets(structure: WeylStructure, point: Sequence, order: int) -> List[List[JetPoly]]:

@@ -467,6 +467,57 @@ class TestNumericFlagContract:
         assert err.startswith("error:") and "positive derivative" in err and "t = 0.1" in err
 
 
+class TestNegativeRangeStart:
+    """``--range -1:2`` reads like ``--range=-1:2``: argparse would take a
+    value starting with '-' for an option and stop with 'expected one argument'."""
+
+    @pytest.fixture
+    def generic_file(self, tmp_path, capsys):
+        path = str(tmp_path / "generic.json")
+        assert run(capsys, "catalog", "emit", "3d2-generic", path)[0] == 0
+        return path
+
+    def test_signature_range(self, generic_file, capsys):
+        joined = run(capsys, "signature", generic_file, "--range=-1:2", "--samples", "4")
+        spaced = run(capsys, "signature", generic_file, "--range", "-1:2", "--samples", "4")
+        assert joined[0] == 0 and joined[1].splitlines()[1].startswith("-1.0,")
+        assert spaced == joined
+
+    def test_equiv_range_and_range2(self, generic_file, capsys):
+        joined = run(capsys, "equiv", generic_file, generic_file, "--range=-1:2", "--range2=-0.5:1.5", "--samples", "8")
+        spaced = run(capsys, "equiv", generic_file, generic_file, "--range", "-1:2", "--range2", "-0.5:1.5", "--samples", "8")
+        assert joined[0] == 0 and json.loads(joined[1])["verdict"]
+        assert spaced == joined
+
+    def test_an_option_after_range_is_still_an_option(self, generic_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["signature", generic_file, "--range", "--samples", "4"])
+        assert info.value.code == 2
+        assert "argument --range: expected one argument" in capsys.readouterr().err
+
+    def test_attach_only_range_values(self):
+        argv = ["equiv", "a", "b", "--range", "-1:2", "--range2", "-2:-1", "--tol", "-1", "--samples", "-3"]
+        assert cli._attach_range_values(argv) == ["equiv", "a", "b", "--range=-1:2", "--range2=-2:-1", "--tol", "-1", "--samples", "-3"]
+
+
+class TestInputErrorText:
+    """Errors a verb finds in its input reach stderr through ``main``'s one
+    ``error:`` path, with exit 2."""
+
+    def test_unknown_catalog_entry(self, capsys):
+        assert run(capsys, "catalog", "emit", "nonexistent") == (2, "", "error: unknown catalog entry 'nonexistent'; run 'catalog list'\n")
+
+    def test_equiv_family_mismatch(self, tmp_path, capsys):
+        a = write_json(tmp_path / "a.json", {"format": 1, "family": "dim_ge4", "psi": "t^3+t", "n": 2})
+        b = write_json(tmp_path / "b.json", {"format": 1, "family": "threed_case1", "F": "x*u"})
+        assert run(capsys, "equiv", a, b) == (2, "", "error: cannot compare families 'dim_ge4' and 'threed_case1'\n")
+
+    def test_classify_unsupported_family(self, tmp_path, capsys):
+        path = write_json(tmp_path / "h.json", {"format": 1, "family": "homogeneous", "n": 2})
+        want = "error: classification needs a one-function or pair family input, got 'homogeneous'\n"
+        assert run(capsys, "classify", path) == (2, "", want)
+
+
 @pytest.fixture(scope="module")
 def entries():
     return standard_catalog()
