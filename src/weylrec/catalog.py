@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from . import exprlang
+from . import exprlang, thresholds
 from .exprlang import Expr, add, call, const, derivative, div, mul, neg, parse, pow_, sub, var
 from .jets import coordinate_jets
 from .tensor import Chart, WeylStructure, make_structure
@@ -113,9 +113,9 @@ def sample_box(chart: Chart, box: Box, count: int, seed: int = 0) -> List[Tuple[
 # ----------------------------------------------------------------------
 
 def _probe(expr: Expr, what: str, axes: Sequence[str], must: str, box: Box, chart: Optional[Chart] = None) -> None:
-    """``expr`` is positive, or of modulus above 1e-9, at the 9 mid-points per
-    axis of ``box`` over ``axes``.  With a ``chart``, only at the points it
-    allows, each coordinate not probed at 0.0."""
+    """``expr`` is positive, or of modulus above PROBE_NON_VANISHING, at the
+    9 mid-points per axis of ``box`` over ``axes``.  With a ``chart``, only at
+    the points it allows, each coordinate not probed at 0.0."""
     grids = [[lo + (hi - lo) * (k + 0.5) / 9 for k in range(9)] for lo, hi in (box[a] for a in axes)]
     points = [dict(zip(axes, values)) for values in itertools.product(*grids)]
     if chart is not None:
@@ -125,7 +125,7 @@ def _probe(expr: Expr, what: str, axes: Sequence[str], must: str, box: Box, char
             raise CatalogError("no probe point satisfies the constraints")
     for env in points:
         v = exprlang.eval_number(expr, env)
-        if abs(v) <= 1e-9 if must == "non-vanishing" else not v > 0:
+        if abs(v) <= thresholds.PROBE_NON_VANISHING if must == "non-vanishing" else not v > 0:
             raise CatalogError(f"{what} must be {must} on the domain; value {v} at {env}")
 
 
@@ -148,7 +148,11 @@ def _entry(
     """The entry of ``structure``: the caller's ``box`` overrides the family's
     default, which is (-1, 1) for a coordinate ``default_box`` does not name;
     every probe must hold on it (with ``probe_allowed_only``, where the chart
-    allows), and ``expected`` gains ``kind`` when one is given."""
+    allows), and ``expected`` gains ``kind`` when one is given.  A ``box``
+    that names a coordinate the chart does not have is an error."""
+    unknown = sorted(set(box or ()) - set(structure.chart.names))
+    if unknown:
+        raise CatalogError(f"box names {', '.join(map(repr, unknown))}, not a coordinate of the chart {structure.chart.names}")
     box = {**dict.fromkeys(structure.chart.names, (-1.0, 1.0)), **default_box, **(box or {})}
     for probe in probes:
         _probe(*probe, box, structure.chart if probe_allowed_only else None)

@@ -22,7 +22,7 @@ from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequen
 
 import numpy as np
 
-from . import __version__, exprlang
+from . import __version__, exprlang, thresholds
 from .catalog import (
     DIM_GE4,
     HOMOGENEOUS_MODEL,
@@ -111,8 +111,8 @@ def _derived_constraints(entry: CatalogEntry, data: Dict) -> CatalogEntry:
     return entry
 
 
-def _surface_curve(e: CatalogEntry, rng: Tuple[float, float], samples: int):
-    side = max(2, int(round(samples**0.5)))  # a side x side grid over the (x, u) box; rng is not used
+def _surface_curve(e: CatalogEntry, rng: None, samples: int):
+    side = max(2, int(round(samples**0.5)))  # a side x side grid over the whole (x, u) box
     return surface_signature_curve(e.params["F"], e.box["x"], e.box["u"], side, side)
 
 
@@ -124,10 +124,12 @@ class _Family(NamedTuple):
 
     fields: FrozenSet[str]  # parameter fields of a structure file, as in entry.params
     build: Callable[..., CatalogEntry]  # (data, box=, key=, seed=, constraints=) -> entry
-    range_coord: str = "u"  # coordinate whose box range is the default curve / classification interval
+    # coordinate whose box range is the default curve / classification interval;
+    # None: the curve samples the whole box, and a --range is an input error
+    range_coord: Optional[str] = "u"
     invariants: Optional[Callable[..., Dict]] = None  # (params, *values of --at)
     at_values: int = 1  # how many numbers --at takes
-    curve: Optional[Callable[[CatalogEntry, Tuple[float, float], int], object]] = None  # (entry, range, samples)
+    curve: Optional[Callable[[CatalogEntry, Optional[Tuple[float, float]], int], object]] = None  # (entry, range, samples)
     csv_header: str = ""  # columns of the signature CSV
     classify: Optional[Callable[[CatalogEntry, Tuple[float, float]], object]] = None  # (entry, interval)
 
@@ -151,6 +153,7 @@ _FAMILIES: Dict[str, _Family] = {
     THREED_CASE1: _Family(
         frozenset({"F"}),
         lambda d, **kw: make_3d_case1(d["F"], **kw),
+        range_coord=None,
         invariants=_surface_record,
         at_values=2,
         curve=_surface_curve,
@@ -310,9 +313,9 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
     checks.append(
         {
             "name": "metric_compatibility",
-            "status": "pass" if compat <= 1e-10 else "fail",
+            "status": "pass" if compat <= thresholds.COMPATIBILITY_TOL else "fail",
             "max_residual": compat,
-            "tolerance": 1e-10,
+            "tolerance": thresholds.COMPATIBILITY_TOL,
         }
     )
 
@@ -331,13 +334,13 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
         for conn, r in zip(conns, reports):
             worst = max(worst, float(np.max(np.abs(r.theta + 3.0 * conn.one_form_values))))
         rec_check["theta_plus_3omega"] = worst
-        if worst > 1e-8 and expected.get("recurrent", True):
+        if worst > thresholds.PREFERRED_THETA_TOL and expected.get("recurrent", True):
             rec_check["status"] = "fail"
     probe = entry.preferred
     if probe is not None and expected.get("weight") is not None:
         wrep = recurrence_theta(probe, rec_pts[0], tol=tol, jet_order=order)
         rec_check["weight_fit"] = wrep.weight
-        if wrep.weight is None or abs(wrep.weight - float(expected["weight"])) > 1e-6:
+        if wrep.weight is None or abs(wrep.weight - float(expected["weight"])) > thresholds.WEIGHT_TOL:
             rec_check["status"] = "fail"
     checks.append(rec_check)
 
@@ -355,7 +358,7 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
 
     if entry.dim >= 4 and "conformally_flat" in expected:
         worst = max(conn.conformal_weyl().norm() for conn in conns)
-        ok = (worst <= 1e-9) == bool(expected["conformally_flat"])
+        ok = (worst <= thresholds.CONFORMALLY_FLAT) == bool(expected["conformally_flat"])
         checks.append(
             {
                 "name": "conformal_flatness",
@@ -369,15 +372,15 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
         ew_reports = [ew_report(entry.structure, conn) for conn in conns]
         worst = max(r.residual for r in ew_reports)
         if expected["einstein_weyl"]:
-            ok = worst <= 1e-9
+            ok = worst <= thresholds.EINSTEIN_WEYL_TOL
             rec = {"name": "einstein_weyl", "status": "pass" if ok else "fail", "max_residual": worst}
             dkps = [r.dkp_residual for r in ew_reports if r.dkp_residual is not None]
             if dkps:
                 rec["max_dkp_residual"] = max(abs(v) for v in dkps)
-                if rec["max_dkp_residual"] > 1e-10:
+                if rec["max_dkp_residual"] > thresholds.DKP_TOL:
                     rec["status"] = "fail"
         else:
-            ok = worst > 1e-3
+            ok = worst > thresholds.NOT_EINSTEIN_WEYL
             rec = {"name": "not_einstein_weyl", "status": "pass" if ok else "fail", "min_residual": worst}
         checks.append(rec)
 
@@ -455,9 +458,15 @@ def _check_numeric_flags(args) -> None:
             _parse_range(getattr(args, flag), f"--{flag}")
 
 
-def _range_for(entry: CatalogEntry, text: Optional[str]) -> Tuple[float, float]:
-    """The range LO:HI given on the command line, else the box range of the family's range coordinate."""
-    return _parse_range(text) if text else entry.box[_FAMILIES[entry.family].range_coord]
+def _range_for(entry: CatalogEntry, text: Optional[str], flag: str = "--range") -> Optional[Tuple[float, float]]:
+    """The range LO:HI given on the command line as ``flag``, else the box
+    range of the family's range coordinate; None for a family without one."""
+    coord = _FAMILIES[entry.family].range_coord
+    if coord is None:
+        if text:
+            raise InputError(f"{flag} does not apply to family {entry.family!r}: its curve samples the whole box")
+        return None
+    return _parse_range(text, flag) if text else entry.box[coord]
 
 
 def _curve_for(entry: CatalogEntry, rng: Tuple[float, float], samples: int):
@@ -486,7 +495,8 @@ def cmd_equiv(args) -> int:
     e2 = load_structure_file(args.file2)
     if e1.family != e2.family:
         raise InputError(f"cannot compare families {e1.family!r} and {e2.family!r}")
-    r1, r2 = _range_for(e1, args.range), _range_for(e2, args.range2 or args.range)
+    r1 = _range_for(e1, args.range)
+    r2 = _range_for(e2, args.range2 or args.range, "--range2" if args.range2 else "--range")
     c1 = _curve_for(e1, r1, args.samples)
     c2 = _curve_for(e2, r2, args.samples)
     verdict = equivalence_test(c1, c2, tol=args.tol)
@@ -556,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the geometric checks on a structure file")
     pv.add_argument("file")
-    pv.add_argument("--tol", type=float, default=1e-8, help="recurrence tolerance")
+    pv.add_argument("--tol", type=float, default=thresholds.RECURRENCE_TOL, help="recurrence tolerance")
     pv.add_argument("--samples", type=int, default=20, help="sample-point count")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--order", type=int, default=3, help="metric jet order for the curvature checks (>= 3)")
@@ -580,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     pq.add_argument("--range", default=None, help="parameter range for the first input")
     pq.add_argument("--range2", default=None, help="parameter range for the second input")
     pq.add_argument("--samples", type=int, default=64)
-    pq.add_argument("--tol", type=float, default=1e-6)
+    pq.add_argument("--tol", type=float, default=thresholds.EQUIVALENCE_TOL)
     pq.add_argument("--json", default=None)
 
     pk = sub.add_parser("classify", help="cohomogeneity / normal-form classification")

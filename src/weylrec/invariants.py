@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from . import exprlang
+from . import exprlang, thresholds
 from .jets import (
     JetPoly,
     compose_univariate,
@@ -47,6 +47,12 @@ class MobiusPoleError(ValueError):
 
 def _sq(x):
     return x * x
+
+
+def _vanishes(x, *sizes, floor: float = thresholds.SCALE_FLOOR) -> bool:
+    """The singular-stratum test: |x| is at most SINGULAR_STRATUM times the
+    largest of ``floor`` and the moduli of ``sizes``."""
+    return abs(float(x)) <= thresholds.SINGULAR_STRATUM * max(*(abs(float(s)) for s in sizes), floor)
 
 
 def _exactify(values):
@@ -98,10 +104,6 @@ def _discriminant(p: Sequence):
     return 2 * p[1] * p[3] - 3 * _sq(p[2])
 
 
-def _disc_scale(p: Sequence) -> float:
-    return max(abs(float(p[1] * p[3])), float(_sq(p[2])), 1e-300)
-
-
 def _psi_pair(p: Sequence):
     """The two generating rational invariants, evaluated on anything with
     field arithmetic (numbers or jets)."""
@@ -117,8 +119,7 @@ def psi_invariants(jet: PsiJet) -> PsiInvariants:
     2 psi1 psi3 - 3 psi2^2; raises SingularStratumError on the D = 0 stratum."""
     jet.require(5)
     p = _exactify(jet.derivs)
-    disc = _discriminant(p)
-    if abs(float(disc)) <= 1e-10 * _disc_scale(p):
+    if _vanishes(_discriminant(p), p[1] * p[3], _sq(p[2])):
         raise SingularStratumError("discriminant 2 psi1 psi3 - 3 psi2^2 vanishes (homogeneous stratum)")
     first, second, disc = _psi_pair(p)
     return PsiInvariants(first, second, 1 if disc > 0 else -1)
@@ -131,8 +132,7 @@ def derived_invariant(jet: PsiJet) -> object:
     """
     jet.require(6)
     p = _exactify(jet.derivs)
-    disc = _discriminant(p)
-    if abs(float(disc)) <= 1e-10 * _disc_scale(p):
+    if _vanishes(_discriminant(p), p[1] * p[3], _sq(p[2])):
         raise SingularStratumError("discriminant vanishes (homogeneous stratum)")
     lifted = [
         JetPoly(1, 1, (jet.base,), {(0,): p[k], (1,): p[k + 1]}) for k in range(jet.order)
@@ -140,8 +140,7 @@ def derived_invariant(jet: PsiJet) -> object:
     first, second, _ = _psi_pair(lifted)
     dI = first.coefficient((1,))
     dJ = second.coefficient((1,))
-    scale = max(abs(float(first.value)), abs(float(second.value)), 1.0)
-    if abs(float(dI)) <= 1e-10 * scale:
+    if _vanishes(dI, first.value, second.value, floor=1.0):
         raise SingularStratumError("first invariant is constant along the jet (cohomogeneity <= 1 stratum)")
     return dJ / dI
 
@@ -190,7 +189,7 @@ def act_d4(elem: GroupElemD4, jet: PsiJet) -> PsiJet:
     # target map: psi -> (a psi + b) / (c psi + d)
     if (elem.a, elem.b, elem.c, elem.d) != (1.0, 0.0, 0.0, 1.0):
         denom0 = elem.c * float(derivs[0]) + elem.d
-        if abs(denom0) < 1e-12:
+        if abs(denom0) < thresholds.MOBIUS_POLE:
             raise MobiusPoleError(f"target map has a pole at the jet value {derivs[0]}")
         j = jet_from_derivatives(derivs, 0)
         out = (elem.a * j + elem.b) / (elem.c * j + elem.d)
@@ -265,8 +264,7 @@ def pair_invariants(jet: PairJet) -> PairInvariants:
     """Generating invariants of the pair action; the bare factors are read at
     order zero (a0^4, a0^5), which the scaling-invariance test pins down."""
     a, c = _exactify(jet.a), _exactify(jet.c)
-    scale = max(abs(float(a[0])), abs(float(a[1])), 1e-300)
-    if abs(float(a[1])) <= 1e-10 * scale:
+    if _vanishes(a[1], a[0], a[1]):
         raise SingularStratumError("a'(u) vanishes (extra-symmetry stratum)")
     first = (a[0] * c[1] - c[0] * a[1]) * a[0] ** 4 / a[1] ** 4
     second = a[0] * a[2] / _sq(a[1])
@@ -340,8 +338,7 @@ def _surface_partials(jet: JetPoly) -> List:
         raise ValueError("need an order >= 4 jet in (x, u)")
     f = [jet.partial(alpha) for alpha in _SURFACE_PARTIALS]
     fu, fx, fux = f[:3]
-    scale = max(abs(float(fu)), abs(float(fx)), abs(float(fux)), 1e-300)
-    if abs(float(fux)) <= 1e-10 * scale:
+    if _vanishes(fux, fu, fx, fux):
         raise SingularStratumError("mixed derivative F_ux vanishes")
     return f
 
@@ -473,8 +470,6 @@ PSI_CURVE = "psi"
 PAIR_CURVE = "pair"
 SURFACE_CURVE = "surface"
 
-DEGENERACY_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class SignatureCurve:
@@ -507,7 +502,7 @@ class SignatureCurve:
         samples were singular)."""
         if not self.tuples:
             return True
-        return self.diameter <= DEGENERACY_TOL * self.scale
+        return self.diameter <= thresholds.DEGENERACY_TOL * self.scale
 
 
 def _finite(*values) -> bool:
@@ -592,7 +587,9 @@ def _hausdorff(A: Sequence[Tuple[float, ...]], B: Sequence[Tuple[float, ...]]) -
     return max(one_sided(A, B), one_sided(B, A))
 
 
-def equivalence_test(c1: SignatureCurve, c2: SignatureCurve, tol: float = 1e-6) -> EquivalenceVerdict:
+def equivalence_test(
+    c1: SignatureCurve, c2: SignatureCurve, tol: float = thresholds.EQUIVALENCE_TOL
+) -> EquivalenceVerdict:
     """Compare two signature curves as unparametrized subsets of invariant space.
 
     Degenerate (point) curves are never declared Equivalent here; they carry

@@ -12,23 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import exprlang
+from . import exprlang, thresholds
 from .exprlang import Expr
-from .invariants import (
-    SingularStratumError,
-    pair_invariants,
-    pair_jet_from_exprs,
-    psi_invariants,
-    psi_jet_from_expr,
-)
+from .invariants import SignatureCurve, pair_signature_curve, psi_signature_curve
 from .jets import JetPoly, coordinate_jets, derivatives_from_jet
-
-KERNEL_SV_TOL = 1e-9
-PATTERN_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -41,13 +32,13 @@ class SymmetryKernel:
     singular_values: np.ndarray
 
 
-def _kernel_from_rows(rows: np.ndarray, samples: Sequence[float], sv_tol: float = KERNEL_SV_TOL) -> SymmetryKernel:
+def _kernel_from_rows(rows: np.ndarray, samples: Sequence[float]) -> SymmetryKernel:
     n = rows.shape[1]
     _, sv, vt = np.linalg.svd(rows)
     top = float(sv[0]) if sv.size else 0.0
     if top <= 0:
         return SymmetryKernel(tuple(samples), rows, n, np.eye(n), 0.0, sv)
-    rank = int(np.sum(sv > sv_tol * top))
+    rank = int(np.sum(sv > thresholds.KERNEL_SV_TOL * top))
     dim = n - rank
     kernel_rows = vt[rank:] if dim > 0 else np.zeros((0, n))
     smallest = float(sv[rank - 1]) if rank > 0 else 0.0
@@ -83,7 +74,7 @@ def _max_relative_residual(rows: np.ndarray, coeffs: Sequence[float]) -> float:
     worst = 0.0
     for row in rows:
         scale = float(np.linalg.norm(row)) * float(np.linalg.norm(v))
-        worst = max(worst, abs(float(row @ v)) / max(scale, 1e-300))
+        worst = max(worst, abs(float(row @ v)) / max(scale, thresholds.SCALE_FLOOR))
     return worst
 
 
@@ -91,7 +82,6 @@ def psi_symmetry_kernel(
     psi: Union[str, Expr],
     ts: Optional[Sequence[float]] = None,
     interval: Tuple[float, float] = (0.6, 1.8),
-    n_samples: int = 16,
     seed: int = 0,
 ) -> SymmetryKernel:
     """Kernel of the sampled symmetry system for the one-function family.
@@ -101,7 +91,7 @@ def psi_symmetry_kernel(
     contributes the row [psi', 2 t psi', 1, -2 psi, psi^2].
     """
     if ts is None:
-        ts = _default_samples(interval[0], interval[1], n_samples, seed)
+        ts = _default_samples(*interval, thresholds.KERNEL_SAMPLES, seed)
     if len(ts) < 8:
         raise ValueError("need at least 8 sample points for a stable rank decision")
     psi_e = exprlang.as_expr(psi)
@@ -115,20 +105,14 @@ def psi_symmetry_residual(psi: Union[str, Expr], coeffs: Sequence[float], ts: Se
 
 
 def kernel_3d2(
-    a: Union[str, Expr],
-    c: Union[str, Expr],
-    us: Optional[Sequence[float]] = None,
-    interval: Tuple[float, float] = (0.5, 1.5),
-    n_samples: int = 16,
-    seed: int = 0,
+    a: Union[str, Expr], c: Union[str, Expr], interval: Tuple[float, float] = (0.5, 1.5), seed: int = 0
 ) -> SymmetryKernel:
     """Kernel of the sampled symmetry system for the 3D pair family.
 
     Unknowns (A1, A2, A3, A4); each sample point u yields two rows,
         [a', 0, u a' + a,  u a' + 2a]  and  [c', a, u c' + 2c, u c' + c].
     """
-    if us is None:
-        us = _default_samples(interval[0], interval[1], n_samples, seed)
+    us = _default_samples(*interval, thresholds.KERNEL_SAMPLES, seed)
     a_e, c_e = exprlang.as_expr(a), exprlang.as_expr(c)
     return _kernel_from_rows(np.array([row for u in us for row in _pair_rows(a_e, c_e, u)]), us)
 
@@ -166,64 +150,45 @@ def _psi_kind_from_vector(v: np.ndarray) -> Tuple[str, Optional[float]]:
     """
     a1, a2, a3, a4, a5 = (float(x) for x in v)
     disc = a4 * a4 - a3 * a5
-    if abs(a2) <= PATTERN_TOL:
-        if disc > PATTERN_TOL:
+    if abs(a2) <= thresholds.PATTERN_TOL:
+        if disc > thresholds.PATTERN_TOL:
             return "Exp", None
-        if disc < -PATTERN_TOL:
+        if disc < -thresholds.PATTERN_TOL:
             return "Tan", None
         return "Inconsistent", None  # parabolic with a2 = 0 would be the homogeneous case
-    if disc > PATTERN_TOL * (a2 * a2):
+    if disc > thresholds.PATTERN_TOL * (a2 * a2):
         return "Power", math.sqrt(disc) / abs(a2)
-    if disc < -PATTERN_TOL * (a2 * a2):
+    if disc < -thresholds.PATTERN_TOL * (a2 * a2):
         return "TanLog", math.sqrt(-disc) / (2.0 * abs(a2))
     return "Log", -a3 / (2.0 * a2)
 
 
-def _invariant_evidence(
-    invariants_at: Callable[[float], Sequence], interval: Tuple[float, float], kern: SymmetryKernel
-) -> Tuple[Dict[str, object], bool, bool]:
-    """Invariant-constancy evidence on 11 evenly spaced points of the interval:
-    the evidence record, whether the invariants are constant there, and
-    whether every point is singular."""
-    lo, hi = interval
-    probe = [lo + (hi - lo) * k / 10 for k in range(11)]
-    n_singular = 0
-    values = []
-    for x in probe:
-        try:
-            values.append(tuple(float(v) for v in invariants_at(x)))
-        except (SingularStratumError, exprlang.ExprDomainError):
-            n_singular += 1
-    if values:
-        scale = max(1.0, max(abs(v) for tup in values for v in tup))
-        spread = max(max(p[k] for p in values) - min(p[k] for p in values) for k in range(len(values[0])))
-        constant_invariants = spread <= 1e-6 * scale
-    else:
-        spread, constant_invariants = 0.0, True
-    evidence: Dict[str, object] = {
-        "invariant_spread": spread,
-        "singular_samples": n_singular,
+def _evidence(curve: SignatureCurve, kern: SymmetryKernel) -> Dict[str, object]:
+    """The evidence record: the invariant spread over the curve's points, how
+    many of them are singular, and the kernel's singular values."""
+    return {
+        "invariant_spread": curve.diameter,
+        "singular_samples": curve.n_singular,
         "kernel_singular_values": kern.singular_values.tolist(),
     }
-    return evidence, constant_invariants, n_singular == len(probe)
 
 
 def classify_psi(
     psi: Union[str, Expr],
     interval: Tuple[float, float] = (0.6, 1.8),
-    n_samples: int = 16,
     seed: int = 0,
 ) -> ClassificationResult:
     """Cohomogeneity and normal-form kind of a one-function structure.
 
-    Cross-checks the kernel dimension against invariant-constancy evidence;
-    a mismatch is reported as kind "Inconsistent", never silently resolved.
+    Cross-checks the kernel dimension against invariant-constancy evidence,
+    the signature curve on EVIDENCE_POINTS points of the interval (constant
+    invariants: a point curve); a mismatch is reported as kind
+    "Inconsistent", never silently resolved.
     """
-    psi = exprlang.as_expr(psi)  # parsed once for the kernel and the 11 evidence points
-    kern = psi_symmetry_kernel(psi, interval=interval, n_samples=n_samples, seed=seed)
-    evidence, constant_invariants, all_singular = _invariant_evidence(
-        lambda t: psi_invariants(psi_jet_from_expr(psi, t, order=5))[:2], interval, kern
-    )
+    psi = exprlang.as_expr(psi)  # parsed once for the kernel and the evidence curve
+    kern = psi_symmetry_kernel(psi, interval=interval, seed=seed)
+    curve = psi_signature_curve(psi, *interval, thresholds.EVIDENCE_POINTS)
+    evidence, all_singular = _evidence(curve, kern), not curve.tuples
 
     cohom = 2 - kern.dim
     if kern.dim == 2:
@@ -231,10 +196,10 @@ def classify_psi(
         consistent = all_singular
     elif kern.dim == 1:
         kind, parameter = _psi_kind_from_vector(kern.basis[0])
-        consistent = kind != "Inconsistent" and constant_invariants and not all_singular
+        consistent = kind != "Inconsistent" and curve.degenerate and not all_singular
     elif kern.dim == 0:
         kind, parameter = "Generic", None
-        consistent = not constant_invariants and not all_singular
+        consistent = not curve.degenerate and not all_singular
     else:
         kind, parameter, consistent = "Inconsistent", None, False
     if not consistent:
@@ -251,22 +216,19 @@ def classify_3d2(
     a: Union[str, Expr],
     c: Union[str, Expr],
     interval: Tuple[float, float] = (0.5, 1.5),
-    n_samples: int = 16,
     seed: int = 0,
 ) -> ClassificationResult:
     """Cohomogeneity (= 3 - kernel dim: the pair family has no automatic
-    symmetries) and symmetry count for the 3D holonomy-2 family."""
+    symmetries) and symmetry count for the 3D holonomy-2 family, cross-checked
+    against the pair signature curve as in :func:`classify_psi`."""
     a, c = exprlang.as_expr(a), exprlang.as_expr(c)
-    kern = kernel_3d2(a, c, interval=interval, n_samples=n_samples, seed=seed)
-    evidence, constant_invariants, _ = _invariant_evidence(
-        lambda u: pair_invariants(pair_jet_from_exprs(a, c, u, order=2)), interval, kern
-    )
+    kern = kernel_3d2(a, c, interval=interval, seed=seed)
+    curve = pair_signature_curve(a, c, *interval, thresholds.EVIDENCE_POINTS)
     kind = _3D2_KINDS.get(kern.dim, "Inconsistent")
-    consistent = (kern.dim == 0) == (not constant_invariants) and kind != "Inconsistent"
-    cohom = 3 - kern.dim
-    if not consistent:
-        return ClassificationResult(cohom, "Inconsistent", None, kern, False, evidence)
-    return ClassificationResult(cohom, kind, None, kern, True, evidence)
+    consistent = (kern.dim == 0) == (not curve.degenerate) and kind != "Inconsistent"
+    return ClassificationResult(
+        3 - kern.dim, kind if consistent else "Inconsistent", None, kern, consistent, _evidence(curve, kern)
+    )
 
 
 def symmetry_residual_3d1(

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import exprlang
+from . import exprlang, thresholds
 from .exprlang import Expr, eval_jet, eval_number
 from .jets import JetPoly, JetShapeError, coordinate_jets
 
@@ -190,10 +190,10 @@ def _first_partials(jets) -> np.ndarray:
 
 def check_signature(gv: np.ndarray, point: Sequence) -> np.ndarray:
     """Check that metric values ``gv`` at ``point`` are Lorentzian (one negative
-    eigenvalue); returns gv.  Singular means min |eigenvalue| <= 1e-12 max
-    |eigenvalue|: a unit-free test."""
+    eigenvalue); returns gv.  Singular means min |eigenvalue| <= METRIC_SINGULAR
+    max |eigenvalue|: a unit-free test."""
     eig = np.linalg.eigvalsh(gv)
-    if np.min(np.abs(eig)) <= 1e-12 * np.max(np.abs(eig)):
+    if np.min(np.abs(eig)) <= thresholds.METRIC_SINGULAR * np.max(np.abs(eig)):
         raise SingularMetricError(f"metric is singular at {tuple(point)}")
     negatives = int(np.sum(eig < 0))
     if negatives != 1:
@@ -203,11 +203,11 @@ def check_signature(gv: np.ndarray, point: Sequence) -> np.ndarray:
 
 def _invert_jet_matrix(g: List[List[JetPoly]]) -> List[List[JetPoly]]:
     """Invert a matrix of jets by Gauss-Jordan with constant-term pivoting; a
-    pivot at most 1e-14 of the largest entry's value means it is singular."""
+    pivot at most PIVOT_SINGULAR of the largest entry's value means it is singular."""
     d = len(g)
     zero = g[0][0].like_constant(0)
     one = g[0][0].like_constant(1)
-    cut = 1e-14 * float(np.max(np.abs(_values(g))))
+    cut = thresholds.PIVOT_SINGULAR * float(np.max(np.abs(_values(g))))
     aug = [[g[i][j] for j in range(d)] + [one if i == j else zero for j in range(d)] for i in range(d)]
     for col in range(d):
         pivot_row = max(range(col, d), key=lambda r: abs(float(aug[r][col].value)))
@@ -291,13 +291,13 @@ class Connection:
         resid = nabla_g + 2.0 * np.einsum("e,ab->eab", w, gv)
         return float(np.max(np.abs(resid)) / max(1.0, np.max(np.abs(gv))))
 
-    def recurrence(self, tol: float = 1e-8) -> RecurrenceReport:
+    def recurrence(self, tol: float = thresholds.RECURRENCE_TOL) -> RecurrenceReport:
         """See :func:`recurrence_theta` (needs depth >= 2)."""
         d = self.dim
         conn_R = self.curvature
         r = conn_R.ravel()
         rnorm = float(np.sqrt(r @ r))
-        if rnorm < 1e-13:
+        if rnorm < thresholds.NO_CURVATURE:
             return RecurrenceReport("no_curvature", False, None, 0.0, None, None, False)
         nr = self.nabla_R
         theta = np.array([float(nr[e].ravel() @ r) / (rnorm**2) for e in range(d)])
@@ -306,12 +306,12 @@ class Connection:
             diff = nr[e] - theta[e] * conn_R
             dn = float(np.sqrt(np.sum(nr[e] ** 2)))
             resid = float(np.sqrt(np.sum(diff**2)))
-            if dn > 1e-8:
+            if dn > thresholds.RELATIVE_RESIDUAL_SWITCH:
                 resid /= dn
             max_resid = max(max_resid, resid)
         w = self.one_form_values
         wnorm = float(np.sqrt(w @ w))
-        if wnorm > 1e-10:
+        if wnorm > thresholds.ONE_FORM_VANISHES:
             weight = -float(theta @ w) / (wnorm**2)
             weight_residual = float(np.sqrt(np.sum((theta + weight * w) ** 2)))
             closed = False
@@ -319,7 +319,7 @@ class Connection:
             weight, weight_residual, closed = None, None, True
         return RecurrenceReport("ok", bool(max_resid <= tol), theta, max_resid, weight, weight_residual, closed)
 
-    def holonomy(self, rank_tol: float = 1e-7) -> HolonomyReport:
+    def holonomy(self) -> HolonomyReport:
         """See :func:`holonomy_span_dim`."""
         R = self.curvature
         d = self.dim
@@ -329,8 +329,8 @@ class Connection:
         top = sv[0] if sv.size else 0.0
         if top <= 0:
             return HolonomyReport(0, sv, None)
-        rank = int(np.sum(sv > rank_tol * top))
-        return HolonomyReport(rank, sv, _common_eigendirection(self.metric_values, R, rank_tol))
+        rank = int(np.sum(sv > thresholds.HOLONOMY_RANK_TOL * top))
+        return HolonomyReport(rank, sv, _common_eigendirection(self.metric_values, R))
 
     def conformal_weyl(self) -> PointTensor:
         """See :func:`conformal_weyl_tensor`."""
@@ -558,12 +558,12 @@ class RecurrenceReport:
 
 
 def recurrence_theta(
-    structure: WeylStructure, point: Sequence, tol: float = 1e-8, jet_order: int = 3
+    structure: WeylStructure, point: Sequence, tol: float = thresholds.RECURRENCE_TOL, jet_order: int = 3
 ) -> RecurrenceReport:
     """Fit theta with nabla_e R = theta_e R and test the recurrence identity.
 
     theta_e is the Frobenius projection <nabla_e R, R> / <R, R>; the residual
-    for each e is relative when |nabla_e R| > 1e-8, absolute otherwise.  The
+    for each e is relative when |nabla_e R| > RELATIVE_RESIDUAL_SWITCH, absolute otherwise.  The
     weight w is the least-squares solution of theta = -w * omega, reported
     only when the 1-form does not vanish at the point.  ``jet_order`` is the
     metric truncation order (>= 3); results are truncation-independent, so
@@ -581,16 +581,16 @@ class HolonomyReport:
     null_direction: Optional[np.ndarray]  # common curvature eigenvector, annotation only
 
 
-def holonomy_span_dim(structure: WeylStructure, point: Sequence, rank_tol: float = 1e-7) -> HolonomyReport:
+def holonomy_span_dim(structure: WeylStructure, point: Sequence) -> HolonomyReport:
     """Numerical rank of span{R(e_a, e_b)} inside End(T_pM) (Ambrose-Singer span)."""
-    return weyl_connection(structure, point, 1).holonomy(rank_tol)
+    return weyl_connection(structure, point, 1).holonomy()
 
 
-def _common_eigendirection(gv: np.ndarray, R: np.ndarray, tol: float) -> Optional[np.ndarray]:
+def _common_eigendirection(gv: np.ndarray, R: np.ndarray) -> Optional[np.ndarray]:
     """Best-effort search for the parallel null direction (report annotation)."""
     d = R.shape[0]
     mats = [R[:, :, a, b] for a in range(d) for b in range(a + 1, d)]
-    mats = [m for m in mats if np.max(np.abs(m)) > tol]
+    mats = [m for m in mats if np.max(np.abs(m)) > thresholds.NULL_SEARCH_MATRIX]
     if not mats:
         return None
     rng = np.random.default_rng(0)
@@ -601,16 +601,16 @@ def _common_eigendirection(gv: np.ndarray, R: np.ndarray, tol: float) -> Optiona
         return None
     scale = max(np.max(np.abs(m)) for m in mats)
     for k in range(d):
-        if abs(vals[k].imag) > 1e-9:
+        if abs(vals[k].imag) > thresholds.EIGENVALUE_IMAG:
             continue
         v = np.real(vecs[:, k])
         vn = np.linalg.norm(v)
-        if vn < 1e-12:
+        if vn < thresholds.EIGENVECTOR_NORM:
             continue
         v = v / vn
-        if abs(v @ gv @ v) > 1e-6:
+        if abs(v @ gv @ v) > thresholds.NULL_DIRECTION:
             continue
-        if all(np.linalg.norm(m @ v - ((v @ m @ v)) * v) <= 1e-6 * max(1.0, np.max(np.abs(m))) for m in mats):
+        if all(np.linalg.norm(m @ v - (v @ m @ v) * v) <= thresholds.COMMON_EIGENVECTOR * max(1.0, np.max(np.abs(m))) for m in mats):
             return v
     return None
 

@@ -142,6 +142,16 @@ REJECTED = [
         lambda: make_3d_case1("x*u", constraints=("x-u",)),
         "no probe point satisfies the constraints",
     ),
+    (
+        "box coordinate not in the chart",
+        lambda: make_3d_case1("x*u", box={"zz": (0.0, 1.0)}),
+        "box names 'zz', not a coordinate of the chart ('v', 'x', 'u')",
+    ),
+    (
+        "box coordinates not in the chart, sorted",
+        lambda: make_dim_ge4("t", 2, box={"x9": (0.0, 1.0), "u": (0.3, 0.9), "w": (0.0, 1.0)}),
+        "box names 'w', 'x9', not a coordinate of the chart ('t', 'v', 'x1', 'u')",
+    ),
 ]
 
 

@@ -518,6 +518,37 @@ class TestInputErrorText:
         assert run(capsys, "classify", path) == (2, "", want)
 
 
+class TestWholeBoxCurveRange:
+    """A threed_case1 signature samples the whole (x, u) box, so a --range or
+    --range2 on such a file is an input error, not a flag silently ignored."""
+
+    @pytest.fixture
+    def xu_file(self, tmp_path, capsys):
+        path = str(tmp_path / "xu.json")
+        assert run(capsys, "catalog", "emit", "3d1-xu", path)[0] == 0
+        return path
+
+    def test_signature_range(self, xu_file, capsys):
+        want = "error: --range does not apply to family 'threed_case1': its curve samples the whole box\n"
+        assert run(capsys, "signature", xu_file, "--range", "5:9", "--samples", "4") == (2, "", want)
+
+    def test_equiv_range_and_range2(self, xu_file, capsys):
+        for flag in ("--range", "--range2"):
+            want = f"error: {flag} does not apply to family 'threed_case1': its curve samples the whole box\n"
+            assert run(capsys, "equiv", xu_file, xu_file, flag, "0:1", "--samples", "4") == (2, "", want)
+
+
+def test_box_coordinate_the_chart_lacks_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "xu.json"
+    assert run(capsys, "catalog", "emit", "3d1-xu", str(path))[0] == 0
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["box"]["zz"] = [0, 1]
+    write_json(path, data)
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: box names 'zz', not a coordinate of the chart ('v', 'x', 'u')\n"
+
+
 @pytest.fixture(scope="module")
 def entries():
     return standard_catalog()
