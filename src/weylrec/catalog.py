@@ -87,6 +87,14 @@ def _halton(index: int, prime: int) -> float:
     return out
 
 
+def _halton_start(seed: int, stride: int) -> int:
+    """Index of the first point of a seeded sequence.  A seed is >= 0: below
+    -1 the index would be non-positive, where ``_halton`` is 0.0 throughout."""
+    if seed < 0:
+        raise CatalogError(f"seed must be >= 0, got {seed}")
+    return 1 + stride * (seed + 1)
+
+
 def sample_box(chart: Chart, box: Box, count: int, seed: int = 0) -> List[Tuple[float, ...]]:
     """Deterministic low-discrepancy points in the box, filtered by the chart constraints."""
     missing = [n for n in chart.names if n not in box]
@@ -94,7 +102,7 @@ def sample_box(chart: Chart, box: Box, count: int, seed: int = 0) -> List[Tuple[
         raise CatalogError(f"sampling box missing coordinates {missing}")
     primes = _first_primes(len(chart.names))
     points: List[Tuple[float, ...]] = []
-    index = start = 1 + 1009 * (seed + 1)
+    index = start = _halton_start(seed, 1009)
     while len(points) < count:
         if index - start >= 100 * count + 1000:
             raise CatalogError("sampling box is incompatible with the chart constraints")

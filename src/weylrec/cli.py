@@ -199,13 +199,15 @@ def _is_finite_number(x) -> bool:
 
 
 def _check_field_types(data: Dict, path: str) -> None:
-    """Integer fields hold JSON integers, with n + 2 <= MAX_DIMENSION (checked
-    before any construction), constraints a list of expression strings; each
-    box range is [lo, hi] with finite lo < hi."""
+    """Integer fields hold JSON integers, with seed >= 0 and n + 2 <=
+    MAX_DIMENSION (checked before any construction), constraints a list of
+    expression strings; each box range is [lo, hi] with finite lo < hi."""
     for name in ("seed", "n", "branch"):
         value = data.get(name, 0)
         if isinstance(value, bool) or not isinstance(value, int):
             raise InputError(f"{path}: field {name!r} must be an integer, got {value!r}")
+    if data.get("seed", 0) < 0:
+        raise InputError(f"{path}: field 'seed' must be >= 0, got {data['seed']}")
     if data.get("n", 0) + 2 > MAX_DIMENSION:
         raise InputError(f"{path}: field 'n' = {data['n']} asks for dimension n + 2 above the supported {MAX_DIMENSION}")
     constraints = data.get("constraints", [])
@@ -393,7 +395,7 @@ def cmd_verify(args) -> int:
     if args.order < 3:
         raise InputError("--order must be >= 3 (curvature checks need third metric derivatives)")
     entry = load_structure_file(args.file)
-    seed = _seed(args)
+    seed = entry.seed if args.seed is None else args.seed
     checks, ok = _verify_checks(entry, args.tol, args.samples, seed, args.order)
     report = {
         **_REPORT_HEAD,
@@ -447,9 +449,13 @@ def _parse_range(text: str, flag: str = "--range") -> Tuple[float, float]:
 
 def _check_numeric_flags(args) -> None:
     """The numeric-flag contract, checked before any file is read: --samples
-    >= 1, a finite --tol > 0, and finite LO < HI in --range and --range2."""
+    >= 1, --seed >= 0, a finite --tol > 0, and finite LO < HI in --range and
+    --range2."""
     if getattr(args, "samples", 1) < 1:
         raise InputError("--samples must be >= 1")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise InputError(f"--seed must be >= 0, got {seed}")
     tol = getattr(args, "tol", 1.0)
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"--tol must be a finite number > 0, got {tol!r}")
@@ -542,16 +548,6 @@ def cmd_classify(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _seed(args) -> int:
-    env = os.environ.get("WEYL_SEED")
-    if env is None:
-        return args.seed
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise InputError(f"WEYL_SEED must be an integer, got {env!r}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="weylrec", description=__doc__)
     p.add_argument("--version", action="version", version=f"weylrec {__version__}")
@@ -568,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("file")
     pv.add_argument("--tol", type=float, default=thresholds.RECURRENCE_TOL, help="recurrence tolerance")
     pv.add_argument("--samples", type=int, default=20, help="sample-point count")
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=int, default=None, help="sampling seed (default: the file's seed)")
     pv.add_argument("--order", type=int, default=3, help="metric jet order for the curvature checks (>= 3)")
     pv.add_argument("--json", default=None, help="write the report here instead of stdout")
     pv.add_argument("--timing", action="store_true", help="include wall time in the JSON report")

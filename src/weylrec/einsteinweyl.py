@@ -24,7 +24,7 @@ def ricci_sym(structure: WeylStructure, point: Sequence) -> PointTensor:
     Ric_{cb} = R^a_{cab}; the Weyl connection's Ricci tensor is not symmetric
     in general, so the symmetric part is taken explicitly.
     """
-    return PointTensor(structure.chart, tuple(point), ("d", "d"), _ricci_sym(weyl_connection(structure, point, 1)))
+    return PointTensor(_ricci_sym(weyl_connection(structure, point, 1)))
 
 
 def _ricci_sym(conn: Connection) -> np.ndarray:
@@ -34,7 +34,6 @@ def _ricci_sym(conn: Connection) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EWReport:
-    ric_sym: np.ndarray
     lam: float  # best-fit proportionality factor against the metric
     residual: float  # Frobenius norm of Ric_sym - lam * g
     dkp_residual: Optional[float]  # second-order potential residual (3D holonomy-2 inputs)
@@ -82,4 +81,4 @@ def ew_report(structure: WeylStructure, conn: Connection) -> EWReport:
             dkp = dkp_residual(H_expr, conn.point)
         else:
             dkp = 0.0
-    return EWReport(ric_sym=ric, lam=lam, residual=residual, dkp_residual=dkp)
+    return EWReport(lam=lam, residual=residual, dkp_residual=dkp)

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .jets import JetDomainError, JetPoly, UNARY_FUNCTIONS, jet_pow
 
@@ -250,12 +250,9 @@ def as_expr(value: Union[str, Expr, int, Fraction]) -> Expr:
 # ----------------------------------------------------------------------
 
 
-def eval_jet(expr: Union[str, Expr], env: Dict[str, JetPoly], order: Optional[int] = None) -> JetPoly:
-    """Evaluate ``expr`` on a jet environment.
-
-    All environment jets must share (nvars, order, base point); ``order``
-    truncates the evaluation below the environment's order when given.
-    """
+def eval_jet(expr: Union[str, Expr], env: Dict[str, JetPoly]) -> JetPoly:
+    """Evaluate ``expr`` on a jet environment, whose jets must all share
+    (nvars, order, base point)."""
     expr = as_expr(expr)
     if not env:
         raise ValueError("eval_jet requires a non-empty environment")
@@ -264,13 +261,6 @@ def eval_jet(expr: Union[str, Expr], env: Dict[str, JetPoly], order: Optional[in
     for j in jets[1:]:
         if (j.nvars, j.order, j.base) != (first.nvars, first.order, first.base):
             raise JetDomainError("environment jets disagree in shape (truncation-order mismatch)")
-    if order is None:
-        order = first.order
-    if order > first.order:
-        raise JetDomainError(f"requested order {order} exceeds environment order {first.order}")
-    if order < first.order:
-        env = {k: v.truncated(order) for k, v in env.items()}
-        first = next(iter(env.values()))
     return _eval(expr, env, first)
 
 
@@ -326,7 +316,7 @@ def eval_number(expr: Union[str, Expr], env: Dict[str, object]):
     jet_env = {k: JetPoly.constant(v, 1, 0, (0,)) for k, v in env.items()}
     if not jet_env:
         jet_env = {"_": JetPoly.constant(0, 1, 0, (0,))}
-    return eval_jet(expr, jet_env, order=0).value
+    return eval_jet(expr, jet_env).value
 
 
 def variables_of(expr: Union[str, Expr]) -> Tuple[str, ...]:

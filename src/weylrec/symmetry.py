@@ -12,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import exprlang, thresholds
+from .catalog import _halton, _halton_start
 from .exprlang import Expr
 from .invariants import SignatureCurve, pair_signature_curve, psi_signature_curve
 from .jets import JetPoly, coordinate_jets, derivatives_from_jet
@@ -24,48 +25,48 @@ from .jets import JetPoly, coordinate_jets, derivatives_from_jet
 
 @dataclass(frozen=True)
 class SymmetryKernel:
-    samples: Tuple[float, ...]
-    rows: np.ndarray
     dim: int
     basis: np.ndarray  # shape (dim, n_unknowns), unit rows
-    smallest_nonzero_sv: float
     singular_values: np.ndarray
 
 
-def _kernel_from_rows(rows: np.ndarray, samples: Sequence[float]) -> SymmetryKernel:
+def _kernel_from_rows(rows: np.ndarray) -> SymmetryKernel:
     n = rows.shape[1]
     _, sv, vt = np.linalg.svd(rows)
     top = float(sv[0]) if sv.size else 0.0
     if top <= 0:
-        return SymmetryKernel(tuple(samples), rows, n, np.eye(n), 0.0, sv)
+        return SymmetryKernel(n, np.eye(n), sv)
     rank = int(np.sum(sv > thresholds.KERNEL_SV_TOL * top))
-    dim = n - rank
-    kernel_rows = vt[rank:] if dim > 0 else np.zeros((0, n))
-    smallest = float(sv[rank - 1]) if rank > 0 else 0.0
-    return SymmetryKernel(tuple(samples), rows, dim, kernel_rows, smallest, sv)
+    return SymmetryKernel(n - rank, vt[rank:], sv)
 
 
 def _default_samples(lo: float, hi: float, count: int, seed: int) -> List[float]:
     # low-discrepancy placement, seedable (same radical-inverse scheme as the catalog)
-    from .catalog import _halton
-
-    start = 1 + 911 * (seed + 1)
+    start = _halton_start(seed, 911)
     return [lo + (hi - lo) * _halton(start + k, 2) for k in range(count)]
 
 
-def _psi_row(psi_e: Expr, t: float) -> List[float]:
-    """The symmetry-system row [psi', 2 t psi', 1, -2 psi, psi^2] at t."""
+def _psi_rows(t: float, psi_e: Expr) -> List[List[float]]:
+    """The one symmetry-system row [psi', 2 t psi', 1, -2 psi, psi^2] at t."""
     jet = exprlang.eval_jet(psi_e, coordinate_jets(("t",), (t,), 1))
     p0, p1 = (float(x) for x in derivatives_from_jet(jet))
-    return [p1, 2.0 * t * p1, 1.0, -2.0 * p0, p0**2]
+    return [[p1, 2.0 * t * p1, 1.0, -2.0 * p0, p0**2]]
 
 
-def _pair_rows(a_e: Expr, c_e: Expr, u: float) -> List[List[float]]:
+def _pair_rows(u: float, a_e: Expr, c_e: Expr) -> List[List[float]]:
     """The two symmetry-system rows of the pair family at u."""
     env = coordinate_jets(("u",), (u,), 1)
     a0, a1 = (float(x) for x in derivatives_from_jet(exprlang.eval_jet(a_e, env)))
     c0, c1 = (float(x) for x in derivatives_from_jet(exprlang.eval_jet(c_e, env)))
     return [[a1, 0.0, u * a1 + a0, u * a1 + 2.0 * a0], [c1, a0, u * c1 + 2.0 * c0, u * c1 + c0]]
+
+
+def _system(
+    rows_at: Callable[..., List[List[float]]], exprs: Sequence[Union[str, Expr]], points: Sequence[float]
+) -> np.ndarray:
+    """The sampled symmetry system: ``rows_at(p, *exprs)`` stacked over the points."""
+    exprs = [exprlang.as_expr(e) for e in exprs]
+    return np.array([row for p in points for row in rows_at(p, *exprs)])
 
 
 def _max_relative_residual(rows: np.ndarray, coeffs: Sequence[float]) -> float:
@@ -79,10 +80,7 @@ def _max_relative_residual(rows: np.ndarray, coeffs: Sequence[float]) -> float:
 
 
 def psi_symmetry_kernel(
-    psi: Union[str, Expr],
-    ts: Optional[Sequence[float]] = None,
-    interval: Tuple[float, float] = (0.6, 1.8),
-    seed: int = 0,
+    psi: Union[str, Expr], interval: Tuple[float, float] = (0.6, 1.8), seed: int = 0
 ) -> SymmetryKernel:
     """Kernel of the sampled symmetry system for the one-function family.
 
@@ -90,18 +88,12 @@ def psi_symmetry_kernel(
     (a1 + 2 t a2) psi' + a5 psi^2 - 2 a4 psi + a3 = 0; each sample point
     contributes the row [psi', 2 t psi', 1, -2 psi, psi^2].
     """
-    if ts is None:
-        ts = _default_samples(*interval, thresholds.KERNEL_SAMPLES, seed)
-    if len(ts) < 8:
-        raise ValueError("need at least 8 sample points for a stable rank decision")
-    psi_e = exprlang.as_expr(psi)
-    return _kernel_from_rows(np.array([_psi_row(psi_e, t) for t in ts]), ts)
+    return _kernel_from_rows(_system(_psi_rows, [psi], _default_samples(*interval, thresholds.KERNEL_SAMPLES, seed)))
 
 
 def psi_symmetry_residual(psi: Union[str, Expr], coeffs: Sequence[float], ts: Sequence[float]) -> float:
     """Max relative residual of the symmetry ODE at fresh sample points."""
-    psi_e = exprlang.as_expr(psi)
-    return _max_relative_residual(np.array([_psi_row(psi_e, t) for t in ts]), coeffs)
+    return _max_relative_residual(_system(_psi_rows, [psi], ts), coeffs)
 
 
 def kernel_3d2(
@@ -112,14 +104,11 @@ def kernel_3d2(
     Unknowns (A1, A2, A3, A4); each sample point u yields two rows,
         [a', 0, u a' + a,  u a' + 2a]  and  [c', a, u c' + 2c, u c' + c].
     """
-    us = _default_samples(*interval, thresholds.KERNEL_SAMPLES, seed)
-    a_e, c_e = exprlang.as_expr(a), exprlang.as_expr(c)
-    return _kernel_from_rows(np.array([row for u in us for row in _pair_rows(a_e, c_e, u)]), us)
+    return _kernel_from_rows(_system(_pair_rows, [a, c], _default_samples(*interval, thresholds.KERNEL_SAMPLES, seed)))
 
 
 def kernel_3d2_residual(a, c, coeffs: Sequence[float], us: Sequence[float]) -> float:
-    a_e, c_e = exprlang.as_expr(a), exprlang.as_expr(c)
-    return _max_relative_residual(np.array([row for u in us for row in _pair_rows(a_e, c_e, u)]), coeffs)
+    return _max_relative_residual(_system(_pair_rows, [a, c], us), coeffs)
 
 
 # ----------------------------------------------------------------------
@@ -163,14 +152,10 @@ def _psi_kind_from_vector(v: np.ndarray) -> Tuple[str, Optional[float]]:
     return "Log", -a3 / (2.0 * a2)
 
 
-def _evidence(curve: SignatureCurve, kern: SymmetryKernel) -> Dict[str, object]:
-    """The evidence record: the invariant spread over the curve's points, how
-    many of them are singular, and the kernel's singular values."""
-    return {
-        "invariant_spread": curve.diameter,
-        "singular_samples": curve.n_singular,
-        "kernel_singular_values": kern.singular_values.tolist(),
-    }
+def _evidence(curve: SignatureCurve) -> Dict[str, object]:
+    """The evidence record: the invariant spread over the curve's points and
+    how many of them are singular."""
+    return {"invariant_spread": curve.diameter, "singular_samples": curve.n_singular}
 
 
 def classify_psi(
@@ -188,7 +173,7 @@ def classify_psi(
     psi = exprlang.as_expr(psi)  # parsed once for the kernel and the evidence curve
     kern = psi_symmetry_kernel(psi, interval=interval, seed=seed)
     curve = psi_signature_curve(psi, *interval, thresholds.EVIDENCE_POINTS)
-    evidence, all_singular = _evidence(curve, kern), not curve.tuples
+    evidence, all_singular = _evidence(curve), not curve.tuples
 
     cohom = 2 - kern.dim
     if kern.dim == 2:
@@ -227,7 +212,7 @@ def classify_3d2(
     kind = _3D2_KINDS.get(kern.dim, "Inconsistent")
     consistent = (kern.dim == 0) == (not curve.degenerate) and kind != "Inconsistent"
     return ClassificationResult(
-        3 - kern.dim, kind if consistent else "Inconsistent", None, kern, consistent, _evidence(curve, kern)
+        3 - kern.dim, kind if consistent else "Inconsistent", None, kern, consistent, _evidence(curve)
     )
 
 

@@ -352,7 +352,7 @@ class Connection:
             - np.einsum("bc,ad->abcd", gv, ric)
         ) / (d - 2)
         C += scal * (np.einsum("ac,bd->abcd", gv, gv) - np.einsum("ad,bc->abcd", gv, gv)) / ((d - 1) * (d - 2))
-        return PointTensor(self.chart, self.point, ("d", "d", "d", "d"), C)
+        return PointTensor(C)
 
 
 def levi_civita(structure: WeylStructure, point: Sequence, depth: int = 1) -> Connection:
@@ -459,11 +459,9 @@ def _christoffel_from(
 
 @dataclass(frozen=True, eq=False)
 class PointTensor:
-    """Dense tensor components at a point with index variance labels."""
+    """Dense tensor components at a point, indices placed as the function
+    that returns it documents."""
 
-    chart: Chart
-    point: Tuple
-    variances: Tuple[str, ...]  # 'u' (contravariant) / 'd' (covariant)
     array: np.ndarray
 
     def norm(self) -> float:
@@ -512,12 +510,12 @@ def _curvature_jets(conn: Connection) -> List[List[List[List[JetPoly]]]]:
 
 def curvature(structure: WeylStructure, point: Sequence) -> PointTensor:
     """Curvature of the Weyl connection as R^d_{cab} (see module docstring)."""
-    return PointTensor(structure.chart, tuple(point), ("u", "d", "d", "d"), weyl_connection(structure, point, 1).curvature)
+    return PointTensor(weyl_connection(structure, point, 1).curvature)
 
 
 def nabla_R(structure: WeylStructure, point: Sequence) -> PointTensor:
     """Covariant derivative (nabla_e R)^d_{cab} of the (1,3) curvature tensor."""
-    return PointTensor(structure.chart, tuple(point), ("d", "u", "d", "d", "d"), weyl_connection(structure, point, 2).nabla_R)
+    return PointTensor(weyl_connection(structure, point, 2).nabla_R)
 
 
 def _nabla_R_from(conn: Connection, Rjets, R: np.ndarray) -> np.ndarray:

@@ -129,13 +129,6 @@ class TestVerifyCommand:
         code2, out2, _ = run(capsys, "verify", exp_file, "--samples", "4")
         assert (code1, out1) == (code2, out2)
 
-    def test_seed_env_override(self, exp_file, capsys, monkeypatch):
-        _, out_default, _ = run(capsys, "verify", exp_file, "--samples", "4")
-        monkeypatch.setenv("WEYL_SEED", "5")
-        _, out_env, _ = run(capsys, "verify", exp_file, "--samples", "4")
-        assert json.loads(out_env)["seed"] == 5
-        assert json.loads(out_default)["seed"] == 0
-
     def test_einstein_weyl_entry_report(self, tmp_path, capsys):
         code, _, _ = run(capsys, "catalog", "emit", "3d2-inv-u", str(tmp_path / "ew.json"))
         assert code == 0
@@ -312,15 +305,8 @@ class TestConstructorErrorsSurface:
 
 
 class TestInputContract:
-    """Bad values from the environment or the command line end in an
+    """Bad values in a structure file or on the command line end in an
     ``error:`` line and exit 2, never a traceback."""
-
-    @pytest.mark.parametrize("value", ["abc", "", "1.5"])
-    def test_bad_seed_env_exits_2(self, exp_file, capsys, monkeypatch, value):
-        monkeypatch.setenv("WEYL_SEED", value)
-        code, out, err = run(capsys, "verify", exp_file, "--samples", "2")
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "WEYL_SEED" in err
 
     @pytest.mark.parametrize("at", ["abc", "", "1,,2", "1.0,x"])
     def test_bad_at_exits_2(self, exp_file, capsys, at):
@@ -465,6 +451,36 @@ class TestNumericFlagContract:
         code, out, err = run(capsys, *[path if a == "@" else a for a in argv])
         assert code == 2 and out == ""
         assert err.startswith("error:") and "positive derivative" in err and "t = 0.1" in err
+
+
+class TestSeedRule:
+    """The sampling seed is the structure file's ``seed``, which ``verify
+    --seed`` overrides; both must be >= 0."""
+
+    @staticmethod
+    def emit_with_seed(tmp_path, capsys, seed):
+        path = tmp_path / f"seed{seed}.json"
+        assert run(capsys, "catalog", "emit", "dim4-psi-exp", str(path))[0] == 0
+        return write_json(path, {**json.loads(path.read_text(encoding="utf-8")), "seed": seed})
+
+    @pytest.mark.parametrize("verb", ["verify", "classify"])
+    def test_negative_file_seed_exits_2(self, tmp_path, capsys, verb):
+        code, out, err = run(capsys, verb, self.emit_with_seed(tmp_path, capsys, -5))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith("error:") and "'seed'" in err
+
+    def test_negative_seed_flag_exits_2_before_the_file_is_read(self, tmp_path, capsys):
+        code, out, err = run(capsys, "verify", str(tmp_path / "missing.json"), "--seed", "-2")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--seed" in err
+
+    def test_file_seed_is_the_default_and_the_flag_overrides_it(self, tmp_path, capsys):
+        path = self.emit_with_seed(tmp_path, capsys, 3)
+        _, from_file, _ = run(capsys, "verify", path, "--samples", "4")
+        _, from_flag, _ = run(capsys, "verify", path, "--samples", "4", "--seed", "3")
+        _, overridden, _ = run(capsys, "verify", path, "--samples", "4", "--seed", "1")
+        assert from_file == from_flag and json.loads(from_file)["seed"] == 3
+        assert json.loads(overridden)["seed"] == 1
 
 
 class TestNegativeRangeStart:

@@ -120,17 +120,6 @@ class TestEvalJet:
         assert j.value == pytest.approx(4.0)
         assert float(j.coefficient((1,))) == pytest.approx(4.0 * (math.log(2.0) + 1.0))
 
-    def test_order_truncation_argument(self):
-        full = eval_jet("exp(t)*sin(t)", jet_t(0.3, 5))
-        trunc = eval_jet("exp(t)*sin(t)", jet_t(0.3, 5), order=3)
-        assert trunc.order == 3
-        for k in range(4):
-            assert trunc.coefficient((k,)) == pytest.approx(full.coefficient((k,)))
-
-    def test_order_above_env_rejected(self):
-        with pytest.raises(Exception, match="order"):
-            eval_jet("t", jet_t(0.0, 2), order=5)
-
 
 @given(
     coeffs=st.lists(st.integers(-4, 4), min_size=6, max_size=6),

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from weylrec.catalog import killing_fields, symmetric_psi_family
+from weylrec.catalog import killing_fields, sample_box, symmetric_psi_family
 from weylrec.invariants import GroupElem3D2, GroupElemD4, act_3d2, pair_jet_from_exprs
 from weylrec.symmetry import (
     bracket_closure,
@@ -19,6 +19,7 @@ from weylrec.symmetry import (
     psi_symmetry_residual,
     symmetry_residual_3d1,
 )
+from weylrec.tensor import Chart
 
 
 def span_residual(basis: np.ndarray, target) -> float:
@@ -69,9 +70,21 @@ class TestPsiKernel:
             for vec in k.basis:
                 assert psi_symmetry_residual(psi, vec, fresh) <= 1e-7
 
-    def test_minimum_sample_count(self):
-        with pytest.raises(ValueError, match="at least 8"):
-            psi_symmetry_kernel("t", ts=[0.5, 1.0, 1.5])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda seed: sample_box(Chart(("v", "x", "u")), dict.fromkeys("vxu", (0.6, 1.8)), 4, seed=seed),
+            lambda seed: psi_symmetry_kernel("exp(t)", seed=seed),
+            lambda seed: kernel_3d2("1/u", "2/u^2", seed=seed),
+        ],
+        ids=["sample_box", "psi_symmetry_kernel", "kernel_3d2"],
+    )
+    def test_negative_seed_raises(self, build):
+        """Below -1 the Halton start index is non-positive and every sample
+        would land on the box's low corner."""
+        build(0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            build(-2)
 
 
 class TestClassifyPsi:
