@@ -1,4 +1,4 @@
-"""Scalar expression language: parser, jet evaluation, symbolic derivative.
+"""Scalar expression language: parser, jet and scalar evaluation, symbolic derivative.
 
 Grammar (documented in docs/exprlang.md):
 
@@ -15,6 +15,7 @@ Numeric literals are parsed as exact rationals.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -310,13 +311,158 @@ def _eval(expr: Expr, env: Dict[str, JetPoly], template: JetPoly) -> JetPoly:
     raise TypeError(f"not an Expr node: {expr!r}")
 
 
+# ----------------------------------------------------------------------
+# evaluation on plain numbers: each operation is the order-0 case of its jet
+# operation in jets.py, so values and errors are those of eval_jet
+# ----------------------------------------------------------------------
+
+
+def _exact_zero(x) -> bool:
+    """A coefficient that a jet drops, so that it reads as int 0."""
+    return x == 0 and not isinstance(x, float)
+
+
+def _constant(value):
+    """``JetPoly.constant(value).value``: a float zero is dropped too."""
+    return 0 if value == 0 else value
+
+
+def _coefficient(value):
+    return 0 if _exact_zero(value) else value
+
+
+def _mul(x, y):
+    return 0 if _exact_zero(x) or _exact_zero(y) else _coefficient(0 + x * y)
+
+
+def _div(x, y):
+    """``jets._divide`` at order 0."""
+    if y == 0:
+        raise JetDomainError("division by a jet with zero constant term")
+    if _exact_zero(x):
+        return 0
+    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
+        return Fraction(x) / y
+    return x / y
+
+
+def _pow(x, exponent):
+    """``jets.jet_pow`` at order 0: integer powers are repeated products."""
+    if isinstance(exponent, Fraction) and exponent.denominator == 1:
+        exponent = int(exponent)
+    if isinstance(exponent, float) and exponent.is_integer():
+        exponent = int(exponent)
+    if isinstance(exponent, int):
+        if exponent < 0 and x == 0:
+            raise JetDomainError("negative power of a jet with zero constant term")
+        if exponent == 0:
+            return 1
+        if exponent < 0:
+            return _div(1, _pow(x, -exponent))
+        result = x
+        for _ in range(exponent - 1):
+            result = _mul(result, x)
+        return result
+    if x <= 0:
+        raise JetDomainError(f"non-integer power of non-positive value {x}")
+    return _constant(1.0 * float(x) ** float(exponent))
+
+
+def _ln(x):
+    if x <= 0:
+        raise JetDomainError(f"ln of non-positive value {x}")
+    return _constant(math.log(float(x)))
+
+
+def _tan(x):
+    """sin / cos through ``_div``, as ``jets.jet_tan`` divides the two jets."""
+    if math.cos(float(x)) == 0.0:
+        raise JetDomainError("tan at a pole")
+    return _div(_constant(math.sin(float(x))), _constant(math.cos(float(x))))
+
+
+def _sqrt(x):
+    if x <= 0:
+        raise JetDomainError(f"sqrt of non-positive value {x}")
+    return _pow(x, Fraction(1, 2))
+
+
+def _abs(x):
+    if x == 0:
+        raise JetDomainError("abs of a jet with zero constant term")
+    return x if x > 0 else -x
+
+
+def _sign(x):
+    if x == 0:
+        raise JetDomainError("sign of a jet with zero constant term")
+    return 1 if x > 0 else -1
+
+
+_SCALAR_FUNCTIONS = {
+    "exp": lambda x: _constant(math.exp(float(x))),
+    "ln": _ln,
+    "sin": lambda x: _constant(math.sin(float(x))),
+    "cos": lambda x: _constant(math.cos(float(x))),
+    "tan": _tan,
+    "abs": _abs,
+    "sign": _sign,
+    "sqrt": _sqrt,
+}
+
+# a jet sum returns its left operand unchanged when the right one is empty
+_SCALAR_OPS = {
+    "+": lambda x, y: x if _exact_zero(y) else _coefficient(x + y),
+    "-": lambda x, y: x if _exact_zero(y) else _coefficient(x - y),
+    "*": _mul,
+}
+
+
 def eval_number(expr: Union[str, Expr], env: Dict[str, object]):
-    """Evaluate at order 0 (plain values; exact when the inputs are exact)."""
-    expr = as_expr(expr)
-    jet_env = {k: JetPoly.constant(v, 1, 0, (0,)) for k, v in env.items()}
-    if not jet_env:
-        jet_env = {"_": JetPoly.constant(0, 1, 0, (0,))}
-    return eval_jet(expr, jet_env).value
+    """Evaluate at order 0 on plain values (exact when the inputs are exact).
+
+    A walk over the tree on numbers, with no jets.  Its value and its errors
+    (class, message and span) are those of ``eval_jet(expr, env).value``
+    with each value of ``env`` as an order-0 jet, to the bit and the signed
+    zero.  An exact zero reads as int 0, and so does any zero literal,
+    variable, or value of ``exp``, ``ln``, ``sin``, ``cos`` or a
+    non-integer power; a float zero that arithmetic makes stays a float."""
+    return _eval_number(as_expr(expr), env)
+
+
+def _eval_number(expr: Expr, env: Dict[str, object]):
+    if isinstance(expr, Const):
+        return _constant(expr.value)
+    if isinstance(expr, Var):
+        try:
+            return _constant(env[expr.name])
+        except KeyError:
+            known = ", ".join(sorted(env)) if env else "_"
+            raise UnknownVariableError(f"unknown variable {expr.name!r}; bound variables: {known}", expr.span) from None
+    if isinstance(expr, Neg):
+        return -_eval_number(expr.operand, env)
+    if isinstance(expr, Call):
+        arg = _eval_number(expr.arg, env)
+        try:
+            return _SCALAR_FUNCTIONS[expr.fn](arg)
+        except JetDomainError as exc:
+            raise ExprDomainError(f"{expr.fn}: {exc}", expr.span) from exc
+    if isinstance(expr, BinOp):
+        left = _eval_number(expr.left, env)
+        right = _eval_number(expr.right, env)
+        if expr.op in _SCALAR_OPS:
+            return _SCALAR_OPS[expr.op](left, right)
+        if expr.op == "^":
+            try:
+                return _pow(left, right)
+            except JetDomainError as exc:
+                raise ExprDomainError(f"'^': {exc}", expr.span) from exc
+        if expr.op == "/":
+            try:
+                return _div(left, right)
+            except (JetDomainError, ZeroDivisionError) as exc:
+                raise ExprDomainError(f"division: {exc}", expr.span) from exc
+    raise TypeError(f"not an Expr node: {expr!r}")
 
 
 def variables_of(expr: Union[str, Expr]) -> Tuple[str, ...]:

@@ -153,9 +153,8 @@ def _psi_kind_from_vector(v: np.ndarray) -> Tuple[str, Optional[float]]:
 
 
 def _evidence(curve: SignatureCurve) -> Dict[str, object]:
-    """The evidence record: the invariant spread over the curve's points and
-    how many of them are singular."""
-    return {"invariant_spread": curve.diameter, "singular_samples": curve.n_singular}
+    """The evidence record: the invariant spread over the curve's points."""
+    return {"invariant_spread": curve.diameter}
 
 
 def classify_psi(
@@ -173,9 +172,7 @@ def classify_psi(
     psi = exprlang.as_expr(psi)  # parsed once for the kernel and the evidence curve
     kern = psi_symmetry_kernel(psi, interval=interval, seed=seed)
     curve = psi_signature_curve(psi, *interval, thresholds.EVIDENCE_POINTS)
-    evidence, all_singular = _evidence(curve), not curve.tuples
-
-    cohom = 2 - kern.dim
+    all_singular = not curve.tuples
     if kern.dim == 2:
         kind, parameter = "Homogeneous", None
         consistent = all_singular
@@ -187,11 +184,10 @@ def classify_psi(
         consistent = not curve.degenerate and not all_singular
     else:
         kind, parameter, consistent = "Inconsistent", None, False
-    if not consistent:
-        # kernel and invariant evidence disagree: report, never answer silently
-        evidence["best_guess"] = {"cohomogeneity": cohom, "kind": kind, "parameter": parameter}
-        return ClassificationResult(cohom, "Inconsistent", parameter, kern, False, evidence)
-    return ClassificationResult(cohom, kind, parameter, kern, True, evidence)
+    # a disagreement of kernel and invariant evidence is reported, never resolved silently
+    return ClassificationResult(
+        2 - kern.dim, kind if consistent else "Inconsistent", parameter, kern, consistent, _evidence(curve)
+    )
 
 
 _3D2_KINDS = {0: "Generic3D2", 1: "OneSymmetry3D2", 2: "TwoSymmetry3D2"}

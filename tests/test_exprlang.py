@@ -1,16 +1,22 @@
-"""Parser and jet-evaluation tests for the expression language."""
+"""Parser, jet- and scalar-evaluation tests for the expression language."""
 
+import dataclasses
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weylrec.exprlang import (
+    FUNCTION_NAMES,
     BinOp,
     Call,
     Const,
     ExprDomainError,
     ExprSyntaxError,
+    Neg,
+    SourceSpan,
     UnknownVariableError,
     Var,
     derivative,
@@ -169,6 +175,92 @@ def test_finite_difference_convergence_is_second_order():
     # halving h divides the error by about 4
     assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.2)
     assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.2)
+
+
+def _order0_jets(expr, env):
+    """The reference for eval_number: eval_jet on order-0 jets of the same values."""
+    jet_env = {k: JetPoly.constant(v, 1, 0, (0,)) for k, v in env.items()} or {"_": JetPoly.constant(0, 1, 0, (0,))}
+    return eval_jet(expr, jet_env).value
+
+
+def _outcome(evaluate, expr, env):
+    """(type, repr) of the value, which tells apart 0, 0.0 and -0.0, or (class, text, span) of the error."""
+    try:
+        value = evaluate(expr, env)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "span", None)
+    return type(value), repr(value)
+
+
+def _numbered(expr):
+    """``expr`` with a span of its own on every node, so a span names one node."""
+    counter = itertools.count()
+
+    def walk(node):
+        k = next(counter)
+        children = {f: walk(getattr(node, f)) for f in ("operand", "left", "right", "arg") if hasattr(node, f)}
+        return dataclasses.replace(node, span=SourceSpan(k, k + 1), **children)
+
+    return walk(expr)
+
+
+_NUMBERS = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, 1, -1, Fraction(1, 3), math.pi / 2, 1e-200, 1e200]),
+    st.integers(-3, 3),
+    st.fractions(-3, 3, max_denominator=7),
+    st.floats(-4, 4),
+)
+# integer, negative integer and non-integer exponents; a drawn exponent could
+# be a huge integer, and an integer power is that many products
+_EXPONENTS = st.one_of(
+    st.integers(-3, 3).map(Const),
+    st.integers(1, 3).map(lambda k: Neg(Const(k))),
+    st.sampled_from([0.5, 2.0, Fraction(1, 3)]).map(Const),
+)
+_TREES = st.recursive(
+    st.one_of(st.builds(Const, _NUMBERS), st.builds(Var, st.sampled_from(["u", "t", "w"]))),
+    lambda children: st.one_of(
+        st.builds(Neg, children),
+        st.builds(Call, st.sampled_from(FUNCTION_NAMES), children),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+        st.builds(BinOp, st.just("^"), children, _EXPONENTS),
+    ),
+    max_leaves=12,
+).map(_numbered)
+
+
+@settings(max_examples=1000)
+@given(expr=_TREES, env=st.dictionaries(st.sampled_from(["u", "t"]), _NUMBERS))
+@example(expr=parse("tan(0.0)"), env={})
+@example(expr=parse("sin(u)"), env={"u": 0.0})
+@example(expr=parse("ln(1)"), env={})
+@example(expr=parse("ln(u^0)"), env={"u": 2.5})
+@example(expr=parse("-(ln(exp(0.0))*u)"), env={"u": -0.0})
+@example(expr=parse("(tan(0.0)*u)^(1.5)"), env={"u": 2.0})
+@example(expr=parse("-(u-u)+0"), env={"u": 1.5})  # a jet sum returns -0.0 + (exact 0) unchanged
+def test_eval_number_matches_order0_jets(expr, env):
+    """The scalar walk gives what eval_jet gives on order-0 jets: the same
+    value, type and signed zero, or the same error, message and span."""
+    assert _outcome(eval_number, expr, env) == _outcome(_order0_jets, expr, env)
+
+
+@pytest.mark.parametrize(
+    "source,env,expected",
+    [
+        ("tan(0.0)", {}, "0"),
+        ("sin(u)", {"u": 0.0}, "0"),
+        ("u", {"u": -0.0}, "0"),
+        ("-(u-u)", {"u": 1.5}, "-0.0"),
+        ("(u-u)*2", {"u": 1.5}, "0.0"),
+        ("4/2", {}, "Fraction(2, 1)"),
+        ("u^3", {"u": 1.5}, "3.375"),
+    ],
+)
+def test_eval_number_value_types(source, env, expected):
+    """An exact zero, and a zero literal, variable or function value, reads as
+    int 0; a float zero that arithmetic makes stays a float; two exact
+    operands divide to a Fraction."""
+    assert repr(eval_number(source, env)) == expected
 
 
 class TestDerivative:
