@@ -54,7 +54,7 @@ from .invariants import (
     surface_signature_curve,
 )
 from .symmetry import classify_3d2, classify_psi
-from .tensor import recurrence_theta, weyl_compatibility_residual, weyl_connection
+from .tensor import SingularMetricError, recurrence_theta, weyl_compatibility_residual, weyl_connection
 
 FORMAT_VERSION = 1
 
@@ -534,7 +534,7 @@ def cmd_classify(args) -> int:
         "kernel_dim": result.kernel.dim,
         "kernel_basis": [[float(x) for x in row] for row in result.kernel.basis],
         "kernel_singular_values": [float(v) for v in result.kernel.singular_values],
-        "invariant_spread": result.evidence.get("invariant_spread"),
+        "invariant_spread": result.invariant_spread,
         "input_digest": _digest(args.file),
     }
     if result.parameter is not None:
@@ -630,7 +630,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _check_numeric_flags(args)
         return _DISPATCH[args.command](args)
-    except (InputError, exprlang.ExprError, CatalogError, NotIncreasingError) as exc:
+    except (InputError, exprlang.ExprError, CatalogError, NotIncreasingError, SingularMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

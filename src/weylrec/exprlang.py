@@ -15,14 +15,30 @@ Numeric literals are parsed as exact rationals.
 
 from __future__ import annotations
 
-import math
+import operator
 import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Tuple, Union
 
-from .jets import JetDomainError, JetPoly, UNARY_FUNCTIONS, jet_pow
+from .jets import (
+    SERIES,
+    UNARY_FUNCTIONS,
+    JetDomainError,
+    JetPoly,
+    binomial_series,
+    branch_sign,
+    check_tan,
+    cos_series,
+    divisor,
+    jet_exp,
+    jet_ln,
+    jet_pow,
+    power_exponent,
+    quotient,
+    sin_series,
+)
 
 FUNCTION_NAMES = tuple(sorted(UNARY_FUNCTIONS))
 
@@ -247,8 +263,54 @@ def as_expr(value: Union[str, Expr, int, Fraction]) -> Expr:
 
 
 # ----------------------------------------------------------------------
-# evaluation on jets
+# evaluation: one walk over the tree, on jets or on plain numbers.  The
+# domain rules and series of every function are those of jets.py; a number
+# is the order-0 term of the jet it stands for, with the jets' zero rules.
 # ----------------------------------------------------------------------
+
+
+class _Values(NamedTuple):
+    """How the walk acts on one kind of value."""
+
+    constant: Callable  # literal -> value
+    functions: Dict[str, Callable]  # name -> unary function
+    operators: Dict[str, Callable]  # '+', '-', '*', '/', '^' -> binary operation
+
+
+def _eval(expr: Expr, env: Dict[str, object], values: _Values):
+    if isinstance(expr, Const):
+        return values.constant(expr.value)
+    if isinstance(expr, Var):
+        try:
+            return env[expr.name]
+        except KeyError:
+            known = ", ".join(sorted(env)) or "_"
+            raise UnknownVariableError(f"unknown variable {expr.name!r}; bound variables: {known}", expr.span) from None
+    if isinstance(expr, Neg):
+        return -_eval(expr.operand, env, values)
+    if isinstance(expr, Call):
+        arg = _eval(expr.arg, env, values)
+        try:
+            return values.functions[expr.fn](arg)
+        except JetDomainError as exc:
+            raise ExprDomainError(f"{expr.fn}: {exc}", expr.span) from exc
+    if isinstance(expr, BinOp):
+        left = _eval(expr.left, env, values)
+        right = _eval(expr.right, env, values)
+        try:
+            return values.operators[expr.op](left, right)
+        except (JetDomainError, ZeroDivisionError) as exc:
+            raise ExprDomainError(f"{'division' if expr.op == '/' else repr(expr.op)}: {exc}", expr.span) from exc
+    raise TypeError(f"not an Expr node: {expr!r}")
+
+
+def _jet_power(base: JetPoly, exponent: JetPoly) -> JetPoly:
+    if any(sum(a) > 0 for a, c in exponent.coeffs.items() if c != 0):
+        return jet_exp(exponent * jet_ln(base))  # non-constant exponent: a^b = exp(b ln a)
+    return jet_pow(base, exponent.value)
+
+
+_JET_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": _jet_power}
 
 
 def eval_jet(expr: Union[str, Expr], env: Dict[str, JetPoly]) -> JetPoly:
@@ -262,59 +324,7 @@ def eval_jet(expr: Union[str, Expr], env: Dict[str, JetPoly]) -> JetPoly:
     for j in jets[1:]:
         if (j.nvars, j.order, j.base) != (first.nvars, first.order, first.base):
             raise JetDomainError("environment jets disagree in shape (truncation-order mismatch)")
-    return _eval(expr, env, first)
-
-
-def _eval(expr: Expr, env: Dict[str, JetPoly], template: JetPoly) -> JetPoly:
-    if isinstance(expr, Const):
-        return template.like_constant(expr.value)
-    if isinstance(expr, Var):
-        try:
-            return env[expr.name]
-        except KeyError:
-            known = ", ".join(sorted(env))
-            raise UnknownVariableError(f"unknown variable {expr.name!r}; bound variables: {known}", expr.span) from None
-    if isinstance(expr, Neg):
-        return -_eval(expr.operand, env, template)
-    if isinstance(expr, Call):
-        arg = _eval(expr.arg, env, template)
-        try:
-            return UNARY_FUNCTIONS[expr.fn](arg)
-        except JetDomainError as exc:
-            raise ExprDomainError(f"{expr.fn}: {exc}", expr.span) from exc
-    if isinstance(expr, BinOp):
-        left = _eval(expr.left, env, template)
-        if expr.op == "^":
-            exponent = _eval(expr.right, env, template)
-            if any(sum(a) > 0 for a, c in exponent.coeffs.items() if c != 0):
-                # non-constant exponent: a^b = exp(b ln a)
-                try:
-                    return UNARY_FUNCTIONS["exp"](exponent * UNARY_FUNCTIONS["ln"](left))
-                except JetDomainError as exc:
-                    raise ExprDomainError(f"'^': {exc}", expr.span) from exc
-            try:
-                return jet_pow(left, exponent.value)
-            except JetDomainError as exc:
-                raise ExprDomainError(f"'^': {exc}", expr.span) from exc
-        right = _eval(expr.right, env, template)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            try:
-                return left / right
-            except (JetDomainError, ZeroDivisionError) as exc:
-                raise ExprDomainError(f"division: {exc}", expr.span) from exc
-    raise TypeError(f"not an Expr node: {expr!r}")
-
-
-# ----------------------------------------------------------------------
-# evaluation on plain numbers: each operation is the order-0 case of its jet
-# operation in jets.py, so values and errors are those of eval_jet
-# ----------------------------------------------------------------------
+    return _eval(expr, env, _Values(first.like_constant, UNARY_FUNCTIONS, _JET_OPERATORS))
 
 
 def _exact_zero(x) -> bool:
@@ -337,132 +347,69 @@ def _mul(x, y):
 
 def _div(x, y):
     """``jets._divide`` at order 0."""
-    if y == 0:
-        raise JetDomainError("division by a jet with zero constant term")
-    if _exact_zero(x):
-        return 0
-    if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
-        return Fraction(x) / y
-    return x / y
+    divisor(y)
+    return 0 if _exact_zero(x) else quotient(x, y)
 
 
 def _pow(x, exponent):
     """``jets.jet_pow`` at order 0: integer powers are repeated products."""
-    if isinstance(exponent, Fraction) and exponent.denominator == 1:
-        exponent = int(exponent)
-    if isinstance(exponent, float) and exponent.is_integer():
-        exponent = int(exponent)
-    if isinstance(exponent, int):
-        if exponent < 0 and x == 0:
-            raise JetDomainError("negative power of a jet with zero constant term")
-        if exponent == 0:
-            return 1
-        if exponent < 0:
-            return _div(1, _pow(x, -exponent))
-        result = x
-        for _ in range(exponent - 1):
-            result = _mul(result, x)
-        return result
-    if x <= 0:
-        raise JetDomainError(f"non-integer power of non-positive value {x}")
-    return _constant(1.0 * float(x) ** float(exponent))
+    exponent = power_exponent(x, exponent)
+    if not isinstance(exponent, int):
+        return _constant(binomial_series(x, exponent, 0)[0])
+    if exponent == 0:
+        return 1
+    if exponent < 0:
+        return _div(1, _pow(x, -exponent))
+    result = x
+    for _ in range(exponent - 1):
+        result = _mul(result, x)
+    return result
 
 
-def _ln(x):
-    if x <= 0:
-        raise JetDomainError(f"ln of non-positive value {x}")
-    return _constant(math.log(float(x)))
+def _series_value(series: Callable) -> Callable:
+    """The function whose Taylor ``series`` is given, on a number: its order-0 term."""
+    return lambda x: _constant(series(x, 0)[0])
 
 
 def _tan(x):
     """sin / cos through ``_div``, as ``jets.jet_tan`` divides the two jets."""
-    if math.cos(float(x)) == 0.0:
-        raise JetDomainError("tan at a pole")
-    return _div(_constant(math.sin(float(x))), _constant(math.cos(float(x))))
-
-
-def _sqrt(x):
-    if x <= 0:
-        raise JetDomainError(f"sqrt of non-positive value {x}")
-    return _pow(x, Fraction(1, 2))
-
-
-def _abs(x):
-    if x == 0:
-        raise JetDomainError("abs of a jet with zero constant term")
-    return x if x > 0 else -x
-
-
-def _sign(x):
-    if x == 0:
-        raise JetDomainError("sign of a jet with zero constant term")
-    return 1 if x > 0 else -1
+    check_tan(x)
+    return _div(_constant(sin_series(x, 0)[0]), _constant(cos_series(x, 0)[0]))
 
 
 _SCALAR_FUNCTIONS = {
-    "exp": lambda x: _constant(math.exp(float(x))),
-    "ln": _ln,
-    "sin": lambda x: _constant(math.sin(float(x))),
-    "cos": lambda x: _constant(math.cos(float(x))),
+    **{name: _series_value(series) for name, series in SERIES.items()},
     "tan": _tan,
-    "abs": _abs,
-    "sign": _sign,
-    "sqrt": _sqrt,
+    "abs": lambda x: x if branch_sign("abs", x) > 0 else -x,
+    "sign": lambda x: branch_sign("sign", x),
 }
 
-# a jet sum returns its left operand unchanged when the right one is empty
-_SCALAR_OPS = {
-    "+": lambda x, y: x if _exact_zero(y) else _coefficient(x + y),
-    "-": lambda x, y: x if _exact_zero(y) else _coefficient(x - y),
-    "*": _mul,
-}
+_NUMBERS = _Values(
+    _constant,
+    _SCALAR_FUNCTIONS,
+    {
+        # a jet sum returns its left operand unchanged when the right one is empty
+        "+": lambda x, y: x if _exact_zero(y) else _coefficient(x + y),
+        "-": lambda x, y: x if _exact_zero(y) else _coefficient(x - y),
+        "*": _mul,
+        "/": _div,
+        "^": _pow,
+    },
+)
 
 
 def eval_number(expr: Union[str, Expr], env: Dict[str, object]):
     """Evaluate at order 0 on plain values (exact when the inputs are exact).
 
-    A walk over the tree on numbers, with no jets.  Its value and its errors
-    (class, message and span) are those of ``eval_jet(expr, env).value``
-    with each value of ``env`` as an order-0 jet, to the bit and the signed
-    zero.  An exact zero reads as int 0, and so does any zero literal,
-    variable, or value of ``exp``, ``ln``, ``sin``, ``cos`` or a
+    The walk of ``eval_jet``, on numbers, with no jets.  Its value and its
+    errors (class, message and span) are those of ``eval_jet(expr,
+    env).value`` with each value of ``env`` as an order-0 jet, to the bit and
+    the signed zero.  An exact zero reads as int 0, and so does any zero
+    literal, variable, or value of ``exp``, ``ln``, ``sin``, ``cos`` or a
     non-integer power; a float zero that arithmetic makes stays a float."""
-    return _eval_number(as_expr(expr), env)
-
-
-def _eval_number(expr: Expr, env: Dict[str, object]):
-    if isinstance(expr, Const):
-        return _constant(expr.value)
-    if isinstance(expr, Var):
-        try:
-            return _constant(env[expr.name])
-        except KeyError:
-            known = ", ".join(sorted(env)) if env else "_"
-            raise UnknownVariableError(f"unknown variable {expr.name!r}; bound variables: {known}", expr.span) from None
-    if isinstance(expr, Neg):
-        return -_eval_number(expr.operand, env)
-    if isinstance(expr, Call):
-        arg = _eval_number(expr.arg, env)
-        try:
-            return _SCALAR_FUNCTIONS[expr.fn](arg)
-        except JetDomainError as exc:
-            raise ExprDomainError(f"{expr.fn}: {exc}", expr.span) from exc
-    if isinstance(expr, BinOp):
-        left = _eval_number(expr.left, env)
-        right = _eval_number(expr.right, env)
-        if expr.op in _SCALAR_OPS:
-            return _SCALAR_OPS[expr.op](left, right)
-        if expr.op == "^":
-            try:
-                return _pow(left, right)
-            except JetDomainError as exc:
-                raise ExprDomainError(f"'^': {exc}", expr.span) from exc
-        if expr.op == "/":
-            try:
-                return _div(left, right)
-            except (JetDomainError, ZeroDivisionError) as exc:
-                raise ExprDomainError(f"division: {exc}", expr.span) from exc
-    raise TypeError(f"not an Expr node: {expr!r}")
+    if 0 in env.values():  # a zero variable reads as int 0, as its order-0 jet drops it
+        env = {name: _constant(value) for name, value in env.items()}
+    return _eval(as_expr(expr), env, _NUMBERS)
 
 
 def variables_of(expr: Union[str, Expr]) -> Tuple[str, ...]:

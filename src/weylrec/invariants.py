@@ -23,6 +23,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import exprlang, thresholds
 from .jets import (
+    JetDomainError,
     JetPoly,
     compose_univariate,
     coordinate_jets,
@@ -109,8 +110,11 @@ def _psi_pair(p: Sequence):
     field arithmetic (numbers or jets)."""
     disc = _discriminant(p)
     num_first = p[1] * p[1] * p[4] - 4 * p[1] * p[2] * p[3] + 3 * p[2] ** 3
-    first = _sq(num_first) / disc**3
-    second = p[1] * (p[1] * p[1] * p[5] - 5 * p[1] * p[2] * p[4] + 5 * _sq(p[2]) * p[3]) / _sq(disc)
+    try:
+        first = _sq(num_first) / disc**3
+        second = p[1] * (p[1] * p[1] * p[5] - 5 * p[1] * p[2] * p[4] + 5 * _sq(p[2]) * p[3]) / _sq(disc)
+    except (ZeroDivisionError, JetDomainError) as exc:  # a power of a tiny discriminant rounds to 0
+        raise SingularStratumError("a power of the discriminant rounds to 0 (homogeneous stratum)") from exc
     return first, second, disc
 
 

@@ -23,6 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .thresholds import INTEGER_POWER_LIMIT
+
 MultiIndex = Tuple[int, ...]
 
 
@@ -32,7 +34,8 @@ class JetShapeError(ValueError):
 
 class JetDomainError(ValueError):
     """Function applied outside its domain (ln/sqrt of non-positive values,
-    division by a jet with zero constant term, sign/abs at zero)."""
+    division by a jet with zero constant term, sign/abs at zero, an integer
+    power beyond INTEGER_POWER_LIMIT)."""
 
 
 @lru_cache(maxsize=None)
@@ -250,7 +253,7 @@ class JetPoly:
         if isinstance(other, JetPoly):
             self._check_shape(other)
             return _divide(self, other)
-        return self * _reciprocal_scalar(other)
+        return self * quotient(1, divisor(other))
 
     def __rtruediv__(self, other):
         return _divide(self.like_constant(other), self)
@@ -274,12 +277,20 @@ def coordinate_jets(names: Sequence[str], point: Sequence, order: int) -> Dict[s
     return {name: JetPoly.variable(i, len(names), order, point) for i, name in enumerate(names)}
 
 
-def _reciprocal_scalar(x):
-    if isinstance(x, (int, Fraction)):
-        if x == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return Fraction(1, 1) / x
-    return 1.0 / x
+def divisor(b):
+    """``b``, checked as a divisor: every jet quotient needs a nonzero constant term."""
+    if b == 0:
+        raise JetDomainError("division by a jet with zero constant term")
+    return b
+
+
+def quotient(a, b):
+    """a / b for a checked divisor ``b``: a Fraction when both are exact (int or Fraction)."""
+    if isinstance(a, float) or isinstance(b, float):  # the common case, without the slower Fraction test
+        return a / b
+    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+        return Fraction(a) / b
+    return a / b
 
 
 @lru_cache(maxsize=None)
@@ -295,9 +306,7 @@ def _divide(num: JetPoly, den: JetPoly) -> JetPoly:
     Only multi-indices over the variables that ``num`` or ``den`` use can get a
     nonzero coefficient, so the division runs over those alone.
     """
-    b0 = den.value
-    if b0 == 0:
-        raise JetDomainError("division by a jet with zero constant term")
+    b0 = divisor(den.value)
     coeffs: Dict[MultiIndex, object] = {}
     den_rest = [(a, c) for a, c in den.coeffs.items() if sum(a) > 0]
     exponents_by_variable = zip(*num.coeffs, *(a for a, _ in den_rest))
@@ -313,15 +322,15 @@ def _divide(num: JetPoly, den: JetPoly) -> JetPoly:
                 acc = acc - cb * cg
         if acc == 0 and not isinstance(acc, float):
             continue
-        if isinstance(acc, (int, Fraction)) and isinstance(b0, (int, Fraction)):
-            coeffs[alpha] = Fraction(acc) / b0 if not isinstance(acc, Fraction) else acc / b0
-        else:
-            coeffs[alpha] = acc / b0
+        coeffs[alpha] = quotient(acc, b0)
     return JetPoly(num.nvars, num.order, num.base, coeffs)
 
 
 # ----------------------------------------------------------------------
-# univariate composition: f(jet) from the Taylor series of f at jet.value
+# elementary functions.  Each ``*_series(c0, order)`` checks the function's
+# domain at the value c0 and returns its Taylor coefficients at c0 through
+# ``order``; a jet composes them with its own non-constant part, and a plain
+# number (order 0, as exprlang.eval_number evaluates) reads the first one.
 # ----------------------------------------------------------------------
 
 
@@ -342,74 +351,130 @@ def _compose(jet: JetPoly, series: Sequence) -> JetPoly:
     return substitute_series(series, _delta(jet))
 
 
-def jet_exp(jet: JetPoly) -> JetPoly:
-    k = jet.order
-    e = math.exp(float(jet.value))
-    series = [e]
-    for i in range(1, k + 1):
+def exp_series(c0, order: int) -> list:
+    series = [math.exp(float(c0))]
+    for i in range(1, order + 1):
         series.append(series[-1] / i)
-    return _compose(jet, series)
+    return series
+
+
+def ln_series(c0, order: int) -> list:
+    if c0 <= 0:
+        raise JetDomainError(f"ln of non-positive value {c0}")
+    series = [math.log(float(c0))]
+    if order:
+        # higher coefficients are rational in c0; keeping them exact lets the
+        # exact-rational mode survive a single log (only the value goes float)
+        exact = isinstance(c0, (int, Fraction))
+        p = Fraction(c0) if exact else float(c0)
+        for i in range(1, order + 1):
+            series.append((Fraction((-1) ** (i + 1), i) / p**i) if exact else ((-1) ** (i + 1) / (i * p**i)))
+    return series
+
+
+def sin_series(c0, order: int, shift: int = 0) -> list:
+    """``shift`` advances the derivative cycle (shift 1 gives cos)."""
+    sin, cos = math.sin(float(c0)), math.cos(float(c0))
+    cycle = [sin, cos, -sin, -cos]
+    series = [cycle[shift]]
+    fact = 1.0
+    for i in range(1, order + 1):
+        fact *= i
+        series.append(cycle[(i + shift) % 4] / fact)
+    return series
+
+
+def cos_series(c0, order: int) -> list:
+    return sin_series(c0, order, 1)
+
+
+def binomial_series(c0, exponent, order: int) -> list:
+    """x^r expanded at x = c0 > 0, for a non-integer exponent r."""
+    if c0 <= 0:
+        raise JetDomainError(f"non-integer power of non-positive value {c0}")
+    r = float(exponent)
+    c0f = float(c0)
+    series = [c0f**r]
+    binom = 1.0
+    for i in range(1, order + 1):
+        binom *= (r - (i - 1)) / i
+        series.append(binom * c0f ** (r - i))
+    return series
+
+
+def sqrt_series(c0, order: int) -> list:
+    if c0 <= 0:
+        raise JetDomainError(f"sqrt of non-positive value {c0}")
+    return binomial_series(c0, Fraction(1, 2), order)
+
+
+SERIES = {"exp": exp_series, "ln": ln_series, "sin": sin_series, "cos": cos_series, "sqrt": sqrt_series}
+
+
+def check_tan(c0) -> None:
+    """tan = sin / cos is defined where cos(c0) is not 0."""
+    if math.cos(float(c0)) == 0.0:
+        raise JetDomainError("tan at a pole")
+
+
+def branch_sign(fn: str, c0) -> int:
+    """The sign of c0, which picks the branch of ``fn`` (abs or sign); 0 has none."""
+    if c0 == 0:
+        raise JetDomainError(f"{fn} of a jet with zero constant term")
+    return 1 if c0 > 0 else -1
+
+
+def power_exponent(c0, exponent):
+    """The exponent of ``x ** exponent`` at x = c0, as both evaluators apply it.
+
+    An integral exponent becomes an int, of modulus at most
+    ``thresholds.INTEGER_POWER_LIMIT`` (an integer power costs that many
+    products) and negative only for a nonzero c0; any other exponent is
+    returned as it is, for the binomial series.
+    """
+    if isinstance(exponent, Fraction) and exponent.denominator == 1:
+        exponent = int(exponent)
+    if isinstance(exponent, float) and exponent.is_integer():
+        exponent = int(exponent)
+    if isinstance(exponent, int):
+        if exponent < 0 and c0 == 0:
+            raise JetDomainError("negative power of a jet with zero constant term")
+        if abs(exponent) > INTEGER_POWER_LIMIT:
+            raise JetDomainError(f"integer power {exponent} exceeds the limit of {INTEGER_POWER_LIMIT} in modulus")
+    return exponent
+
+
+def jet_exp(jet: JetPoly) -> JetPoly:
+    return _compose(jet, exp_series(jet.value, jet.order))
 
 
 def jet_ln(jet: JetPoly) -> JetPoly:
-    c0 = jet.value
-    if c0 <= 0:
-        raise JetDomainError(f"ln of non-positive value {c0}")
-    k = jet.order
-    series: List[object] = [math.log(float(c0))]
-    # higher coefficients are rational in c0; keeping them exact lets the
-    # exact-rational mode survive a single log (only the value goes float)
-    exact = isinstance(c0, (int, Fraction))
-    p = Fraction(c0) if exact else float(c0)
-    for i in range(1, k + 1):
-        coeff = (Fraction((-1) ** (i + 1), i) / p**i) if exact else ((-1) ** (i + 1) / (i * p**i))
-        series.append(coeff)
-    return _compose(jet, series)
+    return _compose(jet, ln_series(jet.value, jet.order))
 
 
-def jet_sin(jet: JetPoly, shift: int = 0) -> JetPoly:
-    """sin of a jet; ``shift`` advances the derivative cycle (shift 1 gives cos)."""
-    x = float(jet.value)
-    cycle = [math.sin(x), math.cos(x), -math.sin(x), -math.cos(x)]
-    series = []
-    fact = 1.0
-    for i in range(jet.order + 1):
-        if i > 0:
-            fact *= i
-        series.append(cycle[(i + shift) % 4] / fact)
-    return _compose(jet, series)
+def jet_sin(jet: JetPoly) -> JetPoly:
+    return _compose(jet, sin_series(jet.value, jet.order))
 
 
 def jet_cos(jet: JetPoly) -> JetPoly:
-    return jet_sin(jet, 1)
+    return _compose(jet, cos_series(jet.value, jet.order))
 
 
 def jet_tan(jet: JetPoly) -> JetPoly:
-    c = math.cos(float(jet.value))
-    if c == 0.0:
-        raise JetDomainError("tan at a pole")
+    check_tan(jet.value)
     return jet_sin(jet) / jet_cos(jet)
 
 
 def jet_sqrt(jet: JetPoly) -> JetPoly:
-    c0 = jet.value
-    if c0 <= 0:
-        raise JetDomainError(f"sqrt of non-positive value {c0}")
-    return jet_pow(jet, Fraction(1, 2))
+    return _compose(jet, sqrt_series(jet.value, jet.order))
 
 
 def jet_sign(jet: JetPoly) -> JetPoly:
-    c0 = jet.value
-    if c0 == 0:
-        raise JetDomainError("sign of a jet with zero constant term")
-    return jet.like_constant(1 if c0 > 0 else -1)
+    return jet.like_constant(branch_sign("sign", jet.value))
 
 
 def jet_abs(jet: JetPoly) -> JetPoly:
-    c0 = jet.value
-    if c0 == 0:
-        raise JetDomainError("abs of a jet with zero constant term")
-    return jet if c0 > 0 else -jet
+    return jet if branch_sign("abs", jet.value) > 0 else -jet
 
 
 def jet_pow(jet: JetPoly, exponent) -> JetPoly:
@@ -418,26 +483,10 @@ def jet_pow(jet: JetPoly, exponent) -> JetPoly:
     Integer exponents are exact (repeated multiplication / reciprocal);
     general exponents use the binomial series and require a positive base.
     """
-    if isinstance(exponent, Fraction) and exponent.denominator == 1:
-        exponent = int(exponent)
-    if isinstance(exponent, float) and exponent.is_integer():
-        exponent = int(exponent)
+    exponent = power_exponent(jet.value, exponent)
     if isinstance(exponent, int):
-        if exponent < 0 and jet.value == 0:
-            raise JetDomainError("negative power of a jet with zero constant term")
         return jet**exponent
-    c0 = jet.value
-    if c0 <= 0:
-        raise JetDomainError(f"non-integer power of non-positive value {c0}")
-    r = float(exponent)
-    c0f = float(c0)
-    series = []
-    binom = 1.0
-    for i in range(jet.order + 1):
-        if i > 0:
-            binom *= (r - (i - 1)) / i
-        series.append(binom * c0f ** (r - i))
-    return _compose(jet, series)
+    return _compose(jet, binomial_series(jet.value, exponent, jet.order))
 
 
 UNARY_FUNCTIONS = {
@@ -466,10 +515,7 @@ def jet_from_derivatives(derivs: Sequence, base) -> JetPoly:
             fact *= k
         if d == 0 and not isinstance(d, float):
             continue
-        if isinstance(d, (int, Fraction)):
-            coeffs[(k,)] = Fraction(d, fact) if not isinstance(d, Fraction) else d / fact
-        else:
-            coeffs[(k,)] = d / fact
+        coeffs[(k,)] = quotient(d, fact)
     return JetPoly(1, len(derivs) - 1, (base,), coeffs)
 
 

@@ -10,7 +10,7 @@ cohomogeneity and the kernel vector pins down the normal form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -19,7 +19,7 @@ import numpy as np
 from . import exprlang, thresholds
 from .catalog import _halton, _halton_start
 from .exprlang import Expr
-from .invariants import SignatureCurve, pair_signature_curve, psi_signature_curve
+from .invariants import pair_signature_curve, psi_signature_curve
 from .jets import JetPoly, coordinate_jets, derivatives_from_jet
 
 
@@ -123,7 +123,7 @@ class ClassificationResult:
     parameter: Optional[float]
     kernel: SymmetryKernel
     consistent: bool
-    evidence: Dict[str, object] = field(default_factory=dict)
+    invariant_spread: float  # diameter of the invariant evidence curve
 
 
 def _psi_kind_from_vector(v: np.ndarray) -> Tuple[str, Optional[float]]:
@@ -150,11 +150,6 @@ def _psi_kind_from_vector(v: np.ndarray) -> Tuple[str, Optional[float]]:
     if disc < -thresholds.PATTERN_TOL * (a2 * a2):
         return "TanLog", math.sqrt(-disc) / (2.0 * abs(a2))
     return "Log", -a3 / (2.0 * a2)
-
-
-def _evidence(curve: SignatureCurve) -> Dict[str, object]:
-    """The evidence record: the invariant spread over the curve's points."""
-    return {"invariant_spread": curve.diameter}
 
 
 def classify_psi(
@@ -186,7 +181,7 @@ def classify_psi(
         kind, parameter, consistent = "Inconsistent", None, False
     # a disagreement of kernel and invariant evidence is reported, never resolved silently
     return ClassificationResult(
-        2 - kern.dim, kind if consistent else "Inconsistent", parameter, kern, consistent, _evidence(curve)
+        2 - kern.dim, kind if consistent else "Inconsistent", parameter, kern, consistent, curve.diameter
     )
 
 
@@ -208,7 +203,7 @@ def classify_3d2(
     kind = _3D2_KINDS.get(kern.dim, "Inconsistent")
     consistent = (kern.dim == 0) == (not curve.degenerate) and kind != "Inconsistent"
     return ClassificationResult(
-        3 - kern.dim, kind if consistent else "Inconsistent", None, kern, consistent, _evidence(curve)
+        3 - kern.dim, kind if consistent else "Inconsistent", None, kern, consistent, curve.diameter
     )
 
 

@@ -34,6 +34,9 @@ EINSTEIN_WEYL_TOL = 1e-9  # absolute, |Ric_sym - lam g| (Frobenius): Einstein-We
 DKP_TOL = 1e-10  # absolute, |second-order potential residual| of the 3D holonomy-2 family
 NOT_EINSTEIN_WEYL = 1e-3  # absolute, |Ric_sym - lam g|: "not Einstein-Weyl" needs the worst point above it
 
+# ---- expression evaluation ----
+INTEGER_POWER_LIMIT = 1000  # count: the largest |n| of an integer power x^n, which costs |n| - 1 products
+
 # ---- catalog probes ----
 PROBE_NON_VANISHING = 1e-9  # absolute, |value| of a probed expression that must not vanish
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -613,3 +614,31 @@ class TestFamilyTable:
         monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(name) or original(*a, **k))
         code, _, _ = run(capsys, *[exp_file if a == "@" else a for a in argv])
         assert code in (0, 1) and calls
+
+
+class TestHardInputEndsCleanly:
+    """Structure files that used to hang or end in a traceback."""
+
+    def test_huge_integer_power_is_an_input_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "pow.json", {"format": 1, "family": "dim_ge4", "psi": "t^100000+t", "n": 2})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "signature", path, "--samples", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: '^': integer power 99999 exceeds the limit of 1000 in modulus\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["invariants", "--at", "1.0"], ["signature", "--samples", "4"], ["equiv", "@", "--samples", "4"], ["classify"]]
+    )
+    def test_discriminant_power_that_rounds_to_zero_is_singular(self, tmp_path, capsys, argv):
+        path = write_json(tmp_path / "tiny.json", {"format": 1, "family": "dim_ge4", "psi": "t+1e-110*t^3", "n": 2})
+        code, out, err = run(capsys, argv[0], path, *[path if a == "@" else a for a in argv[1:]])
+        assert code == 0 and err == ""
+        if argv[0] == "invariants":
+            assert json.loads(out)["singular"] == "a power of the discriminant rounds to 0 (homogeneous stratum)"
+
+    def test_singular_metric_is_an_input_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "sing.json", {"format": 1, "family": "dim_ge4", "psi": "exp(100*t)", "n": 2})
+        code, out, err = run(capsys, "verify", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: metric is singular at (") and err.count("\n") == 1

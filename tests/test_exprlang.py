@@ -238,6 +238,7 @@ _TREES = st.recursive(
 @example(expr=parse("-(ln(exp(0.0))*u)"), env={"u": -0.0})
 @example(expr=parse("(tan(0.0)*u)^(1.5)"), env={"u": 2.0})
 @example(expr=parse("-(u-u)+0"), env={"u": 1.5})  # a jet sum returns -0.0 + (exact 0) unchanged
+@example(expr=parse("u^100000"), env={"u": 1.5})  # beyond the integer-power limit
 def test_eval_number_matches_order0_jets(expr, env):
     """The scalar walk gives what eval_jet gives on order-0 jets: the same
     value, type and signed zero, or the same error, message and span."""
@@ -261,6 +262,39 @@ def test_eval_number_value_types(source, env, expected):
     int 0; a float zero that arithmetic makes stays a float; two exact
     operands divide to a Fraction."""
     assert repr(eval_number(source, env)) == expected
+
+
+@pytest.mark.parametrize(
+    "source,at,node,message",
+    [
+        ("2*ln(t-2)", 1, "ln(t-2)", "ln: ln of non-positive value -1"),
+        ("1+sqrt(-t)", 1, "sqrt(-t)", "sqrt: sqrt of non-positive value -1"),
+        ("2*t^0.5", -1, "t^0.5", "'^': non-integer power of non-positive value -1"),
+        ("3*tan(t)", 1.5, "tan(t)", "tan: tan at a pole"),
+        ("abs(t-1)+1", 1, "abs(t-1)", "abs: abs of a jet with zero constant term"),
+        ("sign(1-t)", 1, "sign(1-t)", "sign: sign of a jet with zero constant term"),
+        ("1+t^-2", 0, "t^-2", "'^': negative power of a jet with zero constant term"),
+        ("t+1/t", 0, "1/t", "division: division by a jet with zero constant term"),
+        ("t^1001", 2, "t^1001", "'^': integer power 1001 exceeds the limit of 1000 in modulus"),
+        ("1-t^-1001.0", 2, "t^-1001.0", "'^': integer power -1001 exceeds the limit of 1000 in modulus"),
+    ],
+)
+def test_domain_error_text(source, at, node, message, monkeypatch):
+    """Each domain error names its node by span and says what went wrong, in
+    the same words from both evaluators.  No double is a pole of tan (cos of
+    a double is never exactly 0.0), so cos is patched to reach that check."""
+    cos = math.cos
+    monkeypatch.setattr(math, "cos", lambda x: 0.0 if x == 1.5 else cos(x))
+    for evaluate, env in ((eval_jet, jet_t(at, 2)), (eval_number, {"t": at})):
+        with pytest.raises(ExprDomainError) as info:
+            evaluate(source, env)
+        assert str(info.value) == message
+        assert source[info.value.span.start : info.value.span.end] == node
+
+
+def test_integer_power_limit_is_inclusive():
+    assert eval_number("t^1000", {"t": 1}) == 1 and eval_number("t^-1000", {"t": 1}) == 1
+    assert eval_jet("t^1000", jet_t(1, 2)).coefficient((1,)) == 1000
 
 
 class TestDerivative:

@@ -85,6 +85,15 @@ class TestPsiInvariants:
         with pytest.raises(SingularStratumError):
             psi_invariants(PsiJet(0.0, (0.5, 1.0, 0.0, 0.0, 0.0, 0.0)))
 
+    def test_discriminant_power_that_rounds_to_zero_is_singular(self):
+        """psi = t + 1e-110 t^3: the discriminant passes the stratum test, but
+        its cube rounds to 0.0 in the first invariant's denominator."""
+        jet = psi_jet_from_expr("t+1e-110*t^3", 1.0, order=6)
+        for invariant in (psi_invariants, derived_invariant):
+            with pytest.raises(SingularStratumError, match="rounds to 0"):
+                invariant(jet)
+        assert psi_signature_curve("t+1e-110*t^3", 0.5, 1.5, 4).n_singular == 4
+
     def test_exact_rational_mode(self):
         jet = psi_jet_from_expr("t^3+t", Fraction(1), order=6)
         inv = psi_invariants(jet)
