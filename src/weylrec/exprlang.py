@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Tuple, Union
@@ -31,12 +31,14 @@ from .jets import (
     branch_sign,
     check_tan,
     cos_series,
-    divisor,
     jet_exp,
     jet_ln,
     jet_pow,
+    order0_add,
+    order0_div,
+    order0_mul,
+    order0_sub,
     power_exponent,
-    quotient,
     sin_series,
 )
 
@@ -239,7 +241,8 @@ class _Parser:
             if not (close.kind == "op" and close.text == ")"):
                 self._fail("')'")
             self._advance()
-            return node
+            # the parentheses belong to the operand, so a node built on it spans them
+            return replace(node, span=SourceSpan(tok.span.start, close.span.end))
         self._fail("a number, a name or '('")
 
 
@@ -265,7 +268,8 @@ def as_expr(value: Union[str, Expr, int, Fraction]) -> Expr:
 # ----------------------------------------------------------------------
 # evaluation: one walk over the tree, on jets or on plain numbers.  The
 # domain rules and series of every function are those of jets.py; a number
-# is the order-0 term of the jet it stands for, with the jets' zero rules.
+# is the order-0 term of the jet it stands for, with the jets' zero rules
+# (the order-0 rules of jets.py).
 # ----------------------------------------------------------------------
 
 
@@ -327,28 +331,9 @@ def eval_jet(expr: Union[str, Expr], env: Dict[str, JetPoly]) -> JetPoly:
     return _eval(expr, env, _Values(first.like_constant, UNARY_FUNCTIONS, _JET_OPERATORS))
 
 
-def _exact_zero(x) -> bool:
-    """A coefficient that a jet drops, so that it reads as int 0."""
-    return x == 0 and not isinstance(x, float)
-
-
 def _constant(value):
     """``JetPoly.constant(value).value``: a float zero is dropped too."""
     return 0 if value == 0 else value
-
-
-def _coefficient(value):
-    return 0 if _exact_zero(value) else value
-
-
-def _mul(x, y):
-    return 0 if _exact_zero(x) or _exact_zero(y) else _coefficient(0 + x * y)
-
-
-def _div(x, y):
-    """``jets._divide`` at order 0."""
-    divisor(y)
-    return 0 if _exact_zero(x) else quotient(x, y)
 
 
 def _pow(x, exponent):
@@ -359,10 +344,10 @@ def _pow(x, exponent):
     if exponent == 0:
         return 1
     if exponent < 0:
-        return _div(1, _pow(x, -exponent))
+        return order0_div(1, _pow(x, -exponent))
     result = x
     for _ in range(exponent - 1):
-        result = _mul(result, x)
+        result = order0_mul(result, x)
     return result
 
 
@@ -372,9 +357,9 @@ def _series_value(series: Callable) -> Callable:
 
 
 def _tan(x):
-    """sin / cos through ``_div``, as ``jets.jet_tan`` divides the two jets."""
+    """sin / cos through ``order0_div``, as ``jets.jet_tan`` divides the two jets."""
     check_tan(x)
-    return _div(_constant(sin_series(x, 0)[0]), _constant(cos_series(x, 0)[0]))
+    return order0_div(_constant(sin_series(x, 0)[0]), _constant(cos_series(x, 0)[0]))
 
 
 _SCALAR_FUNCTIONS = {
@@ -387,14 +372,7 @@ _SCALAR_FUNCTIONS = {
 _NUMBERS = _Values(
     _constant,
     _SCALAR_FUNCTIONS,
-    {
-        # a jet sum returns its left operand unchanged when the right one is empty
-        "+": lambda x, y: x if _exact_zero(y) else _coefficient(x + y),
-        "-": lambda x, y: x if _exact_zero(y) else _coefficient(x - y),
-        "*": _mul,
-        "/": _div,
-        "^": _pow,
-    },
+    {"+": order0_add, "-": order0_sub, "*": order0_mul, "/": order0_div, "^": _pow},
 )
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .thresholds import INTEGER_POWER_LIMIT
+from .thresholds import INTEGER_POWER_LIMIT, TAN_POLE
 
 MultiIndex = Tuple[int, ...]
 
@@ -253,6 +253,8 @@ class JetPoly:
         if isinstance(other, JetPoly):
             self._check_shape(other)
             return _divide(self, other)
+        if isinstance(other, int) and other == 2:
+            return JetPoly(self.nvars, self.order, self.base, {a: half(c) for a, c in self.coeffs.items()})
         return self * quotient(1, divisor(other))
 
     def __rtruediv__(self, other):
@@ -291,6 +293,56 @@ def quotient(a, b):
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
         return Fraction(a) / b
     return a / b
+
+
+_HALF = Fraction(1, 2)
+
+
+def half(c):
+    """c / 2 as a jet divides a coefficient by an exact 2: c * Fraction(1, 2).
+    CPython computes a float times a Fraction as float(c) * float(1/2), so a
+    float c takes c * 0.5, the same bits without the Fraction's slow path."""
+    return c * 0.5 if isinstance(c, float) else c * _HALF
+
+
+# ----------------------------------------------------------------------
+# the order-0 rules.  A plain number stands for the order-0 jet whose value
+# it is: a jet drops an exact-zero (int or Fraction) coefficient, so an
+# exact zero is the empty jet and reads as int 0, while a float zero is kept
+# as a jet keeps it.  exprlang.eval_number and the depth-0 geometry pass of
+# tensor compute with these rules, which are the ones the jet operations
+# above apply to each coefficient.
+# ----------------------------------------------------------------------
+
+
+def exact_zero(x) -> bool:
+    """A number that stands for the empty jet."""
+    return x == 0 and not isinstance(x, float)
+
+
+def order0_coefficient(x):
+    """``x`` as an order-0 jet holds it: an exact zero becomes int 0."""
+    return 0 if exact_zero(x) else x
+
+
+def order0_add(x, y):
+    """A jet sum returns its left operand unchanged when the right one is empty."""
+    return x if exact_zero(y) else order0_coefficient(x + y)
+
+
+def order0_sub(x, y):
+    return x if exact_zero(y) else order0_coefficient(x - y)
+
+
+def order0_mul(x, y):
+    """A jet product: empty if a factor is, else 0 + x * y (so -0.0 becomes 0.0)."""
+    return 0 if exact_zero(x) or exact_zero(y) else order0_coefficient(0 + x * y)
+
+
+def order0_div(x, y):
+    """``_divide`` at order 0."""
+    divisor(y)
+    return 0 if exact_zero(x) else quotient(x, y)
 
 
 @lru_cache(maxsize=None)
@@ -412,8 +464,11 @@ SERIES = {"exp": exp_series, "ln": ln_series, "sin": sin_series, "cos": cos_seri
 
 
 def check_tan(c0) -> None:
-    """tan = sin / cos is defined where cos(c0) is not 0."""
-    if math.cos(float(c0)) == 0.0:
+    """tan = sin / cos is defined where cos(c0) is not 0.  The cosine of a
+    double is never exactly 0.0; at the double nearest a pole it is about one
+    float spacing of c0, so a pole is |cos c0| <= TAN_POLE max(1, |c0|)."""
+    x = float(c0)
+    if abs(math.cos(x)) <= TAN_POLE * max(1.0, abs(x)):
         raise JetDomainError("tan at a pole")
 
 

@@ -16,20 +16,38 @@ zero jets), forms no bracket, difference, quotient or negation whose operands
 are all empty (the slot keeps a shared zero), and its value readers write 0.0
 for an empty jet without reading it.  Every other jet goes through the same
 operations, in the same order, as in a dense pass, so no bit changes.
+
+A connection of depth 0, which only the compatibility check reads, is built
+on plain numbers: the order-0 terms of the jets, with the jets' zero rules
+(``jets.order0_*``), where an exact zero stands for the empty jet.  The
+Christoffel routine and the inverse are the same code for both kinds of
+value (``_Kind``), so the numbers are the values of the order-0 jets that
+the same routine would build, bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import exprlang, thresholds
 from .exprlang import Expr, eval_jet, eval_number
-from .jets import JetPoly, JetShapeError, coordinate_jets
+from .jets import (
+    JetPoly,
+    JetShapeError,
+    coordinate_jets,
+    exact_zero,
+    half,
+    order0_add,
+    order0_div,
+    order0_mul,
+    order0_sub,
+)
 
 
 class DomainViolation(ValueError):
@@ -158,11 +176,11 @@ def one_form_jets(structure: WeylStructure, point: Sequence, order: int) -> List
     return [zero if e is None else eval_jet(e, env) for e in structure.one_form]
 
 
-def _flatten(jets) -> Tuple[Tuple[int, ...], List[JetPoly]]:
-    """Shape of a nested list of jets and its jets in row-major order."""
+def _flatten(jets) -> Tuple[Tuple[int, ...], list]:
+    """Shape of a nested list of jets (or numbers) and its leaves in row-major order."""
     shape: List[int] = []
     leaves = [jets]
-    while not isinstance(leaves[0], JetPoly):
+    while isinstance(leaves[0], list):
         shape.append(len(leaves[0]))
         leaves = [jet for sub in leaves for jet in sub]
     return tuple(shape), leaves
@@ -170,9 +188,14 @@ def _flatten(jets) -> Tuple[Tuple[int, ...], List[JetPoly]]:
 
 def _values(jets) -> np.ndarray:
     """Float values at the point of a nested list of jets, in an array of its
-    shape; an empty jet reads 0.0 unopened."""
+    shape; an empty jet reads 0.0 unopened.  A list of numbers (a depth-0
+    connection's) reads float of each, which is 0.0 for an exact zero."""
     shape, leaves = _flatten(jets)
-    return np.fromiter((float(jet.value) if jet.coeffs else 0.0 for jet in leaves), float, len(leaves)).reshape(shape)
+    if isinstance(leaves[0], JetPoly):
+        floats = (float(jet.value) if jet.coeffs else 0.0 for jet in leaves)
+    else:
+        floats = map(float, leaves)
+    return np.fromiter(floats, float, len(leaves)).reshape(shape)
 
 
 def _first_partials(jets) -> np.ndarray:
@@ -201,27 +224,66 @@ def check_signature(gv: np.ndarray, point: Sequence) -> np.ndarray:
     return gv
 
 
-def _invert_jet_matrix(g: List[List[JetPoly]]) -> List[List[JetPoly]]:
-    """Invert a matrix of jets by Gauss-Jordan with constant-term pivoting; a
-    pivot at most PIVOT_SINGULAR of the largest entry's value means it is singular."""
+class _Kind(NamedTuple):
+    """How the Christoffel routine and the inverse act on one kind of value."""
+
+    empty: Callable  # x is a structural zero: an empty jet, an exact-zero number
+    constant: Callable  # (a value, c) -> the constant c in that value's kind
+    add: Callable
+    sub: Callable
+    mul: Callable
+    div: Callable  # by a checked pivot
+    half: Callable  # x / 2
+    value: Callable  # x at the point, as a float
+
+
+_JETS = _Kind(
+    lambda jet: not jet.coeffs,
+    JetPoly.like_constant,
+    operator.add,
+    operator.sub,
+    operator.mul,
+    operator.truediv,
+    lambda jet: jet / 2,
+    lambda jet: float(jet.value),
+)
+# the order-0 terms of jets, with the order-0 rules of jets.py
+_NUMBERS = _Kind(
+    exact_zero,
+    lambda x, c: c,
+    order0_add,
+    order0_sub,
+    order0_mul,
+    order0_div,
+    half,
+    float,
+)
+
+
+def _invert_jet_matrix(g: list) -> list:
+    """Invert a matrix of jets, or of numbers, by Gauss-Jordan with
+    constant-term pivoting; a pivot at most PIVOT_SINGULAR of the largest
+    entry's value means it is singular."""
     d = len(g)
-    zero = g[0][0].like_constant(0)
-    one = g[0][0].like_constant(1)
+    kind = _JETS if isinstance(g[0][0], JetPoly) else _NUMBERS
+    empty, sub, mul = kind.empty, kind.sub, kind.mul
+    zero = kind.constant(g[0][0], 0)
+    one = kind.constant(g[0][0], 1)
     cut = thresholds.PIVOT_SINGULAR * float(np.max(np.abs(_values(g))))
     aug = [[g[i][j] for j in range(d)] + [one if i == j else zero for j in range(d)] for i in range(d)]
     for col in range(d):
-        pivot_row = max(range(col, d), key=lambda r: abs(float(aug[r][col].value)))
-        if abs(float(aug[pivot_row][col].value)) <= cut:
+        pivot_row = max(range(col, d), key=lambda r: abs(kind.value(aug[r][col])))
+        if abs(kind.value(aug[pivot_row][col])) <= cut:
             raise SingularMetricError("metric is singular (no usable pivot)")
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv_pivot = 1 / aug[col][col]
-        aug[col] = [entry * inv_pivot for entry in aug[col]]
+        inv_pivot = kind.div(one, aug[col][col])
+        aug[col] = [mul(entry, inv_pivot) for entry in aug[col]]
         for r in range(d):
             if r == col:
                 continue
             factor = aug[r][col]
-            if factor.coeffs:
-                aug[r] = [er - factor * ec for er, ec in zip(aug[r], aug[col])]
+            if not empty(factor):
+                aug[r] = [sub(er, mul(factor, ec)) for er, ec in zip(aug[r], aug[col])]
     return [row[d:] for row in aug]
 
 
@@ -240,16 +302,19 @@ class Connection:
     value read here equals the one a connection of lower depth gives.  Depth 0
     is enough for the compatibility residual, depth 1 for curvature,
     holonomy, the conformal Weyl tensor and Einstein-Weyl, depth 2 for
-    nabla R and the recurrence fit.
+    nabla R and the recurrence fit.  At depth 0, ``gamma``,
+    ``levi_civita_gamma`` and ``one_form`` hold plain numbers (ints,
+    Fractions or floats, an exact zero as int 0), the values of the order-0
+    jets they stand for; ``metric`` holds jets of order 1 at every depth.
     """
 
     chart: Chart
     point: Tuple
     depth: int
-    gamma: List[List[List[JetPoly]]]  # gamma[a][b][c] = Gamma^a_{bc}, jets of order depth
+    gamma: list  # gamma[a][b][c] = Gamma^a_{bc}, jets of order depth (numbers at depth 0)
     metric: Optional[List[List[JetPoly]]] = None  # g_ab, jets of order depth + 1
-    one_form: Optional[List[JetPoly]] = None  # w_a, jets of order depth (zero for Levi-Civita)
-    levi_civita_gamma: Optional[List[List[List[JetPoly]]]] = None  # metric part of a Weyl connection
+    one_form: Optional[list] = None  # w_a, jets of order depth, numbers at depth 0 (zero for Levi-Civita)
+    levi_civita_gamma: Optional[list] = None  # metric part of a Weyl connection, in gamma's kind
 
     @property
     def dim(self) -> int:
@@ -363,11 +428,16 @@ def levi_civita(structure: WeylStructure, point: Sequence, depth: int = 1) -> Co
 
 
 def weyl_connection(structure: WeylStructure, point: Sequence, depth: int = 1) -> Connection:
-    """Weyl connection: Levi-Civita plus K^a_bc = delta^a_b w_c + delta^a_c w_b - g_bc g^{ad} w_d."""
+    """Weyl connection: Levi-Civita plus K^a_bc = delta^a_b w_c + delta^a_c w_b - g_bc g^{ad} w_d.
+    At depth 0 the 1-form is evaluated on plain numbers (``eval_number``)."""
     check_domain(structure, point)
     g = metric_jets(structure, point, depth + 1)
     check_signature(_values(g), point)
-    omega = one_form_jets(structure, point, depth)
+    if depth == 0:
+        env = dict(zip(structure.chart.names, point))
+        omega = [0 if e is None else eval_number(e, env) for e in structure.one_form]
+    else:
+        omega = one_form_jets(structure, point, depth)
     return _christoffel_from(structure, point, depth, g, omega)
 
 
@@ -398,31 +468,42 @@ def _christoffel_from(
     point: Sequence,
     depth: int,
     g: List[List[JetPoly]],
-    omega: List[JetPoly],
+    omega: list,
 ) -> Connection:
+    """The Weyl connection from metric jets ``g`` of order depth + 1 and the
+    1-form ``omega``, jets of order ``depth``.  At depth 0 it runs on numbers:
+    the 1-form's values, and the constant terms of ``g`` and the gradients of
+    its order-1 jets, which are the values of the order-0 jets they replace."""
     d = structure.dim
-    g_low = _once_per_jet(g, lambda jet: jet.truncated(depth))
+    if depth == 0:
+        kind, zero = _NUMBERS, 0
+        g_low = _once_per_jet(g, lambda jet: jet.value)
+        dg = _once_per_jet(g, JetPoly.gradient)
+    else:
+        kind = _JETS
+        g_low = _once_per_jet(g, lambda jet: jet.truncated(depth))
+        zero = g_low[0][0].like_constant(0)
+        dg = _derivatives_once(g, zero)
+    empty, add, sub, mul = kind.empty, kind.add, kind.sub, kind.mul
     ginv = _invert_jet_matrix(g_low)
-    zero = g_low[0][0].like_constant(0)
-    dg = _derivatives_once(g, zero)
 
-    gamma: List[List[List[JetPoly]]] = [[[zero] * d for _ in range(d)] for _ in range(d)]
+    gamma = [[[zero] * d for _ in range(d)] for _ in range(d)]
     for b in range(d):
         for c in range(b, d):
             brackets = []  # (e, dg[e][c][b] + dg[b][e][c] - dg[b][c][e]) where it is nonzero
             for e in range(d):
                 x, y, z = dg[e][c][b], dg[b][e][c], dg[b][c][e]
-                if x.coeffs or y.coeffs or z.coeffs:
-                    bracket = x + y - z
-                    if bracket.coeffs:
+                if not (empty(x) and empty(y) and empty(z)):
+                    bracket = sub(add(x, y), z)
+                    if not empty(bracket):
                         brackets.append((e, bracket))
             for a in range(d):
                 acc = zero
                 for e, bracket in brackets:
-                    if ginv[a][e].coeffs:
-                        acc = acc + ginv[a][e] * bracket
-                if acc.coeffs:
-                    entry = acc / 2
+                    if not empty(ginv[a][e]):
+                        acc = add(acc, mul(ginv[a][e], bracket))
+                if not empty(acc):
+                    entry = kind.half(acc)
                     gamma[a][b][c] = entry
                     gamma[a][c][b] = entry
 
@@ -431,21 +512,22 @@ def _christoffel_from(
     for a in range(d):
         acc = zero
         for e in range(d):
-            if ginv[a][e].coeffs and omega[e].coeffs:
-                acc = acc + ginv[a][e] * omega[e]
+            if not (empty(ginv[a][e]) or empty(omega[e])):
+                acc = add(acc, mul(ginv[a][e], omega[e]))
         omega_up[a] = acc
     for a in range(d):
+        up = None if empty(omega_up[a]) else omega_up[a]
         for b in range(d):
             for c in range(b, d):
                 k = zero
-                if a == b and omega[c].coeffs:
-                    k = k + omega[c]
-                if a == c and omega[b].coeffs:
-                    k = k + omega[b]
-                if g_low[b][c].coeffs and omega_up[a].coeffs:
-                    k = k - g_low[b][c] * omega_up[a]
-                if k.coeffs:
-                    entry = gamma[a][b][c] + k
+                if a == b and not empty(omega[c]):
+                    k = add(k, omega[c])
+                if a == c and not empty(omega[b]):
+                    k = add(k, omega[b])
+                if up is not None and not empty(g_low[b][c]):
+                    k = sub(k, mul(g_low[b][c], up))
+                if not empty(k):
+                    entry = add(gamma[a][b][c], k)
                     gamma[a][b][c] = entry
                     gamma[a][c][b] = entry
 

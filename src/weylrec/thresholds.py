@@ -36,6 +36,7 @@ NOT_EINSTEIN_WEYL = 1e-3  # absolute, |Ric_sym - lam g|: "not Einstein-Weyl" nee
 
 # ---- expression evaluation ----
 INTEGER_POWER_LIMIT = 1000  # count: the largest |n| of an integer power x^n, which costs |n| - 1 products
+TAN_POLE = 2.220446049250313e-16  # relative to max(1, |x|) (2**-52): |cos x| at or below it makes x a pole of tan
 
 # ---- catalog probes ----
 PROBE_NON_VANISHING = 1e-9  # absolute, |value| of a probed expression that must not vanish

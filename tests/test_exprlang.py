@@ -270,7 +270,9 @@ def test_eval_number_value_types(source, env, expected):
         ("2*ln(t-2)", 1, "ln(t-2)", "ln: ln of non-positive value -1"),
         ("1+sqrt(-t)", 1, "sqrt(-t)", "sqrt: sqrt of non-positive value -1"),
         ("2*t^0.5", -1, "t^0.5", "'^': non-integer power of non-positive value -1"),
-        ("3*tan(t)", 1.5, "tan(t)", "tan: tan at a pole"),
+        ("(t-1)^0.5", 0.5, "(t-1)^0.5", "'^': non-integer power of non-positive value -0.5"),
+        ("3*tan(t)", math.pi / 2, "tan(t)", "tan: tan at a pole"),
+        ("1+tan(t)", -3 * math.pi / 2, "tan(t)", "tan: tan at a pole"),
         ("abs(t-1)+1", 1, "abs(t-1)", "abs: abs of a jet with zero constant term"),
         ("sign(1-t)", 1, "sign(1-t)", "sign: sign of a jet with zero constant term"),
         ("1+t^-2", 0, "t^-2", "'^': negative power of a jet with zero constant term"),
@@ -279,12 +281,10 @@ def test_eval_number_value_types(source, env, expected):
         ("1-t^-1001.0", 2, "t^-1001.0", "'^': integer power -1001 exceeds the limit of 1000 in modulus"),
     ],
 )
-def test_domain_error_text(source, at, node, message, monkeypatch):
+def test_domain_error_text(source, at, node, message):
     """Each domain error names its node by span and says what went wrong, in
-    the same words from both evaluators.  No double is a pole of tan (cos of
-    a double is never exactly 0.0), so cos is patched to reach that check."""
-    cos = math.cos
-    monkeypatch.setattr(math, "cos", lambda x: 0.0 if x == 1.5 else cos(x))
+    the same words from both evaluators.  A parenthesized operand's span
+    takes in its parentheses, and the double nearest a pole of tan is one."""
     for evaluate, env in ((eval_jet, jet_t(at, 2)), (eval_number, {"t": at})):
         with pytest.raises(ExprDomainError) as info:
             evaluate(source, env)
