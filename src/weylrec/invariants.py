@@ -109,12 +109,14 @@ def _psi_pair(p: Sequence):
     """The two generating rational invariants, evaluated on anything with
     field arithmetic (numbers or jets)."""
     disc = _discriminant(p)
-    num_first = p[1] * p[1] * p[4] - 4 * p[1] * p[2] * p[3] + 3 * p[2] ** 3
     try:
+        num_first = p[1] * p[1] * p[4] - 4 * p[1] * p[2] * p[3] + 3 * p[2] ** 3
         first = _sq(num_first) / disc**3
         second = p[1] * (p[1] * p[1] * p[5] - 5 * p[1] * p[2] * p[4] + 5 * _sq(p[2]) * p[3]) / _sq(disc)
     except (ZeroDivisionError, JetDomainError) as exc:  # a power of a tiny discriminant rounds to 0
         raise SingularStratumError("a power of the discriminant rounds to 0 (homogeneous stratum)") from exc
+    except OverflowError as exc:  # a float power of a huge jet entry or discriminant
+        raise SingularStratumError("a power of the jet entries overflows the float range") from exc
     return first, second, disc
 
 
@@ -205,30 +207,6 @@ def act_d4(elem: GroupElemD4, jet: PsiJet) -> PsiJet:
     return PsiJet(base=base, derivs=tuple(derivs))
 
 
-def random_d4_element(rng, jet_value: float) -> GroupElemD4:
-    """Seeded random element whose target map avoids the pole at jet_value."""
-    for _ in range(100):
-        a = rng.uniform(-2, 2)
-        b = rng.uniform(-2, 2)
-        c = rng.uniform(-2, 2)
-        d = rng.uniform(-2, 2)
-        if a * d - b * c < 0.1:
-            continue
-        det = math.sqrt(a * d - b * c)
-        if abs((c * jet_value + d) / det) < 0.2:
-            continue
-        return GroupElemD4(
-            s1=rng.uniform(-1, 1),
-            s2=rng.uniform(-0.5, 0.5),
-            a=a,
-            b=b,
-            c=c,
-            d=d,
-            eps=rng.choice([1, -1]),
-        )
-    raise RuntimeError("could not draw a pole-free group element")
-
-
 # ----------------------------------------------------------------------
 # pairs of one-variable jets (3D, holonomy 2)
 # ----------------------------------------------------------------------
@@ -301,17 +279,6 @@ def act_3d2(elem: GroupElem3D2, jet: PairJet) -> PairJet:
         (ck * mu_c - elem.A2 * ak * mu_a) / s**k for k, (ak, ck) in enumerate(zip(jet.a, jet.c))
     )
     return PairJet(base=base, a=a, c=c)
-
-
-def random_3d2_element(rng) -> GroupElem3D2:
-    sign3 = rng.choice([1, -1])
-    sign4 = rng.choice([1, -1])
-    return GroupElem3D2(
-        A1=rng.uniform(-1, 1),
-        A2=rng.uniform(-1, 1),
-        A3=sign3 * rng.uniform(0.5, 2.0),
-        A4=sign4 * rng.uniform(0.5, 2.0),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -455,15 +422,6 @@ def _derivative_jet(derivs: Sequence[float], base, order: int) -> JetPoly:
     while len(vals) < order + 1:
         vals.append(0)
     return jet_from_derivatives(vals, base)
-
-
-def random_3d1_element(rng, order: int = 5) -> PseudoElem3D1:
-    a1 = rng.choice([1, -1]) * rng.uniform(0.6, 1.8)
-    b1 = rng.choice([1, -1]) * rng.uniform(0.6, 1.8)
-    alpha = (rng.uniform(-1, 1), a1) + tuple(rng.uniform(-0.3, 0.3) for _ in range(order - 1))
-    beta = (rng.uniform(-1, 1), b1) + tuple(rng.uniform(-0.3, 0.3) for _ in range(order - 1))
-    c1 = math.copysign(rng.uniform(0.5, 2.0), b1)
-    return PseudoElem3D1(alpha=alpha, beta=beta, c1=c1)
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .thresholds import INTEGER_POWER_LIMIT, TAN_POLE
 
@@ -403,8 +403,16 @@ def _compose(jet: JetPoly, series: Sequence) -> JetPoly:
     return substitute_series(series, _delta(jet))
 
 
+def _finite(fn: Callable, *args) -> float:
+    """fn(*args), where a value beyond the float range is a domain error."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        raise JetDomainError("overflow") from None
+
+
 def exp_series(c0, order: int) -> list:
-    series = [math.exp(float(c0))]
+    series = [_finite(math.exp, float(c0))]
     for i in range(1, order + 1):
         series.append(series[-1] / i)
     return series
@@ -446,11 +454,11 @@ def binomial_series(c0, exponent, order: int) -> list:
         raise JetDomainError(f"non-integer power of non-positive value {c0}")
     r = float(exponent)
     c0f = float(c0)
-    series = [c0f**r]
+    series = [_finite(pow, c0f, r)]
     binom = 1.0
     for i in range(1, order + 1):
         binom *= (r - (i - 1)) / i
-        series.append(binom * c0f ** (r - i))
+        series.append(binom * _finite(pow, c0f, r - i))
     return series
 
 

@@ -69,16 +69,6 @@ def _system(
     return np.array([row for p in points for row in rows_at(p, *exprs)])
 
 
-def _max_relative_residual(rows: np.ndarray, coeffs: Sequence[float]) -> float:
-    """max over rows of |row . coeffs| / (|row| |coeffs|)."""
-    v = np.asarray(coeffs)
-    worst = 0.0
-    for row in rows:
-        scale = float(np.linalg.norm(row)) * float(np.linalg.norm(v))
-        worst = max(worst, abs(float(row @ v)) / max(scale, thresholds.SCALE_FLOOR))
-    return worst
-
-
 def psi_symmetry_kernel(
     psi: Union[str, Expr], interval: Tuple[float, float] = (0.6, 1.8), seed: int = 0
 ) -> SymmetryKernel:
@@ -91,11 +81,6 @@ def psi_symmetry_kernel(
     return _kernel_from_rows(_system(_psi_rows, [psi], _default_samples(*interval, thresholds.KERNEL_SAMPLES, seed)))
 
 
-def psi_symmetry_residual(psi: Union[str, Expr], coeffs: Sequence[float], ts: Sequence[float]) -> float:
-    """Max relative residual of the symmetry ODE at fresh sample points."""
-    return _max_relative_residual(_system(_psi_rows, [psi], ts), coeffs)
-
-
 def kernel_3d2(
     a: Union[str, Expr], c: Union[str, Expr], interval: Tuple[float, float] = (0.5, 1.5), seed: int = 0
 ) -> SymmetryKernel:
@@ -105,10 +90,6 @@ def kernel_3d2(
         [a', 0, u a' + a,  u a' + 2a]  and  [c', a, u c' + 2c, u c' + c].
     """
     return _kernel_from_rows(_system(_pair_rows, [a, c], _default_samples(*interval, thresholds.KERNEL_SAMPLES, seed)))
-
-
-def kernel_3d2_residual(a, c, coeffs: Sequence[float], us: Sequence[float]) -> float:
-    return _max_relative_residual(_system(_pair_rows, [a, c], us), coeffs)
 
 
 # ----------------------------------------------------------------------

@@ -323,10 +323,6 @@ class Connection:
     def values(self) -> np.ndarray:
         return _values(self.gamma)
 
-    def derivative_values(self) -> np.ndarray:
-        """array[e][a][b][c] = d_e Gamma^a_{bc} (requires depth >= 1)."""
-        return _first_partials(self.gamma)
-
     @cached_property
     def metric_values(self) -> np.ndarray:
         return _values(self.metric)
@@ -393,9 +389,9 @@ class Connection:
         sv = np.linalg.svd(mat, compute_uv=False)
         top = sv[0] if sv.size else 0.0
         if top <= 0:
-            return HolonomyReport(0, sv, None)
+            return HolonomyReport(0, sv)
         rank = int(np.sum(sv > thresholds.HOLONOMY_RANK_TOL * top))
-        return HolonomyReport(rank, sv, _common_eigendirection(self.metric_values, R))
+        return HolonomyReport(rank, sv)
 
     def conformal_weyl(self) -> PointTensor:
         """See :func:`conformal_weyl_tensor`."""
@@ -656,43 +652,17 @@ def recurrence_theta(
 
 @dataclass(frozen=True)
 class HolonomyReport:
+    """The numerical rank of the stacked R(e_a, e_b), a < b, and the
+    singular values it was cut from (rank: those above HOLONOMY_RANK_TOL
+    times the top one; 0 when the top one is 0)."""
+
     span_dim: int
-    singular_values: np.ndarray
-    null_direction: Optional[np.ndarray]  # common curvature eigenvector, annotation only
+    singular_values: np.ndarray  # descending
 
 
 def holonomy_span_dim(structure: WeylStructure, point: Sequence) -> HolonomyReport:
     """Numerical rank of span{R(e_a, e_b)} inside End(T_pM) (Ambrose-Singer span)."""
     return weyl_connection(structure, point, 1).holonomy()
-
-
-def _common_eigendirection(gv: np.ndarray, R: np.ndarray) -> Optional[np.ndarray]:
-    """Best-effort search for the parallel null direction (report annotation)."""
-    d = R.shape[0]
-    mats = [R[:, :, a, b] for a in range(d) for b in range(a + 1, d)]
-    mats = [m for m in mats if np.max(np.abs(m)) > thresholds.NULL_SEARCH_MATRIX]
-    if not mats:
-        return None
-    rng = np.random.default_rng(0)
-    combo = sum(rng.uniform(0.5, 1.5) * m for m in mats)
-    try:
-        vals, vecs = np.linalg.eig(combo)
-    except np.linalg.LinAlgError:  # pragma: no cover
-        return None
-    scale = max(np.max(np.abs(m)) for m in mats)
-    for k in range(d):
-        if abs(vals[k].imag) > thresholds.EIGENVALUE_IMAG:
-            continue
-        v = np.real(vecs[:, k])
-        vn = np.linalg.norm(v)
-        if vn < thresholds.EIGENVECTOR_NORM:
-            continue
-        v = v / vn
-        if abs(v @ gv @ v) > thresholds.NULL_DIRECTION:
-            continue
-        if all(np.linalg.norm(m @ v - (v @ m @ v) * v) <= thresholds.COMMON_EIGENVECTOR * max(1.0, np.max(np.abs(m))) for m in mats):
-            return v
-    return None
 
 
 # ----------------------------------------------------------------------

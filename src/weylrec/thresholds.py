@@ -22,11 +22,6 @@ WEIGHT_TOL = 1e-6  # absolute, |fitted weight - expected weight|
 
 # ---- holonomy ----
 HOLONOMY_RANK_TOL = 1e-7  # relative to the top singular value of the stacked R(e_a, e_b)
-NULL_SEARCH_MATRIX = 1e-7  # absolute, max |entry| of R(e_a, e_b): smaller ones stay out of the null-direction search
-EIGENVALUE_IMAG = 1e-9  # absolute, |Im lambda|: above it an eigenvalue is not real
-EIGENVECTOR_NORM = 1e-12  # absolute, |v| of an eigenvector: below it the vector is dropped
-NULL_DIRECTION = 1e-6  # absolute, |g(v, v)| for a unit v: above it v is not null
-COMMON_EIGENVECTOR = 1e-6  # relative to max(1, max |R(e_a, e_b)|): |R v - (v.R v) v| at or below it
 
 # ---- conformal flatness and Einstein-Weyl ----
 CONFORMALLY_FLAT = 1e-9  # absolute, |C| (Frobenius): flat at or below

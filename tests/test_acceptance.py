@@ -35,9 +35,6 @@ from weylrec.invariants import (
     psi_invariants,
     psi_jet_from_expr,
     psi_signature_curve,
-    random_3d1_element,
-    random_3d2_element,
-    random_d4_element,
     surface_derived_pair,
     surface_invariants,
 )
@@ -53,6 +50,8 @@ from weylrec.tensor import (
     weyl_compatibility_residual,
 )
 from weylrec.tensor import Chart
+
+from group_samples import random_3d1_element, random_3d2_element, random_d4_element
 
 
 CATALOG = standard_catalog()

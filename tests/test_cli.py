@@ -637,6 +637,32 @@ class TestHardInputEndsCleanly:
         if argv[0] == "invariants":
             assert json.loads(out)["singular"] == "a power of the discriminant rounds to 0 (homogeneous stratum)"
 
+    @pytest.mark.parametrize(
+        "psi,argv",
+        [
+            ("exp(800*t)", ["verify"]),
+            ("exp(800*t)", ["signature"]),
+            ("exp(710*t)", ["invariants", "--at", "1.05"]),
+        ],
+    )
+    def test_exp_overflow_is_an_input_error(self, tmp_path, capsys, psi, argv):
+        path = write_json(tmp_path / "big.json", {"format": 1, "family": "dim_ge4", "psi": psi, "n": 2})
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: exp: overflow\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["invariants", "--at", "1.85"], ["signature", "--range", "1.6:1.88", "--samples", "8"], ["signature"]]
+    )
+    def test_float_power_that_overflows_in_the_invariants_is_singular(self, tmp_path, capsys, argv):
+        path = write_json(tmp_path / "tower.json", {"format": 1, "family": "dim_ge4", "psi": "exp(exp(exp(t)))", "n": 2})
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 0 and err == ""
+        if argv[0] == "invariants":
+            assert json.loads(out)["singular"] == "a power of the jet entries overflows the float range"
+        elif "--range" in argv:
+            assert out.splitlines()[-1] == "# singular_samples_dropped,8"
+
     def test_singular_metric_is_an_input_error(self, tmp_path, capsys):
         path = write_json(tmp_path / "sing.json", {"format": 1, "family": "dim_ge4", "psi": "exp(100*t)", "n": 2})
         code, out, err = run(capsys, "verify", path)

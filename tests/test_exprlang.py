@@ -279,12 +279,15 @@ def test_eval_number_value_types(source, env, expected):
         ("t+1/t", 0, "1/t", "division: division by a jet with zero constant term"),
         ("t^1001", 2, "t^1001", "'^': integer power 1001 exceeds the limit of 1000 in modulus"),
         ("1-t^-1001.0", 2, "t^-1001.0", "'^': integer power -1001 exceeds the limit of 1000 in modulus"),
+        ("1+exp(800*t)", 1, "exp(800*t)", "exp: overflow"),
+        ("2*t^1.5", 1e250, "t^1.5", "'^': overflow"),
     ],
 )
 def test_domain_error_text(source, at, node, message):
     """Each domain error names its node by span and says what went wrong, in
     the same words from both evaluators.  A parenthesized operand's span
-    takes in its parentheses, and the double nearest a pole of tan is one."""
+    takes in its parentheses, the double nearest a pole of tan is one, and
+    a value beyond the float range is an overflow."""
     for evaluate, env in ((eval_jet, jet_t(at, 2)), (eval_number, {"t": at})):
         with pytest.raises(ExprDomainError) as info:
             evaluate(source, env)

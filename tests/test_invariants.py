@@ -35,14 +35,13 @@ from weylrec.invariants import (
     psi_invariants,
     psi_jet_from_expr,
     psi_signature_curve,
-    random_3d1_element,
-    random_3d2_element,
-    random_d4_element,
     surface_derived_pair,
     surface_invariants,
     surface_signature_curve,
 )
 from weylrec.jets import JetPoly, taylor_indices
+
+from group_samples import random_3d1_element, random_3d2_element, random_d4_element
 
 
 class TestPsiInvariants:
@@ -93,6 +92,13 @@ class TestPsiInvariants:
             with pytest.raises(SingularStratumError, match="rounds to 0"):
                 invariant(jet)
         assert psi_signature_curve("t+1e-110*t^3", 0.5, 1.5, 4).n_singular == 4
+
+    @pytest.mark.parametrize("p2", [1e110, 1e55], ids=["cube-of-psi2", "cube-of-discriminant"])
+    def test_float_power_that_overflows_is_singular(self, p2):
+        """psi'' = 1e110 cubed, or the discriminant -3e110 that psi'' = 1e55
+        makes, cubed: the float power overflows, and the jet is singular."""
+        with pytest.raises(SingularStratumError, match="overflows the float range"):
+            psi_invariants(PsiJet(0.0, (0.0, 1.0, p2, 1.0, 1.0, 1.0)))
 
     def test_exact_rational_mode(self):
         jet = psi_jet_from_expr("t^3+t", Fraction(1), order=6)

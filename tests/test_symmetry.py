@@ -9,17 +9,24 @@ import pytest
 from weylrec.catalog import killing_fields, sample_box, symmetric_psi_family
 from weylrec.invariants import GroupElem3D2, GroupElemD4, act_3d2, pair_jet_from_exprs
 from weylrec.symmetry import (
+    _pair_rows,
+    _psi_rows,
+    _system,
     bracket_closure,
     classify_3d2,
     classify_psi,
     expr_to_poly,
     kernel_3d2,
-    kernel_3d2_residual,
     psi_symmetry_kernel,
-    psi_symmetry_residual,
     symmetry_residual_3d1,
 )
 from weylrec.tensor import Chart
+
+
+def fresh_residual(rows_at, exprs, coeffs, points) -> float:
+    """max over the sampled system's rows of |row . coeffs| / (|row| |coeffs|)."""
+    rows, v = _system(rows_at, exprs, points), np.asarray(coeffs)
+    return float(np.max(np.abs(rows @ v) / (np.linalg.norm(rows, axis=1) * np.linalg.norm(v))))
 
 
 def span_residual(basis: np.ndarray, target) -> float:
@@ -68,7 +75,7 @@ class TestPsiKernel:
             k = psi_symmetry_kernel(psi, interval=interval, seed=0)
             fresh = [interval[0] + (interval[1] - interval[0]) * j / 49 for j in range(50)]
             for vec in k.basis:
-                assert psi_symmetry_residual(psi, vec, fresh) <= 1e-7
+                assert fresh_residual(_psi_rows, [psi], vec, fresh) <= 1e-7
 
     @pytest.mark.parametrize(
         "build",
@@ -200,7 +207,7 @@ class TestKernel3D2:
     def test_kernel_residual_at_fresh_points(self):
         k = kernel_3d2("1/u", "3/u^2")
         fresh = [0.5 + 1.0 * j / 49 for j in range(50)]
-        assert kernel_3d2_residual("1/u", "3/u^2", k.basis[0], fresh) <= 1e-7
+        assert fresh_residual(_pair_rows, ["1/u", "3/u^2"], k.basis[0], fresh) <= 1e-7
 
 
 class TestClassify3D2:

@@ -1,8 +1,11 @@
-"""Every cut-off of a verdict is a row of ``thresholds.py``.
+"""Every cut-off of a verdict is a row of ``thresholds.py``, and every row
+is read.
 
 The walk reads the ``ast`` of each ``src/weylrec/*.py`` and fails on a float
 literal x with 0 < |x| < 1e-2 anywhere but in the table: such a value is a
 tolerance, and a tolerance written in place is one the table does not show.
+It also fails on a row that no other module reads, as ``thresholds.NAME`` or
+by ``from .thresholds import NAME``: such a row decides nothing.
 """
 
 import ast
@@ -19,6 +22,20 @@ def small_float_literals(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < abs(node.value) < 1e-2:
             yield node.value, node.lineno
+
+
+def table_rows():
+    tree = ast.parse((SRC / "thresholds.py").read_text(encoding="utf-8"))
+    return [target.id for node in tree.body if isinstance(node, ast.Assign) for target in node.targets]
+
+
+def rows_read(tree: ast.AST):
+    """The table rows ``tree`` reads, by attribute or by import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "thresholds":
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "thresholds":
+            yield from (alias.name for alias in node.names)
 
 
 def test_the_walk_sees_every_module():
@@ -41,5 +58,17 @@ def test_the_table_holds_only_named_constants():
     tree = ast.parse((SRC / "thresholds.py").read_text(encoding="utf-8"))
     body = [node for node in tree.body if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))]
     assert all(isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant) for node in body)
-    names = [target.id for node in body for target in node.targets]
+    names = table_rows()
     assert all(name.isupper() for name in names) and len(set(names)) == len(names)
+
+
+def test_every_row_has_a_reader():
+    read = {name for path in MODULES for name in rows_read(ast.parse(path.read_text(encoding="utf-8")))}
+    unread = [name for name in table_rows() if name not in read]
+    assert "HOLONOMY_RANK_TOL" in table_rows()
+    assert not unread, f"thresholds.py rows that no module reads: {', '.join(unread)}"
+
+
+def test_both_kinds_of_read_are_seen():
+    tree = ast.parse("from .thresholds import TAN_POLE\nok = x <= thresholds.METRIC_SINGULAR * other.NO_CURVATURE\n")
+    assert sorted(rows_read(tree)) == ["METRIC_SINGULAR", "TAN_POLE"]
