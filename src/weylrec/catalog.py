@@ -32,7 +32,7 @@ HOMOGENEOUS_MODEL = "homogeneous"
 
 FieldSpec = Tuple[str, Tuple[str, ...]]  # (label, component sources in chart order)
 Box = Dict[str, Tuple[float, float]]  # coordinate -> (lo, hi)
-# (expression, what it is, probed coordinates, "positive" or "non-vanishing")
+# (expression, what it is, probed coordinates, a key of _MUST)
 Probe = Tuple[Expr, str, Tuple[str, ...], str]
 
 
@@ -43,7 +43,7 @@ class CatalogEntry:
     structure: WeylStructure
     box: Box
     expected: Dict[str, object]
-    params: Dict[str, object] = field(default_factory=dict)
+    params: Dict[str, object] = field(default_factory=dict)  # defining functions as parsed Exprs; n, branch ints
     seed: int = 0
     n_points: int = 20
     preferred: Optional[WeylStructure] = None  # representative with nabla R = -3 omega x R, when it differs
@@ -120,9 +120,17 @@ def sample_box(chart: Chart, box: Box, count: int, seed: int = 0) -> List[Tuple[
 # entry assembly: one box rule, one probe rule, one dependency rule
 # ----------------------------------------------------------------------
 
+# what a probe asks of each value; a "defined" expression only has to evaluate
+_MUST = {
+    "positive": lambda v: v > 0,
+    "non-vanishing": lambda v: not abs(v) <= thresholds.PROBE_NON_VANISHING,
+    "defined": lambda v: True,
+}
+
+
 def _probe(expr: Expr, what: str, axes: Sequence[str], must: str, box: Box, chart: Optional[Chart] = None) -> None:
-    """``expr`` is positive, or of modulus above PROBE_NON_VANISHING, at the
-    9 mid-points per axis of ``box`` over ``axes``.  With a ``chart``, only at
+    """``expr`` evaluates and is as ``must`` says (``_MUST``) at the 9
+    mid-points per axis of ``box`` over ``axes``.  With a ``chart``, only at
     the points it allows, each coordinate not probed at 0.0."""
     grids = [[lo + (hi - lo) * (k + 0.5) / 9 for k in range(9)] for lo, hi in (box[a] for a in axes)]
     points = [dict(zip(axes, values)) for values in itertools.product(*grids)]
@@ -133,7 +141,7 @@ def _probe(expr: Expr, what: str, axes: Sequence[str], must: str, box: Box, char
             raise CatalogError("no probe point satisfies the constraints")
     for env in points:
         v = exprlang.eval_number(expr, env)
-        if abs(v) <= thresholds.PROBE_NON_VANISHING if must == "non-vanishing" else not v > 0:
+        if not _MUST[must](v):
             raise CatalogError(f"{what} must be {must} on the domain; value {v} at {env}")
 
 
@@ -166,9 +174,7 @@ def _entry(
         _probe(*probe, box, structure.chart if probe_allowed_only else None)
     if kind:
         expected = {**expected, "kind": kind}
-    return CatalogEntry(
-        family=structure.family, structure=structure, box=box, expected=expected, params=dict(structure.params), **fields
-    )
+    return CatalogEntry(family=structure.family, structure=structure, box=box, expected=expected, **fields)
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +201,8 @@ def make_dim_ge4(
     Metric (dt)^2 + E (2 dv du + sum (dx^i)^2) with E = psi'(t)/(u+psi(t))^2,
     1-form (psi'/(u+psi) - psi''/(2 psi')) dt; requires psi' > 0 and a fixed
     sign of u + psi(t) (``branch``).  These two are both the chart
-    constraints and the probes, so the box itself must satisfy them.
+    constraints and the probes, so the box itself must satisfy them.  psi
+    itself is probed first, so that a domain error names what was written.
     """
     if n < 2:
         raise CatalogError("dim_ge4 family needs n >= 2 (dimension >= 4)")
@@ -211,10 +218,8 @@ def make_dim_ge4(
 
     chart = Chart(("t", "v", *_xnames(n), "u"), constraints=(dpsi, u_plus_pos))
     entries = {("t", "t"): const(1), ("v", "u"): E, **{(x, x): E for x in _xnames(n)}}
-    psi_src = exprlang.to_source(psi_e)
-    structure = make_structure(chart, entries, {"t": omega_t}, family=DIM_GE4, params={"psi": psi_src, "n": n, "branch": branch})
     return _entry(
-        structure,
+        make_structure(chart, entries, {"t": omega_t}, family=DIM_GE4),
         box,
         {"t": (0.6, 1.8), "u": (0.1, 1.2) if branch == 1 else (-3.0, -2.5)},
         {
@@ -227,12 +232,14 @@ def make_dim_ge4(
         },
         expected_kind,
         probes=[
+            (psi_e, "psi(t)", ("t",), "defined"),
             (dpsi, "psi'(t)", ("t",), "positive"),
             (u_plus_pos, "the branch sign of u + psi(t)", ("t", "u"), "positive"),
         ],
         key=key, seed=seed, n_points=n_points,
+        params={"psi": psi_e, "n": n, "branch": branch},
         symmetry_fields=killing_fields(n),
-        description=f"dim {n + 2} family, psi = {psi_src}",
+        description=f"dim {n + 2} family, psi = {exprlang.to_source(psi_e)}",
     )
 
 
@@ -266,9 +273,8 @@ def make_mainth_form(
     g_uu = mul(a_e, functools.reduce(add, (pow_(var(x), const(2)) for x in _xnames(n)), const(0)))
     if not (isinstance(g_uu, exprlang.Const) and g_uu.value == 0):
         entries[("u", "u")] = g_uu
-    params = {"F": exprlang.to_source(F_e), "a": exprlang.to_source(a_e), "n": n}
     return _entry(
-        make_structure(chart, entries, {"u": Fdot}, family=MAINTH_FORM, params=params),
+        make_structure(chart, entries, {"u": Fdot}, family=MAINTH_FORM),
         box,
         {"u": (0.2, 1.2), xn: (0.4, 1.4)},
         {
@@ -280,7 +286,8 @@ def make_mainth_form(
         },
         probes=[(derivative(Fdot, xn), f"d_{xn} dF/du", (xn, "u"), "non-vanishing")],
         key=key, seed=seed, n_points=n_points,
-        description=f"dim {n + 2} normal form, F = {params['F']}, a = {params['a']}",
+        params={"F": F_e, "a": a_e, "n": n},
+        description=f"dim {n + 2} normal form, F = {exprlang.to_source(F_e)}, a = {exprlang.to_source(a_e)}",
     )
 
 
@@ -314,13 +321,8 @@ def make_3d_case1(
     _depends_only(F_e, "F", "x", "u")
     Fdot = derivative(F_e, "u")
     chart = Chart(("v", "x", "u"), constraints=tuple(map(exprlang.as_expr, constraints)))
-    F_src = exprlang.to_source(F_e)
     structure = make_structure(
-        chart,
-        {("v", "u"): const(1), ("x", "x"): call("exp", mul(const(-2), F_e))},
-        {"u": Fdot},
-        family=THREED_CASE1,
-        params={"F": F_src},
+        chart, {("v", "u"): const(1), ("x", "x"): call("exp", mul(const(-2), F_e))}, {"u": Fdot}, family=THREED_CASE1
     )
     return _entry(
         structure,
@@ -331,8 +333,9 @@ def make_3d_case1(
         probes=[(derivative(Fdot, "x"), "d_x dF/du", ("x", "u"), "non-vanishing")],
         probe_allowed_only=True,
         key=key, seed=seed, n_points=n_points,
+        params={"F": F_e},
         symmetry_fields=[("d_v", ("1", "0", "0"))],
-        description=f"3D holonomy-1 family, F = {F_src}",
+        description=f"3D holonomy-1 family, F = {exprlang.to_source(F_e)}",
     )
 
 
@@ -372,13 +375,8 @@ def make_3d_case2(
     )
     chart = Chart(("v", "x", "u"), constraints=tuple(map(exprlang.as_expr, constraints)))
     omega_u = mul(a_e, x)
-    params = {"a": exprlang.to_source(a_e), "c": exprlang.to_source(c_e)}
     structure = make_structure(
-        chart,
-        {("v", "u"): const(1), ("x", "x"): const(1), ("u", "u"): H},
-        {"u": omega_u},
-        family=THREED_CASE2,
-        params=params,
+        chart, {("v", "u"): const(1), ("x", "x"): const(1), ("u", "u"): H}, {"u": omega_u}, family=THREED_CASE2
     )
 
     # preferred representative h = e^{(4/5) ln|a|} g, omega_h = a x du - (2/5)(a'/a) du
@@ -389,7 +387,7 @@ def make_3d_case2(
         ("u", "u"): mul(scale, H),
     }
     omega_h = sub(omega_u, mul(div(const(2), const(5)), div(adot, a_e)))
-    preferred = make_structure(chart, h_entries, {"u": omega_h}, family=THREED_CASE2, params={"representative": "weight-5/2"})
+    preferred = make_structure(chart, h_entries, {"u": omega_h}, family=THREED_CASE2)
 
     return _entry(
         structure,
@@ -399,8 +397,9 @@ def make_3d_case2(
         expected_kind,
         probes=[(a_e, "a(u)", ("u",), "non-vanishing")],
         key=key, seed=seed, n_points=n_points,
+        params={"a": a_e, "c": c_e},
         preferred=preferred,
-        description=f"3D holonomy-2 family, a = {params['a']}, c = {params['c']}",
+        description=f"3D holonomy-2 family, a = {exprlang.to_source(a_e)}, c = {exprlang.to_source(c_e)}",
     )
 
 
@@ -427,12 +426,13 @@ def make_homogeneous_model(
     entries = {("t", "t"): scale, ("v", "u"): scale, **{(x, x): scale for x in _xnames(n)}}
     omega = {"u": parse("2*u/(2*t+u^2) - 1/sqrt(2*t+u^2)"), "t": parse("2/(2*t+u^2)")}
     return _entry(
-        make_structure(chart, entries, omega, family=HOMOGENEOUS_MODEL, params={"n": n}),
+        make_structure(chart, entries, omega, family=HOMOGENEOUS_MODEL),
         box,
         {"t": (0.5, 1.5), "u": (-0.8, 0.8)},
         {"recurrent": True, "holonomy_dim": n, "is_preferred_rep": False, "einstein_weyl": False},
         "Homogeneous",
         key=key, seed=seed, n_points=n_points,
+        params={"n": n},
         symmetry_fields=killing_fields(n) + [
             ("translation-boost X", _comps(n, u="1", v="t", t="0-u")),
             ("scaling Y", _comps(n, t="2*t", u="u", v="3*v", **{x: f"2*{x}" for x in _xnames(n)})),

@@ -122,7 +122,7 @@ class _Family(NamedTuple):
     (a wrapper installed on this module's name is honoured); ``None`` marks a
     verb the family does not support."""
 
-    fields: FrozenSet[str]  # parameter fields of a structure file, as in entry.params
+    fields: FrozenSet[str]  # parameter fields of a structure file: the keys of entry.params, whose functions are Exprs
     build: Callable[..., CatalogEntry]  # (data, box=, key=, seed=, constraints=) -> entry
     # coordinate whose box range is the default curve / classification interval;
     # None: the curve samples the whole box, and a --range is an input error
@@ -182,7 +182,9 @@ def structure_file_payload(entry: CatalogEntry) -> Dict:
         "box": {k: list(v) for k, v in entry.box.items()},
         "seed": entry.seed,
     }
-    payload.update({name: entry.params[name] for name in _FAMILIES[entry.family].fields})
+    for name in _FAMILIES[entry.family].fields:  # the one place a defining function becomes text
+        value = entry.params[name]
+        payload[name] = value if isinstance(value, int) else exprlang.to_source(value)
     constraints = [exprlang.to_source(c) for c in entry.structure.chart.constraints]
     if constraints:
         payload["constraints"] = constraints

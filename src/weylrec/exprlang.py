@@ -15,13 +15,15 @@ Numeric literals are parsed as exact rationals.
 
 from __future__ import annotations
 
+import contextlib
 import operator
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Tuple, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple, Union
 
+from . import thresholds
 from .jets import (
     SERIES,
     UNARY_FUNCTIONS,
@@ -81,26 +83,27 @@ class ExprDomainError(ExprError):
 
 
 # ----------------------------------------------------------------------
-# AST
+# AST.  Equality and hashing are structural: a node's span says where it was
+# written, not what it is, so "t^3+t" and "((t^3)+t)" give equal trees.
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Const:
     value: Union[int, Fraction]
-    span: SourceSpan = _SYNTHETIC
+    span: SourceSpan = field(default=_SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
 class Var:
     name: str
-    span: SourceSpan = _SYNTHETIC
+    span: SourceSpan = field(default=_SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
 class Neg:
     operand: "Expr"
-    span: SourceSpan = _SYNTHETIC
+    span: SourceSpan = field(default=_SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
@@ -108,14 +111,14 @@ class BinOp:
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
-    span: SourceSpan = _SYNTHETIC
+    span: SourceSpan = field(default=_SYNTHETIC, compare=False)
 
 
 @dataclass(frozen=True)
 class Call:
     fn: str
     arg: "Expr"
-    span: SourceSpan = _SYNTHETIC
+    span: SourceSpan = field(default=_SYNTHETIC, compare=False)
 
 
 Expr = Union[Const, Var, Neg, BinOp, Call]
@@ -163,10 +166,19 @@ def _literal(text: str) -> Union[int, Fraction]:
     return int(f) if f.denominator == 1 else f
 
 
+_Parsed = Tuple[Expr, int]  # a node and its depth
+
+
 class _Parser:
+    """Recursive descent that also measures the depth of what it builds: the
+    longest chain of nested nodes, one more level for each pair of
+    parentheses.  A depth above ``thresholds.EXPRESSION_DEPTH_LIMIT`` is a
+    syntax error, so no walk of a parsed tree recurses deeper than that."""
+
     def __init__(self, tokens: List[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0  # enclosing parentheses, calls, unary minuses and exponents
 
     @property
     def current(self) -> _Token:
@@ -182,42 +194,69 @@ class _Parser:
         got = "end of input" if tok.kind == "end" else repr(tok.text)
         raise ExprSyntaxError(f"expected {expected}, got {got}", tok.span)
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
+    def _close(self) -> _Token:
+        if not (self.current.kind == "op" and self.current.text == ")"):
+            self._fail("')'")
+        return self._advance()
+
+    def _bounded(self, depth: int, span: SourceSpan) -> int:
+        limit = thresholds.EXPRESSION_DEPTH_LIMIT
+        if depth > limit:
+            raise ExprSyntaxError(f"expression nested more than {limit} levels deep", span)
+        return depth
+
+    def _node(self, node: Expr, *below: int) -> _Parsed:
+        """``node``, one level above its deepest part."""
+        return node, self._bounded(max(below) + 1, node.span)
+
+    @contextlib.contextmanager
+    def _inside(self, tok: _Token) -> Iterator[None]:
+        """The construct opened at ``tok``: each enclosing one adds a level to
+        the tree below it, so the limit holds on the way down too, before the
+        recursion runs deep."""
+        self.open += 1
+        self._bounded(self.open + 1, tok.span)
+        yield
+        self.open -= 1
+
+    def parse_expr(self) -> _Parsed:
+        node, depth = self.parse_term()
         while self.current.kind == "op" and self.current.text in "+-":
             op = self._advance()
-            rhs = self.parse_term()
-            node = BinOp(op.text, node, rhs, SourceSpan(node.span.start, rhs.span.end))
-        return node
+            rhs, rdepth = self.parse_term()
+            node, depth = self._node(BinOp(op.text, node, rhs, SourceSpan(node.span.start, rhs.span.end)), depth, rdepth)
+        return node, depth
 
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
+    def parse_term(self) -> _Parsed:
+        node, depth = self.parse_unary()
         while self.current.kind == "op" and self.current.text in "*/":
             op = self._advance()
-            rhs = self.parse_unary()
-            node = BinOp(op.text, node, rhs, SourceSpan(node.span.start, rhs.span.end))
-        return node
+            rhs, rdepth = self.parse_unary()
+            node, depth = self._node(BinOp(op.text, node, rhs, SourceSpan(node.span.start, rhs.span.end)), depth, rdepth)
+        return node, depth
 
-    def parse_unary(self) -> Expr:
+    def parse_unary(self) -> _Parsed:
         if self.current.kind == "op" and self.current.text == "-":
             tok = self._advance()
-            operand = self.parse_unary()
-            return Neg(operand, SourceSpan(tok.span.start, operand.span.end))
+            with self._inside(tok):
+                operand, depth = self.parse_unary()
+            return self._node(Neg(operand, SourceSpan(tok.span.start, operand.span.end)), depth)
         return self.parse_power()
 
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
+    def parse_power(self) -> _Parsed:
+        base, depth = self.parse_atom()
         if self.current.kind == "op" and self.current.text == "^":
-            self._advance()
-            exponent = self.parse_unary()  # right-associative, binds unary minus in the exponent
-            return BinOp("^", base, exponent, SourceSpan(base.span.start, exponent.span.end))
-        return base
+            caret = self._advance()
+            with self._inside(caret):
+                exponent, edepth = self.parse_unary()  # right-associative, binds unary minus in the exponent
+            return self._node(BinOp("^", base, exponent, SourceSpan(base.span.start, exponent.span.end)), depth, edepth)
+        return base, depth
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> _Parsed:
         tok = self.current
         if tok.kind == "num":
             self._advance()
-            return Const(_literal(tok.text), tok.span)
+            return Const(_literal(tok.text), tok.span), 1
         if tok.kind == "name":
             self._advance()
             if self.current.kind == "op" and self.current.text == "(":
@@ -227,31 +266,28 @@ class _Parser:
                         tok.span,
                     )
                 self._advance()
-                arg = self.parse_expr()
-                close = self.current
-                if not (close.kind == "op" and close.text == ")"):
-                    self._fail("')'")
-                self._advance()
-                return Call(tok.text, arg, SourceSpan(tok.span.start, close.span.end))
-            return Var(tok.text, tok.span)
+                with self._inside(tok):
+                    arg, depth = self.parse_expr()
+                close = self._close()
+                return self._node(Call(tok.text, arg, SourceSpan(tok.span.start, close.span.end)), depth)
+            return Var(tok.text, tok.span), 1
         if tok.kind == "op" and tok.text == "(":
             self._advance()
-            node = self.parse_expr()
-            close = self.current
-            if not (close.kind == "op" and close.text == ")"):
-                self._fail("')'")
-            self._advance()
+            with self._inside(tok):
+                node, depth = self.parse_expr()
+            close = self._close()
             # the parentheses belong to the operand, so a node built on it spans them
-            return replace(node, span=SourceSpan(tok.span.start, close.span.end))
+            return self._node(replace(node, span=SourceSpan(tok.span.start, close.span.end)), depth)
         self._fail("a number, a name or '('")
 
 
 def parse(source: str) -> Expr:
-    """Parse ``source`` into an Expr tree; raises ExprSyntaxError with a span."""
+    """Parse ``source`` into an Expr tree; raises ExprSyntaxError with a span,
+    also for a tree nested deeper than ``thresholds.EXPRESSION_DEPTH_LIMIT``."""
     if not source or not source.strip():
         raise ExprSyntaxError("empty expression", SourceSpan(0, len(source or "")))
     parser = _Parser(_tokenize(source))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     if parser.current.kind != "end":
         parser._fail("an operator or end of input")
     return node

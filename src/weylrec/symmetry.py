@@ -50,7 +50,11 @@ def _psi_rows(t: float, psi_e: Expr) -> List[List[float]]:
     """The one symmetry-system row [psi', 2 t psi', 1, -2 psi, psi^2] at t."""
     jet = exprlang.eval_jet(psi_e, coordinate_jets(("t",), (t,), 1))
     p0, p1 = (float(x) for x in derivatives_from_jet(jet))
-    return [[p1, 2.0 * t * p1, 1.0, -2.0 * p0, p0**2]]
+    try:
+        square = p0**2
+    except OverflowError:  # a value beyond the float range is a domain error, as in evaluation
+        raise exprlang.ExprDomainError(f"psi(t)^2 at t = {t!r}: overflow", psi_e.span) from None
+    return [[p1, 2.0 * t * p1, 1.0, -2.0 * p0, square]]
 
 
 def _pair_rows(u: float, a_e: Expr, c_e: Expr) -> List[List[float]]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -107,7 +107,6 @@ class WeylStructure:
     metric: Tuple[Tuple[Optional[Expr], ...], ...]
     one_form: Tuple[Optional[Expr], ...]
     family: str = "custom"
-    params: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -119,7 +118,6 @@ def make_structure(
     metric_entries: Dict[Tuple[str, str], Union[str, Expr]],
     one_form: Optional[Dict[str, Union[str, Expr]]] = None,
     family: str = "custom",
-    params: Optional[dict] = None,
 ) -> WeylStructure:
     """Build a WeylStructure from sparse named components (mirrored symmetrically)."""
     d = chart.dim
@@ -137,7 +135,6 @@ def make_structure(
         metric=tuple(tuple(row) for row in grid),
         one_form=tuple(omega),
         family=family,
-        params=dict(params or {}),
     )
 
 

@@ -31,6 +31,7 @@ NOT_EINSTEIN_WEYL = 1e-3  # absolute, |Ric_sym - lam g|: "not Einstein-Weyl" nee
 
 # ---- expression evaluation ----
 INTEGER_POWER_LIMIT = 1000  # count: the largest |n| of an integer power x^n, which costs |n| - 1 products
+EXPRESSION_DEPTH_LIMIT = 100  # count: the most nested nodes of a parsed expression, a parenthesis pair one more
 TAN_POLE = 2.220446049250313e-16  # relative to max(1, |x|) (2**-52): |cos x| at or below it makes x a pole of tan
 
 # ---- catalog probes ----

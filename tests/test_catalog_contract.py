@@ -54,7 +54,7 @@ def entry_record(entry) -> dict:
         "family": entry.family,
         "box": {name: list(bounds) for name, bounds in entry.box.items()},
         "expected": entry.expected,
-        "params": entry.params,
+        "params": {name: v if isinstance(v, int) else exprlang.to_source(v) for name, v in entry.params.items()},
         "seed": entry.seed,
         "n_points": entry.n_points,
         "symmetry_fields": [[label, list(comps)] for label, comps in entry.symmetry_fields],

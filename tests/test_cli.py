@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from weylrec import catalog, cli
+from weylrec import catalog, cli, thresholds
 from weylrec.catalog import standard_catalog
 from weylrec.cli import main
 
@@ -625,7 +625,31 @@ class TestHardInputEndsCleanly:
         code, out, err = run(capsys, "signature", path, "--samples", "2")
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
-        assert err == f"error: {path}: '^': integer power 99999 exceeds the limit of 1000 in modulus\n"
+        # psi itself is probed before psi', so the error names the power the file wrote
+        assert err == f"error: {path}: '^': integer power 100000 exceeds the limit of 1000 in modulus\n"
+
+    # every verb of a dim_ge4 file; verify at 6 points, so that the deep trees stay quick
+    VERBS = [["verify", "--samples", "6"], ["signature", "--samples", "8"], ["classify"], ["invariants", "--at", "1.05"]]
+
+    @pytest.mark.parametrize("argv", VERBS, ids=lambda argv: argv[0])
+    def test_an_expression_at_the_depth_limit_runs_every_verb(self, tmp_path, capsys, argv):
+        # k pairs of parentheses around a sum of m terms is k + m levels deep
+        parens = thresholds.EXPRESSION_DEPTH_LIMIT // 2
+        psi = "(" * parens + "+".join(["t"] * (thresholds.EXPRESSION_DEPTH_LIMIT - parens)) + ")" * parens
+        path = write_json(tmp_path / "deep.json", {"format": 1, "family": "dim_ge4", "psi": psi, "n": 2})
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 0 and out
+        assert err.startswith("wall time") if argv[0] == "verify" else err == ""
+
+    @pytest.mark.parametrize("argv", VERBS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("shape", ["parentheses", "sum"])
+    def test_an_expression_beyond_the_depth_limit_is_an_input_error(self, tmp_path, capsys, argv, shape):
+        depth = thresholds.EXPRESSION_DEPTH_LIMIT + 1
+        psi = "(" * (depth - 1) + "t" + ")" * (depth - 1) if shape == "parentheses" else "+".join(["t"] * depth)
+        path = write_json(tmp_path / "deep.json", {"format": 1, "family": "dim_ge4", "psi": psi, "n": 2})
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: expression nested more than {thresholds.EXPRESSION_DEPTH_LIMIT} levels deep\n"
 
     @pytest.mark.parametrize(
         "argv", [["invariants", "--at", "1.0"], ["signature", "--samples", "4"], ["equiv", "@", "--samples", "4"], ["classify"]]
@@ -662,6 +686,12 @@ class TestHardInputEndsCleanly:
             assert json.loads(out)["singular"] == "a power of the jet entries overflows the float range"
         elif "--range" in argv:
             assert out.splitlines()[-1] == "# singular_samples_dropped,8"
+
+    def test_float_power_that_overflows_in_the_symmetry_system_is_an_input_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "tower.json", {"format": 1, "family": "dim_ge4", "psi": "exp(exp(exp(t)))", "n": 2})
+        code, out, err = run(capsys, "classify", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: psi(t)^2 at t = ") and err.endswith(": overflow\n") and err.count("\n") == 1
 
     def test_singular_metric_is_an_input_error(self, tmp_path, capsys):
         path = write_json(tmp_path / "sing.json", {"format": 1, "family": "dim_ge4", "psi": "exp(100*t)", "n": 2})

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from weylrec import thresholds
 from weylrec.exprlang import (
     FUNCTION_NAMES,
     BinOp,
@@ -83,6 +84,56 @@ class TestParsing:
     def test_unexpected_character(self):
         with pytest.raises(ExprSyntaxError, match="unexpected character"):
             parse("t + $")
+
+    def test_equality_is_structural(self):
+        # the same tree written two ways: equal and of equal hash, with different spans
+        plain, rendered = parse("t^3+t"), parse("((t^3)+t)")
+        assert plain == rendered and hash(plain) == hash(rendered)
+        assert plain.span != rendered.span and plain.left.span != rendered.left.span
+        assert parse("t^3+t") != parse("t^3-t") and parse("(t)") == Var("t")
+
+
+def nested(shape, depth):
+    """Source of the given shape whose tree is ``depth`` levels deep."""
+    return {
+        "parentheses": "(" * (depth - 1) + "t" + ")" * (depth - 1),
+        "sum": "+".join(["t"] * depth),
+        "unary minus": "-" * (depth - 1) + "t",
+        "exponent tower": "^".join(["t"] * depth),
+    }[shape]
+
+
+class TestDepthLimit:
+    """A tree deeper than EXPRESSION_DEPTH_LIMIT is refused by the parser, so
+    no walk of a parsed tree (evaluation, derivative, rendering) recurses
+    deeper than that."""
+
+    SHAPES = ["parentheses", "sum", "unary minus", "exponent tower"]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_at_the_limit_parses(self, shape):
+        parse(nested(shape, thresholds.EXPRESSION_DEPTH_LIMIT))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_one_level_more_is_a_syntax_error(self, shape):
+        source = nested(shape, thresholds.EXPRESSION_DEPTH_LIMIT + 1)
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(source)
+        assert str(err.value) == f"expression nested more than {thresholds.EXPRESSION_DEPTH_LIMIT} levels deep"
+        assert 0 <= err.value.span.start < err.value.span.end <= len(source)
+
+    def test_a_parenthesis_pair_is_a_level(self):
+        at_limit = nested("sum", thresholds.EXPRESSION_DEPTH_LIMIT)
+        parse(at_limit)
+        with pytest.raises(ExprSyntaxError, match="nested more than"):
+            parse(f"({at_limit})")
+
+    def test_far_beyond_the_limit_is_still_a_syntax_error(self):
+        # deeper than the interpreter's stack would allow a recursive parse to go
+        with pytest.raises(ExprSyntaxError, match="nested more than"):
+            parse("(" * 5000 + "t" + ")" * 5000)
+        with pytest.raises(ExprSyntaxError, match="nested more than"):
+            parse("+".join(["t"] * 5000))
 
 
 class TestEvalJet:

@@ -1,8 +1,9 @@
 """Each input is parsed once: one argparse parser per process, and one
-``exprlang.parse`` per expression per verb, however many points a verb
-samples.  The parsed tree is the one a source string would give, so the
-results, float bits included, do not depend on whether a caller passes the
-string or the parsed ``Expr``.
+``exprlang.parse`` per expression of a structure file per verb, however many
+points a verb samples: the file's trees are the ones the verb computes with.
+The parsed tree is the one a source string would give, so the results, float
+bits included, do not depend on whether a caller passes the string or the
+parsed ``Expr``.
 """
 
 import contextlib
@@ -52,22 +53,33 @@ def files(tmp_path):
         ),
         encoding="utf-8",
     )
-    return {"cubic": str(cubic), "gk": str(gk)}
+    pair = tmp_path / "3d2-generic.json"
+    assert run("catalog", "emit", "3d2-generic", str(pair))[0] == 0
+    return {"cubic": str(cubic), "gk": str(gk), "pair": str(pair)}
+
+
+# the expressions each file holds: psi, or the pair a and c
+EXPRESSIONS = {"cubic": 1, "gk": 1, "pair": 2}
 
 
 class TestOneParsePerExpression:
-    @pytest.mark.parametrize("verb", ["signature", "classify"])
-    @pytest.mark.parametrize("name", ["cubic", "gk"])
-    def test_one_input_verbs(self, files, parse_calls, verb, name):
-        code, out, _ = run(verb, files[name])
+    @pytest.mark.parametrize(
+        "argv",
+        [["signature"], ["classify"], ["verify", "--samples", "6"], ["invariants", "--at", "1.05"]],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("name", list(EXPRESSIONS))
+    def test_one_input_verbs(self, files, parse_calls, argv, name):
+        code, out, _ = run(argv[0], files[name], *argv[1:])
         assert code == 0 and out
-        # one parse to load the file, one for the verb's 64 (or 16 + 11) points
-        assert len(parse_calls) <= 2, parse_calls
+        # each expression is parsed when the file is loaded, and the verb's
+        # points (64, 16 + 11, or 6 geometry passes) evaluate that tree
+        assert len(parse_calls) == EXPRESSIONS[name], parse_calls
 
     def test_equiv(self, files, parse_calls):
         code, out, _ = run("equiv", files["cubic"], files["gk"])
         assert code == 0 and json.loads(out)["verdict"] == "Equivalent"
-        assert len(parse_calls) <= 4, parse_calls
+        assert len(parse_calls) == 2 and CUBIC_GK_PSI in parse_calls, parse_calls
 
 
 class TestOneParserPerProcess:
@@ -124,19 +136,24 @@ ENTRIES = standard_catalog()
 PSI_KEYS = [key for key, e in ENTRIES.items() if "psi" in e.params]
 
 
+def _sources(key, *names):
+    """The source text of an entry's functions, as a structure file writes them."""
+    return tuple(exprlang.to_source(ENTRIES[key].params[name]) for name in names)
+
+
 CASES = [
     *[
-        pytest.param(psi_signature_curve, (ENTRIES[k].params["psi"],), ENTRIES[k].box["t"], {}, id=f"psi-curve-{k}")
+        pytest.param(psi_signature_curve, _sources(k, "psi"), ENTRIES[k].box["t"], {}, id=f"psi-curve-{k}")
         for k in PSI_KEYS
     ],
     *[
         pytest.param(
-            classify_psi, (ENTRIES[k].params["psi"],), (), {"interval": ENTRIES[k].box["t"]}, id=f"classify-psi-{k}"
+            classify_psi, _sources(k, "psi"), (), {"interval": ENTRIES[k].box["t"]}, id=f"classify-psi-{k}"
         )
         for k in PSI_KEYS
     ],
     *[
-        pytest.param(fn, (ENTRIES[k].params["a"], ENTRIES[k].params["c"]), rest, kw, id=f"{fn.__name__}-{k}")
+        pytest.param(fn, _sources(k, "a", "c"), rest, kw, id=f"{fn.__name__}-{k}")
         for k in ("3d2-generic", "3d2-inv-u", "3d2-ew-model")
         for fn, rest, kw in (
             (pair_signature_curve, ENTRIES[k].box["u"], {}),
@@ -145,7 +162,7 @@ CASES = [
     ],
     *[
         pytest.param(
-            surface_signature_curve, (ENTRIES[k].params["F"],), (ENTRIES[k].box["x"], ENTRIES[k].box["u"]), {},
+            surface_signature_curve, _sources(k, "F"), (ENTRIES[k].box["x"], ENTRIES[k].box["u"]), {},
             id=f"surface-curve-{k}",
         )
         for k in ("3d1-xu", "3d1-homog")
