@@ -54,7 +54,7 @@ from .invariants import (
     surface_signature_curve,
 )
 from .symmetry import classify_3d2, classify_psi
-from .tensor import SingularMetricError, recurrence_theta, weyl_compatibility_residual, weyl_connection
+from .tensor import SignatureError, SingularMetricError, recurrence_theta, weyl_compatibility_residual, weyl_connection
 
 FORMAT_VERSION = 1
 
@@ -632,7 +632,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _check_numeric_flags(args)
         return _DISPATCH[args.command](args)
-    except (InputError, exprlang.ExprError, CatalogError, NotIncreasingError, SingularMetricError) as exc:
+    except (InputError, exprlang.ExprError, CatalogError, NotIncreasingError, SingularMetricError, SignatureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -248,9 +248,12 @@ def pair_invariants(jet: PairJet) -> PairInvariants:
     a, c = _exactify(jet.a), _exactify(jet.c)
     if _vanishes(a[1], a[0], a[1]):
         raise SingularStratumError("a'(u) vanishes (extra-symmetry stratum)")
-    first = (a[0] * c[1] - c[0] * a[1]) * a[0] ** 4 / a[1] ** 4
-    second = a[0] * a[2] / _sq(a[1])
-    third = (a[0] * c[2] - c[0] * a[2]) * a[0] ** 5 / a[1] ** 5
+    try:
+        first = (a[0] * c[1] - c[0] * a[1]) * a[0] ** 4 / a[1] ** 4
+        second = a[0] * a[2] / _sq(a[1])
+        third = (a[0] * c[2] - c[0] * a[2]) * a[0] ** 5 / a[1] ** 5
+    except OverflowError as exc:  # a float power of a huge jet entry, as in _psi_pair
+        raise SingularStratumError("a power of the jet entries overflows the float range") from exc
     return PairInvariants(first, second, third)
 
 

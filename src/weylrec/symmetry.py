@@ -62,7 +62,11 @@ def _pair_rows(u: float, a_e: Expr, c_e: Expr) -> List[List[float]]:
     env = coordinate_jets(("u",), (u,), 1)
     a0, a1 = (float(x) for x in derivatives_from_jet(exprlang.eval_jet(a_e, env)))
     c0, c1 = (float(x) for x in derivatives_from_jet(exprlang.eval_jet(c_e, env)))
-    return [[a1, 0.0, u * a1 + a0, u * a1 + 2.0 * a0], [c1, a0, u * c1 + 2.0 * c0, u * c1 + c0]]
+    rows = [[a1, 0.0, u * a1 + a0, u * a1 + 2.0 * a0], [c1, a0, u * c1 + 2.0 * c0, u * c1 + c0]]
+    for name, e, row in (("a", a_e, rows[0]), ("c", c_e, rows[1])):
+        if not all(map(math.isfinite, row)):  # beyond the float range: a domain error, as in _psi_rows
+            raise exprlang.ExprDomainError(f"the symmetry row of {name}(u) at u = {u!r}: overflow", e.span)
+    return rows
 
 
 def _system(

@@ -12,10 +12,22 @@ main path).  Index conventions, used consistently throughout:
 
 An empty jet (no coefficients) is a structural zero, which the geometry pass
 skips: it differentiates no empty jet (the derivatives are one shared row of
-zero jets), forms no bracket, difference, quotient or negation whose operands
-are all empty (the slot keeps a shared zero), and its value readers write 0.0
-for an empty jet without reading it.  Every other jet goes through the same
-operations, in the same order, as in a dense pass, so no bit changes.
+zero jets), forms no product with an empty factor and no bracket,
+difference, quotient or negation whose operands are all empty (the slot
+keeps an empty jet), and its value readers write 0.0 for an empty jet
+without reading it.  Every other jet goes through the same operations, in
+the same order, as in a dense pass, so no bit changes.
+
+Within one call of the inverse, the Christoffel routine or the curvature, a
+pass computes each distinct jet operation once: an operation on the same
+operand objects as an earlier one returns the earlier result, where an
+operand is shared (``_once_per_operands``).  A shared jet fills more than
+one slot of the call's inputs, a slot and its mirror counted as one
+(``_repeated``), or is made from shared jets.  The n - 1 flat directions of
+the dim >= 4 family share one conformal factor, so the family's jet work
+does not grow with n: a depth-2 pass and its curvature make the same jet
+products at every dimension.  A pass whose inputs repeat no jet keeps
+nothing.
 
 A connection of depth 0, which only the compatibility check reads, is built
 on plain numbers: the order-0 terms of the jets, with the jets' zero rules
@@ -31,7 +43,7 @@ import itertools
 import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -257,12 +269,59 @@ _NUMBERS = _Kind(
 )
 
 
+def _repeated(jets, mirror: Optional[Tuple[int, int]] = None) -> Set[int]:
+    """ids of the non-empty jets that fill more than one slot of a nested
+    list, where a slot and its mirror (the slot with its indices at the two
+    axes ``mirror`` swapped) count as one."""
+    shape, leaves = _flatten(jets)
+    seen: Set[int] = set()
+    repeated: Set[int] = set()
+    for index, jet in zip(itertools.product(*map(range, shape)), leaves):
+        if jet.coeffs and (mirror is None or index[mirror[0]] <= index[mirror[1]]):
+            (repeated if id(jet) in seen else seen).add(id(jet))
+    return repeated
+
+
+def _once_per_operands(op: Callable, shared: Set[int]) -> Callable:
+    """``op``, computed once per distinct operand objects where an operand is
+    shared: a jet whose id is in ``shared``, or the result of such an
+    operation, whose id joins it.  ``_once_per_jet`` does the same for a unary
+    map.  Jets are immutable and an operation is a pure function of its
+    operands, so a repeat returns the first result, the same to the bit.  An
+    operation on unshared operands is not kept: where no input jet repeats,
+    only the mirror slots of a symmetric list repeat an operation, and keeping
+    every operation would hold one more jet per term of the sums.  The memo
+    holds the operands it is keyed on, so their ids stay theirs.  With no
+    shared jet to start from, no operand is ever shared, and ``op`` is
+    returned as it is."""
+    if not shared:
+        return op
+    done: Dict[Tuple[int, ...], tuple] = {}
+
+    def once(*operands):
+        key = tuple(map(id, operands))
+        if shared.isdisjoint(key):
+            return op(*operands)
+        if key not in done:
+            done[key] = (op(*operands), operands)
+            shared.add(id(done[key][0]))
+        return done[key][0]
+
+    return once
+
+
+def _once_jets(shared: Set[int]) -> _Kind:
+    """The jet kind with each operation computed once per shared operands."""
+    ops = ("add", "sub", "mul", "div", "half")
+    return _JETS._replace(**{name: _once_per_operands(getattr(_JETS, name), shared) for name in ops})
+
+
 def _invert_jet_matrix(g: list) -> list:
     """Invert a matrix of jets, or of numbers, by Gauss-Jordan with
     constant-term pivoting; a pivot at most PIVOT_SINGULAR of the largest
     entry's value means it is singular."""
     d = len(g)
-    kind = _JETS if isinstance(g[0][0], JetPoly) else _NUMBERS
+    kind = _once_jets(_repeated(g, (0, 1))) if isinstance(g[0][0], JetPoly) else _NUMBERS
     empty, sub, mul = kind.empty, kind.sub, kind.mul
     zero = kind.constant(g[0][0], 0)
     one = kind.constant(g[0][0], 1)
@@ -274,13 +333,13 @@ def _invert_jet_matrix(g: list) -> list:
             raise SingularMetricError("metric is singular (no usable pivot)")
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
         inv_pivot = kind.div(one, aug[col][col])
-        aug[col] = [mul(entry, inv_pivot) for entry in aug[col]]
+        aug[col] = [entry if empty(entry) else mul(entry, inv_pivot) for entry in aug[col]]
         for r in range(d):
             if r == col:
                 continue
             factor = aug[r][col]
             if not empty(factor):
-                aug[r] = [sub(er, mul(factor, ec)) for er, ec in zip(aug[r], aug[col])]
+                aug[r] = [er if empty(ec) else sub(er, mul(factor, ec)) for er, ec in zip(aug[r], aug[col])]
     return [row[d:] for row in aug]
 
 
@@ -434,26 +493,29 @@ def weyl_connection(structure: WeylStructure, point: Sequence, depth: int = 1) -
     return _christoffel_from(structure, point, depth, g, omega)
 
 
-def _once_per_jet(jets, fn):
+def _once_per_jet(jets, fn, shared: Optional[Set[int]] = None):
     """``fn`` of each jet of a nested list, in the list's shape, computed once
-    per distinct jet object, so that entries sharing a jet share the result."""
+    per distinct jet object, so that entries sharing a jet share the result.
+    The jets of a result of a jet in ``shared`` (ids) are added to it."""
     shape, leaves = _flatten(jets)
     done: Dict[int, object] = {}
     for jet in leaves:
         if id(jet) not in done:
             done[id(jet)] = fn(jet)
+    if shared is not None:
+        shared.update(id(x) for key, result in done.items() if key in shared for x in _flatten(result)[1])
     out = [done[id(jet)] for jet in leaves]
     for n in reversed(shape[1:]):
         out = [out[i : i + n] for i in range(0, len(out), n)]
     return out
 
 
-def _derivatives_once(jets, zero: JetPoly):
+def _derivatives_once(jets, zero: JetPoly, shared: Optional[Set[int]] = None):
     """``[d_0 jet, ..., d_{n-1} jet]`` of each jet of a nested list, computed
     once per distinct jet object; every empty jet maps to one shared row of
     ``zero`` (a jet of one order less) and is never differentiated."""
     row = [zero] * zero.nvars
-    return _once_per_jet(jets, lambda jet: [jet.derivative(e) for e in range(jet.nvars)] if jet.coeffs else row)
+    return _once_per_jet(jets, lambda jet: [jet.derivative(e) for e in range(jet.nvars)] if jet.coeffs else row, shared)
 
 
 def _christoffel_from(
@@ -473,12 +535,14 @@ def _christoffel_from(
         g_low = _once_per_jet(g, lambda jet: jet.value)
         dg = _once_per_jet(g, JetPoly.gradient)
     else:
-        kind = _JETS
-        g_low = _once_per_jet(g, lambda jet: jet.truncated(depth))
+        shared = _repeated(g, (0, 1))
+        g_low = _once_per_jet(g, lambda jet: jet.truncated(depth), shared)
         zero = g_low[0][0].like_constant(0)
-        dg = _derivatives_once(g, zero)
-    empty, add, sub, mul = kind.empty, kind.add, kind.sub, kind.mul
+        dg = _derivatives_once(g, zero, shared)
     ginv = _invert_jet_matrix(g_low)
+    if depth > 0:
+        kind = _once_jets(shared | _repeated(ginv))
+    empty, add, sub, mul = kind.empty, kind.add, kind.sub, kind.mul
 
     gamma = [[[zero] * d for _ in range(d)] for _ in range(d)]
     for b in range(d):
@@ -508,15 +572,17 @@ def _christoffel_from(
             if not (empty(ginv[a][e]) or empty(omega[e])):
                 acc = add(acc, mul(ginv[a][e], omega[e]))
         omega_up[a] = acc
+    # zero + w_c, computed once: K^a_bc starts from it for every a = b or a = c
+    lifted = [zero if empty(w) else add(zero, w) for w in omega]
     for a in range(d):
         up = None if empty(omega_up[a]) else omega_up[a]
         for b in range(d):
             for c in range(b, d):
                 k = zero
                 if a == b and not empty(omega[c]):
-                    k = add(k, omega[c])
+                    k = lifted[c]
                 if a == c and not empty(omega[b]):
-                    k = add(k, omega[b])
+                    k = add(k, omega[b]) if a == b else lifted[b]
                 if up is not None and not empty(g_low[b][c]):
                     k = sub(k, mul(g_low[b][c], up))
                 if not empty(k):
@@ -550,13 +616,16 @@ def _curvature_jets(conn: Connection) -> List[List[List[List[JetPoly]]]]:
         raise JetShapeError("cannot differentiate an order-0 jet")
     template = conn.gamma[0][0][0]
     zero = JetPoly(template.nvars, conn.depth - 1, template.base)
-    dgamma = _derivatives_once(conn.gamma, zero)
-    gl = _once_per_jet(conn.gamma, lambda jet: jet.truncated(conn.depth - 1) if jet.coeffs else zero)
+    shared = _repeated(conn.gamma, (1, 2))
+    dgamma = _derivatives_once(conn.gamma, zero, shared)
+    gl = _once_per_jet(conn.gamma, lambda jet: jet.truncated(conn.depth - 1) if jet.coeffs else zero, shared)
     # live[x][y]: some gamma[x][y][c] is nonzero; without it, gl[x][y] and its derivatives are empty
     live = [[any(jet.coeffs for jet in row) for row in plane] for plane in conn.gamma]
     # nonzero[x][y]: the f with gl[x][y][f] nonzero, outside which no product term survives
     nonzero = [[{f for f, jet in enumerate(row) if jet.coeffs} for row in plane] for plane in gl]
     R = [[[[zero] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    kind = _once_jets(shared)
+    add, sub, mul, neg = kind.add, kind.sub, kind.mul, _once_per_operands(operator.neg, shared)
     for a in range(d):
         for b in range(a + 1, d):
             for dd in range(d):
@@ -565,21 +634,21 @@ def _curvature_jets(conn: Connection) -> List[List[List[List[JetPoly]]]]:
                 fs = sorted(nonzero[dd][a] | nonzero[dd][b])
                 for c in range(d):
                     acc = dgamma[dd][b][c][a]
-                    sub = dgamma[dd][a][c][b]
-                    if sub.coeffs:
-                        acc = acc - sub
+                    other = dgamma[dd][a][c][b]
+                    if other.coeffs:
+                        acc = sub(acc, other)
                     for f in fs:
                         t1 = gl[dd][a][f]
                         t2 = gl[f][b][c]
                         if t1.coeffs and t2.coeffs:
-                            acc = acc + t1 * t2
+                            acc = add(acc, mul(t1, t2))
                         t3 = gl[dd][b][f]
                         t4 = gl[f][a][c]
                         if t3.coeffs and t4.coeffs:
-                            acc = acc - t3 * t4
+                            acc = sub(acc, mul(t3, t4))
                     if acc.coeffs:
                         R[dd][c][a][b] = acc
-                        R[dd][c][b][a] = -acc
+                        R[dd][c][b][a] = neg(acc)
     return R
 
 

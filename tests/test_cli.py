@@ -693,6 +693,42 @@ class TestHardInputEndsCleanly:
         assert code == 2 and out == ""
         assert err.startswith("error: psi(t)^2 at t = ") and err.endswith(": overflow\n") and err.count("\n") == 1
 
+    # a(u) = exp(460 u): a^2 in the metric is beyond the float range, and so are
+    # the fourth and fifth powers of a the pair invariants take
+    BIG_A = {"format": 1, "family": "threed_case2", "a": "exp(460*u)", "c": "u", "box": {"u": [1.2, 1.5]}}
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["verify"], 2),
+            (["signature"], 0),
+            (["invariants", "--at", "1.3"], 0),
+            (["classify"], 0),
+            (["equiv", "@"], 0),
+        ],
+        ids=lambda x: x[0] if isinstance(x, list) else None,
+    )
+    def test_pair_beyond_the_float_range_ends_cleanly_in_every_verb(self, tmp_path, capsys, argv, code):
+        path = write_json(tmp_path / "big.json", self.BIG_A)
+        got, out, err = run(capsys, argv[0], path, *[path if a == "@" else a for a in argv[1:]])
+        assert got == code
+        if argv[0] == "verify":  # the overflowing metric has no negative direction
+            assert out == "" and err.startswith("error: metric has signature with 0 negative directions at (")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
+        if argv[0] == "invariants":
+            assert json.loads(out)["singular"] == "a power of the jet entries overflows the float range"
+        if argv[0] == "signature":
+            assert out.splitlines()[-1] == "# singular_samples_dropped,64"
+
+    def test_pair_symmetry_row_beyond_the_float_range_is_an_input_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "big.json", {**self.BIG_A, "c": "exp(300*u)*exp(300*u)"})
+        code, out, err = run(capsys, "classify", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the symmetry row of c(u) at u = ") and err.endswith(": overflow\n")
+        assert err.count("\n") == 1
+
     def test_singular_metric_is_an_input_error(self, tmp_path, capsys):
         path = write_json(tmp_path / "sing.json", {"format": 1, "family": "dim_ge4", "psi": "exp(100*t)", "n": 2})
         code, out, err = run(capsys, "verify", path)

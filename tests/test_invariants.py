@@ -225,6 +225,11 @@ class TestPairInvariants:
         with pytest.raises(SingularStratumError):
             pair_invariants(pair_jet_from_exprs("1", "0", 1.0))
 
+    def test_float_power_that_overflows_is_singular(self):
+        """a = a' = 1e80: the fourth power of a overflows the float range."""
+        with pytest.raises(SingularStratumError, match="overflows the float range"):
+            pair_invariants(PairJet(1.0, (1e80, 1e80, 1.0), (1.0, 1.0, 1.0)))
+
     def test_exact_rational_mode(self):
         inv = pair_invariants(pair_jet_from_exprs("1/u", "2/u^2", Fraction(1), order=2))
         assert (inv.I, inv.J, inv.K) == (Fraction(-2), Fraction(2), Fraction(-8))

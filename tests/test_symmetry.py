@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from weylrec.catalog import killing_fields, sample_box, symmetric_psi_family
+from weylrec.exprlang import ExprDomainError
 from weylrec.invariants import GroupElem3D2, GroupElemD4, act_3d2, pair_jet_from_exprs
 from weylrec.symmetry import (
     _pair_rows,
@@ -203,6 +204,11 @@ class TestKernel3D2:
 
     def test_generic_pair_trivial(self):
         assert kernel_3d2("exp(u)", "u").dim == 0
+
+    @pytest.mark.parametrize("a,c,name", [("exp(400*u)*exp(400*u)", "u", "a"), ("u", "exp(400*u)*exp(400*u)", "c")])
+    def test_row_beyond_the_float_range_is_a_domain_error(self, a, c, name):
+        with pytest.raises(ExprDomainError, match=rf"^the symmetry row of {name}\(u\) at u = .*: overflow"):
+            kernel_3d2(a, c)
 
     def test_kernel_residual_at_fresh_points(self):
         k = kernel_3d2("1/u", "3/u^2")

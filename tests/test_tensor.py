@@ -8,6 +8,7 @@ coordinates, Schwarzschild) and from the displayed component formulas of the
 
 import dataclasses
 import gc
+import hashlib
 import weakref
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weylrec import exprlang, tensor
+from weylrec import exprlang, jets, tensor
 from weylrec.catalog import extra_fields, make_3d_case1, make_dim_ge4, standard_catalog
 from weylrec.exprlang import eval_jet, parse
 from weylrec.jets import JetPoly, taylor_indices
@@ -272,8 +273,8 @@ class TestCurvature:
     @staticmethod
     def distinct_nonempty(gamma):
         """ids of the distinct non-empty jets of gamma, and whether gamma has an empty one."""
-        jets = [jet for plane in gamma for row in plane for jet in row]
-        return {id(jet) for jet in jets if jet.coeffs}, any(not jet.coeffs for jet in jets)
+        leaves = [jet for plane in gamma for row in plane for jet in row]
+        return {id(jet) for jet in leaves if jet.coeffs}, any(not jet.coeffs for jet in leaves)
 
     @pytest.mark.parametrize("key", ["dim4-psi-exp", "3d2-inv-u"])
     def test_one_derivative_per_distinct_christoffel_jet(self, catalog, monkeypatch, key):
@@ -523,17 +524,153 @@ class TestLieDerivative:
 
 
 # ----------------------------------------------------------------------
+# each jet operation of a call once
+# ----------------------------------------------------------------------
+
+# SHA-256 of curvature.tobytes(), nabla_R.tobytes() and the recurrence
+# report's floats (theta, max_residual, weight, weight_residual) of the depth-2
+# connection of make_dim_ge4("exp(t)", n) at its first sample point, as the
+# pass computed them when each x^i direction repeated its jet work
+DIM_GE4_DIGESTS = {
+    2: (
+        "53a7cd2a8272ac187d7ad5e0d9ff68cd36a2542b9a5c198d7a3a5e9fbddbed9f",
+        "dee82642d7bf5171725703ff4b27d440d153565c98eb0ed1826b5950d610ee24",
+        "e204979d767b4025cf9954eea41131b4c9b23eb8a595230f3aa1a29b9dce1a64",
+    ),
+    8: (
+        "97183b3269c874ed7e5f3be44b05c2a406cbafd990f62c4c99c7125ff650601b",
+        "66cf72fc2bb15bc7af2f0b2096387bf96e24ea5ed6946bc42a82ced4fb6d2f91",
+        "5ad91f3646694029b70d234d8191875f858dc0f7f41a1b94b25555b4a2b1f551",
+    ),
+    12: (
+        "033ae5880f29e956a8f5b03b3f5b25c94e8935ae4915386cc47c6e4f2a248b99",
+        "628e527bcaac9e28956dddaf1b5f6c3659ca8d29452d83f514e49f63c5ab7011",
+        "a4d26029f1676168fce2f4c7fd777d6b92145ea6317ee003c29f6d04653c4d1e",
+    ),
+    22: (
+        "40529b786639108e7dabd139a3922118fd4d5d025ea8518f1b2a4113571818cd",
+        "00b554afc2adcf1fe55be7e19f9be93861c05bff8f54ac6b7aa159ed2a7db0af",
+        "cf18b628f022abbae66106c617756fa280150861757f43953724f12589b284f2",
+    ),
+}
+
+
+def sha256(array):
+    return hashlib.sha256(np.asarray(array, dtype=float).tobytes()).hexdigest()
+
+
+class TestEachOperationOnce:
+    @staticmethod
+    def count_jet_work(monkeypatch):
+        """Count ``JetPoly.__mul__`` and ``jets._divide`` calls from now on."""
+        counts = {"mul": 0, "divide": 0}
+        mul, divide = JetPoly.__mul__, jets._divide
+
+        def counting_mul(self, other):
+            counts["mul"] += 1
+            return mul(self, other)
+
+        def counting_divide(num, den):
+            counts["divide"] += 1
+            return divide(num, den)
+
+        monkeypatch.setattr(JetPoly, "__mul__", counting_mul)
+        monkeypatch.setattr(JetPoly, "__rmul__", counting_mul)
+        monkeypatch.setattr(jets, "_divide", counting_divide)
+        return counts
+
+    def test_dim_ge4_jet_work_does_not_grow_with_n(self, monkeypatch):
+        """The n - 1 flat directions of the dim >= 4 normal form share one
+        conformal factor, so a depth-2 pass and its curvature make the same
+        products and quotients at n = 2 and n = 8 (107 and 479 products
+        when each direction repeated them)."""
+        work = []
+        for n in (2, 8):
+            entry = make_dim_ge4("exp(t)", n)
+            p = entry.sample_points(1)[0]
+            counts = self.count_jet_work(monkeypatch)
+            weyl_connection(entry.structure, p, 2).curvature
+            work.append(counts)
+            monkeypatch.undo()
+        assert work[0] == work[1]
+        assert work[0]["mul"] < 107
+
+    @pytest.mark.parametrize("n", sorted(DIM_GE4_DIGESTS))
+    def test_dim_ge4_bits_are_unchanged(self, n):
+        entry = make_dim_ge4("exp(t)", n)
+        conn = weyl_connection(entry.structure, entry.sample_points(1)[0], 2)
+        rep = conn.recurrence()
+        floats = [*rep.theta, rep.max_residual, rep.weight, rep.weight_residual]
+        assert (sha256(conn.curvature), sha256(conn.nabla_R), sha256(floats)) == DIM_GE4_DIGESTS[n]
+
+    def test_only_operations_on_shared_jets_are_kept(self):
+        calls = []
+
+        def op(x, y):
+            calls.append((x, y))
+            return JetPoly.constant(float(len(calls)), 1, 1, (0.0,))
+
+        a, b, c = (JetPoly.constant(v, 1, 1, (0.0,)) for v in (1.0, 2.0, 3.0))
+        once = tensor._once_per_operands(op, {id(a)})
+        first = once(a, b)
+        assert once(a, b) is first and len(calls) == 1  # a is shared
+        once(b, c)
+        once(b, c)
+        assert len(calls) == 3  # neither is: computed each time, nothing kept
+        second = once(first, c)
+        assert once(first, c) is second and len(calls) == 4  # the result of a kept operation is shared
+        assert tensor._once_per_operands(op, set()) is op  # nothing can become shared
+
+    def test_a_slot_and_its_mirror_count_once(self):
+        x, y, z = (JetPoly.constant(v, 1, 1, (0.0,)) for v in (1.0, 2.0, 3.0))
+        empty = JetPoly(1, 1, (0.0,))
+        g = [[x, y, empty], [y, z, empty], [empty, empty, z]]
+        assert tensor._repeated(g, (0, 1)) == {id(z)}  # y fills only a slot and its mirror
+        assert tensor._repeated(g) == {id(y), id(z)}
+
+    def test_a_metric_with_no_repeated_entry_shares_nothing(self):
+        """Nothing is kept for a metric whose entries are all distinct, so a
+        generic pass holds no more jets than before."""
+        names = ("x0", "x1", "x2", "x3")
+        entries = {("x0", "x0"): "-(2+x1^2/3)", ("x0", "x1"): "x0*x1/50"}
+        entries.update({(x, x): f"{k}+2+x{(k + 1) % 4}^2/{k + 3}" for k, x in enumerate(names) if k})
+        s = make_structure(Chart(names), entries, {"x0": "x1/7", "x1": "x0^2/5"})
+        conn = weyl_connection(s, (0.1, 0.15, 0.2, 0.25), 2)
+        assert not tensor._repeated(conn.metric, (0, 1))
+        assert not tensor._repeated(conn.gamma, (1, 2))
+
+
+# ----------------------------------------------------------------------
 # the structural-zero kernels against their dense loops
 # ----------------------------------------------------------------------
 
 
+def reference_invert_jet_matrix(g):
+    """``tensor._invert_jet_matrix`` on jets before it skipped empty entries
+    and repeated operations, verbatim."""
+    d = len(g)
+    zero, one = g[0][0].like_constant(0), g[0][0].like_constant(1)
+    aug = [[g[i][j] for j in range(d)] + [one if i == j else zero for j in range(d)] for i in range(d)]
+    for col in range(d):
+        pivot_row = max(range(col, d), key=lambda r: abs(float(aug[r][col].value)))
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        inv_pivot = one / aug[col][col]
+        aug[col] = [entry * inv_pivot for entry in aug[col]]
+        for r in range(d):
+            factor = aug[r][col]
+            if r != col and factor.coeffs:
+                aug[r] = [er - factor * ec for er, ec in zip(aug[r], aug[col])]
+    return [row[d:] for row in aug]
+
+
 def reference_christoffel_from(structure, point, depth, g, omega):
     """``tensor._christoffel_from`` before it skipped empty brackets and
-    empty sums, verbatim: the sparse loop must reproduce it bit for bit."""
+    empty sums or repeated operations, verbatim: the sparse loop must
+    reproduce it bit for bit."""
     d = structure.dim
     dg = tensor._once_per_jet(g, lambda jet: [jet.derivative(e) for e in range(d)])
     g_low = tensor._once_per_jet(g, lambda jet: jet.truncated(depth))
-    ginv = tensor._invert_jet_matrix(g_low)
+    ginv = reference_invert_jet_matrix(g_low)
     zero = g_low[0][0].like_constant(0)
 
     gamma = [[[zero] * d for _ in range(d)] for _ in range(d)]
@@ -622,20 +759,28 @@ def sparse_jets(draw, d, order, exact, constants=True):
     """A draw -> jet maker: mostly empty jets (one shared zero or a fresh one),
     the rest with a few random terms, some of them above every truncation.
     ``jet(constant)`` is a non-empty jet with that constant term; without
-    ``constants`` no other jet has one."""
+    ``constants`` no other jet has one.  A draw may repeat a jet made
+    before with the same constant, as entries of the dim >= 4 family repeat
+    one jet."""
     coeff = EXACT_COEFFS if exact else FLOAT_COEFFS
     base = (Fraction(1, 2) if exact else 0.5,) * d
     zero = JetPoly(d, order, base)
     indices = taylor_indices(d, order)
+    made = {}  # constant -> the non-empty jets made with it
 
     def jet(constant=None):
+        if made.get(constant) and draw(st.booleans()):
+            return draw(st.sampled_from(made[constant]))
         if constant is None and not draw(st.booleans()):
             return zero if draw(st.booleans()) else JetPoly(d, order, base)
         pool = indices if constants and constant is None else indices[1:]
         keys = draw(st.lists(st.sampled_from(pool), unique=True, max_size=4))
         coeffs = {} if constant is None else {(0,) * d: constant}
         coeffs.update((a, draw(coeff)) for a in keys)
-        return JetPoly(d, order, base, coeffs)
+        new = JetPoly(d, order, base, coeffs)
+        if new.coeffs:
+            made.setdefault(constant, []).append(new)
+        return new
 
     jet.zero = zero
     return jet
