@@ -16,33 +16,14 @@ Numeric literals are parsed as exact rationals.
 from __future__ import annotations
 
 import contextlib
-import operator
 import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple, Union
+from typing import Dict, Iterator, List, Tuple, Union
 
 from . import thresholds
-from .jets import (
-    SERIES,
-    UNARY_FUNCTIONS,
-    JetDomainError,
-    JetPoly,
-    binomial_series,
-    branch_sign,
-    check_tan,
-    cos_series,
-    jet_exp,
-    jet_ln,
-    jet_pow,
-    order0_add,
-    order0_div,
-    order0_mul,
-    order0_sub,
-    power_exponent,
-    sin_series,
-)
+from .jets import JETS, NUMBERS, UNARY_FUNCTIONS, JetDomainError, JetPoly, Kind, order0_constant
 
 FUNCTION_NAMES = tuple(sorted(UNARY_FUNCTIONS))
 
@@ -171,9 +152,11 @@ _Parsed = Tuple[Expr, int]  # a node and its depth
 
 class _Parser:
     """Recursive descent that also measures the depth of what it builds: the
-    longest chain of nested nodes, one more level for each pair of
-    parentheses.  A depth above ``thresholds.EXPRESSION_DEPTH_LIMIT`` is a
-    syntax error, so no walk of a parsed tree recurses deeper than that."""
+    longest chain of nested nodes.  A depth above
+    ``thresholds.EXPRESSION_DEPTH_LIMIT`` is a syntax error, so no walk of a
+    parsed tree recurses deeper than that.  The same limit bounds the
+    constructs open at once (parentheses, calls, unary minuses, exponents),
+    so the parser's own recursion stays as shallow."""
 
     def __init__(self, tokens: List[_Token]):
         self.tokens = tokens
@@ -211,9 +194,9 @@ class _Parser:
 
     @contextlib.contextmanager
     def _inside(self, tok: _Token) -> Iterator[None]:
-        """The construct opened at ``tok``: each enclosing one adds a level to
-        the tree below it, so the limit holds on the way down too, before the
-        recursion runs deep."""
+        """The construct opened at ``tok``, counted as a level on the way down,
+        so the limit holds before the recursion runs deep.  A call, a unary
+        minus or an exponent is also a node; a parenthesis pair is not."""
         self.open += 1
         self._bounded(self.open + 1, tok.span)
         yield
@@ -276,8 +259,8 @@ class _Parser:
             with self._inside(tok):
                 node, depth = self.parse_expr()
             close = self._close()
-            # the parentheses belong to the operand, so a node built on it spans them
-            return self._node(replace(node, span=SourceSpan(tok.span.start, close.span.end)), depth)
+            # the parentheses belong to the operand, so a node built on it spans them; they add no node
+            return replace(node, span=SourceSpan(tok.span.start, close.span.end)), depth
         self._fail("a number, a name or '('")
 
 
@@ -302,24 +285,24 @@ def as_expr(value: Union[str, Expr, int, Fraction]) -> Expr:
 
 
 # ----------------------------------------------------------------------
-# evaluation: one walk over the tree, on jets or on plain numbers.  The
-# domain rules and series of every function are those of jets.py; a number
-# is the order-0 term of the jet it stands for, with the jets' zero rules
-# (the order-0 rules of jets.py).
+# evaluation: one walk over the tree, through a jets.Kind: JETS, or NUMBERS,
+# the order-0 terms of the jets with the jets' zero rules.  The walk owns the
+# error rule: a JetDomainError, or an OverflowError from a value beyond the
+# float range, becomes an ExprDomainError naming the node.
 # ----------------------------------------------------------------------
 
-
-class _Values(NamedTuple):
-    """How the walk acts on one kind of value."""
-
-    constant: Callable  # literal -> value
-    functions: Dict[str, Callable]  # name -> unary function
-    operators: Dict[str, Callable]  # '+', '-', '*', '/', '^' -> binary operation
+_OPERATIONS = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "power"}  # operator -> its Kind field
 
 
-def _eval(expr: Expr, env: Dict[str, object], values: _Values):
+def _domain_error(what: str, exc: Exception, span: SourceSpan) -> ExprDomainError:
+    return ExprDomainError(f"{what}: {'overflow' if isinstance(exc, OverflowError) else exc}", span)
+
+
+def _eval(expr: Expr, env: Dict[str, object], kind: Kind, like):
+    """``expr`` on the values of ``env``, computed through ``kind``; ``like``
+    is a value of that kind, which the constants take their shape from."""
     if isinstance(expr, Const):
-        return values.constant(expr.value)
+        return kind.constant(like, expr.value)
     if isinstance(expr, Var):
         try:
             return env[expr.name]
@@ -327,30 +310,21 @@ def _eval(expr: Expr, env: Dict[str, object], values: _Values):
             known = ", ".join(sorted(env)) or "_"
             raise UnknownVariableError(f"unknown variable {expr.name!r}; bound variables: {known}", expr.span) from None
     if isinstance(expr, Neg):
-        return -_eval(expr.operand, env, values)
+        return -_eval(expr.operand, env, kind, like)
     if isinstance(expr, Call):
-        arg = _eval(expr.arg, env, values)
+        arg = _eval(expr.arg, env, kind, like)
         try:
-            return values.functions[expr.fn](arg)
-        except JetDomainError as exc:
-            raise ExprDomainError(f"{expr.fn}: {exc}", expr.span) from exc
+            return kind.functions[expr.fn](arg)
+        except (JetDomainError, OverflowError) as exc:
+            raise _domain_error(expr.fn, exc, expr.span) from exc
     if isinstance(expr, BinOp):
-        left = _eval(expr.left, env, values)
-        right = _eval(expr.right, env, values)
+        left = _eval(expr.left, env, kind, like)
+        right = _eval(expr.right, env, kind, like)
         try:
-            return values.operators[expr.op](left, right)
-        except (JetDomainError, ZeroDivisionError) as exc:
-            raise ExprDomainError(f"{'division' if expr.op == '/' else repr(expr.op)}: {exc}", expr.span) from exc
+            return getattr(kind, _OPERATIONS[expr.op])(left, right)
+        except (JetDomainError, ZeroDivisionError, OverflowError) as exc:
+            raise _domain_error("division" if expr.op == "/" else repr(expr.op), exc, expr.span) from exc
     raise TypeError(f"not an Expr node: {expr!r}")
-
-
-def _jet_power(base: JetPoly, exponent: JetPoly) -> JetPoly:
-    if any(sum(a) > 0 for a, c in exponent.coeffs.items() if c != 0):
-        return jet_exp(exponent * jet_ln(base))  # non-constant exponent: a^b = exp(b ln a)
-    return jet_pow(base, exponent.value)
-
-
-_JET_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": _jet_power}
 
 
 def eval_jet(expr: Union[str, Expr], env: Dict[str, JetPoly]) -> JetPoly:
@@ -364,52 +338,7 @@ def eval_jet(expr: Union[str, Expr], env: Dict[str, JetPoly]) -> JetPoly:
     for j in jets[1:]:
         if (j.nvars, j.order, j.base) != (first.nvars, first.order, first.base):
             raise JetDomainError("environment jets disagree in shape (truncation-order mismatch)")
-    return _eval(expr, env, _Values(first.like_constant, UNARY_FUNCTIONS, _JET_OPERATORS))
-
-
-def _constant(value):
-    """``JetPoly.constant(value).value``: a float zero is dropped too."""
-    return 0 if value == 0 else value
-
-
-def _pow(x, exponent):
-    """``jets.jet_pow`` at order 0: integer powers are repeated products."""
-    exponent = power_exponent(x, exponent)
-    if not isinstance(exponent, int):
-        return _constant(binomial_series(x, exponent, 0)[0])
-    if exponent == 0:
-        return 1
-    if exponent < 0:
-        return order0_div(1, _pow(x, -exponent))
-    result = x
-    for _ in range(exponent - 1):
-        result = order0_mul(result, x)
-    return result
-
-
-def _series_value(series: Callable) -> Callable:
-    """The function whose Taylor ``series`` is given, on a number: its order-0 term."""
-    return lambda x: _constant(series(x, 0)[0])
-
-
-def _tan(x):
-    """sin / cos through ``order0_div``, as ``jets.jet_tan`` divides the two jets."""
-    check_tan(x)
-    return order0_div(_constant(sin_series(x, 0)[0]), _constant(cos_series(x, 0)[0]))
-
-
-_SCALAR_FUNCTIONS = {
-    **{name: _series_value(series) for name, series in SERIES.items()},
-    "tan": _tan,
-    "abs": lambda x: x if branch_sign("abs", x) > 0 else -x,
-    "sign": lambda x: branch_sign("sign", x),
-}
-
-_NUMBERS = _Values(
-    _constant,
-    _SCALAR_FUNCTIONS,
-    {"+": order0_add, "-": order0_sub, "*": order0_mul, "/": order0_div, "^": _pow},
-)
+    return _eval(expr, env, JETS, first)
 
 
 def eval_number(expr: Union[str, Expr], env: Dict[str, object]):
@@ -422,8 +351,8 @@ def eval_number(expr: Union[str, Expr], env: Dict[str, object]):
     literal, variable, or value of ``exp``, ``ln``, ``sin``, ``cos`` or a
     non-integer power; a float zero that arithmetic makes stays a float."""
     if 0 in env.values():  # a zero variable reads as int 0, as its order-0 jet drops it
-        env = {name: _constant(value) for name, value in env.items()}
-    return _eval(as_expr(expr), env, _NUMBERS)
+        env = {name: order0_constant(value) for name, value in env.items()}
+    return _eval(as_expr(expr), env, NUMBERS, None)
 
 
 def variables_of(expr: Union[str, Expr]) -> Tuple[str, ...]:

@@ -13,15 +13,19 @@ so it is bounded by the square of the index set.
 
 Jets are immutable after construction and every operation returns a fresh
 value, so all of this is safe to call from concurrent contexts.
+
+``Kind`` is the one table of how a computation acts on a kind of value:
+``JETS``, or ``NUMBERS``, plain numbers computed with the order-0 rules.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .thresholds import INTEGER_POWER_LIMIT, TAN_POLE
 
@@ -309,15 +313,19 @@ def half(c):
 # the order-0 rules.  A plain number stands for the order-0 jet whose value
 # it is: a jet drops an exact-zero (int or Fraction) coefficient, so an
 # exact zero is the empty jet and reads as int 0, while a float zero is kept
-# as a jet keeps it.  exprlang.eval_number and the depth-0 geometry pass of
-# tensor compute with these rules, which are the ones the jet operations
-# above apply to each coefficient.
+# as a jet keeps it.  These are the rules the jet operations above apply to
+# each coefficient; NUMBERS (below) computes with them.
 # ----------------------------------------------------------------------
 
 
 def exact_zero(x) -> bool:
     """A number that stands for the empty jet."""
     return x == 0 and not isinstance(x, float)
+
+
+def order0_constant(value):
+    """``JetPoly.constant(value).value``: a float zero is dropped too."""
+    return 0 if value == 0 else value
 
 
 def order0_coefficient(x):
@@ -382,7 +390,8 @@ def _divide(num: JetPoly, den: JetPoly) -> JetPoly:
 # elementary functions.  Each ``*_series(c0, order)`` checks the function's
 # domain at the value c0 and returns its Taylor coefficients at c0 through
 # ``order``; a jet composes them with its own non-constant part, and a plain
-# number (order 0, as exprlang.eval_number evaluates) reads the first one.
+# number (order 0) reads the first one.  A value beyond the float range
+# raises OverflowError, which the expression walk reports as an overflow.
 # ----------------------------------------------------------------------
 
 
@@ -403,16 +412,8 @@ def _compose(jet: JetPoly, series: Sequence) -> JetPoly:
     return substitute_series(series, _delta(jet))
 
 
-def _finite(fn: Callable, *args) -> float:
-    """fn(*args), where a value beyond the float range is a domain error."""
-    try:
-        return fn(*args)
-    except OverflowError:
-        raise JetDomainError("overflow") from None
-
-
 def exp_series(c0, order: int) -> list:
-    series = [_finite(math.exp, float(c0))]
+    series = [math.exp(float(c0))]
     for i in range(1, order + 1):
         series.append(series[-1] / i)
     return series
@@ -454,11 +455,11 @@ def binomial_series(c0, exponent, order: int) -> list:
         raise JetDomainError(f"non-integer power of non-positive value {c0}")
     r = float(exponent)
     c0f = float(c0)
-    series = [_finite(pow, c0f, r)]
+    series = [c0f**r]
     binom = 1.0
     for i in range(1, order + 1):
         binom *= (r - (i - 1)) / i
-        series.append(binom * _finite(pow, c0f, r - i))
+        series.append(binom * c0f ** (r - i))
     return series
 
 
@@ -562,6 +563,93 @@ UNARY_FUNCTIONS = {
     "sign": jet_sign,
     "sqrt": jet_sqrt,
 }
+
+
+def _jet_power(base: JetPoly, exponent: JetPoly) -> JetPoly:
+    """base ^ exponent for two jets; a non-constant exponent is exp(exponent ln base)."""
+    if any(sum(a) > 0 for a, c in exponent.coeffs.items() if c != 0):
+        return jet_exp(exponent * jet_ln(base))
+    return jet_pow(base, exponent.value)
+
+
+def _order0_pow(x, exponent):
+    """``jet_pow`` at order 0: integer powers are repeated products."""
+    exponent = power_exponent(x, exponent)
+    if not isinstance(exponent, int):
+        return order0_constant(binomial_series(x, exponent, 0)[0])
+    if exponent == 0:
+        return 1
+    if exponent < 0:
+        return order0_div(1, _order0_pow(x, -exponent))
+    result = x
+    for _ in range(exponent - 1):
+        result = order0_mul(result, x)
+    return result
+
+
+def _order0_series(series: Callable) -> Callable:
+    """The function whose Taylor ``series`` is given, on a number: its order-0 term."""
+    return lambda x: order0_constant(series(x, 0)[0])
+
+
+def _order0_tan(x):
+    """sin / cos through ``order0_div``, as ``jet_tan`` divides the two jets."""
+    check_tan(x)
+    return order0_div(order0_constant(sin_series(x, 0)[0]), order0_constant(cos_series(x, 0)[0]))
+
+
+# ----------------------------------------------------------------------
+# the two kinds of value.  The expression walk (exprlang) and the geometry
+# pass (tensor) compute through a Kind, so one routine serves jets and the
+# plain numbers that stand for order-0 jets, and gives the numbers the values
+# of the jets it would build, to the bit.
+# ----------------------------------------------------------------------
+
+
+class Kind(NamedTuple):
+    """How a computation acts on one kind of value."""
+
+    empty: Callable  # x is a structural zero: an empty jet, an exact-zero number
+    constant: Callable  # (a value, c) -> the constant c in that value's kind
+    add: Callable
+    sub: Callable
+    mul: Callable
+    div: Callable  # a zero divisor is a JetDomainError
+    power: Callable  # (base, exponent), both of the kind
+    half: Callable  # x / 2
+    value: Callable  # x at the point, as a float
+    functions: Dict[str, Callable]  # name -> unary function
+
+
+JETS = Kind(
+    lambda jet: not jet.coeffs,
+    JetPoly.like_constant,
+    operator.add,
+    operator.sub,
+    operator.mul,
+    operator.truediv,
+    _jet_power,
+    lambda jet: jet / 2,
+    lambda jet: float(jet.value),
+    UNARY_FUNCTIONS,
+)
+NUMBERS = Kind(
+    exact_zero,
+    lambda x, c: order0_constant(c),
+    order0_add,
+    order0_sub,
+    order0_mul,
+    order0_div,
+    _order0_pow,
+    half,
+    float,
+    {
+        **{name: _order0_series(series) for name, series in SERIES.items()},
+        "tan": _order0_tan,
+        "abs": lambda x: x if branch_sign("abs", x) > 0 else -x,
+        "sign": lambda x: branch_sign("sign", x),
+    },
+)
 
 
 # ----------------------------------------------------------------------

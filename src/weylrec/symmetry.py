@@ -46,27 +46,34 @@ def _default_samples(lo: float, hi: float, count: int, seed: int) -> List[float]
     return [lo + (hi - lo) * _halton(start + k, 2) for k in range(count)]
 
 
+def _row(f: str, x: str, at: float, e: Expr, make: Callable[..., List[float]], *jets: JetPoly) -> List[float]:
+    """``make`` of the values and first derivatives of ``jets`` as floats: the
+    symmetry-system row of the function ``f`` (written ``e``) at ``x = at``.
+    A row value that is not a finite float, also an exact one that ``float``
+    refuses, is beyond the float range: a domain error, as in evaluation."""
+    try:
+        row = make(*(float(v) for jet in jets for v in derivatives_from_jet(jet)))
+    except OverflowError:
+        row = [math.inf]
+    if not all(map(math.isfinite, row)):
+        raise exprlang.ExprDomainError(f"the symmetry row of {f}({x}) at {x} = {at!r}: overflow", e.span)
+    return row
+
+
 def _psi_rows(t: float, psi_e: Expr) -> List[List[float]]:
     """The one symmetry-system row [psi', 2 t psi', 1, -2 psi, psi^2] at t."""
     jet = exprlang.eval_jet(psi_e, coordinate_jets(("t",), (t,), 1))
-    p0, p1 = (float(x) for x in derivatives_from_jet(jet))
-    try:
-        square = p0**2
-    except OverflowError:  # a value beyond the float range is a domain error, as in evaluation
-        raise exprlang.ExprDomainError(f"psi(t)^2 at t = {t!r}: overflow", psi_e.span) from None
-    return [[p1, 2.0 * t * p1, 1.0, -2.0 * p0, square]]
+    return [_row("psi", "t", t, psi_e, lambda p0, p1: [p1, 2.0 * t * p1, 1.0, -2.0 * p0, p0**2], jet)]
 
 
 def _pair_rows(u: float, a_e: Expr, c_e: Expr) -> List[List[float]]:
     """The two symmetry-system rows of the pair family at u."""
     env = coordinate_jets(("u",), (u,), 1)
-    a0, a1 = (float(x) for x in derivatives_from_jet(exprlang.eval_jet(a_e, env)))
-    c0, c1 = (float(x) for x in derivatives_from_jet(exprlang.eval_jet(c_e, env)))
-    rows = [[a1, 0.0, u * a1 + a0, u * a1 + 2.0 * a0], [c1, a0, u * c1 + 2.0 * c0, u * c1 + c0]]
-    for name, e, row in (("a", a_e, rows[0]), ("c", c_e, rows[1])):
-        if not all(map(math.isfinite, row)):  # beyond the float range: a domain error, as in _psi_rows
-            raise exprlang.ExprDomainError(f"the symmetry row of {name}(u) at u = {u!r}: overflow", e.span)
-    return rows
+    a, c = exprlang.eval_jet(a_e, env), exprlang.eval_jet(c_e, env)
+    return [
+        _row("a", "u", u, a_e, lambda a0, a1: [a1, 0.0, u * a1 + a0, u * a1 + 2.0 * a0], a),
+        _row("c", "u", u, c_e, lambda a0, a1, c0, c1: [c1, a0, u * c1 + 2.0 * c0, u * c1 + c0], a, c),
+    ]
 
 
 def _system(

@@ -33,8 +33,8 @@ A connection of depth 0, which only the compatibility check reads, is built
 on plain numbers: the order-0 terms of the jets, with the jets' zero rules
 (``jets.order0_*``), where an exact zero stands for the empty jet.  The
 Christoffel routine and the inverse are the same code for both kinds of
-value (``_Kind``), so the numbers are the values of the order-0 jets that
-the same routine would build, bit for bit.
+value (``jets.Kind``: ``JETS`` and ``NUMBERS``), so the numbers are the
+values of the order-0 jets that the same routine would build, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,23 +43,13 @@ import itertools
 import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from . import exprlang, thresholds
 from .exprlang import Expr, eval_jet, eval_number
-from .jets import (
-    JetPoly,
-    JetShapeError,
-    coordinate_jets,
-    exact_zero,
-    half,
-    order0_add,
-    order0_div,
-    order0_mul,
-    order0_sub,
-)
+from .jets import JETS, NUMBERS, JetPoly, JetShapeError, Kind, coordinate_jets
 
 
 class DomainViolation(ValueError):
@@ -233,42 +223,6 @@ def check_signature(gv: np.ndarray, point: Sequence) -> np.ndarray:
     return gv
 
 
-class _Kind(NamedTuple):
-    """How the Christoffel routine and the inverse act on one kind of value."""
-
-    empty: Callable  # x is a structural zero: an empty jet, an exact-zero number
-    constant: Callable  # (a value, c) -> the constant c in that value's kind
-    add: Callable
-    sub: Callable
-    mul: Callable
-    div: Callable  # by a checked pivot
-    half: Callable  # x / 2
-    value: Callable  # x at the point, as a float
-
-
-_JETS = _Kind(
-    lambda jet: not jet.coeffs,
-    JetPoly.like_constant,
-    operator.add,
-    operator.sub,
-    operator.mul,
-    operator.truediv,
-    lambda jet: jet / 2,
-    lambda jet: float(jet.value),
-)
-# the order-0 terms of jets, with the order-0 rules of jets.py
-_NUMBERS = _Kind(
-    exact_zero,
-    lambda x, c: c,
-    order0_add,
-    order0_sub,
-    order0_mul,
-    order0_div,
-    half,
-    float,
-)
-
-
 def _repeated(jets, mirror: Optional[Tuple[int, int]] = None) -> Set[int]:
     """ids of the non-empty jets that fill more than one slot of a nested
     list, where a slot and its mirror (the slot with its indices at the two
@@ -310,10 +264,10 @@ def _once_per_operands(op: Callable, shared: Set[int]) -> Callable:
     return once
 
 
-def _once_jets(shared: Set[int]) -> _Kind:
-    """The jet kind with each operation computed once per shared operands."""
+def _once_jets(shared: Set[int]) -> Kind:
+    """``JETS`` with each operation computed once per shared operands."""
     ops = ("add", "sub", "mul", "div", "half")
-    return _JETS._replace(**{name: _once_per_operands(getattr(_JETS, name), shared) for name in ops})
+    return JETS._replace(**{name: _once_per_operands(getattr(JETS, name), shared) for name in ops})
 
 
 def _invert_jet_matrix(g: list) -> list:
@@ -321,7 +275,7 @@ def _invert_jet_matrix(g: list) -> list:
     constant-term pivoting; a pivot at most PIVOT_SINGULAR of the largest
     entry's value means it is singular."""
     d = len(g)
-    kind = _once_jets(_repeated(g, (0, 1))) if isinstance(g[0][0], JetPoly) else _NUMBERS
+    kind = _once_jets(_repeated(g, (0, 1))) if isinstance(g[0][0], JetPoly) else NUMBERS
     empty, sub, mul = kind.empty, kind.sub, kind.mul
     zero = kind.constant(g[0][0], 0)
     one = kind.constant(g[0][0], 1)
@@ -531,7 +485,7 @@ def _christoffel_from(
     its order-1 jets, which are the values of the order-0 jets they replace."""
     d = structure.dim
     if depth == 0:
-        kind, zero = _NUMBERS, 0
+        kind, zero = NUMBERS, 0
         g_low = _once_per_jet(g, lambda jet: jet.value)
         dg = _once_per_jet(g, JetPoly.gradient)
     else:

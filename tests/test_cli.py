@@ -633,7 +633,7 @@ class TestHardInputEndsCleanly:
 
     @pytest.mark.parametrize("argv", VERBS, ids=lambda argv: argv[0])
     def test_an_expression_at_the_depth_limit_runs_every_verb(self, tmp_path, capsys, argv):
-        # k pairs of parentheses around a sum of m terms is k + m levels deep
+        # k pairs of parentheses around a sum of m terms: k + 1 constructs open at once, a tree m levels deep
         parens = thresholds.EXPRESSION_DEPTH_LIMIT // 2
         psi = "(" * parens + "+".join(["t"] * (thresholds.EXPRESSION_DEPTH_LIMIT - parens)) + ")" * parens
         path = write_json(tmp_path / "deep.json", {"format": 1, "family": "dim_ge4", "psi": psi, "n": 2})
@@ -691,7 +691,41 @@ class TestHardInputEndsCleanly:
         path = write_json(tmp_path / "tower.json", {"format": 1, "family": "dim_ge4", "psi": "exp(exp(exp(t)))", "n": 2})
         code, out, err = run(capsys, "classify", path)
         assert code == 2 and out == ""
-        assert err.startswith("error: psi(t)^2 at t = ") and err.endswith(": overflow\n") and err.count("\n") == 1
+        assert err.startswith("error: the symmetry row of psi(t) at t = ") and err.endswith(": overflow\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", VERBS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize(
+        "psi,node",
+        [
+            ("t+10^400", "'+'"),  # an exact value that float() refuses
+            ("t+exp(10^400)", "exp"),
+            ("((1e-8/(1e3/t))*(-700^700))+t", "'*'"),
+        ],
+    )
+    def test_a_value_beyond_the_float_range_is_an_input_error_in_every_verb(self, tmp_path, capsys, psi, node, argv):
+        path = write_json(tmp_path / "big.json", {"format": 1, "family": "dim_ge4", "psi": psi, "n": 2})
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {node}: overflow\n"
+
+    @pytest.mark.parametrize(
+        "payload,argv,message",
+        [
+            # psi = (3 + sqrt(0.5))^1000 + t is inf at every sample, and inf is not a finite row
+            ({"family": "dim_ge4", "psi": "((3+sqrt(0.5))^1e3)+t", "n": 2}, ["classify"], "the symmetry row of psi(t) at t = "),
+            ({"family": "threed_case2", "a": "u", "c": "10^400"}, ["classify"], "the symmetry row of c(u) at u = "),
+            ({"family": "threed_case2", "a": "u", "c": "10^400"}, ["verify"], "'*': overflow"),
+        ],
+        ids=["psi-inf-classify", "c-exact-classify", "c-exact-verify"],
+    )
+    def test_an_exact_or_infinite_value_beyond_the_float_range_is_an_input_error(
+        self, tmp_path, capsys, payload, argv, message
+    ):
+        path = write_json(tmp_path / "big.json", {"format": 1, **payload})
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}") and err.endswith("overflow\n") and err.count("\n") == 1
 
     # a(u) = exp(460 u): a^2 in the metric is beyond the float range, and so are
     # the fourth and fifth powers of a the pair invariants take

@@ -2,13 +2,15 @@
 
 import dataclasses
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weylrec import thresholds
+from weylrec import cli, thresholds
+from weylrec.catalog import make_dim_ge4
 from weylrec.exprlang import (
     FUNCTION_NAMES,
     BinOp,
@@ -94,7 +96,8 @@ class TestParsing:
 
 
 def nested(shape, depth):
-    """Source of the given shape whose tree is ``depth`` levels deep."""
+    """Source of the given shape that nests ``depth`` levels deep: a tree that
+    deep, or parentheses around ``t`` that the parser counts as that deep."""
     return {
         "parentheses": "(" * (depth - 1) + "t" + ")" * (depth - 1),
         "sum": "+".join(["t"] * depth),
@@ -122,11 +125,13 @@ class TestDepthLimit:
         assert str(err.value) == f"expression nested more than {thresholds.EXPRESSION_DEPTH_LIMIT} levels deep"
         assert 0 <= err.value.span.start < err.value.span.end <= len(source)
 
-    def test_a_parenthesis_pair_is_a_level(self):
-        at_limit = nested("sum", thresholds.EXPRESSION_DEPTH_LIMIT)
-        parse(at_limit)
-        with pytest.raises(ExprSyntaxError, match="nested more than"):
-            parse(f"({at_limit})")
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_the_payload_of_a_60_term_psi_loads_back(self, tmp_path, op):
+        # to_source wraps each of the 59 operators in parentheses; they add no tree level
+        entry = make_dim_ge4(op.join(["t"] * 60), 2)
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(cli.structure_file_payload(entry)))
+        assert cli.load_structure_file(str(path)).params["psi"] == entry.params["psi"]
 
     def test_far_beyond_the_limit_is_still_a_syntax_error(self):
         # deeper than the interpreter's stack would allow a recursive parse to go
@@ -290,6 +295,8 @@ _TREES = st.recursive(
 @example(expr=parse("(tan(0.0)*u)^(1.5)"), env={"u": 2.0})
 @example(expr=parse("-(u-u)+0"), env={"u": 1.5})  # a jet sum returns -0.0 + (exact 0) unchanged
 @example(expr=parse("u^100000"), env={"u": 1.5})  # beyond the integer-power limit
+@example(expr=parse("t+10^400"), env={"t": 1.5})  # an exact value that float() refuses
+@example(expr=parse("t+exp(10^400)"), env={"t": 1.5})
 def test_eval_number_matches_order0_jets(expr, env):
     """The scalar walk gives what eval_jet gives on order-0 jets: the same
     value, type and signed zero, or the same error, message and span."""
