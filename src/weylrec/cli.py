@@ -300,7 +300,19 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, order: int) -> Tuple[List[Dict], bool]:
+def _at_point(path: str, point: Sequence, build: Callable, *args, **kwargs):
+    """``build(*args, **kwargs)``, which evaluates a structure at ``point``: an
+    expression error there, such as a value beyond the float range, names the
+    file and the point, as a load error names the file."""
+    try:
+        return build(*args, **kwargs)
+    except exprlang.ExprError as exc:
+        raise InputError(f"{path}: the structure at {tuple(point)}: {exc}") from exc
+
+
+def _verify_checks(
+    entry: CatalogEntry, tol: float, samples: int, seed: int, order: int, path: str
+) -> Tuple[List[Dict], bool]:
     checks: List[Dict] = []
     expected = entry.expected
     points = entry.sample_points(samples, seed)
@@ -309,10 +321,10 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
     # one geometry pass per point: every check at a curvature point reads the
     # same Weyl connection; the other points check compatibility alone, which
     # reads only Christoffel values and dg (a depth-0 connection)
-    conns = [weyl_connection(entry.structure, p, order - 1) for p in rec_pts]
+    conns = [_at_point(path, p, weyl_connection, entry.structure, p, order - 1) for p in rec_pts]
     compat = max(
         [conn.compatibility_residual() for conn in conns]
-        + [weyl_compatibility_residual(entry.structure, p) for p in points[len(rec_pts):]]
+        + [_at_point(path, p, weyl_compatibility_residual, entry.structure, p) for p in points[len(rec_pts):]]
     )
     checks.append(
         {
@@ -342,7 +354,7 @@ def _verify_checks(entry: CatalogEntry, tol: float, samples: int, seed: int, ord
             rec_check["status"] = "fail"
     probe = entry.preferred
     if probe is not None and expected.get("weight") is not None:
-        wrep = recurrence_theta(probe, rec_pts[0], tol=tol, jet_order=order)
+        wrep = _at_point(path, rec_pts[0], recurrence_theta, probe, rec_pts[0], tol=tol, jet_order=order)
         rec_check["weight_fit"] = wrep.weight
         if wrep.weight is None or abs(wrep.weight - float(expected["weight"])) > thresholds.WEIGHT_TOL:
             rec_check["status"] = "fail"
@@ -398,7 +410,7 @@ def cmd_verify(args) -> int:
         raise InputError("--order must be >= 3 (curvature checks need third metric derivatives)")
     entry = load_structure_file(args.file)
     seed = entry.seed if args.seed is None else args.seed
-    checks, ok = _verify_checks(entry, args.tol, args.samples, seed, args.order)
+    checks, ok = _verify_checks(entry, args.tol, args.samples, seed, args.order, args.file)
     report = {
         **_REPORT_HEAD,
         "input": os.path.basename(args.file),

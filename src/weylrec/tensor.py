@@ -29,6 +29,15 @@ does not grow with n: a depth-2 pass and its curvature make the same jet
 products at every dimension.  A pass whose inputs repeat no jet keeps
 nothing.
 
+R is kept as its live slots, ``{(d, c, a, b): jet}`` with a < b where
+R^d_{cab} can be nonzero (``_curvature_jets``); the mirror slot (d, c, b, a)
+holds the negated jet and every other slot is zero.  No jet is formed for a
+mirror or a zero slot.  The readers get dense float arrays: ``curvature`` is
+R at the point and ``nabla_R`` is nabla R, whose four contractions with the
+Christoffel symbols run only over pairs of nonzero entries, each summed over
+f increasing (``_contractions``), so every float has the bits of the dense
+sums.
+
 A connection of depth 0, which only the compatibility check reads, is built
 on plain numbers: the order-0 terms of the jets, with the jets' zero rules
 (``jets.order0_*``), where an exact zero stands for the empty jet.  The
@@ -40,7 +49,6 @@ values of the order-0 jets that the same routine would build, bit for bit.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -201,13 +209,9 @@ def _first_partials(jets) -> np.ndarray:
     """array[e][...] = d_e of each jet of a nested list at the point (jets of
     order >= 1); only the non-empty jets are read, the rest are rows of 0.0."""
     shape, leaves = _flatten(jets)
-    nvars = leaves[0].nvars
-    live = [i for i, jet in enumerate(leaves) if jet.coeffs]
-    grads = np.zeros((len(leaves), nvars))
-    grads[live] = np.fromiter(
-        (float(c) for i in live for c in leaves[i].gradient()), float, len(live) * nvars
-    ).reshape(-1, nvars)
-    return np.moveaxis(grads.reshape(shape + (nvars,)), -1, 0)
+    zeros = [0] * leaves[0].nvars
+    grads = np.array([jet.gradient() if jet.coeffs else zeros for jet in leaves], float)
+    return np.moveaxis(grads.reshape(shape + (len(zeros),)), -1, 0)
 
 
 def check_signature(gv: np.ndarray, point: Sequence) -> np.ndarray:
@@ -301,6 +305,8 @@ def _invert_jet_matrix(g: list) -> list:
 # connections
 # ----------------------------------------------------------------------
 
+Slot = Tuple[int, int, int, int]  # (d, c, a, b) of R^d_{cab}
+
 
 @dataclass(eq=False)
 class Connection:
@@ -316,6 +322,9 @@ class Connection:
     ``levi_civita_gamma`` and ``one_form`` hold plain numbers (ints,
     Fractions or floats, an exact zero as int 0), the values of the order-0
     jets they stand for; ``metric`` holds jets of order 1 at every depth.
+    ``curvature_jets`` holds R as its live slots with a < b (see the module
+    docstring), and ``curvature`` and ``nabla_R`` are the dense float arrays
+    the checks read.
     """
 
     chart: Chart
@@ -342,13 +351,19 @@ class Connection:
         return _values(self.one_form)
 
     @cached_property
-    def curvature_jets(self):
+    def curvature_jets(self) -> Dict[Slot, JetPoly]:
         return _curvature_jets(self)
 
     @cached_property
     def curvature(self) -> np.ndarray:
-        """R^d_{cab} of the connection."""
-        return _values(self.curvature_jets)
+        """R^d_{cab} of the connection, dense: the value of each live slot's
+        jet, at its mirror slot the value of the negated jet, 0.0 elsewhere."""
+        slots = self.curvature_jets
+        live, mirror = _slot_indices(slots, self.dim)
+        R = np.zeros(self.dim**4)
+        R[live] = [float(jet.value) for jet in slots.values()]
+        R[mirror] = [float(-jet.value) for jet in slots.values()]
+        return R.reshape((self.dim,) * 4)
 
     @cached_property
     def nabla_R(self) -> np.ndarray:
@@ -563,8 +578,17 @@ class PointTensor:
         return float(np.sqrt(np.sum(self.array**2)))
 
 
-def _curvature_jets(conn: Connection) -> List[List[List[List[JetPoly]]]]:
-    """R[d][c][a][b] jets of order depth-1; antisymmetric slots (a, b)."""
+def _curvature_jets(conn: Connection) -> Dict[Slot, JetPoly]:
+    """The nonzero slots of R: {(d, c, a, b): R^d_{cab}} with a < b, jets of
+    order depth - 1.  R is antisymmetric in (a, b), so the mirror slot
+    (d, c, b, a) holds the negated jet, and every slot not listed is zero.
+
+    A slot is computed only where some term can be nonzero: a derivative
+    d_a Gamma^d_{bc} or d_b Gamma^d_{ac}, or a product Gamma^d_{af}
+    Gamma^f_{bc} or Gamma^d_{bf} Gamma^f_{ac}, of nonzero jets.  It makes
+    the operations of the dense sum that are not on empty jets, in its order:
+    the first derivative less the second, then over f increasing the product
+    with Gamma^d_{af} before the one with Gamma^d_{bf}."""
     d = conn.dim
     if conn.depth < 1:
         raise JetShapeError("cannot differentiate an order-0 jet")
@@ -573,37 +597,55 @@ def _curvature_jets(conn: Connection) -> List[List[List[List[JetPoly]]]]:
     shared = _repeated(conn.gamma, (1, 2))
     dgamma = _derivatives_once(conn.gamma, zero, shared)
     gl = _once_per_jet(conn.gamma, lambda jet: jet.truncated(conn.depth - 1) if jet.coeffs else zero, shared)
-    # live[x][y]: some gamma[x][y][c] is nonzero; without it, gl[x][y] and its derivatives are empty
-    live = [[any(jet.coeffs for jet in row) for row in plane] for plane in conn.gamma]
+    # a nonzero derivative d_w Gamma^x_{yz} enters the slot (x, z, y, w) or (x, z, w, y)
+    slots = {
+        (x, z, min(y, w), max(y, w))
+        for x, plane in enumerate(conn.gamma)
+        for y, row in enumerate(plane)
+        for z, jet in enumerate(row)
+        if jet.coeffs
+        for w, partial in enumerate(dgamma[x][y][z])
+        if w != y and partial.coeffs
+    }
     # nonzero[x][y]: the f with gl[x][y][f] nonzero, outside which no product term survives
     nonzero = [[{f for f, jet in enumerate(row) if jet.coeffs} for row in plane] for plane in gl]
-    R = [[[[zero] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    # a nonzero product gl[x][y][f] gl[f][z][c] enters the slot (x, c, y, z) or (x, c, z, y)
+    slots.update(
+        (x, c, min(y, z), max(y, z))
+        for x in range(d)
+        for y in range(d)
+        for f in nonzero[x][y]
+        for z in range(d)
+        if z != y
+        for c in nonzero[f][z]
+    )
     kind = _once_jets(shared)
-    add, sub, mul, neg = kind.add, kind.sub, kind.mul, _once_per_operands(operator.neg, shared)
-    for a in range(d):
-        for b in range(a + 1, d):
-            for dd in range(d):
-                if not (live[dd][a] or live[dd][b]):
-                    continue  # every R[dd][c][a][b] is zero
-                fs = sorted(nonzero[dd][a] | nonzero[dd][b])
-                for c in range(d):
-                    acc = dgamma[dd][b][c][a]
-                    other = dgamma[dd][a][c][b]
-                    if other.coeffs:
-                        acc = sub(acc, other)
-                    for f in fs:
-                        t1 = gl[dd][a][f]
-                        t2 = gl[f][b][c]
-                        if t1.coeffs and t2.coeffs:
-                            acc = add(acc, mul(t1, t2))
-                        t3 = gl[dd][b][f]
-                        t4 = gl[f][a][c]
-                        if t3.coeffs and t4.coeffs:
-                            acc = sub(acc, mul(t3, t4))
-                    if acc.coeffs:
-                        R[dd][c][a][b] = acc
-                        R[dd][c][b][a] = neg(acc)
+    add, sub, mul = kind.add, kind.sub, kind.mul
+    R: Dict[Slot, JetPoly] = {}
+    for dd, c, a, b in sorted(slots):
+        acc = dgamma[dd][b][c][a]
+        other = dgamma[dd][a][c][b]
+        if other.coeffs:
+            acc = sub(acc, other)
+        for f in sorted(nonzero[dd][a] | nonzero[dd][b]):
+            t1 = gl[dd][a][f]
+            t2 = gl[f][b][c]
+            if t1.coeffs and t2.coeffs:
+                acc = add(acc, mul(t1, t2))
+            t3 = gl[dd][b][f]
+            t4 = gl[f][a][c]
+            if t3.coeffs and t4.coeffs:
+                acc = sub(acc, mul(t3, t4))
+        if acc.coeffs:
+            R[dd, c, a, b] = acc
     return R
+
+
+def _slot_indices(slots: Dict[Slot, JetPoly], d: int) -> Tuple[List[int], List[int]]:
+    """Flat indices into a (d,)*4 array of each live slot (d, c, a, b) and of its mirror (d, c, b, a)."""
+    live = [((i * d + c) * d + a) * d + b for i, c, a, b in slots]
+    mirror = [((i * d + c) * d + b) * d + a for i, c, a, b in slots]
+    return live, mirror
 
 
 def curvature(structure: WeylStructure, point: Sequence) -> PointTensor:
@@ -616,20 +658,69 @@ def nabla_R(structure: WeylStructure, point: Sequence) -> PointTensor:
     return PointTensor(weyl_connection(structure, point, 2).nabla_R)
 
 
-def _nabla_R_from(conn: Connection, Rjets, R: np.ndarray) -> np.ndarray:
+def _nabla_R_from(conn: Connection, slots: Dict[Slot, JetPoly], R: np.ndarray) -> np.ndarray:
+    """nabla_e R^d_cab = d_e R + G^d_ef R^f_cab - G^f_ec R^d_fab - G^f_ea R^d_cfb
+    - G^f_eb R^d_caf, from the live slots of R and its values, each entry
+    added in this order.  A contraction on no nonzero pair is 0.0 in the dense
+    sum, and adding it to d_e R only turns a -0.0 into 0.0: ``+ 0.0`` here."""
     d = conn.dim
-    G = conn.values()  # G[a, b, c] = Gamma^a_{bc}
-    pairs = list(itertools.combinations(range(d), 2))  # d_e R is read on the slots a < b; R is antisymmetric in (a, b)
-    a, b = np.array(pairs).T
     out = np.zeros((d,) * 5)
-    out[..., a, b] = _first_partials([[[Rjets[i][c][p][q] for p, q in pairs] for c in range(d)] for i in range(d)])
-    out[..., b, a] = -out[..., a, b]
-    # nabla_e R^d_cab = d_e R + G^d_ef R^f_cab - G^f_ec R^d_fab - G^f_ea R^d_cfb - G^f_eb R^d_caf
-    out += np.einsum("def,fcab->edcab", G, R)
-    out -= np.einsum("fec,dfab->edcab", G, R)
-    out -= np.einsum("fea,dcfb->edcab", G, R)
-    out -= np.einsum("feb,dcaf->edcab", G, R)
+    if slots:
+        live, mirror = _slot_indices(slots, d)
+        partials = _first_partials(list(slots.values()))  # partials[e][i] = d_e of the i-th slot's jet
+        planes = out.reshape(d, -1)  # planes[e] = (nabla_e R) flattened
+        planes[:, live] = partials + 0.0
+        planes[:, mirror] = -partials + 0.0
+    flat = out.reshape(-1)
+    for k, sums in enumerate(_contractions(conn.values(), R)):
+        index = np.fromiter(sums, np.intp, len(sums))
+        values = np.fromiter(sums.values(), float, len(sums))
+        if k == 0:
+            flat[index] += values
+        else:
+            flat[index] -= values
     return out
+
+
+def _contractions(G: np.ndarray, R: np.ndarray) -> List[Dict[int, float]]:
+    """The four contractions of nabla R, G^d_ef R^f_cab, G^f_ec R^d_fab,
+    G^f_ea R^d_cfb and G^f_eb R^d_caf, each as {flat index into an
+    (e, d, c, a, b) array: sum} at the entries with a product of a nonzero
+    G and a nonzero R entry.  Each sum is 0.0 plus those products over f
+    increasing.  The dense sum adds the other products too, but with finite
+    entries each of them is a zero, which leaves a sum that starts from 0.0
+    unchanged, so the bits are the same.
+
+    Term k pairs G's axis (2, 0, 0, 0)[k], its f, with R's axis k.  G's
+    entries are read in row-major order, which is f increasing within each
+    output entry."""
+    d = len(G)
+    # matched[k][f]: (flat index less its axis-k part, value) of the nonzero R entries with axis k = f
+    matched: List[List[List[Tuple[int, float]]]] = [[[] for _ in range(d)] for _ in range(4)]
+    ri = np.flatnonzero(R)
+    for index, value in zip(ri.tolist(), R.flat[ri].tolist()):
+        r0, r1, r2, r3 = index // d**3, index // d**2 % d, index // d % d, index % d
+        matched[0][r0].append((index - r0 * d**3, value))
+        matched[1][r1].append((index - r1 * d**2, value))
+        matched[2][r2].append((index - r2 * d, value))
+        matched[3][r3].append((index - r3, value))
+    sums: List[Dict[int, float]] = [{}, {}, {}, {}]
+    gi = np.flatnonzero(G)
+    for index, value in zip(gi.tolist(), G.flat[gi].tolist()):
+        x, y, z = index // d**2, index // d % d, index % d  # value = Gamma^x_yz, and e = y
+        e = y * d**4
+        # each term: its sums, the R entries whose axis is G's f, and G's part of the output index
+        for acc, pairs, part in (
+            (sums[0], matched[0][z], e + x * d**3),
+            (sums[1], matched[1][x], e + z * d**2),
+            (sums[2], matched[2][x], e + z * d),
+            (sums[3], matched[3][x], e + z),
+        ):
+            get = acc.get
+            for rest, r in pairs:
+                key = part + rest
+                acc[key] = get(key, 0.0) + value * r
+    return sums
 
 
 def weyl_compatibility_residual(structure: WeylStructure, point: Sequence) -> float:

@@ -28,6 +28,8 @@ import pytest
 from weylrec.catalog import make_dim_ge4, standard_catalog
 from weylrec.tensor import _flatten, weyl_connection
 
+from dense_curvature import dense_curvature_jets
+
 GOLDEN_PATH = Path(__file__).resolve().parent / "goldens" / "geometry_jets.json"
 ORDERS = (3, 5)
 
@@ -63,7 +65,7 @@ def jets_digest(jets) -> str:
 
 def geometry_digests(structure, point, order) -> dict:
     conn = weyl_connection(structure, point, order - 1)
-    return {"christoffel": jets_digest(conn.gamma), "curvature": jets_digest(conn.curvature_jets)}
+    return {"christoffel": jets_digest(conn.gamma), "curvature": jets_digest(dense_curvature_jets(conn))}
 
 
 @pytest.fixture(scope="module")

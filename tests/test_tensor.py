@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st
 
 from weylrec import exprlang, jets, tensor
 from weylrec.catalog import extra_fields, make_3d_case1, make_dim_ge4, standard_catalog
+from weylrec.einsteinweyl import ew_report
 from weylrec.exprlang import eval_jet, parse
 from weylrec.jets import JetPoly, taylor_indices
 from weylrec.tensor import (
@@ -38,6 +39,8 @@ from weylrec.tensor import (
     weyl_compatibility_residual,
     weyl_connection,
 )
+
+from dense_curvature import dense_curvature_jets
 
 
 @pytest.fixture(scope="module")
@@ -555,6 +558,57 @@ DIM_GE4_DIGESTS = {
 }
 
 
+# SHA-256 of the readers of R at the same depth-2 connections as
+# DIM_GE4_DIGESTS: the holonomy singular values, the conformal Weyl array and
+# the Einstein-Weyl floats (lam, residual, and dkp_residual where there is
+# one), as the pass computed them when R was a dense d^4 list of jets
+READER_DIGESTS = {
+    2: (
+        "7bdcfe3a2cd115225931f272286d29c76d71ee1a27f857520c8334b89d89eb72",
+        "0e6364388051fb33d5fae5cf24c0830b474759d4e9982f9c971f8470184d2586",
+        "a3bbbd8d56c8ee837db9f6519c677a4a13d5e28fa883de835d6939eee44f48ba",
+    ),
+    8: (
+        "94b0d943261dccb1d7125bf95f06e3a96fb20ef7ecb3c3d6690840af531e2d98",
+        "2b94dd3753213fa984ab3e416ffb5ee238c57262c769fad04ae6ae95dcc6ab3b",
+        "69d96ca1ebb99cc737c53accd0b20364649d617ae136467d5a21dea17e475c22",
+    ),
+    12: (
+        "cfa8f60868500233ff401c2757cc29a055d151f669733bc1455215662c913a50",
+        "37b801ffad59a23548b6d219e7b9d20a35b8153868e1f814d267fbc25a1ae848",
+        "416556177101dea4b3c3af36c6ee9ec1c50cb85b9ed9b3185217b849ed290069",
+    ),
+    22: (
+        "0e38a73d46c1800109e083a0fff727d8d26277bda70cfc3bcae8ff7f2596b17b",
+        "f36a53c153a3e3a8d47d741b5ccd1a9d47c7cee26d906ef925e6d4b71972b329",
+        "980f2be879f6a105963ab265917ef24b483db1a1d5524e5c1f6d757b420eb4ac",
+    ),
+}
+
+# the same three, then nabla R, at the first sample point of catalog entries
+# whose R is less sparse than the dim >= 4 family's
+CATALOG_READER_DIGESTS = {
+    "mainth-a0": (
+        "e0e32d10eecce004b32031398ffe836658ec5d4cdf8fc529e781e82e110124ef",
+        "bcf573c29ceb52f177aacb83864b4356b33bf6bf45c7f6df9e24f6cf2bac971e",
+        "d90b08abd556dbd2d684cfb07451f036f332cd685bec59de100664944be8b518",
+        "b54da126c6d96e0cf8f75a8638f7920ccf23a8e86b5ef54dc8a8e381ea738714",
+    ),
+    "3d2-generic": (
+        "3609345132e24c797187c451a61e1ee6dde90ec2cb28aa20e8f41c25f779cf25",
+        "6b0b7aeb2cb4ae72e57449bea8d5bf0ad69b1e4aa28c5c8921f25906dad90679",
+        "f75a6158dd1e0cc58f03449ecdaa95d5ba58e2dc821e888782a1301fbe6f5b65",
+        "a6399fd08a5906f74150e87e467569dac4dba4301ec1254c8f1ab360adb31785",
+    ),
+    "homog-n2": (
+        "b1ff45cec05688c412747ee9da455908aafa5f0440ce22932cf4109ac42db6a0",
+        "d998cd6a21d4f8280f9826a9fca1e51dd15fb772db6fff851714e4656f13106b",
+        "6dca1d244059aee93174c97992788d6af3e258d98e8c127e23641bc190a87b00",
+        "f409ed9c626741a6f20c5574d6c73af87833107476c476fdf2e55234982a6172",
+    ),
+}
+
+
 def sha256(array):
     return hashlib.sha256(np.asarray(array, dtype=float).tobytes()).hexdigest()
 
@@ -602,6 +656,25 @@ class TestEachOperationOnce:
         rep = conn.recurrence()
         floats = [*rep.theta, rep.max_residual, rep.weight, rep.weight_residual]
         assert (sha256(conn.curvature), sha256(conn.nabla_R), sha256(floats)) == DIM_GE4_DIGESTS[n]
+
+    @staticmethod
+    def reader_digests(structure, point):
+        conn = weyl_connection(structure, point, 2)
+        ew = ew_report(structure, conn)
+        floats = [ew.lam, ew.residual] + ([] if ew.dkp_residual is None else [ew.dkp_residual])
+        return conn, (sha256(conn.holonomy().singular_values), sha256(conn.conformal_weyl().array), sha256(floats))
+
+    @pytest.mark.parametrize("n", sorted(READER_DIGESTS))
+    def test_dim_ge4_readers_of_R_are_unchanged(self, n):
+        entry = make_dim_ge4("exp(t)", n)
+        _, digests = self.reader_digests(entry.structure, entry.sample_points(1)[0])
+        assert digests == READER_DIGESTS[n]
+
+    @pytest.mark.parametrize("key", sorted(CATALOG_READER_DIGESTS))
+    def test_catalog_readers_of_R_are_unchanged(self, catalog, key):
+        entry = catalog[key]
+        conn, digests = self.reader_digests(entry.structure, entry.sample_points(1)[0])
+        assert (*digests, sha256(conn.nabla_R)) == CATALOG_READER_DIGESTS[key]
 
     def test_only_operations_on_shared_jets_are_kept(self):
         calls = []
@@ -823,7 +896,11 @@ def sparse_metrics(draw):
 
 @given(sparse_connections())
 def test_curvature_jets_match_the_dense_loop(conn):
-    assert slot_items(tensor._curvature_jets(conn)) == slot_items(reference_curvature_jets(conn))
+    reference = reference_curvature_jets(conn)
+    assert slot_items(dense_curvature_jets(conn)) == slot_items(reference)
+    # the values read from the live slots are those of the dense list: 0.0, not -0.0, at
+    # the mirror of a slot whose jet has no constant term
+    assert conn.curvature.tobytes() == tensor._values(reference).tobytes()
 
 
 @given(sparse_metrics())
