@@ -528,7 +528,12 @@ def to_source(expr: Union[str, Expr]) -> str:
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Neg):
-        return f"(-{to_source(expr.operand)})"
+        # a chain of unary minuses is one run of signs in one pair of
+        # parentheses, which the parser counts once, not once a sign
+        signs = 0
+        while isinstance(expr, Neg):
+            signs, expr = signs + 1, expr.operand
+        return f"({'-' * signs}{to_source(expr)})"
     if isinstance(expr, BinOp):
         return f"({to_source(expr.left)}{expr.op}{to_source(expr.right)})"
     if isinstance(expr, Call):

@@ -6,13 +6,25 @@ A jet holds the Taylor coefficients (derivative / alpha!) of a function at a
 base point, up to a fixed total degree.  Coefficients may be ints, Fractions
 or floats; exact inputs stay exact through +, -, *, / and integer powers,
 which is what makes the exact-rational evaluation mode possible.
-Division costs grow with the variables its operands use, not with the
-dimension of the jet space.  Products look up each pair's multi-index sum in
-a memo per truncation order, filled only with the pairs that products meet,
-so it is bounded by the square of the index set.
+
+A jet stores its coefficients by *position*: the index of the multi-index
+in the graded-lex list of all multi-indices in its variables
+(``taylor_indices``).  Position 0 is the constant term, the positions of
+degree <= k are the first comb(nvars + k, k), whatever the jet's order, so
+a truncation keeps a prefix, and the first-degree multi-index of variable
+j is at position nvars - j.  ``JetPoly.terms`` is that storage;
+``JetPoly.coeffs`` is a read-only view of it keyed by multi-index, in the
+same order, made on first read.  A multi-index gets its position the first
+time a jet meets it, and the position arithmetic that products (sums),
+divisions (differences) and derivatives use is kept in per-variable-count
+tables, each entry made on its first lookup, so only the positions and
+pairs that jets meet are ever made.  Division costs grow with the variables
+its operands use, not with the dimension of the jet space.
 
 Jets are immutable after construction and every operation returns a fresh
-value, so all of this is safe to call from concurrent contexts.
+value.  Table fills are idempotent: every entry is a pure function of its
+key, and of two fills that race in different threads the first to store
+wins for both, so all of this is safe to call from concurrent contexts.
 
 ``Kind`` is the one table of how a computation acts on a kind of value:
 ``JETS``, or ``NUMBERS``, plain numbers computed with the order-0 rules.
@@ -22,10 +34,10 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .thresholds import INTEGER_POWER_LIMIT, TAN_POLE
 
@@ -62,12 +74,6 @@ def taylor_indices(nvars: int, order: int) -> Tuple[MultiIndex, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _unit_indices(nvars: int) -> Tuple[MultiIndex, ...]:
-    """The first-degree multi-indices, in variable order."""
-    return tuple(tuple(int(i == j) for i in range(nvars)) for j in range(nvars))
-
-
 def _multi_factorial(alpha: MultiIndex) -> int:
     f = 1
     for a in alpha:
@@ -75,43 +81,140 @@ def _multi_factorial(alpha: MultiIndex) -> int:
     return f
 
 
-class _IndexSums(dict):
-    """``a2 -> a1 + a2`` for one multi-index ``a1``, or None where the sum's
-    degree exceeds the order; each entry is made on first lookup."""
+class _Lazy(dict):
+    """A dict whose entry for a missing key is ``make(key)``, made and kept on
+    first lookup; of two lookups that race, the first to store wins for both."""
 
-    __slots__ = ("a1", "budget")
+    __slots__ = ("make",)
 
-    def __init__(self, a1: MultiIndex, order: int):
+    def __init__(self, make: Callable):
         super().__init__()
-        self.a1 = a1
-        self.budget = order - sum(a1)
+        self.make = make
 
-    def __missing__(self, a2: MultiIndex) -> Optional[MultiIndex]:
-        key = None if sum(a2) > self.budget else tuple(x + y for x, y in zip(self.a1, a2))
-        self[a2] = key
-        return key
+    def __missing__(self, key):
+        return self.setdefault(key, self.make(key))
 
 
-# order -> a1 -> its _IndexSums; entries are pure functions of their keys, so
-# a lookup racing a fill in another thread stores the same value
-_INDEX_SUMS: Dict[int, Dict[MultiIndex, _IndexSums]] = defaultdict(dict)
+class _Positions:
+    """The positions of the multi-indices in ``nvars`` variables met so far,
+    and the arithmetic on them, each entry made on first lookup:
+
+    * ``sums[p][q]``: the position of the sum of the multi-indices at p and q;
+    * ``differences[p][q]``: that of their difference, None where an exponent
+      would be negative;
+    * ``steps[i][p]``: (the position of the multi-index at p less one in
+      variable i, its exponent there), None where that exponent is 0;
+    * ``below[k]``: the number of multi-indices of degree <= k;
+    * ``supported[k, mask]``: the positions of degree <= k whose exponents
+      are nonzero only on the variables of the bit ``mask``, in order.
+    """
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.multi_index: Dict[int, MultiIndex] = {}
+        self.position: Dict[MultiIndex, int] = {}
+        self.degree: Dict[int, int] = {}
+        self.mask: Dict[int, int] = {}  # bit i set where the exponent of variable i is nonzero
+        multi_index, intern = self.multi_index, self.intern
+        self.below = _Lazy(lambda k: math.comb(nvars + k, k))
+
+        def sums(p: int) -> _Lazy:
+            alpha = multi_index[p]
+            return _Lazy(lambda q: intern(tuple(map(operator.add, alpha, multi_index[q]))))
+
+        def differences(p: int) -> _Lazy:
+            alpha = multi_index[p]
+
+            def difference(q: int) -> Optional[int]:
+                gamma = tuple(map(operator.sub, alpha, multi_index[q]))
+                return None if min(gamma) < 0 else intern(gamma)
+
+            return _Lazy(difference)
+
+        def steps(i: int) -> _Lazy:
+            def step(p: int) -> Optional[Tuple[int, int]]:
+                alpha = multi_index[p]
+                k = alpha[i]
+                return None if k == 0 else (intern(alpha[:i] + (k - 1,) + alpha[i + 1 :]), k)
+
+            return _Lazy(step)
+
+        def supported(key: Tuple[int, int]) -> Tuple[int, ...]:
+            order, mask = key
+            active = [i for i in range(nvars) if mask >> i & 1]
+            out = []
+            for exponents in taylor_indices(len(active), order):
+                alpha = [0] * nvars
+                for i, e in zip(active, exponents):
+                    alpha[i] = e
+                out.append(intern(tuple(alpha)))
+            return tuple(out)
+
+        self.sums = _Lazy(sums)
+        self.differences = _Lazy(differences)
+        self.steps = _Lazy(steps)
+        self.supported = _Lazy(supported)
+        for alpha in ((0,) * nvars, *(tuple(int(i == j) for i in range(nvars)) for j in range(nvars))):
+            intern(alpha)  # the constant term and the first-degree terms, read by position
+
+    def intern(self, alpha: MultiIndex) -> int:
+        """The position of ``alpha``, recorded on first use."""
+        p = self.position.get(alpha)
+        if p is None:
+            alpha = tuple(map(int, alpha))
+            if len(alpha) != self.nvars or min(alpha, default=0) < 0:
+                raise JetShapeError(f"{alpha} is not a multi-index in {self.nvars} variables")
+            p = _rank(alpha)
+            self.multi_index[p] = alpha
+            self.degree[p] = sum(alpha)
+            self.mask[p] = sum(1 << i for i, e in enumerate(alpha) if e)
+            self.position[alpha] = p  # last, so that a reader who finds p finds the rest
+        return p
+
+
+def _rank(alpha: MultiIndex) -> int:
+    """The position of ``alpha`` in the graded-lex order of ``taylor_indices``:
+    the multi-indices of lower degree, then those of its degree that agree
+    with it before some variable i and are smaller at i."""
+    n, rest = len(alpha), sum(alpha)
+    p = math.comb(n + rest - 1, n) if rest else 0
+    for i, a in enumerate(alpha[:-1]):
+        tail = n - 1 - i
+        p += math.comb(rest + tail, tail) - math.comb(rest - a + tail, tail)
+        rest -= a
+    return p
+
+
+_TABLES: Dict[int, _Positions] = _Lazy(_Positions)  # nvars -> its one position table
+
+
+def _jet(nvars: int, order: int, base: tuple, terms: Dict[int, object]) -> "JetPoly":
+    """The jet of coefficients ``terms``, keyed by position, owned by the jet from now on."""
+    jet = JetPoly.__new__(JetPoly)
+    jet.nvars = nvars
+    jet.order = order
+    jet.base = base
+    jet.terms = terms
+    return jet
 
 
 class JetPoly:
     """Taylor polynomial of total degree <= ``order`` around ``base``.
 
-    ``coeffs`` maps multi-indices to Taylor coefficients; absent entries are
-    zero.  The logical coefficient table always covers the full dense index
-    set of degree <= order (see :meth:`partials`).
+    ``terms`` maps positions (see the module docstring) to Taylor
+    coefficients, and ``coeffs`` is the same map keyed by multi-index;
+    absent entries are zero.  The logical coefficient table always covers
+    the full dense index set of degree <= order (see :meth:`partials`).
     """
 
-    __slots__ = ("nvars", "order", "base", "coeffs")
+    __slots__ = ("nvars", "order", "base", "terms", "_coeffs")
 
-    def __init__(self, nvars: int, order: int, base: Sequence, coeffs: Dict[MultiIndex, object] | None = None):
+    def __init__(self, nvars: int, order: int, base: Sequence, coeffs: Optional[Mapping[MultiIndex, object]] = None):
         self.nvars = nvars
         self.order = order
         self.base = tuple(base)
-        self.coeffs = {} if coeffs is None else coeffs
+        intern = _TABLES[nvars].intern
+        self.terms = {intern(alpha): c for alpha, c in coeffs.items()} if coeffs else {}
 
     # ------------------------------------------------------------------
     # construction
@@ -119,35 +222,46 @@ class JetPoly:
 
     @classmethod
     def constant(cls, value, nvars: int, order: int, base: Sequence) -> "JetPoly":
-        coeffs = {} if value == 0 else {(0,) * nvars: value}
-        return cls(nvars, order, base, coeffs)
+        return _jet(nvars, order, tuple(base), {} if value == 0 else {0: value})
 
     @classmethod
     def variable(cls, index: int, nvars: int, order: int, base: Sequence) -> "JetPoly":
         base = tuple(base)
         if not 0 <= index < nvars:
             raise IndexError(f"variable index {index} out of range for {nvars} variables")
-        coeffs: Dict[MultiIndex, object] = {}
+        terms: Dict[int, object] = {}
         if base[index] != 0:
-            coeffs[(0,) * nvars] = base[index]
+            terms[0] = base[index]
         if order >= 1:
-            coeffs[tuple(1 if j == index else 0 for j in range(nvars))] = 1
-        return cls(nvars, order, base, coeffs)
+            terms[nvars - index] = 1
+        return _jet(nvars, order, base, terms)
 
     def like_constant(self, value) -> "JetPoly":
-        return JetPoly.constant(value, self.nvars, self.order, self.base)
+        return _jet(self.nvars, self.order, self.base, {} if value == 0 else {0: value})
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
 
     @property
+    def coeffs(self) -> Mapping[MultiIndex, object]:
+        """The coefficients keyed by multi-index, in the order of ``terms``:
+        a read-only view, made on first read and kept."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            multi_index = _TABLES[self.nvars].multi_index
+            self._coeffs = MappingProxyType({multi_index[p]: c for p, c in self.terms.items()})
+            return self._coeffs
+
+    @property
     def value(self):
         """Order-0 coefficient (the function value at the base point)."""
-        return self.coeffs.get((0,) * self.nvars, 0)
+        return self.terms.get(0, 0)
 
     def coefficient(self, alpha: MultiIndex):
-        return self.coeffs.get(tuple(alpha), 0)
+        p = _TABLES[self.nvars].position.get(tuple(alpha))
+        return 0 if p is None else self.terms.get(p, 0)
 
     def partial(self, alpha: MultiIndex):
         """Raw partial derivative d^alpha f = Taylor coefficient * alpha!."""
@@ -158,10 +272,13 @@ class JetPoly:
         return {a: self.coefficient(a) * _multi_factorial(a) for a in taylor_indices(self.nvars, self.order)}
 
     def gradient(self) -> list:
-        return [self.coeffs.get(unit, 0) for unit in _unit_indices(self.nvars)]
+        """The first-degree coefficients, in variable order (variable j at position nvars - j)."""
+        terms, n = self.terms, self.nvars
+        return [terms.get(n - j, 0) for j in range(n)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        items = ", ".join(f"{a}: {c}" for a, c in sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])))
+        multi_index = _TABLES[self.nvars].multi_index
+        items = ", ".join(f"{multi_index[p]}: {c}" for p, c in sorted(self.terms.items()))
         return f"JetPoly(m={self.nvars}, k={self.order}, base={self.base}, {{{items}}})"
 
     # ------------------------------------------------------------------
@@ -180,19 +297,23 @@ class JetPoly:
             raise JetShapeError(f"cannot extend a jet of order {self.order} to order {order}")
         if order == self.order:
             return self
-        coeffs = {a: c for a, c in self.coeffs.items() if sum(a) <= order}
-        return JetPoly(self.nvars, order, self.base, coeffs)
+        cut = _TABLES[self.nvars].below[order]
+        return _jet(self.nvars, order, self.base, {p: c for p, c in self.terms.items() if p < cut})
 
     def derivative(self, index: int) -> "JetPoly":
         """Partial derivative jet; drops the truncation order by one."""
         if self.order < 1:
             raise JetShapeError("cannot differentiate an order-0 jet")
-        coeffs: Dict[MultiIndex, object] = {}
-        for alpha, c in self.coeffs.items():
-            k = alpha[index]
-            if k >= 1 and sum(alpha) <= self.order:
-                coeffs[alpha[:index] + (k - 1,) + alpha[index + 1 :]] = c * k
-        return JetPoly(self.nvars, self.order - 1, self.base, coeffs)
+        table = _TABLES[self.nvars]
+        cut = table.below[self.order]
+        steps = table.steps[index]
+        terms: Dict[int, object] = {}
+        for p, c in self.terms.items():
+            if p < cut:
+                step = steps[p]
+                if step is not None:
+                    terms[step[0]] = c * step[1]
+        return _jet(self.nvars, self.order - 1, self.base, terms)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -201,16 +322,16 @@ class JetPoly:
     def _combine(self, other: "JetPoly", sign: int) -> "JetPoly":
         """self + other (sign 1) or self - other (sign -1), coefficient-wise."""
         self._check_shape(other)
-        if not other.coeffs:
+        if not other.terms:
             return self
-        coeffs = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            s = coeffs.get(a, 0) + c if sign == 1 else coeffs.get(a, 0) - c
+        terms = dict(self.terms)
+        for p, c in other.terms.items():
+            s = terms.get(p, 0) + c if sign == 1 else terms.get(p, 0) - c
             if s == 0 and not isinstance(s, float):
-                coeffs.pop(a, None)
+                terms.pop(p, None)
             else:
-                coeffs[a] = s
-        return JetPoly(self.nvars, self.order, self.base, coeffs)
+                terms[p] = s
+        return _jet(self.nvars, self.order, self.base, terms)
 
     def __add__(self, other):
         if isinstance(other, JetPoly):
@@ -220,7 +341,7 @@ class JetPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return JetPoly(self.nvars, self.order, self.base, {a: -c for a, c in self.coeffs.items()})
+        return _jet(self.nvars, self.order, self.base, {p: -c for p, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, JetPoly):
@@ -234,22 +355,26 @@ class JetPoly:
         if isinstance(other, JetPoly):
             self._check_shape(other)
             order = self.order
-            coeffs: Dict[MultiIndex, object] = {}
-            memo = _INDEX_SUMS[order]
-            for a1, c1 in self.coeffs.items():
-                sums = memo.get(a1)
-                if sums is None:
-                    sums = memo[a1] = _IndexSums(a1, order)
-                for a2, c2 in other.coeffs.items():
-                    key = sums[a2]
-                    if key is not None:
-                        coeffs[key] = coeffs.get(key, 0) + c1 * c2
-            for a in [a for a, c in coeffs.items() if c == 0 and not isinstance(c, float)]:
-                del coeffs[a]
-            return JetPoly(self.nvars, order, self.base, coeffs)
+            table = _TABLES[self.nvars]
+            below, degree, sums = table.below, table.degree, table.sums
+            terms: Dict[int, object] = {}
+            get = terms.get
+            for p1, c1 in self.terms.items():
+                budget = order - degree[p1]
+                if budget < 0:
+                    continue
+                cut = below[budget]  # the positions of degree <= budget
+                row = sums[p1]
+                for p2, c2 in other.terms.items():
+                    if p2 < cut:
+                        q = row[p2]
+                        terms[q] = get(q, 0) + c1 * c2
+            for p in [p for p, c in terms.items() if c == 0 and not isinstance(c, float)]:
+                del terms[p]
+            return _jet(self.nvars, order, self.base, terms)
         if other == 0:
             return self.like_constant(0)
-        return JetPoly(self.nvars, self.order, self.base, {a: c * other for a, c in self.coeffs.items()})
+        return _jet(self.nvars, self.order, self.base, {p: c * other for p, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -258,7 +383,7 @@ class JetPoly:
             self._check_shape(other)
             return _divide(self, other)
         if isinstance(other, int) and other == 2:
-            return JetPoly(self.nvars, self.order, self.base, {a: half(c) for a, c in self.coeffs.items()})
+            return _jet(self.nvars, self.order, self.base, {p: half(c) for p, c in self.terms.items()})
         return self * quotient(1, divisor(other))
 
     def __rtruediv__(self, other):
@@ -353,13 +478,6 @@ def order0_div(x, y):
     return 0 if exact_zero(x) else quotient(x, y)
 
 
-@lru_cache(maxsize=None)
-def _indices_on(nvars: int, order: int, active: Tuple[int, ...]) -> Tuple[MultiIndex, ...]:
-    """``taylor_indices(nvars, order)`` restricted to exponents supported on ``active``, same order."""
-    inactive = [i for i in range(nvars) if i not in active]
-    return tuple(a for a in taylor_indices(nvars, order) if not any(a[i] for i in inactive))
-
-
 def _divide(num: JetPoly, den: JetPoly) -> JetPoly:
     """Graded long division; requires a nonzero constant term in ``den``.
 
@@ -367,23 +485,29 @@ def _divide(num: JetPoly, den: JetPoly) -> JetPoly:
     nonzero coefficient, so the division runs over those alone.
     """
     b0 = divisor(den.value)
-    coeffs: Dict[MultiIndex, object] = {}
-    den_rest = [(a, c) for a, c in den.coeffs.items() if sum(a) > 0]
-    exponents_by_variable = zip(*num.coeffs, *(a for a, _ in den_rest))
-    active = tuple(i for i, exponents in enumerate(exponents_by_variable) if any(exponents))
-    for alpha in _indices_on(num.nvars, num.order, active):
-        acc = num.coefficient(alpha)
-        for beta, cb in den_rest:
-            gamma = tuple(x - y for x, y in zip(alpha, beta))
-            if min(gamma) < 0:
-                continue
-            cg = coeffs.get(gamma)
-            if cg is not None:
-                acc = acc - cb * cg
+    table = _TABLES[num.nvars]
+    terms: Dict[int, object] = {}
+    den_rest = [(p, c) for p, c in den.terms.items() if p]
+    masks = table.mask
+    used = 0
+    for p in num.terms:
+        used |= masks[p]
+    for p, _ in den_rest:
+        used |= masks[p]
+    num_terms, differences = num.terms, table.differences
+    for pa in table.supported[num.order, used]:
+        acc = num_terms.get(pa, 0)
+        row = differences[pa]
+        for pb, cb in den_rest:
+            pg = row[pb]
+            if pg is not None:
+                cg = terms.get(pg)
+                if cg is not None:
+                    acc = acc - cb * cg
         if acc == 0 and not isinstance(acc, float):
             continue
-        coeffs[alpha] = quotient(acc, b0)
-    return JetPoly(num.nvars, num.order, num.base, coeffs)
+        terms[pa] = quotient(acc, b0)
+    return _jet(num.nvars, num.order, num.base, terms)
 
 
 # ----------------------------------------------------------------------
@@ -404,8 +528,7 @@ def substitute_series(series: Sequence, delta: JetPoly) -> JetPoly:
 
 
 def _delta(jet: JetPoly) -> JetPoly:
-    coeffs = {a: c for a, c in jet.coeffs.items() if sum(a) > 0}
-    return JetPoly(jet.nvars, jet.order, jet.base, coeffs)
+    return _jet(jet.nvars, jet.order, jet.base, {p: c for p, c in jet.terms.items() if p})
 
 
 def _compose(jet: JetPoly, series: Sequence) -> JetPoly:
@@ -567,7 +690,7 @@ UNARY_FUNCTIONS = {
 
 def _jet_power(base: JetPoly, exponent: JetPoly) -> JetPoly:
     """base ^ exponent for two jets; a non-constant exponent is exp(exponent ln base)."""
-    if any(sum(a) > 0 for a, c in exponent.coeffs.items() if c != 0):
+    if any(p and c != 0 for p, c in exponent.terms.items()):
         return jet_exp(exponent * jet_ln(base))
     return jet_pow(base, exponent.value)
 
@@ -622,7 +745,7 @@ class Kind(NamedTuple):
 
 
 JETS = Kind(
-    lambda jet: not jet.coeffs,
+    lambda jet: not jet.terms,
     JetPoly.like_constant,
     operator.add,
     operator.sub,
@@ -679,7 +802,7 @@ def derivatives_from_jet(jet: JetPoly) -> list:
     for k in range(jet.order + 1):
         if k > 0:
             fact *= k
-        out.append(jet.coefficient((k,)) * fact)
+        out.append(jet.terms.get(k, 0) * fact)  # (k,) is at position k
     return out
 
 

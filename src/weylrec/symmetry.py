@@ -114,7 +114,7 @@ def kernel_3d2(
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    cohomogeneity: int
+    cohomogeneity: Optional[int]  # None for a kernel dimension that no kind has
     kind: str
     parameter: Optional[float]
     kernel: SymmetryKernel
@@ -158,7 +158,8 @@ def classify_psi(
     Cross-checks the kernel dimension against invariant-constancy evidence,
     the signature curve on EVIDENCE_POINTS points of the interval (constant
     invariants: a point curve); a mismatch is reported as kind
-    "Inconsistent", never silently resolved.
+    "Inconsistent", never silently resolved.  A kernel of dimension 3 or
+    more has no kind: the kind is "Inconsistent" and the cohomogeneity None.
     """
     psi = exprlang.as_expr(psi)  # parsed once for the kernel and the evidence curve
     kern = psi_symmetry_kernel(psi, interval=interval, seed=seed)
@@ -177,7 +178,12 @@ def classify_psi(
         kind, parameter, consistent = "Inconsistent", None, False
     # a disagreement of kernel and invariant evidence is reported, never resolved silently
     return ClassificationResult(
-        2 - kern.dim, kind if consistent else "Inconsistent", parameter, kern, consistent, curve.diameter
+        2 - kern.dim if kern.dim <= 2 else None,
+        kind if consistent else "Inconsistent",
+        parameter,
+        kern,
+        consistent,
+        curve.diameter,
     )
 
 
@@ -192,14 +198,20 @@ def classify_3d2(
 ) -> ClassificationResult:
     """Cohomogeneity (= 3 - kernel dim: the pair family has no automatic
     symmetries) and symmetry count for the 3D holonomy-2 family, cross-checked
-    against the pair signature curve as in :func:`classify_psi`."""
+    against the pair signature curve as in :func:`classify_psi`.  A kernel of
+    dimension 3 or more has no kind: its cohomogeneity is None."""
     a, c = exprlang.as_expr(a), exprlang.as_expr(c)
     kern = kernel_3d2(a, c, interval=interval, seed=seed)
     curve = pair_signature_curve(a, c, *interval, thresholds.EVIDENCE_POINTS)
     kind = _3D2_KINDS.get(kern.dim, "Inconsistent")
     consistent = (kern.dim == 0) == (not curve.degenerate) and kind != "Inconsistent"
     return ClassificationResult(
-        3 - kern.dim, kind if consistent else "Inconsistent", None, kern, consistent, curve.diameter
+        3 - kern.dim if kern.dim in _3D2_KINDS else None,
+        kind if consistent else "Inconsistent",
+        None,
+        kern,
+        consistent,
+        curve.diameter,
     )
 
 

@@ -44,6 +44,12 @@ on plain numbers: the order-0 terms of the jets, with the jets' zero rules
 Christoffel routine and the inverse are the same code for both kinds of
 value (``jets.Kind``: ``JETS`` and ``NUMBERS``), so the numbers are the
 values of the order-0 jets that the same routine would build, bit for bit.
+In the same way the curvature of a depth-1 connection, which holonomy, the
+conformal Weyl tensor and Einstein-Weyl read, is computed on numbers: the
+gradients and values of the Christoffel jets, and its live slots hold the
+values of the order-0 jets they stand for.  A number cannot tell a jet
+holding an exact-zero coefficient from an empty one; no jet operation leaves
+such a coefficient, so the jets of a pass never hold one.
 """
 
 from __future__ import annotations
@@ -199,7 +205,7 @@ def _values(jets) -> np.ndarray:
     connection's) reads float of each, which is 0.0 for an exact zero."""
     shape, leaves = _flatten(jets)
     if isinstance(leaves[0], JetPoly):
-        floats = (float(jet.value) if jet.coeffs else 0.0 for jet in leaves)
+        floats = (float(jet.value) if jet.terms else 0.0 for jet in leaves)
     else:
         floats = map(float, leaves)
     return np.fromiter(floats, float, len(leaves)).reshape(shape)
@@ -210,7 +216,7 @@ def _first_partials(jets) -> np.ndarray:
     order >= 1); only the non-empty jets are read, the rest are rows of 0.0."""
     shape, leaves = _flatten(jets)
     zeros = [0] * leaves[0].nvars
-    grads = np.array([jet.gradient() if jet.coeffs else zeros for jet in leaves], float)
+    grads = np.array([jet.gradient() if jet.terms else zeros for jet in leaves], float)
     return np.moveaxis(grads.reshape(shape + (len(zeros),)), -1, 0)
 
 
@@ -235,7 +241,7 @@ def _repeated(jets, mirror: Optional[Tuple[int, int]] = None) -> Set[int]:
     seen: Set[int] = set()
     repeated: Set[int] = set()
     for index, jet in zip(itertools.product(*map(range, shape)), leaves):
-        if jet.coeffs and (mirror is None or index[mirror[0]] <= index[mirror[1]]):
+        if jet.terms and (mirror is None or index[mirror[0]] <= index[mirror[1]]):
             (repeated if id(jet) in seen else seen).add(id(jet))
     return repeated
 
@@ -323,8 +329,9 @@ class Connection:
     Fractions or floats, an exact zero as int 0), the values of the order-0
     jets they stand for; ``metric`` holds jets of order 1 at every depth.
     ``curvature_jets`` holds R as its live slots with a < b (see the module
-    docstring), and ``curvature`` and ``nabla_R`` are the dense float arrays
-    the checks read.
+    docstring): jets of order depth - 1, and at depth 1 numbers, the values
+    of the order-0 jets.  ``curvature`` and ``nabla_R`` (depth >= 2) are the
+    dense float arrays the checks read.
     """
 
     chart: Chart
@@ -351,22 +358,25 @@ class Connection:
         return _values(self.one_form)
 
     @cached_property
-    def curvature_jets(self) -> Dict[Slot, JetPoly]:
+    def curvature_jets(self) -> Dict[Slot, object]:
         return _curvature_jets(self)
 
     @cached_property
     def curvature(self) -> np.ndarray:
-        """R^d_{cab} of the connection, dense: the value of each live slot's
-        jet, at its mirror slot the value of the negated jet, 0.0 elsewhere."""
+        """R^d_{cab} of the connection, dense: the value of each live slot,
+        at its mirror slot the value of the negated one, 0.0 elsewhere."""
         slots = self.curvature_jets
         live, mirror = _slot_indices(slots, self.dim)
+        values = list(slots.values()) if self.depth == 1 else [jet.value for jet in slots.values()]
         R = np.zeros(self.dim**4)
-        R[live] = [float(jet.value) for jet in slots.values()]
-        R[mirror] = [float(-jet.value) for jet in slots.values()]
+        R[live] = [float(x) for x in values]
+        R[mirror] = [float(-x) for x in values]
         return R.reshape((self.dim,) * 4)
 
     @cached_property
     def nabla_R(self) -> np.ndarray:
+        if self.depth < 2:
+            raise JetShapeError("nabla R needs a connection of depth >= 2")
         return _nabla_R_from(self, self.curvature_jets, self.curvature)
 
     def compatibility_residual(self) -> float:
@@ -420,11 +430,11 @@ class Connection:
 
     def conformal_weyl(self) -> PointTensor:
         """See :func:`conformal_weyl_tensor`."""
-        # the Levi-Civita part cut to depth 1: its curvature values need no more
-        # (the copy keeps this connection's other fields, and only its curvature is read)
-        lc_gamma = _once_per_jet(self.levi_civita_gamma, lambda jet: jet.truncated(1))
+        # the curvature of the Levi-Civita part at depth 1, which reads only the
+        # values and gradients of its jets, the same at every order (the copy
+        # keeps this connection's other fields, and only its curvature is read)
         d = self.dim
-        Rup = replace(self, depth=1, gamma=lc_gamma).curvature  # R^a_{bcd}
+        Rup = replace(self, depth=1, gamma=self.levi_civita_gamma).curvature  # R^a_{bcd}
         gv = self.metric_values
         ginv = np.linalg.inv(gv)
         Rlow = np.einsum("ae,ebcd->abcd", gv, Rup)
@@ -484,7 +494,7 @@ def _derivatives_once(jets, zero: JetPoly, shared: Optional[Set[int]] = None):
     once per distinct jet object; every empty jet maps to one shared row of
     ``zero`` (a jet of one order less) and is never differentiated."""
     row = [zero] * zero.nvars
-    return _once_per_jet(jets, lambda jet: [jet.derivative(e) for e in range(jet.nvars)] if jet.coeffs else row, shared)
+    return _once_per_jet(jets, lambda jet: [jet.derivative(e) for e in range(jet.nvars)] if jet.terms else row, shared)
 
 
 def _christoffel_from(
@@ -578,37 +588,48 @@ class PointTensor:
         return float(np.sqrt(np.sum(self.array**2)))
 
 
-def _curvature_jets(conn: Connection) -> Dict[Slot, JetPoly]:
+def _curvature_jets(conn: Connection) -> Dict[Slot, object]:
     """The nonzero slots of R: {(d, c, a, b): R^d_{cab}} with a < b, jets of
-    order depth - 1.  R is antisymmetric in (a, b), so the mirror slot
-    (d, c, b, a) holds the negated jet, and every slot not listed is zero.
+    order depth - 1, or numbers at depth 1.  R is antisymmetric in (a, b), so
+    the mirror slot (d, c, b, a) holds the negated value, and every slot not
+    listed is zero.
 
     A slot is computed only where some term can be nonzero: a derivative
     d_a Gamma^d_{bc} or d_b Gamma^d_{ac}, or a product Gamma^d_{af}
     Gamma^f_{bc} or Gamma^d_{bf} Gamma^f_{ac}, of nonzero jets.  It makes
     the operations of the dense sum that are not on empty jets, in its order:
     the first derivative less the second, then over f increasing the product
-    with Gamma^d_{af} before the one with Gamma^d_{bf}."""
+    with Gamma^d_{af} before the one with Gamma^d_{bf}.  At depth 1 those
+    operations are on numbers (``NUMBERS``): the gradients and values of the
+    Christoffel jets, which are the values of their order-0 derivatives and
+    truncations, so each slot is the value of the order-0 jet it stands for."""
     d = conn.dim
     if conn.depth < 1:
         raise JetShapeError("cannot differentiate an order-0 jet")
-    template = conn.gamma[0][0][0]
-    zero = JetPoly(template.nvars, conn.depth - 1, template.base)
-    shared = _repeated(conn.gamma, (1, 2))
-    dgamma = _derivatives_once(conn.gamma, zero, shared)
-    gl = _once_per_jet(conn.gamma, lambda jet: jet.truncated(conn.depth - 1) if jet.coeffs else zero, shared)
+    if conn.depth == 1:
+        kind, zeros = NUMBERS, [0] * d
+        dgamma = _once_per_jet(conn.gamma, lambda jet: jet.gradient() if jet.terms else zeros)
+        gl = _once_per_jet(conn.gamma, lambda jet: jet.value)
+    else:
+        template = conn.gamma[0][0][0]
+        zero = JetPoly(template.nvars, conn.depth - 1, template.base)
+        shared = _repeated(conn.gamma, (1, 2))
+        dgamma = _derivatives_once(conn.gamma, zero, shared)
+        gl = _once_per_jet(conn.gamma, lambda jet: jet.truncated(conn.depth - 1) if jet.terms else zero, shared)
+        kind = _once_jets(shared)
+    empty, add, sub, mul = kind.empty, kind.add, kind.sub, kind.mul
     # a nonzero derivative d_w Gamma^x_{yz} enters the slot (x, z, y, w) or (x, z, w, y)
     slots = {
         (x, z, min(y, w), max(y, w))
         for x, plane in enumerate(conn.gamma)
         for y, row in enumerate(plane)
         for z, jet in enumerate(row)
-        if jet.coeffs
+        if jet.terms
         for w, partial in enumerate(dgamma[x][y][z])
-        if w != y and partial.coeffs
+        if w != y and not empty(partial)
     }
     # nonzero[x][y]: the f with gl[x][y][f] nonzero, outside which no product term survives
-    nonzero = [[{f for f, jet in enumerate(row) if jet.coeffs} for row in plane] for plane in gl]
+    nonzero = [[{f for f, jet in enumerate(row) if not empty(jet)} for row in plane] for plane in gl]
     # a nonzero product gl[x][y][f] gl[f][z][c] enters the slot (x, c, y, z) or (x, c, z, y)
     slots.update(
         (x, c, min(y, z), max(y, z))
@@ -619,29 +640,24 @@ def _curvature_jets(conn: Connection) -> Dict[Slot, JetPoly]:
         if z != y
         for c in nonzero[f][z]
     )
-    kind = _once_jets(shared)
-    add, sub, mul = kind.add, kind.sub, kind.mul
-    R: Dict[Slot, JetPoly] = {}
+    R: Dict[Slot, object] = {}
     for dd, c, a, b in sorted(slots):
         acc = dgamma[dd][b][c][a]
         other = dgamma[dd][a][c][b]
-        if other.coeffs:
+        if not empty(other):
             acc = sub(acc, other)
-        for f in sorted(nonzero[dd][a] | nonzero[dd][b]):
-            t1 = gl[dd][a][f]
-            t2 = gl[f][b][c]
-            if t1.coeffs and t2.coeffs:
-                acc = add(acc, mul(t1, t2))
-            t3 = gl[dd][b][f]
-            t4 = gl[f][a][c]
-            if t3.coeffs and t4.coeffs:
-                acc = sub(acc, mul(t3, t4))
-        if acc.coeffs:
+        row_a, row_b = nonzero[dd][a], nonzero[dd][b]
+        for f in sorted(row_a | row_b):
+            if f in row_a and c in nonzero[f][b]:
+                acc = add(acc, mul(gl[dd][a][f], gl[f][b][c]))
+            if f in row_b and c in nonzero[f][a]:
+                acc = sub(acc, mul(gl[dd][b][f], gl[f][a][c]))
+        if not empty(acc):
             R[dd, c, a, b] = acc
     return R
 
 
-def _slot_indices(slots: Dict[Slot, JetPoly], d: int) -> Tuple[List[int], List[int]]:
+def _slot_indices(slots: Dict[Slot, object], d: int) -> Tuple[List[int], List[int]]:
     """Flat indices into a (d,)*4 array of each live slot (d, c, a, b) and of its mirror (d, c, b, a)."""
     live = [((i * d + c) * d + a) * d + b for i, c, a, b in slots]
     mirror = [((i * d + c) * d + b) * d + a for i, c, a, b in slots]
@@ -828,11 +844,11 @@ def lie_derivative_check(
         for b in range(a, d):
             acc = zero
             for c in range(d):
-                if Y1[c].coeffs and dg[a][b][c].coeffs:
+                if Y1[c].terms and dg[a][b][c].terms:
                     acc = acc + Y1[c] * dg[a][b][c]
-                if g1[c][b].coeffs and dY[c][a].coeffs:
+                if g1[c][b].terms and dY[c][a].terms:
                     acc = acc + g1[c][b] * dY[c][a]
-                if g1[a][c].coeffs and dY[c][b].coeffs:
+                if g1[a][c].terms and dY[c][b].terms:
                     acc = acc + g1[a][c] * dY[c][b]
             lie_g[a][b] = acc
             lie_g[b][a] = acc
@@ -841,9 +857,9 @@ def lie_derivative_check(
     den = zero
     for a in range(d):
         for b in range(d):
-            if lie_g[a][b].coeffs and g1[a][b].coeffs:
+            if lie_g[a][b].terms and g1[a][b].terms:
                 num = num + lie_g[a][b] * g1[a][b]
-            if g1[a][b].coeffs:
+            if g1[a][b].terms:
                 den = den + g1[a][b] * g1[a][b]
     lam_jet = num / (2 * den)
     lam0 = float(lam_jet.value)

@@ -287,6 +287,19 @@ class TestClassifyCommand:
         rec = json.loads(out)
         assert rec["kind"] == "OneSymmetry3D2" and rec["cohomogeneity"] == 2
 
+    @pytest.mark.parametrize("psi", ["exp(12*t)", "exp(15*t)"])
+    def test_cohomogeneity_is_never_negative(self, tmp_path, capsys, psi):
+        """The sampled symmetry system of exp(k t) is so badly scaled at k = 12
+        and 15 that its numerical kernel had dimension 3 and 4, and classify
+        printed a cohomogeneity of -1 and -2; a kernel that no kind has gets none."""
+        path = write_json(tmp_path / "e.json", {"format": 1, "family": "dim_ge4", "psi": psi, "n": 2})
+        code, out, _ = run(capsys, "classify", path)
+        rec = json.loads(out)
+        if rec["kernel_dim"] > 2:
+            assert (code, rec["cohomogeneity"], rec["kind"]) == (1, None, "Inconsistent")
+        else:
+            assert rec["cohomogeneity"] == 2 - rec["kernel_dim"]
+
     def test_unsupported_family_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "h.json", {"format": 1, "family": "homogeneous", "n": 2})
         code, _, err = run(capsys, "classify", path)

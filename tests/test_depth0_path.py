@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylrec import tensor, thresholds
+from weylrec import jets, tensor, thresholds
 from weylrec.catalog import standard_catalog
 from weylrec.exprlang import eval_jet
 from weylrec.jets import JetPoly, coordinate_jets
@@ -177,17 +177,24 @@ def test_small_metrics(case):
 
 def test_compatibility_builds_no_order0_jet(monkeypatch):
     """No JetPoly of order 0 is made under ``weyl_compatibility_residual``;
-    the reference, run under the same counter, makes some."""
+    the reference, run under the same counter, makes some.  A jet is made
+    by its constructor or, from a jet operation, by ``jets._jet``."""
     entries = list(standard_catalog().values())
     made = []
-    init = JetPoly.__init__
+    init, make = JetPoly.__init__, jets._jet
 
     def counting_init(self, nvars, order, base, coeffs=None):
         if order == 0:
             made.append(nvars)
         init(self, nvars, order, base, coeffs)
 
+    def counting_make(nvars, order, base, terms):
+        if order == 0:
+            made.append(nvars)
+        return make(nvars, order, base, terms)
+
     monkeypatch.setattr(JetPoly, "__init__", counting_init)
+    monkeypatch.setattr(jets, "_jet", counting_make)
     for entry in entries:
         for point in entry.sample_points(3, 0):
             tensor.weyl_compatibility_residual(entry.structure, point)

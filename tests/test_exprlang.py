@@ -133,6 +133,21 @@ class TestDepthLimit:
         path.write_text(json.dumps(cli.structure_file_payload(entry)))
         assert cli.load_structure_file(str(path)).params["psi"] == entry.params["psi"]
 
+    def test_the_payload_of_60_unary_minus_signs_verifies(self, tmp_path, capsys):
+        # each sign written as (-(...)) made 60 parentheses and 60 signs open at once
+        entry = make_dim_ge4("-" * 60 + "t", 2)
+        path = tmp_path / "signs.json"
+        path.write_text(json.dumps(cli.structure_file_payload(entry)))
+        assert cli.load_structure_file(str(path)).params["psi"] == entry.params["psi"]
+        assert cli.main(["verify", str(path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_a_chain_of_signs_is_written_as_one_run(self):
+        assert to_source(parse("-t")) == "(-t)"
+        assert to_source(parse("t*---(t+1)")) == "(t*(---(t+1)))"
+        assert parse(to_source(parse("--t^2"))) == parse("--t^2")
+        assert parse(to_source(parse("(--t)^2"))) == parse("(--t)^2")
+
     def test_far_beyond_the_limit_is_still_a_syntax_error(self):
         # deeper than the interpreter's stack would allow a recursive parse to go
         with pytest.raises(ExprSyntaxError, match="nested more than"):

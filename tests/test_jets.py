@@ -1,11 +1,16 @@
 """Jet-arithmetic tests: truncated ring operations, composition, inversion."""
 
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tuple_jets import TupleJet, _compose as tuple_compose, _divide as tuple_divide
+from weylrec import jets
 from weylrec.jets import (
     JetDomainError,
     JetPoly,
@@ -343,3 +348,135 @@ def test_product_keeps_signed_zeros_and_drops_exact_cancellations():
     # each sum starts from int 0, so a lone -0.0 product is stored as +0.0 (and kept: it is a float)
     z = JetPoly(2, 2, (0, 0), {(0, 1): -0.0})
     assert exact_items((x * z).coeffs) == exact_items(reference_mul(x, z)) == [((0, 1), float, "0x0.0p+0"), ((1, 1), float, "0x0.0p+0")]
+
+
+# ----------------------------------------------------------------------
+# the position engine against the tuple-keyed engine it replaced
+# ----------------------------------------------------------------------
+
+
+def test_positions_are_the_graded_lex_order():
+    for nvars in range(1, 7):
+        table = jets._TABLES[nvars]
+        for order in range(6):
+            indices = taylor_indices(nvars, order)
+            assert [table.intern(a) for a in indices] == list(range(len(indices)))
+            assert table.below[order] == len(indices)
+        assert [table.multi_index[nvars - j] for j in range(nvars)] == [tuple(int(i == j) for i in range(nvars)) for j in range(nvars)]
+
+
+def test_a_key_that_is_not_a_multi_index_is_refused():
+    with pytest.raises(JetShapeError):
+        JetPoly(2, 3, (0, 0), {(1, 0, 0): 1.0})
+    with pytest.raises(JetShapeError):
+        JetPoly(2, 3, (0, 0), {(2, -1): 1.0})
+
+
+def test_the_view_is_read_only_and_kept():
+    jet = JetPoly(2, 2, (0, 0), {(1, 0): 2, (0, 0): 1})
+    assert list(jet.coeffs.items()) == [((1, 0), 2), ((0, 0), 1)]
+    assert jet.coeffs is jet.coeffs
+    with pytest.raises(TypeError):
+        jet.coeffs[(0, 1)] = 3
+
+
+@st.composite
+def multi_indices(draw, nvars, degree):
+    """A multi-index in ``nvars`` variables of total degree at most ``degree``."""
+    alpha = [0] * nvars
+    for i in draw(st.lists(st.integers(0, nvars - 1), max_size=degree)):
+        alpha[i] += 1
+    return tuple(alpha)
+
+
+@st.composite
+def both_engines(draw):
+    """(JetPoly, TupleJet) pairs of two sparse jets of one shape, 1-10
+    variables and order 0-6, each pair built from one multi-index dict.  The
+    keys come from a small pool, so that sums and products meet and small
+    exact coefficients cancel; a key may lie one degree above the order."""
+    nvars, order = draw(st.integers(1, 10)), draw(st.integers(0, 6))
+    pool = draw(st.lists(multi_indices(nvars, order + 1), min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):
+        pool.append((0,) * nvars)
+    base = (0.5,) * nvars
+
+    def pair(coeffs):
+        return JetPoly(nvars, order, base, coeffs), TupleJet(nvars, order, base, dict(coeffs))
+
+    def jet():
+        keys = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+        return pair({a: draw(kernel_coeff) for a in keys})
+
+    return jet(), jet(), pair
+
+
+@given(both_engines(), st.data())
+def test_position_engine_matches_the_tuple_engine(case, data):
+    (a, ta), (b, tb), pair = case
+    for x, tx, y, ty in ((a, ta, b, tb), (b, tb, a, ta), (a, ta, a, ta)):
+        assert items(x * y) == items(tx * ty)
+        assert items(x + y) == items(tx + ty)
+        assert items(x - y) == items(tx - ty)
+    for order in range(a.order + 1):
+        assert items(a.truncated(order)) == items(ta.truncated(order))
+    if a.order:
+        for index in range(a.nvars):
+            assert items(a.derivative(index)) == items(ta.derivative(index))
+    den, tden = pair({**b.coeffs, (0,) * b.nvars: data.draw(kernel_coeff.filter(lambda c: c != 0))})
+    assert items(a / den) == items(tuple_divide(ta, tden))
+    series = data.draw(st.lists(kernel_coeff, min_size=a.order + 1, max_size=a.order + 1))
+    assert items(jets._compose(a, series)) == items(tuple_compose(ta, series))
+
+
+def test_a_product_in_24_variables_makes_only_the_positions_it_meets():
+    """Order 6 in 24 variables has comb(30, 6) = 593775 multi-indices; a
+    product and a quotient of sparse jets make positions for a few hundred."""
+    table = jets._TABLES[24]
+    before = len(table.multi_index)
+    x = [JetPoly.variable(i, 24, 6, (0.5,) * 24) for i in (0, 7, 23)]
+    a = x[0] * x[1] + x[2] * x[2] * x[2] + 3
+    b = x[0] - x[1] * x[2] + 2
+    product = a * b
+    quotient = product / b
+    assert len(table.multi_index) - before < 1000
+    assert product.terms and quotient.terms
+
+
+def test_threads_filling_one_table_get_the_tuple_engine_results(monkeypatch):
+    """Six threads (more than cores) make the first positions of a fresh
+    table at once, switching every microsecond; a fill that one of them lost
+    would show in their products, quotients and derivatives."""
+    nvars, order, base = 7, 4, (0.5,) * 7
+    monkeypatch.delitem(jets._TABLES, nvars, raising=False)
+    rng = random.Random(5)
+    indices = taylor_indices(nvars, order)
+
+    def coeffs(constant):
+        out = {a: rng.choice([1, -1, Fraction(1, 3), 0.25, -1.5]) for a in rng.sample(indices[1:], 6)}
+        return {(0,) * nvars: constant, **out}
+
+    cases = [(coeffs(rng.choice([0, 2])), coeffs(3)) for _ in range(8)]
+
+    def results(make, index):
+        out = []
+        for ca, cb in cases:
+            a, b = make(nvars, order, base, ca), make(nvars, order, base, cb)
+            out.append((items(a * b), items(tuple_divide(a, b) if make is TupleJet else a / b), items(a.derivative(index))))
+        return out
+
+    threads = 6
+    expected = [results(TupleJet, k % nvars) for k in range(threads)]
+    got = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda k=k: got.update({k: results(JetPoly, k % nvars)})) for k in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert [got.get(k) for k in range(threads)] == expected

@@ -9,7 +9,9 @@ import pytest
 from weylrec.catalog import killing_fields, sample_box, symmetric_psi_family
 from weylrec.exprlang import ExprDomainError
 from weylrec.invariants import GroupElem3D2, GroupElemD4, act_3d2, pair_jet_from_exprs
+from weylrec import symmetry
 from weylrec.symmetry import (
+    SymmetryKernel,
     _pair_rows,
     _psi_rows,
     _system,
@@ -235,6 +237,28 @@ class TestClassify3D2:
         # image of (1/u, 2/u^2) under u -> 2u: a -> 1/(2 a(u/2)) ... realized directly
         result = classify_3d2("2/u", "8/u^2", interval=(1.0, 3.0))
         assert result.kind == "OneSymmetry3D2" and result.consistent
+
+
+class TestKernelWithNoKind:
+    """A kernel larger than any kind's, 3 or more, gets kind "Inconsistent"
+    and no cohomogeneity in both families (before: 2 - dim and 3 - dim, so
+    -1 for a psi kernel of dimension 3)."""
+
+    @staticmethod
+    def kernel(dim, unknowns):
+        return SymmetryKernel(dim, np.eye(unknowns)[:dim], np.zeros(unknowns))
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_psi(self, monkeypatch, dim):
+        monkeypatch.setattr(symmetry, "psi_symmetry_kernel", lambda *args, **kwargs: self.kernel(dim, 5))
+        result = classify_psi("exp(t)")
+        assert (result.cohomogeneity, result.kind, result.consistent) == (None, "Inconsistent", False)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_pair(self, monkeypatch, dim):
+        monkeypatch.setattr(symmetry, "kernel_3d2", lambda *args, **kwargs: self.kernel(dim, 4))
+        result = classify_3d2("exp(u)", "u")
+        assert (result.cohomogeneity, result.kind, result.consistent) == (None, "Inconsistent", False)
 
 
 class TestResidual3D1:
