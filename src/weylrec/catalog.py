@@ -252,12 +252,13 @@ def make_mainth_form(
     seed: int = 0,
     n_points: int = 20,
     constraints: Sequence[Union[str, Expr]] = (),
-    expect_recurrent: bool = True,
 ) -> CatalogEntry:
     """Metric 2dvdu + sum_{i<n}(dx^i)^2 + e^{-2F}(dx^n)^2 + a(u) sum (x^i)^2 (du)^2
     with 1-form (dF/du) du; F = F(x^n, u), d_n(dF/du) non-vanishing.
 
-    The structure is recurrent exactly when d2F/du2 - (dF/du)^2 + a(u) = 0.
+    The structure is recurrent exactly when d2F/du2 - (dF/du)^2 + a(u) = 0,
+    and the entry expects it to be: recurrent, holonomy span n, conformally
+    flat.
     """
     if n < 2:
         raise CatalogError("the normal form needs n >= 2 (dimension >= 4)")
@@ -278,10 +279,10 @@ def make_mainth_form(
         box,
         {"u": (0.2, 1.2), xn: (0.4, 1.4)},
         {
-            "recurrent": expect_recurrent,
-            "holonomy_dim": n if expect_recurrent else None,
+            "recurrent": True,
+            "holonomy_dim": n,
             "is_preferred_rep": False,
-            "conformally_flat": expect_recurrent,
+            "conformally_flat": True,
             "einstein_weyl": False,
         },
         probes=[(derivative(Fdot, xn), f"d_{xn} dF/du", (xn, "u"), "non-vanishing")],

@@ -38,6 +38,11 @@ class SingularStratumError(ValueError):
     """The jet sits on a singular stratum where the invariants are undefined."""
 
 
+class OverflowSampleError(SingularStratumError):
+    """A power of the jet entries overflows the float range: the invariants
+    were not computed, so the sample says nothing about a stratum."""
+
+
 class NotIncreasingError(ValueError):
     """psi'(t) <= 0 at the jet's base point, which lies off the one-function family's domain."""
 
@@ -116,7 +121,7 @@ def _psi_pair(p: Sequence):
     except (ZeroDivisionError, JetDomainError) as exc:  # a power of a tiny discriminant rounds to 0
         raise SingularStratumError("a power of the discriminant rounds to 0 (homogeneous stratum)") from exc
     except OverflowError as exc:  # a float power of a huge jet entry or discriminant
-        raise SingularStratumError("a power of the jet entries overflows the float range") from exc
+        raise OverflowSampleError("a power of the jet entries overflows the float range") from exc
     return first, second, disc
 
 
@@ -253,7 +258,7 @@ def pair_invariants(jet: PairJet) -> PairInvariants:
         second = a[0] * a[2] / _sq(a[1])
         third = (a[0] * c[2] - c[0] * a[2]) * a[0] ** 5 / a[1] ** 5
     except OverflowError as exc:  # a float power of a huge jet entry, as in _psi_pair
-        raise SingularStratumError("a power of the jet entries overflows the float range") from exc
+        raise OverflowSampleError("a power of the jet entries overflows the float range") from exc
     return PairInvariants(first, second, third)
 
 
@@ -442,7 +447,13 @@ class SignatureCurve:
     params: Tuple  # parameter samples (numbers, or (x, u) pairs)
     tuples: Tuple[Tuple[float, ...], ...]
     signs: Tuple[int, ...]  # discriminant signs (psi kind only)
-    n_singular: int
+    n_singular: int  # samples dropped, on a singular stratum or not evaluated
+    n_failed: int  # of those, the ones not evaluated: an overflow, a domain error or a non-finite tuple
+
+    @property
+    def has_evidence(self) -> bool:
+        """Some sample was read: a tuple, or a drop on a singular stratum."""
+        return bool(self.tuples) or self.n_singular > self.n_failed
 
     @property
     def diameter(self) -> float:
@@ -480,22 +491,27 @@ def _grid(lo: float, hi: float, count: int) -> List[float]:
 
 def _sampled_curve(kind: str, points: Sequence, sample_at) -> SignatureCurve:
     """``sample_at(point)`` gives (invariant tuple, discriminant sign or None);
-    a point on a singular stratum or with a non-finite tuple is dropped and counted."""
-    params, tuples, signs, singular = [], [], [], 0
+    a point on a singular stratum is dropped and counted, and so is a point
+    not evaluated (an overflow, a domain error or a non-finite tuple), which
+    is counted apart as well."""
+    params, tuples, signs, singular, failed = [], [], [], 0, 0
     for point in points:
         try:
             tup, sign = sample_at(point)
-        except (SingularStratumError, exprlang.ExprDomainError):
+        except (OverflowSampleError, exprlang.ExprDomainError):
+            failed += 1
+            continue
+        except SingularStratumError:
             singular += 1
             continue
         if not _finite(*tup):
-            singular += 1
+            failed += 1
             continue
         params.append(point)
         tuples.append(tup)
         if sign is not None:
             signs.append(sign)
-    return SignatureCurve(kind, tuple(params), tuple(tuples), tuple(signs), singular)
+    return SignatureCurve(kind, tuple(params), tuple(tuples), tuple(signs), singular + failed, failed)
 
 
 def psi_signature_curve(psi, lo: float, hi: float, samples: int = 64) -> SignatureCurve:

@@ -160,6 +160,8 @@ def classify_psi(
     invariants: a point curve); a mismatch is reported as kind
     "Inconsistent", never silently resolved.  A kernel of dimension 3 or
     more has no kind: the kind is "Inconsistent" and the cohomogeneity None.
+    A curve with no evidence (every sample dropped unevaluated) makes the
+    kind "Inconsistent" too.
     """
     psi = exprlang.as_expr(psi)  # parsed once for the kernel and the evidence curve
     kern = psi_symmetry_kernel(psi, interval=interval, seed=seed)
@@ -167,7 +169,7 @@ def classify_psi(
     all_singular = not curve.tuples
     if kern.dim == 2:
         kind, parameter = "Homogeneous", None
-        consistent = all_singular
+        consistent = all_singular and curve.has_evidence
     elif kern.dim == 1:
         kind, parameter = _psi_kind_from_vector(kern.basis[0])
         consistent = kind != "Inconsistent" and curve.degenerate and not all_singular
@@ -199,12 +201,13 @@ def classify_3d2(
     """Cohomogeneity (= 3 - kernel dim: the pair family has no automatic
     symmetries) and symmetry count for the 3D holonomy-2 family, cross-checked
     against the pair signature curve as in :func:`classify_psi`.  A kernel of
-    dimension 3 or more has no kind: its cohomogeneity is None."""
+    dimension 3 or more has no kind: its cohomogeneity is None.  A curve with
+    no evidence makes the kind "Inconsistent"."""
     a, c = exprlang.as_expr(a), exprlang.as_expr(c)
     kern = kernel_3d2(a, c, interval=interval, seed=seed)
     curve = pair_signature_curve(a, c, *interval, thresholds.EVIDENCE_POINTS)
     kind = _3D2_KINDS.get(kern.dim, "Inconsistent")
-    consistent = (kern.dim == 0) == (not curve.degenerate) and kind != "Inconsistent"
+    consistent = (kern.dim == 0) == (not curve.degenerate) and kind != "Inconsistent" and curve.has_evidence
     return ClassificationResult(
         3 - kern.dim if kern.dim in _3D2_KINDS else None,
         kind if consistent else "Inconsistent",

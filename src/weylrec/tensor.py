@@ -18,16 +18,20 @@ keeps an empty jet), and its value readers write 0.0 for an empty jet
 without reading it.  Every other jet goes through the same operations, in
 the same order, as in a dense pass, so no bit changes.
 
-Within one call of the inverse, the Christoffel routine or the curvature, a
-pass computes each distinct jet operation once: an operation on the same
-operand objects as an earlier one returns the earlier result, where an
-operand is shared (``_once_per_operands``).  A shared jet fills more than
-one slot of the call's inputs, a slot and its mirror counted as one
-(``_repeated``), or is made from shared jets.  The n - 1 flat directions of
-the dim >= 4 family share one conformal factor, so the family's jet work
-does not grow with n: a depth-2 pass and its curvature make the same jet
-products at every dimension.  A pass whose inputs repeat no jet keeps
-nothing.
+The Christoffel routine, the curvature and the Lie-derivative check each
+read a list of jets one order down, and one helper sets that up
+(``_read_down``): the kind of value, its zero, and each distinct jet's
+truncation and first partials.  On jets, within one call of the Christoffel
+routine (the metric inverse included, which computes in the same kind and
+so shares its memo) or of the curvature, a pass computes each distinct jet
+operation once: an operation on the same operand objects as an earlier one
+returns the earlier result, where an operand is shared
+(``_once_per_operands``).  A shared jet fills more than one slot of the
+call's inputs, a slot and its mirror counted as one (``_repeated``), or is
+made from shared jets.  The n - 1 flat directions of the dim >= 4 family
+share one conformal factor, so the family's jet work does not grow with n:
+a depth-2 pass and its curvature make the same jet products at every
+dimension.  A pass whose inputs repeat no jet keeps nothing.
 
 R is kept as its live slots, ``{(d, c, a, b): jet}`` with a < b where
 R^d_{cab} can be nonzero (``_curvature_jets``); the mirror slot (d, c, b, a)
@@ -38,18 +42,19 @@ Christoffel symbols run only over pairs of nonzero entries, each summed over
 f increasing (``_contractions``), so every float has the bits of the dense
 sums.
 
-A connection of depth 0, which only the compatibility check reads, is built
-on plain numbers: the order-0 terms of the jets, with the jets' zero rules
-(``jets.order0_*``), where an exact zero stands for the empty jet.  The
-Christoffel routine and the inverse are the same code for both kinds of
-value (``jets.Kind``: ``JETS`` and ``NUMBERS``), so the numbers are the
-values of the order-0 jets that the same routine would build, bit for bit.
-In the same way the curvature of a depth-1 connection, which holonomy, the
-conformal Weyl tensor and Einstein-Weyl read, is computed on numbers: the
-gradients and values of the Christoffel jets, and its live slots hold the
-values of the order-0 jets they stand for.  A number cannot tell a jet
-holding an exact-zero coefficient from an empty one; no jet operation leaves
-such a coefficient, so the jets of a pass never hold one.
+Read down to order 0, the same helper picks plain numbers: the values and
+gradients of the jets, computed with the jets' zero rules
+(``jets.order0_*``), where an exact zero stands for the empty jet.  So a
+connection of depth 0, which only the compatibility check reads, is built
+on numbers, and so is the curvature of a depth-1 connection, which
+holonomy, the conformal Weyl tensor and Einstein-Weyl read.  The
+Christoffel routine, the inverse and the curvature are the same code for
+both kinds of value (``jets.Kind``), so the numbers are the values of the
+order-0 jets that the same routine would build, bit for bit, and the live
+slots of R hold the values of the order-0 jets they stand for.  A number
+cannot tell a jet holding an exact-zero coefficient from an empty one; no
+jet operation leaves such a coefficient, so the jets of a pass never hold
+one.
 """
 
 from __future__ import annotations
@@ -274,18 +279,11 @@ def _once_per_operands(op: Callable, shared: Set[int]) -> Callable:
     return once
 
 
-def _once_jets(shared: Set[int]) -> Kind:
-    """``JETS`` with each operation computed once per shared operands."""
-    ops = ("add", "sub", "mul", "div", "half")
-    return JETS._replace(**{name: _once_per_operands(getattr(JETS, name), shared) for name in ops})
-
-
-def _invert_jet_matrix(g: list) -> list:
-    """Invert a matrix of jets, or of numbers, by Gauss-Jordan with
-    constant-term pivoting; a pivot at most PIVOT_SINGULAR of the largest
-    entry's value means it is singular."""
+def _invert_jet_matrix(g: list, kind: Kind) -> list:
+    """Invert a matrix of jets, or of numbers, in ``kind`` by Gauss-Jordan
+    with constant-term pivoting; a pivot at most PIVOT_SINGULAR of the
+    largest entry's value means it is singular."""
     d = len(g)
-    kind = _once_jets(_repeated(g, (0, 1))) if isinstance(g[0][0], JetPoly) else NUMBERS
     empty, sub, mul = kind.empty, kind.sub, kind.mul
     zero = kind.constant(g[0][0], 0)
     one = kind.constant(g[0][0], 1)
@@ -489,12 +487,36 @@ def _once_per_jet(jets, fn, shared: Optional[Set[int]] = None):
     return out
 
 
-def _derivatives_once(jets, zero: JetPoly, shared: Optional[Set[int]] = None):
-    """``[d_0 jet, ..., d_{n-1} jet]`` of each jet of a nested list, computed
-    once per distinct jet object; every empty jet maps to one shared row of
-    ``zero`` (a jet of one order less) and is never differentiated."""
-    row = [zero] * zero.nvars
-    return _once_per_jet(jets, lambda jet: [jet.derivative(e) for e in range(jet.nvars)] if jet.terms else row, shared)
+def _read_down(jets, order: int, mirror: Tuple[int, int]) -> Tuple[Kind, object, list, list]:
+    """The set-up of a pass on a nested list of jets read one order down:
+    ``(kind, zero, low, partials)``, the kind of value it computes in, that
+    kind's zero, and each jet's truncation to ``order`` and its row of first
+    partials ``[d_0 jet, ..., d_{n-1} jet]``, in the list's shape, each
+    computed once per distinct jet object.
+
+    At ``order`` 0 the pass runs on numbers (``NUMBERS``, zero 0): each
+    jet's value and gradient, which are the values of the order-0 jets they
+    stand for.  Otherwise it runs on ``JETS`` with each operation computed
+    once per shared operands (``_once_per_operands``), where the shared jets
+    are those that fill more than one slot of the list, a slot and its
+    mirror at the axes ``mirror`` counted as one (``_repeated``), and every
+    jet made from them.  The zero is an empty jet of ``order``: an empty jet
+    truncates to it and is never differentiated, its partials being one
+    shared row of it."""
+    template = _flatten(jets)[1][0]
+    n = template.nvars
+    if order == 0:
+        zeros = [0] * n
+        values = _once_per_jet(jets, lambda jet: jet.value)
+        return NUMBERS, 0, values, _once_per_jet(jets, lambda jet: jet.gradient() if jet.terms else zeros)
+    shared = _repeated(jets, mirror)
+    ops = ("add", "sub", "mul", "div", "half")
+    kind = JETS._replace(**{name: _once_per_operands(getattr(JETS, name), shared) for name in ops})
+    zero = JetPoly(n, order, template.base)
+    row = [zero] * n
+    low = _once_per_jet(jets, lambda jet: jet.truncated(order) if jet.terms else zero, shared)
+    partials = _once_per_jet(jets, lambda jet: [jet.derivative(e) for e in range(n)] if jet.terms else row, shared)
+    return kind, zero, low, partials
 
 
 def _christoffel_from(
@@ -509,18 +531,8 @@ def _christoffel_from(
     the 1-form's values, and the constant terms of ``g`` and the gradients of
     its order-1 jets, which are the values of the order-0 jets they replace."""
     d = structure.dim
-    if depth == 0:
-        kind, zero = NUMBERS, 0
-        g_low = _once_per_jet(g, lambda jet: jet.value)
-        dg = _once_per_jet(g, JetPoly.gradient)
-    else:
-        shared = _repeated(g, (0, 1))
-        g_low = _once_per_jet(g, lambda jet: jet.truncated(depth), shared)
-        zero = g_low[0][0].like_constant(0)
-        dg = _derivatives_once(g, zero, shared)
-    ginv = _invert_jet_matrix(g_low)
-    if depth > 0:
-        kind = _once_jets(shared | _repeated(ginv))
+    kind, zero, g_low, dg = _read_down(g, depth, (0, 1))
+    ginv = _invert_jet_matrix(g_low, kind)
     empty, add, sub, mul = kind.empty, kind.add, kind.sub, kind.mul
 
     gamma = [[[zero] * d for _ in range(d)] for _ in range(d)]
@@ -600,23 +612,14 @@ def _curvature_jets(conn: Connection) -> Dict[Slot, object]:
     the operations of the dense sum that are not on empty jets, in its order:
     the first derivative less the second, then over f increasing the product
     with Gamma^d_{af} before the one with Gamma^d_{bf}.  At depth 1 those
-    operations are on numbers (``NUMBERS``): the gradients and values of the
-    Christoffel jets, which are the values of their order-0 derivatives and
-    truncations, so each slot is the value of the order-0 jet it stands for."""
+    operations are on numbers (``_read_down`` to order 0): the gradients and
+    values of the Christoffel jets, which are the values of their order-0
+    derivatives and truncations, so each slot is the value of the order-0
+    jet it stands for."""
     d = conn.dim
     if conn.depth < 1:
         raise JetShapeError("cannot differentiate an order-0 jet")
-    if conn.depth == 1:
-        kind, zeros = NUMBERS, [0] * d
-        dgamma = _once_per_jet(conn.gamma, lambda jet: jet.gradient() if jet.terms else zeros)
-        gl = _once_per_jet(conn.gamma, lambda jet: jet.value)
-    else:
-        template = conn.gamma[0][0][0]
-        zero = JetPoly(template.nvars, conn.depth - 1, template.base)
-        shared = _repeated(conn.gamma, (1, 2))
-        dgamma = _derivatives_once(conn.gamma, zero, shared)
-        gl = _once_per_jet(conn.gamma, lambda jet: jet.truncated(conn.depth - 1) if jet.terms else zero, shared)
-        kind = _once_jets(shared)
+    kind, _, gl, dgamma = _read_down(conn.gamma, conn.depth - 1, (1, 2))
     empty, add, sub, mul = kind.empty, kind.add, kind.sub, kind.mul
     # a nonzero derivative d_w Gamma^x_{yz} enters the slot (x, z, y, w) or (x, z, w, y)
     slots = {
@@ -833,34 +836,25 @@ def lie_derivative_check(
     env2 = coordinate_jets(chart.names, point, 2)
     Y2 = [eval_jet(exprlang.as_expr(c), env2) for c in field_components]
 
-    g1 = _once_per_jet(conn.metric, lambda jet: jet.truncated(1))
+    _, zero, g1, dg = _read_down(conn.metric, 1, (0, 1))  # dg[a][b][c] = d_c g_ab
     Y1 = [y.truncated(1) for y in Y2]
-    zero = g1[0][0].like_constant(0)
-    dg = _derivatives_once(conn.metric, zero)  # dg[a][b][c] = d_c g_ab
     dY = [[Y2[c].derivative(a) for a in range(d)] for c in range(d)]  # dY[c][a] = d_a Y^c
 
+    # a product with an empty factor is empty, and adding an empty jet returns the sum as it is
     lie_g = [[zero] * d for _ in range(d)]
     for a in range(d):
         for b in range(a, d):
             acc = zero
             for c in range(d):
-                if Y1[c].terms and dg[a][b][c].terms:
-                    acc = acc + Y1[c] * dg[a][b][c]
-                if g1[c][b].terms and dY[c][a].terms:
-                    acc = acc + g1[c][b] * dY[c][a]
-                if g1[a][c].terms and dY[c][b].terms:
-                    acc = acc + g1[a][c] * dY[c][b]
-            lie_g[a][b] = acc
-            lie_g[b][a] = acc
+                acc = acc + Y1[c] * dg[a][b][c] + g1[c][b] * dY[c][a] + g1[a][c] * dY[c][b]
+            lie_g[a][b] = lie_g[b][a] = acc
 
     num = zero
     den = zero
     for a in range(d):
         for b in range(d):
-            if lie_g[a][b].terms and g1[a][b].terms:
-                num = num + lie_g[a][b] * g1[a][b]
-            if g1[a][b].terms:
-                den = den + g1[a][b] * g1[a][b]
+            num = num + lie_g[a][b] * g1[a][b]
+            den = den + g1[a][b] * g1[a][b]
     lam_jet = num / (2 * den)
     lam0 = float(lam_jet.value)
     dlam = np.array([float(x) for x in lam_jet.gradient()])

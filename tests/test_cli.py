@@ -751,7 +751,7 @@ class TestHardInputEndsCleanly:
             (["verify"], 2),
             (["signature"], 0),
             (["invariants", "--at", "1.3"], 0),
-            (["classify"], 0),
+            (["classify"], 1),  # every evidence sample overflows: no kind is supported
             (["equiv", "@"], 0),
         ],
         ids=lambda x: x[0] if isinstance(x, list) else None,
@@ -769,6 +769,9 @@ class TestHardInputEndsCleanly:
             assert json.loads(out)["singular"] == "a power of the jet entries overflows the float range"
         if argv[0] == "signature":
             assert out.splitlines()[-1] == "# singular_samples_dropped,64"
+        if argv[0] == "classify":
+            report = json.loads(out)
+            assert report["kind"] == "Inconsistent" and report["consistent"] is False
 
     def test_pair_symmetry_row_beyond_the_float_range_is_an_input_error(self, tmp_path, capsys):
         path = write_json(tmp_path / "big.json", {**self.BIG_A, "c": "exp(300*u)*exp(300*u)"})

@@ -19,6 +19,7 @@ from weylrec.invariants import (
     GroupElem3D2,
     GroupElemD4,
     MobiusPoleError,
+    OverflowSampleError,
     PairJet,
     PseudoElem3D1,
     PsiJet,
@@ -365,6 +366,20 @@ class TestSignatureCurves:
     def test_linear_curve_all_singular(self):
         curve = psi_signature_curve("t", 0.5, 2.0, 16)
         assert curve.n_singular == 16 and curve.degenerate
+        assert curve.n_failed == 0 and curve.has_evidence  # each drop is on the homogeneous stratum
+
+    def test_overflowed_samples_are_no_evidence(self):
+        """a = exp(460 u): the powers of a that the pair invariants take
+        overflow at every sample, which says nothing about a stratum."""
+        with pytest.raises(OverflowSampleError):
+            pair_invariants(pair_jet_from_exprs("exp(460*u)", "u", 1.3, order=2))
+        curve = pair_signature_curve("exp(460*u)", "u", 1.2, 1.5, 11)
+        assert not curve.tuples and curve.n_singular == curve.n_failed == 11
+        assert curve.degenerate and not curve.has_evidence
+
+    def test_samples_outside_the_domain_are_counted_apart(self):
+        curve = psi_signature_curve("ln(t)", -1.0, 1.0, 4)  # ln is undefined at t = -1 and -1/3
+        assert len(curve.tuples) == 2 and curve.n_singular == curve.n_failed == 2
 
     def test_pair_point_curve(self):
         curve = pair_signature_curve("1/u", "2/u^2", 0.5, 1.5, 32)

@@ -8,7 +8,7 @@ import pytest
 
 from weylrec.catalog import killing_fields, sample_box, symmetric_psi_family
 from weylrec.exprlang import ExprDomainError
-from weylrec.invariants import GroupElem3D2, GroupElemD4, act_3d2, pair_jet_from_exprs
+from weylrec.invariants import GroupElem3D2, GroupElemD4, SignatureCurve, act_3d2, pair_jet_from_exprs
 from weylrec import symmetry
 from weylrec.symmetry import (
     SymmetryKernel,
@@ -259,6 +259,28 @@ class TestKernelWithNoKind:
         monkeypatch.setattr(symmetry, "kernel_3d2", lambda *args, **kwargs: self.kernel(dim, 4))
         result = classify_3d2("exp(u)", "u")
         assert (result.cohomogeneity, result.kind, result.consistent) == (None, "Inconsistent", False)
+
+
+class TestCurveWithNoEvidence:
+    """A curve whose samples all dropped unevaluated (an overflow, a domain
+    error, a non-finite tuple) is no evidence: the kind is "Inconsistent"
+    whatever the kernel (before: a kernel of dimension >= 1 read the empty
+    curve as a point curve and was taken as consistent)."""
+
+    def test_pair_whose_invariants_all_overflow(self):
+        """a = exp(460 u): every evidence sample overflows, while the kernel
+        has dimension 1."""
+        result = classify_3d2("exp(460*u)", "u", interval=(1.2, 1.5))
+        assert result.kernel.dim == 1
+        assert (result.kind, result.consistent) == ("Inconsistent", False)
+
+    @pytest.mark.parametrize("failed,kind", [(11, "Inconsistent"), (10, "Homogeneous")], ids=["none", "one-stratum-drop"])
+    def test_psi_with_a_homogeneous_kernel(self, monkeypatch, failed, kind):
+        curve = SignatureCurve("psi", (), (), (), 11, failed)
+        monkeypatch.setattr(symmetry, "psi_signature_curve", lambda *args: curve)
+        result = classify_psi("t")
+        assert result.kernel.dim == 2
+        assert (result.kind, result.consistent) == (kind, kind != "Inconsistent")
 
 
 class TestResidual3D1:

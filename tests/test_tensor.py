@@ -9,6 +9,7 @@ coordinates, Schwarzschild) and from the displayed component formulas of the
 import dataclasses
 import gc
 import hashlib
+import operator
 import weakref
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from weylrec import exprlang, jets, tensor
 from weylrec.catalog import extra_fields, make_3d_case1, make_dim_ge4, standard_catalog
 from weylrec.einsteinweyl import ew_report, ew_residual
 from weylrec.exprlang import eval_jet, parse
-from weylrec.jets import JetPoly, taylor_indices
+from weylrec.jets import JETS, JetPoly, taylor_indices
 from weylrec.tensor import (
     Chart,
     DomainViolation,
@@ -433,10 +434,10 @@ class TestConstantRescaling:
             return [[JetPoly.constant(v, 3, 1, (0, 0, 0)) for v in row] for row in rows]
 
         tiny = 1e-15
-        inv = tensor._invert_jet_matrix(jets([[-tiny, 0, 0], [0, tiny, 0], [0, 0, 2 * tiny]]))
+        inv = tensor._invert_jet_matrix(jets([[-tiny, 0, 0], [0, tiny, 0], [0, 0, 2 * tiny]]), JETS)
         assert [inv[i][i].value for i in range(3)] == [-1 / tiny, 1 / tiny, 0.5 / tiny]
         with pytest.raises(SingularMetricError):
-            tensor._invert_jet_matrix(jets([[tiny, tiny, 0], [tiny, tiny, 0], [0, 0, tiny]]))
+            tensor._invert_jet_matrix(jets([[tiny, tiny, 0], [tiny, tiny, 0], [0, 0, tiny]]), JETS)
 
 
 class TestHolonomy:
@@ -745,6 +746,72 @@ def test_depth1_readers_of_R_are_unchanged(catalog, key):
     assert depth1_reader_digests(entry) == DEPTH1_READER_DIGESTS[key]
 
 
+# SHA-256 of (lam, metric_residual, one_form_residual) of the Lie-derivative
+# check at 3 sample points (seed 0) of each catalog entry, point by point, of
+# each of its symmetry fields in turn and then of the field that is none
+# (``skew_field``), as the check computed them with its own truncations,
+# derivatives and guards on empty jets
+LIE_DERIVATIVE_DIGESTS = {
+    "3d1-homog": "2e340252f730940ed5aa28538f5dc18d03beb77c77d7d13a4b4145e3599ace69",
+    "3d1-xu": "2f461e5677d94ab7f0f80d1df858ee1a87dbc679bbde060b86fb41c41c8e37bf",
+    "3d2-ew-model": "30df73c12896ef312f97c52e7c559a16b0185155d3665b6033eb70104bf72d9e",
+    "3d2-generic": "dc940d688dc63ac3bdafbf857ecdddb9b06dcdf8c6e9ccb9e7e80481b873ca93",
+    "3d2-inv-u": "5fbfdcc31a3f5066d4b4cb481450890694faea2d9f1d578e55da7b77519903a9",
+    "dim4-psi-cubic": "ae23fb79ba27585ff6a3ac19ebf678f5dd51fa2d474b87023e0b6237075fb904",
+    "dim4-psi-exp": "c4617cbeddfed60101f5f9e62ade09aeb85ca0f0011d6c44c08bb8d200700160",
+    "dim4-psi-linear": "b4aaf190a0ef988d400bebe492a14ebaa6c5e4f91d15f407389cd4d1fbeb1748",
+    "dim4-psi-log3": "49955f86ddfbfdb7bc406023d238ea97bfb6eaf3ec9e3b333f53abeffa4ecba5",
+    "dim4-psi-power2": "30dc4e7f8ad90efaab968a3bd48e12854e26d429d687b36c576ef811be21521c",
+    "dim4-psi-tan": "52355cd77d99eb89f3eb5566acfe06b3b932649a3037707dd8834ced22d9d38c",
+    "dim4-psi-tanlog1": "806011a12775c259c9e0dfbd1446c5f7f6972dbd2a893d7d745b3ab2e014875b",
+    "dim5-psi-exp": "bd5774b12362ee87ae1056aabbac504a8bcec802eabdc9054679cf772375c454",
+    "dim6-psi-exp": "4c826dc2b5d15d0d25e92a6b7275693e11fef92f65b8e41fc950c28c3816f97a",
+    "homog-n2": "a7e7b6d2952f845d4d9dfebd0683082e9bbe1ef8885a6073f874c7951af9e247",
+    "mainth-a0": "fdf06c4759d11ca8e500ce65dc51c21cdc7779fffc30b128f160b262556d369b",
+}
+
+
+def skew_field(chart):
+    """Y^i = x^(i+1) (x^i)^2, indices mod d: a field no catalog entry has as a symmetry."""
+    names = chart.names
+    return tuple(f"{names[(i + 1) % len(names)]}*{x}^2" for i, x in enumerate(names))
+
+
+@pytest.mark.parametrize("key", sorted(LIE_DERIVATIVE_DIGESTS))
+def test_lie_derivative_reports_are_unchanged(catalog, key):
+    entry = catalog[key]
+    fields = [comps for _, comps in entry.symmetry_fields] + [skew_field(entry.structure.chart)]
+    floats = []
+    for p in entry.sample_points(3):
+        for comps in fields:
+            rep = lie_derivative_check(entry.structure, comps, p)
+            floats += [rep.lam, rep.metric_residual, rep.one_form_residual]
+    assert sha256(floats) == LIE_DERIVATIVE_DIGESTS[key]
+
+
+# JetPoly.__mul__ and jets._divide calls of the depth-2 connection of each
+# catalog entry at its first sample point and of its curvature, metric jets
+# included, as counted when the inverse kept its own memo
+CATALOG_JET_WORK = {
+    "3d1-homog": {"mul": 29, "divide": 6},
+    "3d1-xu": {"mul": 25, "divide": 3},
+    "3d2-ew-model": {"mul": 34, "divide": 4},
+    "3d2-generic": {"mul": 52, "divide": 5},
+    "3d2-inv-u": {"mul": 43, "divide": 10},
+    "dim4-psi-cubic": {"mul": 50, "divide": 5},
+    "dim4-psi-exp": {"mul": 52, "divide": 5},
+    "dim4-psi-linear": {"mul": 37, "divide": 4},
+    "dim4-psi-log3": {"mul": 50, "divide": 9},
+    "dim4-psi-power2": {"mul": 43, "divide": 5},
+    "dim4-psi-tan": {"mul": 76, "divide": 12},
+    "dim4-psi-tanlog1": {"mul": 106, "divide": 19},
+    "dim5-psi-exp": {"mul": 52, "divide": 5},
+    "dim6-psi-exp": {"mul": 52, "divide": 5},
+    "homog-n2": {"mul": 52, "divide": 5},
+    "mainth-a0": {"mul": 34, "divide": 5},
+}
+
+
 class TestEachOperationOnce:
     @staticmethod
     def count_jet_work(monkeypatch):
@@ -780,6 +847,14 @@ class TestEachOperationOnce:
             monkeypatch.undo()
         assert work[0] == work[1]
         assert work[0]["mul"] < 107
+
+    @pytest.mark.parametrize("key", sorted(CATALOG_JET_WORK))
+    def test_catalog_jet_work_is_unchanged(self, monkeypatch, catalog, key):
+        entry = catalog[key]
+        p = entry.sample_points(1)[0]
+        counts = self.count_jet_work(monkeypatch)
+        weyl_connection(entry.structure, p, 2).curvature
+        assert counts == CATALOG_JET_WORK[key]
 
     @pytest.mark.parametrize("n", sorted(DIM_GE4_DIGESTS))
     def test_dim_ge4_bits_are_unchanged(self, n):
@@ -843,6 +918,8 @@ class TestEachOperationOnce:
         conn = weyl_connection(s, (0.1, 0.15, 0.2, 0.25), 2)
         assert not tensor._repeated(conn.metric, (0, 1))
         assert not tensor._repeated(conn.gamma, (1, 2))
+        for kind in (tensor._read_down(conn.metric, 2, (0, 1))[0], tensor._read_down(conn.gamma, 1, (1, 2))[0]):
+            assert kind == JETS and kind.mul is operator.mul
 
 
 # ----------------------------------------------------------------------
