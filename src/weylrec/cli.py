@@ -530,7 +530,7 @@ def cmd_equiv(args) -> int:
         "input_digests": [_digest(args.file1), _digest(args.file2)],
     }
     _emit_json(payload, args.json)
-    return EXIT_OK
+    return EXIT_CHECKS_FAILED if verdict.verdict == "Unsampled" else EXIT_OK
 
 
 def cmd_classify(args) -> int:

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from fractions import Fraction
-from typing import Dict, Iterator, List, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Tuple, Union
 
 from . import thresholds
 from .jets import JETS, NUMBERS, UNARY_FUNCTIONS, JetDomainError, JetPoly, Kind, order0_constant
@@ -202,21 +202,20 @@ class _Parser:
         yield
         self.open -= 1
 
-    def parse_expr(self) -> _Parsed:
-        node, depth = self.parse_term()
-        while self.current.kind == "op" and self.current.text in "+-":
+    def _chain(self, ops: str, operand: Callable[[], _Parsed]) -> _Parsed:
+        """A left-associative chain of ``operand``s joined by the operators in ``ops``."""
+        node, depth = operand()
+        while self.current.kind == "op" and self.current.text in ops:
             op = self._advance()
-            rhs, rdepth = self.parse_term()
+            rhs, rdepth = operand()
             node, depth = self._node(BinOp(op.text, node, rhs, SourceSpan(node.span.start, rhs.span.end)), depth, rdepth)
         return node, depth
 
+    def parse_expr(self) -> _Parsed:
+        return self._chain("+-", self.parse_term)
+
     def parse_term(self) -> _Parsed:
-        node, depth = self.parse_unary()
-        while self.current.kind == "op" and self.current.text in "*/":
-            op = self._advance()
-            rhs, rdepth = self.parse_unary()
-            node, depth = self._node(BinOp(op.text, node, rhs, SourceSpan(node.span.start, rhs.span.end)), depth, rdepth)
-        return node, depth
+        return self._chain("*/", self.parse_unary)
 
     def parse_unary(self) -> _Parsed:
         if self.current.kind == "op" and self.current.text == "-":

@@ -125,14 +125,20 @@ def _psi_pair(p: Sequence):
     return first, second, disc
 
 
-def psi_invariants(jet: PsiJet) -> PsiInvariants:
-    """Generating invariant pair (I, J) plus the sign of the discriminant
-    2 psi1 psi3 - 3 psi2^2; raises SingularStratumError on the D = 0 stratum."""
-    jet.require(5)
+def _off_stratum(jet: PsiJet, order: int) -> tuple:
+    """The derivatives of a jet of order >= ``order``, ints made Fractions
+    (``_exactify``); raises SingularStratumError on the D = 0 stratum."""
+    jet.require(order)
     p = _exactify(jet.derivs)
     if _vanishes(_discriminant(p), p[1] * p[3], _sq(p[2])):
         raise SingularStratumError("discriminant 2 psi1 psi3 - 3 psi2^2 vanishes (homogeneous stratum)")
-    first, second, disc = _psi_pair(p)
+    return p
+
+
+def psi_invariants(jet: PsiJet) -> PsiInvariants:
+    """Generating invariant pair (I, J) plus the sign of the discriminant
+    2 psi1 psi3 - 3 psi2^2; raises SingularStratumError on the D = 0 stratum."""
+    first, second, disc = _psi_pair(_off_stratum(jet, 5))
     return PsiInvariants(first, second, 1 if disc > 0 else -1)
 
 
@@ -141,10 +147,7 @@ def derived_invariant(jet: PsiJet) -> object:
 
     Singular when D_t(I) vanishes (constant first invariant, cohomogeneity <= 1).
     """
-    jet.require(6)
-    p = _exactify(jet.derivs)
-    if _vanishes(_discriminant(p), p[1] * p[3], _sq(p[2])):
-        raise SingularStratumError("discriminant vanishes (homogeneous stratum)")
+    p = _off_stratum(jet, 6)
     lifted = [
         JetPoly(1, 1, (jet.base,), {(0,): p[k], (1,): p[k + 1]}) for k in range(jet.order)
     ]
@@ -551,7 +554,7 @@ def surface_signature_curve(
 
 @dataclass(frozen=True)
 class EquivalenceVerdict:
-    verdict: str  # "Equivalent" | "Distinct" | "Degenerate"
+    verdict: str  # "Equivalent" | "Distinct" | "Degenerate" | "Unsampled"
     hausdorff: Optional[float]
     signs: Tuple[Tuple[int, ...], Tuple[int, ...]]
     reason: str
@@ -573,6 +576,8 @@ def equivalence_test(
 ) -> EquivalenceVerdict:
     """Compare two signature curves as unparametrized subsets of invariant space.
 
+    A curve with no evidence (``has_evidence``: every sample failed to
+    evaluate) is Unsampled, and the reason names it, input 1 or 2.
     Degenerate (point) curves are never declared Equivalent here; they carry
     their discriminant signs so the caller can route them to the symmetry
     classifier.
@@ -580,6 +585,10 @@ def equivalence_test(
     if c1.kind != c2.kind:
         raise ValueError(f"cannot compare curves of kinds {c1.kind!r} and {c2.kind!r}")
     signs = (tuple(sorted(set(c1.signs))), tuple(sorted(set(c2.signs))))
+    unsampled = " and ".join(f"input {k}" for k, curve in ((1, c1), (2, c2)) if not curve.has_evidence)
+    if unsampled:
+        reason = f"{unsampled}: every sample overflowed or failed to evaluate, so there is no evidence"
+        return EquivalenceVerdict("Unsampled", None, signs, reason)
     if c1.degenerate or c2.degenerate:
         return EquivalenceVerdict(
             "Degenerate", None, signs, "at least one curve is a point curve; classify via symmetry kernels"

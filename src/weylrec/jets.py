@@ -631,29 +631,17 @@ def power_exponent(c0, exponent):
     return exponent
 
 
-def jet_exp(jet: JetPoly) -> JetPoly:
-    return _compose(jet, exp_series(jet.value, jet.order))
+def _jet_series(series: Callable) -> Callable:
+    """The function whose Taylor ``series`` is given, on a jet: the series composed with it."""
+    return lambda jet: _compose(jet, series(jet.value, jet.order))
 
 
-def jet_ln(jet: JetPoly) -> JetPoly:
-    return _compose(jet, ln_series(jet.value, jet.order))
-
-
-def jet_sin(jet: JetPoly) -> JetPoly:
-    return _compose(jet, sin_series(jet.value, jet.order))
-
-
-def jet_cos(jet: JetPoly) -> JetPoly:
-    return _compose(jet, cos_series(jet.value, jet.order))
+jet_exp, jet_ln, jet_sin, jet_cos, jet_sqrt = map(_jet_series, SERIES.values())  # in SERIES' order
 
 
 def jet_tan(jet: JetPoly) -> JetPoly:
     check_tan(jet.value)
     return jet_sin(jet) / jet_cos(jet)
-
-
-def jet_sqrt(jet: JetPoly) -> JetPoly:
-    return _compose(jet, sqrt_series(jet.value, jet.order))
 
 
 def jet_sign(jet: JetPoly) -> JetPoly:

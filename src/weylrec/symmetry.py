@@ -21,6 +21,7 @@ from .catalog import _halton, _halton_start
 from .exprlang import Expr
 from .invariants import pair_signature_curve, psi_signature_curve
 from .jets import JetPoly, coordinate_jets, derivatives_from_jet
+from .tensor import numerical_rank
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,8 @@ class SymmetryKernel:
 def _kernel_from_rows(rows: np.ndarray) -> SymmetryKernel:
     n = rows.shape[1]
     _, sv, vt = np.linalg.svd(rows)
-    top = float(sv[0]) if sv.size else 0.0
-    if top <= 0:
-        return SymmetryKernel(n, np.eye(n), sv)
-    rank = int(np.sum(sv > thresholds.KERNEL_SV_TOL * top))
-    return SymmetryKernel(n - rank, vt[rank:], sv)
+    rank = numerical_rank(sv, thresholds.KERNEL_SV_TOL)
+    return SymmetryKernel(n - rank, vt[rank:] if rank else np.eye(n), sv)
 
 
 def _default_samples(lo: float, hi: float, count: int, seed: int) -> List[float]:

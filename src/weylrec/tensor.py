@@ -37,10 +37,12 @@ R is kept as its live slots, ``{(d, c, a, b): jet}`` with a < b where
 R^d_{cab} can be nonzero (``_curvature_jets``); the mirror slot (d, c, b, a)
 holds the negated jet and every other slot is zero.  No jet is formed for a
 mirror or a zero slot.  The readers get dense float arrays: ``curvature`` is
-R at the point and ``nabla_R`` is nabla R, whose four contractions with the
-Christoffel symbols run only over pairs of nonzero entries, each summed over
-f increasing (``_contractions``), so every float has the bits of the dense
-sums.
+R at the point and ``nabla_R`` is nabla R, d_e R^d_cab plus the four
+contractions G^d_ef R^f_cab - G^f_ec R^d_fab - G^f_ea R^d_cfb - G^f_eb R^d_caf.
+Term k pairs G's f with R's axis k and writes G's other index there: term 0
+pairs G's lower index and writes its upper one, terms 1-3 the reverse.  Each
+runs only over pairs of nonzero entries, summed over f increasing
+(``_contractions``), so every float has the bits of the dense sums.
 
 Read down to order 0, the same helper picks plain numbers: the values and
 gradients of the jets, computed with the jets' zero rules
@@ -418,13 +420,8 @@ class Connection:
         R = self.curvature
         d = self.dim
         rows = [R[:, :, a, b].ravel() for a in range(d) for b in range(a + 1, d)]
-        mat = np.stack(rows)
-        sv = np.linalg.svd(mat, compute_uv=False)
-        top = sv[0] if sv.size else 0.0
-        if top <= 0:
-            return HolonomyReport(0, sv)
-        rank = int(np.sum(sv > thresholds.HOLONOMY_RANK_TOL * top))
-        return HolonomyReport(rank, sv)
+        sv = np.linalg.svd(np.stack(rows), compute_uv=False)
+        return HolonomyReport(numerical_rank(sv, thresholds.HOLONOMY_RANK_TOL), sv)
 
     def conformal_weyl(self) -> PointTensor:
         """See :func:`conformal_weyl_tensor`."""
@@ -691,13 +688,9 @@ def _nabla_R_from(conn: Connection, slots: Dict[Slot, JetPoly], R: np.ndarray) -
         planes[:, live] = partials + 0.0
         planes[:, mirror] = -partials + 0.0
     flat = out.reshape(-1)
-    for k, sums in enumerate(_contractions(conn.values(), R)):
+    for sign, sums in zip((1, -1, -1, -1), _contractions(conn.values(), R)):
         index = np.fromiter(sums, np.intp, len(sums))
-        values = np.fromiter(sums.values(), float, len(sums))
-        if k == 0:
-            flat[index] += values
-        else:
-            flat[index] -= values
+        flat[index] += sign * np.fromiter(sums.values(), float, len(sums))
     return out
 
 
@@ -710,33 +703,30 @@ def _contractions(G: np.ndarray, R: np.ndarray) -> List[Dict[int, float]]:
     entries each of them is a zero, which leaves a sum that starts from 0.0
     unchanged, so the bits are the same.
 
-    Term k pairs G's axis (2, 0, 0, 0)[k], its f, with R's axis k.  G's
+    Term k pairs G's f with R's axis k (see the module docstring).  G's
     entries are read in row-major order, which is f increasing within each
     output entry."""
     d = len(G)
-    # matched[k][f]: (flat index less its axis-k part, value) of the nonzero R entries with axis k = f
-    matched: List[List[List[Tuple[int, float]]]] = [[[] for _ in range(d)] for _ in range(4)]
     ri = np.flatnonzero(R)
-    for index, value in zip(ri.tolist(), R.flat[ri].tolist()):
-        r0, r1, r2, r3 = index // d**3, index // d**2 % d, index // d % d, index % d
-        matched[0][r0].append((index - r0 * d**3, value))
-        matched[1][r1].append((index - r1 * d**2, value))
-        matched[2][r2].append((index - r2 * d, value))
-        matched[3][r3].append((index - r3, value))
+    entries = list(zip(ri.tolist(), R.flat[ri].tolist()))
     sums: List[Dict[int, float]] = [{}, {}, {}, {}]
+    # per term: its sums and their getter, the stride of R's axis k, whether G's f is its upper
+    # index, and by_f[f]: (flat index less its axis-k part, value) of the nonzero R entries with axis k = f
+    terms = []
+    for k, stride in enumerate((d**3, d**2, d, 1)):
+        by_f: List[List[Tuple[int, float]]] = [[] for _ in range(d)]
+        for index, value in entries:
+            f = index // stride % d
+            by_f[f].append((index - f * stride, value))
+        terms.append((sums[k], sums[k].get, stride, k > 0, by_f))
     gi = np.flatnonzero(G)
     for index, value in zip(gi.tolist(), G.flat[gi].tolist()):
         x, y, z = index // d**2, index // d % d, index % d  # value = Gamma^x_yz, and e = y
         e = y * d**4
-        # each term: its sums, the R entries whose axis is G's f, and G's part of the output index
-        for acc, pairs, part in (
-            (sums[0], matched[0][z], e + x * d**3),
-            (sums[1], matched[1][x], e + z * d**2),
-            (sums[2], matched[2][x], e + z * d),
-            (sums[3], matched[3][x], e + z),
-        ):
-            get = acc.get
-            for rest, r in pairs:
+        for acc, get, stride, upper, by_f in terms:
+            f, other = (x, z) if upper else (z, x)
+            part = e + other * stride
+            for rest, r in by_f[f]:
                 key = part + rest
                 acc[key] = get(key, 0.0) + value * r
     return sums
@@ -778,6 +768,13 @@ def recurrence_theta(
     if jet_order < 3:
         raise ValueError("the recurrence identity needs metric jets of order >= 3")
     return weyl_connection(structure, point, jet_order - 1).recurrence(tol)
+
+
+def numerical_rank(sv: np.ndarray, cut: float) -> int:
+    """The number of singular values ``sv`` above ``cut`` times the top one,
+    ``sv[0]``; 0 for an empty or all-zero spectrum."""
+    top = sv[0] if sv.size else 0.0
+    return int(np.sum(sv > cut * top)) if top > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -825,18 +822,22 @@ def lie_derivative_check(
 
     lam is recovered pointwise by the Frobenius fit of L_Y g against 2 g and
     its differential comes from carrying the fit through order-1 jets.  The
-    metric and 1-form jets are those of the Weyl connection at the point, so
-    the metric must be Lorentzian there.
+    metric and 1-form are read as the Weyl connection at the point reads
+    them, and no connection is built: the point must satisfy the chart's
+    constraints and the metric must be Lorentzian there.
     """
     chart = structure.chart
     d = chart.dim
     if len(field_components) != d:
         raise ValueError(f"field needs {d} components, got {len(field_components)}")
-    conn = weyl_connection(structure, point, depth=1)
+    check_domain(structure, point)
+    metric = metric_jets(structure, point, 2)
+    check_signature(_values(metric), point)
+    one_form = one_form_jets(structure, point, 1)
     env2 = coordinate_jets(chart.names, point, 2)
     Y2 = [eval_jet(exprlang.as_expr(c), env2) for c in field_components]
 
-    _, zero, g1, dg = _read_down(conn.metric, 1, (0, 1))  # dg[a][b][c] = d_c g_ab
+    _, zero, g1, dg = _read_down(metric, 1, (0, 1))  # dg[a][b][c] = d_c g_ab
     Y1 = [y.truncated(1) for y in Y2]
     dY = [[Y2[c].derivative(a) for a in range(d)] for c in range(d)]  # dY[c][a] = d_a Y^c
 
@@ -861,6 +862,6 @@ def lie_derivative_check(
     res_g = float(np.linalg.norm(_values(lie_g) - 2.0 * lam0 * _values(g1)))
 
     # (L_Y w)_a = Y^c d_c w_a + w_c d_a Y^c
-    lie_w = _first_partials(conn.one_form).T @ _values(Y1) + _first_partials(Y1) @ conn.one_form_values
+    lie_w = _first_partials(one_form).T @ _values(Y1) + _first_partials(Y1) @ _values(one_form)
     res_w = float(np.linalg.norm(lie_w + dlam))
     return LieDerivativeReport(lam=lam0, metric_residual=res_g, one_form_residual=res_w)

@@ -245,6 +245,17 @@ class TestEquivCommand:
         code, out, _ = run(capsys, "equiv", a, b, "--range", "0.5:2")
         assert json.loads(out)["verdict"] == "Distinct"
 
+    def test_discriminant_signs_differ(self, tmp_path, capsys):
+        """D < 0 along psi = t^3 + t and D > 0 along psi = t + t^(1/2): Distinct,
+        with no Hausdorff distance."""
+        a = write_json(tmp_path / "a.json", {"format": 1, "family": "dim_ge4", "psi": "t^3+t", "n": 2})
+        b = write_json(tmp_path / "b.json", {"format": 1, "family": "dim_ge4", "psi": "t+t^(1/2)", "n": 2})
+        code, out, err = run(capsys, "equiv", a, b, "--range", "0.6:1.8")
+        rec = json.loads(out)
+        assert (code, err) == (0, "")
+        assert (rec["verdict"], rec["hausdorff"], rec["reason"]) == ("Distinct", None, "discriminant signs differ")
+        assert rec["discriminant_signs"] == [[-1], [1]]
+
     def test_degenerate_reports_signs(self, tmp_path, capsys):
         a = write_json(tmp_path / "a.json", {"format": 1, "family": "dim_ge4", "psi": "exp(t)", "n": 2})
         b = write_json(
@@ -752,7 +763,7 @@ class TestHardInputEndsCleanly:
             (["signature"], 0),
             (["invariants", "--at", "1.3"], 0),
             (["classify"], 1),  # every evidence sample overflows: no kind is supported
-            (["equiv", "@"], 0),
+            (["equiv", "@"], 1),  # the same: no evidence on either side, so Unsampled
         ],
         ids=lambda x: x[0] if isinstance(x, list) else None,
     )
@@ -772,6 +783,10 @@ class TestHardInputEndsCleanly:
         if argv[0] == "classify":
             report = json.loads(out)
             assert report["kind"] == "Inconsistent" and report["consistent"] is False
+        if argv[0] == "equiv":
+            report = json.loads(out)
+            assert report["verdict"] == "Unsampled" and report["hausdorff"] is None
+            assert report["reason"].startswith("input 1 and input 2: ")
 
     def test_pair_symmetry_row_beyond_the_float_range_is_an_input_error(self, tmp_path, capsys):
         path = write_json(tmp_path / "big.json", {**self.BIG_A, "c": "exp(300*u)*exp(300*u)"})

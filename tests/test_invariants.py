@@ -23,6 +23,7 @@ from weylrec.invariants import (
     PairJet,
     PseudoElem3D1,
     PsiJet,
+    SignatureCurve,
     SingularStratumError,
     act_3d1,
     act_3d2,
@@ -415,6 +416,35 @@ class TestEquivalence:
         verdict = equivalence_test(c1, c2)
         assert verdict.verdict == "Degenerate"
         assert verdict.signs == ((-1,), (1,))
+
+    def test_discriminant_signs_differ(self):
+        """psi = t^3 + t has D < 0 and psi = t + t^(1/2) has D > 0 on the
+        whole range: no Hausdorff distance is taken."""
+        c1 = psi_signature_curve("t^3+t", 0.6, 1.8)
+        c2 = psi_signature_curve("t+t^(1/2)", 0.6, 1.8)
+        assert not (c1.degenerate or c2.degenerate)
+        for first, second, signs in ((c1, c2, ((-1,), (1,))), (c2, c1, ((1,), (-1,)))):
+            verdict = equivalence_test(first, second)
+            assert (verdict.verdict, verdict.hausdorff, verdict.signs) == ("Distinct", None, signs)
+            assert verdict.reason == "discriminant signs differ"
+
+    # every sample failed to evaluate: no evidence; one stratum drop is evidence
+    UNSAMPLED = SignatureCurve("psi", (), (), (), 11, 11)
+    ONE_STRATUM_DROP = SignatureCurve("psi", (), (), (), 11, 10)
+
+    @pytest.mark.parametrize(
+        "unsampled,named", [((True, False), "input 1"), ((False, True), "input 2"), ((True, True), "input 1 and input 2")]
+    )
+    def test_a_curve_with_no_evidence_is_unsampled(self, unsampled, named):
+        sampled = psi_signature_curve("t^3+t", 0.5, 2.0, 8)
+        verdict = equivalence_test(*(self.UNSAMPLED if u else sampled for u in unsampled))
+        assert (verdict.verdict, verdict.hausdorff) == ("Unsampled", None)
+        assert verdict.reason.startswith(f"{named}: ")
+
+    def test_a_stratum_drop_is_evidence(self):
+        """A curve whose one read sample lay on a singular stratum is a point
+        curve, as before: Degenerate."""
+        assert equivalence_test(self.ONE_STRATUM_DROP, self.ONE_STRATUM_DROP).verdict == "Degenerate"
 
     def test_kind_mismatch_rejected(self):
         c1 = psi_signature_curve("t^3+t", 0.5, 2.0, 8)

@@ -12,6 +12,7 @@ from weylrec.invariants import GroupElem3D2, GroupElemD4, SignatureCurve, act_3d
 from weylrec import symmetry
 from weylrec.symmetry import (
     SymmetryKernel,
+    _kernel_from_rows,
     _pair_rows,
     _psi_rows,
     _system,
@@ -237,6 +238,14 @@ class TestClassify3D2:
         # image of (1/u, 2/u^2) under u -> 2u: a -> 1/(2 a(u/2)) ... realized directly
         result = classify_3d2("2/u", "8/u^2", interval=(1.0, 3.0))
         assert result.kind == "OneSymmetry3D2" and result.consistent
+
+
+class TestKernelFromRows:
+    def test_an_all_zero_system_has_the_whole_space_as_kernel(self):
+        """A zero spectrum has rank 0: the kernel is every unknown, with the identity basis."""
+        kern = _kernel_from_rows(np.zeros((7, 5)))
+        assert kern.dim == 5
+        assert np.array_equal(kern.basis, np.eye(5)) and not kern.singular_values.any()
 
 
 class TestKernelWithNoKind:

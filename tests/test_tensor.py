@@ -35,6 +35,7 @@ from weylrec.tensor import (
     make_structure,
     metric_jets,
     nabla_R,
+    numerical_rank,
     one_form_jets,
     recurrence_theta,
     weyl_compatibility_residual,
@@ -466,6 +467,19 @@ class TestHolonomy:
         dims = {holonomy_span_dim(entry.structure, p).span_dim for p in entry.sample_points(10)}
         assert len(dims) == 1
 
+    @pytest.mark.parametrize(
+        "sv,cut,rank",
+        [
+            ([], 1e-7, 0),
+            ([0.0, 0.0], 1e-7, 0),
+            ([2.0, 1e-6, 1e-7, 0.0], 1e-7, 2),  # strictly above 2e-7
+            ([2.0, 2e-7], 1e-7, 1),
+            ([1.0, 1.0, 1.0], 1e-9, 3),
+        ],
+    )
+    def test_numerical_rank(self, sv, cut, rank):
+        assert numerical_rank(np.array(sv), cut) == rank
+
 
 class TestConformalWeyl:
     @pytest.mark.parametrize("key", ["dim4-psi-exp", "dim4-psi-cubic", "dim5-psi-exp"])
@@ -520,6 +534,23 @@ class TestLieDerivative:
         rep = lie_derivative_check(s, ("x", "t", "0"), (0.3, 0.5, 0.2))
         assert rep.lam == 0.0 and rep.metric_residual == 0.0
         assert rep.one_form_residual == pytest.approx(np.hypot(0.3, 0.5), rel=1e-15)
+
+    def test_no_connection_is_built(self, catalog, monkeypatch):
+        """The check reads the metric and 1-form jets alone."""
+        entry = catalog["3d1-xu"]
+        point = entry.sample_points(1)[0]
+        want = lie_derivative_check(entry.structure, ("1", "0", "0"), point)
+        monkeypatch.setattr(tensor, "weyl_connection", None)
+        monkeypatch.setattr(tensor, "_christoffel_from", None)
+        assert lie_derivative_check(entry.structure, ("1", "0", "0"), point) == want
+
+    def test_domain_and_signature_are_checked(self):
+        s = make_structure(Chart(("t", "x", "y"), (parse("x"),)), {("t", "t"): "0-1", ("x", "x"): "1", ("y", "y"): "1"})
+        with pytest.raises(DomainViolation):
+            lie_derivative_check(s, ("1", "0", "0"), (0.0, -1.0, 0.0))
+        riemannian = make_structure(Chart(("t", "x", "y")), {("t", "t"): "1", ("x", "x"): "1", ("y", "y"): "1"})
+        with pytest.raises(SignatureError):
+            lie_derivative_check(riemannian, ("1", "0", "0"), (0.0, 0.0, 0.0))
 
     def test_homogeneous_model_annihilated(self, catalog):
         entry = catalog["homog-n2"]
