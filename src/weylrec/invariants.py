@@ -31,6 +31,7 @@ from .jets import (
     inverse_univariate,
     jet_from_derivatives,
     jet_ln,
+    quotient,
 )
 
 
@@ -64,6 +65,25 @@ def _vanishes(x, *sizes, floor: float = thresholds.SCALE_FLOOR) -> bool:
 def _exactify(values):
     """Promote ints to Fractions so rational formulas stay exact on int jets."""
     return tuple(Fraction(v) if isinstance(v, int) else v for v in values)
+
+
+class _Formula:
+    """The failure rule of an invariant formula, as a ``with`` block around
+    its arithmetic: a power of a jet entry that rounds to 0 (a zero divisor)
+    puts the jet on the singular stratum ``stratum`` names, and a float power
+    beyond the range (OverflowError) leaves the sample unevaluated."""
+
+    def __init__(self, stratum: str):
+        self.stratum = stratum
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, OverflowError):
+            raise OverflowSampleError("a power of the jet entries overflows the float range") from exc
+        if isinstance(exc, (ZeroDivisionError, JetDomainError)):
+            raise SingularStratumError(self.stratum) from exc
 
 
 # ----------------------------------------------------------------------
@@ -110,18 +130,17 @@ def _discriminant(p: Sequence):
     return 2 * p[1] * p[3] - 3 * _sq(p[2])
 
 
+_PSI_FORMULA = _Formula("a power of the discriminant rounds to 0 (homogeneous stratum)")
+
+
 def _psi_pair(p: Sequence):
     """The two generating rational invariants, evaluated on anything with
     field arithmetic (numbers or jets)."""
     disc = _discriminant(p)
-    try:
+    with _PSI_FORMULA:
         num_first = p[1] * p[1] * p[4] - 4 * p[1] * p[2] * p[3] + 3 * p[2] ** 3
         first = _sq(num_first) / disc**3
         second = p[1] * (p[1] * p[1] * p[5] - 5 * p[1] * p[2] * p[4] + 5 * _sq(p[2]) * p[3]) / _sq(disc)
-    except (ZeroDivisionError, JetDomainError) as exc:  # a power of a tiny discriminant rounds to 0
-        raise SingularStratumError("a power of the discriminant rounds to 0 (homogeneous stratum)") from exc
-    except OverflowError as exc:  # a float power of a huge jet entry or discriminant
-        raise OverflowSampleError("a power of the jet entries overflows the float range") from exc
     return first, second, disc
 
 
@@ -166,44 +185,41 @@ def derived_invariant(jet: PsiJet) -> object:
 
 @dataclass(frozen=True)
 class GroupElemD4:
-    """Affine source (s1, s2), unimodular fractional-linear target (a, b, c, d),
-    and flip epsilon in {+1, -1}.  Applied as: source map, then target map,
-    then flip."""
+    """Affine source t -> t / lam + s1 (lam > 0), fractional-linear target
+    (a, b, c, d) with a d - b c > 0, and flip epsilon in {+1, -1}.  Applied
+    as: source map, then target map, then flip.  Any multiple of (a, b, c, d)
+    by a positive number is the same element, and exact parameters acting on
+    an exact jet give an exact image."""
 
-    s1: float = 0.0
-    s2: float = 0.0
-    a: float = 1.0
-    b: float = 0.0
-    c: float = 0.0
-    d: float = 1.0
+    s1: float = 0
+    lam: float = 1
+    a: float = 1
+    b: float = 0
+    c: float = 0
+    d: float = 1
     eps: int = 1
 
     def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if not det > 0:
+        if not self.lam > 0:
+            raise ValueError("source scaling lam must be positive")
+        if not self.a * self.d - self.b * self.c > 0:
             raise ValueError("fractional-linear part needs positive determinant")
         if self.eps not in (1, -1):
             raise ValueError("eps must be +1 or -1")
-        root = math.sqrt(det)
-        object.__setattr__(self, "a", self.a / root)
-        object.__setattr__(self, "b", self.b / root)
-        object.__setattr__(self, "c", self.c / root)
-        object.__setattr__(self, "d", self.d / root)
 
 
 def act_d4(elem: GroupElemD4, jet: PsiJet) -> PsiJet:
     """Transformed jet at the transformed base point."""
     base = jet.base
     derivs = list(jet.derivs)
-    # source map: t -> e^{2 s2} t + s1, new function psi(e^{-2 s2}(t - s1))
-    if elem.s1 != 0.0 or elem.s2 != 0.0:
-        lam = math.exp(-2.0 * elem.s2)
-        base = math.exp(2.0 * elem.s2) * float(base) + elem.s1
-        derivs = [d * lam**k for k, d in enumerate(derivs)]
+    # source map: t -> t / lam + s1, new function psi(lam (t - s1))
+    if elem.s1 != 0 or elem.lam != 1:
+        base = quotient(base, elem.lam) + elem.s1
+        derivs = [d * elem.lam**k for k, d in enumerate(derivs)]
     # target map: psi -> (a psi + b) / (c psi + d)
-    if (elem.a, elem.b, elem.c, elem.d) != (1.0, 0.0, 0.0, 1.0):
-        denom0 = elem.c * float(derivs[0]) + elem.d
-        if abs(denom0) < thresholds.MOBIUS_POLE:
+    if (elem.a, elem.b, elem.c, elem.d) != (1, 0, 0, 1):
+        c_psi = elem.c * derivs[0]
+        if abs(c_psi + elem.d) <= thresholds.MOBIUS_POLE * max(abs(c_psi), abs(elem.d)):
             raise MobiusPoleError(f"target map has a pole at the jet value {derivs[0]}")
         j = jet_from_derivatives(derivs, 0)
         out = (elem.a * j + elem.b) / (elem.c * j + elem.d)
@@ -250,18 +266,19 @@ class PairInvariants(NamedTuple):
     K: object
 
 
+_PAIR_FORMULA = _Formula("a power of a'(u) rounds to 0 (extra-symmetry stratum)")
+
+
 def pair_invariants(jet: PairJet) -> PairInvariants:
     """Generating invariants of the pair action; the bare factors are read at
     order zero (a0^4, a0^5), which the scaling-invariance test pins down."""
     a, c = _exactify(jet.a), _exactify(jet.c)
     if _vanishes(a[1], a[0], a[1]):
         raise SingularStratumError("a'(u) vanishes (extra-symmetry stratum)")
-    try:
+    with _PAIR_FORMULA:
         first = (a[0] * c[1] - c[0] * a[1]) * a[0] ** 4 / a[1] ** 4
         second = a[0] * a[2] / _sq(a[1])
         third = (a[0] * c[2] - c[0] * a[2]) * a[0] ** 5 / a[1] ** 5
-    except OverflowError as exc:  # a float power of a huge jet entry, as in _psi_pair
-        raise OverflowSampleError("a power of the jet entries overflows the float range") from exc
     return PairInvariants(first, second, third)
 
 
@@ -297,8 +314,6 @@ def act_3d2(elem: GroupElem3D2, jet: PairJet) -> PairJet:
 # ----------------------------------------------------------------------
 # variable order inside the 2-variable jets: (x, u)
 
-_X, _U = 0, 1
-
 
 def f_jet_from_expr(F, x, u, order: int = 4) -> JetPoly:
     return exprlang.eval_jet(F, coordinate_jets(("x", "u"), (x, u), order))
@@ -311,6 +326,7 @@ class SurfaceInvariants(NamedTuple):
 
 # the raw partials d_x^i d_u^j F the surface invariants read: F_u, F_x, F_ux, F_uux, F_uxx, F_uuxx
 _SURFACE_PARTIALS = ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2))
+_SURFACE_FORMULA = _Formula("a power of the mixed derivative F_ux rounds to 0")
 
 
 def _surface_partials(jet: JetPoly) -> List:
@@ -334,8 +350,9 @@ def _surface_first(fu, fx, fux, fuux, fuxx):
 def surface_invariants(jet: JetPoly) -> SurfaceInvariants:
     """Generating invariants of the two-variable family (order >= 4 jet)."""
     fu, fx, fux, fuux, fuxx, fuuxx = _surface_partials(jet)
-    second = (-2 * fu * fx * fux - 2 * fu * fuxx + fx * fuux + fuuxx) / _sq(fux)
-    return SurfaceInvariants(_surface_first(fu, fx, fux, fuux, fuxx), second)
+    with _SURFACE_FORMULA:
+        second = (-2 * fu * fx * fux - 2 * fu * fuxx + fx * fuux + fuuxx) / _sq(fux)
+        return SurfaceInvariants(_surface_first(fu, fx, fux, fuux, fuxx), second)
 
 
 def surface_derived_pair(jet: JetPoly) -> Tuple[object, object]:
@@ -345,15 +362,16 @@ def surface_derived_pair(jet: JetPoly) -> Tuple[object, object]:
     """
     fu, fx, fux, fuux, fuxx, _ = _surface_partials(jet)
     dI = []
-    for shift in ((0, 1), (1, 0)):  # D_u, then D_x: lift the partials I reads to 1-jets along the direction
-        lifted = [
-            JetPoly(1, 1, (0.0,), {(0,): jet.partial((i, j)), (1,): jet.partial((i + shift[0], j + shift[1]))})
-            for i, j in _SURFACE_PARTIALS[:5]
-        ]
-        dI.append(_surface_first(*lifted).coefficient((1,)))
-    dI_du, dI_dx = dI
-    nabla1 = (fuxx + fx * fux) / _sq(fux) * dI_du
-    nabla2 = (fuux - 2 * fu * fux) / _sq(fux) * dI_dx
+    with _SURFACE_FORMULA:
+        for shift in ((0, 1), (1, 0)):  # D_u, then D_x: lift the partials I reads to 1-jets along the direction
+            lifted = [
+                JetPoly(1, 1, (0.0,), {(0,): jet.partial((i, j)), (1,): jet.partial((i + shift[0], j + shift[1]))})
+                for i, j in _SURFACE_PARTIALS[:5]
+            ]
+            dI.append(_surface_first(*lifted).coefficient((1,)))
+        dI_du, dI_dx = dI
+        nabla1 = (fuxx + fx * fux) / _sq(fux) * dI_du
+        nabla2 = (fuux - 2 * fu * fux) / _sq(fux) * dI_dx
     return nabla1, nabla2
 
 
@@ -387,21 +405,10 @@ def act_3d1(elem: PseudoElem3D1, jet: JetPoly) -> JetPoly:
     x0, u0 = jet.base
     alpha = jet_from_derivatives(elem.alpha[: order + 1], x0)
     beta = jet_from_derivatives(elem.beta[: order + 1], u0)
-    new_base = (float(alpha.value), float(beta.value))
-
-    alpha_inv = inverse_univariate(alpha)  # jet in x~ at alpha(x0), value x0
-    beta_inv = inverse_univariate(beta)
-
-    # embed the inverse reparametrizations into the 2-variable target jet space
-    def embed(uni: JetPoly, slot: int) -> JetPoly:
-        coeffs = {}
-        for (k,), cval in uni.coeffs.items():
-            key = (k, 0) if slot == _X else (0, k)
-            coeffs[key] = cval
-        return JetPoly(2, order, new_base, coeffs)
-
-    A = embed(alpha_inv, _X)  # value x0
-    B = embed(beta_inv, _U)  # value u0
+    new_base = (alpha.value, beta.value)
+    # the inverse reparametrizations as jets in the 2-variable target space, values x0 and u0
+    A = compose_univariate(inverse_univariate(alpha), JetPoly.variable(0, 2, order, new_base))
+    B = compose_univariate(inverse_univariate(beta), JetPoly.variable(1, 2, order, new_base))
 
     # F's Taylor polynomial evaluated at (A, B)
     dA = A - x0
@@ -416,8 +423,8 @@ def act_3d1(elem: PseudoElem3D1, jet: JetPoly) -> JetPoly:
         acc = acc + cval * (powA[i] * powB[j])
 
     # correction: -(1/2) ln(c1 beta'(beta^-1)) + (1/2) ln(alpha'(alpha^-1)^2)
-    beta_prime = compose_univariate(_derivative_jet(elem.beta, u0, order), embed(beta_inv.truncated(order), _U))
-    alpha_prime = compose_univariate(_derivative_jet(elem.alpha, x0, order), embed(alpha_inv.truncated(order), _X))
+    beta_prime = compose_univariate(_derivative_jet(elem.beta, u0, order), B)
+    alpha_prime = compose_univariate(_derivative_jet(elem.alpha, x0, order), A)
     acc = acc - jet_ln(elem.c1 * beta_prime) / 2 + jet_ln(alpha_prime * alpha_prime) / 2
     return acc
 

@@ -203,8 +203,10 @@ class JetPoly:
 
     ``terms`` maps positions (see the module docstring) to Taylor
     coefficients, and ``coeffs`` is the same map keyed by multi-index;
-    absent entries are zero.  The logical coefficient table always covers
-    the full dense index set of degree <= order (see :meth:`partials`).
+    absent entries are zero, and the constructor drops an exact-zero (int or
+    Fraction) coefficient, as every jet operation does.  The logical
+    coefficient table always covers the full dense index set of degree <=
+    order (see :meth:`partials`).
     """
 
     __slots__ = ("nvars", "order", "base", "terms", "_coeffs")
@@ -214,7 +216,7 @@ class JetPoly:
         self.order = order
         self.base = tuple(base)
         intern = _TABLES[nvars].intern
-        self.terms = {intern(alpha): c for alpha, c in coeffs.items()} if coeffs else {}
+        self.terms = {intern(alpha): c for alpha, c in coeffs.items() if not exact_zero(c)} if coeffs else {}
 
     # ------------------------------------------------------------------
     # construction
@@ -775,8 +777,6 @@ def jet_from_derivatives(derivs: Sequence, base) -> JetPoly:
     for k, d in enumerate(derivs):
         if k > 0:
             fact *= k
-        if d == 0 and not isinstance(d, float):
-            continue
         coeffs[(k,)] = quotient(d, fact)
     return JetPoly(1, len(derivs) - 1, (base,), coeffs)
 
@@ -822,17 +822,10 @@ def inverse_univariate(jet: JetPoly) -> JetPoly:
     k = jet.order
     y0 = jet.value
     x0 = jet.base[0]
-    series = [jet.coefficient((i,)) for i in range(k + 1)]  # f around x0
+    tail = [0, 0, *(jet.coefficient((i,)) for i in range(2, k + 1))]  # f's terms s_i of degree >= 2 around x0
     dy = JetPoly.variable(0, 1, k, (y0,)) - y0  # y - y0 as a jet in y
     # p = (f^{-1}(y) - x0); iterate p <- (dy - sum_{i>=2} s_i p^i) / s1
     p = dy / s1
     for _ in range(k):
-        tail = dy.like_constant(0)
-        q = p * p
-        for i in range(2, k + 1):
-            if series[i] != 0:
-                tail = tail + series[i] * q
-            if i < k:
-                q = q * p
-        p = (dy - tail) / s1
+        p = (dy - substitute_series(tail, p)) / s1
     return p + x0

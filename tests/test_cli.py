@@ -171,6 +171,29 @@ class TestVerifyCommand:
         assert err.startswith("error:") and "--samples" in err
 
 
+class TestVerifyGates:
+    """The verify gates that no catalog entry comes near: with the tolerance
+    below every residual, the check they guard fails and so does the run."""
+
+    @pytest.mark.parametrize(
+        "key,tolerance,check,field",
+        [
+            ("dim4-psi-exp", "PREFERRED_THETA_TOL", "recurrence", "theta_plus_3omega"),
+            ("3d2-inv-u", "WEIGHT_TOL", "recurrence", "weight_fit"),
+            ("3d2-inv-u", "DKP_TOL", "einstein_weyl", "max_dkp_residual"),
+        ],
+    )
+    def test_a_gate_below_every_residual_fails_its_check(self, tmp_path, capsys, monkeypatch, key, tolerance, check, field):
+        path = str(tmp_path / f"{key}.json")
+        assert run(capsys, "catalog", "emit", key, path)[0] == 0
+        monkeypatch.setattr(thresholds, tolerance, -1.0)
+        code, out, _ = run(capsys, "verify", path, "--samples", "4")
+        report = json.loads(out)
+        failed = [c for c in report["checks"] if c["status"] == "fail"]
+        assert code == 1 and report["pass"] is False
+        assert [c["name"] for c in failed] == [check] and field in failed[0]
+
+
 class TestInvariantsCommand:
     def test_power_values(self, tmp_path, capsys):
         path = write_json(tmp_path / "p.json", {"format": 1, "family": "dim_ge4", "psi": "t^2", "n": 2})
@@ -400,6 +423,22 @@ class TestInputContract:
         code, out, err = run(capsys, "verify", path, "--samples", "1")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "'n'" in err and "24" in err
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            (None, "cannot read "),
+            ([1, 2], "top level must be a JSON object"),
+            ({"format": 1, "family": "dim_ge9", "psi": "t"}, "unknown family 'dim_ge9'"),
+            ({"format": 1, "family": "threed_case2", "a": "u"}, "missing fields ['c'] for family 'threed_case2'"),
+        ],
+        ids=["unreadable", "json-array", "unknown-family", "missing-field"],
+    )
+    def test_a_file_that_is_not_a_structure_exits_2(self, tmp_path, capsys, payload, message):
+        path = str(tmp_path / "no-such-file.json") if payload is None else write_json(tmp_path / "s.json", payload)
+        code, out, err = run(capsys, "verify", path)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
 
     def test_dimension_at_the_ceiling_is_built(self, tmp_path):
         path = write_json(tmp_path / "d24.json", {"format": 1, "family": "homogeneous", "n": 22})
@@ -800,3 +839,41 @@ class TestHardInputEndsCleanly:
         code, out, err = run(capsys, "verify", path)
         assert code == 2 and out == ""
         assert err.startswith("error: metric is singular at (") and err.count("\n") == 1
+
+    # F = 1e200 x u: the products the surface invariants take are beyond the float range at every sample
+    HUGE_F = {"format": 1, "family": "threed_case1", "F": "1e200*x*u"}
+
+    @pytest.mark.parametrize(
+        "argv,code", [(["signature", "--samples", "4"], 0), (["invariants", "--at", "0.5,1.8"], 0), (["equiv", "@"], 1)],
+        ids=lambda x: x[0] if isinstance(x, list) else None,
+    )
+    def test_surface_beyond_the_float_range_ends_cleanly(self, tmp_path, capsys, argv, code):
+        path = write_json(tmp_path / "huge.json", self.HUGE_F)
+        got, out, err = run(capsys, argv[0], path, *[path if a == "@" else a for a in argv[1:]])
+        assert (got, err) == (code, "")
+        if argv[0] == "signature":
+            assert out.splitlines()[-1] == "# singular_samples_dropped,4"
+        if argv[0] == "invariants":
+            assert json.loads(out)["singular"] == "a power of the jet entries overflows the float range"
+        if argv[0] == "equiv":
+            assert json.loads(out)["verdict"] == "Unsampled"
+
+    @pytest.mark.parametrize(
+        "payload,at,message",
+        [
+            # F_ux = (1 - 2u) exp(-2u) at u = 127 is about 1e-108: its cube rounds to 0.0
+            ({"family": "threed_case1", "F": "x*u*exp(-2*u)"}, "0.5,127", "a power of the mixed derivative F_ux rounds to 0"),
+            # a' = -200 exp(-200 u) at u = 1.5 is about -1e-128: its fourth and fifth powers round to 0.0
+            (
+                {"family": "threed_case2", "a": "exp(-200*u)", "c": "u", "box": {"u": [0.01, 0.05]}},
+                "1.5",
+                "a power of a'(u) rounds to 0 (extra-symmetry stratum)",
+            ),
+        ],
+        ids=["surface", "pair"],
+    )
+    def test_a_power_that_rounds_to_zero_is_singular_in_every_family(self, tmp_path, capsys, payload, at, message):
+        path = write_json(tmp_path / "tiny.json", {"format": 1, **payload})
+        code, out, err = run(capsys, "invariants", path, "--at", at)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["singular"] == message

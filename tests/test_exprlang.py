@@ -385,6 +385,17 @@ class TestDerivative:
             via_jet = float(eval_jet(src, jet_t(t0, 1)).coefficient((1,)))
             assert eval_number(d, {"t": t0}) == pytest.approx(via_jet, rel=1e-12)
 
+    @pytest.mark.parametrize("src", ["sin(t^2)", "cos(2*t)", "abs(t^2-3)", "sign(t-3)*t^2", "-(-(t^3))"])
+    def test_each_rule_matches_jets(self, src):
+        """abs(t^2 - 3) and sign(t - 3) change sign between the points."""
+        d = derivative(src, "t")
+        for t0 in (0.7, 1.3, 2.1, 3.4):
+            via_jet = float(eval_jet(src, jet_t(t0, 1)).coefficient((1,)))
+            assert eval_number(d, {"t": t0}) == pytest.approx(via_jet, rel=1e-12)
+
+    def test_a_double_negation_folds(self):
+        assert to_source(derivative("-(-(t^3))", "t")) == "(3*(t^2))"
+
     def test_partial_ignores_other_variables(self):
         d = derivative("x*u^2", "u")
         assert eval_number(d, {"x": 3.0, "u": 2.0}) == 12.0

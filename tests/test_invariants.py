@@ -9,11 +9,11 @@ Expected invariant values are frozen from independent derivations:
   sampled signature curve.
 """
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylrec.invariants import (
     GroupElem3D2,
@@ -132,6 +132,10 @@ class TestDerivedInvariant:
             derived_invariant(psi_jet_from_expr(psi, 1.0, order=6))
 
 
+# an exact 5-jet for the exact actions: psi'(1/2) = 1
+EXACT_JET = PsiJet(Fraction(1, 2), (2, 1, Fraction(3, 10), Fraction(1, 10), Fraction(-1, 5), Fraction(7, 10)))
+
+
 class TestActD4:
     def test_identity(self):
         jet = PsiJet(0.5, (2.0, 1.0, 0.3, 0.1, -0.2, 0.7))
@@ -145,12 +149,16 @@ class TestActD4:
         assert out.derivs[1:] == pytest.approx(jet.derivs[1:])
 
     def test_pure_source_scaling(self):
-        jet = PsiJet(0.5, (2.0, 1.0, 0.3, 0.1, -0.2, 0.7))
-        s2 = 0.3
-        out = act_d4(GroupElemD4(s2=s2), jet)
-        assert out.base == pytest.approx(math.exp(2 * s2) * 0.5)
-        for k, d in enumerate(jet.derivs):
-            assert out.derivs[k] == pytest.approx(d * math.exp(-2 * k * s2))
+        """t -> t / lam: the base divides by lam, the k-th derivative multiplies by lam^k."""
+        lam = Fraction(2, 3)
+        out = act_d4(GroupElemD4(lam=lam), EXACT_JET)
+        assert out.base == Fraction(3, 4)
+        assert out.derivs == tuple(d * lam**k for k, d in enumerate(EXACT_JET.derivs))
+        assert act_d4(GroupElemD4(lam=2), EXACT_JET).base == Fraction(1, 4)  # an int scaling keeps the base exact
+
+    def test_nonpositive_source_scaling_rejected(self):
+        with pytest.raises(ValueError, match="lam"):
+            GroupElemD4(lam=0)
 
     def test_flip(self):
         jet = PsiJet(0.5, (2.0, 1.0, 0.3, 0.1, -0.2, 0.7))
@@ -158,18 +166,27 @@ class TestActD4:
         assert out.base == -0.5
         assert out.derivs == pytest.approx((-2.0, 1.0, -0.3, 0.1, 0.2, 0.7))
 
-    def test_determinant_normalized(self):
-        g = GroupElemD4(a=2.0, b=0.0, c=0.0, d=2.0)
-        assert g.a * g.d - g.b * g.c == pytest.approx(1.0)
+    def test_a_positive_multiple_of_the_target_map_acts_the_same(self):
+        """(a, b, c, d) is any representative: (2, 0, 0, 2) is the identity,
+        and three times a representative gives the same image."""
+        assert act_d4(GroupElemD4(a=2, b=0, c=0, d=2), EXACT_JET) == EXACT_JET
+        once = act_d4(GroupElemD4(a=1, b=2, c=Fraction(1, 3), d=1), EXACT_JET)
+        assert act_d4(GroupElemD4(a=3, b=6, c=1, d=3), EXACT_JET) == once
+        jet = PsiJet(0.5, (2.0, 1.0, 0.3))
+        assert act_d4(GroupElemD4(a=2.0, b=0.0, c=0.0, d=2.0), jet) == jet
 
     def test_nonpositive_determinant_rejected(self):
         with pytest.raises(ValueError, match="determinant"):
             GroupElemD4(a=1.0, b=0.0, c=0.0, d=-1.0)
 
-    def test_pole_detected(self):
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_pole_detected(self, scale):
+        """The pole test is relative to the representative: c psi + d = 0 at
+        psi = 2 is a pole at every scale, and c psi + d = 3 c is none."""
         jet = PsiJet(0.0, (2.0, 1.0, 0.0, 0.0, 0.0, 0.0))
         with pytest.raises(MobiusPoleError):
-            act_d4(GroupElemD4(a=-1.0, b=0.0, c=1.0, d=-2.0), jet)
+            act_d4(GroupElemD4(a=-scale, b=0.0, c=scale, d=-2 * scale), jet)
+        assert act_d4(GroupElemD4(a=scale, b=0.0, c=scale, d=scale), jet).derivs[0] == pytest.approx(2 / 3)
 
     def test_invariance_hundred_elements(self):
         """I, J and sign(D) are unchanged under 100 seeded elements."""
@@ -458,3 +475,42 @@ class TestEquivalence:
         c2 = pair_signature_curve("exp(u-1)", "(u-1) - 2*exp(u-1)", 1.5, 2.5, 48)
         verdict = equivalence_test(c1, c2)
         assert verdict.verdict == "Equivalent"
+
+
+# finite floats, subnormals included: every jet entry the formulas may meet
+FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_subnormal=True)
+
+
+def returns_or_is_singular(formula, jet):
+    """``formula(jet)`` returns, or raises SingularStratumError; any other
+    exception fails the test."""
+    try:
+        formula(jet)
+    except SingularStratumError:
+        pass
+
+
+class TestOneFailureRule:
+    """On any finite float jet, every invariant formula returns or names a
+    singular stratum (an overflowed sample is one): no arithmetic error
+    escapes."""
+
+    @settings(max_examples=400)
+    @given(st.tuples(FINITE, POSITIVE, *[FINITE] * 5))
+    def test_psi_family(self, derivs):
+        jet = PsiJet(0.0, derivs)
+        returns_or_is_singular(psi_invariants, jet)
+        returns_or_is_singular(derived_invariant, jet)
+
+    @settings(max_examples=400)
+    @given(st.lists(FINITE, min_size=6, max_size=6))
+    def test_pair_family(self, entries):
+        returns_or_is_singular(pair_invariants, PairJet(0.0, tuple(entries[:3]), tuple(entries[3:])))
+
+    @settings(max_examples=400)
+    @given(st.lists(FINITE, min_size=15, max_size=15))
+    def test_surface_family(self, entries):
+        jet = JetPoly(2, 4, (0.0, 0.0), dict(zip(taylor_indices(2, 4), entries)))
+        returns_or_is_singular(surface_invariants, jet)
+        returns_or_is_singular(surface_derived_pair, jet)

@@ -120,6 +120,11 @@ class TestClassifyPsi:
         else:
             assert result.parameter == pytest.approx(A, abs=1e-6)
 
+    def test_a_parabolic_vector_without_scaling_is_inconsistent(self):
+        """a2 = 0 and a4^2 - a3 a5 = 0 would be the homogeneous case, which a
+        one-dimensional kernel cannot be."""
+        assert symmetry._psi_kind_from_vector(np.array([0.0, 0.0, 1.0, 1.0, 1.0])) == ("Inconsistent", None)
+
     def test_power_parameter_closer(self):
         result = classify_psi("t^3", interval=(0.6, 1.8))
         assert result.kind == "Power" and result.parameter == pytest.approx(3.0, abs=1e-6)

@@ -11,7 +11,7 @@ from collections import defaultdict
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
-from weylrec.jets import JetShapeError, divisor, quotient, taylor_indices
+from weylrec.jets import JetShapeError, divisor, exact_zero, quotient, taylor_indices
 
 MultiIndex = Tuple[int, ...]
 
@@ -42,8 +42,9 @@ class TupleJet:
     """Taylor polynomial of total degree <= ``order`` around ``base``.
 
     ``coeffs`` maps multi-indices to Taylor coefficients; absent entries are
-    zero.  The logical coefficient table always covers the full dense index
-    set of degree <= order (see :meth:`partials`).
+    zero, and the constructor drops an exact-zero coefficient, as
+    ``JetPoly``'s does.  The logical coefficient table always covers the full
+    dense index set of degree <= order (see :meth:`partials`).
     """
 
     __slots__ = ("nvars", "order", "base", "coeffs")
@@ -52,7 +53,7 @@ class TupleJet:
         self.nvars = nvars
         self.order = order
         self.base = tuple(base)
-        self.coeffs = {} if coeffs is None else coeffs
+        self.coeffs = {a: c for a, c in coeffs.items() if not exact_zero(c)} if coeffs else {}
 
     # ------------------------------------------------------------------
     # construction
