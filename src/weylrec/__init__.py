@@ -14,15 +14,12 @@ from .tensor import (
     Chart,
     Connection,
     HolonomyReport,
-    LieDerivativeReport,
     PointTensor,
     RecurrenceReport,
     WeylStructure,
     conformal_weyl_tensor,
     curvature,
     holonomy_span_dim,
-    levi_civita,
-    lie_derivative_check,
     make_structure,
     nabla_R,
     recurrence_theta,
@@ -37,9 +34,7 @@ from .catalog import (
     make_dim_ge4,
     make_homogeneous_model,
     make_mainth_form,
-    riccati_residual,
     standard_catalog,
-    symmetric_psi_family,
 )
 from .invariants import (
     EquivalenceVerdict,
@@ -64,14 +59,11 @@ from .invariants import (
     surface_signature_curve,
 )
 from .symmetry import (
-    BracketClosure,
     ClassificationResult,
     SymmetryKernel,
-    bracket_closure,
     classify_3d2,
     classify_psi,
     kernel_3d2,
     psi_symmetry_kernel,
-    symmetry_residual_3d1,
 )
 from .einsteinweyl import EWReport, dkp_residual, ew_residual, ricci_sym

@@ -10,12 +10,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import exprlang, thresholds
 from .exprlang import Expr, add, call, const, derivative, div, mul, neg, parse, pow_, sub, var
-from .jets import coordinate_jets
 from .tensor import Chart, WeylStructure, make_structure
 
 
@@ -292,21 +290,6 @@ def make_mainth_form(
     )
 
 
-def riccati_residual(F: Union[str, Expr], a: Union[str, Expr], point: Dict[str, float]) -> float:
-    """d2F/du2 - (dF/du)^2 + a(u), evaluated through jets at a named point."""
-    F_e = exprlang.as_expr(F)
-    a_e = exprlang.as_expr(a)
-    names = sorted(set(exprlang.variables_of(F_e)) | set(exprlang.variables_of(a_e)) | {"u"})
-    base = tuple(point[n] for n in names)
-    env = coordinate_jets(names, base, 2)
-    Fj = exprlang.eval_jet(F_e, env)
-    aj = exprlang.eval_jet(a_e, env)
-    iu = names.index("u")
-    Fdot = Fj.derivative(iu)
-    Fddot = Fdot.derivative(iu)
-    return float(Fddot.value) - float(Fdot.value) ** 2 + float(aj.value)
-
-
 def make_3d_case1(
     F: Union[str, Expr],
     box: Optional[Box] = None,
@@ -477,41 +460,6 @@ def extra_fields(n: int) -> List[FieldSpec]:
     half_sq = "+".join(f"{xi}^2" for xi in xs)
     z5 = ("Z5", _comps(n, u="u^2", v=f"0-({half_sq})/2", **{xi: f"u*{xi}" for xi in xs}))
     return [z1, z2, z3, z4, z5]
-
-
-# ----------------------------------------------------------------------
-# the one-function normal forms of the cohomogeneity <= 1 classification
-# ----------------------------------------------------------------------
-
-# psi source of each extra-symmetry family; "{A}" stands for the family parameter
-_PSI_SOURCES = {
-    "Homogeneous": "t",
-    "Exp": "exp(t)",
-    "Tan": "tan(t)",
-    "Log": "{A}*ln(t)",
-    "TanLog": "tan({A}*ln(t))",
-    "Power": "t^{A}",
-}
-PSI_KINDS = tuple(_PSI_SOURCES)
-
-
-def symmetric_psi_family(kind: str, A: Optional[float] = None) -> str:
-    """psi source text for the extra-symmetry families; A is the family parameter."""
-    if kind not in _PSI_SOURCES:
-        raise CatalogError(f"unknown family kind {kind!r}; known: {', '.join(PSI_KINDS)}")
-    if kind in ("Log", "TanLog") and (A is None or not A > 0):
-        raise CatalogError(f"{kind} family needs A > 0")
-    if kind == "Power" and (A is None or A == 1 or A <= 0):
-        raise CatalogError("Power family needs A > 0, A != 1 (A = 1 is the homogeneous case)")
-    source = _PSI_SOURCES[kind]
-    return source.format(A=_num(A)) if "{A}" in source else source
-
-
-def _num(A) -> str:
-    f = Fraction(A).limit_denominator(10**9)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"({f.numerator}/{f.denominator})"
 
 
 # ----------------------------------------------------------------------

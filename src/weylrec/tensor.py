@@ -18,8 +18,8 @@ keeps an empty jet), and its value readers write 0.0 for an empty jet
 without reading it.  Every other jet goes through the same operations, in
 the same order, as in a dense pass, so no bit changes.
 
-The Christoffel routine, the curvature and the Lie-derivative check each
-read a list of jets one order down, and one helper sets that up
+The Christoffel routine and the curvature each read a list of jets one
+order down, and one helper sets that up
 (``_read_down``): the kind of value, its zero, and each distinct jet's
 truncation and first partials.  On jets, within one call of the Christoffel
 routine (the metric inverse included, which computes in the same kind and
@@ -446,13 +446,6 @@ class Connection:
         return PointTensor(C)
 
 
-def levi_civita(structure: WeylStructure, point: Sequence, depth: int = 1) -> Connection:
-    """Levi-Civita connection of the metric alone, half g^{ad}(d_b g_dc + d_c g_bd - d_d g_bc):
-    the Weyl connection of the same metric with a zero 1-form (the structure's
-    1-form is never evaluated)."""
-    return weyl_connection(replace(structure, one_form=(None,) * structure.dim), point, depth)
-
-
 def weyl_connection(structure: WeylStructure, point: Sequence, depth: int = 1) -> Connection:
     """Weyl connection: Levi-Civita plus K^a_bc = delta^a_b w_c + delta^a_c w_b - g_bc g^{ad} w_d.
     At depth 0 the 1-form is evaluated on plain numbers (``eval_number``)."""
@@ -801,67 +794,3 @@ def conformal_weyl_tensor(structure: WeylStructure, point: Sequence) -> PointTen
     """Conformal Weyl curvature C_{abcd} of the metric part (d >= 4 for the
     vanishing test to imply conformal flatness)."""
     return weyl_connection(structure, point, 1).conformal_weyl()
-
-
-# ----------------------------------------------------------------------
-# Lie derivative symmetry check
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LieDerivativeReport:
-    lam: float
-    metric_residual: float
-    one_form_residual: float
-
-
-def lie_derivative_check(
-    structure: WeylStructure, field_components: Sequence[Union[str, Expr]], point: Sequence
-) -> LieDerivativeReport:
-    """Residuals of L_Y g = 2 lam g and L_Y omega = -d lam for a vector field Y.
-
-    lam is recovered pointwise by the Frobenius fit of L_Y g against 2 g and
-    its differential comes from carrying the fit through order-1 jets.  The
-    metric and 1-form are read as the Weyl connection at the point reads
-    them, and no connection is built: the point must satisfy the chart's
-    constraints and the metric must be Lorentzian there.
-    """
-    chart = structure.chart
-    d = chart.dim
-    if len(field_components) != d:
-        raise ValueError(f"field needs {d} components, got {len(field_components)}")
-    check_domain(structure, point)
-    metric = metric_jets(structure, point, 2)
-    check_signature(_values(metric), point)
-    one_form = one_form_jets(structure, point, 1)
-    env2 = coordinate_jets(chart.names, point, 2)
-    Y2 = [eval_jet(exprlang.as_expr(c), env2) for c in field_components]
-
-    _, zero, g1, dg = _read_down(metric, 1, (0, 1))  # dg[a][b][c] = d_c g_ab
-    Y1 = [y.truncated(1) for y in Y2]
-    dY = [[Y2[c].derivative(a) for a in range(d)] for c in range(d)]  # dY[c][a] = d_a Y^c
-
-    # a product with an empty factor is empty, and adding an empty jet returns the sum as it is
-    lie_g = [[zero] * d for _ in range(d)]
-    for a in range(d):
-        for b in range(a, d):
-            acc = zero
-            for c in range(d):
-                acc = acc + Y1[c] * dg[a][b][c] + g1[c][b] * dY[c][a] + g1[a][c] * dY[c][b]
-            lie_g[a][b] = lie_g[b][a] = acc
-
-    num = zero
-    den = zero
-    for a in range(d):
-        for b in range(d):
-            num = num + lie_g[a][b] * g1[a][b]
-            den = den + g1[a][b] * g1[a][b]
-    lam_jet = num / (2 * den)
-    lam0 = float(lam_jet.value)
-    dlam = np.array([float(x) for x in lam_jet.gradient()])
-    res_g = float(np.linalg.norm(_values(lie_g) - 2.0 * lam0 * _values(g1)))
-
-    # (L_Y w)_a = Y^c d_c w_a + w_c d_a Y^c
-    lie_w = _first_partials(one_form).T @ _values(Y1) + _first_partials(Y1) @ _values(one_form)
-    res_w = float(np.linalg.norm(lie_w + dlam))
-    return LieDerivativeReport(lam=lam0, metric_residual=res_g, one_form_residual=res_w)

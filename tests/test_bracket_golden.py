@@ -1,13 +1,16 @@
-"""Golden contract for ``symmetry.bracket_closure``: the closed flag, the exact
-structure constants (``Fraction`` reprs, in their order) and the failing pairs
-for 52 field sets.  Twelve are the catalog's: the Killing fields, the Killing
-plus the five extra fields, and the homogeneous model's fields, for n = 2..5.
-Forty are random polynomial fields, stored with their goldens.
+"""Golden contract for ``brackets.bracket_closure``, the tests' exact
+Lie-bracket closure check: the closed flag, the exact structure constants
+(``Fraction`` reprs, in their order) and the failing pairs for 52 field sets.
+Twelve are the catalog's: the Killing fields, the Killing plus the five extra
+fields, and the homogeneous model's fields, for n = 2..5.  Forty are random
+polynomial fields, stored with their goldens.
 
 The goldens in ``goldens/bracket_closure.json`` were recorded from the source
-that defined the contract; a refactor of the exact arithmetic must reproduce
-them exactly.  To record them again (only when a result is meant to change),
-run from the repository root::
+that defined the contract; a refactor of the jet arithmetic or of
+``brackets.py`` must reproduce them exactly.  To record them again (only when
+a result is meant to change), run this file as a script from the repository
+root; Python puts its folder, ``tests/``, on the import path, so ``brackets``
+imports::
 
     PYTHONPATH=src python tests/test_bracket_golden.py
 """
@@ -24,7 +27,8 @@ import pytest
 from weylrec import exprlang
 from weylrec.catalog import extra_fields, killing_fields, make_homogeneous_model
 from weylrec.jets import JetPoly
-from weylrec.symmetry import bracket_closure, expr_to_poly, field_bracket
+
+from brackets import bracket_closure, expr_to_poly, field_bracket
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "goldens" / "bracket_closure.json"
 

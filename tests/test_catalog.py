@@ -13,12 +13,16 @@ from weylrec.catalog import (
     make_dim_ge4,
     make_homogeneous_model,
     make_mainth_form,
-    riccati_residual,
     sample_box,
     standard_catalog,
-    symmetric_psi_family,
 )
-from weylrec.exprlang import eval_number
+from weylrec.exprlang import derivative, eval_number
+
+
+def riccati(F: str, a: str, env) -> float:
+    """The Riccati gate of the normal form, F_uu + a - F_u^2, at a named point."""
+    Fu = derivative(F, "u")
+    return eval_number(derivative(Fu, "u"), env) + eval_number(a, env) - eval_number(Fu, env) ** 2
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +73,10 @@ class TestMainThForm:
     def test_riccati_zero_for_log_profile(self):
         # dF/du of -ln(u + psi(x2)) satisfies the compatibility ODE with a = 0
         for u, x2 in [(0.5, 0.8), (1.0, 0.6), (0.3, 1.2)]:
-            assert riccati_residual("0-ln(u+x2)", "0", {"u": u, "x2": x2}) == pytest.approx(0.0, abs=1e-12)
+            assert riccati("0-ln(u+x2)", "0", {"u": u, "x2": x2}) == pytest.approx(0.0, abs=1e-12)
 
     def test_riccati_nonzero_for_perturbed_profile(self):
-        assert abs(riccati_residual("0-ln(u+x2)+0.1*u", "0", {"u": 0.5, "x2": 0.8})) > 1e-2
+        assert abs(riccati("0-ln(u+x2)+0.1*u", "0", {"u": 0.5, "x2": 0.8})) > 1e-2
 
     def test_pure_xn_profile_rejected(self):
         # d_n dF/du = 0 when F does not mix u and x^n
@@ -168,26 +172,6 @@ class TestFieldLists:
         killing, extra = killing_fields(3), extra_fields(3)
         for label, comps in killing + extra:
             assert len(comps) == 5
-
-
-class TestPsiFamilies:
-    def test_sources(self):
-        assert symmetric_psi_family("Power", 2) == "t^2"
-        assert symmetric_psi_family("Log", 3) == "3*ln(t)"
-        assert symmetric_psi_family("Exp") == "exp(t)"
-        assert symmetric_psi_family("TanLog", 1) == "tan(1*ln(t))"
-
-    def test_power_one_rejected(self):
-        with pytest.raises(CatalogError, match="A = 1"):
-            symmetric_psi_family("Power", 1)
-
-    def test_log_needs_positive_parameter(self):
-        with pytest.raises(CatalogError):
-            symmetric_psi_family("Log", -2)
-
-    def test_unknown_kind(self):
-        with pytest.raises(CatalogError, match="unknown family kind"):
-            symmetric_psi_family("Quadratic")
 
 
 class TestSampling:

@@ -1,7 +1,6 @@
 """End-to-end CLI tests: file formats, exit codes, determinism."""
 
 import json
-import os
 import time
 
 import pytest

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from weylrec.catalog import make_3d_case1, make_3d_case2, standard_catalog
+from weylrec.catalog import make_3d_case1, standard_catalog
 from weylrec.einsteinweyl import dkp_residual, ew_residual, ricci_sym
 from weylrec.exprlang import mul, const
 from weylrec.tensor import Chart, curvature, make_structure

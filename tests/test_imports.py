@@ -1,9 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or of the tests imports is used in that module.
 
 The walk reads the ``ast`` of each ``src/weylrec/*.py`` except the package
-``__init__`` (whose imports are its exports).  A name imported on a line
-marked ``# noqa: F401`` is exempt: it is kept on purpose, for a reader
-outside the module.
+``__init__`` (whose imports are its exports), and of each ``tests/*.py``.
+A name imported on a line marked ``# noqa: F401`` is exempt: it is kept on
+purpose, for a reader outside the module.
 """
 
 import ast
@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "weylrec"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "weylrec"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree: ast.Module, lines):
@@ -32,7 +33,7 @@ def used_names(tree: ast.Module):
 
 
 def test_the_walk_sees_every_module():
-    assert {p.name for p in MODULES} >= {"cli.py", "invariants.py", "symmetry.py", "tensor.py"}
+    assert {p.name for p in MODULES} >= {"cli.py", "invariants.py", "symmetry.py", "tensor.py", "conftest.py", "test_cli.py"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,14 +1,15 @@
-"""Symmetry kernels, classification and Lie-bracket closure."""
-
-import math
-import random
+"""Symmetry kernels and classification, with two reference checks of the
+symmetry fields: the Lie-derivative check (``lie_derivative.py``) on the
+kernel vectors, and exact Lie-bracket closure (``brackets.py``) of the
+catalog's polynomial fields.  The symmetry equation of the 3D holonomy-1
+family is stated here through ``exprlang.derivative``."""
 
 import numpy as np
 import pytest
 
-from weylrec.catalog import killing_fields, sample_box, symmetric_psi_family
-from weylrec.exprlang import ExprDomainError
-from weylrec.invariants import GroupElem3D2, GroupElemD4, SignatureCurve, act_3d2, pair_jet_from_exprs
+from weylrec.catalog import killing_fields, sample_box
+from weylrec.exprlang import ExprDomainError, derivative, eval_number
+from weylrec.invariants import SignatureCurve, pair_jet_from_exprs
 from weylrec import symmetry
 from weylrec.symmetry import (
     SymmetryKernel,
@@ -16,15 +17,15 @@ from weylrec.symmetry import (
     _pair_rows,
     _psi_rows,
     _system,
-    bracket_closure,
     classify_3d2,
     classify_psi,
-    expr_to_poly,
     kernel_3d2,
     psi_symmetry_kernel,
-    symmetry_residual_3d1,
 )
 from weylrec.tensor import Chart
+
+from brackets import bracket_closure, expr_to_poly
+from lie_derivative import lie_derivative_check
 
 
 def fresh_residual(rows_at, exprs, coeffs, points) -> float:
@@ -145,13 +146,13 @@ class TestClassifyPsi:
         result = classify_psi("tan(ln(t))/(tan(ln(t))/2+1)", interval=(0.8, 1.5))
         assert result.kind == "TanLog" and result.parameter == pytest.approx(1.0, abs=1e-6)
 
-    def test_catalog_source_helper_roundtrip(self):
-        for kind, A, interval in [
-            ("Exp", None, (0.6, 1.8)),
-            ("Power", 2.0, (0.6, 1.8)),
-            ("Log", 3.0, (0.8, 1.9)),
+    def test_normal_form_sources_roundtrip(self):
+        for kind, A, psi, interval in [
+            ("Exp", None, "exp(t)", (0.6, 1.8)),
+            ("Power", 2.0, "t^2", (0.6, 1.8)),
+            ("Log", 3.0, "3*ln(t)", (0.8, 1.9)),
         ]:
-            result = classify_psi(symmetric_psi_family(kind, A), interval=interval)
+            result = classify_psi(psi, interval=interval)
             assert result.kind == kind
             if A is not None:
                 assert result.parameter == pytest.approx(A, abs=1e-6)
@@ -175,7 +176,6 @@ class TestClassifyPsi:
         vanish and the scale function is constant (zero for the
         translation-type combinations, a homothety for the scaling ones)."""
         from weylrec.catalog import extra_fields, standard_catalog
-        from weylrec.tensor import lie_derivative_check
 
         z = dict(extra_fields(2))
         cases = [
@@ -297,27 +297,34 @@ class TestCurveWithNoEvidence:
         assert (result.kind, result.consistent) == (kind, kind != "Inconsistent")
 
 
+def symmetry_equation_3d1(F: str, A: str, B: str, C1: float, points) -> float:
+    """max |A F_x + B F_u + (C1 + B')/2 - A'| over the (x, u) points: zero where
+    A(x) d_x + B(u) d_u + (C0 + C1 v) d_v is a symmetry of the two-variable family."""
+    terms = (A, derivative(F, "x"), B, derivative(F, "u"), derivative(B, "u"), derivative(A, "x"))
+    worst = 0.0
+    for x, u in points:
+        a, fx, b, fu, db, da = (eval_number(e, {"x": x, "u": u}) for e in terms)
+        worst = max(worst, abs(a * fx + b * fu + (C1 + db) / 2 - da))
+    return worst
+
+
 class TestResidual3D1:
     def test_translation_symmetry_of_shift_invariant_profile(self):
         """F(x, u) = (x - u)^2 admits d_x + d_u (A = B = 1, C0 = C1 = 0)."""
         pts = [(0.4, 0.9), (1.1, 0.2), (0.7, 0.7)]
-        assert symmetry_residual_3d1("(x-u)^2", "1", "1", 0.0, 0.0, pts) <= 1e-12
+        assert symmetry_equation_3d1("(x-u)^2", "1", "1", 0.0, pts) <= 1e-12
 
     def test_scaled_profile_needs_vertical_part(self):
         """F = x + G(x-u) admits d_x + d_u - 2v d_v (C1 = -2), and only with
         that vertical coefficient."""
         pts = [(0.4, 0.9), (1.1, 0.2)]
         F = "x + (x-u)^2"
-        assert symmetry_residual_3d1(F, "1", "1", 0.0, -2.0, pts) <= 1e-12
-        assert symmetry_residual_3d1(F, "1", "1", 0.0, 0.0, pts) > 1e-3
+        assert symmetry_equation_3d1(F, "1", "1", -2.0, pts) <= 1e-12
+        assert symmetry_equation_3d1(F, "1", "1", 0.0, pts) > 1e-3
 
     def test_generic_profile_rejects_candidates(self):
         pts = [(0.4, 0.9), (1.1, 0.2), (0.7, 0.7)]
-        assert symmetry_residual_3d1("x*u", "1", "1", 0.0, 0.0, pts) > 1e-3
-
-    def test_component_variable_restrictions(self):
-        with pytest.raises(ValueError, match="only"):
-            symmetry_residual_3d1("x*u", "u", "u", 0.0, 0.0, [(0.5, 0.5)])
+        assert symmetry_equation_3d1("x*u", "1", "1", 0.0, pts) > 1e-3
 
 
 class TestBracketClosure:
