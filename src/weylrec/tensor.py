@@ -18,10 +18,19 @@ keeps an empty jet), and its value readers write 0.0 for an empty jet
 without reading it.  Every other jet goes through the same operations, in
 the same order, as in a dense pass, so no bit changes.
 
-The Christoffel routine and the curvature each read a list of jets one
-order down, and one helper sets that up
-(``_read_down``): the kind of value, its zero, and each distinct jet's
-truncation and first partials.  On jets, within one call of the Christoffel
+The passes enumerate the nonzero ("live") entries and never scan an index
+space: their cost follows the number of nonzero entries, not d^3 (d^4 for
+the curvature).  The Christoffel routine and the curvature each read a list
+of jets one order down, and one helper sets that up (``_read_down``): the
+kind of value, its zero, and for each non-empty jet, keyed by its index,
+its truncation and first partials, each computed once per distinct jet.
+The Christoffel routine forms each bracket from a nonzero first partial of
+the metric and sums it only against the nonzero entries of the inverse's
+column; the inverse eliminates only at the pivot row's nonzero columns and
+returns its nonzero entries; the curvature builds each slot and its terms
+from the nonzero Christoffel jets.  Each output entry gets the operations
+of the dense loop that are not on empty values, in its order, so every
+value and every memo hit (below) is the dense loop's.  On jets, within one call of the Christoffel
 routine (the metric inverse included, which computes in the same kind and
 so shares its memo) or of the curvature, a pass computes each distinct jet
 operation once: an operation on the same operand objects as an earlier one
@@ -37,7 +46,8 @@ R is kept as its live slots, ``{(d, c, a, b): jet}`` with a < b where
 R^d_{cab} can be nonzero (``_curvature_jets``); the mirror slot (d, c, b, a)
 holds the negated jet and every other slot is zero.  No jet is formed for a
 mirror or a zero slot.  The readers get dense float arrays: ``curvature`` is
-R at the point and ``nabla_R`` is nabla R, d_e R^d_cab plus the four
+R at the point and ``nabla_R`` is nabla R, computed on each read and not
+kept (d^5 floats, 64 MB at d = 24), d_e R^d_cab plus the four
 contractions G^d_ef R^f_cab - G^f_ec R^d_fab - G^f_ea R^d_cfb - G^f_eb R^d_caf.
 Term k pairs G's f with R's axis k and writes G's other index there: term 0
 pairs G's lower index and writes its upper one, terms 1-3 the reverse.  Each
@@ -240,15 +250,24 @@ def check_signature(gv: np.ndarray, point: Sequence) -> np.ndarray:
     return gv
 
 
-def _repeated(jets, mirror: Optional[Tuple[int, int]] = None) -> Set[int]:
-    """ids of the non-empty jets that fill more than one slot of a nested
-    list, where a slot and its mirror (the slot with its indices at the two
-    axes ``mirror`` swapped) count as one."""
+Index = Tuple[int, ...]
+
+
+def _live(jets) -> Dict[Index, JetPoly]:
+    """The non-empty jets of a nested list, keyed by their index, in row-major order."""
     shape, leaves = _flatten(jets)
+    return {index: jet for index, jet in zip(itertools.product(*map(range, shape)), leaves) if jet.terms}
+
+
+def _repeated(live: Dict[Index, JetPoly], mirror: Optional[Tuple[int, int]] = None) -> Set[int]:
+    """ids of the jets of ``live``, a list's non-empty jets by index
+    (``_live``), that fill more than one slot, where a slot and its mirror
+    (the slot with its indices at the two axes ``mirror`` swapped) count as
+    one."""
     seen: Set[int] = set()
     repeated: Set[int] = set()
-    for index, jet in zip(itertools.product(*map(range, shape)), leaves):
-        if jet.terms and (mirror is None or index[mirror[0]] <= index[mirror[1]]):
+    for index, jet in live.items():
+        if mirror is None or index[mirror[0]] <= index[mirror[1]]:
             (repeated if id(jet) in seen else seen).add(id(jet))
     return repeated
 
@@ -281,30 +300,46 @@ def _once_per_operands(op: Callable, shared: Set[int]) -> Callable:
     return once
 
 
-def _invert_jet_matrix(g: list, kind: Kind) -> list:
+def _invert_jet_matrix(g: list, kind: Kind) -> Dict[Tuple[int, int], object]:
     """Invert a matrix of jets, or of numbers, in ``kind`` by Gauss-Jordan
     with constant-term pivoting; a pivot at most PIVOT_SINGULAR of the
-    largest entry's value means it is singular."""
+    largest entry's value means it is singular.  Returns the nonzero entries
+    of the inverse, ``{(a, e): g^{ae}}`` in row-major order.
+
+    Each row keeps the set of its columns that hold a nonzero entry, so the
+    pivot row is scaled, and each row with a nonzero entry in the pivot
+    column is reduced, only at the pivot row's nonzero columns, in column
+    order: the operations of the dense elimination that are not on empty
+    entries."""
     d = len(g)
     empty, sub, mul = kind.empty, kind.sub, kind.mul
     zero = kind.constant(g[0][0], 0)
     one = kind.constant(g[0][0], 1)
     cut = thresholds.PIVOT_SINGULAR * float(np.max(np.abs(_values(g))))
     aug = [[g[i][j] for j in range(d)] + [one if i == j else zero for j in range(d)] for i in range(d)]
+    live = [{j for j in range(d) if not empty(g[i][j])} | {d + i} for i in range(d)]
     for col in range(d):
         pivot_row = max(range(col, d), key=lambda r: abs(kind.value(aug[r][col])))
         if abs(kind.value(aug[pivot_row][col])) <= cut:
             raise SingularMetricError("metric is singular (no usable pivot)")
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        live[col], live[pivot_row] = live[pivot_row], live[col]
         inv_pivot = kind.div(one, aug[col][col])
-        aug[col] = [entry if empty(entry) else mul(entry, inv_pivot) for entry in aug[col]]
+        pivot, columns = aug[col], sorted(live[col])
+        for j in columns:
+            pivot[j] = mul(pivot[j], inv_pivot)
+        columns = [j for j in columns if not empty(pivot[j])]
+        live[col] = set(columns)
         for r in range(d):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if not empty(factor):
-                aug[r] = [er if empty(ec) else sub(er, mul(factor, ec)) for er, ec in zip(aug[r], aug[col])]
-    return [row[d:] for row in aug]
+            if r != col and col in live[r]:
+                row, row_live, factor = aug[r], live[r], aug[r][col]
+                for j in columns:
+                    row[j] = entry = sub(row[j], mul(factor, pivot[j]))
+                    if empty(entry):
+                        row_live.discard(j)
+                    else:
+                        row_live.add(j)
+    return {(a, j - d): aug[a][j] for a in range(d) for j in sorted(live[a]) if j >= d}
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +366,9 @@ class Connection:
     ``curvature_jets`` holds R as its live slots with a < b (see the module
     docstring): jets of order depth - 1, and at depth 1 numbers, the values
     of the order-0 jets.  ``curvature`` and ``nabla_R`` (depth >= 2) are the
-    dense float arrays the checks read.
+    dense float arrays the checks read; ``curvature`` is kept after its first
+    read, and ``nabla_R``, d^5 floats, is computed on each read.  Every pass
+    behind them enumerates nonzero entries (see the module docstring).
     """
 
     chart: Chart
@@ -373,8 +410,10 @@ class Connection:
         R[mirror] = [float(-x) for x in values]
         return R.reshape((self.dim,) * 4)
 
-    @cached_property
+    @property
     def nabla_R(self) -> np.ndarray:
+        """nabla R, dense (depth >= 2): computed on each read and not kept,
+        since it is d^5 floats."""
         if self.depth < 2:
             raise JetShapeError("nabla R needs a connection of depth >= 2")
         return _nabla_R_from(self, self.curvature_jets, self.curvature)
@@ -460,29 +499,27 @@ def weyl_connection(structure: WeylStructure, point: Sequence, depth: int = 1) -
     return _christoffel_from(structure, point, depth, g, omega)
 
 
-def _once_per_jet(jets, fn, shared: Optional[Set[int]] = None):
-    """``fn`` of each jet of a nested list, in the list's shape, computed once
-    per distinct jet object, so that entries sharing a jet share the result.
+def _once_per_jet(live: Dict[Index, JetPoly], fn, shared: Optional[Set[int]] = None) -> Dict[Index, object]:
+    """``fn`` of each jet of ``live``, keyed as it is, computed once per
+    distinct jet object, so that entries sharing a jet share the result.
     The jets of a result of a jet in ``shared`` (ids) are added to it."""
-    shape, leaves = _flatten(jets)
     done: Dict[int, object] = {}
-    for jet in leaves:
+    for jet in live.values():
         if id(jet) not in done:
             done[id(jet)] = fn(jet)
     if shared is not None:
         shared.update(id(x) for key, result in done.items() if key in shared for x in _flatten(result)[1])
-    out = [done[id(jet)] for jet in leaves]
-    for n in reversed(shape[1:]):
-        out = [out[i : i + n] for i in range(0, len(out), n)]
-    return out
+    return {index: done[id(jet)] for index, jet in live.items()}
 
 
-def _read_down(jets, order: int, mirror: Tuple[int, int]) -> Tuple[Kind, object, list, list]:
+def _read_down(jets, order: int, mirror: Tuple[int, int]) -> Tuple[Kind, object, dict, dict]:
     """The set-up of a pass on a nested list of jets read one order down:
     ``(kind, zero, low, partials)``, the kind of value it computes in, that
-    kind's zero, and each jet's truncation to ``order`` and its row of first
-    partials ``[d_0 jet, ..., d_{n-1} jet]``, in the list's shape, each
-    computed once per distinct jet object.
+    kind's zero, and for each non-empty jet of the list, keyed by its index
+    (``_live``), its truncation to ``order`` and its row of first partials
+    ``[d_0 jet, ..., d_{n-1} jet]``, each computed once per distinct jet
+    object.  An empty jet is not read: it stands for the zero, and its
+    partials for a row of it.
 
     At ``order`` 0 the pass runs on numbers (``NUMBERS``, zero 0): each
     jet's value and gradient, which are the values of the order-0 jets they
@@ -490,23 +527,20 @@ def _read_down(jets, order: int, mirror: Tuple[int, int]) -> Tuple[Kind, object,
     once per shared operands (``_once_per_operands``), where the shared jets
     are those that fill more than one slot of the list, a slot and its
     mirror at the axes ``mirror`` counted as one (``_repeated``), and every
-    jet made from them.  The zero is an empty jet of ``order``: an empty jet
-    truncates to it and is never differentiated, its partials being one
-    shared row of it."""
-    template = _flatten(jets)[1][0]
-    n = template.nvars
+    jet made from them.  The zero is an empty jet of ``order``."""
+    template = jets
+    while isinstance(template, list):
+        template = template[0]
+    live = _live(jets)
     if order == 0:
-        zeros = [0] * n
-        values = _once_per_jet(jets, lambda jet: jet.value)
-        return NUMBERS, 0, values, _once_per_jet(jets, lambda jet: jet.gradient() if jet.terms else zeros)
-    shared = _repeated(jets, mirror)
+        return NUMBERS, 0, _once_per_jet(live, lambda jet: jet.value), _once_per_jet(live, JetPoly.gradient)
+    n = template.nvars
+    shared = _repeated(live, mirror)
     ops = ("add", "sub", "mul", "div", "half")
     kind = JETS._replace(**{name: _once_per_operands(getattr(JETS, name), shared) for name in ops})
-    zero = JetPoly(n, order, template.base)
-    row = [zero] * n
-    low = _once_per_jet(jets, lambda jet: jet.truncated(order) if jet.terms else zero, shared)
-    partials = _once_per_jet(jets, lambda jet: [jet.derivative(e) for e in range(n)] if jet.terms else row, shared)
-    return kind, zero, low, partials
+    low = _once_per_jet(live, lambda jet: jet.truncated(order), shared)
+    partials = _once_per_jet(live, lambda jet: [jet.derivative(e) for e in range(n)], shared)
+    return kind, JetPoly(n, order, template.base), low, partials
 
 
 def _christoffel_from(
@@ -519,57 +553,72 @@ def _christoffel_from(
     """The Weyl connection from metric jets ``g`` of order depth + 1 and the
     1-form ``omega``, jets of order ``depth``.  At depth 0 it runs on numbers:
     the 1-form's values, and the constant terms of ``g`` and the gradients of
-    its order-1 jets, which are the values of the order-0 jets they replace."""
-    d = structure.dim
-    kind, zero, g_low, dg = _read_down(g, depth, (0, 1))
-    ginv = _invert_jet_matrix(g_low, kind)
-    empty, add, sub, mul = kind.empty, kind.add, kind.sub, kind.mul
+    its order-1 jets, which are the values of the order-0 jets they replace.
 
+    Every term comes from a nonzero entry: a bracket d_b g_ec + d_c g_be -
+    d_e g_bc from a nonzero first partial of the metric, a term g^{ae}
+    bracket from a nonzero entry of the inverse's column e, and K^a_bc from
+    a nonzero w_c, w_b or g_bc (g^-1 w)^a.  Each entry gets the operations
+    of the dense loop that are not on empty values, in its order: the
+    brackets of each (b, c), b <= c, over e increasing, then the sums over
+    a increasing, each over e increasing; then K over (a, b, c)."""
+    d = structure.dim
+    kind, zero, low, dg = _read_down(g, depth, (0, 1))  # low[i, j] = g_ij, dg[i, j][e] = d_e g_ij
+    empty, add, sub, mul = kind.empty, kind.add, kind.sub, kind.mul
+    ginv = _invert_jet_matrix([[low.get((i, j), zero) for j in range(d)] for i in range(d)], kind)
+    columns: List[list] = [[] for _ in range(d)]  # columns[e]: (a, g^{ae}), a increasing
+    rows: List[list] = [[] for _ in range(d)]  # rows[a]: (e, g^{ae}), e increasing
+    for (a, e), entry in ginv.items():
+        columns[e].append((a, entry))
+        rows[a].append((e, entry))
+
+    def partial(i: int, j: int, e: int):
+        return dg[i, j][e] if (i, j) in dg else zero
+
+    # a nonzero d_w g_ij is d_e g_bc of the bracket (i, j, w), d_b g_ec of (w, j, i) and d_c g_be of (i, w, j)
+    nonzero = [(i, j, w) for (i, j), row in dg.items() for w, x in enumerate(row) if not empty(x)]
+    triples = sorted({t for i, j, w in nonzero for t in ((i, j, w), (w, j, i), (i, w, j)) if t[0] <= t[1]})
     gamma = [[[zero] * d for _ in range(d)] for _ in range(d)]
-    for b in range(d):
-        for c in range(b, d):
-            brackets = []  # (e, dg[e][c][b] + dg[b][e][c] - dg[b][c][e]) where it is nonzero
-            for e in range(d):
-                x, y, z = dg[e][c][b], dg[b][e][c], dg[b][c][e]
-                if not (empty(x) and empty(y) and empty(z)):
-                    bracket = sub(add(x, y), z)
-                    if not empty(bracket):
-                        brackets.append((e, bracket))
-            for a in range(d):
-                acc = zero
-                for e, bracket in brackets:
-                    if not empty(ginv[a][e]):
-                        acc = add(acc, mul(ginv[a][e], bracket))
-                if not empty(acc):
-                    entry = kind.half(acc)
-                    gamma[a][b][c] = entry
-                    gamma[a][c][b] = entry
+    for (b, c), group in itertools.groupby(triples, key=lambda t: t[:2]):
+        terms: Dict[int, list] = {}  # a -> (g^{ae}, bracket) where both are nonzero, e increasing
+        for _, _, e in group:
+            bracket = sub(add(partial(e, c, b), partial(b, e, c)), partial(b, c, e))
+            if not empty(bracket):
+                for a, entry in columns[e]:
+                    terms.setdefault(a, []).append((entry, bracket))
+        for a in sorted(terms):
+            acc = zero
+            for entry, bracket in terms[a]:
+                acc = add(acc, mul(entry, bracket))
+            if not empty(acc):
+                gamma[a][b][c] = gamma[a][c][b] = kind.half(acc)
 
     levi_civita_gamma = [[row[:] for row in plane] for plane in gamma]
-    omega_up = [zero] * d  # g^{ad} w_d
+    live_w = [c for c, w in enumerate(omega) if not empty(w)]
+    omega_up = {}  # (g^-1 w)^a = g^{ae} w_e where it is nonzero
     for a in range(d):
         acc = zero
-        for e in range(d):
-            if not (empty(ginv[a][e]) or empty(omega[e])):
-                acc = add(acc, mul(ginv[a][e], omega[e]))
-        omega_up[a] = acc
+        for e, entry in rows[a]:
+            if e in live_w:
+                acc = add(acc, mul(entry, omega[e]))
+        if not empty(acc):
+            omega_up[a] = acc
     # zero + w_c, computed once: K^a_bc starts from it for every a = b or a = c
-    lifted = [zero if empty(w) else add(zero, w) for w in omega]
-    for a in range(d):
-        up = None if empty(omega_up[a]) else omega_up[a]
-        for b in range(d):
-            for c in range(b, d):
-                k = zero
-                if a == b and not empty(omega[c]):
-                    k = lifted[c]
-                if a == c and not empty(omega[b]):
-                    k = add(k, omega[b]) if a == b else lifted[b]
-                if up is not None and not empty(g_low[b][c]):
-                    k = sub(k, mul(g_low[b][c], up))
-                if not empty(k):
-                    entry = add(gamma[a][b][c], k)
-                    gamma[a][b][c] = entry
-                    gamma[a][c][b] = entry
+    lifted = {c: add(zero, omega[c]) for c in live_w}
+    live_g = {(b, c): x for (b, c), x in low.items() if b <= c and not empty(x)}
+    slots = {(b, b, c) for c in live_w for b in range(c + 1)}
+    slots.update((c, b, c) for b in live_w for c in range(b, d))
+    slots.update((a, b, c) for a in omega_up for b, c in live_g)
+    for a, b, c in sorted(slots):
+        k = zero
+        if a == b and c in lifted:
+            k = lifted[c]
+        if a == c and b in lifted:
+            k = add(k, omega[b]) if a == b else lifted[b]
+        if a in omega_up and (b, c) in live_g:
+            k = sub(k, mul(live_g[b, c], omega_up[a]))
+        if not empty(k):
+            gamma[a][b][c] = gamma[a][c][b] = add(gamma[a][b][c], k)
 
     return Connection(structure.chart, tuple(point), depth, gamma, g, omega, levi_civita_gamma)
 
@@ -596,57 +645,50 @@ def _curvature_jets(conn: Connection) -> Dict[Slot, object]:
     the mirror slot (d, c, b, a) holds the negated value, and every slot not
     listed is zero.
 
-    A slot is computed only where some term can be nonzero: a derivative
-    d_a Gamma^d_{bc} or d_b Gamma^d_{ac}, or a product Gamma^d_{af}
-    Gamma^f_{bc} or Gamma^d_{bf} Gamma^f_{ac}, of nonzero jets.  It makes
-    the operations of the dense sum that are not on empty jets, in its order:
-    the first derivative less the second, then over f increasing the product
-    with Gamma^d_{af} before the one with Gamma^d_{bf}.  At depth 1 those
-    operations are on numbers (``_read_down`` to order 0): the gradients and
-    values of the Christoffel jets, which are the values of their order-0
-    derivatives and truncations, so each slot is the value of the order-0
-    jet it stands for."""
-    d = conn.dim
+    The slots and their terms come from the nonzero Christoffel jets: a
+    derivative d_a Gamma^d_{bc} or d_b Gamma^d_{ac} of a nonzero jet, and a
+    product Gamma^d_{af} Gamma^f_{bc} (the + term of f) or Gamma^d_{bf}
+    Gamma^f_{ac} (its - term) of two nonzero jets.  A slot makes the
+    operations of the dense sum that are not on empty jets, in its order:
+    the first derivative less the second, then over f increasing the + term
+    before the - term.  At depth 1 those operations are on numbers
+    (``_read_down`` to order 0): the gradients and values of the Christoffel
+    jets, which are the values of their order-0 derivatives and
+    truncations, so each slot is the value of the order-0 jet it stands
+    for."""
     if conn.depth < 1:
         raise JetShapeError("cannot differentiate an order-0 jet")
-    kind, _, gl, dgamma = _read_down(conn.gamma, conn.depth - 1, (1, 2))
+    kind, zero, gl, dgamma = _read_down(conn.gamma, conn.depth - 1, (1, 2))
     empty, add, sub, mul = kind.empty, kind.add, kind.sub, kind.mul
     # a nonzero derivative d_w Gamma^x_{yz} enters the slot (x, z, y, w) or (x, z, w, y)
     slots = {
         (x, z, min(y, w), max(y, w))
-        for x, plane in enumerate(conn.gamma)
-        for y, row in enumerate(plane)
-        for z, jet in enumerate(row)
-        if jet.terms
-        for w, partial in enumerate(dgamma[x][y][z])
+        for (x, y, z), row in dgamma.items()
+        for w, partial in enumerate(row)
         if w != y and not empty(partial)
     }
-    # nonzero[x][y]: the f with gl[x][y][f] nonzero, outside which no product term survives
-    nonzero = [[{f for f, jet in enumerate(row) if not empty(jet)} for row in plane] for plane in gl]
-    # a nonzero product gl[x][y][f] gl[f][z][c] enters the slot (x, c, y, z) or (x, c, z, y)
-    slots.update(
-        (x, c, min(y, z), max(y, z))
-        for x in range(d)
-        for y in range(d)
-        for f in nonzero[x][y]
-        for z in range(d)
-        if z != y
-        for c in nonzero[f][z]
-    )
+    live = [(x, y, f, jet) for (x, y, f), jet in gl.items() if not empty(jet)]
+    by_upper: Dict[int, list] = {}  # f -> (z, c, Gamma^f_zc) where it is nonzero
+    for x, y, f, jet in live:
+        by_upper.setdefault(x, []).append((y, f, jet))
+    # a product Gamma^x_{yf} Gamma^f_{zc}, y != z, is the + term of f in the slot (x, c, y, z)
+    # if y < z, and the - term of f in (x, c, z, y) otherwise
+    terms: Dict[Slot, list] = {}
+    for x, y, f, left in live:
+        for z, c, right in by_upper.get(f, ()):
+            if z != y:
+                slot = (x, c, y, z) if y < z else (x, c, z, y)
+                terms.setdefault(slot, []).append((f, y > z, left, right))
     R: Dict[Slot, object] = {}
-    for dd, c, a, b in sorted(slots):
-        acc = dgamma[dd][b][c][a]
-        other = dgamma[dd][a][c][b]
-        if not empty(other):
-            acc = sub(acc, other)
-        row_a, row_b = nonzero[dd][a], nonzero[dd][b]
-        for f in sorted(row_a | row_b):
-            if f in row_a and c in nonzero[f][b]:
-                acc = add(acc, mul(gl[dd][a][f], gl[f][b][c]))
-            if f in row_b and c in nonzero[f][a]:
-                acc = sub(acc, mul(gl[dd][b][f], gl[f][a][c]))
+    for slot in sorted(slots.union(terms)):
+        dd, c, a, b = slot
+        acc = dgamma[dd, b, c][a] if (dd, b, c) in dgamma else zero
+        if (dd, a, c) in dgamma and not empty(dgamma[dd, a, c][b]):
+            acc = sub(acc, dgamma[dd, a, c][b])
+        for _, minus, left, right in sorted(terms.get(slot, ()), key=lambda term: term[:2]):
+            acc = sub(acc, mul(left, right)) if minus else add(acc, mul(left, right))
         if not empty(acc):
-            R[dd, c, a, b] = acc
+            R[slot] = acc
     return R
 
 

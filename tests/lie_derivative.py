@@ -59,7 +59,9 @@ def lie_derivative_check(
     env2 = coordinate_jets(chart.names, point, 2)
     Y2 = [eval_jet(exprlang.as_expr(c), env2) for c in field_components]
 
-    _, zero, g1, dg = _read_down(metric, 1, (0, 1))  # dg[a][b][c] = d_c g_ab
+    _, zero, low, partials = _read_down(metric, 1, (0, 1))
+    g1 = [[low.get((a, b), zero) for b in range(d)] for a in range(d)]
+    dg = [[partials.get((a, b), [zero] * d) for b in range(d)] for a in range(d)]  # dg[a][b][c] = d_c g_ab
     Y1 = [y.truncated(1) for y in Y2]
     dY = [[Y2[c].derivative(a) for a in range(d)] for c in range(d)]  # dY[c][a] = d_a Y^c
 
