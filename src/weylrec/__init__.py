@@ -1,9 +1,8 @@
 """weylrec: recurrent Lorentzian Weyl structures.
 
 Local normal forms, jet-based curvature verification (recurrence, holonomy,
-conformal flatness, Einstein-Weyl), rational differential invariants with
-their group actions, signature-curve equivalence, and symmetry/cohomogeneity
-classification.
+conformal flatness, Einstein-Weyl), rational differential invariants,
+signature-curve equivalence, and symmetry/cohomogeneity classification.
 """
 
 __version__ = "0.1.0"
@@ -38,16 +37,10 @@ from .catalog import (
 )
 from .invariants import (
     EquivalenceVerdict,
-    GroupElem3D2,
-    GroupElemD4,
     PairJet,
-    PseudoElem3D1,
     PsiJet,
     SignatureCurve,
     SingularStratumError,
-    act_3d1,
-    act_3d2,
-    act_d4,
     derived_invariant,
     equivalence_test,
     pair_invariants,

@@ -410,6 +410,19 @@ def coordinate_jets(names: Sequence[str], point: Sequence, order: int) -> Dict[s
     return {name: JetPoly.variable(i, len(names), order, point) for i, name in enumerate(names)}
 
 
+def derivatives_from_jet(jet: JetPoly) -> list:
+    """Raw derivative list f(c), f'(c), ... of a univariate jet."""
+    if jet.nvars != 1:
+        raise JetShapeError("derivatives_from_jet expects a univariate jet")
+    out = []
+    fact = 1
+    for k in range(jet.order + 1):
+        if k > 0:
+            fact *= k
+        out.append(jet.terms.get(k, 0) * fact)  # (k,) is at position k
+    return out
+
+
 def divisor(b):
     """``b``, checked as a divisor: every jet quotient needs a nonzero constant term."""
     if b == 0:
@@ -554,7 +567,15 @@ def ln_series(c0, order: int) -> list:
         exact = isinstance(c0, (int, Fraction))
         p = Fraction(c0) if exact else float(c0)
         for i in range(1, order + 1):
-            series.append((Fraction((-1) ** (i + 1), i) / p**i) if exact else ((-1) ** (i + 1) / (i * p**i)))
+            if exact:
+                term = Fraction((-1) ** (i + 1), i) / p**i
+            else:
+                # near 0 (a subnormal c0, say) p**i rounds to 0 or 1 / (i p**i) is inf
+                power = p**i
+                term = (-1) ** (i + 1) / (i * power) if power else math.inf
+                if math.isinf(term):
+                    raise OverflowError(f"a Taylor coefficient of ln at {c0} is beyond the float range")
+            series.append(term)
     return series
 
 
@@ -763,69 +784,3 @@ NUMBERS = Kind(
         "sign": lambda x: branch_sign("sign", x),
     },
 )
-
-
-# ----------------------------------------------------------------------
-# univariate helpers (used by the jet actions on function germs)
-# ----------------------------------------------------------------------
-
-
-def jet_from_derivatives(derivs: Sequence, base) -> JetPoly:
-    """Univariate jet from raw derivative values f(c), f'(c), ..."""
-    coeffs: Dict[MultiIndex, object] = {}
-    fact = 1
-    for k, d in enumerate(derivs):
-        if k > 0:
-            fact *= k
-        coeffs[(k,)] = quotient(d, fact)
-    return JetPoly(1, len(derivs) - 1, (base,), coeffs)
-
-
-def derivatives_from_jet(jet: JetPoly) -> list:
-    """Raw derivative list f(c), f'(c), ... of a univariate jet."""
-    if jet.nvars != 1:
-        raise JetShapeError("derivatives_from_jet expects a univariate jet")
-    out = []
-    fact = 1
-    for k in range(jet.order + 1):
-        if k > 0:
-            fact *= k
-        out.append(jet.terms.get(k, 0) * fact)  # (k,) is at position k
-    return out
-
-
-def compose_univariate(outer: JetPoly, inner: JetPoly) -> JetPoly:
-    """Jet of ``outer o inner`` where inner's value equals outer's base point.
-
-    ``outer`` is univariate; ``inner`` may live in any jet space.
-    """
-    if outer.nvars != 1:
-        raise JetShapeError("outer jet must be univariate")
-    if inner.value != outer.base[0]:
-        raise JetShapeError("inner jet value must equal the outer jet's base point")
-    series = [outer.coefficient((k,)) for k in range(outer.order + 1)]
-    return _compose(inner, series)
-
-
-def inverse_univariate(jet: JetPoly) -> JetPoly:
-    """Jet of the inverse function at the transformed base point.
-
-    For y = f(x) with f'(x0) != 0, returns the jet of f^{-1} at y0 = f(x0)
-    (so its value is x0).  Computed by fixed-point iteration on the truncated
-    composition identity f(f^{-1}(y)) = y.
-    """
-    if jet.nvars != 1:
-        raise JetShapeError("inverse_univariate expects a univariate jet")
-    s1 = jet.coefficient((1,))
-    if s1 == 0:
-        raise JetDomainError("cannot invert a jet with vanishing first derivative")
-    k = jet.order
-    y0 = jet.value
-    x0 = jet.base[0]
-    tail = [0, 0, *(jet.coefficient((i,)) for i in range(2, k + 1))]  # f's terms s_i of degree >= 2 around x0
-    dy = JetPoly.variable(0, 1, k, (y0,)) - y0  # y - y0 as a jet in y
-    # p = (f^{-1}(y) - x0); iterate p <- (dy - sum_{i>=2} s_i p^i) / s1
-    p = dy / s1
-    for _ in range(k):
-        p = (dy - substitute_series(tail, p)) / s1
-    return p + x0

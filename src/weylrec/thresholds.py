@@ -40,7 +40,6 @@ PROBE_NON_VANISHING = 1e-9  # absolute, |value| of a probed expression that must
 # ---- differential invariants and signature curves ----
 SINGULAR_STRATUM = 1e-10  # relative to the listed jet entries (floored): a denominator at or below it vanishes
 SCALE_FLOOR = 1e-300  # absolute: the least scale a relative test multiplies or divides by
-MOBIUS_POLE = 1e-12  # relative to max(|c psi|, |d|) at the jet value: |c psi + d| at or below it is a pole
 DEGENERACY_TOL = 1e-6  # relative to max(1, max |values|): a curve of diameter at or below it is a point
 EQUIVALENCE_TOL = 1e-6  # relative to the larger curve diameter: Hausdorff distance at or below it is equivalent
 

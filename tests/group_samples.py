@@ -9,7 +9,7 @@ parameters, whose action on an exact jet is exact.
 import math
 from fractions import Fraction
 
-from weylrec.invariants import GroupElem3D2, GroupElemD4, PseudoElem3D1
+from group_actions import GroupElem3D2, GroupElemD4, PseudoElem3D1
 
 
 def random_d4_element(rng, jet_value: float) -> GroupElemD4:

@@ -23,9 +23,6 @@ from weylrec.invariants import (
     PairJet,
     PsiJet,
     SingularStratumError,
-    act_3d1,
-    act_3d2,
-    act_d4,
     equivalence_test,
     f_jet_from_expr,
     pair_invariants,
@@ -48,6 +45,7 @@ from weylrec.tensor import (
 )
 from weylrec.tensor import Chart
 
+from group_actions import act_3d1, act_3d2, act_d4
 from group_samples import random_3d1_element, random_3d2_element, random_d4_element
 from lie_derivative import lie_derivative_check
 

@@ -857,6 +857,28 @@ class TestHardInputEndsCleanly:
         if argv[0] == "equiv":
             assert json.loads(out)["verdict"] == "Unsampled"
 
+    # F = ln(x) u on a subnormal x range: the Taylor coefficients (-1)^(i+1) / (i x^i) of ln
+    # are beyond the float range (1 / x is inf, and x^2 rounds to 0)
+    SUBNORMAL_LN = {"format": 1, "family": "threed_case1", "F": "ln(x)*u", "box": {"x": [1e-311, 2e-311]}}
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["verify"], 2), (["signature"], 0), (["invariants", "--at", "1.5e-311,1.8"], 2), (["equiv", "@"], 1)],
+        ids=lambda x: x[0] if isinstance(x, list) else None,
+    )
+    def test_ln_of_a_subnormal_value_ends_cleanly_in_every_verb(self, tmp_path, capsys, argv, code):
+        path = write_json(tmp_path / "subnormal.json", self.SUBNORMAL_LN)
+        got, out, err = run(capsys, argv[0], path, *[path if a == "@" else a for a in argv[1:]])
+        assert got == code
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.endswith(": ln: overflow\n") and err.count("\n") == 1
+        else:
+            assert err == ""
+        if argv[0] == "signature":
+            assert out.splitlines()[-1] == "# singular_samples_dropped,64"
+        if argv[0] == "equiv":
+            assert json.loads(out)["verdict"] == "Unsampled"
+
     @pytest.mark.parametrize(
         "payload,at,message",
         [

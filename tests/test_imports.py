@@ -4,9 +4,13 @@ The walk reads the ``ast`` of each ``src/weylrec/*.py`` except the package
 ``__init__`` (whose imports are its exports), and of each ``tests/*.py``.
 A name imported on a line marked ``# noqa: F401`` is exempt: it is kept on
 purpose, for a reader outside the module.
+
+The group actions on jets are test code (``tests/group_actions.py``): no
+library module defines or re-exports them.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,16 @@ def test_an_unused_import_is_caught():
 def test_a_noqa_line_is_exempt():
     source = "from .tensor import _curvature_jets  # noqa: F401\n"
     assert list(imported_names(ast.parse(source), source.splitlines())) == []
+
+
+# the group actions on jets and their helpers: the oracle of the invariant tests, kept in tests/group_actions.py
+GROUP_ACTION_NAMES = (
+    "GroupElemD4", "act_d4", "GroupElem3D2", "act_3d2", "PseudoElem3D1", "act_3d1", "_derivative_jet", "MobiusPoleError",
+    "jet_from_derivatives", "compose_univariate", "inverse_univariate", "MOBIUS_POLE",
+)
+
+
+def test_no_library_module_exports_the_group_actions():
+    for module in ("weylrec", "weylrec.invariants", "weylrec.jets", "weylrec.thresholds"):
+        found = [name for name in GROUP_ACTION_NAMES if hasattr(importlib.import_module(module), name)]
+        assert not found, f"{module} defines or re-exports test-only names: {', '.join(found)}"

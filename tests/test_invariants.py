@@ -16,18 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylrec.invariants import (
-    GroupElem3D2,
-    GroupElemD4,
-    MobiusPoleError,
     OverflowSampleError,
     PairJet,
-    PseudoElem3D1,
     PsiJet,
     SignatureCurve,
     SingularStratumError,
-    act_3d1,
-    act_3d2,
-    act_d4,
     derived_invariant,
     equivalence_test,
     f_jet_from_expr,
@@ -43,6 +36,7 @@ from weylrec.invariants import (
 )
 from weylrec.jets import JetPoly, taylor_indices
 
+from group_actions import GroupElem3D2, GroupElemD4, MobiusPoleError, PseudoElem3D1, act_3d1, act_3d2, act_d4
 from group_samples import random_3d1_element, random_3d2_element, random_d4_element
 
 

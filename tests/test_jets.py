@@ -9,19 +9,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from group_actions import compose_univariate, inverse_univariate, jet_from_derivatives
 from tuple_jets import TupleJet, _compose as tuple_compose, _divide as tuple_divide
 from weylrec import jets
 from weylrec.jets import (
     JetDomainError,
     JetPoly,
     JetShapeError,
-    compose_univariate,
     derivatives_from_jet,
-    inverse_univariate,
     jet_abs,
     jet_cos,
     jet_exp,
-    jet_from_derivatives,
     jet_ln,
     jet_pow,
     jet_sign,
@@ -92,6 +90,19 @@ class TestComposition:
     def test_ln_series(self):
         j = jet_ln(1 + var(order=2, exact=True))
         assert coeffs(j)[1:] == [Fraction(1), Fraction(-1, 2)]
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_ln_series_beyond_the_float_range_overflows(self, order):
+        # at a subnormal c0 the first coefficient 1 / c0 is inf; at 1e-200 it is
+        # finite, but the divisor c0^2 of the second rounds to 0
+        with pytest.raises(OverflowError):
+            jets.ln_series(1e-311, order)
+        assert jets.ln_series(1e-311, 0) == [math.log(1e-311)]
+        if order >= 2:
+            with pytest.raises(OverflowError):
+                jets.ln_series(1e-200, order)
+        else:
+            assert jets.ln_series(1e-200, order) == [math.log(1e-200), 1e200]
 
     def test_ln_of_nonpositive(self):
         with pytest.raises(JetDomainError):

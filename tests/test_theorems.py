@@ -14,9 +14,6 @@ from weylrec.invariants import (
     PairJet,
     PsiJet,
     SingularStratumError,
-    act_3d1,
-    act_3d2,
-    act_d4,
     derived_invariant,
     pair_invariants,
     psi_invariants,
@@ -25,6 +22,7 @@ from weylrec.invariants import (
 )
 from weylrec.jets import JetPoly, taylor_indices
 
+from group_actions import act_3d1, act_3d2, act_d4
 from group_samples import (
     random_exact_3d1_element,
     random_exact_3d2_element,
