@@ -54,7 +54,7 @@ from .invariants import (
     surface_signature_curve,
 )
 from .symmetry import classify_3d2, classify_psi
-from .tensor import SignatureError, SingularMetricError, recurrence_theta, weyl_compatibility_residual, weyl_connection
+from .tensor import SignatureError, SingularMetricError, recurrence_theta, weyl_connection
 
 FORMAT_VERSION = 1
 
@@ -75,8 +75,9 @@ class InputError(Exception):
 
 _COMMON_FIELDS = {"format", "family", "box", "seed", "constraints", "key"}
 _OPTIONAL_FIELDS = {"branch"}
-# largest dimension n + 2 a structure file may ask for: nabla R is a dense
-# d^5 float64 array, 64 MB at d = 24 (268 MB at d = 32)
+# largest dimension n + 2 a structure file may ask for: nabla R, made for the
+# recurrence fit at each curvature point and freed after it, is a dense d^5
+# float64 array, 64 MB at d = 24 (268 MB at d = 32)
 MAX_DIMENSION = 24
 
 
@@ -310,98 +311,66 @@ def _at_point(path: str, point: Sequence, build: Callable, *args, **kwargs):
         raise InputError(f"{path}: the structure at {tuple(point)}: {exc}") from exc
 
 
+def _check(name: str, ok: bool, **fields) -> Dict:
+    return {"name": name, "status": "pass" if ok else "fail", **fields}
+
+
 def _verify_checks(
     entry: CatalogEntry, tol: float, samples: int, seed: int, order: int, path: str
 ) -> Tuple[List[Dict], bool]:
-    checks: List[Dict] = []
     expected = entry.expected
     points = entry.sample_points(samples, seed)
-    rec_pts = points[:5]  # the curvature checks run at the first points
+    # one geometry pass per point, in point order: each point's Weyl connection
+    # is read by every check that runs there and dropped before the next one is
+    # built.  The curvature checks run at the first five points (depth
+    # order - 1); the others check compatibility alone, which reads only
+    # Christoffel values and dg (depth 0)
+    compat, reports, omegas, spans, weyl_norms, ews = [], [], [], [], [], []
+    for i, p in enumerate(points):
+        conn = _at_point(path, p, weyl_connection, entry.structure, p, order - 1 if i < 5 else 0)
+        compat.append(conn.compatibility_residual())
+        if i < 5:
+            reports.append(conn.recurrence(tol))
+            omegas.append(conn.one_form_values)
+            spans.append(conn.holonomy().span_dim)
+            if "conformally_flat" in expected:
+                weyl_norms.append(conn.conformal_weyl().norm())
+            ews.append(ew_report(entry.structure, conn))
+        del conn
 
-    # one geometry pass per point: every check at a curvature point reads the
-    # same Weyl connection; the other points check compatibility alone, which
-    # reads only Christoffel values and dg (a depth-0 connection)
-    conns = [_at_point(path, p, weyl_connection, entry.structure, p, order - 1) for p in rec_pts]
-    compat = max(
-        [conn.compatibility_residual() for conn in conns]
-        + [_at_point(path, p, weyl_compatibility_residual, entry.structure, p) for p in points[len(rec_pts):]]
-    )
-    checks.append(
-        {
-            "name": "metric_compatibility",
-            "status": "pass" if compat <= thresholds.COMPATIBILITY_TOL else "fail",
-            "max_residual": compat,
-            "tolerance": thresholds.COMPATIBILITY_TOL,
-        }
-    )
+    worst, cut = max(compat), thresholds.COMPATIBILITY_TOL
+    checks = [_check("metric_compatibility", worst <= cut, max_residual=worst, tolerance=cut)]
 
-    reports = [conn.recurrence(tol) for conn in conns]
     recurrent = all(r.status == "ok" and r.recurrent for r in reports)
-    rec_check = {
-        "name": "recurrence",
-        "status": "pass" if recurrent == expected.get("recurrent", True) else "fail",
-        "recurrent": recurrent,
-        "expected": expected.get("recurrent", True),
-        "max_residual": max(r.max_residual for r in reports),
-        "tolerance": tol,
-    }
-    if expected.get("is_preferred_rep") and reports[0].theta is not None:
-        worst = 0.0
-        for conn, r in zip(conns, reports):
-            worst = max(worst, float(np.max(np.abs(r.theta + 3.0 * conn.one_form_values))))
-        rec_check["theta_plus_3omega"] = worst
-        if worst > thresholds.PREFERRED_THETA_TOL and expected.get("recurrent", True):
-            rec_check["status"] = "fail"
-    probe = entry.preferred
-    if probe is not None and expected.get("weight") is not None:
-        wrep = _at_point(path, rec_pts[0], recurrence_theta, probe, rec_pts[0], tol=tol, jet_order=order)
-        rec_check["weight_fit"] = wrep.weight
-        if wrep.weight is None or abs(wrep.weight - float(expected["weight"])) > thresholds.WEIGHT_TOL:
-            rec_check["status"] = "fail"
-    checks.append(rec_check)
+    ok = recurrent == expected["recurrent"]
+    rec = {"recurrent": recurrent, "expected": expected["recurrent"], "max_residual": max(r.max_residual for r in reports)}
+    if expected["is_preferred_rep"] and reports[0].theta is not None:
+        rec["theta_plus_3omega"] = max(0.0, *(float(np.max(np.abs(r.theta + 3.0 * w))) for r, w in zip(reports, omegas)))
+        ok = ok and not (rec["theta_plus_3omega"] > thresholds.PREFERRED_THETA_TOL and expected["recurrent"])
+    if entry.preferred is not None:
+        weight = _at_point(path, points[0], recurrence_theta, entry.preferred, points[0], tol=tol, jet_order=order).weight
+        rec["weight_fit"] = weight
+        ok = ok and weight is not None and not abs(weight - float(expected["weight"])) > thresholds.WEIGHT_TOL
+    checks.append(_check("recurrence", ok, tolerance=tol, **rec))
 
-    if expected.get("holonomy_dim") is not None:
-        observed = sorted({conn.holonomy().span_dim for conn in conns})
-        ok = observed == [expected["holonomy_dim"]]
-        checks.append(
-            {
-                "name": "holonomy_span_dim",
-                "status": "pass" if ok else "fail",
-                "observed": observed,
-                "expected": expected["holonomy_dim"],
-            }
-        )
+    observed, span = sorted(set(spans)), expected["holonomy_dim"]
+    checks.append(_check("holonomy_span_dim", observed == [span], observed=observed, expected=span))
 
-    if entry.dim >= 4 and "conformally_flat" in expected:
-        worst = max(conn.conformal_weyl().norm() for conn in conns)
-        ok = (worst <= thresholds.CONFORMALLY_FLAT) == bool(expected["conformally_flat"])
-        checks.append(
-            {
-                "name": "conformal_flatness",
-                "status": "pass" if ok else "fail",
-                "max_weyl_norm": worst,
-                "expected_flat": bool(expected["conformally_flat"]),
-            }
-        )
+    if "conformally_flat" in expected:
+        flat, worst = bool(expected["conformally_flat"]), max(weyl_norms)
+        ok = (worst <= thresholds.CONFORMALLY_FLAT) == flat
+        checks.append(_check("conformal_flatness", ok, max_weyl_norm=worst, expected_flat=flat))
 
-    if "einstein_weyl" in expected:
-        ew_reports = [ew_report(entry.structure, conn) for conn in conns]
-        worst = max(r.residual for r in ew_reports)
-        if expected["einstein_weyl"]:
-            ok = worst <= thresholds.EINSTEIN_WEYL_TOL
-            rec = {"name": "einstein_weyl", "status": "pass" if ok else "fail", "max_residual": worst}
-            dkps = [r.dkp_residual for r in ew_reports if r.dkp_residual is not None]
-            if dkps:
-                rec["max_dkp_residual"] = max(abs(v) for v in dkps)
-                if rec["max_dkp_residual"] > thresholds.DKP_TOL:
-                    rec["status"] = "fail"
-        else:
-            ok = worst > thresholds.NOT_EINSTEIN_WEYL
-            rec = {"name": "not_einstein_weyl", "status": "pass" if ok else "fail", "min_residual": worst}
-        checks.append(rec)
+    worst = max(r.residual for r in ews)
+    if expected["einstein_weyl"]:
+        dkps = [abs(r.dkp_residual) for r in ews if r.dkp_residual is not None]
+        dkp = {"max_dkp_residual": max(dkps)} if dkps else {}
+        ok = worst <= thresholds.EINSTEIN_WEYL_TOL and not (dkps and max(dkps) > thresholds.DKP_TOL)
+        checks.append(_check("einstein_weyl", ok, max_residual=worst, **dkp))
+    else:
+        checks.append(_check("not_einstein_weyl", worst > thresholds.NOT_EINSTEIN_WEYL, min_residual=worst))
 
-    all_ok = all(c["status"] == "pass" for c in checks)
-    return checks, all_ok
+    return checks, all(c["status"] == "pass" for c in checks)
 
 
 def cmd_verify(args) -> int:
@@ -444,7 +413,7 @@ def cmd_invariants(args) -> int:
     if len(vals) != row.at_values:
         raise InputError(f"--at for family {entry.family!r} takes {row.at_values} value(s), got {len(vals)}: {args.at!r}")
     try:
-        record = row.invariants(entry.params, *vals)
+        record = _at_point(args.file, vals, row.invariants, entry.params, *vals)
     except SingularStratumError as exc:
         record = {"at": vals if len(vals) > 1 else vals[0], "singular": str(exc)}
     _emit_json({"family": entry.family, **record}, args.json)

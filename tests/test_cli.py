@@ -1,7 +1,9 @@
 """End-to-end CLI tests: file formats, exit codes, determinism."""
 
+import gc
 import json
 import time
+import weakref
 
 import pytest
 
@@ -158,6 +160,24 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", exp_file)
         assert code == 0
         assert sorted(depths) == [0] * 15 + [2] * 5
+
+    def test_each_connection_is_dropped_before_the_next_is_built(self, exp_file, capsys, monkeypatch):
+        """verify keeps no connection past its point: when a point's connection
+        is built, none built at an earlier point is still alive."""
+        build = cli.weyl_connection
+        refs, alive = [], []
+
+        def tracking_build(structure, point, depth=1):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+            conn = build(structure, point, depth)
+            refs.append(weakref.ref(conn))
+            return conn
+
+        monkeypatch.setattr(cli, "weyl_connection", tracking_build)
+        code, _, _ = run(capsys, "verify", exp_file)
+        assert code == 0
+        assert alive == [0] * 20
 
     def test_order_floor_enforced(self, exp_file, capsys):
         code, _, err = run(capsys, "verify", exp_file, "--order", "2")
@@ -874,6 +894,8 @@ class TestHardInputEndsCleanly:
             assert out == "" and err.startswith("error: ") and err.endswith(": ln: overflow\n") and err.count("\n") == 1
         else:
             assert err == ""
+        if argv[0] == "invariants":
+            assert err == f"error: {path}: the structure at (1.5e-311, 1.8): ln: overflow\n"
         if argv[0] == "signature":
             assert out.splitlines()[-1] == "# singular_samples_dropped,64"
         if argv[0] == "equiv":
