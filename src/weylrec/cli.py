@@ -308,7 +308,7 @@ def _at_point(path: str, point: Sequence, build: Callable, *args, **kwargs):
     try:
         return build(*args, **kwargs)
     except exprlang.ExprError as exc:
-        raise InputError(f"{path}: the structure at {tuple(point)}: {exc}") from exc
+        raise InputError(f"{path}: the structure at ({', '.join(map(repr, point))}): {exc}") from exc
 
 
 def _check(name: str, ok: bool, **fields) -> Dict:

@@ -362,7 +362,7 @@ class Connection:
     nabla R and the recurrence fit.  At depth 0, ``gamma``,
     ``levi_civita_gamma`` and ``one_form`` hold plain numbers (ints,
     Fractions or floats, an exact zero as int 0), the values of the order-0
-    jets they stand for; ``metric`` holds jets of order 1 at every depth.
+    jets they stand for; ``metric`` holds jets of order depth + 1.
     ``curvature_jets`` holds R as its live slots with a < b (see the module
     docstring): jets of order depth - 1, and at depth 1 numbers, the values
     of the order-0 jets.  ``curvature`` and ``nabla_R`` (depth >= 2) are the

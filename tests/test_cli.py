@@ -131,10 +131,12 @@ class TestVerifyCommand:
         code2, out2, _ = run(capsys, "verify", exp_file, "--samples", "4")
         assert (code1, out1) == (code2, out2)
 
-    def test_einstein_weyl_entry_report(self, tmp_path, capsys):
+    # at 60 samples, 55 points check compatibility alone, on the depth-0 connection of plain numbers
+    @pytest.mark.parametrize("samples", ["5", "60"])
+    def test_einstein_weyl_entry_report(self, tmp_path, capsys, samples):
         code, _, _ = run(capsys, "catalog", "emit", "3d2-inv-u", str(tmp_path / "ew.json"))
         assert code == 0
-        code, out, _ = run(capsys, "verify", str(tmp_path / "ew.json"), "--samples", "5")
+        code, out, _ = run(capsys, "verify", str(tmp_path / "ew.json"), "--samples", samples)
         assert code == 0
         report = json.loads(out)
         checks = {c["name"]: c for c in report["checks"]}
@@ -360,10 +362,12 @@ class TestClassifyCommand:
 
 
 class TestConstructorErrorsSurface:
-    def test_decreasing_psi_reported(self, tmp_path, capsys):
-        path = write_json(tmp_path / "bad.json", {"format": 1, "family": "dim_ge4", "psi": "0-t", "n": 2})
-        code, _, err = run(capsys, "verify", path)
-        assert code == 2 and "positive" in err
+    @pytest.mark.parametrize("psi", ["0-t", "-t"])
+    def test_decreasing_psi_reported(self, tmp_path, capsys, psi):
+        path = write_json(tmp_path / "bad.json", {"format": 1, "family": "dim_ge4", "psi": psi, "n": 2})
+        code, out, err = run(capsys, "verify", path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: psi'(t) must be positive on the domain; ") and err.count("\n") == 1
 
     def test_syntax_error_reported(self, tmp_path, capsys):
         path = write_json(tmp_path / "bad.json", {"format": 1, "family": "dim_ge4", "psi": "2t", "n": 2})
@@ -900,6 +904,10 @@ class TestHardInputEndsCleanly:
             assert out.splitlines()[-1] == "# singular_samples_dropped,64"
         if argv[0] == "equiv":
             assert json.loads(out)["verdict"] == "Unsampled"
+
+    def test_a_one_number_point_is_written_without_a_trailing_comma(self, tmp_path, capsys):
+        path = write_json(tmp_path / "big.json", {"format": 1, "family": "dim_ge4", "psi": "exp(t^3)+t", "n": 2})
+        assert run(capsys, "invariants", path, "--at", "10") == (2, "", f"error: {path}: the structure at (10.0): exp: overflow\n")
 
     @pytest.mark.parametrize(
         "payload,at,message",

@@ -133,10 +133,12 @@ class TestDepthLimit:
         path.write_text(json.dumps(cli.structure_file_payload(entry)))
         assert cli.load_structure_file(str(path)).params["psi"] == entry.params["psi"]
 
-    def test_the_payload_of_60_unary_minus_signs_verifies(self, tmp_path, capsys):
-        # each sign written as (-(...)) made 60 parentheses and 60 signs open at once
-        entry = make_dim_ge4("-" * 60 + "t", 2)
-        path = tmp_path / "signs.json"
+    # each sign written as (-(...)) made 60 parentheses and 60 signs open at once; the sum's
+    # product twin, t^60, has a singular metric on the box and stays out
+    @pytest.mark.parametrize("psi", ["-" * 60 + "t", "+".join(["t"] * 60)], ids=["60 unary minus signs", "60-term sum"])
+    def test_the_payload_of_a_deep_psi_verifies(self, tmp_path, capsys, psi):
+        entry = make_dim_ge4(psi, 2)
+        path = tmp_path / "deep.json"
         path.write_text(json.dumps(cli.structure_file_payload(entry)))
         assert cli.load_structure_file(str(path)).params["psi"] == entry.params["psi"]
         assert cli.main(["verify", str(path)]) == 0
