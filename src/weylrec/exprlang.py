@@ -284,51 +284,140 @@ def as_expr(value: Union[str, Expr, int, Fraction]) -> Expr:
 
 
 # ----------------------------------------------------------------------
-# evaluation: one walk over the tree, through a jets.Kind: JETS, or NUMBERS,
-# the order-0 terms of the jets with the jets' zero rules.  The walk owns the
-# error rule: a JetDomainError, or an OverflowError from a value beyond the
-# float range, becomes an ExprDomainError naming the node.
+# evaluation: each root is compiled once into one closure per distinct
+# subexpression, and run through a jets.Kind: JETS, or NUMBERS, the order-0
+# terms of the jets with the jets' zero rules.  The run owns the error rule:
+# a JetDomainError, or an OverflowError from a value beyond the float range,
+# becomes an ExprDomainError naming the node.
 # ----------------------------------------------------------------------
 
-_OPERATIONS = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "power"}  # operator -> its Kind field
+# operator -> the position of its rule in a Kind
+_OPERATIONS = {op: Kind._fields.index(name) for op, name in zip("+-*/^", ("add", "sub", "mul", "div", "power"))}
+
+_Step = Callable[[Dict[str, object], Kind, object, list], object]  # (env, kind, like, slots) -> value
 
 
 def _domain_error(what: str, exc: Exception, span: SourceSpan) -> ExprDomainError:
     return ExprDomainError(f"{what}: {'overflow' if isinstance(exc, OverflowError) else exc}", span)
 
 
-def _eval(expr: Expr, env: Dict[str, object], kind: Kind, like):
-    """``expr`` on the values of ``env``, computed through ``kind``; ``like``
-    is a value of that kind, which the constants take their shape from."""
-    if isinstance(expr, Const):
-        return kind.constant(like, expr.value)
-    if isinstance(expr, Var):
+def _step(node: Expr, below: List[_Step]) -> _Step:
+    """The closure that computes ``node`` from the closures of its children;
+    ``like`` is a value of the kind, which the constants take their shape from."""
+    span = node.span
+    if isinstance(node, Const):
+        value = node.value
+        return lambda env, kind, like, slots: kind.constant(like, value)
+    if isinstance(node, Var):
+        name = node.name
+
+        def read(env, kind, like, slots):
+            try:
+                return env[name]
+            except KeyError:
+                known = ", ".join(sorted(env)) or "_"
+                raise UnknownVariableError(f"unknown variable {name!r}; bound variables: {known}", span) from None
+
+        return read
+    if isinstance(node, Neg):
+        (operand,) = below
+        return lambda env, kind, like, slots: -operand(env, kind, like, slots)
+    if isinstance(node, Call):
+        (arg,) = below
+        fn = node.fn
+
+        def call(env, kind, like, slots):
+            x = arg(env, kind, like, slots)
+            try:
+                return kind.functions[fn](x)
+            except (JetDomainError, OverflowError) as exc:
+                raise _domain_error(fn, exc, span) from exc
+
+        return call
+    left, right = below
+    rule = _OPERATIONS[node.op]
+    what = "division" if node.op == "/" else repr(node.op)
+
+    def binary(env, kind, like, slots):
+        x = left(env, kind, like, slots)
+        y = right(env, kind, like, slots)
         try:
-            return env[expr.name]
-        except KeyError:
-            known = ", ".join(sorted(env)) or "_"
-            raise UnknownVariableError(f"unknown variable {expr.name!r}; bound variables: {known}", expr.span) from None
-    if isinstance(expr, Neg):
-        return -_eval(expr.operand, env, kind, like)
-    if isinstance(expr, Call):
-        arg = _eval(expr.arg, env, kind, like)
-        try:
-            return kind.functions[expr.fn](arg)
-        except (JetDomainError, OverflowError) as exc:
-            raise _domain_error(expr.fn, exc, expr.span) from exc
-    if isinstance(expr, BinOp):
-        left = _eval(expr.left, env, kind, like)
-        right = _eval(expr.right, env, kind, like)
-        try:
-            return getattr(kind, _OPERATIONS[expr.op])(left, right)
+            return kind[rule](x, y)
         except (JetDomainError, ZeroDivisionError, OverflowError) as exc:
-            raise _domain_error("division" if expr.op == "/" else repr(expr.op), exc, expr.span) from exc
-    raise TypeError(f"not an Expr node: {expr!r}")
+            raise _domain_error(what, exc, span) from exc
+
+    return binary
+
+
+def _kept(step: _Step, slot: int) -> _Step:
+    """``step``, computed once per run: its value is kept in ``slots[slot]``."""
+
+    def kept(env, kind, like, slots):
+        value = slots[slot]
+        if value is None:
+            value = slots[slot] = step(env, kind, like, slots)
+        return value
+
+    return kept
+
+
+def _compile(root: Expr) -> Tuple[_Step, int]:
+    """``root`` as a run of one step per distinct subexpression.
+
+    Two nodes are one subexpression when their operator, function, variable
+    or constant (its value and type) and their children are.  Each distinct
+    node keeps its first occurrence in the left-to-right post-order, the
+    order in which a run computes the steps, so an error names that
+    occurrence's span.  A node that more than one step reads keeps its value
+    in a per-run slot; a variable needs none."""
+    index: Dict[tuple, int] = {}  # structural key -> distinct node
+    seen: Dict[int, int] = {}  # id(node) -> distinct node, so a shared object is walked once
+    nodes: List[Tuple[Expr, Tuple[int, ...]]] = []  # (first occurrence, its children), in post-order
+    reads: List[int] = []  # how many steps read each distinct node
+
+    def walk(node) -> int:
+        if id(node) in seen:
+            return seen[id(node)]
+        if isinstance(node, Const):
+            below, key = (), (Const, type(node.value), node.value)
+        elif isinstance(node, Var):
+            below, key = (), (Var, node.name)
+        elif isinstance(node, Neg):
+            below = (walk(node.operand),)
+            key = (Neg, *below)
+        elif isinstance(node, Call):
+            below = (walk(node.arg),)
+            key = (Call, node.fn, *below)
+        elif isinstance(node, BinOp):
+            below = (walk(node.left), walk(node.right))
+            key = (BinOp, node.op, *below)
+        else:
+            raise TypeError(f"not an Expr node: {node!r}")
+        k = index.get(key)
+        if k is None:
+            k = index[key] = len(nodes)
+            nodes.append((node, below))
+            reads.append(0)
+            for child in below:
+                reads[child] += 1
+        seen[id(node)] = k
+        return k
+
+    walk(root)
+    steps: List[_Step] = []
+    slots = 0
+    for (node, below), n in zip(nodes, reads):
+        step = _step(node, [steps[child] for child in below])
+        if n > 1 and not isinstance(node, Var):
+            step, slots = _kept(step, slots), slots + 1
+        steps.append(step)
+    compiled = root.__dict__["_compiled"] = steps[-1], slots
+    return compiled
 
 
 def eval_jet(expr: Union[str, Expr], env: Dict[str, JetPoly]) -> JetPoly:
     """Evaluate ``expr`` on a jet environment, whose jets must all share
-    (nvars, order, base point)."""
+    (nvars, order, base point), by its compiled form."""
     expr = as_expr(expr)
     if not env:
         raise ValueError("eval_jet requires a non-empty environment")
@@ -337,21 +426,24 @@ def eval_jet(expr: Union[str, Expr], env: Dict[str, JetPoly]) -> JetPoly:
     for j in jets[1:]:
         if (j.nvars, j.order, j.base) != (first.nvars, first.order, first.base):
             raise JetDomainError("environment jets disagree in shape (truncation-order mismatch)")
-    return _eval(expr, env, JETS, first)
+    run, slots = expr.__dict__.get("_compiled") or _compile(expr)
+    return run(env, JETS, first, slots and [None] * slots)
 
 
 def eval_number(expr: Union[str, Expr], env: Dict[str, object]):
     """Evaluate at order 0 on plain values (exact when the inputs are exact).
 
-    The walk of ``eval_jet``, on numbers, with no jets.  Its value and its
-    errors (class, message and span) are those of ``eval_jet(expr,
-    env).value`` with each value of ``env`` as an order-0 jet, to the bit and
-    the signed zero.  An exact zero reads as int 0, and so does any zero
+    The compiled form that ``eval_jet`` runs, on numbers, with no jets.  Its
+    value and its errors (class, message and span) are those of
+    ``eval_jet(expr, env).value`` with each value of ``env`` as an order-0
+    jet, to the bit and the signed zero.  An exact zero reads as int 0, and so does any zero
     literal, variable, or value of ``exp``, ``ln``, ``sin``, ``cos`` or a
     non-integer power; a float zero that arithmetic makes stays a float."""
     if 0 in env.values():  # a zero variable reads as int 0, as its order-0 jet drops it
         env = {name: order0_constant(value) for name, value in env.items()}
-    return _eval(as_expr(expr), env, NUMBERS, None)
+    expr = as_expr(expr)
+    run, slots = expr.__dict__.get("_compiled") or _compile(expr)
+    return run(env, NUMBERS, None, slots and [None] * slots)
 
 
 def variables_of(expr: Union[str, Expr]) -> Tuple[str, ...]:

@@ -530,7 +530,8 @@ def _divide(num: JetPoly, den: JetPoly) -> JetPoly:
 # domain at the value c0 and returns its Taylor coefficients at c0 through
 # ``order``; a jet composes them with its own non-constant part, and a plain
 # number (order 0) reads the first one.  A value beyond the float range
-# raises OverflowError, which the expression walk reports as an overflow.
+# raises OverflowError, which the expression evaluator reports as an
+# overflow.
 # ----------------------------------------------------------------------
 
 
@@ -733,10 +734,10 @@ def _order0_tan(x):
 
 
 # ----------------------------------------------------------------------
-# the two kinds of value.  The expression walk (exprlang) and the geometry
-# pass (tensor) compute through a Kind, so one routine serves jets and the
-# plain numbers that stand for order-0 jets, and gives the numbers the values
-# of the jets it would build, to the bit.
+# the two kinds of value.  The expression evaluator (exprlang) and the
+# geometry pass (tensor) compute through a Kind, so one routine serves jets
+# and the plain numbers that stand for order-0 jets, and gives the numbers the
+# values of the jets it would build, to the bit.
 # ----------------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weylrec import cli, thresholds
+from weylrec import cli, exprlang, thresholds
 from weylrec.catalog import make_dim_ge4
 from weylrec.exprlang import (
     FUNCTION_NAMES,
@@ -29,7 +29,9 @@ from weylrec.exprlang import (
     to_source,
     variables_of,
 )
-from weylrec.jets import JetPoly
+from weylrec.jets import JETS, JetPoly
+
+from tree_walk import walk_jet, walk_number
 
 
 def jet_t(base, order):
@@ -256,23 +258,41 @@ def _order0_jets(expr, env):
     return eval_jet(expr, jet_env).value
 
 
+def _bits(value):
+    """A number as (type, repr), which tells apart 0, 0.0 and -0.0; a jet as
+    its shape and each coefficient's position, type and repr, in key order."""
+    if isinstance(value, JetPoly):
+        return value.nvars, value.order, value.base, [(p, type(c), repr(c)) for p, c in value.terms.items()]
+    return type(value), repr(value)
+
+
 def _outcome(evaluate, expr, env):
-    """(type, repr) of the value, which tells apart 0, 0.0 and -0.0, or (class, text, span) of the error."""
+    """The bits of the value, or (class, text, span) of the error."""
     try:
         value = evaluate(expr, env)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "span", None)
-    return type(value), repr(value)
+    return _bits(value)
+
+
+def _children(node):
+    """The child fields of ``node``, with their nodes."""
+    return {f: getattr(node, f) for f in ("operand", "left", "right", "arg") if hasattr(node, f)}
 
 
 def _numbered(expr):
-    """``expr`` with a span of its own on every node, so a span names one node."""
+    """``expr`` with a span of its own on every node object, so a span names
+    one node: a shared object stays one object, read in more than one place,
+    and an equal copy gets spans of its own."""
     counter = itertools.count()
+    done = {}
 
     def walk(node):
-        k = next(counter)
-        children = {f: walk(getattr(node, f)) for f in ("operand", "left", "right", "arg") if hasattr(node, f)}
-        return dataclasses.replace(node, span=SourceSpan(k, k + 1), **children)
+        if id(node) not in done:
+            k = next(counter)
+            children = {f: walk(child) for f, child in _children(node).items()}
+            done[id(node)] = dataclasses.replace(node, span=SourceSpan(k, k + 1), **children)
+        return done[id(node)]
 
     return walk(expr)
 
@@ -318,6 +338,149 @@ def test_eval_number_matches_order0_jets(expr, env):
     """The scalar walk gives what eval_jet gives on order-0 jets: the same
     value, type and signed zero, or the same error, message and span."""
     assert _outcome(eval_number, expr, env) == _outcome(_order0_jets, expr, env)
+
+
+def _objects(expr):
+    """The distinct node objects of ``expr``, each once, in pre-order."""
+    found = {}
+
+    def walk(node):
+        if id(node) not in found:
+            found[id(node)] = node
+            for child in _children(node).values():
+                walk(child)
+
+    walk(expr)
+    return list(found.values())
+
+
+def _size(expr):
+    """The node count of ``expr`` with each shared object counted once per place it is read."""
+    sizes = {}
+    for node in reversed(_objects(expr)):
+        sizes[id(node)] = 1 + sum(sizes[id(child)] for child in _children(node).values())
+    return sizes[id(expr)]
+
+
+def _copy(node):
+    """An equal tree of new objects."""
+    return dataclasses.replace(node, **{f: _copy(child) for f, child in _children(node).items()})
+
+
+def _reused(op, tree, pick, copied):
+    """``tree op sub``, where ``sub`` is one of the subtrees of ``tree``: the same object, or an equal copy."""
+    subs = _objects(tree)
+    sub = subs[pick % len(subs)]
+    return BinOp(op, tree, _copy(sub) if copied else sub)
+
+
+# trees whose subtrees repeat, as shared objects and as equal copies
+_REPEATING_TREES = (
+    st.recursive(
+        st.one_of(st.builds(Const, _NUMBERS), st.builds(Var, st.sampled_from(["u", "t", "w"]))),
+        lambda children: st.one_of(
+            st.builds(Neg, children),
+            st.builds(Call, st.sampled_from(FUNCTION_NAMES), children),
+            st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+            st.builds(BinOp, st.just("^"), children, _EXPONENTS),
+            st.builds(_reused, st.sampled_from("+-*/"), children, st.integers(0, 20), st.booleans()),
+        ),
+        max_leaves=10,
+    )
+    .filter(lambda e: _size(e) <= 200)
+    .map(_numbered)
+)
+_INT_AND_FRACTION_TWO = BinOp("+", parse("2*t"), BinOp("*", Const(Fraction(2)), Var("t")))  # equal values, not one node
+_CUBIC_G1_PSI = "(1*(((1/2)*t+(3/10))^3+((1/2)*t+(3/10)))+(2))/(1*(((1/2)*t+(3/10))^3+((1/2)*t+(3/10)))+(4))"
+
+
+@settings(max_examples=500)
+@given(expr=_REPEATING_TREES, point=st.dictionaries(st.sampled_from(["u", "t"]), _NUMBERS, min_size=1))
+@example(expr=parse(_CUBIC_G1_PSI), point={"t": Fraction(6, 5)})  # the benchmark's equiv pair dim4-psi-cubic / cubic-g1
+@example(expr=parse(_CUBIC_G1_PSI), point={"t": 0.7})
+@example(expr=parse("exp(t)+exp(t)"), point={"t": 0.5})
+@example(expr=parse("ln(t-1)*ln(t-1)"), point={"t": 1})
+@example(expr=_INT_AND_FRACTION_TWO, point={"t": 1.5})
+def test_the_compiled_form_matches_the_tree_walk(expr, point):
+    """On float jets, on Fraction jets and on numbers, evaluating each
+    distinct subexpression once gives what the tree walk gives: the same
+    coefficients, types and signed zeros, in the same key order, or the same
+    error class, message and span."""
+    names = sorted(point)
+    for base in ([float(point[n]) for n in names], [Fraction(point[n]) for n in names]):
+        env = {n: JetPoly.variable(i, len(names), 2, base) for i, n in enumerate(names)}
+        assert _outcome(eval_jet, expr, env) == _outcome(walk_jet, expr, env)
+    assert _outcome(eval_number, expr, point) == _outcome(walk_number, expr, point)
+
+
+class TestEachSubexpressionOnce:
+    @staticmethod
+    def counting(monkeypatch, *operations):
+        """Count the jet operations named (Kind fields, or function names) from
+        now on; the 1001st call of one fails the test."""
+        counts = dict.fromkeys(operations, 0)
+
+        def counted(name, rule):
+            def count(*args):
+                counts[name] += 1
+                assert counts[name] <= 1000, f"more than 1000 calls of {name}"
+                return rule(*args)
+
+            return count
+
+        fields = {f: counted(f, getattr(JETS, f)) for f in operations if f in JETS._fields}
+        functions = {**JETS.functions, **{f: counted(f, JETS.functions[f]) for f in operations if f in JETS.functions}}
+        monkeypatch.setattr(exprlang, "JETS", JETS._replace(functions=functions, **fields))
+        return counts
+
+    def test_a_repeated_call_is_made_once(self, monkeypatch):
+        counts = self.counting(monkeypatch, "exp", "add")
+        eval_jet("exp(t)+exp(t)", jet_t(0.5, 3))
+        assert counts == {"exp": 1, "add": 1}
+
+    def test_a_shared_operand_is_computed_once(self, monkeypatch):
+        counts = self.counting(monkeypatch, "mul", "add", "power")
+        eval_jet("((1/2)*t+(3/10))^3+((1/2)*t+(3/10))", jet_t(Fraction(1), 3))
+        assert counts == {"mul": 1, "add": 2, "power": 1}  # the tree walk: 2, 3 and 1
+
+    def test_equal_copies_are_one_subexpression_but_int_and_fraction_constants_are_two(self, monkeypatch):
+        counts = self.counting(monkeypatch, "mul")
+        eval_jet("(2*t)+(2*t)", jet_t(1.5, 1))
+        assert counts == {"mul": 1}
+        eval_jet(_INT_AND_FRACTION_TWO, jet_t(1.5, 1))
+        assert counts == {"mul": 3}
+
+    def test_the_error_of_a_repeated_node_names_its_first_occurrence(self):
+        for evaluate, env in ((eval_jet, jet_t(1, 2)), (eval_number, {"t": 1})):
+            with pytest.raises(ExprDomainError) as info:
+                evaluate("ln(t-1)*ln(t-1)", env)
+            assert str(info.value) == "ln: ln of non-positive value 0"
+            assert (info.value.span.start, info.value.span.end) == (0, 7)
+
+    def test_a_failing_step_keeps_nothing(self):
+        expr = parse("ln(t-1)*ln(t-1)")
+        with pytest.raises(ExprDomainError):
+            eval_number(expr, {"t": 1})
+        assert eval_number(expr, {"t": 2.5}) == math.log(1.5) ** 2
+
+    def test_a_tree_of_2_to_the_99_leaves_is_99_sums(self, monkeypatch):
+        """Each level reads the one below twice, as one shared object: the
+        tree walk would make 2^99 - 1 sums, the compiled form makes 99, each
+        one step deeper than the last, under the default recursion limit."""
+        expr = Var("t")
+        for _ in range(thresholds.EXPRESSION_DEPTH_LIMIT - 1):
+            expr = BinOp("+", expr, expr)
+        counts = self.counting(monkeypatch, "add")
+        assert eval_jet(expr, jet_t(1, 1)).coefficient((1,)) == 2**99
+        assert counts == {"add": 99}
+
+    def test_the_compiled_form_is_kept_with_the_root(self):
+        expr = parse("exp(t)+exp(t)")
+        eval_number(expr, {"t": 0.5})
+        compiled = vars(expr)["_compiled"]
+        eval_jet(expr, jet_t(0.5, 2))
+        assert vars(expr)["_compiled"] is compiled
+        assert expr == parse("exp(t)+exp(t)") and hash(expr) == hash(parse("exp(t)+exp(t)"))
 
 
 @pytest.mark.parametrize(
