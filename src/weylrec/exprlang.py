@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from . import thresholds
 from .jets import JETS, NUMBERS, UNARY_FUNCTIONS, JetDomainError, JetPoly, Kind, order0_constant
@@ -415,9 +415,10 @@ def _compile(root: Expr) -> Tuple[_Step, int]:
     return compiled
 
 
-def eval_jet(expr: Union[str, Expr], env: Dict[str, JetPoly]) -> JetPoly:
+def eval_jet(expr: Union[str, Expr], env: Dict[str, JetPoly], kind: Optional[Kind] = None) -> JetPoly:
     """Evaluate ``expr`` on a jet environment, whose jets must all share
-    (nvars, order, base point), by its compiled form."""
+    (nvars, order, base point), by its compiled form; ``kind`` is JETS, or
+    LANES for jets whose base point is given in lanes."""
     expr = as_expr(expr)
     if not env:
         raise ValueError("eval_jet requires a non-empty environment")
@@ -427,7 +428,7 @@ def eval_jet(expr: Union[str, Expr], env: Dict[str, JetPoly]) -> JetPoly:
         if (j.nvars, j.order, j.base) != (first.nvars, first.order, first.base):
             raise JetDomainError("environment jets disagree in shape (truncation-order mismatch)")
     run, slots = expr.__dict__.get("_compiled") or _compile(expr)
-    return run(env, JETS, first, slots and [None] * slots)
+    return run(env, kind or JETS, first, slots and [None] * slots)
 
 
 def eval_number(expr: Union[str, Expr], env: Dict[str, object]):

@@ -12,6 +12,9 @@ The three normal forms are classified by jets of their defining functions:
 
 Two structures are equivalent when their signature curves (the invariants
 along the defining functions) coincide; no verb applies a group element.
+A curve evaluates its jets and formulas at all of its sample points in one
+pass on lanes (``jets.LANES``), and samples point by point where that pass
+raises, so its samples are to the bit those of the point-by-point path.
 The tests hold the invariants to the group actions on jets, which live
 beside them.
 
@@ -26,8 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from . import exprlang, thresholds
-from .jets import JetDomainError, JetPoly, coordinate_jets, derivatives_from_jet
+from .jets import LANES, JetDomainError, JetPoly, Lanes, coordinate_jets, derivatives_from_jet, lane_values, lanes_at
 
 
 class SingularStratumError(ValueError):
@@ -213,6 +218,10 @@ def pair_invariants(jet: PairJet) -> PairInvariants:
     a, c = _exactify(jet.a), _exactify(jet.c)
     if _vanishes(a[1], a[0], a[1]):
         raise SingularStratumError("a'(u) vanishes (extra-symmetry stratum)")
+    return _pair_formula(a, c)
+
+
+def _pair_formula(a: Sequence, c: Sequence) -> PairInvariants:
     with _PAIR_FORMULA:
         first = (a[0] * c[1] - c[0] * a[1]) * a[0] ** 4 / a[1] ** 4
         second = a[0] * a[2] / _sq(a[1])
@@ -238,6 +247,7 @@ class SurfaceInvariants(NamedTuple):
 # the raw partials d_x^i d_u^j F the surface invariants read: F_u, F_x, F_ux, F_uux, F_uxx, F_uuxx
 _SURFACE_PARTIALS = ((0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2))
 _SURFACE_FORMULA = _Formula("a power of the mixed derivative F_ux rounds to 0")
+_SURFACE_SHIFTS = ((0, 1), (1, 0))  # the directions of the derived invariants: D_u, then D_x
 
 
 def _surface_partials(jet: JetPoly) -> List:
@@ -260,7 +270,10 @@ def _surface_first(fu, fx, fux, fuux, fuxx):
 
 def surface_invariants(jet: JetPoly) -> SurfaceInvariants:
     """Generating invariants of the two-variable family (order >= 4 jet)."""
-    fu, fx, fux, fuux, fuxx, fuuxx = _surface_partials(jet)
+    return _surface_pair(*_surface_partials(jet))
+
+
+def _surface_pair(fu, fx, fux, fuux, fuxx, fuuxx) -> SurfaceInvariants:
     with _SURFACE_FORMULA:
         second = (-2 * fu * fx * fux - 2 * fu * fuxx + fx * fuux + fuuxx) / _sq(fux)
         return SurfaceInvariants(_surface_first(fu, fx, fux, fuux, fuxx), second)
@@ -271,12 +284,17 @@ def surface_derived_pair(jet: JetPoly) -> Tuple[object, object]:
 
     nabla_1 = ((F_uxx + F_x F_ux)/F_ux^2) D_u,  nabla_2 = ((F_uux - 2 F_u F_ux)/F_ux^2) D_x.
     """
-    fu, fx, fux, fuux, fuxx, _ = _surface_partials(jet)
+    return _surface_derived(jet.partial, *_surface_partials(jet)[:5])
+
+
+def _surface_derived(partial, fu, fx, fux, fuux, fuxx) -> Tuple[object, object]:
+    """``surface_derived_pair`` from the raw partials: ``partial(alpha)``, and
+    the first five of ``_SURFACE_PARTIALS``."""
     dI = []
     with _SURFACE_FORMULA:
-        for shift in ((0, 1), (1, 0)):  # D_u, then D_x: lift the partials I reads to 1-jets along the direction
+        for shift in _SURFACE_SHIFTS:  # D_u, then D_x: lift the partials I reads to 1-jets along the direction
             lifted = [
-                JetPoly(1, 1, (0.0,), {(0,): jet.partial((i, j)), (1,): jet.partial((i + shift[0], j + shift[1]))})
+                JetPoly(1, 1, (0.0,), {(0,): partial((i, j)), (1,): partial((i + shift[0], j + shift[1]))})
                 for i, j in _SURFACE_PARTIALS[:5]
             ]
             dI.append(_surface_first(*lifted).coefficient((1,)))
@@ -368,6 +386,43 @@ def _sampled_curve(kind: str, points: Sequence, sample_at) -> SignatureCurve:
     return SignatureCurve(kind, tuple(params), tuple(tuples), tuple(signs), singular + failed, failed)
 
 
+def _lane_curve(kind: str, points: Sequence, sample_lanes, sample_at) -> SignatureCurve:
+    """The curve of ``points`` from one batched evaluation on lanes:
+    ``sample_lanes(points)`` gives, per point, what ``sample_at`` gives, or
+    None on a singular stratum.  Where the batch raises (a lane that would
+    fail, or lanes that would branch apart), the curve is sampled point by
+    point by ``sample_at``, whose drops, counts and errors it then has."""
+    try:
+        with np.errstate(all="ignore"):
+            samples = iter(sample_lanes(points))
+    except Exception:  # whatever it is, the points then raise or drop as they do one by one
+        return _sampled_curve(kind, points, sample_at)
+
+    def read(point):
+        sample = next(samples)
+        if sample is None:
+            raise SingularStratumError("on a singular stratum")
+        return sample
+
+    return _sampled_curve(kind, points, read)
+
+
+def _live_lanes(width: int, x, *sizes) -> List[int]:
+    """The lanes where ``_vanishes(x, *sizes)`` is false, read lane by lane."""
+    return [i for i, row in enumerate(zip(*(lane_values(v, width) for v in (x, *sizes)))) if not _vanishes(*row)]
+
+
+def _read_lanes(width: int, live: List[int], values: Sequence, sign=None) -> List[Optional[tuple]]:
+    """Per lane, the floats of ``values`` (on the ``live`` lanes) and the sign
+    of ``sign`` if given: ``sample_at``'s reading; None off ``live``."""
+    out: List[Optional[tuple]] = [None] * width
+    columns = [lane_values(v, len(live)) for v in values]
+    signs = lane_values(sign, len(live)) if sign is not None else [None] * len(live)
+    for k, i in enumerate(live):
+        out[i] = tuple(float(column[k]) for column in columns), None if sign is None else (1 if signs[k] > 0 else -1)
+    return out
+
+
 def psi_signature_curve(psi, lo: float, hi: float, samples: int = 64) -> SignatureCurve:
     psi = exprlang.as_expr(psi)  # parsed once, not at every sample
 
@@ -375,7 +430,17 @@ def psi_signature_curve(psi, lo: float, hi: float, samples: int = 64) -> Signatu
         inv = psi_invariants(psi_jet_from_expr(psi, t, order=5))
         return (float(inv.I), float(inv.J)), inv.sign_disc
 
-    return _sampled_curve(PSI_CURVE, _grid(lo, hi, samples), sample_at)
+    def sample_lanes(ts):
+        t = Lanes(ts)
+        jet = PsiJet(t, tuple(derivatives_from_jet(exprlang.eval_jet(psi, coordinate_jets(("t",), (t,), 5), LANES))))
+        p = _exactify(jet.derivs)
+        live = _live_lanes(len(ts), _discriminant(p), p[1] * p[3], _sq(p[2]))
+        if not live:
+            return [None] * len(ts)
+        first, second, disc = _psi_pair([lanes_at(x, live) for x in p])
+        return _read_lanes(len(ts), live, (first, second), disc)
+
+    return _lane_curve(PSI_CURVE, _grid(lo, hi, samples), sample_lanes, sample_at)
 
 
 def pair_signature_curve(a, c, lo: float, hi: float, samples: int = 64) -> SignatureCurve:
@@ -385,7 +450,16 @@ def pair_signature_curve(a, c, lo: float, hi: float, samples: int = 64) -> Signa
         inv = pair_invariants(pair_jet_from_exprs(a, c, u, order=2))
         return (float(inv.I), float(inv.J), float(inv.K)), None
 
-    return _sampled_curve(PAIR_CURVE, _grid(lo, hi, samples), sample_at)
+    def sample_lanes(us):
+        env = coordinate_jets(("u",), (Lanes(us),), 2)
+        aj, cj = (_exactify(derivatives_from_jet(exprlang.eval_jet(e, env, LANES))) for e in (a, c))
+        live = _live_lanes(len(us), aj[1], aj[0], aj[1])
+        if not live:
+            return [None] * len(us)
+        inv = _pair_formula([lanes_at(x, live) for x in aj], [lanes_at(x, live) for x in cj])
+        return _read_lanes(len(us), live, inv)
+
+    return _lane_curve(PAIR_CURVE, _grid(lo, hi, samples), sample_lanes, sample_at)
 
 
 def surface_signature_curve(
@@ -399,8 +473,21 @@ def surface_signature_curve(
         d1, d2 = surface_derived_pair(jet)
         return (float(inv.I), float(inv.J), float(d1), float(d2)), None
 
+    def sample_lanes(points):
+        xs, us = zip(*points)
+        jet = exprlang.eval_jet(F, coordinate_jets(("x", "u"), (Lanes(xs), Lanes(us)), 4), LANES)
+        read = {(i + di, j + dj) for i, j in _SURFACE_PARTIALS for di, dj in ((0, 0), *_SURFACE_SHIFTS)}
+        partials = {alpha: jet.partial(alpha) for alpha in read}
+        fu, fx, fux = (partials[alpha] for alpha in _SURFACE_PARTIALS[:3])
+        live = _live_lanes(len(points), fux, fu, fx, fux)
+        if not live:
+            return [None] * len(points)
+        partials = {alpha: lanes_at(v, live) for alpha, v in partials.items()}
+        f = [partials[alpha] for alpha in _SURFACE_PARTIALS]
+        return _read_lanes(len(points), live, (*_surface_pair(*f), *_surface_derived(partials.__getitem__, *f[:5])))
+
     points = [(x, u) for x in _grid(*x_range, nx) for u in _grid(*u_range, nu)]
-    return _sampled_curve(SURFACE_CURVE, points, sample_at)
+    return _lane_curve(SURFACE_CURVE, points, sample_lanes, sample_at)
 
 
 @dataclass(frozen=True)
@@ -412,11 +499,26 @@ class EquivalenceVerdict:
 
 
 def _hausdorff(A: Sequence[Tuple[float, ...]], B: Sequence[Tuple[float, ...]]) -> float:
+    """The Hausdorff distance of two non-empty point sets, by the early break
+    of Taha and Hanbury (IEEE TPAMI 2015): the scan of Q for a point p of P
+    stops at the first q no farther than the largest distance found so far,
+    since p cannot raise it, and starts at the q nearest the previous p, so
+    that along a curve it stops at once.  The distance is the float of the
+    scan of every pair."""
+
     def one_sided(P, Q):
-        worst = 0.0
+        worst, start, n = 0.0, 0, len(Q)
         for p in P:
-            best = min(math.dist(p, q) for q in Q)
-            worst = max(worst, best)
+            best, nearest = math.inf, start
+            for k in range(start, start + n):
+                d = math.dist(p, Q[k % n])
+                if d < best:
+                    best, nearest = d, k % n
+                if d <= worst:
+                    break
+            else:  # every q is farther than worst, so the nearest one raises it
+                worst = best
+            start = nearest
         return worst
 
     return max(one_sided(A, B), one_sided(B, A))

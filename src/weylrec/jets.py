@@ -27,7 +27,9 @@ key, and of two fills that race in different threads the first to store
 wins for both, so all of this is safe to call from concurrent contexts.
 
 ``Kind`` is the one table of how a computation acts on a kind of value:
-``JETS``, or ``NUMBERS``, plain numbers computed with the order-0 rules.
+``JETS``; ``LANES``, jets whose coefficients are ``Lanes``, one float per
+sample point, so that one evaluation serves a whole grid; or ``NUMBERS``,
+plain numbers computed with the order-0 rules.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .thresholds import INTEGER_POWER_LIMIT, TAN_POLE
 
@@ -224,7 +228,7 @@ class JetPoly:
 
     @classmethod
     def constant(cls, value, nvars: int, order: int, base: Sequence) -> "JetPoly":
-        return _jet(nvars, order, tuple(base), {} if value == 0 else {0: value})
+        return _jet(nvars, order, tuple(base), {0: value} if value else {})
 
     @classmethod
     def variable(cls, index: int, nvars: int, order: int, base: Sequence) -> "JetPoly":
@@ -232,14 +236,14 @@ class JetPoly:
         if not 0 <= index < nvars:
             raise IndexError(f"variable index {index} out of range for {nvars} variables")
         terms: Dict[int, object] = {}
-        if base[index] != 0:
+        if base[index]:
             terms[0] = base[index]
         if order >= 1:
             terms[nvars - index] = 1
         return _jet(nvars, order, base, terms)
 
     def like_constant(self, value) -> "JetPoly":
-        return _jet(self.nvars, self.order, self.base, {} if value == 0 else {0: value})
+        return _jet(self.nvars, self.order, self.base, {0: value} if value else {})
 
     # ------------------------------------------------------------------
     # inspection
@@ -329,7 +333,7 @@ class JetPoly:
         terms = dict(self.terms)
         for p, c in other.terms.items():
             s = terms.get(p, 0) + c if sign == 1 else terms.get(p, 0) - c
-            if s == 0 and not isinstance(s, float):
+            if s == 0 and not isinstance(s, _INEXACT):
                 terms.pop(p, None)
             else:
                 terms[p] = s
@@ -371,10 +375,10 @@ class JetPoly:
                     if p2 < cut:
                         q = row[p2]
                         terms[q] = get(q, 0) + c1 * c2
-            for p in [p for p, c in terms.items() if c == 0 and not isinstance(c, float)]:
+            for p in [p for p, c in terms.items() if c == 0 and not isinstance(c, _INEXACT)]:
                 del terms[p]
             return _jet(self.nvars, order, self.base, terms)
-        if other == 0:
+        if not other:
             return self.like_constant(0)
         return _jet(self.nvars, self.order, self.base, {p: c * other for p, c in self.terms.items()})
 
@@ -425,7 +429,7 @@ def derivatives_from_jet(jet: JetPoly) -> list:
 
 def divisor(b):
     """``b``, checked as a divisor: every jet quotient needs a nonzero constant term."""
-    if b == 0:
+    if not b:
         raise JetDomainError("division by a jet with zero constant term")
     return b
 
@@ -460,7 +464,7 @@ def half(c):
 
 def exact_zero(x) -> bool:
     """A number that stands for the empty jet."""
-    return x == 0 and not isinstance(x, float)
+    return x == 0 and not isinstance(x, _INEXACT)
 
 
 def order0_constant(value):
@@ -519,7 +523,7 @@ def _divide(num: JetPoly, den: JetPoly) -> JetPoly:
                 cg = terms.get(pg)
                 if cg is not None:
                     acc = acc - cb * cg
-        if acc == 0 and not isinstance(acc, float):
+        if acc == 0 and not isinstance(acc, _INEXACT):
             continue
         terms[pa] = quotient(acc, b0)
     return _jet(num.nvars, num.order, num.base, terms)
@@ -630,7 +634,7 @@ def check_tan(c0) -> None:
 
 def branch_sign(fn: str, c0) -> int:
     """The sign of c0, which picks the branch of ``fn`` (abs or sign); 0 has none."""
-    if c0 == 0:
+    if not c0:
         raise JetDomainError(f"{fn} of a jet with zero constant term")
     return 1 if c0 > 0 else -1
 
@@ -648,7 +652,7 @@ def power_exponent(c0, exponent):
     if isinstance(exponent, float) and exponent.is_integer():
         exponent = int(exponent)
     if isinstance(exponent, int):
-        if exponent < 0 and c0 == 0:
+        if exponent < 0 and not c0:
             raise JetDomainError("negative power of a jet with zero constant term")
         if abs(exponent) > INTEGER_POWER_LIMIT:
             raise JetDomainError(f"integer power {exponent} exceeds the limit of {INTEGER_POWER_LIMIT} in modulus")
@@ -660,14 +664,6 @@ def _jet_series(series: Callable) -> Callable:
     return lambda jet: _compose(jet, series(jet.value, jet.order))
 
 
-jet_exp, jet_ln, jet_sin, jet_cos, jet_sqrt = map(_jet_series, SERIES.values())  # in SERIES' order
-
-
-def jet_tan(jet: JetPoly) -> JetPoly:
-    check_tan(jet.value)
-    return jet_sin(jet) / jet_cos(jet)
-
-
 def jet_sign(jet: JetPoly) -> JetPoly:
     return jet.like_constant(branch_sign("sign", jet.value))
 
@@ -676,35 +672,49 @@ def jet_abs(jet: JetPoly) -> JetPoly:
     return jet if branch_sign("abs", jet.value) > 0 else -jet
 
 
-def jet_pow(jet: JetPoly, exponent) -> JetPoly:
-    """jet ** exponent for integer or real exponents.
+def _jet_functions(series: Mapping[str, Callable], check_tan: Callable):
+    """The unary functions, ``jet_pow`` and the power of two jets, for jets
+    whose Taylor series are ``series`` (SERIES' names and "binomial") and whose
+    tan poles ``check_tan`` finds."""
+    exp, ln, sin, cos, sqrt = (_jet_series(series[name]) for name in SERIES)
+    binomial = series["binomial"]
 
-    Integer exponents are exact (repeated multiplication / reciprocal);
-    general exponents use the binomial series and require a positive base.
-    """
-    exponent = power_exponent(jet.value, exponent)
-    if isinstance(exponent, int):
-        return jet**exponent
-    return _compose(jet, binomial_series(jet.value, exponent, jet.order))
+    def jet_tan(jet: JetPoly) -> JetPoly:
+        check_tan(jet.value)
+        return sin(jet) / cos(jet)
+
+    def jet_pow(jet: JetPoly, exponent) -> JetPoly:
+        """jet ** exponent for integer or real exponents.
+
+        Integer exponents are exact (repeated multiplication / reciprocal);
+        general exponents use the binomial series and require a positive base.
+        """
+        exponent = power_exponent(jet.value, exponent)
+        if isinstance(exponent, int):
+            return jet**exponent
+        return _compose(jet, binomial(jet.value, exponent, jet.order))
+
+    def jet_power(base: JetPoly, exponent: JetPoly) -> JetPoly:
+        """base ^ exponent for two jets; a non-constant exponent is exp(exponent ln base)."""
+        if any(p and c for p, c in exponent.terms.items()):
+            return exp(exponent * ln(base))
+        return jet_pow(base, exponent.value)
+
+    functions = {
+        "exp": exp,
+        "ln": ln,
+        "sin": sin,
+        "cos": cos,
+        "tan": jet_tan,
+        "abs": jet_abs,
+        "sign": jet_sign,
+        "sqrt": sqrt,
+    }
+    return functions, jet_pow, jet_power
 
 
-UNARY_FUNCTIONS = {
-    "exp": jet_exp,
-    "ln": jet_ln,
-    "sin": jet_sin,
-    "cos": jet_cos,
-    "tan": jet_tan,
-    "abs": jet_abs,
-    "sign": jet_sign,
-    "sqrt": jet_sqrt,
-}
-
-
-def _jet_power(base: JetPoly, exponent: JetPoly) -> JetPoly:
-    """base ^ exponent for two jets; a non-constant exponent is exp(exponent ln base)."""
-    if any(p and c != 0 for p, c in exponent.terms.items()):
-        return jet_exp(exponent * jet_ln(base))
-    return jet_pow(base, exponent.value)
+UNARY_FUNCTIONS, jet_pow, _jet_power = _jet_functions({**SERIES, "binomial": binomial_series}, check_tan)
+jet_exp, jet_ln, jet_sin, jet_cos, jet_tan, jet_sqrt = map(UNARY_FUNCTIONS.get, ("exp", "ln", "sin", "cos", "tan", "sqrt"))
 
 
 def _order0_pow(x, exponent):
@@ -731,6 +741,166 @@ def _order0_tan(x):
     """sin / cos through ``order0_div``, as ``jet_tan`` divides the two jets."""
     check_tan(x)
     return order0_div(order0_constant(sin_series(x, 0)[0]), order0_constant(cos_series(x, 0)[0]))
+
+
+# ----------------------------------------------------------------------
+# lanes.  A Lanes value holds one float per sample point (a "lane") in a
+# float64 array.  Jets whose coefficients are Lanes where they depend on the
+# point, and plain numbers where they do not, run a whole grid of points
+# through one pass of the jet loops above (LANES, below), and each lane holds
+# the float that the scalar jets give at its point, to the bit:
+#   * numpy does only +, -, * and /, which it rounds as Python rounds floats;
+#     an exact operand (int or Fraction) meets the lanes as float() of it, as
+#     CPython converts it before it meets a float, and a zero divisor on any
+#     lane raises ZeroDivisionError, as a float division by zero does;
+#   * a power, a Taylor series and a tan pole test run per lane in Python;
+#   * a test of lanes (a truth value or >) answers when every lane
+#     gives the same answer, and raises LaneSplit when they do not: the
+#     scalar jets would take different branches at different points.  The
+#     order-0 rules test a value's truth (``if not b``), so that a zero on
+#     some lanes raises; == asks whether every lane is equal, one answer for
+#     all, which a jet asks of a coefficient only to find an exact zero, and
+#     a Lanes value is never one.
+# So a batched computation gives every lane's scalar value or raises, and its
+# caller re-runs a raising batch point by point.  Overflow to inf or nan is
+# silent, as in float arithmetic; numpy warns of it unless the lanes run
+# under np.errstate.
+# ----------------------------------------------------------------------
+
+
+class LaneSplit(ArithmeticError):
+    """A test whose lanes answer differently, so that no one branch serves them all."""
+
+
+def _operand(x):
+    """``x`` as the lanes meet it: a Lanes value's array, a float as it is, an
+    exact number as float(x) (which refuses one beyond the float range); None
+    for anything else."""
+    if type(x) is Lanes:
+        return x.array
+    if isinstance(x, float):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return float(x)
+    return None
+
+
+def _divisor(y):
+    if (not y.all()) if type(y) is np.ndarray else y == 0:
+        raise ZeroDivisionError("float division by zero")
+    return y
+
+
+def _agreed(answers: np.ndarray) -> bool:
+    """The answer of every lane, when they agree."""
+    n = np.count_nonzero(answers)
+    if n and n != answers.size:
+        raise LaneSplit("the lanes of a test answer differently")
+    return bool(n)
+
+
+def _arithmetic(op: Callable, reflected: bool = False) -> Callable:
+    def method(self, other):
+        y = _operand(other)
+        if y is None:
+            return NotImplemented
+        return _lanes(op(y, self.array) if reflected else op(self.array, y))
+
+    return method
+
+
+def _compared(x):
+    """``x`` as the lanes compare with it: as ``_operand``, where a float holds it exactly."""
+    y = _operand(x)
+    if isinstance(x, (int, Fraction)) and y != x:
+        raise TypeError(f"{x!r} is not a float: lanes compare with floats only")
+    return y
+
+
+class Lanes:
+    """One float per lane, in the float64 array ``array``."""
+
+    __slots__ = ("array",)
+    __array_ufunc__ = None  # numpy operands defer to these methods, never making an object array
+    __hash__ = None
+
+    def __init__(self, values: Sequence[float]):
+        self.array = np.array(values, dtype=np.float64)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Lanes({self.array.tolist()})"
+
+    __add__ = _arithmetic(operator.add)
+    __radd__ = _arithmetic(operator.add, reflected=True)
+    __sub__ = _arithmetic(operator.sub)
+    __rsub__ = _arithmetic(operator.sub, reflected=True)
+    __mul__ = _arithmetic(operator.mul)
+    __rmul__ = _arithmetic(operator.mul, reflected=True)
+
+    def __eq__(self, other):
+        y = _compared(other)
+        return NotImplemented if y is None else bool((self.array == y).all())
+
+    def __gt__(self, other):  # the one order a jet tests, for a sign; <, <= and >= raise TypeError
+        y = _compared(other)
+        return NotImplemented if y is None else _agreed(self.array > y)
+
+    def __truediv__(self, other):
+        y = _operand(other)
+        return NotImplemented if y is None else _lanes(self.array / _divisor(y))
+
+    def __rtruediv__(self, other):
+        y = _operand(other)
+        return NotImplemented if y is None else _lanes(y / _divisor(self.array))
+
+    def __neg__(self):
+        return _lanes(-self.array)
+
+    def __pow__(self, exponent):
+        if type(exponent) is Lanes:
+            return NotImplemented
+        return _lanes(np.array([x**exponent for x in self.array.tolist()], dtype=np.float64))
+
+    def __bool__(self):
+        return _agreed(self.array != 0)
+
+
+def _lanes(array: np.ndarray) -> Lanes:
+    """The Lanes value of ``array``, which it owns from now on."""
+    x = object.__new__(Lanes)
+    x.array = array
+    return x
+
+
+_INEXACT = (float, Lanes)  # the values a jet keeps when they are zero
+
+
+def lane_values(x, width: int) -> list:
+    """``x`` on each of ``width`` lanes: a Lanes value's floats, a plain number repeated."""
+    return x.array.tolist() if type(x) is Lanes else [x] * width
+
+
+def lanes_at(x, keep: List[int]):
+    """``x`` on the lanes ``keep`` alone; a plain number as it is."""
+    return _lanes(x.array[keep]) if type(x) is Lanes else x
+
+
+def _lane_series(series: Callable) -> Callable:
+    """``series`` on lanes: run on each lane's value, its coefficients stacked
+    into Lanes; on a plain number, as it is."""
+
+    def on_lanes(c0, *args) -> list:
+        if type(c0) is not Lanes:
+            return series(c0, *args)
+        rows = [series(x, *args) for x in c0.array.tolist()]
+        return [_lanes(np.array(column, dtype=np.float64)) for column in zip(*rows)]
+
+    return on_lanes
+
+
+def _lane_check_tan(c0) -> None:
+    for x in c0.array.tolist() if type(c0) is Lanes else (c0,):
+        check_tan(x)
 
 
 # ----------------------------------------------------------------------
@@ -785,3 +955,14 @@ NUMBERS = Kind(
         "sign": lambda x: branch_sign("sign", x),
     },
 )
+
+
+def _lane_kind() -> Kind:
+    """JETS on jets whose coefficients may be Lanes: the series (with the
+    binomial series of a non-integer power) and the tan pole test run per lane."""
+    series = {name: _lane_series(s) for name, s in {**SERIES, "binomial": binomial_series}.items()}
+    functions, _, power = _jet_functions(series, _lane_check_tan)
+    return JETS._replace(power=power, functions=functions)
+
+
+LANES = _lane_kind()

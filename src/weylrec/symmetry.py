@@ -19,7 +19,7 @@ from . import exprlang, thresholds
 from .catalog import _halton, _halton_start
 from .exprlang import Expr
 from .invariants import pair_signature_curve, psi_signature_curve
-from .jets import JetPoly, coordinate_jets, derivatives_from_jet
+from .jets import LANES, JetPoly, Lanes, coordinate_jets, derivatives_from_jet, lane_values
 from .tensor import numerical_rank
 
 
@@ -43,30 +43,44 @@ def _default_samples(lo: float, hi: float, count: int, seed: int) -> List[float]
     return [lo + (hi - lo) * _halton(start + k, 2) for k in range(count)]
 
 
-def _row(f: str, x: str, at: float, e: Expr, make: Callable[..., List[float]], *jets: JetPoly) -> List[float]:
+def _order1_jets(x: str, at, *exprs: Expr) -> List[JetPoly]:
+    """The order-1 jets of ``exprs`` at ``x = at``; at every point of a Lanes
+    ``at`` at once, on LANES."""
+    env = coordinate_jets((x,), (at,), 1)
+    kind = LANES if type(at) is Lanes else None
+    return [exprlang.eval_jet(e, env, kind) for e in exprs]
+
+
+def _row(f: str, x: str, at, e: Expr, make: Callable[..., list], *jets: JetPoly) -> list:
     """``make`` of the values and first derivatives of ``jets`` as floats: the
-    symmetry-system row of the function ``f`` (written ``e``) at ``x = at``.
-    A row value that is not a finite float, also an exact one that ``float``
-    refuses, is beyond the float range: a domain error, as in evaluation."""
+    symmetry-system row of the function ``f`` (written ``e``) at ``x = at``;
+    for a Lanes ``at``, the rows at all its points, as one list of lane
+    values per entry.  A row value that is not a finite float, also an exact
+    one that ``float`` refuses, is beyond the float range: a domain error, as
+    in evaluation."""
     try:
-        row = make(*(float(v) for jet in jets for v in derivatives_from_jet(jet)))
+        row = make(*(v if type(v) is Lanes else float(v) for jet in jets for v in derivatives_from_jet(jet)))
     except OverflowError:
         row = [math.inf]
-    if not all(map(math.isfinite, row)):
+    if type(at) is Lanes:
+        row = [lane_values(v, len(at.array)) for v in row]
+        finite = bool(np.isfinite(row).all())
+    else:
+        finite = all(map(math.isfinite, row))
+    if not finite:
         raise exprlang.ExprDomainError(f"the symmetry row of {f}({x}) at {x} = {at!r}: overflow", e.span)
     return row
 
 
-def _psi_rows(t: float, psi_e: Expr) -> List[List[float]]:
+def _psi_rows(t, psi_e: Expr) -> List[list]:
     """The one symmetry-system row [psi', 2 t psi', 1, -2 psi, psi^2] at t."""
-    jet = exprlang.eval_jet(psi_e, coordinate_jets(("t",), (t,), 1))
+    (jet,) = _order1_jets("t", t, psi_e)
     return [_row("psi", "t", t, psi_e, lambda p0, p1: [p1, 2.0 * t * p1, 1.0, -2.0 * p0, p0**2], jet)]
 
 
-def _pair_rows(u: float, a_e: Expr, c_e: Expr) -> List[List[float]]:
+def _pair_rows(u, a_e: Expr, c_e: Expr) -> List[list]:
     """The two symmetry-system rows of the pair family at u."""
-    env = coordinate_jets(("u",), (u,), 1)
-    a, c = exprlang.eval_jet(a_e, env), exprlang.eval_jet(c_e, env)
+    a, c = _order1_jets("u", u, a_e, c_e)
     return [
         _row("a", "u", u, a_e, lambda a0, a1: [a1, 0.0, u * a1 + a0, u * a1 + 2.0 * a0], a),
         _row("c", "u", u, c_e, lambda a0, a1, c0, c1: [c1, a0, u * c1 + 2.0 * c0, u * c1 + c0], a, c),
@@ -74,11 +88,19 @@ def _pair_rows(u: float, a_e: Expr, c_e: Expr) -> List[List[float]]:
 
 
 def _system(
-    rows_at: Callable[..., List[List[float]]], exprs: Sequence[Union[str, Expr]], points: Sequence[float]
+    rows_at: Callable[..., List[list]], exprs: Sequence[Union[str, Expr]], points: Sequence[float]
 ) -> np.ndarray:
-    """The sampled symmetry system: ``rows_at(p, *exprs)`` stacked over the points."""
+    """The sampled symmetry system: ``rows_at(p, *exprs)`` stacked over the
+    points, from one evaluation at all of them on lanes.  Where that raises
+    (a row that is not finite, or lanes that would branch apart), the rows
+    are made point by point, and a failing row reports its point."""
     exprs = [exprlang.as_expr(e) for e in exprs]
-    return np.array([row for p in points for row in rows_at(p, *exprs)])
+    try:
+        with np.errstate(all="ignore"):
+            rows = np.array(rows_at(Lanes(points), *exprs))  # (rows per point, entries, points)
+        return rows.transpose(2, 0, 1).reshape(len(points) * len(rows), -1)
+    except Exception:  # whatever it is, the points then raise as they do one by one
+        return np.array([row for p in points for row in rows_at(p, *exprs)])
 
 
 def psi_symmetry_kernel(
