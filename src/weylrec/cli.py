@@ -54,7 +54,7 @@ from .invariants import (
     surface_signature_curve,
 )
 from .symmetry import classify_3d2, classify_psi
-from .tensor import SignatureError, SingularMetricError, recurrence_theta, weyl_connection
+from .tensor import SignatureError, SingularMetricError, compatibility_residuals, recurrence_theta, weyl_connection
 
 FORMAT_VERSION = 1
 
@@ -315,28 +315,39 @@ def _check(name: str, ok: bool, **fields) -> Dict:
     return {"name": name, "status": "pass" if ok else "fail", **fields}
 
 
+def _compatibility_only(structure, points: Sequence, path: str) -> List[float]:
+    """The compatibility residuals at ``points``, in order, from one pass on
+    lanes (``compatibility_residuals``); where that pass raises, from each
+    point's depth-0 connection in turn, so that the first point that fails
+    gives its own error, naming the file."""
+    try:
+        return compatibility_residuals(structure, points)
+    except Exception:  # whatever it is, the points then raise or not as they do one by one
+        return [_at_point(path, p, weyl_connection, structure, p, 0).compatibility_residual() for p in points]
+
+
 def _verify_checks(
     entry: CatalogEntry, tol: float, samples: int, seed: int, order: int, path: str
 ) -> Tuple[List[Dict], bool]:
     expected = entry.expected
     points = entry.sample_points(samples, seed)
-    # one geometry pass per point, in point order: each point's Weyl connection
-    # is read by every check that runs there and dropped before the next one is
-    # built.  The curvature checks run at the first five points (depth
-    # order - 1); the others check compatibility alone, which reads only
-    # Christoffel values and dg (depth 0)
+    # the curvature checks run at the first five points, one geometry pass per
+    # point in point order: each point's Weyl connection (depth order - 1) is
+    # read by every check that runs there and dropped before the next one is
+    # built.  The other points check compatibility alone, which reads only
+    # Christoffel values and dg: one depth-0 pass on lanes serves them all
     compat, reports, omegas, spans, weyl_norms, ews = [], [], [], [], [], []
-    for i, p in enumerate(points):
-        conn = _at_point(path, p, weyl_connection, entry.structure, p, order - 1 if i < 5 else 0)
+    for p in points[:5]:
+        conn = _at_point(path, p, weyl_connection, entry.structure, p, order - 1)
         compat.append(conn.compatibility_residual())
-        if i < 5:
-            reports.append(conn.recurrence(tol))
-            omegas.append(conn.one_form_values)
-            spans.append(conn.holonomy().span_dim)
-            if "conformally_flat" in expected:
-                weyl_norms.append(conn.conformal_weyl().norm())
-            ews.append(ew_report(entry.structure, conn))
+        reports.append(conn.recurrence(tol))
+        omegas.append(conn.one_form_values)
+        spans.append(conn.holonomy().span_dim)
+        if "conformally_flat" in expected:
+            weyl_norms.append(conn.conformal_weyl().norm())
+        ews.append(ew_report(entry.structure, conn))
         del conn
+    compat += _compatibility_only(entry.structure, points[5:], path)
 
     worst, cut = max(compat), thresholds.COMPATIBILITY_TOL
     checks = [_check("metric_compatibility", worst <= cut, max_residual=worst, tolerance=cut)]
@@ -458,17 +469,22 @@ def _range_for(entry: CatalogEntry, text: Optional[str], flag: str = "--range") 
     return _parse_range(text, flag) if text else entry.box[coord]
 
 
-def _curve_for(entry: CatalogEntry, rng: Tuple[float, float], samples: int):
+def _curve_for(entry: CatalogEntry, rng: Tuple[float, float], samples: int, path: str):
+    """The family's signature curve of ``entry``, read from the file ``path``:
+    a sample off the family's domain (psi' <= 0) is an input error naming the file."""
     curve = _FAMILIES[entry.family].curve
     if curve is None:
         raise InputError(f"signature curves are not defined for family {entry.family!r}")
-    return curve(entry, rng, samples)
+    try:
+        return curve(entry, rng, samples)
+    except NotIncreasingError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def cmd_signature(args) -> int:
     entry = load_structure_file(args.file)
     rng = _range_for(entry, args.range)
-    curve = _curve_for(entry, rng, args.samples)
+    curve = _curve_for(entry, rng, args.samples, args.file)
     lines = [_FAMILIES[entry.family].csv_header]
     for i, (p, tup) in enumerate(zip(curve.params, curve.tuples)):
         # a sample is its parameter (a number or an (x, u) pair), its invariants and, on psi curves, its sign
@@ -486,8 +502,8 @@ def cmd_equiv(args) -> int:
         raise InputError(f"cannot compare families {e1.family!r} and {e2.family!r}")
     r1 = _range_for(e1, args.range)
     r2 = _range_for(e2, args.range2 or args.range, "--range2" if args.range2 else "--range")
-    c1 = _curve_for(e1, r1, args.samples)
-    c2 = _curve_for(e2, r2, args.samples)
+    c1 = _curve_for(e1, r1, args.samples, args.file1)
+    c2 = _curve_for(e2, r2, args.samples, args.file2)
     verdict = equivalence_test(c1, c2, tol=args.tol)
     payload = {
         **_REPORT_HEAD,

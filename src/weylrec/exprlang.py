@@ -431,7 +431,7 @@ def eval_jet(expr: Union[str, Expr], env: Dict[str, JetPoly], kind: Optional[Kin
     return run(env, kind or JETS, first, slots and [None] * slots)
 
 
-def eval_number(expr: Union[str, Expr], env: Dict[str, object]):
+def eval_number(expr: Union[str, Expr], env: Dict[str, object], kind: Optional[Kind] = None):
     """Evaluate at order 0 on plain values (exact when the inputs are exact).
 
     The compiled form that ``eval_jet`` runs, on numbers, with no jets.  Its
@@ -439,12 +439,13 @@ def eval_number(expr: Union[str, Expr], env: Dict[str, object]):
     ``eval_jet(expr, env).value`` with each value of ``env`` as an order-0
     jet, to the bit and the signed zero.  An exact zero reads as int 0, and so does any zero
     literal, variable, or value of ``exp``, ``ln``, ``sin``, ``cos`` or a
-    non-integer power; a float zero that arithmetic makes stays a float."""
-    if 0 in env.values():  # a zero variable reads as int 0, as its order-0 jet drops it
+    non-integer power; a float zero that arithmetic makes stays a float.
+    ``kind`` is NUMBERS, or LANE_NUMBERS for values given in lanes."""
+    if not all(env.values()):  # a zero variable reads as int 0, as its order-0 jet drops it
         env = {name: order0_constant(value) for name, value in env.items()}
     expr = as_expr(expr)
     run, slots = expr.__dict__.get("_compiled") or _compile(expr)
-    return run(env, NUMBERS, None, slots and [None] * slots)
+    return run(env, kind or NUMBERS, None, slots and [None] * slots)
 
 
 def variables_of(expr: Union[str, Expr]) -> Tuple[str, ...]:

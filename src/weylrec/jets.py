@@ -28,8 +28,9 @@ wins for both, so all of this is safe to call from concurrent contexts.
 
 ``Kind`` is the one table of how a computation acts on a kind of value:
 ``JETS``; ``LANES``, jets whose coefficients are ``Lanes``, one float per
-sample point, so that one evaluation serves a whole grid; or ``NUMBERS``,
-plain numbers computed with the order-0 rules.
+sample point, so that one evaluation serves a whole grid; ``NUMBERS``,
+plain numbers computed with the order-0 rules; or ``LANE_NUMBERS``, those
+numbers on ``Lanes``.
 """
 
 from __future__ import annotations
@@ -469,7 +470,7 @@ def exact_zero(x) -> bool:
 
 def order0_constant(value):
     """``JetPoly.constant(value).value``: a float zero is dropped too."""
-    return 0 if value == 0 else value
+    return value if value else 0
 
 
 def order0_coefficient(x):
@@ -717,50 +718,72 @@ UNARY_FUNCTIONS, jet_pow, _jet_power = _jet_functions({**SERIES, "binomial": bin
 jet_exp, jet_ln, jet_sin, jet_cos, jet_tan, jet_sqrt = map(UNARY_FUNCTIONS.get, ("exp", "ln", "sin", "cos", "tan", "sqrt"))
 
 
-def _order0_pow(x, exponent):
-    """``jet_pow`` at order 0: integer powers are repeated products."""
-    exponent = power_exponent(x, exponent)
-    if not isinstance(exponent, int):
-        return order0_constant(binomial_series(x, exponent, 0)[0])
-    if exponent == 0:
-        return 1
-    if exponent < 0:
-        return order0_div(1, _order0_pow(x, -exponent))
-    result = x
-    for _ in range(exponent - 1):
-        result = order0_mul(result, x)
-    return result
-
-
 def _order0_series(series: Callable) -> Callable:
     """The function whose Taylor ``series`` is given, on a number: its order-0 term."""
     return lambda x: order0_constant(series(x, 0)[0])
 
 
-def _order0_tan(x):
-    """sin / cos through ``order0_div``, as ``jet_tan`` divides the two jets."""
-    check_tan(x)
-    return order0_div(order0_constant(sin_series(x, 0)[0]), order0_constant(cos_series(x, 0)[0]))
+def _number_functions(series: Mapping[str, Callable], check_tan: Callable):
+    """The unary functions and the power of numbers by the order-0 rules,
+    for numbers whose Taylor series are ``series`` (SERIES' names and
+    "binomial") and whose tan poles ``check_tan`` finds: ``_jet_functions``
+    at order 0."""
+    sin, cos, binomial = series["sin"], series["cos"], series["binomial"]
+
+    def tan(x):
+        """sin / cos through ``order0_div``, as ``jet_tan`` divides the two jets."""
+        check_tan(x)
+        return order0_div(order0_constant(sin(x, 0)[0]), order0_constant(cos(x, 0)[0]))
+
+    def power(x, exponent):
+        """``jet_pow`` at order 0: integer powers are repeated products."""
+        exponent = power_exponent(x, exponent)
+        if not isinstance(exponent, int):
+            return order0_constant(binomial(x, exponent, 0)[0])
+        if exponent == 0:
+            return 1
+        if exponent < 0:
+            return order0_div(1, power(x, -exponent))
+        result = x
+        for _ in range(exponent - 1):
+            result = order0_mul(result, x)
+        return result
+
+    functions = {
+        **{name: _order0_series(series[name]) for name in SERIES},
+        "tan": tan,
+        "abs": lambda x: x if branch_sign("abs", x) > 0 else -x,
+        "sign": lambda x: branch_sign("sign", x),
+    }
+    return functions, power
+
+
+_order0_functions, _order0_pow = _number_functions({**SERIES, "binomial": binomial_series}, check_tan)
 
 
 # ----------------------------------------------------------------------
 # lanes.  A Lanes value holds one float per sample point (a "lane") in a
 # float64 array.  Jets whose coefficients are Lanes where they depend on the
 # point, and plain numbers where they do not, run a whole grid of points
-# through one pass of the jet loops above (LANES, below), and each lane holds
-# the float that the scalar jets give at its point, to the bit:
-#   * numpy does only +, -, * and /, which it rounds as Python rounds floats;
-#     an exact operand (int or Fraction) meets the lanes as float() of it, as
-#     CPython converts it before it meets a float, and a zero divisor on any
-#     lane raises ZeroDivisionError, as a float division by zero does;
-#   * a power, a Taylor series and a tan pole test run per lane in Python;
-#   * a test of lanes (a truth value or >) answers when every lane
+# through one pass of the jet loops above (LANES, below), and so do the
+# numbers of the order-0 rules (LANE_NUMBERS); each lane holds the float that
+# the scalar jets or numbers give at its point, to the bit:
+#   * numpy does only +, -, * and / and abs, which it rounds as Python rounds
+#     floats; an exact operand (int or Fraction) meets the lanes as float() of
+#     it, as CPython converts it before it meets a float, and a zero divisor
+#     on any lane raises ZeroDivisionError, as a float division by zero does;
+#   * a power, a Taylor series and a tan pole test run per lane in Python; a
+#     power whose exponent is Lanes raises TypeError;
+#   * a test of lanes (a truth value, <, <=, > or >=) answers when every lane
 #     gives the same answer, and raises LaneSplit when they do not: the
-#     scalar jets would take different branches at different points.  The
+#     scalar jets would take different branches at different points, such as
+#     another sign, or another pivot row in the inverse of a metric.  The
 #     order-0 rules test a value's truth (``if not b``), so that a zero on
 #     some lanes raises; == asks whether every lane is equal, one answer for
 #     all, which a jet asks of a coefficient only to find an exact zero, and
-#     a Lanes value is never one.
+#     a Lanes value is never one;
+#   * a largest value that each lane takes apart, such as the cut below
+#     which a pivot is singular, is ``lane_max``.
 # So a batched computation gives every lane's scalar value or raises, and its
 # caller re-runs a raising batch point by point.  Overflow to inf or nan is
 # silent, as in float arithmetic; numpy warns of it unless the lanes run
@@ -817,6 +840,16 @@ def _compared(x):
     return y
 
 
+def _test(op: Callable) -> Callable:
+    """The order test ``op`` of a Lanes value, answered when every lane agrees."""
+
+    def method(self, other):
+        y = _compared(other)
+        return NotImplemented if y is None else _agreed(op(self.array, y))
+
+    return method
+
+
 class Lanes:
     """One float per lane, in the float64 array ``array``."""
 
@@ -841,9 +874,7 @@ class Lanes:
         y = _compared(other)
         return NotImplemented if y is None else bool((self.array == y).all())
 
-    def __gt__(self, other):  # the one order a jet tests, for a sign; <, <= and >= raise TypeError
-        y = _compared(other)
-        return NotImplemented if y is None else _agreed(self.array > y)
+    __lt__, __le__, __gt__, __ge__ = map(_test, (operator.lt, operator.le, operator.gt, operator.ge))
 
     def __truediv__(self, other):
         y = _operand(other)
@@ -855,6 +886,9 @@ class Lanes:
 
     def __neg__(self):
         return _lanes(-self.array)
+
+    def __abs__(self):
+        return _lanes(np.abs(self.array))
 
     def __pow__(self, exponent):
         if type(exponent) is Lanes:
@@ -878,6 +912,14 @@ _INEXACT = (float, Lanes)  # the values a jet keeps when they are zero
 def lane_values(x, width: int) -> list:
     """``x`` on each of ``width`` lanes: a Lanes value's floats, a plain number repeated."""
     return x.array.tolist() if type(x) is Lanes else [x] * width
+
+
+def lane_max(values: Sequence):
+    """The largest of ``values``, floats or Lanes, on each lane, as np.max
+    takes it (a nan is the largest): Lanes where some value is, else a float."""
+    if not any(type(x) is Lanes for x in values):
+        return float(np.max(values))
+    return _lanes(np.max(np.broadcast_arrays(*(x.array if type(x) is Lanes else x for x in values)), axis=0))
 
 
 def lanes_at(x, keep: List[int]):
@@ -907,7 +949,8 @@ def _lane_check_tan(c0) -> None:
 # the two kinds of value.  The expression evaluator (exprlang) and the
 # geometry pass (tensor) compute through a Kind, so one routine serves jets
 # and the plain numbers that stand for order-0 jets, and gives the numbers the
-# values of the jets it would build, to the bit.
+# values of the jets it would build, to the bit.  LANES and LANE_NUMBERS are
+# the two kinds on lanes.
 # ----------------------------------------------------------------------
 
 
@@ -922,7 +965,7 @@ class Kind(NamedTuple):
     div: Callable  # a zero divisor is a JetDomainError
     power: Callable  # (base, exponent), both of the kind
     half: Callable  # x / 2
-    value: Callable  # x at the point, as a float
+    value: Callable  # x at the point, as a float (on lanes, Lanes)
     functions: Dict[str, Callable]  # name -> unary function
 
 
@@ -948,21 +991,21 @@ NUMBERS = Kind(
     _order0_pow,
     half,
     float,
-    {
-        **{name: _order0_series(series) for name, series in SERIES.items()},
-        "tan": _order0_tan,
-        "abs": lambda x: x if branch_sign("abs", x) > 0 else -x,
-        "sign": lambda x: branch_sign("sign", x),
-    },
+    _order0_functions,
 )
 
 
-def _lane_kind() -> Kind:
-    """JETS on jets whose coefficients may be Lanes: the series (with the
-    binomial series of a non-integer power) and the tan pole test run per lane."""
+def _lane_kinds() -> Tuple[Kind, Kind]:
+    """JETS and NUMBERS on values that may be Lanes: the series (with the
+    binomial series of a non-integer power) and the tan pole test run per
+    lane, and a number's value is its Lanes, or the float of a plain number."""
     series = {name: _lane_series(s) for name, s in {**SERIES, "binomial": binomial_series}.items()}
     functions, _, power = _jet_functions(series, _lane_check_tan)
-    return JETS._replace(power=power, functions=functions)
+    numbers, number_power = _number_functions(series, _lane_check_tan)
+    return (
+        JETS._replace(power=power, functions=functions),
+        NUMBERS._replace(power=number_power, value=lambda x: x if type(x) is Lanes else float(x), functions=numbers),
+    )
 
 
-LANES = _lane_kind()
+LANES, LANE_NUMBERS = _lane_kinds()

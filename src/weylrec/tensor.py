@@ -67,6 +67,13 @@ slots of R hold the values of the order-0 jets they stand for.  A number
 cannot tell a jet holding an exact-zero coefficient from an empty one; no
 jet operation leaves such a coefficient, so the jets of a pass never hold
 one.
+
+The depth-0 pass also runs on many float points at once, one float64 lane
+per point (``compatibility_residuals``): the metric jets on ``jets.LANES``
+and the numbers on ``jets.LANE_NUMBERS``, where the helper picks them for
+jets whose base point is in lanes.  Each lane holds the value its point's
+own pass gives, or the pass raises (``jets.LaneSplit`` where the points
+would take different branches) and its caller takes the points one by one.
 """
 
 from __future__ import annotations
@@ -74,13 +81,25 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from . import exprlang, thresholds
 from .exprlang import Expr, eval_jet, eval_number
-from .jets import JETS, NUMBERS, JetPoly, JetShapeError, Kind, coordinate_jets
+from .jets import (
+    JETS,
+    LANE_NUMBERS,
+    LANES,
+    NUMBERS,
+    JetPoly,
+    JetShapeError,
+    Kind,
+    Lanes,
+    coordinate_jets,
+    exact_zero,
+    lane_max,
+)
 
 
 class DomainViolation(ValueError):
@@ -183,7 +202,8 @@ def check_domain(structure: WeylStructure, point: Sequence) -> None:
         raise DomainViolation(f"constraint {exprlang.to_source(constraint)} > 0 violated at {tuple(point)} (value {value})")
 
 
-def metric_jets(structure: WeylStructure, point: Sequence, order: int) -> List[List[JetPoly]]:
+def metric_jets(structure: WeylStructure, point: Sequence, order: int, kind: Optional[Kind] = None) -> List[List[JetPoly]]:
+    """The metric's jets of ``order`` at ``point``, in ``kind`` (JETS, or LANES for a point given in lanes)."""
     env = coordinate_jets(structure.chart.names, point, order)
     template = env[structure.chart.names[0]]
     zero = template.like_constant(0)
@@ -195,7 +215,7 @@ def metric_jets(structure: WeylStructure, point: Sequence, order: int) -> List[L
             e = structure.metric[i][j]
             if e is not None:
                 if id(e) not in evaluated:
-                    evaluated[id(e)] = eval_jet(e, env)
+                    evaluated[id(e)] = eval_jet(e, env, kind)
                 out[i][j] = out[j][i] = evaluated[id(e)]
     return out
 
@@ -304,7 +324,9 @@ def _invert_jet_matrix(g: list, kind: Kind) -> Dict[Tuple[int, int], object]:
     """Invert a matrix of jets, or of numbers, in ``kind`` by Gauss-Jordan
     with constant-term pivoting; a pivot at most PIVOT_SINGULAR of the
     largest entry's value means it is singular.  Returns the nonzero entries
-    of the inverse, ``{(a, e): g^{ae}}`` in row-major order.
+    of the inverse, ``{(a, e): g^{ae}}`` in row-major order.  On lanes
+    (LANE_NUMBERS) the cut is each lane's own, and a pivot row or a
+    singular pivot that not every lane agrees on raises ``jets.LaneSplit``.
 
     Each row keeps the set of its columns that hold a nonzero entry, so the
     pivot row is scaled, and each row with a nonzero entry in the pivot
@@ -315,7 +337,8 @@ def _invert_jet_matrix(g: list, kind: Kind) -> Dict[Tuple[int, int], object]:
     empty, sub, mul = kind.empty, kind.sub, kind.mul
     zero = kind.constant(g[0][0], 0)
     one = kind.constant(g[0][0], 1)
-    cut = thresholds.PIVOT_SINGULAR * float(np.max(np.abs(_values(g))))
+    # the largest modulus of an entry, on each lane; an empty entry's is 0.0
+    cut = thresholds.PIVOT_SINGULAR * lane_max([0.0] + [abs(kind.value(x)) for row in g for x in row if not empty(x)])
     aug = [[g[i][j] for j in range(d)] + [one if i == j else zero for j in range(d)] for i in range(d)]
     live = [{j for j in range(d) if not empty(g[i][j])} | {d + i} for i in range(d)]
     for col in range(d):
@@ -362,8 +385,11 @@ class Connection:
     nabla R and the recurrence fit.  At depth 0, ``gamma``,
     ``levi_civita_gamma`` and ``one_form`` hold plain numbers (ints,
     Fractions or floats, an exact zero as int 0), the values of the order-0
-    jets they stand for; ``metric`` holds jets of order depth + 1.
-    ``curvature_jets`` holds R as its live slots with a < b (see the module
+    jets they stand for; ``metric`` holds jets of order depth + 1.  A depth-0
+    connection whose point is in lanes, one float64 lane per point, holds
+    ``jets.Lanes`` among those numbers: ``compatibility_residuals`` builds
+    one to read its Christoffel values lane by lane, and no reader here
+    takes it.  ``curvature_jets`` holds R as its live slots with a < b (see the module
     docstring): jets of order depth - 1, and at depth 1 numbers, the values
     of the order-0 jets.  ``curvature`` and ``nabla_R`` (depth >= 2) are the
     dense float arrays the checks read; ``curvature`` is kept after its first
@@ -420,11 +446,7 @@ class Connection:
 
     def compatibility_residual(self) -> float:
         """See :func:`weyl_compatibility_residual`."""
-        G, gv, w = self.values(), self.metric_values, self.one_form_values
-        dg = _first_partials(self.metric)
-        nabla_g = dg - np.einsum("fea,fb->eab", G, gv) - np.einsum("feb,af->eab", G, gv)
-        resid = nabla_g + 2.0 * np.einsum("e,ab->eab", w, gv)
-        return float(np.max(np.abs(resid)) / max(1.0, np.max(np.abs(gv))))
+        return _compatibility(self.values(), self.metric_values, self.one_form_values, _first_partials(self.metric))
 
     def recurrence(self, tol: float = thresholds.RECURRENCE_TOL) -> RecurrenceReport:
         """See :func:`recurrence_theta` (needs depth >= 2)."""
@@ -485,9 +507,20 @@ class Connection:
         return PointTensor(C)
 
 
+def _compatibility(G: np.ndarray, gv: np.ndarray, w: np.ndarray, dg: np.ndarray) -> float:
+    """max |(nabla g + 2 w x g)_{e,ab}| / max(1, |g|) from the values of the
+    Christoffel symbols, the metric and the 1-form, and dg[e] = d_e g."""
+    nabla_g = dg - np.einsum("fea,fb->eab", G, gv) - np.einsum("feb,af->eab", G, gv)
+    resid = nabla_g + 2.0 * np.einsum("e,ab->eab", w, gv)
+    return float(np.max(np.abs(resid)) / max(1.0, np.max(np.abs(gv))))
+
+
 def weyl_connection(structure: WeylStructure, point: Sequence, depth: int = 1) -> Connection:
     """Weyl connection: Levi-Civita plus K^a_bc = delta^a_b w_c + delta^a_c w_b - g_bc g^{ad} w_d.
-    At depth 0 the 1-form is evaluated on plain numbers (``eval_number``)."""
+    At depth 0 the 1-form is evaluated on plain numbers (``eval_number``);
+    ``compatibility_residuals`` runs the same depth-0 pass on many float
+    points at once, on lanes; where that raises, its caller builds each
+    point's connection here."""
     check_domain(structure, point)
     g = metric_jets(structure, point, depth + 1)
     check_signature(_values(g), point)
@@ -497,6 +530,57 @@ def weyl_connection(structure: WeylStructure, point: Sequence, depth: int = 1) -
     else:
         omega = one_form_jets(structure, point, depth)
     return _christoffel_from(structure, point, depth, g, omega)
+
+
+def compatibility_residuals(structure: WeylStructure, points: Sequence[Sequence[float]]) -> List[float]:
+    """The compatibility residual at each of ``points`` (float points), in
+    order, from one depth-0 pass on lanes, one float64 lane per point: the
+    order-1 metric jets on ``jets.LANES``, then the 1-form and the inverse and
+    Christoffel pass of ``_christoffel_from`` on ``jets.LANE_NUMBERS``.  Each
+    lane holds the values of its point's own depth-0 connection, to the bit;
+    the domain and signature checks and the residual formula run point by
+    point, so each residual is ``weyl_compatibility_residual`` at its point.
+
+    It raises where any point would, and where the lanes would branch apart
+    (``jets.LaneSplit``: a coordinate 0.0 at some points only, pivot rows or
+    singular pivots that differ from lane to lane), and TypeError for a point
+    that is not all floats; a caller then takes those points one by one.  A
+    warning numpy would give on lane arithmetic, where the scalar path
+    computes in Python floats, is not given."""
+    if not points:
+        return []
+    if any(type(x) is not float for p in points for x in p):
+        raise TypeError("the lanes hold float points only")
+    for p in points:
+        check_domain(structure, p)
+    n, base = len(points), tuple(map(Lanes, zip(*points)))
+    with np.errstate(all="ignore"):
+        g = metric_jets(structure, base, 1, LANES)
+    gv = list(_lane_values([[jet.value for jet in row] for row in g], n))
+    for values, p in zip(gv, points):
+        check_signature(values, p)
+    env = dict(zip(structure.chart.names, base))
+    with np.errstate(all="ignore"):
+        omega = [0 if e is None else eval_number(e, env, LANE_NUMBERS) for e in structure.one_form]
+        gamma = _christoffel_from(structure, base, 0, g, omega).gamma
+    dg = _lane_values([[jet.gradient() for jet in row] for row in g], n)  # dg[a][b][e] = d_e g_ab
+    lanes = zip(_lane_values(gamma, n), gv, _lane_values(omega, n), (np.moveaxis(x, -1, 0) for x in dg))
+    return [_compatibility(*lane) for lane in lanes]
+
+
+def _lane_values(values, width: int) -> Iterator[np.ndarray]:
+    """``_values`` of a nested list of numbers, some of them Lanes of
+    ``width`` lanes, at each lane in turn.  Only the entries that are not an
+    exact zero are held for every lane."""
+    shape, leaves = _flatten(values)
+    live = np.array([k for k, x in enumerate(leaves) if type(x) is Lanes or not exact_zero(x)], np.intp)
+    rows = np.empty((len(live), width))
+    for row, k in zip(rows, live.tolist()):
+        row[:] = leaves[k].array if type(leaves[k]) is Lanes else float(leaves[k])
+    for column in rows.T:
+        out = np.zeros(len(leaves))
+        out[live] = column
+        yield out.reshape(shape)
 
 
 def _once_per_jet(live: Dict[Index, JetPoly], fn, shared: Optional[Set[int]] = None) -> Dict[Index, object]:
@@ -521,9 +605,10 @@ def _read_down(jets, order: int, mirror: Tuple[int, int]) -> Tuple[Kind, object,
     object.  An empty jet is not read: it stands for the zero, and its
     partials for a row of it.
 
-    At ``order`` 0 the pass runs on numbers (``NUMBERS``, zero 0): each
-    jet's value and gradient, which are the values of the order-0 jets they
-    stand for.  Otherwise it runs on ``JETS`` with each operation computed
+    At ``order`` 0 the pass runs on numbers (``NUMBERS``, zero 0, or
+    ``LANE_NUMBERS`` for jets whose base point is in lanes): each jet's
+    value and gradient, which are the values of the order-0 jets they stand
+    for.  Otherwise it runs on ``JETS`` with each operation computed
     once per shared operands (``_once_per_operands``), where the shared jets
     are those that fill more than one slot of the list, a slot and its
     mirror at the axes ``mirror`` counted as one (``_repeated``), and every
@@ -533,7 +618,8 @@ def _read_down(jets, order: int, mirror: Tuple[int, int]) -> Tuple[Kind, object,
         template = template[0]
     live = _live(jets)
     if order == 0:
-        return NUMBERS, 0, _once_per_jet(live, lambda jet: jet.value), _once_per_jet(live, JetPoly.gradient)
+        numbers = LANE_NUMBERS if any(type(x) is Lanes for x in template.base) else NUMBERS
+        return numbers, 0, _once_per_jet(live, lambda jet: jet.value), _once_per_jet(live, JetPoly.gradient)
     n = template.nvars
     shared = _repeated(live, mirror)
     ops = ("add", "sub", "mul", "div", "half")

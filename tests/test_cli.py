@@ -147,39 +147,54 @@ class TestVerifyCommand:
 
     def test_one_connection_per_sample_point(self, exp_file, capsys, monkeypatch):
         """Every check at a curvature point reads one Weyl connection built at
-        --order; each other point builds one of depth 0 for compatibility."""
+        --order; the other 15 points check compatibility in one pass on
+        lanes, which builds no connection point by point."""
         from weylrec import tensor
 
-        depths = []
-        build = tensor.weyl_connection
+        depths, passes = [], []
+        build, lanes = tensor.weyl_connection, cli.compatibility_residuals
 
         def counting_build(structure, point, depth=1):
             depths.append(depth)
             return build(structure, point, depth)
 
+        def counting_lanes(structure, points):
+            passes.append(len(points))
+            return lanes(structure, points)
+
         monkeypatch.setattr(cli, "weyl_connection", counting_build)
         monkeypatch.setattr(tensor, "weyl_connection", counting_build)
+        monkeypatch.setattr(cli, "compatibility_residuals", counting_lanes)
         code, _, _ = run(capsys, "verify", exp_file)
         assert code == 0
-        assert sorted(depths) == [0] * 15 + [2] * 5
+        assert (depths, passes) == ([2] * 5, [15])
 
     def test_each_connection_is_dropped_before_the_next_is_built(self, exp_file, capsys, monkeypatch):
-        """verify keeps no connection past its point: when a point's connection
-        is built, none built at an earlier point is still alive."""
-        build = cli.weyl_connection
+        """verify keeps no connection past its point: when a curvature
+        point's connection is built, and when the lane pass over the other
+        points runs, none built at an earlier point is still alive."""
+        build, lanes = cli.weyl_connection, cli.compatibility_residuals
         refs, alive = [], []
 
-        def tracking_build(structure, point, depth=1):
+        def count_alive():
             gc.collect()
             alive.append(sum(ref() is not None for ref in refs))
+
+        def tracking_build(structure, point, depth=1):
+            count_alive()
             conn = build(structure, point, depth)
             refs.append(weakref.ref(conn))
             return conn
 
+        def tracking_lanes(structure, points):
+            count_alive()
+            return lanes(structure, points)
+
         monkeypatch.setattr(cli, "weyl_connection", tracking_build)
+        monkeypatch.setattr(cli, "compatibility_residuals", tracking_lanes)
         code, _, _ = run(capsys, "verify", exp_file)
         assert code == 0
-        assert alive == [0] * 20
+        assert (len(refs), alive) == (5, [0] * 6)
 
     def test_order_floor_enforced(self, exp_file, capsys):
         code, _, err = run(capsys, "verify", exp_file, "--order", "2")
@@ -619,6 +634,21 @@ class TestInputErrorText:
         path = write_json(tmp_path / "h.json", {"format": 1, "family": "homogeneous", "n": 2})
         want = "error: classification needs a one-function or pair family input, got 'homogeneous'\n"
         assert run(capsys, "classify", path) == (2, "", want)
+
+    @pytest.mark.parametrize(
+        "files", [["bad"], ["bad", "good"], ["good", "bad"]], ids=["signature", "equiv-first", "equiv-second"]
+    )
+    def test_a_sample_with_psi_prime_not_positive_names_its_file(self, tmp_path, capsys, files):
+        """psi = t^2 + t has psi' = -1 at t = -1, the first sample of -1:2;
+        the error names the file whose curve has that sample."""
+        paths = {
+            "bad": write_json(tmp_path / "bad.json", {"format": 1, "family": "dim_ge4", "psi": "t*t+t", "n": 2}),
+            "good": write_json(tmp_path / "good.json", {"format": 1, "family": "dim_ge4", "psi": "t^3+t", "n": 2}),
+        }
+        verb = "signature" if len(files) == 1 else "equiv"
+        want = f"error: {paths['bad']}: the defining function must have positive derivative (got -1.0 at t = -1.0)\n"
+        argv = [verb, *(paths[f] for f in files), "--range", "-1:2", "--samples", "4"]
+        assert run(capsys, *argv) == (2, "", want)
 
 
 class TestWholeBoxCurveRange:

@@ -1,11 +1,15 @@
-"""Lane-batched signature curves and symmetry systems.
+"""Lane-batched signature curves, symmetry systems and compatibility checks.
 
 A curve evaluates all of its sample points in one pass on ``jets.LANES``,
 one float64 lane per point, and falls back to sampling point by point where
 that pass raises.  Either way its samples, drops and counts are to the bit
 those of the point-by-point path, ``_sampled_curve`` with ``sample_at``:
 these tests run both on drawn expressions and grids, and on the grids that
-force the fallback, through the library and through the CLI.
+force the fallback, through the library and through the CLI.  The same holds
+for verify's compatibility-only points: one depth-0 pass on lanes
+(``tensor.compatibility_residuals``) gives each point's
+``weyl_compatibility_residual`` or raises, and ``verify`` then takes the
+points one by one.
 """
 
 import dataclasses
@@ -18,14 +22,24 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weylrec import exprlang, invariants, symmetry
+from weylrec import cli, exprlang, invariants, symmetry
 from weylrec.catalog import standard_catalog
 from weylrec.cli import main
-from weylrec.exprlang import BinOp, Const, Var, parse
+from weylrec.exprlang import BinOp, Const, ExprDomainError, Var, parse
 from weylrec.invariants import _hausdorff, pair_signature_curve, psi_signature_curve, surface_signature_curve
-from weylrec.jets import LANES, JetPoly, LaneSplit, Lanes, coordinate_jets, lane_values
+from weylrec.jets import LANE_NUMBERS, LANES, NUMBERS, JetPoly, LaneSplit, Lanes, coordinate_jets, lane_max, lane_values
+from weylrec.tensor import (
+    Chart,
+    DomainViolation,
+    SignatureError,
+    SingularMetricError,
+    compatibility_residuals,
+    make_structure,
+    weyl_connection,
+)
 
 from hausdorff_scan import hausdorff_scan
+from test_depth0_path import small_structures
 from test_exprlang import _REPEATING_TREES, _children
 
 
@@ -286,6 +300,34 @@ class TestLanes:
         with pytest.raises(LaneSplit):
             bool(Lanes([1.0, 0.0]))  # the order-0 rules ask "if not b": a zero on some lanes
 
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    @pytest.mark.parametrize("other", [0.5, 3, 1.5, 2.0, Lanes([0.0, -1.0]), Lanes([1.0, 3.0])], ids=repr)
+    def test_each_order_answers_only_when_every_lane_agrees(self, op, other):
+        """Against a float, an int or Lanes; a number on the left meets the reflected order."""
+        x, xs, others = Lanes([1.0, 2.0]), [1.0, 2.0], lane_values(other, 2)
+        cases = [(x, other, [op(a, b) for a, b in zip(xs, others)])]
+        if not isinstance(other, Lanes):
+            cases.append((other, x, [op(b, a) for a, b in zip(xs, others)]))
+        for left, right, answers in cases:
+            if len(set(answers)) == 1:
+                assert op(left, right) is answers[0]
+            else:
+                with pytest.raises(LaneSplit):
+                    op(left, right)
+
+    def test_abs_is_the_modulus_of_each_lane(self):
+        out = abs(Lanes([-1.5, -0.0, 2.0, -math.inf]))
+        assert list(map(float.hex, out.array.tolist())) == list(map(float.hex, [1.5, 0.0, 2.0, math.inf]))
+        assert (abs(Lanes([-1.0, -2.0])) > 0) is True
+        with pytest.raises(LaneSplit):
+            abs(Lanes([-1.0, 0.0])) > 0
+
+    def test_the_largest_value_is_taken_on_each_lane(self):
+        assert lane_max([1.0, 3.0, 2.0]) == 3.0 and type(lane_max([1.0, 3.0])) is float
+        top = lane_max([Lanes([1.0, 5.0]), 2.0, Lanes([3.0, -1.0])])
+        assert top.array.tolist() == [3.0, 5.0]
+        assert math.isnan(lane_max([1.0, math.nan])) and np.isnan(lane_max([Lanes([math.nan, 1.0]), 0.5]).array[0])
+
     def test_equality_asks_whether_every_lane_is_equal(self):
         assert (Lanes([0.0, -0.0]) == 0) is True
         assert (Lanes([1.0, 0.0]) == 0) is False
@@ -315,6 +357,40 @@ class TestLanes:
     def test_numpy_defers_to_the_lanes(self):
         out = np.float64(2.0) * Lanes([1.5])
         assert isinstance(out, Lanes) and out.array.tolist() == [3.0]
+
+    @pytest.mark.parametrize(
+        "source", ["t^3+t", "tan(ln(t))", "exp(t)/(1+t^(1/2))", "abs(sin(t))-sign(t)*t^-3", "-(t-t)*t+exp(t-t)"]
+    )
+    def test_numbers_are_the_scalar_ones(self, source):
+        """LANE_NUMBERS gives, lane by lane, the value and type of NUMBERS at that point."""
+        e, ts = parse(source), [0.55 + 0.07 * k for k in range(16)]
+        with np.errstate(all="raise"):
+            lanes = exprlang.eval_number(e, {"t": Lanes(ts)}, LANE_NUMBERS)
+        for t, lane in zip(ts, lane_values(lanes, len(ts))):
+            scalar = exprlang.eval_number(e, {"t": t})
+            assert (type(lane), repr(lane)) == (type(scalar), repr(scalar))
+
+    def test_a_number_value_is_a_float_or_lanes(self):
+        assert LANE_NUMBERS.value(Lanes([0.5, 2.0])).array.tolist() == [0.5, 2.0]
+        assert LANE_NUMBERS.value(Fraction(1, 3)) == NUMBERS.value(Fraction(1, 3)) == 1 / 3
+
+    def test_a_zero_on_some_lanes_splits_the_numbers(self):
+        """A zero variable, or a zero value of a function such as ln(1),
+        reads as int 0, which lanes cannot hold at some points only."""
+        assert exprlang.eval_number("x", {"x": Lanes([0.0, -0.0])}, LANE_NUMBERS) == 0
+        assert exprlang.eval_number("ln(x)", {"x": Lanes([1.0, 1.0])}, LANE_NUMBERS) == 0
+        with pytest.raises(LaneSplit):
+            exprlang.eval_number("x", {"x": Lanes([0.0, 1.0])}, LANE_NUMBERS)
+        with pytest.raises(LaneSplit):
+            exprlang.eval_number("sin(x)+1", {"x": Lanes([0.5, 1.0]), "y": Lanes([1.0, 0.0])}, LANE_NUMBERS)
+        with pytest.raises(LaneSplit):
+            exprlang.eval_number("ln(x)", {"x": Lanes([1.0, 2.0])}, LANE_NUMBERS)
+
+    def test_a_power_with_an_exponent_in_lanes_raises(self):
+        """The scalar rule takes an integral exponent as an int power and any
+        other one through the binomial series, which lanes cannot share."""
+        with pytest.raises(TypeError):
+            exprlang.eval_number("t^t", {"t": Lanes([0.5, 2.0])}, LANE_NUMBERS)
 
     @pytest.mark.parametrize(
         "source", ["t^3+t", "tan(ln(t))", "exp(t)/(1+t^(1/2))", "abs(sin(t))-sign(t)*t^t", "-(t-t)*t+exp(t-t)"]
@@ -359,6 +435,156 @@ def test_a_row_beyond_the_float_range_names_its_point():
     """The batch raises, and the point-by-point rows report the first point."""
     with pytest.raises(exprlang.ExprDomainError, match=r"psi\(t\) at t = 1\.0: overflow"):
         symmetry._system(symmetry._psi_rows, ["exp(400*t)"], [0.5, 1.0, 2.0])  # psi^2 = exp(800) at t = 1
+
+
+# ----------------------------------------------------------------------
+# verify's compatibility-only points: one depth-0 pass on lanes, the residuals of the point-by-point path
+# ----------------------------------------------------------------------
+
+
+def residuals_point_by_point(structure, points):
+    """``weyl_compatibility_residual`` at each point (as float.hex), or the class and text of the first error."""
+    try:
+        return [weyl_connection(structure, p, 0).compatibility_residual().hex() for p in points]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def residuals_on_lanes(structure, points):
+    """``compatibility_residuals``, or, where it raises, the point-by-point path, as verify takes it."""
+    try:
+        return [r.hex() for r in compatibility_residuals(structure, points)]
+    except Exception:
+        return residuals_point_by_point(structure, points)
+
+
+NONZERO = st.one_of(st.floats(1 / 16, 1), st.floats(-1, 1).filter(bool))  # mostly where ln and 1/x are defined
+
+
+@st.composite
+def structures_at_points(draw):
+    """A structure of ``small_structures`` at 1 to 6 float points.  Each
+    coordinate is one value at every point (0.0 among them), or is drawn at
+    each point apart, off 0.0, where a point-dependent test can split."""
+    structure, _ = draw(small_structures())
+    n = draw(st.integers(1, 6))
+    shared = st.sampled_from([0.0, -0.0, 0.5, -0.75]).map(lambda x: [x] * n)
+    columns = [draw(st.one_of(shared, st.lists(NONZERO, min_size=n, max_size=n))) for _ in range(structure.dim)]
+    return structure, list(zip(*columns))
+
+
+def _structure(metric, one_form, constraints=()):
+    return make_structure(Chart(("x0", "x1", "x2"), tuple(map(parse, constraints))), metric, one_form)
+
+
+_PLAIN_METRIC = {("x0", "x0"): "-(1+x1*x2/8)", ("x1", "x1"): "1+exp(x0)/8", ("x2", "x2"): "1"}
+_PLAIN = _structure(_PLAIN_METRIC, {"x0": "x1*x2"})
+_DIAGONAL = _structure({("x0", "x0"): "-1", ("x1", "x1"): "x1-1/2", ("x2", "x2"): "1"}, {"x2": "x0"})
+# one pair of sample points per way the lane pass falls back: the point-by-point path gives the second point's error
+FALLBACKS = [
+    pytest.param(_PLAIN, [(0.5, 0.25, -0.75), (0.0, 0.25, -0.75)], LaneSplit, id="zero-coordinate-on-one-lane"),
+    pytest.param(  # column 0 of [[x1, 1, 0], [1, 0, 0], [0, 0, 1]] pivots on row 0 at x1 = 2 and row 1 at x1 = 0.5
+        _structure({("x0", "x0"): "x1", ("x0", "x1"): "1", ("x2", "x2"): "1"}, {"x2": "x0"}),
+        [(0.3, 2.0, 0.7), (0.3, 0.5, 0.7)],
+        LaneSplit,
+        id="pivot-rows-differ",
+    ),
+    pytest.param(_DIAGONAL, [(0.3, 1.0, 0.7), (0.3, 0.5, 0.7)], SingularMetricError, id="singular-on-one-lane"),
+    pytest.param(_DIAGONAL, [(0.3, 1.0, 0.7), (0.3, 0.25, 0.7)], SignatureError, id="signature-flip-on-one-lane"),
+    pytest.param(
+        _structure({("x0", "x0"): "-1", ("x1", "x1"): "1", ("x2", "x2"): "1"}, {"x0": "exp(800*x1)"}),
+        [(0.3, 0.5, 0.7), (0.3, 1.0, 0.7)],
+        ExprDomainError,
+        id="one-form-overflow-on-one-lane",
+    ),
+    pytest.param(
+        _structure(_PLAIN_METRIC, {"x0": "x1"}, ["x1"]),
+        [(0.3, 0.5, 0.7), (0.3, -0.5, 0.7)],
+        DomainViolation,
+        id="domain-violated-on-one-lane",
+    ),
+]
+
+
+@settings(max_examples=300)
+@given(case=structures_at_points())
+@example(case=FALLBACKS[0].values[:2])
+@example(case=FALLBACKS[1].values[:2])
+@example(case=FALLBACKS[2].values[:2])
+@example(case=FALLBACKS[3].values[:2])
+@example(case=FALLBACKS[4].values[:2])
+@example(case=FALLBACKS[5].values[:2])
+def test_the_lane_residuals_are_the_point_by_point_residuals(case):
+    assert residuals_on_lanes(*case) == residuals_point_by_point(*case)
+
+
+@pytest.mark.parametrize("structure,points,error", FALLBACKS)
+def test_each_hard_point_set_falls_back(structure, points, error):
+    """The first point alone runs on lanes, the pair raises ``error``, and
+    where that is not a split the second point fails on its own as well."""
+    assert compatibility_residuals(structure, points[:1])
+    with pytest.raises(error):
+        compatibility_residuals(structure, points)
+    if error is not LaneSplit:
+        assert residuals_point_by_point(structure, points)[0] is error
+
+
+def test_the_catalog_runs_on_lanes():
+    """verify's 15 compatibility-only points of every catalog entry take the lanes, not the fallback."""
+    for entry in standard_catalog().values():
+        points = entry.sample_points(20, entry.seed)[5:]
+        assert residuals_on_lanes(entry.structure, points) == [r.hex() for r in compatibility_residuals(entry.structure, points)]
+
+
+def point_by_point_compatibility(structure, points, path):
+    """``cli._compatibility_only`` without its lanes: each point's depth-0 connection in turn."""
+    return [cli._at_point(path, p, cli.weyl_connection, structure, p, 0).compatibility_residual() for p in points]
+
+
+def cli_outcome(compatibility, structure, points):
+    try:
+        return [r.hex() for r in compatibility(structure, points, "structure.json")]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("structure,points,error", FALLBACKS)
+def test_verify_takes_a_raising_pass_point_by_point(structure, points, error):
+    """Where the lanes raise, verify's compatibility points give what the
+    point-by-point path gives: its residuals, or its error naming the file."""
+    batched = cli_outcome(cli._compatibility_only, structure, points)
+    assert batched == cli_outcome(point_by_point_compatibility, structure, points)
+
+
+def test_a_raising_lane_pass_leaves_the_report_unchanged(tmp_path, capsys, monkeypatch):
+    path = structure_file(tmp_path, "dim_ge4", {"psi": "exp(t)"})
+    code, out, _ = cli_run(capsys, ["verify", path])
+
+    def split(structure, points):
+        raise LaneSplit("the lanes of a test answer differently")
+
+    monkeypatch.setattr(cli, "compatibility_residuals", split)
+    assert cli_run(capsys, ["verify", path])[:2] == (code, out) and code == 0
+
+
+@pytest.mark.parametrize(
+    "hi,k",
+    [(0.34, 5), (0.33, 13)],
+    ids=["first", "middle"],
+)
+def test_a_failing_compatibility_point_reads_as_point_by_point(tmp_path, capsys, monkeypatch, hi, k):
+    """psi = exp(100 t) makes the metric singular past t of about 0.32: at
+    sample k of 20 first, a compatibility-only point.  stdout, stderr and the
+    exit code are those of the point-by-point path."""
+    path = structure_file(tmp_path, "dim_ge4", {"psi": "exp(100*t)", "box": {"t": [0.2, hi], "u": [0.1, 1.2]}})
+    entry = cli.load_structure_file(path)
+    points = entry.sample_points(20, entry.seed)
+    first = next(i for i, p in enumerate(points) if residuals_point_by_point(entry.structure, [p])[0] is SingularMetricError)
+    assert first == k
+    batched = cli_run(capsys, ["verify", path])
+    monkeypatch.setattr(cli, "_compatibility_only", point_by_point_compatibility)
+    assert batched == cli_run(capsys, ["verify", path])
+    assert batched[0] == 2 and batched[1] == "" and "singular" in batched[2]
 
 
 # ----------------------------------------------------------------------
