@@ -17,10 +17,8 @@ from .tensor import (
     RecurrenceReport,
     WeylStructure,
     conformal_weyl_tensor,
-    curvature,
     holonomy_span_dim,
     make_structure,
-    nabla_R,
     recurrence_theta,
     weyl_compatibility_residual,
     weyl_connection,

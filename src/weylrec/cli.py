@@ -427,6 +427,8 @@ def cmd_invariants(args) -> int:
         record = _at_point(args.file, vals, row.invariants, entry.params, *vals)
     except SingularStratumError as exc:
         record = {"at": vals if len(vals) > 1 else vals[0], "singular": str(exc)}
+    except NotIncreasingError as exc:  # psi' <= 0 at --at: off the family's domain, as a curve's sample is
+        raise InputError(f"{args.file}: {exc}") from exc
     _emit_json({"family": entry.family, **record}, args.json)
     return EXIT_OK
 

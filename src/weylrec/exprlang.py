@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Tuple, Union
 
 from . import thresholds
 from .jets import JETS, NUMBERS, UNARY_FUNCTIONS, JetDomainError, JetPoly, Kind, order0_constant
@@ -415,10 +415,9 @@ def _compile(root: Expr) -> Tuple[_Step, int]:
     return compiled
 
 
-def eval_jet(expr: Union[str, Expr], env: Dict[str, JetPoly], kind: Optional[Kind] = None) -> JetPoly:
+def eval_jet(expr: Union[str, Expr], env: Dict[str, JetPoly]) -> JetPoly:
     """Evaluate ``expr`` on a jet environment, whose jets must all share
-    (nvars, order, base point), by its compiled form; ``kind`` is JETS, or
-    LANES for jets whose base point is given in lanes."""
+    (nvars, order, base point), by its compiled form."""
     expr = as_expr(expr)
     if not env:
         raise ValueError("eval_jet requires a non-empty environment")
@@ -428,10 +427,10 @@ def eval_jet(expr: Union[str, Expr], env: Dict[str, JetPoly], kind: Optional[Kin
         if (j.nvars, j.order, j.base) != (first.nvars, first.order, first.base):
             raise JetDomainError("environment jets disagree in shape (truncation-order mismatch)")
     run, slots = expr.__dict__.get("_compiled") or _compile(expr)
-    return run(env, kind or JETS, first, slots and [None] * slots)
+    return run(env, JETS, first, slots and [None] * slots)
 
 
-def eval_number(expr: Union[str, Expr], env: Dict[str, object], kind: Optional[Kind] = None):
+def eval_number(expr: Union[str, Expr], env: Dict[str, object]):
     """Evaluate at order 0 on plain values (exact when the inputs are exact).
 
     The compiled form that ``eval_jet`` runs, on numbers, with no jets.  Its
@@ -439,13 +438,12 @@ def eval_number(expr: Union[str, Expr], env: Dict[str, object], kind: Optional[K
     ``eval_jet(expr, env).value`` with each value of ``env`` as an order-0
     jet, to the bit and the signed zero.  An exact zero reads as int 0, and so does any zero
     literal, variable, or value of ``exp``, ``ln``, ``sin``, ``cos`` or a
-    non-integer power; a float zero that arithmetic makes stays a float.
-    ``kind`` is NUMBERS, or LANE_NUMBERS for values given in lanes."""
+    non-integer power; a float zero that arithmetic makes stays a float."""
     if not all(env.values()):  # a zero variable reads as int 0, as its order-0 jet drops it
         env = {name: order0_constant(value) for name, value in env.items()}
     expr = as_expr(expr)
     run, slots = expr.__dict__.get("_compiled") or _compile(expr)
-    return run(env, kind or NUMBERS, None, slots and [None] * slots)
+    return run(env, NUMBERS, None, slots and [None] * slots)
 
 
 def variables_of(expr: Union[str, Expr]) -> Tuple[str, ...]:

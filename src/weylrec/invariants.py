@@ -13,8 +13,9 @@ The three normal forms are classified by jets of their defining functions:
 Two structures are equivalent when their signature curves (the invariants
 along the defining functions) coincide; no verb applies a group element.
 A curve evaluates its jets and formulas at all of its sample points in one
-pass on lanes (``jets.LANES``), and samples point by point where that pass
-raises, so its samples are to the bit those of the point-by-point path.
+pass, on jets whose coefficients are ``jets.Lanes``, one float per point,
+and where that pass raises it runs the same sampler at each point in turn,
+so its samples are to the bit those of the point-by-point path.
 The tests hold the invariants to the group actions on jets, which live
 beside them.
 
@@ -32,7 +33,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import exprlang, thresholds
-from .jets import LANES, JetDomainError, JetPoly, Lanes, coordinate_jets, derivatives_from_jet, lane_values, lanes_at
+from .jets import JetDomainError, JetPoly, Lanes, coordinate_jets, derivatives_from_jet, lane_values, lanes_at
 
 
 class SingularStratumError(ValueError):
@@ -386,25 +387,31 @@ def _sampled_curve(kind: str, points: Sequence, sample_at) -> SignatureCurve:
     return SignatureCurve(kind, tuple(params), tuple(tuples), tuple(signs), singular + failed, failed)
 
 
-def _lane_curve(kind: str, points: Sequence, sample_lanes, sample_at) -> SignatureCurve:
-    """The curve of ``points`` from one batched evaluation on lanes:
-    ``sample_lanes(points)`` gives, per point, what ``sample_at`` gives, or
-    None on a singular stratum.  Where the batch raises (a lane that would
-    fail, or lanes that would branch apart), the curve is sampled point by
-    point by ``sample_at``, whose drops, counts and errors it then has."""
+def _lane_curve(kind: str, points: Sequence, sample, lanes) -> SignatureCurve:
+    """The curve of ``points`` from ``sample(at)``, which gives one reading per
+    lane of ``at`` (a point is one lane): what ``_sampled_curve`` reads, or
+    None on a singular stratum.  ``sample`` runs once on all the points in
+    lanes, ``lanes(points)``; where that raises (a lane that would fail, or
+    lanes that would branch apart), it runs on each point in turn, whose
+    drops, counts and errors the curve then has."""
     try:
         with np.errstate(all="ignore"):
-            samples = iter(sample_lanes(points))
+            readings = iter(sample(lanes(points)))
     except Exception:  # whatever it is, the points then raise or drop as they do one by one
-        return _sampled_curve(kind, points, sample_at)
+        readings = None
 
     def read(point):
-        sample = next(samples)
-        if sample is None:
+        reading = sample(point)[0] if readings is None else next(readings)
+        if reading is None:
             raise SingularStratumError("on a singular stratum")
-        return sample
+        return reading
 
     return _sampled_curve(kind, points, read)
+
+
+def _width(at) -> int:
+    """The number of lanes of a coordinate ``at``: its Lanes', or 1 for a number."""
+    return len(at.array) if type(at) is Lanes else 1
 
 
 def _live_lanes(width: int, x, *sizes) -> List[int]:
@@ -414,7 +421,7 @@ def _live_lanes(width: int, x, *sizes) -> List[int]:
 
 def _read_lanes(width: int, live: List[int], values: Sequence, sign=None) -> List[Optional[tuple]]:
     """Per lane, the floats of ``values`` (on the ``live`` lanes) and the sign
-    of ``sign`` if given: ``sample_at``'s reading; None off ``live``."""
+    of ``sign`` if given, the reading of a sample; None off ``live``."""
     out: List[Optional[tuple]] = [None] * width
     columns = [lane_values(v, len(live)) for v in values]
     signs = lane_values(sign, len(live)) if sign is not None else [None] * len(live)
@@ -426,40 +433,30 @@ def _read_lanes(width: int, live: List[int], values: Sequence, sign=None) -> Lis
 def psi_signature_curve(psi, lo: float, hi: float, samples: int = 64) -> SignatureCurve:
     psi = exprlang.as_expr(psi)  # parsed once, not at every sample
 
-    def sample_at(t):
-        inv = psi_invariants(psi_jet_from_expr(psi, t, order=5))
-        return (float(inv.I), float(inv.J)), inv.sign_disc
-
-    def sample_lanes(ts):
-        t = Lanes(ts)
-        jet = PsiJet(t, tuple(derivatives_from_jet(exprlang.eval_jet(psi, coordinate_jets(("t",), (t,), 5), LANES))))
-        p = _exactify(jet.derivs)
-        live = _live_lanes(len(ts), _discriminant(p), p[1] * p[3], _sq(p[2]))
+    def sample(t):
+        p, width = _exactify(psi_jet_from_expr(psi, t, order=5).derivs), _width(t)
+        live = _live_lanes(width, _discriminant(p), p[1] * p[3], _sq(p[2]))
         if not live:
-            return [None] * len(ts)
+            return [None] * width
         first, second, disc = _psi_pair([lanes_at(x, live) for x in p])
-        return _read_lanes(len(ts), live, (first, second), disc)
+        return _read_lanes(width, live, (first, second), disc)
 
-    return _lane_curve(PSI_CURVE, _grid(lo, hi, samples), sample_lanes, sample_at)
+    return _lane_curve(PSI_CURVE, _grid(lo, hi, samples), sample, Lanes)
 
 
 def pair_signature_curve(a, c, lo: float, hi: float, samples: int = 64) -> SignatureCurve:
     a, c = exprlang.as_expr(a), exprlang.as_expr(c)
 
-    def sample_at(u):
-        inv = pair_invariants(pair_jet_from_exprs(a, c, u, order=2))
-        return (float(inv.I), float(inv.J), float(inv.K)), None
-
-    def sample_lanes(us):
-        env = coordinate_jets(("u",), (Lanes(us),), 2)
-        aj, cj = (_exactify(derivatives_from_jet(exprlang.eval_jet(e, env, LANES))) for e in (a, c))
-        live = _live_lanes(len(us), aj[1], aj[0], aj[1])
+    def sample(u):
+        jet = pair_jet_from_exprs(a, c, u, order=2)
+        aj, cj, width = _exactify(jet.a), _exactify(jet.c), _width(u)
+        live = _live_lanes(width, aj[1], aj[0], aj[1])
         if not live:
-            return [None] * len(us)
+            return [None] * width
         inv = _pair_formula([lanes_at(x, live) for x in aj], [lanes_at(x, live) for x in cj])
-        return _read_lanes(len(us), live, inv)
+        return _read_lanes(width, live, inv)
 
-    return _lane_curve(PAIR_CURVE, _grid(lo, hi, samples), sample_lanes, sample_at)
+    return _lane_curve(PAIR_CURVE, _grid(lo, hi, samples), sample, Lanes)
 
 
 def surface_signature_curve(
@@ -467,27 +464,21 @@ def surface_signature_curve(
 ) -> SignatureCurve:
     F = exprlang.as_expr(F)
 
-    def sample_at(point):
+    def sample(point):
         jet = f_jet_from_expr(F, *point, order=4)
-        inv = surface_invariants(jet)
-        d1, d2 = surface_derived_pair(jet)
-        return (float(inv.I), float(inv.J), float(d1), float(d2)), None
-
-    def sample_lanes(points):
-        xs, us = zip(*points)
-        jet = exprlang.eval_jet(F, coordinate_jets(("x", "u"), (Lanes(xs), Lanes(us)), 4), LANES)
         read = {(i + di, j + dj) for i, j in _SURFACE_PARTIALS for di, dj in ((0, 0), *_SURFACE_SHIFTS)}
         partials = {alpha: jet.partial(alpha) for alpha in read}
         fu, fx, fux = (partials[alpha] for alpha in _SURFACE_PARTIALS[:3])
-        live = _live_lanes(len(points), fux, fu, fx, fux)
+        width = _width(point[0])
+        live = _live_lanes(width, fux, fu, fx, fux)
         if not live:
-            return [None] * len(points)
+            return [None] * width
         partials = {alpha: lanes_at(v, live) for alpha, v in partials.items()}
         f = [partials[alpha] for alpha in _SURFACE_PARTIALS]
-        return _read_lanes(len(points), live, (*_surface_pair(*f), *_surface_derived(partials.__getitem__, *f[:5])))
+        return _read_lanes(width, live, (*_surface_pair(*f), *_surface_derived(partials.__getitem__, *f[:5])))
 
     points = [(x, u) for x in _grid(*x_range, nx) for u in _grid(*u_range, nu)]
-    return _lane_curve(SURFACE_CURVE, points, sample_lanes, sample_at)
+    return _lane_curve(SURFACE_CURVE, points, sample, lambda points: tuple(map(Lanes, zip(*points))))
 
 
 @dataclass(frozen=True)

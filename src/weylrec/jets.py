@@ -3,9 +3,10 @@
 This is the numeric engine behind every derivative in the package: metric
 partials, Christoffel jets, curvature, total derivatives of invariants.
 A jet holds the Taylor coefficients (derivative / alpha!) of a function at a
-base point, up to a fixed total degree.  Coefficients may be ints, Fractions
-or floats; exact inputs stay exact through +, -, *, / and integer powers,
-which is what makes the exact-rational evaluation mode possible.
+base point, up to a fixed total degree.  Coefficients may be ints, Fractions,
+floats or ``Lanes`` (below); exact inputs stay exact through +, -, *, / and
+integer powers, which is what makes the exact-rational evaluation mode
+possible.
 
 A jet stores its coefficients by *position*: the index of the multi-index
 in the graded-lex list of all multi-indices in its variables
@@ -27,10 +28,9 @@ key, and of two fills that race in different threads the first to store
 wins for both, so all of this is safe to call from concurrent contexts.
 
 ``Kind`` is the one table of how a computation acts on a kind of value:
-``JETS``; ``LANES``, jets whose coefficients are ``Lanes``, one float per
-sample point, so that one evaluation serves a whole grid; ``NUMBERS``,
-plain numbers computed with the order-0 rules; or ``LANE_NUMBERS``, those
-numbers on ``Lanes``.
+``JETS``, or ``NUMBERS``, plain numbers computed with the order-0 rules.
+A coefficient of a jet, or a number, may also be ``Lanes``: one float per
+sample point, so that one evaluation serves a whole grid.
 """
 
 from __future__ import annotations
@@ -627,10 +627,11 @@ SERIES = {"exp": exp_series, "ln": ln_series, "sin": sin_series, "cos": cos_seri
 def check_tan(c0) -> None:
     """tan = sin / cos is defined where cos(c0) is not 0.  The cosine of a
     double is never exactly 0.0; at the double nearest a pole it is about one
-    float spacing of c0, so a pole is |cos c0| <= TAN_POLE max(1, |c0|)."""
-    x = float(c0)
-    if abs(math.cos(x)) <= TAN_POLE * max(1.0, abs(x)):
-        raise JetDomainError("tan at a pole")
+    float spacing of c0, so a pole is |cos c0| <= TAN_POLE max(1, |c0|).
+    A Lanes c0 is tested at each lane."""
+    for x in c0.array.tolist() if type(c0) is Lanes else (float(c0),):
+        if abs(math.cos(x)) <= TAN_POLE * max(1.0, abs(x)):
+            raise JetDomainError("tan at a pole")
 
 
 def branch_sign(fn: str, c0) -> int:
@@ -662,7 +663,20 @@ def power_exponent(c0, exponent):
 
 def _jet_series(series: Callable) -> Callable:
     """The function whose Taylor ``series`` is given, on a jet: the series composed with it."""
-    return lambda jet: _compose(jet, series(jet.value, jet.order))
+
+    def function(jet: JetPoly) -> JetPoly:
+        c0 = jet.value
+        return _compose(jet, _per_lane(series, c0, jet.order) if type(c0) is Lanes else series(c0, jet.order))
+
+    return function
+
+
+jet_exp, jet_ln, jet_sin, jet_cos, jet_sqrt = map(_jet_series, SERIES.values())  # in SERIES' order
+
+
+def jet_tan(jet: JetPoly) -> JetPoly:
+    check_tan(jet.value)
+    return jet_sin(jet) / jet_cos(jet)
 
 
 def jet_sign(jet: JetPoly) -> JetPoly:
@@ -673,107 +687,85 @@ def jet_abs(jet: JetPoly) -> JetPoly:
     return jet if branch_sign("abs", jet.value) > 0 else -jet
 
 
-def _jet_functions(series: Mapping[str, Callable], check_tan: Callable):
-    """The unary functions, ``jet_pow`` and the power of two jets, for jets
-    whose Taylor series are ``series`` (SERIES' names and "binomial") and whose
-    tan poles ``check_tan`` finds."""
-    exp, ln, sin, cos, sqrt = (_jet_series(series[name]) for name in SERIES)
-    binomial = series["binomial"]
+def jet_pow(jet: JetPoly, exponent) -> JetPoly:
+    """jet ** exponent for integer or real exponents.
 
-    def jet_tan(jet: JetPoly) -> JetPoly:
-        check_tan(jet.value)
-        return sin(jet) / cos(jet)
-
-    def jet_pow(jet: JetPoly, exponent) -> JetPoly:
-        """jet ** exponent for integer or real exponents.
-
-        Integer exponents are exact (repeated multiplication / reciprocal);
-        general exponents use the binomial series and require a positive base.
-        """
-        exponent = power_exponent(jet.value, exponent)
-        if isinstance(exponent, int):
-            return jet**exponent
-        return _compose(jet, binomial(jet.value, exponent, jet.order))
-
-    def jet_power(base: JetPoly, exponent: JetPoly) -> JetPoly:
-        """base ^ exponent for two jets; a non-constant exponent is exp(exponent ln base)."""
-        if any(p and c for p, c in exponent.terms.items()):
-            return exp(exponent * ln(base))
-        return jet_pow(base, exponent.value)
-
-    functions = {
-        "exp": exp,
-        "ln": ln,
-        "sin": sin,
-        "cos": cos,
-        "tan": jet_tan,
-        "abs": jet_abs,
-        "sign": jet_sign,
-        "sqrt": sqrt,
-    }
-    return functions, jet_pow, jet_power
+    Integer exponents are exact (repeated multiplication / reciprocal);
+    general exponents use the binomial series and require a positive base.
+    """
+    c0 = jet.value
+    exponent = power_exponent(c0, exponent)
+    if isinstance(exponent, int):
+        return jet**exponent
+    if type(c0) is Lanes:
+        return _compose(jet, _per_lane(binomial_series, c0, exponent, jet.order))
+    return _compose(jet, binomial_series(c0, exponent, jet.order))
 
 
-UNARY_FUNCTIONS, jet_pow, _jet_power = _jet_functions({**SERIES, "binomial": binomial_series}, check_tan)
-jet_exp, jet_ln, jet_sin, jet_cos, jet_tan, jet_sqrt = map(UNARY_FUNCTIONS.get, ("exp", "ln", "sin", "cos", "tan", "sqrt"))
+UNARY_FUNCTIONS = {
+    "exp": jet_exp,
+    "ln": jet_ln,
+    "sin": jet_sin,
+    "cos": jet_cos,
+    "tan": jet_tan,
+    "abs": jet_abs,
+    "sign": jet_sign,
+    "sqrt": jet_sqrt,
+}
+
+
+def _jet_power(base: JetPoly, exponent: JetPoly) -> JetPoly:
+    """base ^ exponent for two jets; a non-constant exponent is exp(exponent ln base)."""
+    if any(p and c for p, c in exponent.terms.items()):
+        return jet_exp(exponent * jet_ln(base))
+    return jet_pow(base, exponent.value)
+
+
+def _order0_pow(x, exponent):
+    """``jet_pow`` at order 0: integer powers are repeated products."""
+    exponent = power_exponent(x, exponent)
+    if not isinstance(exponent, int):
+        if type(x) is Lanes:
+            return order0_constant(_per_lane(binomial_series, x, exponent, 0)[0])
+        return order0_constant(binomial_series(x, exponent, 0)[0])
+    if exponent == 0:
+        return 1
+    if exponent < 0:
+        return order0_div(1, _order0_pow(x, -exponent))
+    result = x
+    for _ in range(exponent - 1):
+        result = order0_mul(result, x)
+    return result
 
 
 def _order0_series(series: Callable) -> Callable:
     """The function whose Taylor ``series`` is given, on a number: its order-0 term."""
-    return lambda x: order0_constant(series(x, 0)[0])
+    return lambda x: order0_constant((_per_lane(series, x, 0) if type(x) is Lanes else series(x, 0))[0])
 
 
-def _number_functions(series: Mapping[str, Callable], check_tan: Callable):
-    """The unary functions and the power of numbers by the order-0 rules,
-    for numbers whose Taylor series are ``series`` (SERIES' names and
-    "binomial") and whose tan poles ``check_tan`` finds: ``_jet_functions``
-    at order 0."""
-    sin, cos, binomial = series["sin"], series["cos"], series["binomial"]
-
-    def tan(x):
-        """sin / cos through ``order0_div``, as ``jet_tan`` divides the two jets."""
-        check_tan(x)
-        return order0_div(order0_constant(sin(x, 0)[0]), order0_constant(cos(x, 0)[0]))
-
-    def power(x, exponent):
-        """``jet_pow`` at order 0: integer powers are repeated products."""
-        exponent = power_exponent(x, exponent)
-        if not isinstance(exponent, int):
-            return order0_constant(binomial(x, exponent, 0)[0])
-        if exponent == 0:
-            return 1
-        if exponent < 0:
-            return order0_div(1, power(x, -exponent))
-        result = x
-        for _ in range(exponent - 1):
-            result = order0_mul(result, x)
-        return result
-
-    functions = {
-        **{name: _order0_series(series[name]) for name in SERIES},
-        "tan": tan,
-        "abs": lambda x: x if branch_sign("abs", x) > 0 else -x,
-        "sign": lambda x: branch_sign("sign", x),
-    }
-    return functions, power
+_order0_sin, _order0_cos = _order0_series(sin_series), _order0_series(cos_series)
 
 
-_order0_functions, _order0_pow = _number_functions({**SERIES, "binomial": binomial_series}, check_tan)
+def _order0_tan(x):
+    """sin / cos through ``order0_div``, as ``jet_tan`` divides the two jets."""
+    check_tan(x)
+    return order0_div(_order0_sin(x), _order0_cos(x))
 
 
 # ----------------------------------------------------------------------
 # lanes.  A Lanes value holds one float per sample point (a "lane") in a
 # float64 array.  Jets whose coefficients are Lanes where they depend on the
 # point, and plain numbers where they do not, run a whole grid of points
-# through one pass of the jet loops above (LANES, below), and so do the
-# numbers of the order-0 rules (LANE_NUMBERS); each lane holds the float that
-# the scalar jets or numbers give at its point, to the bit:
+# through one pass of the jet loops above, and so do the numbers of the
+# order-0 rules; each lane holds the float that the scalar jets or numbers
+# give at its point, to the bit:
 #   * numpy does only +, -, * and / and abs, which it rounds as Python rounds
 #     floats; an exact operand (int or Fraction) meets the lanes as float() of
 #     it, as CPython converts it before it meets a float, and a zero divisor
 #     on any lane raises ZeroDivisionError, as a float division by zero does;
-#   * a power, a Taylor series and a tan pole test run per lane in Python; a
-#     power whose exponent is Lanes raises TypeError;
+#   * a power, a Taylor series and a tan pole test run per lane in Python (the
+#     series and the tan test see a Lanes value and take it lane by lane,
+#     ``_per_lane``); a power whose exponent is Lanes raises TypeError;
 #   * a test of lanes (a truth value, <, <=, > or >=) answers when every lane
 #     gives the same answer, and raises LaneSplit when they do not: the
 #     scalar jets would take different branches at different points, such as
@@ -927,30 +919,18 @@ def lanes_at(x, keep: List[int]):
     return _lanes(x.array[keep]) if type(x) is Lanes else x
 
 
-def _lane_series(series: Callable) -> Callable:
-    """``series`` on lanes: run on each lane's value, its coefficients stacked
-    into Lanes; on a plain number, as it is."""
-
-    def on_lanes(c0, *args) -> list:
-        if type(c0) is not Lanes:
-            return series(c0, *args)
-        rows = [series(x, *args) for x in c0.array.tolist()]
-        return [_lanes(np.array(column, dtype=np.float64)) for column in zip(*rows)]
-
-    return on_lanes
-
-
-def _lane_check_tan(c0) -> None:
-    for x in c0.array.tolist() if type(c0) is Lanes else (c0,):
-        check_tan(x)
+def _per_lane(series: Callable, c0: Lanes, *args) -> list:
+    """``series(x, *args)`` run on each lane's value x of ``c0``, its coefficients stacked into Lanes."""
+    rows = [series(x, *args) for x in c0.array.tolist()]
+    return [_lanes(np.array(column, dtype=np.float64)) for column in zip(*rows)]
 
 
 # ----------------------------------------------------------------------
 # the two kinds of value.  The expression evaluator (exprlang) and the
 # geometry pass (tensor) compute through a Kind, so one routine serves jets
 # and the plain numbers that stand for order-0 jets, and gives the numbers the
-# values of the jets it would build, to the bit.  LANES and LANE_NUMBERS are
-# the two kinds on lanes.
+# values of the jets it would build, to the bit.  A coefficient of a jet, or
+# a number, may be Lanes.
 # ----------------------------------------------------------------------
 
 
@@ -965,7 +945,7 @@ class Kind(NamedTuple):
     div: Callable  # a zero divisor is a JetDomainError
     power: Callable  # (base, exponent), both of the kind
     half: Callable  # x / 2
-    value: Callable  # x at the point, as a float (on lanes, Lanes)
+    value: Callable  # x at the point, as a float; a Lanes number as it is
     functions: Dict[str, Callable]  # name -> unary function
 
 
@@ -990,22 +970,11 @@ NUMBERS = Kind(
     order0_div,
     _order0_pow,
     half,
-    float,
-    _order0_functions,
+    lambda x: x if type(x) is Lanes else float(x),
+    {
+        **{name: _order0_series(series) for name, series in SERIES.items()},
+        "tan": _order0_tan,
+        "abs": lambda x: x if branch_sign("abs", x) > 0 else -x,
+        "sign": lambda x: branch_sign("sign", x),
+    },
 )
-
-
-def _lane_kinds() -> Tuple[Kind, Kind]:
-    """JETS and NUMBERS on values that may be Lanes: the series (with the
-    binomial series of a non-integer power) and the tan pole test run per
-    lane, and a number's value is its Lanes, or the float of a plain number."""
-    series = {name: _lane_series(s) for name, s in {**SERIES, "binomial": binomial_series}.items()}
-    functions, _, power = _jet_functions(series, _lane_check_tan)
-    numbers, number_power = _number_functions(series, _lane_check_tan)
-    return (
-        JETS._replace(power=power, functions=functions),
-        NUMBERS._replace(power=number_power, value=lambda x: x if type(x) is Lanes else float(x), functions=numbers),
-    )
-
-
-LANES, LANE_NUMBERS = _lane_kinds()

@@ -19,7 +19,7 @@ from . import exprlang, thresholds
 from .catalog import _halton, _halton_start
 from .exprlang import Expr
 from .invariants import pair_signature_curve, psi_signature_curve
-from .jets import LANES, JetPoly, Lanes, coordinate_jets, derivatives_from_jet, lane_values
+from .jets import JetPoly, Lanes, coordinate_jets, derivatives_from_jet, lane_values
 from .tensor import numerical_rank
 
 
@@ -41,14 +41,6 @@ def _default_samples(lo: float, hi: float, count: int, seed: int) -> List[float]
     # low-discrepancy placement, seedable (same radical-inverse scheme as the catalog)
     start = _halton_start(seed, 911)
     return [lo + (hi - lo) * _halton(start + k, 2) for k in range(count)]
-
-
-def _order1_jets(x: str, at, *exprs: Expr) -> List[JetPoly]:
-    """The order-1 jets of ``exprs`` at ``x = at``; at every point of a Lanes
-    ``at`` at once, on LANES."""
-    env = coordinate_jets((x,), (at,), 1)
-    kind = LANES if type(at) is Lanes else None
-    return [exprlang.eval_jet(e, env, kind) for e in exprs]
 
 
 def _row(f: str, x: str, at, e: Expr, make: Callable[..., list], *jets: JetPoly) -> list:
@@ -74,13 +66,14 @@ def _row(f: str, x: str, at, e: Expr, make: Callable[..., list], *jets: JetPoly)
 
 def _psi_rows(t, psi_e: Expr) -> List[list]:
     """The one symmetry-system row [psi', 2 t psi', 1, -2 psi, psi^2] at t."""
-    (jet,) = _order1_jets("t", t, psi_e)
+    jet = exprlang.eval_jet(psi_e, coordinate_jets(("t",), (t,), 1))
     return [_row("psi", "t", t, psi_e, lambda p0, p1: [p1, 2.0 * t * p1, 1.0, -2.0 * p0, p0**2], jet)]
 
 
 def _pair_rows(u, a_e: Expr, c_e: Expr) -> List[list]:
     """The two symmetry-system rows of the pair family at u."""
-    a, c = _order1_jets("u", u, a_e, c_e)
+    env = coordinate_jets(("u",), (u,), 1)
+    a, c = exprlang.eval_jet(a_e, env), exprlang.eval_jet(c_e, env)
     return [
         _row("a", "u", u, a_e, lambda a0, a1: [a1, 0.0, u * a1 + a0, u * a1 + 2.0 * a0], a),
         _row("c", "u", u, c_e, lambda a0, a1, c0, c1: [c1, a0, u * c1 + 2.0 * c0, u * c1 + c0], a, c),

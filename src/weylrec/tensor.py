@@ -69,11 +69,11 @@ jet operation leaves such a coefficient, so the jets of a pass never hold
 one.
 
 The depth-0 pass also runs on many float points at once, one float64 lane
-per point (``compatibility_residuals``): the metric jets on ``jets.LANES``
-and the numbers on ``jets.LANE_NUMBERS``, where the helper picks them for
-jets whose base point is in lanes.  Each lane holds the value its point's
-own pass gives, or the pass raises (``jets.LaneSplit`` where the points
-would take different branches) and its caller takes the points one by one.
+per point (``compatibility_residuals``): the same jets and numbers, with
+``jets.Lanes`` values where they depend on the point.  Each lane holds the
+value its point's own pass gives, or the pass raises (``jets.LaneSplit``
+where the points would take different branches) and its caller takes the
+points one by one.
 """
 
 from __future__ import annotations
@@ -87,19 +87,7 @@ import numpy as np
 
 from . import exprlang, thresholds
 from .exprlang import Expr, eval_jet, eval_number
-from .jets import (
-    JETS,
-    LANE_NUMBERS,
-    LANES,
-    NUMBERS,
-    JetPoly,
-    JetShapeError,
-    Kind,
-    Lanes,
-    coordinate_jets,
-    exact_zero,
-    lane_max,
-)
+from .jets import JETS, NUMBERS, JetPoly, JetShapeError, Kind, Lanes, coordinate_jets, exact_zero, lane_max
 
 
 class DomainViolation(ValueError):
@@ -202,8 +190,8 @@ def check_domain(structure: WeylStructure, point: Sequence) -> None:
         raise DomainViolation(f"constraint {exprlang.to_source(constraint)} > 0 violated at {tuple(point)} (value {value})")
 
 
-def metric_jets(structure: WeylStructure, point: Sequence, order: int, kind: Optional[Kind] = None) -> List[List[JetPoly]]:
-    """The metric's jets of ``order`` at ``point``, in ``kind`` (JETS, or LANES for a point given in lanes)."""
+def metric_jets(structure: WeylStructure, point: Sequence, order: int) -> List[List[JetPoly]]:
+    """The metric's jets of ``order`` at ``point``, whose coordinates may be Lanes."""
     env = coordinate_jets(structure.chart.names, point, order)
     template = env[structure.chart.names[0]]
     zero = template.like_constant(0)
@@ -215,7 +203,7 @@ def metric_jets(structure: WeylStructure, point: Sequence, order: int, kind: Opt
             e = structure.metric[i][j]
             if e is not None:
                 if id(e) not in evaluated:
-                    evaluated[id(e)] = eval_jet(e, env, kind)
+                    evaluated[id(e)] = eval_jet(e, env)
                 out[i][j] = out[j][i] = evaluated[id(e)]
     return out
 
@@ -324,8 +312,8 @@ def _invert_jet_matrix(g: list, kind: Kind) -> Dict[Tuple[int, int], object]:
     """Invert a matrix of jets, or of numbers, in ``kind`` by Gauss-Jordan
     with constant-term pivoting; a pivot at most PIVOT_SINGULAR of the
     largest entry's value means it is singular.  Returns the nonzero entries
-    of the inverse, ``{(a, e): g^{ae}}`` in row-major order.  On lanes
-    (LANE_NUMBERS) the cut is each lane's own, and a pivot row or a
+    of the inverse, ``{(a, e): g^{ae}}`` in row-major order.  On numbers
+    that are ``jets.Lanes`` the cut is each lane's own, and a pivot row or a
     singular pivot that not every lane agrees on raises ``jets.LaneSplit``.
 
     Each row keeps the set of its columns that hold a nonzero entry, so the
@@ -387,7 +375,8 @@ class Connection:
     Fractions or floats, an exact zero as int 0), the values of the order-0
     jets they stand for; ``metric`` holds jets of order depth + 1.  A depth-0
     connection whose point is in lanes, one float64 lane per point, holds
-    ``jets.Lanes`` among those numbers: ``compatibility_residuals`` builds
+    ``jets.Lanes`` among those numbers and among the coefficients of its
+    metric jets, computed by the same rules: ``compatibility_residuals`` builds
     one to read its Christoffel values lane by lane, and no reader here
     takes it.  ``curvature_jets`` holds R as its live slots with a < b (see the module
     docstring): jets of order depth - 1, and at depth 1 numbers, the values
@@ -535,8 +524,8 @@ def weyl_connection(structure: WeylStructure, point: Sequence, depth: int = 1) -
 def compatibility_residuals(structure: WeylStructure, points: Sequence[Sequence[float]]) -> List[float]:
     """The compatibility residual at each of ``points`` (float points), in
     order, from one depth-0 pass on lanes, one float64 lane per point: the
-    order-1 metric jets on ``jets.LANES``, then the 1-form and the inverse and
-    Christoffel pass of ``_christoffel_from`` on ``jets.LANE_NUMBERS``.  Each
+    order-1 metric jets, then the 1-form and the inverse and Christoffel pass
+    of ``_christoffel_from`` on numbers, all with ``jets.Lanes`` values.  Each
     lane holds the values of its point's own depth-0 connection, to the bit;
     the domain and signature checks and the residual formula run point by
     point, so each residual is ``weyl_compatibility_residual`` at its point.
@@ -555,13 +544,13 @@ def compatibility_residuals(structure: WeylStructure, points: Sequence[Sequence[
         check_domain(structure, p)
     n, base = len(points), tuple(map(Lanes, zip(*points)))
     with np.errstate(all="ignore"):
-        g = metric_jets(structure, base, 1, LANES)
+        g = metric_jets(structure, base, 1)
     gv = list(_lane_values([[jet.value for jet in row] for row in g], n))
     for values, p in zip(gv, points):
         check_signature(values, p)
     env = dict(zip(structure.chart.names, base))
     with np.errstate(all="ignore"):
-        omega = [0 if e is None else eval_number(e, env, LANE_NUMBERS) for e in structure.one_form]
+        omega = [0 if e is None else eval_number(e, env) for e in structure.one_form]
         gamma = _christoffel_from(structure, base, 0, g, omega).gamma
     dg = _lane_values([[jet.gradient() for jet in row] for row in g], n)  # dg[a][b][e] = d_e g_ab
     lanes = zip(_lane_values(gamma, n), gv, _lane_values(omega, n), (np.moveaxis(x, -1, 0) for x in dg))
@@ -605,10 +594,9 @@ def _read_down(jets, order: int, mirror: Tuple[int, int]) -> Tuple[Kind, object,
     object.  An empty jet is not read: it stands for the zero, and its
     partials for a row of it.
 
-    At ``order`` 0 the pass runs on numbers (``NUMBERS``, zero 0, or
-    ``LANE_NUMBERS`` for jets whose base point is in lanes): each jet's
-    value and gradient, which are the values of the order-0 jets they stand
-    for.  Otherwise it runs on ``JETS`` with each operation computed
+    At ``order`` 0 the pass runs on numbers (``NUMBERS``, zero 0; Lanes
+    where the jets' coefficients are): each jet's value and gradient, which
+    are the values of the order-0 jets they stand for.  Otherwise it runs on ``JETS`` with each operation computed
     once per shared operands (``_once_per_operands``), where the shared jets
     are those that fill more than one slot of the list, a slot and its
     mirror at the axes ``mirror`` counted as one (``_repeated``), and every
@@ -618,8 +606,7 @@ def _read_down(jets, order: int, mirror: Tuple[int, int]) -> Tuple[Kind, object,
         template = template[0]
     live = _live(jets)
     if order == 0:
-        numbers = LANE_NUMBERS if any(type(x) is Lanes for x in template.base) else NUMBERS
-        return numbers, 0, _once_per_jet(live, lambda jet: jet.value), _once_per_jet(live, JetPoly.gradient)
+        return NUMBERS, 0, _once_per_jet(live, lambda jet: jet.value), _once_per_jet(live, JetPoly.gradient)
     n = template.nvars
     shared = _repeated(live, mirror)
     ops = ("add", "sub", "mul", "div", "half")
@@ -783,16 +770,6 @@ def _slot_indices(slots: Dict[Slot, object], d: int) -> Tuple[List[int], List[in
     live = [((i * d + c) * d + a) * d + b for i, c, a, b in slots]
     mirror = [((i * d + c) * d + b) * d + a for i, c, a, b in slots]
     return live, mirror
-
-
-def curvature(structure: WeylStructure, point: Sequence) -> PointTensor:
-    """Curvature of the Weyl connection as R^d_{cab} (see module docstring)."""
-    return PointTensor(weyl_connection(structure, point, 1).curvature)
-
-
-def nabla_R(structure: WeylStructure, point: Sequence) -> PointTensor:
-    """Covariant derivative (nabla_e R)^d_{cab} of the (1,3) curvature tensor."""
-    return PointTensor(weyl_connection(structure, point, 2).nabla_R)
 
 
 def _nabla_R_from(conn: Connection, slots: Dict[Slot, JetPoly], R: np.ndarray) -> np.ndarray:

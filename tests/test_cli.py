@@ -4,6 +4,7 @@ import gc
 import json
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -38,7 +39,7 @@ class TestCatalogCommand:
         assert "dim4-psi-exp" in out and "threed_case2" in out
 
     def test_emit_roundtrip(self, exp_file):
-        data = json.loads(open(exp_file).read())
+        data = json.loads(Path(exp_file).read_text(encoding="utf-8"))
         assert data["format"] == 1 and data["psi"] == "exp(t)" and data["n"] == 2
 
     def test_unknown_entry_exits_2(self, capsys):
@@ -636,19 +637,25 @@ class TestInputErrorText:
         assert run(capsys, "classify", path) == (2, "", want)
 
     @pytest.mark.parametrize(
-        "files", [["bad"], ["bad", "good"], ["good", "bad"]], ids=["signature", "equiv-first", "equiv-second"]
+        "verb,files,flags",
+        [
+            ("signature", ["bad"], ["--range", "-1:2", "--samples", "4"]),
+            ("equiv", ["bad", "good"], ["--range", "-1:2", "--samples", "4"]),
+            ("equiv", ["good", "bad"], ["--range", "-1:2", "--samples", "4"]),
+            ("invariants", ["bad"], ["--at=-1"]),
+        ],
+        ids=["signature", "equiv-first", "equiv-second", "invariants"],
     )
-    def test_a_sample_with_psi_prime_not_positive_names_its_file(self, tmp_path, capsys, files):
-        """psi = t^2 + t has psi' = -1 at t = -1, the first sample of -1:2;
-        the error names the file whose curve has that sample."""
+    def test_a_sample_with_psi_prime_not_positive_names_its_file(self, tmp_path, capsys, verb, files, flags):
+        """psi = t^2 + t has psi' = -1 at t = -1, the first sample of -1:2
+        and the point of --at=-1; the error names the file whose curve has
+        that sample, or whose invariants are asked for there."""
         paths = {
             "bad": write_json(tmp_path / "bad.json", {"format": 1, "family": "dim_ge4", "psi": "t*t+t", "n": 2}),
             "good": write_json(tmp_path / "good.json", {"format": 1, "family": "dim_ge4", "psi": "t^3+t", "n": 2}),
         }
-        verb = "signature" if len(files) == 1 else "equiv"
         want = f"error: {paths['bad']}: the defining function must have positive derivative (got -1.0 at t = -1.0)\n"
-        argv = [verb, *(paths[f] for f in files), "--range", "-1:2", "--samples", "4"]
-        assert run(capsys, *argv) == (2, "", want)
+        assert run(capsys, verb, *(paths[f] for f in files), *flags) == (2, "", want)
 
 
 class TestWholeBoxCurveRange:

@@ -1,11 +1,12 @@
 """Lane-batched signature curves, symmetry systems and compatibility checks.
 
-A curve evaluates all of its sample points in one pass on ``jets.LANES``,
-one float64 lane per point, and falls back to sampling point by point where
-that pass raises.  Either way its samples, drops and counts are to the bit
-those of the point-by-point path, ``_sampled_curve`` with ``sample_at``:
-these tests run both on drawn expressions and grids, and on the grids that
-force the fallback, through the library and through the CLI.  The same holds
+A curve evaluates all of its sample points in one pass, on jets whose
+coefficients are ``jets.Lanes``, one float64 lane per point, and runs the
+same sampler at each point in turn where that pass raises.  Either way its
+samples, drops and counts are to the bit those of the point-by-point
+oracle (``point_samplers``, ``_sampled_curve`` with the old per-point
+samplers): these tests run both on drawn expressions and grids, and on the
+grids that force the fallback, through the library and through the CLI.  The same holds
 for verify's compatibility-only points: one depth-0 pass on lanes
 (``tensor.compatibility_residuals``) gives each point's
 ``weyl_compatibility_residual`` or raises, and ``verify`` then takes the
@@ -27,7 +28,7 @@ from weylrec.catalog import standard_catalog
 from weylrec.cli import main
 from weylrec.exprlang import BinOp, Const, ExprDomainError, Var, parse
 from weylrec.invariants import _hausdorff, pair_signature_curve, psi_signature_curve, surface_signature_curve
-from weylrec.jets import LANE_NUMBERS, LANES, NUMBERS, JetPoly, LaneSplit, Lanes, coordinate_jets, lane_max, lane_values
+from weylrec.jets import NUMBERS, JetPoly, LaneSplit, Lanes, coordinate_jets, lane_max, lane_values
 from weylrec.tensor import (
     Chart,
     DomainViolation,
@@ -38,14 +39,22 @@ from weylrec.tensor import (
     weyl_connection,
 )
 
+import point_samplers
 from hausdorff_scan import hausdorff_scan
 from test_depth0_path import small_structures
 from test_exprlang import _REPEATING_TREES, _children
 
 
-def point_by_point(kind, points, sample_lanes, sample_at):
-    """``invariants._lane_curve`` without its lanes: every point through ``sample_at``."""
-    return invariants._sampled_curve(kind, points, sample_at)
+LANE_CURVE = invariants._lane_curve
+
+
+def point_by_point(kind, points, sample, lanes):
+    """``invariants._lane_curve`` with a pass on lanes that raises: every point through ``sample``."""
+
+    def no_lanes(points):
+        raise LaneSplit("forced point by point")
+
+    return LANE_CURVE(kind, points, sample, no_lanes)
 
 
 def outcome(curve, *args):
@@ -113,7 +122,7 @@ class TestCurvesMatchThePointByPointPath:
     @example(psi=parse("(t-1)^3+t"), lo=0.0, width=2.0, samples=3)  # a constant term 0.0 on one lane
     def test_psi(self, psi, lo, width, samples):
         batched, pointwise = lanes_and_points(psi_signature_curve, psi, lo, lo + width, samples)
-        assert batched == pointwise
+        assert batched == pointwise == outcome(point_samplers.psi_curve, psi, lo, lo + width, samples)
 
     @settings(max_examples=300)
     @given(a=U_TREES, c=U_TREES, lo=LO, width=WIDTH, samples=st.integers(1, 9))
@@ -122,7 +131,7 @@ class TestCurvesMatchThePointByPointPath:
     @example(a=parse("u^2"), c=parse("u"), lo=-1.0, width=2.0, samples=5)  # a' = 0 at u = 0.0 only
     def test_pair(self, a, c, lo, width, samples):
         batched, pointwise = lanes_and_points(pair_signature_curve, a, c, lo, lo + width, samples)
-        assert batched == pointwise
+        assert batched == pointwise == outcome(point_samplers.pair_curve, a, c, lo, lo + width, samples)
 
     @settings(max_examples=300)
     @given(F=XU_TREES, x=LO, u=LO, width=WIDTH, nx=st.integers(1, 4), nu=st.integers(1, 4))
@@ -130,8 +139,9 @@ class TestCurvesMatchThePointByPointPath:
     @example(F=parse("x*(u-1)^2"), x=0.2, u=0.5, width=1.5, nx=4, nu=4)  # and at u = 1.0, on lanes
     @example(F=parse("(1/2)*ln(u-x)"), x=0.2, u=0.0, width=1.0, nx=3, nu=3)  # ln undefined where u <= x
     def test_surface(self, F, x, u, width, nx, nu):
-        batched, pointwise = lanes_and_points(surface_signature_curve, F, (x, x + width), (u, u + width), nx, nu)
-        assert batched == pointwise
+        args = F, (x, x + width), (u, u + width), nx, nu
+        batched, pointwise = lanes_and_points(surface_signature_curve, *args)
+        assert batched == pointwise == outcome(point_samplers.surface_curve, *args)
 
 
 class TestTheCatalogRunsOnLanes:
@@ -139,47 +149,51 @@ class TestTheCatalogRunsOnLanes:
 
     @staticmethod
     def sampled_by(monkeypatch):
+        """What each call of a curve's sampler is given: "lanes", a grid in
+        lanes, or "point", one point of the fallback."""
         used = []
-        sampled = invariants._sampled_curve
 
-        def spy(kind, points, sample_at):
-            used.append(sample_at.__name__)
-            return sampled(kind, points, sample_at)
+        def spy(kind, points, sample, lanes):
+            def watched(at):
+                used.append("lanes" if type(at[0] if isinstance(at, tuple) else at) is Lanes else "point")
+                return sample(at)
 
-        monkeypatch.setattr(invariants, "_sampled_curve", spy)
+            return LANE_CURVE(kind, points, watched, lanes)
+
+        monkeypatch.setattr(invariants, "_lane_curve", spy)
         return used
 
     @pytest.mark.parametrize("key", [k for k, e in standard_catalog().items() if {"psi"} <= set(e.params)])
     def test_psi_entries(self, monkeypatch, key):
         used = self.sampled_by(monkeypatch)
         psi_signature_curve(standard_catalog()[key].params["psi"], *standard_catalog()[key].box["t"], 64)
-        assert used == ["read"]
+        assert used == ["lanes"]
 
     @pytest.mark.parametrize("key", ["3d2-ew-model", "3d2-inv-u", "3d2-generic"])
     def test_pair_entries(self, monkeypatch, key):
         entry = standard_catalog()[key]
         used = self.sampled_by(monkeypatch)
         pair_signature_curve(entry.params["a"], entry.params["c"], *entry.box["u"], 64)
-        assert used == ["read"]
+        assert used == ["lanes"]
 
     @pytest.mark.parametrize("key", ["3d1-homog", "3d1-xu"])
     def test_surface_entries(self, monkeypatch, key):
         entry = standard_catalog()[key]
         used = self.sampled_by(monkeypatch)
         surface_signature_curve(entry.params["F"], entry.box["x"], entry.box["u"], 8, 8)
-        assert used == ["read"]
+        assert used == ["lanes"]
 
     def test_a_singular_point_is_dropped_on_lanes(self, monkeypatch):
         used = self.sampled_by(monkeypatch)
         curve = surface_signature_curve("x*(u-1)^2", (0.2, 1.0), (0.5, 2.0), 4, 4)  # F_ux = 0 at u = 1.0
-        assert (used, curve.n_singular, curve.n_failed, len(curve.tuples)) == (["read"], 4, 0, 12)
+        assert (used, curve.n_singular, curve.n_failed, len(curve.tuples)) == (["lanes"], 4, 0, 12)
 
     def test_a_zero_on_the_grid_falls_back(self, monkeypatch):
         """t = 0.0 on the grid: the variable's constant term is dropped at that
         point only, which one pass on lanes cannot follow."""
         used = self.sampled_by(monkeypatch)
         psi_signature_curve("t^3+t", -1.0, 2.0, 4)
-        assert used == ["sample_at"]
+        assert used == ["lanes", "point", "point", "point", "point"]
 
 
 # ----------------------------------------------------------------------
@@ -362,45 +376,54 @@ class TestLanes:
         "source", ["t^3+t", "tan(ln(t))", "exp(t)/(1+t^(1/2))", "abs(sin(t))-sign(t)*t^-3", "-(t-t)*t+exp(t-t)"]
     )
     def test_numbers_are_the_scalar_ones(self, source):
-        """LANE_NUMBERS gives, lane by lane, the value and type of NUMBERS at that point."""
+        """NUMBERS on Lanes gives, lane by lane, the value and type of NUMBERS at that point."""
         e, ts = parse(source), [0.55 + 0.07 * k for k in range(16)]
         with np.errstate(all="raise"):
-            lanes = exprlang.eval_number(e, {"t": Lanes(ts)}, LANE_NUMBERS)
+            lanes = exprlang.eval_number(e, {"t": Lanes(ts)})
         for t, lane in zip(ts, lane_values(lanes, len(ts))):
             scalar = exprlang.eval_number(e, {"t": t})
             assert (type(lane), repr(lane)) == (type(scalar), repr(scalar))
 
     def test_a_number_value_is_a_float_or_lanes(self):
-        assert LANE_NUMBERS.value(Lanes([0.5, 2.0])).array.tolist() == [0.5, 2.0]
-        assert LANE_NUMBERS.value(Fraction(1, 3)) == NUMBERS.value(Fraction(1, 3)) == 1 / 3
+        assert NUMBERS.value(Lanes([0.5, 2.0])).array.tolist() == [0.5, 2.0]
+        assert NUMBERS.value(Fraction(1, 3)) == 1 / 3
 
     def test_a_zero_on_some_lanes_splits_the_numbers(self):
         """A zero variable, or a zero value of a function such as ln(1),
         reads as int 0, which lanes cannot hold at some points only."""
-        assert exprlang.eval_number("x", {"x": Lanes([0.0, -0.0])}, LANE_NUMBERS) == 0
-        assert exprlang.eval_number("ln(x)", {"x": Lanes([1.0, 1.0])}, LANE_NUMBERS) == 0
+        assert exprlang.eval_number("x", {"x": Lanes([0.0, -0.0])}) == 0
+        assert exprlang.eval_number("ln(x)", {"x": Lanes([1.0, 1.0])}) == 0
         with pytest.raises(LaneSplit):
-            exprlang.eval_number("x", {"x": Lanes([0.0, 1.0])}, LANE_NUMBERS)
+            exprlang.eval_number("x", {"x": Lanes([0.0, 1.0])})
         with pytest.raises(LaneSplit):
-            exprlang.eval_number("sin(x)+1", {"x": Lanes([0.5, 1.0]), "y": Lanes([1.0, 0.0])}, LANE_NUMBERS)
+            exprlang.eval_number("sin(x)+1", {"x": Lanes([0.5, 1.0]), "y": Lanes([1.0, 0.0])})
         with pytest.raises(LaneSplit):
-            exprlang.eval_number("ln(x)", {"x": Lanes([1.0, 2.0])}, LANE_NUMBERS)
+            exprlang.eval_number("ln(x)", {"x": Lanes([1.0, 2.0])})
+
+    def test_a_tan_pole_on_any_lane_raises(self):
+        """The pole test runs on every lane, as the scalar evaluation runs it at each point."""
+        jet = lambda t: exprlang.eval_jet("tan(t)", coordinate_jets(("t",), (t,), 2))  # noqa: E731
+        number = lambda t: exprlang.eval_number("tan(t)", {"t": t})  # noqa: E731
+        for evaluate in (jet, number):
+            for t in (math.pi / 2, Lanes([1.0, math.pi / 2]), Lanes([math.pi / 2, 1.0])):
+                with pytest.raises(ExprDomainError, match="tan: tan at a pole"):
+                    evaluate(t)
 
     def test_a_power_with_an_exponent_in_lanes_raises(self):
         """The scalar rule takes an integral exponent as an int power and any
         other one through the binomial series, which lanes cannot share."""
         with pytest.raises(TypeError):
-            exprlang.eval_number("t^t", {"t": Lanes([0.5, 2.0])}, LANE_NUMBERS)
+            exprlang.eval_number("t^t", {"t": Lanes([0.5, 2.0])})
 
     @pytest.mark.parametrize(
         "source", ["t^3+t", "tan(ln(t))", "exp(t)/(1+t^(1/2))", "abs(sin(t))-sign(t)*t^t", "-(t-t)*t+exp(t-t)"]
     )
     def test_jet_coefficients_are_the_scalar_ones(self, source):
-        """Each coefficient of a LANES jet, lane by lane, has the value and the
+        """Each coefficient of a jet on Lanes, lane by lane, has the value and the
         type of the scalar jet's coefficient at that point."""
         e, ts = parse(source), [0.55 + 0.07 * k for k in range(16)]  # not 1.0, where ln(t) = 0.0
         with np.errstate(all="raise"):
-            jet = exprlang.eval_jet(e, coordinate_jets(("t",), (Lanes(ts),), 4), LANES)
+            jet = exprlang.eval_jet(e, coordinate_jets(("t",), (Lanes(ts),), 4))
         for i, t in enumerate(ts):
             scalar = exprlang.eval_jet(e, coordinate_jets(("t",), (t,), 4))
             assert list(scalar.terms) == list(jet.terms)

@@ -28,11 +28,9 @@ from weylrec.tensor import (
     SignatureError,
     SingularMetricError,
     conformal_weyl_tensor,
-    curvature,
     holonomy_span_dim,
     make_structure,
     metric_jets,
-    nabla_R,
     numerical_rank,
     one_form_jets,
     recurrence_theta,
@@ -151,9 +149,9 @@ class TestMetricJets:
         entry = make_dim_ge4("exp(t)", 8)
         calls = []
 
-        def counting_eval_jet(expr, env, kind=None):
+        def counting_eval_jet(expr, env):
             calls.append(expr)
-            return eval_jet(expr, env, kind)
+            return eval_jet(expr, env)
 
         monkeypatch.setattr(tensor, "eval_jet", counting_eval_jet)
         p = entry.sample_points(1)[0]
@@ -316,19 +314,19 @@ class TestCurvature:
         assert derivatives == []
 
     def test_flat_curvature_vanishes(self, flat3):
-        assert curvature(flat3, (0.0, 0.1, 0.2)).norm() == 0.0
-        assert nabla_R(flat3, (0.0, 0.1, 0.2)).norm() == 0.0
+        assert np.sqrt(np.sum(weyl_connection(flat3, (0.0, 0.1, 0.2), 1).curvature ** 2)) == 0.0
+        assert np.sqrt(np.sum(weyl_connection(flat3, (0.0, 0.1, 0.2), 2).nabla_R ** 2)) == 0.0
 
     def test_case1_components(self, case1_xu):
         """R(d_x, d_u) = (d_x Fdot) diag(0, 1, 2) in the frame (v, x, u); R(d_v, .) = 0."""
         p = (0.1, 0.4, 0.8)
-        R = curvature(case1_xu, p).array
+        R = weyl_connection(case1_xu, p, 1).curvature
         assert np.allclose(R[:, :, 1, 2], np.diag([0.0, 1.0, 2.0]), atol=1e-13)
         assert np.max(np.abs(R[:, :, 0, :])) == pytest.approx(0.0, abs=1e-14)
 
     def test_antisymmetry_and_first_bianchi(self, catalog):
         s = catalog["dim4-psi-cubic"].structure
-        R = curvature(s, catalog["dim4-psi-cubic"].sample_points(1)[0]).array
+        R = weyl_connection(s, catalog["dim4-psi-cubic"].sample_points(1)[0], 1).curvature
         assert np.allclose(R, -np.transpose(R, (0, 1, 3, 2)), atol=1e-15)
         bianchi = R + np.transpose(R, (0, 3, 1, 2)) + np.transpose(R, (0, 2, 3, 1))
         assert np.max(np.abs(bianchi)) < 1e-10
@@ -337,7 +335,7 @@ class TestCurvature:
         """R(d_i, d_u) = 0 once the compatibility ODE holds (a = 0 entry)."""
         entry = catalog["mainth-a0"]
         idx = entry.structure.chart.index
-        R = curvature(entry.structure, entry.sample_points(1)[0]).array
+        R = weyl_connection(entry.structure, entry.sample_points(1)[0], 1).curvature
         assert np.max(np.abs(R[:, :, idx("x1"), idx("u")])) < 1e-13
 
     def test_mainth_broken_riccati_gains_curvature(self):
@@ -345,7 +343,7 @@ class TestCurvature:
 
         entry = make_mainth_form("0-ln(u+x2)+0.1*u", "0", 2, key="broken", constraints=("u+x2",))
         idx = entry.structure.chart.index
-        R = curvature(entry.structure, entry.sample_points(1)[0]).array
+        R = weyl_connection(entry.structure, entry.sample_points(1)[0], 1).curvature
         assert np.max(np.abs(R[:, :, idx("x1"), idx("u")])) > 1e-2
 
     def test_case1_nabla_R_factors(self, case1_xu):
@@ -353,8 +351,8 @@ class TestCurvature:
         displayed logarithmic-derivative factors."""
         p = (0.1, 0.4, 0.8)
         v, x, u = p
-        nr = nabla_R(case1_xu, p).array
-        R = curvature(case1_xu, p).array
+        nr = weyl_connection(case1_xu, p, 2).nabla_R
+        R = weyl_connection(case1_xu, p, 1).curvature
         # factors for F = x u: d_x(F + ln|d_x Fdot|) = u, d_u(-2F + ln|d_x Fdot|) = -2x
         assert np.allclose(nr[1], u * R, atol=1e-13)
         assert np.allclose(nr[2], -2 * x * R, atol=1e-13)
@@ -774,7 +772,7 @@ def depth1_reader_digests(entry):
         readers[0].append(holonomy_span_dim(structure, p).singular_values)
         readers[1].append(conformal_weyl_tensor(structure, p).array)
         readers[2].append([ew.lam, ew.residual] + ([] if ew.dkp_residual is None else [ew.dkp_residual]))
-        readers[3].append(curvature(structure, p).array)
+        readers[3].append(weyl_connection(structure, p, 1).curvature)
     return tuple(sha256(np.concatenate([np.ravel(x) for x in reader])) for reader in readers)
 
 
