@@ -39,7 +39,6 @@ from .invariants import (
     PsiJet,
     SignatureCurve,
     SingularStratumError,
-    derived_invariant,
     equivalence_test,
     pair_invariants,
     pair_signature_curve,

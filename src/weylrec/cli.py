@@ -311,19 +311,18 @@ def _at_point(path: str, point: Sequence, build: Callable, *args, **kwargs):
         raise InputError(f"{path}: the structure at ({', '.join(map(repr, point))}): {exc}") from exc
 
 
+def _in_domain(path: str, build: Callable, *args):
+    """``build(*args)``, which samples the defining function of the file
+    ``path``: a sample off the family's domain (psi' <= 0) is an input error
+    naming the file."""
+    try:
+        return build(*args)
+    except NotIncreasingError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def _check(name: str, ok: bool, **fields) -> Dict:
     return {"name": name, "status": "pass" if ok else "fail", **fields}
-
-
-def _compatibility_only(structure, points: Sequence, path: str) -> List[float]:
-    """The compatibility residuals at ``points``, in order, from one pass on
-    lanes (``compatibility_residuals``); where that pass raises, from each
-    point's depth-0 connection in turn, so that the first point that fails
-    gives its own error, naming the file."""
-    try:
-        return compatibility_residuals(structure, points)
-    except Exception:  # whatever it is, the points then raise or not as they do one by one
-        return [_at_point(path, p, weyl_connection, structure, p, 0).compatibility_residual() for p in points]
 
 
 def _verify_checks(
@@ -335,7 +334,9 @@ def _verify_checks(
     # point in point order: each point's Weyl connection (depth order - 1) is
     # read by every check that runs there and dropped before the next one is
     # built.  The other points check compatibility alone, which reads only
-    # Christoffel values and dg: one depth-0 pass on lanes serves them all
+    # Christoffel values and dg: one depth-0 pass on lanes serves them all,
+    # and where it gives None each point's depth-0 connection does in turn,
+    # so that the first point that fails gives its own error, naming the file
     compat, reports, omegas, spans, weyl_norms, ews = [], [], [], [], [], []
     for p in points[:5]:
         conn = _at_point(path, p, weyl_connection, entry.structure, p, order - 1)
@@ -347,7 +348,10 @@ def _verify_checks(
             weyl_norms.append(conn.conformal_weyl().norm())
         ews.append(ew_report(entry.structure, conn))
         del conn
-    compat += _compatibility_only(entry.structure, points[5:], path)
+    lanes = compatibility_residuals(entry.structure, points[5:])
+    if lanes is None:
+        lanes = [_at_point(path, p, weyl_connection, entry.structure, p, 0).compatibility_residual() for p in points[5:]]
+    compat += lanes
 
     worst, cut = max(compat), thresholds.COMPATIBILITY_TOL
     checks = [_check("metric_compatibility", worst <= cut, max_residual=worst, tolerance=cut)]
@@ -424,11 +428,9 @@ def cmd_invariants(args) -> int:
     if len(vals) != row.at_values:
         raise InputError(f"--at for family {entry.family!r} takes {row.at_values} value(s), got {len(vals)}: {args.at!r}")
     try:
-        record = _at_point(args.file, vals, row.invariants, entry.params, *vals)
+        record = _in_domain(args.file, _at_point, args.file, vals, row.invariants, entry.params, *vals)
     except SingularStratumError as exc:
         record = {"at": vals if len(vals) > 1 else vals[0], "singular": str(exc)}
-    except NotIncreasingError as exc:  # psi' <= 0 at --at: off the family's domain, as a curve's sample is
-        raise InputError(f"{args.file}: {exc}") from exc
     _emit_json({"family": entry.family, **record}, args.json)
     return EXIT_OK
 
@@ -472,15 +474,11 @@ def _range_for(entry: CatalogEntry, text: Optional[str], flag: str = "--range") 
 
 
 def _curve_for(entry: CatalogEntry, rng: Tuple[float, float], samples: int, path: str):
-    """The family's signature curve of ``entry``, read from the file ``path``:
-    a sample off the family's domain (psi' <= 0) is an input error naming the file."""
+    """The family's signature curve of ``entry``, read from the file ``path``."""
     curve = _FAMILIES[entry.family].curve
     if curve is None:
         raise InputError(f"signature curves are not defined for family {entry.family!r}")
-    try:
-        return curve(entry, rng, samples)
-    except NotIncreasingError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    return _in_domain(path, curve, entry, rng, samples)
 
 
 def cmd_signature(args) -> int:
@@ -525,7 +523,7 @@ def cmd_classify(args) -> int:
     classify = _FAMILIES[entry.family].classify
     if classify is None:
         raise InputError(f"classification needs a one-function or pair family input, got {entry.family!r}")
-    result = classify(entry, _range_for(entry, None))
+    result = _in_domain(args.file, classify, entry, _range_for(entry, None))
     payload = {
         **_REPORT_HEAD,
         "family": entry.family,

@@ -13,9 +13,10 @@ The three normal forms are classified by jets of their defining functions:
 Two structures are equivalent when their signature curves (the invariants
 along the defining functions) coincide; no verb applies a group element.
 A curve evaluates its jets and formulas at all of its sample points in one
-pass, on jets whose coefficients are ``jets.Lanes``, one float per point,
-and where that pass raises it runs the same sampler at each point in turn,
-so its samples are to the bit those of the point-by-point path.
+pass, on jets whose coefficients are ``jets.Lanes``, one float per point
+(``jets.on_lanes``), and where that pass gives None it runs the same
+sampler at each point in turn, so its samples are to the bit those of the
+point-by-point path.
 The tests hold the invariants to the group actions on jets, which live
 beside them.
 
@@ -30,10 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from . import exprlang, thresholds
-from .jets import JetDomainError, JetPoly, Lanes, coordinate_jets, derivatives_from_jet, lane_values, lanes_at
+from .jets import JetDomainError, JetPoly, Lanes, coordinate_jets, derivatives_from_jet, lane_values, lanes_at, on_lanes
 
 
 class SingularStratumError(ValueError):
@@ -156,23 +155,6 @@ def psi_invariants(jet: PsiJet) -> PsiInvariants:
     2 psi1 psi3 - 3 psi2^2; raises SingularStratumError on the D = 0 stratum."""
     first, second, disc = _psi_pair(_off_stratum(jet, 5))
     return PsiInvariants(first, second, 1 if disc > 0 else -1)
-
-
-def derived_invariant(jet: PsiJet) -> object:
-    """dJ/dI along the jet: D_t(J) / D_t(I) through order-6 entries.
-
-    Singular when D_t(I) vanishes (constant first invariant, cohomogeneity <= 1).
-    """
-    p = _off_stratum(jet, 6)
-    lifted = [
-        JetPoly(1, 1, (jet.base,), {(0,): p[k], (1,): p[k + 1]}) for k in range(jet.order)
-    ]
-    first, second, _ = _psi_pair(lifted)
-    dI = first.coefficient((1,))
-    dJ = second.coefficient((1,))
-    if _vanishes(dI, first.value, second.value, floor=1.0):
-        raise SingularStratumError("first invariant is constant along the jet (cohomogeneity <= 1 stratum)")
-    return dJ / dI
 
 
 # ----------------------------------------------------------------------
@@ -362,21 +344,29 @@ def _grid(lo: float, hi: float, count: int) -> List[float]:
     return [lo + (hi - lo) * k / max(count - 1, 1) for k in range(count)]
 
 
-def _sampled_curve(kind: str, points: Sequence, sample_at) -> SignatureCurve:
-    """``sample_at(point)`` gives (invariant tuple, discriminant sign or None);
-    a point on a singular stratum is dropped and counted, and so is a point
-    not evaluated (an overflow, a domain error or a non-finite tuple), which
-    is counted apart as well."""
+def _lane_curve(kind: str, points: Sequence, sample) -> SignatureCurve:
+    """The curve of ``points`` from ``sample(at)``, which gives one reading per
+    lane of ``at`` (a point is one lane): the invariant tuple and the
+    discriminant sign or None, or None on a singular stratum.  ``sample``
+    runs once on all the points in lanes (``jets.on_lanes``); where that
+    gives None, it runs on each point in turn, whose drops, counts and errors
+    the curve then has.  A point on a singular stratum is dropped and
+    counted, and so is a point not evaluated (an overflow, a domain error or
+    a non-finite tuple), which is counted apart as well."""
+    readings = on_lanes(sample, points)
     params, tuples, signs, singular, failed = [], [], [], 0, 0
-    for point in points:
+    for k, point in enumerate(points):
         try:
-            tup, sign = sample_at(point)
+            reading = sample(point)[0] if readings is None else readings[k]
         except (OverflowSampleError, exprlang.ExprDomainError):
             failed += 1
             continue
         except SingularStratumError:
+            reading = None
+        if reading is None:
             singular += 1
             continue
+        tup, sign = reading
         if not _finite(*tup):
             failed += 1
             continue
@@ -385,28 +375,6 @@ def _sampled_curve(kind: str, points: Sequence, sample_at) -> SignatureCurve:
         if sign is not None:
             signs.append(sign)
     return SignatureCurve(kind, tuple(params), tuple(tuples), tuple(signs), singular + failed, failed)
-
-
-def _lane_curve(kind: str, points: Sequence, sample, lanes) -> SignatureCurve:
-    """The curve of ``points`` from ``sample(at)``, which gives one reading per
-    lane of ``at`` (a point is one lane): what ``_sampled_curve`` reads, or
-    None on a singular stratum.  ``sample`` runs once on all the points in
-    lanes, ``lanes(points)``; where that raises (a lane that would fail, or
-    lanes that would branch apart), it runs on each point in turn, whose
-    drops, counts and errors the curve then has."""
-    try:
-        with np.errstate(all="ignore"):
-            readings = iter(sample(lanes(points)))
-    except Exception:  # whatever it is, the points then raise or drop as they do one by one
-        readings = None
-
-    def read(point):
-        reading = sample(point)[0] if readings is None else next(readings)
-        if reading is None:
-            raise SingularStratumError("on a singular stratum")
-        return reading
-
-    return _sampled_curve(kind, points, read)
 
 
 def _width(at) -> int:
@@ -441,7 +409,7 @@ def psi_signature_curve(psi, lo: float, hi: float, samples: int = 64) -> Signatu
         first, second, disc = _psi_pair([lanes_at(x, live) for x in p])
         return _read_lanes(width, live, (first, second), disc)
 
-    return _lane_curve(PSI_CURVE, _grid(lo, hi, samples), sample, Lanes)
+    return _lane_curve(PSI_CURVE, _grid(lo, hi, samples), sample)
 
 
 def pair_signature_curve(a, c, lo: float, hi: float, samples: int = 64) -> SignatureCurve:
@@ -456,7 +424,7 @@ def pair_signature_curve(a, c, lo: float, hi: float, samples: int = 64) -> Signa
         inv = _pair_formula([lanes_at(x, live) for x in aj], [lanes_at(x, live) for x in cj])
         return _read_lanes(width, live, inv)
 
-    return _lane_curve(PAIR_CURVE, _grid(lo, hi, samples), sample, Lanes)
+    return _lane_curve(PAIR_CURVE, _grid(lo, hi, samples), sample)
 
 
 def surface_signature_curve(
@@ -478,7 +446,7 @@ def surface_signature_curve(
         return _read_lanes(width, live, (*_surface_pair(*f), *_surface_derived(partials.__getitem__, *f[:5])))
 
     points = [(x, u) for x in _grid(*x_range, nx) for u in _grid(*u_range, nu)]
-    return _lane_curve(SURFACE_CURVE, points, sample, lambda points: tuple(map(Lanes, zip(*points))))
+    return _lane_curve(SURFACE_CURVE, points, sample)
 
 
 @dataclass(frozen=True)

@@ -771,15 +771,13 @@ def _order0_tan(x):
 #     scalar jets would take different branches at different points, such as
 #     another sign, or another pivot row in the inverse of a metric.  The
 #     order-0 rules test a value's truth (``if not b``), so that a zero on
-#     some lanes raises; == asks whether every lane is equal, one answer for
-#     all, which a jet asks of a coefficient only to find an exact zero, and
-#     a Lanes value is never one;
+#     some lanes raises;
 #   * a largest value that each lane takes apart, such as the cut below
 #     which a pivot is singular, is ``lane_max``.
-# So a batched computation gives every lane's scalar value or raises, and its
-# caller re-runs a raising batch point by point.  Overflow to inf or nan is
-# silent, as in float arithmetic; numpy warns of it unless the lanes run
-# under np.errstate.
+# So a batched computation gives every lane's scalar value or raises.  One
+# rule runs every batch, ``on_lanes``: it gives None where the batch raises,
+# and its caller then takes the points one by one.  Overflow to inf or nan is
+# silent, as in float arithmetic.
 # ----------------------------------------------------------------------
 
 
@@ -862,10 +860,6 @@ class Lanes:
     __mul__ = _arithmetic(operator.mul)
     __rmul__ = _arithmetic(operator.mul, reflected=True)
 
-    def __eq__(self, other):
-        y = _compared(other)
-        return NotImplemented if y is None else bool((self.array == y).all())
-
     __lt__, __le__, __gt__, __ge__ = map(_test, (operator.lt, operator.le, operator.gt, operator.ge))
 
     def __truediv__(self, other):
@@ -923,6 +917,25 @@ def _per_lane(series: Callable, c0: Lanes, *args) -> list:
     """``series(x, *args)`` run on each lane's value x of ``c0``, its coefficients stacked into Lanes."""
     rows = [series(x, *args) for x in c0.array.tolist()]
     return [_lanes(np.array(column, dtype=np.float64)) for column in zip(*rows)]
+
+
+def on_lanes(run: Callable, points: Sequence):
+    """``run(at)`` once for all of ``points``, each a float or a tuple of
+    floats: ``at`` has the shape of one point, each coordinate the Lanes of
+    its values at every point.  None where some point is not all floats, and
+    where the pass raises (a lane that would fail, or lanes that would branch
+    apart, ``LaneSplit``): the caller then takes the points one by one, each
+    failing or not as it does alone.  numpy gives no warning of the lane
+    arithmetic, where the scalar path computes in Python floats."""
+    coordinates = [p if type(p) is tuple else (p,) for p in points]
+    if not coordinates or any(type(x) is not float for p in coordinates for x in p):
+        return None
+    at = tuple(map(Lanes, zip(*coordinates)))
+    try:
+        with np.errstate(all="ignore"):
+            return run(at if type(points[0]) is tuple else at[0])
+    except Exception:  # whatever it is, the points then raise or not as they do one by one
+        return None
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from . import exprlang, thresholds
 from .catalog import _halton, _halton_start
 from .exprlang import Expr
 from .invariants import pair_signature_curve, psi_signature_curve
-from .jets import JetPoly, Lanes, coordinate_jets, derivatives_from_jet, lane_values
+from .jets import JetPoly, Lanes, coordinate_jets, derivatives_from_jet, lane_values, on_lanes
 from .tensor import numerical_rank
 
 
@@ -84,16 +84,15 @@ def _system(
     rows_at: Callable[..., List[list]], exprs: Sequence[Union[str, Expr]], points: Sequence[float]
 ) -> np.ndarray:
     """The sampled symmetry system: ``rows_at(p, *exprs)`` stacked over the
-    points, from one evaluation at all of them on lanes.  Where that raises
-    (a row that is not finite, or lanes that would branch apart), the rows
-    are made point by point, and a failing row reports its point."""
+    points, from one evaluation at all of them on lanes (``jets.on_lanes``).
+    Where that gives None (a row that is not finite, or lanes that would
+    branch apart), the rows are made point by point, and a failing row
+    reports its point."""
     exprs = [exprlang.as_expr(e) for e in exprs]
-    try:
-        with np.errstate(all="ignore"):
-            rows = np.array(rows_at(Lanes(points), *exprs))  # (rows per point, entries, points)
-        return rows.transpose(2, 0, 1).reshape(len(points) * len(rows), -1)
-    except Exception:  # whatever it is, the points then raise as they do one by one
+    rows = on_lanes(lambda at: np.array(rows_at(at, *exprs)), points)  # (rows per point, entries, points)
+    if rows is None:
         return np.array([row for p in points for row in rows_at(p, *exprs)])
+    return rows.transpose(2, 0, 1).reshape(len(points) * len(rows), -1)
 
 
 def psi_symmetry_kernel(

@@ -69,11 +69,10 @@ jet operation leaves such a coefficient, so the jets of a pass never hold
 one.
 
 The depth-0 pass also runs on many float points at once, one float64 lane
-per point (``compatibility_residuals``): the same jets and numbers, with
-``jets.Lanes`` values where they depend on the point.  Each lane holds the
-value its point's own pass gives, or the pass raises (``jets.LaneSplit``
-where the points would take different branches) and its caller takes the
-points one by one.
+per point (``compatibility_residuals``, through ``jets.on_lanes``): the same
+jets and numbers, with ``jets.Lanes`` values where they depend on the point.
+Each lane holds the value its point's own pass gives, or the pass gives None
+and its caller takes the points one by one.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ import numpy as np
 
 from . import exprlang, thresholds
 from .exprlang import Expr, eval_jet, eval_number
-from .jets import JETS, NUMBERS, JetPoly, JetShapeError, Kind, Lanes, coordinate_jets, exact_zero, lane_max
+from .jets import JETS, NUMBERS, JetPoly, JetShapeError, Kind, Lanes, coordinate_jets, exact_zero, lane_max, on_lanes
 
 
 class DomainViolation(ValueError):
@@ -508,7 +507,7 @@ def weyl_connection(structure: WeylStructure, point: Sequence, depth: int = 1) -
     """Weyl connection: Levi-Civita plus K^a_bc = delta^a_b w_c + delta^a_c w_b - g_bc g^{ad} w_d.
     At depth 0 the 1-form is evaluated on plain numbers (``eval_number``);
     ``compatibility_residuals`` runs the same depth-0 pass on many float
-    points at once, on lanes; where that raises, its caller builds each
+    points at once, on lanes; where that gives None, its caller builds each
     point's connection here."""
     check_domain(structure, point)
     g = metric_jets(structure, point, depth + 1)
@@ -521,40 +520,36 @@ def weyl_connection(structure: WeylStructure, point: Sequence, depth: int = 1) -
     return _christoffel_from(structure, point, depth, g, omega)
 
 
-def compatibility_residuals(structure: WeylStructure, points: Sequence[Sequence[float]]) -> List[float]:
+def compatibility_residuals(structure: WeylStructure, points: Sequence[Sequence[float]]) -> Optional[List[float]]:
     """The compatibility residual at each of ``points`` (float points), in
-    order, from one depth-0 pass on lanes, one float64 lane per point: the
-    order-1 metric jets, then the 1-form and the inverse and Christoffel pass
-    of ``_christoffel_from`` on numbers, all with ``jets.Lanes`` values.  Each
-    lane holds the values of its point's own depth-0 connection, to the bit;
-    the domain and signature checks and the residual formula run point by
-    point, so each residual is ``weyl_compatibility_residual`` at its point.
+    order, from one depth-0 pass on lanes (``jets.on_lanes``), one float64
+    lane per point: the order-1 metric jets, then the 1-form and the inverse
+    and Christoffel pass of ``_christoffel_from`` on numbers, all with
+    ``jets.Lanes`` values.  Each lane holds the values of its point's own
+    depth-0 connection, to the bit; the domain and signature checks and the
+    residual formula run point by point, so each residual is
+    ``weyl_compatibility_residual`` at its point.  No points give [].
 
-    It raises where any point would, and where the lanes would branch apart
-    (``jets.LaneSplit``: a coordinate 0.0 at some points only, pivot rows or
-    singular pivots that differ from lane to lane), and TypeError for a point
-    that is not all floats; a caller then takes those points one by one.  A
-    warning numpy would give on lane arithmetic, where the scalar path
-    computes in Python floats, is not given."""
-    if not points:
-        return []
-    if any(type(x) is not float for p in points for x in p):
-        raise TypeError("the lanes hold float points only")
-    for p in points:
-        check_domain(structure, p)
-    n, base = len(points), tuple(map(Lanes, zip(*points)))
-    with np.errstate(all="ignore"):
-        g = metric_jets(structure, base, 1)
-    gv = list(_lane_values([[jet.value for jet in row] for row in g], n))
-    for values, p in zip(gv, points):
-        check_signature(values, p)
-    env = dict(zip(structure.chart.names, base))
-    with np.errstate(all="ignore"):
+    None where any point would raise, where the lanes would branch apart (a
+    coordinate 0.0 at some points only, pivot rows or singular pivots that
+    differ from lane to lane), and where a point is not all floats; a caller
+    then takes those points one by one."""
+
+    def residuals(base):
+        for p in points:
+            check_domain(structure, p)
+        n, g = len(points), metric_jets(structure, base, 1)
+        gv = list(_lane_values([[jet.value for jet in row] for row in g], n))
+        for values, p in zip(gv, points):
+            check_signature(values, p)
+        env = dict(zip(structure.chart.names, base))
         omega = [0 if e is None else eval_number(e, env) for e in structure.one_form]
         gamma = _christoffel_from(structure, base, 0, g, omega).gamma
-    dg = _lane_values([[jet.gradient() for jet in row] for row in g], n)  # dg[a][b][e] = d_e g_ab
-    lanes = zip(_lane_values(gamma, n), gv, _lane_values(omega, n), (np.moveaxis(x, -1, 0) for x in dg))
-    return [_compatibility(*lane) for lane in lanes]
+        dg = _lane_values([[jet.gradient() for jet in row] for row in g], n)  # dg[a][b][e] = d_e g_ab
+        lanes = zip(_lane_values(gamma, n), gv, _lane_values(omega, n), (np.moveaxis(x, -1, 0) for x in dg))
+        return [_compatibility(*lane) for lane in lanes]
+
+    return on_lanes(residuals, points) if points else []
 
 
 def _lane_values(values, width: int) -> Iterator[np.ndarray]:

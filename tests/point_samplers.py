@@ -6,21 +6,24 @@ Each ``sample_at`` is that curve's per-point sampler, unchanged: it builds
 the point's jet and its invariants through the library's scalar entry
 points (``psi_invariants``, ``pair_invariants``, ``surface_invariants`` and
 ``surface_derived_pair``), which raise on a singular stratum.  Each curve
-runs it through ``invariants._sampled_curve`` on the grid the library curve
-draws, so the library curve, on lanes or point by point, must give its
-params, tuples, signs, counts and errors, to the bit.
+runs it through ``_sampled_curve``, the curve loop the library ran them
+through, on the grid the library curve draws, so the library curve, on
+lanes or point by point, must give its params, tuples, signs, counts and
+errors, to the bit.
 """
 
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from weylrec import exprlang
 from weylrec.invariants import (
     PAIR_CURVE,
     PSI_CURVE,
     SURFACE_CURVE,
+    OverflowSampleError,
     SignatureCurve,
+    SingularStratumError,
+    _finite,
     _grid,
-    _sampled_curve,
     f_jet_from_expr,
     pair_invariants,
     pair_jet_from_exprs,
@@ -29,6 +32,31 @@ from weylrec.invariants import (
     surface_derived_pair,
     surface_invariants,
 )
+
+
+def _sampled_curve(kind: str, points: Sequence, sample_at) -> SignatureCurve:
+    """``sample_at(point)`` gives (invariant tuple, discriminant sign or None);
+    a point on a singular stratum is dropped and counted, and so is a point
+    not evaluated (an overflow, a domain error or a non-finite tuple), which
+    is counted apart as well."""
+    params, tuples, signs, singular, failed = [], [], [], 0, 0
+    for point in points:
+        try:
+            tup, sign = sample_at(point)
+        except (OverflowSampleError, exprlang.ExprDomainError):
+            failed += 1
+            continue
+        except SingularStratumError:
+            singular += 1
+            continue
+        if not _finite(*tup):
+            failed += 1
+            continue
+        params.append(point)
+        tuples.append(tup)
+        if sign is not None:
+            signs.append(sign)
+    return SignatureCurve(kind, tuple(params), tuple(tuples), tuple(signs), singular + failed, failed)
 
 
 def psi_curve(psi, lo: float, hi: float, samples: int = 64) -> SignatureCurve:

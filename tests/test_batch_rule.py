@@ -1,0 +1,82 @@
+"""One batch rule for lanes: only ``jets.on_lanes`` silences numpy or catches every exception.
+
+A pass on lanes runs under ``np.errstate`` and gives None where it raises,
+whatever it raises, so that its caller takes the points one by one
+(``jets.on_lanes``).  The walk reads the ``ast`` of each
+``src/weylrec/*.py`` and finds each ``with`` item that calls ``errstate``
+and each ``except`` clause that catches every exception (``Exception``,
+``BaseException`` or a bare ``except:``), by the innermost function that
+holds it.  Only the batch rule may hold one: a second copy of the rule is
+a second place where it can drift.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "weylrec").glob("*.py"))
+BATCH_RULE = [("jets.py", "on_lanes", "errstate"), ("jets.py", "on_lanes", "except Exception")]
+
+
+def opens_errstate(item: ast.withitem) -> bool:
+    call = item.context_expr
+    return isinstance(call, ast.Call) and "errstate" in (getattr(call.func, "attr", None), getattr(call.func, "id", None))
+
+
+def catches_everything(handler: ast.ExceptHandler) -> bool:
+    if handler.type is None:
+        return True
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(n, ast.Name) and n.id in ("Exception", "BaseException") for n in names)
+
+
+def batch_rules(tree: ast.AST, function: str = "<module>"):
+    """(function, "errstate" or "except Exception") of each such block in
+    ``tree``, by the innermost function that holds it."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            yield from ((function, "errstate") for item in node.items if opens_errstate(item))
+        if isinstance(node, ast.ExceptHandler) and catches_everything(node):
+            yield function, "except Exception"
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from batch_rules(node, inner)
+
+
+def test_only_the_batch_rule_silences_numpy_or_catches_everything():
+    found = [(path.name, *rule) for path in MODULES for rule in batch_rules(ast.parse(path.read_text(encoding="utf-8")))]
+    assert sorted(found) == sorted(BATCH_RULE)
+
+
+def test_a_second_copy_is_caught():
+    source = """
+def on_lanes(run, points):
+    try:
+        with np.errstate(all="ignore"):
+            return run(points)
+    except Exception:
+        return None
+
+def _curve(points):
+    def sample():
+        with errstate(divide="ignore"):
+            pass
+    try:
+        pass
+    except (ValueError, Exception):
+        pass
+    try:
+        pass
+    except:
+        raise
+    try:
+        pass
+    except ValueError:
+        pass
+"""
+    assert sorted(batch_rules(ast.parse(source))) == [
+        ("_curve", "except Exception"),
+        ("_curve", "except Exception"),
+        ("on_lanes", "errstate"),
+        ("on_lanes", "except Exception"),
+        ("sample", "errstate"),
+    ]

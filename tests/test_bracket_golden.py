@@ -25,10 +25,11 @@ from pathlib import Path
 import pytest
 
 from weylrec import exprlang
-from weylrec.catalog import extra_fields, killing_fields, make_homogeneous_model
+from weylrec.catalog import killing_fields, make_homogeneous_model
 from weylrec.jets import JetPoly
 
 from brackets import bracket_closure, expr_to_poly, field_bracket
+from extra_fields import extra_fields
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "goldens" / "bracket_closure.json"
 

@@ -7,7 +7,6 @@ import pytest
 
 from weylrec.catalog import (
     CatalogError,
-    extra_fields,
     killing_fields,
     make_3d_case1,
     make_3d_case2,
@@ -18,6 +17,8 @@ from weylrec.catalog import (
     standard_catalog,
 )
 from weylrec.exprlang import derivative, eval_number
+
+from extra_fields import extra_fields
 
 
 def riccati(F: str, a: str, env) -> float:

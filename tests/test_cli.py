@@ -643,15 +643,19 @@ class TestInputErrorText:
             ("equiv", ["bad", "good"], ["--range", "-1:2", "--samples", "4"]),
             ("equiv", ["good", "bad"], ["--range", "-1:2", "--samples", "4"]),
             ("invariants", ["bad"], ["--at=-1"]),
+            ("classify", ["bad"], []),
         ],
-        ids=["signature", "equiv-first", "equiv-second", "invariants"],
+        ids=["signature", "equiv-first", "equiv-second", "invariants", "classify"],
     )
     def test_a_sample_with_psi_prime_not_positive_names_its_file(self, tmp_path, capsys, verb, files, flags):
-        """psi = t^2 + t has psi' = -1 at t = -1, the first sample of -1:2
-        and the point of --at=-1; the error names the file whose curve has
-        that sample, or whose invariants are asked for there."""
+        """psi = t^2 + t has psi' = -1 at t = -1, the first sample of -1:2,
+        the point of --at=-1 and the first sample of classify's evidence
+        curve on the box's t range; the probes of the box, from t = -7/18
+        on, see psi' > 0.  The error names the file whose curve has that
+        sample, or whose invariants are asked for there."""
+        box = {"t": [-1.0, 10.0], "u": [1.0, 2.0]}
         paths = {
-            "bad": write_json(tmp_path / "bad.json", {"format": 1, "family": "dim_ge4", "psi": "t*t+t", "n": 2}),
+            "bad": write_json(tmp_path / "bad.json", {"format": 1, "family": "dim_ge4", "psi": "t*t+t", "n": 2, "box": box}),
             "good": write_json(tmp_path / "good.json", {"format": 1, "family": "dim_ge4", "psi": "t^3+t", "n": 2}),
         }
         want = f"error: {paths['bad']}: the defining function must have positive derivative (got -1.0 at t = -1.0)\n"

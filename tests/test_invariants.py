@@ -21,7 +21,6 @@ from weylrec.invariants import (
     PsiJet,
     SignatureCurve,
     SingularStratumError,
-    derived_invariant,
     equivalence_test,
     f_jet_from_expr,
     pair_invariants,
@@ -36,6 +35,7 @@ from weylrec.invariants import (
 )
 from weylrec.jets import JetPoly, taylor_indices
 
+from derived_invariant import derived_invariant
 from group_actions import GroupElem3D2, GroupElemD4, MobiusPoleError, PseudoElem3D1, act_3d1, act_3d2, act_d4
 from group_samples import random_3d1_element, random_3d2_element, random_d4_element
 

@@ -2,14 +2,15 @@
 
 A curve evaluates all of its sample points in one pass, on jets whose
 coefficients are ``jets.Lanes``, one float64 lane per point, and runs the
-same sampler at each point in turn where that pass raises.  Either way its
-samples, drops and counts are to the bit those of the point-by-point
-oracle (``point_samplers``, ``_sampled_curve`` with the old per-point
-samplers): these tests run both on drawn expressions and grids, and on the
-grids that force the fallback, through the library and through the CLI.  The same holds
-for verify's compatibility-only points: one depth-0 pass on lanes
+same sampler at each point in turn where that pass gives None (one batch
+rule, ``jets.on_lanes``).  Either way its samples, drops and counts are to
+the bit those of the point-by-point oracle (``point_samplers``,
+``_sampled_curve`` with the old per-point samplers): these tests run both on
+drawn expressions and grids, and on the grids that force the fallback,
+through the library and through the CLI.  The same holds for verify's
+compatibility-only points: one depth-0 pass on lanes
 (``tensor.compatibility_residuals``) gives each point's
-``weyl_compatibility_residual`` or raises, and ``verify`` then takes the
+``weyl_compatibility_residual`` or None, and ``verify`` then takes the
 points one by one.
 """
 
@@ -23,12 +24,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from weylrec import cli, exprlang, invariants, symmetry
+from weylrec import cli, exprlang, invariants, symmetry, tensor
 from weylrec.catalog import standard_catalog
 from weylrec.cli import main
 from weylrec.exprlang import BinOp, Const, ExprDomainError, Var, parse
 from weylrec.invariants import _hausdorff, pair_signature_curve, psi_signature_curve, surface_signature_curve
-from weylrec.jets import NUMBERS, JetPoly, LaneSplit, Lanes, coordinate_jets, lane_max, lane_values
+from weylrec.jets import NUMBERS, JetPoly, LaneSplit, Lanes, coordinate_jets, exact_zero, lane_max, lane_values, on_lanes
 from weylrec.tensor import (
     Chart,
     DomainViolation,
@@ -48,13 +49,21 @@ from test_exprlang import _REPEATING_TREES, _children
 LANE_CURVE = invariants._lane_curve
 
 
-def point_by_point(kind, points, sample, lanes):
-    """``invariants._lane_curve`` with a pass on lanes that raises: every point through ``sample``."""
+def in_lanes(at) -> bool:
+    """``at``, a point or its coordinates, holds Lanes: a pass on lanes."""
+    return type(at[0] if isinstance(at, tuple) else at) is Lanes
 
-    def no_lanes(points):
-        raise LaneSplit("forced point by point")
 
-    return LANE_CURVE(kind, points, sample, no_lanes)
+def point_by_point(kind, points, sample):
+    """``invariants._lane_curve`` with a pass on lanes that raises, so that
+    the batch rule takes every point through ``sample``."""
+
+    def no_lanes(at):
+        if in_lanes(at):
+            raise LaneSplit("forced point by point")
+        return sample(at)
+
+    return LANE_CURVE(kind, points, no_lanes)
 
 
 def outcome(curve, *args):
@@ -153,12 +162,12 @@ class TestTheCatalogRunsOnLanes:
         lanes, or "point", one point of the fallback."""
         used = []
 
-        def spy(kind, points, sample, lanes):
+        def spy(kind, points, sample):
             def watched(at):
-                used.append("lanes" if type(at[0] if isinstance(at, tuple) else at) is Lanes else "point")
+                used.append("lanes" if in_lanes(at) else "point")
                 return sample(at)
 
-            return LANE_CURVE(kind, points, watched, lanes)
+            return LANE_CURVE(kind, points, watched)
 
         monkeypatch.setattr(invariants, "_lane_curve", spy)
         return used
@@ -264,6 +273,23 @@ def test_a_hard_grid_reads_as_point_by_point(tmp_path, capsys, monkeypatch, fami
 
 
 # ----------------------------------------------------------------------
+# the batch rule: float points once on lanes, or None
+# ----------------------------------------------------------------------
+
+
+def test_the_batch_rule_runs_float_points_once_on_lanes():
+    """A point has one Lanes per coordinate; a pass that raises, points that
+    are not all floats and no points give None; numpy warns of nothing."""
+    assert on_lanes(lambda t: t.array.tolist(), [1.0, 2.0]) == [1.0, 2.0]
+    assert on_lanes(lambda at: [x.array.tolist() for x in at], [(1.0, 3.0), (2.0, 4.0)]) == [[1.0, 2.0], [3.0, 4.0]]
+    with np.errstate(all="raise"):
+        assert on_lanes(lambda t: (t * 1e308).array.tolist(), [10.0, 0.5]) == [math.inf, 5e307]
+    assert on_lanes(lambda t: 1 / (t - 1.0), [1.0, 2.0]) is None  # a zero divisor on one lane
+    for points in ([1.0, 2], [(1.0, Fraction(1, 2))], []):
+        assert on_lanes(lambda at: pytest.fail("no pass runs"), points) is None
+
+
+# ----------------------------------------------------------------------
 # lanes arithmetic: each lane is the float Python computes
 # ----------------------------------------------------------------------
 
@@ -342,13 +368,20 @@ class TestLanes:
         assert top.array.tolist() == [3.0, 5.0]
         assert math.isnan(lane_max([1.0, math.nan])) and np.isnan(lane_max([Lanes([math.nan, 1.0]), 0.5]).array[0])
 
-    def test_equality_asks_whether_every_lane_is_equal(self):
-        assert (Lanes([0.0, -0.0]) == 0) is True
-        assert (Lanes([1.0, 0.0]) == 0) is False
-        assert (Lanes([1.0, 0.0]) != 0) is True
-        assert Lanes([1.0, 2.0]) == Lanes([1.0, 2.0])
-        with pytest.raises(TypeError):
-            Lanes([1.0]) == Fraction(1, 3)  # a float is never compared with a rounded Fraction
+    def test_no_lanes_value_is_an_exact_zero_and_none_is_compared(self):
+        """A jet asks == 0 of a coefficient only to find an exact zero, which a
+        Lanes value never is: identity answers, with no array comparison."""
+
+        class Uncompared:
+            def __eq__(self, other):
+                raise AssertionError("an array comparison")
+
+            __hash__ = None
+
+        zeros = Lanes([0.0, -0.0])
+        assert exact_zero(zeros) is False
+        zeros.array = Uncompared()
+        assert exact_zero(zeros) is False and (zeros == 0) is False
 
     def test_a_zero_on_some_lanes_takes_no_branch(self):
         """Where the scalar jets drop a zero (a product by 0.0, a constant 0.0,
@@ -474,11 +507,9 @@ def residuals_point_by_point(structure, points):
 
 
 def residuals_on_lanes(structure, points):
-    """``compatibility_residuals``, or, where it raises, the point-by-point path, as verify takes it."""
-    try:
-        return [r.hex() for r in compatibility_residuals(structure, points)]
-    except Exception:
-        return residuals_point_by_point(structure, points)
+    """``compatibility_residuals``, or, where it gives None, the point-by-point path, as verify takes it."""
+    lanes = compatibility_residuals(structure, points)
+    return residuals_point_by_point(structure, points) if lanes is None else [r.hex() for r in lanes]
 
 
 NONZERO = st.one_of(st.floats(1 / 16, 1), st.floats(-1, 1).filter(bool))  # mostly where ln and 1/x are defined
@@ -543,13 +574,17 @@ def test_the_lane_residuals_are_the_point_by_point_residuals(case):
 
 @pytest.mark.parametrize("structure,points,error", FALLBACKS)
 def test_each_hard_point_set_falls_back(structure, points, error):
-    """The first point alone runs on lanes, the pair raises ``error``, and
-    where that is not a split the second point fails on its own as well."""
+    """The first point alone runs on lanes, the pair gives None, and where
+    ``error`` is not a split the second point fails on its own with it."""
     assert compatibility_residuals(structure, points[:1])
-    with pytest.raises(error):
-        compatibility_residuals(structure, points)
+    assert compatibility_residuals(structure, points) is None
     if error is not LaneSplit:
         assert residuals_point_by_point(structure, points)[0] is error
+
+
+def test_an_empty_batch_gives_no_residuals():
+    """verify --samples 1 to 5 has no compatibility-only points."""
+    assert compatibility_residuals(_PLAIN, []) == []
 
 
 def test_the_catalog_runs_on_lanes():
@@ -559,34 +594,59 @@ def test_the_catalog_runs_on_lanes():
         assert residuals_on_lanes(entry.structure, points) == [r.hex() for r in compatibility_residuals(entry.structure, points)]
 
 
-def point_by_point_compatibility(structure, points, path):
-    """``cli._compatibility_only`` without its lanes: each point's depth-0 connection in turn."""
-    return [cli._at_point(path, p, cli.weyl_connection, structure, p, 0).compatibility_residual() for p in points]
+def compatibility_point_by_point(monkeypatch):
+    """Make the depth-0 pass on lanes raise, so that the batch rule gives
+    None and verify builds each point's depth-0 connection in turn."""
+    metric_jets = tensor.metric_jets
+
+    def no_lanes(structure, point, order):
+        if in_lanes(tuple(point)):
+            raise LaneSplit("forced point by point")
+        return metric_jets(structure, point, order)
+
+    monkeypatch.setattr(tensor, "metric_jets", no_lanes)
 
 
-def cli_outcome(compatibility, structure, points):
+CURVATURE_POINT = (0.5, 0.25, -0.75)
+
+
+def verify_compatibility(monkeypatch, structure, points):
+    """The worst residual (as float.hex) of verify's compatibility check on
+    ``structure`` with ``points`` as its compatibility-only points, or its
+    error's class and text.  Its five curvature points read the connection
+    of ``_PLAIN`` at ``CURVATURE_POINT``, so that only the compatibility-only
+    points are under test."""
+
+    def curvature_elsewhere(s, point, depth=1):
+        return weyl_connection(s, point, 0) if depth == 0 else weyl_connection(_PLAIN, CURVATURE_POINT, depth)
+
+    monkeypatch.setattr(cli, "weyl_connection", curvature_elsewhere)
+    entry = dataclasses.replace(standard_catalog()["dim4-psi-exp"], structure=structure, preferred=None)
+    entry.sample_points = lambda count, seed: [CURVATURE_POINT] * 5 + list(points)
     try:
-        return [r.hex() for r in compatibility(structure, points, "structure.json")]
+        checks, _ = cli._verify_checks(entry, 1e-6, 5 + len(points), 0, 3, "structure.json")
     except Exception as exc:
         return type(exc), str(exc)
+    return checks[0]["max_residual"].hex()
 
 
 @pytest.mark.parametrize("structure,points,error", FALLBACKS)
-def test_verify_takes_a_raising_pass_point_by_point(structure, points, error):
-    """Where the lanes raise, verify's compatibility points give what the
-    point-by-point path gives: its residuals, or its error naming the file."""
-    batched = cli_outcome(cli._compatibility_only, structure, points)
-    assert batched == cli_outcome(point_by_point_compatibility, structure, points)
+def test_verify_takes_a_raising_pass_point_by_point(monkeypatch, structure, points, error):
+    """Where the lanes raise, verify's compatibility points give what each
+    point's depth-0 connection gives: its residual, or its error naming the file."""
+    try:
+        connections = [cli._at_point("structure.json", p, weyl_connection, structure, p, 0) for p in points]
+        curvature = weyl_connection(_PLAIN, CURVATURE_POINT, 2).compatibility_residual()
+        expected = max(curvature, *(conn.compatibility_residual() for conn in connections)).hex()
+    except Exception as exc:
+        expected = type(exc), str(exc)
+    assert verify_compatibility(monkeypatch, structure, points) == expected
 
 
 def test_a_raising_lane_pass_leaves_the_report_unchanged(tmp_path, capsys, monkeypatch):
     path = structure_file(tmp_path, "dim_ge4", {"psi": "exp(t)"})
     code, out, _ = cli_run(capsys, ["verify", path])
-
-    def split(structure, points):
-        raise LaneSplit("the lanes of a test answer differently")
-
-    monkeypatch.setattr(cli, "compatibility_residuals", split)
+    compatibility_point_by_point(monkeypatch)
     assert cli_run(capsys, ["verify", path])[:2] == (code, out) and code == 0
 
 
@@ -605,7 +665,7 @@ def test_a_failing_compatibility_point_reads_as_point_by_point(tmp_path, capsys,
     first = next(i for i, p in enumerate(points) if residuals_point_by_point(entry.structure, [p])[0] is SingularMetricError)
     assert first == k
     batched = cli_run(capsys, ["verify", path])
-    monkeypatch.setattr(cli, "_compatibility_only", point_by_point_compatibility)
+    compatibility_point_by_point(monkeypatch)
     assert batched == cli_run(capsys, ["verify", path])
     assert batched[0] == 2 and batched[1] == "" and "singular" in batched[2]
 

@@ -25,6 +25,7 @@ from weylrec.symmetry import (
 from weylrec.tensor import Chart
 
 from brackets import bracket_closure, expr_to_poly
+from extra_fields import extra_fields
 from lie_derivative import lie_derivative_check
 
 
@@ -175,7 +176,7 @@ class TestClassifyPsi:
         give genuine symmetries of the 4-dimensional structures: residuals
         vanish and the scale function is constant (zero for the
         translation-type combinations, a homothety for the scaling ones)."""
-        from weylrec.catalog import extra_fields, standard_catalog
+        from weylrec.catalog import standard_catalog
 
         z = dict(extra_fields(2))
         cases = [

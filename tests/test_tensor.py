@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylrec import exprlang, jets, tensor
-from weylrec.catalog import extra_fields, make_3d_case1, make_dim_ge4, standard_catalog
+from weylrec.catalog import make_3d_case1, make_dim_ge4, standard_catalog
 from weylrec.einsteinweyl import ew_report, ew_residual
 from weylrec.exprlang import eval_jet, parse
 from weylrec.jets import JETS, JetPoly, taylor_indices
@@ -39,6 +39,7 @@ from weylrec.tensor import (
 )
 
 from dense_curvature import dense_curvature_jets
+from extra_fields import extra_fields
 from lie_derivative import lie_derivative_check
 
 

@@ -14,7 +14,6 @@ from weylrec.invariants import (
     PairJet,
     PsiJet,
     SingularStratumError,
-    derived_invariant,
     pair_invariants,
     psi_invariants,
     surface_derived_pair,
@@ -22,6 +21,7 @@ from weylrec.invariants import (
 )
 from weylrec.jets import JetPoly, taylor_indices
 
+from derived_invariant import derived_invariant
 from group_actions import act_3d1, act_3d2, act_d4
 from group_samples import (
     random_exact_3d1_element,
