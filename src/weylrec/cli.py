@@ -53,8 +53,9 @@ from .invariants import (
     f_jet_from_expr,
     surface_signature_curve,
 )
+from .jets import on_lanes
 from .symmetry import classify_3d2, classify_psi
-from .tensor import SignatureError, SingularMetricError, compatibility_residuals, recurrence_theta, weyl_connection
+from .tensor import SignatureError, SingularMetricError, recurrence_theta, weyl_connection
 
 FORMAT_VERSION = 1
 
@@ -303,21 +304,23 @@ def cmd_catalog(args) -> int:
 
 def _at_point(path: str, point: Sequence, build: Callable, *args, **kwargs):
     """``build(*args, **kwargs)``, which evaluates a structure at ``point``: an
-    expression error there, such as a value beyond the float range, names the
-    file and the point, as a load error names the file."""
+    expression error there, such as a value beyond the float range, and a
+    singular or non-Lorentzian metric name the file and the point, as a
+    load error names the file."""
     try:
         return build(*args, **kwargs)
-    except exprlang.ExprError as exc:
+    except (exprlang.ExprError, SingularMetricError, SignatureError) as exc:
         raise InputError(f"{path}: the structure at ({', '.join(map(repr, point))}): {exc}") from exc
 
 
 def _in_domain(path: str, build: Callable, *args):
     """``build(*args)``, which samples the defining function of the file
-    ``path``: a sample off the family's domain (psi' <= 0) is an input error
+    ``path``: a sample off the family's domain (psi' <= 0), and an
+    expression error at a sample, which names its point, are input errors
     naming the file."""
     try:
         return build(*args)
-    except NotIncreasingError as exc:
+    except (NotIncreasingError, exprlang.ExprError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -334,24 +337,23 @@ def _verify_checks(
     # point in point order: each point's Weyl connection (depth order - 1) is
     # read by every check that runs there and dropped before the next one is
     # built.  The other points check compatibility alone, which reads only
-    # Christoffel values and dg: one depth-0 pass on lanes serves them all,
-    # and where it gives None each point's depth-0 connection does in turn,
+    # Christoffel values and dg: one depth-0 connection on lanes serves them
+    # all, and where the batch rule gives None each point's own does in turn,
     # so that the first point that fails gives its own error, naming the file
     compat, reports, omegas, spans, weyl_norms, ews = [], [], [], [], [], []
     for p in points[:5]:
         conn = _at_point(path, p, weyl_connection, entry.structure, p, order - 1)
         compat.append(conn.compatibility_residual())
-        reports.append(conn.recurrence(tol))
+        reports.append(_at_point(path, p, conn.recurrence, tol))
         omegas.append(conn.one_form_values)
         spans.append(conn.holonomy().span_dim)
         if "conformally_flat" in expected:
             weyl_norms.append(conn.conformal_weyl().norm())
         ews.append(ew_report(entry.structure, conn))
         del conn
-    lanes = compatibility_residuals(entry.structure, points[5:])
-    if lanes is None:
-        lanes = [_at_point(path, p, weyl_connection, entry.structure, p, 0).compatibility_residual() for p in points[5:]]
-    compat += lanes
+    residual = lambda at: weyl_connection(entry.structure, at, 0).compatibility_residual()
+    lanes = on_lanes(residual, points[5:])
+    compat += [_at_point(path, p, residual, p) for p in points[5:]] if lanes is None else lanes
 
     worst, cut = max(compat), thresholds.COMPATIBILITY_TOL
     checks = [_check("metric_compatibility", worst <= cut, max_residual=worst, tolerance=cut)]
@@ -629,7 +631,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         _check_numeric_flags(args)
         return _DISPATCH[args.command](args)
-    except (InputError, exprlang.ExprError, CatalogError, NotIncreasingError, SingularMetricError, SignatureError) as exc:
+    except (InputError, exprlang.ExprError, CatalogError, NotIncreasingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

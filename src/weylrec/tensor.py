@@ -68,11 +68,12 @@ cannot tell a jet holding an exact-zero coefficient from an empty one; no
 jet operation leaves such a coefficient, so the jets of a pass never hold
 one.
 
-The depth-0 pass also runs on many float points at once, one float64 lane
-per point (``compatibility_residuals``, through ``jets.on_lanes``): the same
-jets and numbers, with ``jets.Lanes`` values where they depend on the point.
-Each lane holds the value its point's own pass gives, or the pass gives None
-and its caller takes the points one by one.
+The depth-0 pass also runs on many float points at once: ``weyl_connection``
+takes a point whose coordinates are ``jets.Lanes``, one float64 lane per
+point, as ``jets.on_lanes`` hands them over, and computes the same jets and
+numbers, with Lanes values where they depend on the point.  Each lane holds
+the value its point's own pass gives, or the pass raises, and the caller of
+``on_lanes`` takes the points one by one.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ import numpy as np
 
 from . import exprlang, thresholds
 from .exprlang import Expr, eval_jet, eval_number
-from .jets import JETS, NUMBERS, JetPoly, JetShapeError, Kind, Lanes, coordinate_jets, exact_zero, lane_max, on_lanes
+from .jets import JETS, NUMBERS, JetPoly, JetShapeError, Kind, Lanes, coordinate_jets, exact_zero, lane_max
 
 
 class DomainViolation(ValueError):
@@ -244,16 +245,17 @@ def _first_partials(jets) -> np.ndarray:
     return np.moveaxis(grads.reshape(shape + (len(zeros),)), -1, 0)
 
 
-def check_signature(gv: np.ndarray, point: Sequence) -> np.ndarray:
-    """Check that metric values ``gv`` at ``point`` are Lorentzian (one negative
+def check_signature(gv: np.ndarray) -> np.ndarray:
+    """Check that metric values ``gv`` are Lorentzian (one negative
     eigenvalue); returns gv.  Singular means min |eigenvalue| <= METRIC_SINGULAR
-    max |eigenvalue|: a unit-free test."""
+    max |eigenvalue|: a unit-free test.  The error does not name the point:
+    its caller does."""
     eig = np.linalg.eigvalsh(gv)
     if np.min(np.abs(eig)) <= thresholds.METRIC_SINGULAR * np.max(np.abs(eig)):
-        raise SingularMetricError(f"metric is singular at {tuple(point)}")
+        raise SingularMetricError("metric is singular")
     negatives = int(np.sum(eig < 0))
     if negatives != 1:
-        raise SignatureError(f"metric has signature with {negatives} negative directions at {tuple(point)}")
+        raise SignatureError(f"metric has signature with {negatives} negative directions")
     return gv
 
 
@@ -375,9 +377,9 @@ class Connection:
     jets they stand for; ``metric`` holds jets of order depth + 1.  A depth-0
     connection whose point is in lanes, one float64 lane per point, holds
     ``jets.Lanes`` among those numbers and among the coefficients of its
-    metric jets, computed by the same rules: ``compatibility_residuals`` builds
-    one to read its Christoffel values lane by lane, and no reader here
-    takes it.  ``curvature_jets`` holds R as its live slots with a < b (see the module
+    metric jets, computed by the same rules; its one reader is
+    ``compatibility_residual``, which gives each lane's residual.
+    ``curvature_jets`` holds R as its live slots with a < b (see the module
     docstring): jets of order depth - 1, and at depth 1 numbers, the values
     of the order-0 jets.  ``curvature`` and ``nabla_R`` (depth >= 2) are the
     dense float arrays the checks read; ``curvature`` is kept after its first
@@ -432,19 +434,29 @@ class Connection:
             raise JetShapeError("nabla R needs a connection of depth >= 2")
         return _nabla_R_from(self, self.curvature_jets, self.curvature)
 
-    def compatibility_residual(self) -> float:
-        """See :func:`weyl_compatibility_residual`."""
-        return _compatibility(self.values(), self.metric_values, self.one_form_values, _first_partials(self.metric))
+    def compatibility_residual(self) -> Union[float, List[float]]:
+        """See :func:`weyl_compatibility_residual`.  At a point in lanes (depth
+        0), the residual of each lane in turn, read from its values: each is
+        the residual of its point's own connection."""
+        if type(self.point[0]) is not Lanes:
+            return _compatibility(self.values(), self.metric_values, self.one_form_values, _first_partials(self.metric))
+        n, g = self.point[0].array.size, self.metric
+        gv = _lane_values([[jet.value for jet in row] for row in g], n)
+        dg = _lane_values([[jet.gradient() for jet in row] for row in g], n)  # dg[a][b][e] = d_e g_ab
+        lanes = zip(_lane_values(self.gamma, n), gv, _lane_values(self.one_form, n), (np.moveaxis(x, -1, 0) for x in dg))
+        return [_compatibility(*lane) for lane in lanes]
 
     def recurrence(self, tol: float = thresholds.RECURRENCE_TOL) -> RecurrenceReport:
         """See :func:`recurrence_theta` (needs depth >= 2)."""
         d = self.dim
         conn_R = self.curvature
         r = conn_R.ravel()
+        _check_fit_range(d, r)
         rnorm = float(np.sqrt(r @ r))
         if rnorm < thresholds.NO_CURVATURE:
             return RecurrenceReport("no_curvature", False, None, 0.0, None, None, False)
-        nr = self.nabla_R
+        nr, w = self.nabla_R, self.one_form_values
+        _check_fit_range(d, nr, w, scale=max(1.0, 1.0 / rnorm))
         theta = np.array([float(nr[e].ravel() @ r) / (rnorm**2) for e in range(d)])
         max_resid = 0.0
         for e in range(d):
@@ -454,7 +466,6 @@ class Connection:
             if dn > thresholds.RELATIVE_RESIDUAL_SWITCH:
                 resid /= dn
             max_resid = max(max_resid, resid)
-        w = self.one_form_values
         wnorm = float(np.sqrt(w @ w))
         if wnorm > thresholds.ONE_FORM_VANISHES:
             weight = -float(theta @ w) / (wnorm**2)
@@ -495,6 +506,25 @@ class Connection:
         return PointTensor(C)
 
 
+_FIT_LIMIT = float(np.sqrt(np.finfo(float).max)) / 4
+
+
+def _check_fit_range(d: int, *arrays: np.ndarray, scale: float = 1.0) -> None:
+    """Raise ``ExprDomainError`` ("the recurrence fit: overflow"), before the
+    recurrence fit takes its sums, unless d^2.5 * ``scale`` times the
+    largest |entry| of ``arrays`` is at most ``_FIT_LIMIT``, the square
+    root of the largest float over 4 (a nan fails it).  Checked on R, then
+    on nabla R and the 1-form with ``scale`` = max(1, 1 / |R|), it bounds
+    |R|, |nabla_e R|, |w| and |theta_e| <= |nabla_e R| / |R| by
+    _FIT_LIMIT / sqrt(d), so every sum of squares or of products of the fit
+    is at most a quarter of the largest float.  The largest entry is read
+    with no temporary array of an array's size (nabla R is 64 MB at
+    d = 24), and no bit of the fit moves."""
+    largest = np.max([bound for x in arrays for bound in (x.max(), -x.min())])
+    if not d**2.5 * scale * largest <= _FIT_LIMIT:
+        raise exprlang.ExprDomainError("the recurrence fit: overflow")
+
+
 def _compatibility(G: np.ndarray, gv: np.ndarray, w: np.ndarray, dg: np.ndarray) -> float:
     """max |(nabla g + 2 w x g)_{e,ab}| / max(1, |g|) from the values of the
     Christoffel symbols, the metric and the 1-form, and dg[e] = d_e g."""
@@ -505,51 +535,26 @@ def _compatibility(G: np.ndarray, gv: np.ndarray, w: np.ndarray, dg: np.ndarray)
 
 def weyl_connection(structure: WeylStructure, point: Sequence, depth: int = 1) -> Connection:
     """Weyl connection: Levi-Civita plus K^a_bc = delta^a_b w_c + delta^a_c w_b - g_bc g^{ad} w_d.
-    At depth 0 the 1-form is evaluated on plain numbers (``eval_number``);
-    ``compatibility_residuals`` runs the same depth-0 pass on many float
-    points at once, on lanes; where that gives None, its caller builds each
-    point's connection here."""
+    At depth 0 the 1-form is evaluated on plain numbers (``eval_number``).
+    The coordinates of ``point`` may be ``jets.Lanes``, as ``jets.on_lanes``
+    hands them over: the domain check then holds on every lane, the
+    signature check runs on each lane's metric values, and each lane of the
+    depth-0 connection holds the values of its point's own, to the bit.  A
+    lane that would fail, or lanes that would branch apart (``jets.LaneSplit``),
+    raise."""
     check_domain(structure, point)
     g = metric_jets(structure, point, depth + 1)
-    check_signature(_values(g), point)
+    if type(point[0]) is Lanes:
+        for gv in _lane_values([[jet.value for jet in row] for row in g], point[0].array.size):
+            check_signature(gv)
+    else:
+        check_signature(_values(g))
     if depth == 0:
         env = dict(zip(structure.chart.names, point))
         omega = [0 if e is None else eval_number(e, env) for e in structure.one_form]
     else:
         omega = one_form_jets(structure, point, depth)
     return _christoffel_from(structure, point, depth, g, omega)
-
-
-def compatibility_residuals(structure: WeylStructure, points: Sequence[Sequence[float]]) -> Optional[List[float]]:
-    """The compatibility residual at each of ``points`` (float points), in
-    order, from one depth-0 pass on lanes (``jets.on_lanes``), one float64
-    lane per point: the order-1 metric jets, then the 1-form and the inverse
-    and Christoffel pass of ``_christoffel_from`` on numbers, all with
-    ``jets.Lanes`` values.  Each lane holds the values of its point's own
-    depth-0 connection, to the bit; the domain and signature checks and the
-    residual formula run point by point, so each residual is
-    ``weyl_compatibility_residual`` at its point.  No points give [].
-
-    None where any point would raise, where the lanes would branch apart (a
-    coordinate 0.0 at some points only, pivot rows or singular pivots that
-    differ from lane to lane), and where a point is not all floats; a caller
-    then takes those points one by one."""
-
-    def residuals(base):
-        for p in points:
-            check_domain(structure, p)
-        n, g = len(points), metric_jets(structure, base, 1)
-        gv = list(_lane_values([[jet.value for jet in row] for row in g], n))
-        for values, p in zip(gv, points):
-            check_signature(values, p)
-        env = dict(zip(structure.chart.names, base))
-        omega = [0 if e is None else eval_number(e, env) for e in structure.one_form]
-        gamma = _christoffel_from(structure, base, 0, g, omega).gamma
-        dg = _lane_values([[jet.gradient() for jet in row] for row in g], n)  # dg[a][b][e] = d_e g_ab
-        lanes = zip(_lane_values(gamma, n), gv, _lane_values(omega, n), (np.moveaxis(x, -1, 0) for x in dg))
-        return [_compatibility(*lane) for lane in lanes]
-
-    return on_lanes(residuals, points) if points else []
 
 
 def _lane_values(values, width: int) -> Iterator[np.ndarray]:

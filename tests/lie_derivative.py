@@ -54,7 +54,7 @@ def lie_derivative_check(
         raise ValueError(f"field needs {d} components, got {len(field_components)}")
     check_domain(structure, point)
     metric = metric_jets(structure, point, 2)
-    check_signature(_values(metric), point)
+    check_signature(_values(metric))
     one_form = one_form_jets(structure, point, 1)
     env2 = coordinate_jets(chart.names, point, 2)
     Y2 = [eval_jet(exprlang.as_expr(c), env2) for c in field_components]

@@ -11,6 +11,7 @@ import pytest
 from weylrec import catalog, cli, thresholds
 from weylrec.catalog import standard_catalog
 from weylrec.cli import main
+from weylrec.jets import Lanes
 
 
 def run(capsys, *argv):
@@ -148,54 +149,41 @@ class TestVerifyCommand:
 
     def test_one_connection_per_sample_point(self, exp_file, capsys, monkeypatch):
         """Every check at a curvature point reads one Weyl connection built at
-        --order; the other 15 points check compatibility in one pass on
-        lanes, which builds no connection point by point."""
+        --order; the other 15 points check compatibility on one depth-0
+        connection, whose point holds 15 lanes."""
         from weylrec import tensor
 
-        depths, passes = [], []
-        build, lanes = tensor.weyl_connection, cli.compatibility_residuals
+        calls = []
+        build = tensor.weyl_connection
 
         def counting_build(structure, point, depth=1):
-            depths.append(depth)
+            calls.append((depth, point[0].array.size if type(point[0]) is Lanes else 1))
             return build(structure, point, depth)
-
-        def counting_lanes(structure, points):
-            passes.append(len(points))
-            return lanes(structure, points)
 
         monkeypatch.setattr(cli, "weyl_connection", counting_build)
         monkeypatch.setattr(tensor, "weyl_connection", counting_build)
-        monkeypatch.setattr(cli, "compatibility_residuals", counting_lanes)
         code, _, _ = run(capsys, "verify", exp_file)
         assert code == 0
-        assert (depths, passes) == ([2] * 5, [15])
+        assert calls == [(2, 1)] * 5 + [(0, 15)]
 
     def test_each_connection_is_dropped_before_the_next_is_built(self, exp_file, capsys, monkeypatch):
         """verify keeps no connection past its point: when a curvature
-        point's connection is built, and when the lane pass over the other
-        points runs, none built at an earlier point is still alive."""
-        build, lanes = cli.weyl_connection, cli.compatibility_residuals
+        point's connection is built, and when the one on lanes over the other
+        points is, none built at an earlier point is still alive."""
+        build = cli.weyl_connection
         refs, alive = [], []
 
-        def count_alive():
+        def tracking_build(structure, point, depth=1):
             gc.collect()
             alive.append(sum(ref() is not None for ref in refs))
-
-        def tracking_build(structure, point, depth=1):
-            count_alive()
             conn = build(structure, point, depth)
             refs.append(weakref.ref(conn))
             return conn
 
-        def tracking_lanes(structure, points):
-            count_alive()
-            return lanes(structure, points)
-
         monkeypatch.setattr(cli, "weyl_connection", tracking_build)
-        monkeypatch.setattr(cli, "compatibility_residuals", tracking_lanes)
         code, _, _ = run(capsys, "verify", exp_file)
         assert code == 0
-        assert (len(refs), alive) == (5, [0] * 6)
+        assert (len(refs), alive) == (6, [0] * 6)
 
     def test_order_floor_enforced(self, exp_file, capsys):
         code, _, err = run(capsys, "verify", exp_file, "--order", "2")
@@ -818,7 +806,7 @@ class TestHardInputEndsCleanly:
         path = write_json(tmp_path / "tower.json", {"format": 1, "family": "dim_ge4", "psi": "exp(exp(exp(t)))", "n": 2})
         code, out, err = run(capsys, "classify", path)
         assert code == 2 and out == ""
-        assert err.startswith("error: the symmetry row of psi(t) at t = ") and err.endswith(": overflow\n")
+        assert err.startswith(f"error: {path}: the symmetry row of psi(t) at t = ") and err.endswith(": overflow\n")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", VERBS, ids=lambda argv: argv[0])
@@ -840,12 +828,18 @@ class TestHardInputEndsCleanly:
         "payload,argv,message",
         [
             # psi = (3 + sqrt(0.5))^1000 + t is inf at every sample, and inf is not a finite row
-            ({"family": "dim_ge4", "psi": "((3+sqrt(0.5))^1e3)+t", "n": 2}, ["classify"], "the symmetry row of psi(t) at t = "),
-            ({"family": "threed_case2", "a": "u", "c": "10^400"}, ["classify"], "the symmetry row of c(u) at u = "),
+            ({"family": "dim_ge4", "psi": "((3+sqrt(0.5))^1e3)+t", "n": 2}, ["classify"], "{path}: the symmetry row of psi(t) at t = "),
+            ({"family": "threed_case2", "a": "u", "c": "10^400"}, ["classify"], "{path}: the symmetry row of c(u) at u = "),
             # the overflow is met while the metric is evaluated at the first sample point
             ({"family": "threed_case2", "a": "u", "c": "10^400"}, ["verify"], "{path}: the structure at ("),
+            # R is finite, but nabla R (about 1e240) squares beyond the float range in the recurrence fit
+            (
+                {"family": "threed_case1", "F": "x*u*10^120", "box": {"x": [1e-120, 2e-120], "u": [1, 2]}},
+                ["verify"],
+                "{path}: the structure at (",
+            ),
         ],
-        ids=["psi-inf-classify", "c-exact-classify", "c-exact-verify"],
+        ids=["psi-inf-classify", "c-exact-classify", "c-exact-verify", "nabla-R-verify"],
     )
     def test_an_exact_or_infinite_value_beyond_the_float_range_is_an_input_error(
         self, tmp_path, capsys, payload, argv, message
@@ -875,8 +869,8 @@ class TestHardInputEndsCleanly:
         got, out, err = run(capsys, argv[0], path, *[path if a == "@" else a for a in argv[1:]])
         assert got == code
         if argv[0] == "verify":  # the overflowing metric has no negative direction
-            assert out == "" and err.startswith("error: metric has signature with 0 negative directions at (")
-            assert err.count("\n") == 1
+            assert out == "" and err.startswith(f"error: {path}: the structure at (")
+            assert err.endswith("): metric has signature with 0 negative directions\n") and err.count("\n") == 1
         else:
             assert err == ""
         if argv[0] == "invariants":
@@ -895,14 +889,15 @@ class TestHardInputEndsCleanly:
         path = write_json(tmp_path / "big.json", {**self.BIG_A, "c": "exp(300*u)*exp(300*u)"})
         code, out, err = run(capsys, "classify", path)
         assert code == 2 and out == ""
-        assert err.startswith("error: the symmetry row of c(u) at u = ") and err.endswith(": overflow\n")
+        assert err.startswith(f"error: {path}: the symmetry row of c(u) at u = ") and err.endswith(": overflow\n")
         assert err.count("\n") == 1
 
     def test_singular_metric_is_an_input_error(self, tmp_path, capsys):
         path = write_json(tmp_path / "sing.json", {"format": 1, "family": "dim_ge4", "psi": "exp(100*t)", "n": 2})
         code, out, err = run(capsys, "verify", path)
         assert code == 2 and out == ""
-        assert err.startswith("error: metric is singular at (") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: the structure at (") and err.endswith("): metric is singular\n")
+        assert err.count("\n") == 1
 
     # F = 1e200 x u: the products the surface invariants take are beyond the float range at every sample
     HUGE_F = {"format": 1, "family": "threed_case1", "F": "1e200*x*u"}

@@ -53,7 +53,7 @@ def reference_connection(structure, point):
     d = structure.dim
     tensor.check_domain(structure, point)
     g = tensor.metric_jets(structure, point, 1)
-    tensor.check_signature(tensor._values(g), point)
+    tensor.check_signature(tensor._values(g))
     env = coordinate_jets(structure.chart.names, point, 0)
     zero = JetPoly(d, 0, point)
     omega = [zero if e is None else eval_jet(e, env) for e in structure.one_form]

@@ -8,10 +8,9 @@ the bit those of the point-by-point oracle (``point_samplers``,
 ``_sampled_curve`` with the old per-point samplers): these tests run both on
 drawn expressions and grids, and on the grids that force the fallback,
 through the library and through the CLI.  The same holds for verify's
-compatibility-only points: one depth-0 pass on lanes
-(``tensor.compatibility_residuals``) gives each point's
-``weyl_compatibility_residual`` or None, and ``verify`` then takes the
-points one by one.
+compatibility-only points: one depth-0 ``weyl_connection`` at a point in
+lanes gives each point's ``weyl_compatibility_residual``, or the batch rule
+gives None and ``verify`` then takes the points one by one.
 """
 
 import dataclasses
@@ -35,7 +34,6 @@ from weylrec.tensor import (
     DomainViolation,
     SignatureError,
     SingularMetricError,
-    compatibility_residuals,
     make_structure,
     weyl_connection,
 )
@@ -317,6 +315,25 @@ class TestLanes:
         with pytest.raises(OverflowError):
             Fraction(10**400) + Lanes([1.0])
 
+    def test_an_exact_number_compares_only_where_a_float_holds_it(self):
+        with pytest.raises(TypeError, match="lanes compare with floats only"):
+            Lanes([1.0, 2.0]) < Fraction(1, 3)
+        assert (Lanes([1.0, 2.0]) < Fraction(1, 2)) is False
+
+    def test_an_exact_number_beyond_the_float_range_raises_in_a_test_too(self):
+        with pytest.raises(OverflowError):
+            Lanes([1.0, 2.0]) < 10**400
+        with pytest.raises(OverflowError):
+            Lanes([1.0, 2.0]) + 10**400
+
+    def test_an_exponent_in_lanes_and_an_operand_that_is_no_number_raise_type_error(self):
+        with pytest.raises(TypeError):
+            Lanes([1.0, 2.0]) ** Lanes([2.0, 3.0])
+        with pytest.raises(TypeError):
+            Lanes([1.0, 2.0]) + "a"
+        with pytest.raises(TypeError):
+            Lanes([1.0, 2.0]) / "a"
+
     def test_a_zero_divisor_on_any_lane_raises(self):
         with pytest.raises(ZeroDivisionError):
             Lanes([1.0, 2.0]) / Lanes([1.0, 0.0])
@@ -506,9 +523,15 @@ def residuals_point_by_point(structure, points):
         return type(exc), str(exc)
 
 
+def compatibility_on_lanes(structure, points):
+    """verify's pass over its compatibility-only points: the residuals of
+    one depth-0 connection on lanes, or None from the batch rule."""
+    return on_lanes(lambda at: weyl_connection(structure, at, 0).compatibility_residual(), points)
+
+
 def residuals_on_lanes(structure, points):
-    """``compatibility_residuals``, or, where it gives None, the point-by-point path, as verify takes it."""
-    lanes = compatibility_residuals(structure, points)
+    """``compatibility_on_lanes``, or, where it gives None, the point-by-point path, as verify takes it."""
+    lanes = compatibility_on_lanes(structure, points)
     return residuals_point_by_point(structure, points) if lanes is None else [r.hex() for r in lanes]
 
 
@@ -576,22 +599,17 @@ def test_the_lane_residuals_are_the_point_by_point_residuals(case):
 def test_each_hard_point_set_falls_back(structure, points, error):
     """The first point alone runs on lanes, the pair gives None, and where
     ``error`` is not a split the second point fails on its own with it."""
-    assert compatibility_residuals(structure, points[:1])
-    assert compatibility_residuals(structure, points) is None
+    assert compatibility_on_lanes(structure, points[:1])
+    assert compatibility_on_lanes(structure, points) is None
     if error is not LaneSplit:
         assert residuals_point_by_point(structure, points)[0] is error
-
-
-def test_an_empty_batch_gives_no_residuals():
-    """verify --samples 1 to 5 has no compatibility-only points."""
-    assert compatibility_residuals(_PLAIN, []) == []
 
 
 def test_the_catalog_runs_on_lanes():
     """verify's 15 compatibility-only points of every catalog entry take the lanes, not the fallback."""
     for entry in standard_catalog().values():
         points = entry.sample_points(20, entry.seed)[5:]
-        assert residuals_on_lanes(entry.structure, points) == [r.hex() for r in compatibility_residuals(entry.structure, points)]
+        assert residuals_on_lanes(entry.structure, points) == [r.hex() for r in compatibility_on_lanes(entry.structure, points)]
 
 
 def compatibility_point_by_point(monkeypatch):

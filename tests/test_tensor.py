@@ -412,6 +412,15 @@ class TestRecurrence:
         rep = recurrence_theta(s, (0.0, 3.0, 1.0, 0.5))
         assert rep.closed_at_point and rep.weight is None
 
+    def test_a_curvature_beyond_the_float_range_is_an_overflow_error(self):
+        """w_0 = exp(800 x1) is about 1e173 at x1 = 0.5, and R is nan: the fit
+        takes no sum of it, so numpy gives no warning, which this suite
+        turns into an error."""
+        chart = Chart(("x0", "x1", "x2"))
+        s = make_structure(chart, {("x0", "x0"): "-1", ("x1", "x1"): "1", ("x2", "x2"): "1"}, {"x0": "exp(800*x1)"})
+        with pytest.raises(exprlang.ExprDomainError, match=r"^the recurrence fit: overflow$"):
+            recurrence_theta(s, (0.3, 0.5, 0.7))
+
 
 class TestConstantRescaling:
     """c g with the same 1-form has the same Weyl connection, so verdicts and
