@@ -328,29 +328,57 @@ def _check(name: str, ok: bool, **fields) -> Dict:
     return {"name": name, "status": "pass" if ok else "fail", **fields}
 
 
+def _finite_readings(compat, reports, omegas, holonomies, weyl_norms, ews) -> bool:
+    """Every float of the curvature readings, one list of each per point, is finite."""
+    floats = [*compat, *weyl_norms]
+    floats += [x for r in reports for x in (r.max_residual, r.weight, r.weight_residual) if x is not None]
+    floats += [x for r in ews for x in (r.lam, r.residual, r.dkp_residual) if x is not None]
+    arrays = [*omegas, *(r.theta for r in reports if r.theta is not None), *(h.singular_values for h in holonomies)]
+    return bool(np.isfinite(floats).all()) and all(np.isfinite(a).all() for a in arrays)
+
+
 def _verify_checks(
     entry: CatalogEntry, tol: float, samples: int, seed: int, order: int, path: str
 ) -> Tuple[List[Dict], bool]:
     expected = entry.expected
     points = entry.sample_points(samples, seed)
-    # the curvature checks run at the first five points, one geometry pass per
-    # point in point order: each point's Weyl connection (depth order - 1) is
-    # read by every check that runs there and dropped before the next one is
-    # built.  The other points check compatibility alone, which reads only
-    # Christoffel values and dg: one depth-0 connection on lanes serves them
-    # all, and where the batch rule gives None each point's own does in turn,
-    # so that the first point that fails gives its own error, naming the file
-    compat, reports, omegas, spans, weyl_norms, ews = [], [], [], [], [], []
-    for p in points[:5]:
-        conn = _at_point(path, p, weyl_connection, entry.structure, p, order - 1)
-        compat.append(conn.compatibility_residual())
-        reports.append(_at_point(path, p, conn.recurrence, tol))
-        omegas.append(conn.one_form_values)
-        spans.append(conn.holonomy().span_dim)
-        if "conformally_flat" in expected:
-            weyl_norms.append(conn.conformal_weyl().norm())
-        ews.append(ew_report(entry.structure, conn))
-        del conn
+    # the curvature checks run at the first five points, from one Weyl
+    # connection (depth order - 1) on lanes, one lane per point, which every
+    # check reads lane by lane.  The other points check compatibility alone,
+    # which reads only Christoffel values and dg: one depth-0 connection on
+    # lanes serves them all.  Where a pass gives None, or a curvature reading
+    # is not finite, each point's own connection does in turn, in point
+    # order, so that the first point that fails gives its own error, naming
+    # the file, and the scalar path's warnings are not hidden
+
+    def curvature_readings(at):
+        conn = weyl_connection(entry.structure, at, order - 1)
+        readings = (
+            conn.compatibility_residual(),
+            conn.recurrence(tol),
+            conn.one_form_values,
+            conn.holonomy(),
+            [c.norm() for c in conn.conformal_weyl()] if "conformally_flat" in expected else [],
+            ew_report(entry.structure, conn),
+        )
+        return readings if _finite_readings(*readings) else None
+
+    lanes = on_lanes(curvature_readings, points[:5])
+    if lanes is None:
+        compat, reports, omegas, spans, weyl_norms, ews = [], [], [], [], [], []
+        for p in points[:5]:
+            conn = _at_point(path, p, weyl_connection, entry.structure, p, order - 1)
+            compat.append(conn.compatibility_residual())
+            reports.append(_at_point(path, p, conn.recurrence, tol))
+            omegas.append(conn.one_form_values)
+            spans.append(conn.holonomy().span_dim)
+            if "conformally_flat" in expected:
+                weyl_norms.append(conn.conformal_weyl().norm())
+            ews.append(ew_report(entry.structure, conn))
+            del conn
+    else:
+        compat, reports, omegas, holonomies, weyl_norms, ews = lanes
+        spans = [h.span_dim for h in holonomies]
     residual = lambda at: weyl_connection(entry.structure, at, 0).compatibility_residual()
     lanes = on_lanes(residual, points[5:])
     compat += [_at_point(path, p, residual, p) for p in points[5:]] if lanes is None else lanes

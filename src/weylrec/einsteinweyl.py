@@ -7,7 +7,7 @@ bypasses the tensor pipeline entirely).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -24,11 +24,11 @@ def ricci_sym(structure: WeylStructure, point: Sequence) -> PointTensor:
     Ric_{cb} = R^a_{cab}; the Weyl connection's Ricci tensor is not symmetric
     in general, so the symmetric part is taken explicitly.
     """
-    return PointTensor(_ricci_sym(weyl_connection(structure, point, 1)))
+    return PointTensor(_ricci_sym(weyl_connection(structure, point, 1).curvature))
 
 
-def _ricci_sym(conn: Connection) -> np.ndarray:
-    ric = np.einsum("abad->bd", conn.curvature)
+def _ricci_sym(R: np.ndarray) -> np.ndarray:
+    ric = np.einsum("abad->bd", R)
     return 0.5 * (ric + ric.T)
 
 
@@ -65,20 +65,24 @@ def ew_residual(structure: WeylStructure, point: Sequence) -> EWReport:
     return ew_report(structure, weyl_connection(structure, point, 1))
 
 
-def ew_report(structure: WeylStructure, conn: Connection) -> EWReport:
+def ew_report(structure: WeylStructure, conn: Connection) -> Union[EWReport, List[EWReport]]:
     """:func:`ew_residual` read from the Weyl connection of ``structure`` at a
-    point, of depth >= 1."""
-    ric = _ricci_sym(conn)
-    g = conn.metric_values
-    denom = float(np.sum(g * g))
-    lam = float(np.sum(ric * g)) / denom
-    residual = float(np.sqrt(np.sum((ric - lam * g) ** 2)))
-    dkp = None
-    if structure.family == THREED_CASE2:
-        i_u = structure.chart.index("u")
-        H_expr = structure.metric[i_u][i_u]
-        if H_expr is not None:
-            dkp = dkp_residual(H_expr, conn.point)
-        else:
-            dkp = 0.0
-    return EWReport(lam=lam, residual=residual, dkp_residual=dkp)
+    point, of depth >= 1; at a point in lanes, one report per lane, as the
+    connection's own readers give (``Connection._read_curvature``)."""
+
+    def report(point, R, g):
+        ric = _ricci_sym(R)
+        denom = float(np.sum(g * g))
+        lam = float(np.sum(ric * g)) / denom
+        residual = float(np.sqrt(np.sum((ric - lam * g) ** 2)))
+        dkp = None
+        if structure.family == THREED_CASE2:
+            i_u = structure.chart.index("u")
+            H_expr = structure.metric[i_u][i_u]
+            if H_expr is not None:
+                dkp = dkp_residual(H_expr, point)
+            else:
+                dkp = 0.0
+        return EWReport(lam=lam, residual=residual, dkp_residual=dkp)
+
+    return conn._read_curvature(report, conn.metric)

@@ -958,7 +958,7 @@ class Kind(NamedTuple):
     div: Callable  # a zero divisor is a JetDomainError
     power: Callable  # (base, exponent), both of the kind
     half: Callable  # x / 2
-    value: Callable  # x at the point, as a float; a Lanes number as it is
+    value: Callable  # x at the point, as a float; a Lanes value as it is
     functions: Dict[str, Callable]  # name -> unary function
 
 
@@ -971,7 +971,7 @@ JETS = Kind(
     operator.truediv,
     _jet_power,
     lambda jet: jet / 2,
-    lambda jet: float(jet.value),
+    lambda jet: x if type(x := jet.value) is Lanes else float(x),
     UNARY_FUNCTIONS,
 )
 NUMBERS = Kind(

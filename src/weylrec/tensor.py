@@ -68,12 +68,16 @@ cannot tell a jet holding an exact-zero coefficient from an empty one; no
 jet operation leaves such a coefficient, so the jets of a pass never hold
 one.
 
-The depth-0 pass also runs on many float points at once: ``weyl_connection``
-takes a point whose coordinates are ``jets.Lanes``, one float64 lane per
-point, as ``jets.on_lanes`` hands them over, and computes the same jets and
-numbers, with Lanes values where they depend on the point.  Each lane holds
-the value its point's own pass gives, or the pass raises, and the caller of
-``on_lanes`` takes the points one by one.
+A pass of any depth also runs on many float points at once:
+``weyl_connection`` takes a point whose coordinates are ``jets.Lanes``, one
+float64 lane per point, as ``jets.on_lanes`` hands them over, and computes
+the same jets and numbers, with Lanes values where they depend on the
+point.  Each lane holds the value its point's own pass gives, or the pass
+raises, and the caller of ``on_lanes`` takes the points one by one.  The
+readers then run once per lane on that lane's float arrays
+(``Connection._read``), which are its point's own, so each lane's reading
+is its point's to the bit; the dense nabla R of one lane is dropped before
+the next lane's is made.
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ import numpy as np
 
 from . import exprlang, thresholds
 from .exprlang import Expr, eval_jet, eval_number
-from .jets import JETS, NUMBERS, JetPoly, JetShapeError, Kind, Lanes, coordinate_jets, exact_zero, lane_max
+from .jets import JETS, NUMBERS, JetPoly, JetShapeError, Kind, Lanes, coordinate_jets, exact_zero, lane_max, lane_values
 
 
 class DomainViolation(ValueError):
@@ -218,7 +222,7 @@ def _flatten(jets) -> Tuple[Tuple[int, ...], list]:
     """Shape of a nested list of jets (or numbers) and its leaves in row-major order."""
     shape: List[int] = []
     leaves = [jets]
-    while isinstance(leaves[0], list):
+    while leaves and isinstance(leaves[0], list):
         shape.append(len(leaves[0]))
         leaves = [jet for sub in leaves for jet in sub]
     return tuple(shape), leaves
@@ -229,20 +233,20 @@ def _values(jets) -> np.ndarray:
     shape; an empty jet reads 0.0 unopened.  A list of numbers (a depth-0
     connection's) reads float of each, which is 0.0 for an exact zero."""
     shape, leaves = _flatten(jets)
-    if isinstance(leaves[0], JetPoly):
+    if leaves and isinstance(leaves[0], JetPoly):
         floats = (float(jet.value) if jet.terms else 0.0 for jet in leaves)
     else:
         floats = map(float, leaves)
     return np.fromiter(floats, float, len(leaves)).reshape(shape)
 
 
-def _first_partials(jets) -> np.ndarray:
-    """array[e][...] = d_e of each jet of a nested list at the point (jets of
-    order >= 1); only the non-empty jets are read, the rest are rows of 0.0."""
-    shape, leaves = _flatten(jets)
-    zeros = [0] * leaves[0].nvars
-    grads = np.array([jet.gradient() if jet.terms else zeros for jet in leaves], float)
-    return np.moveaxis(grads.reshape(shape + (len(zeros),)), -1, 0)
+def _gradients(jets) -> list:
+    """A nested list of jets (of order >= 1) with each jet replaced by its
+    gradient, the list of its first partials at the point (exact zeros for
+    an empty jet, unopened): read as floats, array[...][e] = d_e of each jet."""
+    if isinstance(jets, list):
+        return [_gradients(x) for x in jets]
+    return jets.gradient() if jets.terms else [0] * jets.nvars
 
 
 def check_signature(gv: np.ndarray) -> np.ndarray:
@@ -374,17 +378,23 @@ class Connection:
     nabla R and the recurrence fit.  At depth 0, ``gamma``,
     ``levi_civita_gamma`` and ``one_form`` hold plain numbers (ints,
     Fractions or floats, an exact zero as int 0), the values of the order-0
-    jets they stand for; ``metric`` holds jets of order depth + 1.  A depth-0
-    connection whose point is in lanes, one float64 lane per point, holds
-    ``jets.Lanes`` among those numbers and among the coefficients of its
-    metric jets, computed by the same rules; its one reader is
-    ``compatibility_residual``, which gives each lane's residual.
+    jets they stand for; ``metric`` holds jets of order depth + 1.
     ``curvature_jets`` holds R as its live slots with a < b (see the module
     docstring): jets of order depth - 1, and at depth 1 numbers, the values
-    of the order-0 jets.  ``curvature`` and ``nabla_R`` (depth >= 2) are the
-    dense float arrays the checks read; ``curvature`` is kept after its first
-    read, and ``nabla_R``, d^5 floats, is computed on each read.  Every pass
-    behind them enumerates nonzero entries (see the module docstring).
+    of the order-0 jets.
+
+    The readers give the float values the checks read: ``values``,
+    ``one_form_values``, ``curvature`` and ``nabla_R`` (depth >= 2), dense
+    arrays, and the reports of ``compatibility_residual``, ``recurrence``,
+    ``holonomy`` and ``conformal_weyl`` (and ``einsteinweyl.ew_report``).
+    Each reads the connection's jets or numbers through ``_read``, so at a
+    point in lanes, one float64 lane per point, whose connection holds
+    ``jets.Lanes`` among its numbers and coefficients (computed by the same
+    rules), every reader gives a list of one reading per lane, each that
+    lane's point's own to the bit; at a plain point it gives one.
+    ``curvature`` and ``one_form_values`` are kept after their first read;
+    ``nabla_R``, d^5 floats, is computed on each read.  Every pass behind
+    them enumerates nonzero entries (see the module docstring).
     """
 
     chart: Chart
@@ -399,111 +409,148 @@ class Connection:
     def dim(self) -> int:
         return self.chart.dim
 
-    def values(self) -> np.ndarray:
-        return _values(self.gamma)
+    def _read(self, read: Callable, *jets):
+        """``read(point, *arrays)``, where ``arrays`` are the float values of
+        ``jets``, nested lists of this connection's jets or numbers, each in
+        an array of its shape (``_values``): one reading at a plain point.
+        At a point in lanes, a list of one reading per lane, in lane order,
+        of that lane's point and arrays (``_lane_values``), which are the
+        point's own to the bit.  The lanes are read one at a time, so what
+        ``read`` makes for one lane is dropped before the next lane's."""
+        if type(self.point[0]) is not Lanes:
+            return read(self.point, *map(_values, jets))
+        width = self.point[0].array.size
+        points = zip(*(lane_values(x, width) for x in self.point))
+        return [read(point, *arrays) for point, *arrays in zip(points, *(_lane_values(x, width) for x in jets))]
+
+    def values(self) -> Union[np.ndarray, List[np.ndarray]]:
+        return self._read(lambda _, G: G, self.gamma)
 
     @cached_property
-    def metric_values(self) -> np.ndarray:
-        return _values(self.metric)
-
-    @cached_property
-    def one_form_values(self) -> np.ndarray:
-        return _values(self.one_form)
+    def one_form_values(self) -> Union[np.ndarray, List[np.ndarray]]:
+        return self._read(lambda _, w: w, self.one_form)
 
     @cached_property
     def curvature_jets(self) -> Dict[Slot, object]:
         return _curvature_jets(self)
 
-    @cached_property
-    def curvature(self) -> np.ndarray:
-        """R^d_{cab} of the connection, dense: the value of each live slot,
-        at its mirror slot the value of the negated one, 0.0 elsewhere."""
-        slots = self.curvature_jets
-        live, mirror = _slot_indices(slots, self.dim)
+    def _read_curvature(self, read: Callable, *jets):
+        """``_read`` with R^d_{cab}, dense, before the arrays of ``jets``:
+        ``read(point, R, *arrays)``.  R is read from the value of each live
+        slot's jet and of the negated value (so that an exact zero negates to
+        0.0, not -0.0), placed at the slot and at its mirror, with 0.0
+        elsewhere."""
+        d, slots = self.dim, self.curvature_jets
+        live, mirror = _slot_indices(slots, d)
         values = list(slots.values()) if self.depth == 1 else [jet.value for jet in slots.values()]
-        R = np.zeros(self.dim**4)
-        R[live] = [float(x) for x in values]
-        R[mirror] = [float(-x) for x in values]
-        return R.reshape((self.dim,) * 4)
 
-    @property
-    def nabla_R(self) -> np.ndarray:
-        """nabla R, dense (depth >= 2): computed on each read and not kept,
-        since it is d^5 floats."""
+        def dense(point, at_live, at_mirror, *arrays):
+            R = np.zeros(d**4)
+            R[live] = at_live
+            R[mirror] = at_mirror
+            return read(point, R.reshape((d,) * 4), *arrays)
+
+        return self._read(dense, values, [-x for x in values], *jets)
+
+    def _nabla_R_inputs(self) -> tuple:
+        """What nabla R is read from besides R (depth >= 2): the gradients
+        of the live slots of R and the Christoffel jets."""
         if self.depth < 2:
             raise JetShapeError("nabla R needs a connection of depth >= 2")
-        return _nabla_R_from(self, self.curvature_jets, self.curvature)
+        return _gradients(list(self.curvature_jets.values())), self.gamma
+
+    def _nabla_R(self, R: np.ndarray, partials: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """nabla R from R and the arrays of ``_nabla_R_inputs``
+        (partials[i][e] = d_e of the i-th slot's jet)."""
+        return _nabla_R_from(G, R, *_slot_indices(self.curvature_jets, self.dim), np.moveaxis(partials, -1, 0))
+
+    @cached_property
+    def curvature(self) -> Union[np.ndarray, List[np.ndarray]]:
+        """R^d_{cab} of the connection, dense."""
+        return self._read_curvature(lambda _, R: R)
+
+    @property
+    def nabla_R(self) -> Union[np.ndarray, List[np.ndarray]]:
+        """nabla R, dense (depth >= 2): computed on each read and not kept,
+        since it is d^5 floats."""
+        return self._read_curvature(lambda _, R, dR, G: self._nabla_R(R, dR, G), *self._nabla_R_inputs())
 
     def compatibility_residual(self) -> Union[float, List[float]]:
-        """See :func:`weyl_compatibility_residual`.  At a point in lanes (depth
-        0), the residual of each lane in turn, read from its values: each is
-        the residual of its point's own connection."""
-        if type(self.point[0]) is not Lanes:
-            return _compatibility(self.values(), self.metric_values, self.one_form_values, _first_partials(self.metric))
-        n, g = self.point[0].array.size, self.metric
-        gv = _lane_values([[jet.value for jet in row] for row in g], n)
-        dg = _lane_values([[jet.gradient() for jet in row] for row in g], n)  # dg[a][b][e] = d_e g_ab
-        lanes = zip(_lane_values(self.gamma, n), gv, _lane_values(self.one_form, n), (np.moveaxis(x, -1, 0) for x in dg))
-        return [_compatibility(*lane) for lane in lanes]
+        """See :func:`weyl_compatibility_residual`."""
+        return self._read(
+            lambda _, G, gv, w, dg: _compatibility(G, gv, w, np.moveaxis(dg, -1, 0)),
+            self.gamma,
+            self.metric,
+            self.one_form,
+            _gradients(self.metric),
+        )
 
-    def recurrence(self, tol: float = thresholds.RECURRENCE_TOL) -> RecurrenceReport:
+    def recurrence(self, tol: float = thresholds.RECURRENCE_TOL) -> Union[RecurrenceReport, List[RecurrenceReport]]:
         """See :func:`recurrence_theta` (needs depth >= 2)."""
         d = self.dim
-        conn_R = self.curvature
-        r = conn_R.ravel()
-        _check_fit_range(d, r)
-        rnorm = float(np.sqrt(r @ r))
-        if rnorm < thresholds.NO_CURVATURE:
-            return RecurrenceReport("no_curvature", False, None, 0.0, None, None, False)
-        nr, w = self.nabla_R, self.one_form_values
-        _check_fit_range(d, nr, w, scale=max(1.0, 1.0 / rnorm))
-        theta = np.array([float(nr[e].ravel() @ r) / (rnorm**2) for e in range(d)])
-        max_resid = 0.0
-        for e in range(d):
-            diff = nr[e] - theta[e] * conn_R
-            dn = float(np.sqrt(np.sum(nr[e] ** 2)))
-            resid = float(np.sqrt(np.sum(diff**2)))
-            if dn > thresholds.RELATIVE_RESIDUAL_SWITCH:
-                resid /= dn
-            max_resid = max(max_resid, resid)
-        wnorm = float(np.sqrt(w @ w))
-        if wnorm > thresholds.ONE_FORM_VANISHES:
-            weight = -float(theta @ w) / (wnorm**2)
-            weight_residual = float(np.sqrt(np.sum((theta + weight * w) ** 2)))
-            closed = False
-        else:
-            weight, weight_residual, closed = None, None, True
-        return RecurrenceReport("ok", bool(max_resid <= tol), theta, max_resid, weight, weight_residual, closed)
 
-    def holonomy(self) -> HolonomyReport:
+        def fit(_, conn_R, partials, G, w):
+            r = conn_R.ravel()
+            _check_fit_range(d, r)
+            rnorm = float(np.sqrt(r @ r))
+            if rnorm < thresholds.NO_CURVATURE:
+                return RecurrenceReport("no_curvature", False, None, 0.0, None, None, False)
+            nr = self._nabla_R(conn_R, partials, G)
+            _check_fit_range(d, nr, w, scale=max(1.0, 1.0 / rnorm))
+            theta = np.array([float(nr[e].ravel() @ r) / (rnorm**2) for e in range(d)])
+            max_resid = 0.0
+            for e in range(d):
+                diff = nr[e] - theta[e] * conn_R
+                dn = float(np.sqrt(np.sum(nr[e] ** 2)))
+                resid = float(np.sqrt(np.sum(diff**2)))
+                if dn > thresholds.RELATIVE_RESIDUAL_SWITCH:
+                    resid /= dn
+                max_resid = max(max_resid, resid)
+            wnorm = float(np.sqrt(w @ w))
+            if wnorm > thresholds.ONE_FORM_VANISHES:
+                weight = -float(theta @ w) / (wnorm**2)
+                weight_residual = float(np.sqrt(np.sum((theta + weight * w) ** 2)))
+                closed = False
+            else:
+                weight, weight_residual, closed = None, None, True
+            return RecurrenceReport("ok", bool(max_resid <= tol), theta, max_resid, weight, weight_residual, closed)
+
+        return self._read_curvature(fit, *self._nabla_R_inputs(), self.one_form)
+
+    def holonomy(self) -> Union[HolonomyReport, List[HolonomyReport]]:
         """See :func:`holonomy_span_dim`."""
-        R = self.curvature
         d = self.dim
-        rows = [R[:, :, a, b].ravel() for a in range(d) for b in range(a + 1, d)]
-        sv = np.linalg.svd(np.stack(rows), compute_uv=False)
-        return HolonomyReport(numerical_rank(sv, thresholds.HOLONOMY_RANK_TOL), sv)
 
-    def conformal_weyl(self) -> PointTensor:
+        def span(_, R):
+            rows = [R[:, :, a, b].ravel() for a in range(d) for b in range(a + 1, d)]
+            sv = np.linalg.svd(np.stack(rows), compute_uv=False)
+            return HolonomyReport(numerical_rank(sv, thresholds.HOLONOMY_RANK_TOL), sv)
+
+        return self._read_curvature(span)
+
+    def conformal_weyl(self) -> Union[PointTensor, List[PointTensor]]:
         """See :func:`conformal_weyl_tensor`."""
+        d = self.dim
+
+        def weyl(_, Rup, gv):  # Rup = R^a_{bcd}
+            ginv = np.linalg.inv(gv)
+            Rlow = np.einsum("ae,ebcd->abcd", gv, Rup)
+            ric = np.einsum("abad->bd", Rup)
+            scal = float(np.einsum("bd,bd->", ginv, ric))
+            C = Rlow.copy()
+            C -= (
+                np.einsum("ac,bd->abcd", gv, ric)
+                - np.einsum("ad,bc->abcd", gv, ric)
+                + np.einsum("bd,ac->abcd", gv, ric)
+                - np.einsum("bc,ad->abcd", gv, ric)
+            ) / (d - 2)
+            C += scal * (np.einsum("ac,bd->abcd", gv, gv) - np.einsum("ad,bc->abcd", gv, gv)) / ((d - 1) * (d - 2))
+            return PointTensor(C)
+
         # the curvature of the Levi-Civita part at depth 1, which reads only the
         # values and gradients of its jets, the same at every order (the copy
         # keeps this connection's other fields, and only its curvature is read)
-        d = self.dim
-        Rup = replace(self, depth=1, gamma=self.levi_civita_gamma).curvature  # R^a_{bcd}
-        gv = self.metric_values
-        ginv = np.linalg.inv(gv)
-        Rlow = np.einsum("ae,ebcd->abcd", gv, Rup)
-        ric = np.einsum("abad->bd", Rup)
-        scal = float(np.einsum("bd,bd->", ginv, ric))
-        C = Rlow.copy()
-        C -= (
-            np.einsum("ac,bd->abcd", gv, ric)
-            - np.einsum("ad,bc->abcd", gv, ric)
-            + np.einsum("bd,ac->abcd", gv, ric)
-            - np.einsum("bc,ad->abcd", gv, ric)
-        ) / (d - 2)
-        C += scal * (np.einsum("ac,bd->abcd", gv, gv) - np.einsum("ad,bc->abcd", gv, gv)) / ((d - 1) * (d - 2))
-        return PointTensor(C)
+        return replace(self, depth=1, gamma=self.levi_civita_gamma)._read_curvature(weyl, self.metric)
 
 
 _FIT_LIMIT = float(np.sqrt(np.finfo(float).max)) / 4
@@ -537,15 +584,15 @@ def weyl_connection(structure: WeylStructure, point: Sequence, depth: int = 1) -
     """Weyl connection: Levi-Civita plus K^a_bc = delta^a_b w_c + delta^a_c w_b - g_bc g^{ad} w_d.
     At depth 0 the 1-form is evaluated on plain numbers (``eval_number``).
     The coordinates of ``point`` may be ``jets.Lanes``, as ``jets.on_lanes``
-    hands them over: the domain check then holds on every lane, the
-    signature check runs on each lane's metric values, and each lane of the
-    depth-0 connection holds the values of its point's own, to the bit.  A
-    lane that would fail, or lanes that would branch apart (``jets.LaneSplit``),
-    raise."""
+    hands them over, at any depth: the domain check then holds on every
+    lane, the signature check runs on each lane's metric values, each lane
+    of the connection holds the values of its point's own, to the bit, and
+    each reader gives one reading per lane.  A lane that would fail, or
+    lanes that would branch apart (``jets.LaneSplit``), raise."""
     check_domain(structure, point)
     g = metric_jets(structure, point, depth + 1)
     if type(point[0]) is Lanes:
-        for gv in _lane_values([[jet.value for jet in row] for row in g], point[0].array.size):
+        for gv in _lane_values(g, point[0].array.size):
             check_signature(gv)
     else:
         check_signature(_values(g))
@@ -558,10 +605,12 @@ def weyl_connection(structure: WeylStructure, point: Sequence, depth: int = 1) -
 
 
 def _lane_values(values, width: int) -> Iterator[np.ndarray]:
-    """``_values`` of a nested list of numbers, some of them Lanes of
-    ``width`` lanes, at each lane in turn.  Only the entries that are not an
-    exact zero are held for every lane."""
+    """``_values`` of a nested list of jets or numbers, some of them (or
+    their values) Lanes of ``width`` lanes, at each lane in turn.  Only the
+    entries that are not an exact zero are held for every lane."""
     shape, leaves = _flatten(values)
+    if leaves and isinstance(leaves[0], JetPoly):
+        leaves = [jet.value for jet in leaves]
     live = np.array([k for k, x in enumerate(leaves) if type(x) is Lanes or not exact_zero(x)], np.intp)
     rows = np.empty((len(live), width))
     for row, k in zip(rows, live.tolist()):
@@ -772,21 +821,21 @@ def _slot_indices(slots: Dict[Slot, object], d: int) -> Tuple[List[int], List[in
     return live, mirror
 
 
-def _nabla_R_from(conn: Connection, slots: Dict[Slot, JetPoly], R: np.ndarray) -> np.ndarray:
+def _nabla_R_from(G: np.ndarray, R: np.ndarray, live: List[int], mirror: List[int], partials: np.ndarray) -> np.ndarray:
     """nabla_e R^d_cab = d_e R + G^d_ef R^f_cab - G^f_ec R^d_fab - G^f_ea R^d_cfb
-    - G^f_eb R^d_caf, from the live slots of R and its values, each entry
-    added in this order.  A contraction on no nonzero pair is 0.0 in the dense
-    sum, and adding it to d_e R only turns a -0.0 into 0.0: ``+ 0.0`` here."""
-    d = conn.dim
+    - G^f_eb R^d_caf, from the Christoffel values G, R dense, the flat indices
+    of the live slots of R and of their mirrors (``_slot_indices``) and
+    partials[e][i] = d_e of the i-th slot's jet, each entry added in this
+    order.  A contraction on no nonzero pair is 0.0 in the dense sum, and
+    adding it to d_e R only turns a -0.0 into 0.0: ``+ 0.0`` here."""
+    d = len(G)
     out = np.zeros((d,) * 5)
-    if slots:
-        live, mirror = _slot_indices(slots, d)
-        partials = _first_partials(list(slots.values()))  # partials[e][i] = d_e of the i-th slot's jet
+    if live:
         planes = out.reshape(d, -1)  # planes[e] = (nabla_e R) flattened
         planes[:, live] = partials + 0.0
         planes[:, mirror] = -partials + 0.0
     flat = out.reshape(-1)
-    for sign, sums in zip((1, -1, -1, -1), _contractions(conn.values(), R)):
+    for sign, sums in zip((1, -1, -1, -1), _contractions(G, R)):
         index = np.fromiter(sums, np.intp, len(sums))
         flat[index] += sign * np.fromiter(sums.values(), float, len(sums))
     return out

@@ -20,7 +20,7 @@ from weylrec.exprlang import Expr, eval_jet
 from weylrec.jets import coordinate_jets
 from weylrec.tensor import (
     WeylStructure,
-    _first_partials,
+    _gradients,
     _read_down,
     _values,
     check_domain,
@@ -28,6 +28,11 @@ from weylrec.tensor import (
     metric_jets,
     one_form_jets,
 )
+
+
+def first_partials(jets) -> np.ndarray:
+    """array[e][...] = d_e of each jet of a nested list at the point."""
+    return np.moveaxis(_values(_gradients(jets)), -1, 0)
 
 
 @dataclass(frozen=True)
@@ -86,6 +91,6 @@ def lie_derivative_check(
     res_g = float(np.linalg.norm(_values(lie_g) - 2.0 * lam0 * _values(g1)))
 
     # (L_Y w)_a = Y^c d_c w_a + w_c d_a Y^c
-    lie_w = _first_partials(one_form).T @ _values(Y1) + _first_partials(Y1) @ _values(one_form)
+    lie_w = first_partials(one_form).T @ _values(Y1) + first_partials(Y1) @ _values(one_form)
     res_w = float(np.linalg.norm(lie_w + dlam))
     return LieDerivativeReport(lam=lam0, metric_residual=res_g, one_form_residual=res_w)

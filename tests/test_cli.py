@@ -148,9 +148,9 @@ class TestVerifyCommand:
         assert checks["holonomy_span_dim"]["observed"] == [2]
 
     def test_one_connection_per_sample_point(self, exp_file, capsys, monkeypatch):
-        """Every check at a curvature point reads one Weyl connection built at
-        --order; the other 15 points check compatibility on one depth-0
-        connection, whose point holds 15 lanes."""
+        """Every check at the five curvature points reads one Weyl connection
+        built at --order, whose point holds 5 lanes; the other 15 points check
+        compatibility on one depth-0 connection, whose point holds 15 lanes."""
         from weylrec import tensor
 
         calls = []
@@ -164,12 +164,12 @@ class TestVerifyCommand:
         monkeypatch.setattr(tensor, "weyl_connection", counting_build)
         code, _, _ = run(capsys, "verify", exp_file)
         assert code == 0
-        assert calls == [(2, 1)] * 5 + [(0, 15)]
+        assert calls == [(2, 5), (0, 15)]
 
     def test_each_connection_is_dropped_before_the_next_is_built(self, exp_file, capsys, monkeypatch):
-        """verify keeps no connection past its point: when a curvature
-        point's connection is built, and when the one on lanes over the other
-        points is, none built at an earlier point is still alive."""
+        """verify keeps no connection past its pass: when the one on lanes
+        over the other points is built, the one on lanes over the curvature
+        points is no longer alive."""
         build = cli.weyl_connection
         refs, alive = [], []
 
@@ -183,7 +183,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "weyl_connection", tracking_build)
         code, _, _ = run(capsys, "verify", exp_file)
         assert code == 0
-        assert (len(refs), alive) == (6, [0] * 6)
+        assert (len(refs), alive) == (2, [0] * 2)
 
     def test_order_floor_enforced(self, exp_file, capsys):
         code, _, err = run(capsys, "verify", exp_file, "--order", "2")
@@ -848,6 +848,17 @@ class TestHardInputEndsCleanly:
         code, out, err = run(capsys, argv[0], path, *argv[1:])
         assert code == 2 and out == ""
         assert err.startswith(f"error: {message.format(path=path)}") and err.endswith("overflow\n") and err.count("\n") == 1
+
+    def test_a_failing_curvature_point_after_the_first_is_named(self, tmp_path, capsys):
+        """F = 10^151 x^2 u: nabla R grows with x and crosses the fit's bound
+        near x = 4e-76, so on this box curvature points 0-2 fit and point 3
+        does not.  The error names point 3, the first that fails in point
+        order, however the five points are computed."""
+        payload = {"format": 1, "family": "threed_case1", "F": "x^2*u*10^151", "box": {"x": [1e-76, 5e-76], "u": [1, 2]}}
+        path = write_json(tmp_path / "late.json", payload)
+        code, out, err = run(capsys, "verify", path)
+        assert code == 2 and out == "" and "Warning" not in err
+        assert err == f"error: {path}: the structure at (0.373046875, 4.315957933241883e-76, 1.68512): the recurrence fit: overflow\n"
 
     # a(u) = exp(460 u): a^2 in the metric is beyond the float range, and so are
     # the fourth and fifth powers of a the pair invariants take

@@ -1,4 +1,4 @@
-"""Lane-batched signature curves, symmetry systems and compatibility checks.
+"""Lane-batched signature curves, symmetry systems and verify's geometry passes.
 
 A curve evaluates all of its sample points in one pass, on jets whose
 coefficients are ``jets.Lanes``, one float64 lane per point, and runs the
@@ -10,7 +10,9 @@ drawn expressions and grids, and on the grids that force the fallback,
 through the library and through the CLI.  The same holds for verify's
 compatibility-only points: one depth-0 ``weyl_connection`` at a point in
 lanes gives each point's ``weyl_compatibility_residual``, or the batch rule
-gives None and ``verify`` then takes the points one by one.
+gives None and ``verify`` then takes the points one by one; and for its five
+curvature points: each lane of one depth-2 connection reads as its point's
+own connection, and ``verify`` prints the same bytes on lanes as one by one.
 """
 
 import dataclasses
@@ -26,6 +28,7 @@ from hypothesis import example, given, settings, strategies as st
 from weylrec import cli, exprlang, invariants, symmetry, tensor
 from weylrec.catalog import standard_catalog
 from weylrec.cli import main
+from weylrec.einsteinweyl import ew_report
 from weylrec.exprlang import BinOp, Const, ExprDomainError, Var, parse
 from weylrec.invariants import _hausdorff, pair_signature_curve, psi_signature_curve, surface_signature_curve
 from weylrec.jets import NUMBERS, JetPoly, LaneSplit, Lanes, coordinate_jets, exact_zero, lane_max, lane_values, on_lanes
@@ -631,12 +634,13 @@ CURVATURE_POINT = (0.5, 0.25, -0.75)
 def verify_compatibility(monkeypatch, structure, points):
     """The worst residual (as float.hex) of verify's compatibility check on
     ``structure`` with ``points`` as its compatibility-only points, or its
-    error's class and text.  Its five curvature points read the connection
-    of ``_PLAIN`` at ``CURVATURE_POINT``, so that only the compatibility-only
-    points are under test."""
+    error's class and text.  Its five curvature points, each
+    ``CURVATURE_POINT``, read the connection of ``_PLAIN`` there (in 5 lanes
+    on the lane pass), so that only the compatibility-only points are under
+    test."""
 
     def curvature_elsewhere(s, point, depth=1):
-        return weyl_connection(s, point, 0) if depth == 0 else weyl_connection(_PLAIN, CURVATURE_POINT, depth)
+        return weyl_connection(s if depth == 0 else _PLAIN, point, depth)
 
     monkeypatch.setattr(cli, "weyl_connection", curvature_elsewhere)
     entry = dataclasses.replace(standard_catalog()["dim4-psi-exp"], structure=structure, preferred=None)
@@ -686,6 +690,87 @@ def test_a_failing_compatibility_point_reads_as_point_by_point(tmp_path, capsys,
     compatibility_point_by_point(monkeypatch)
     assert batched == cli_run(capsys, ["verify", path])
     assert batched[0] == 2 and batched[1] == "" and "singular" in batched[2]
+
+
+# ----------------------------------------------------------------------
+# verify's curvature points: one depth order - 1 pass on lanes, the readings of the point-by-point path
+# ----------------------------------------------------------------------
+
+
+def hexes(x):
+    """A float, an array or None as float.hex strings."""
+    return None if x is None else [v.hex() for v in np.ravel(x).tolist()]
+
+
+def curvature_readings(structure, conn):
+    """The recurrence fields, holonomy singular values, conformal Weyl norm
+    and Einstein-Weyl report (lam, residual, dkp) of ``conn`` as float.hex:
+    one tuple, or at a point in lanes one per lane."""
+
+    def read(rec, hol, weyl, ew):
+        fit = (rec.status, rec.recurrent, hexes(rec.theta), hexes(rec.max_residual), hexes(rec.weight), hexes(rec.weight_residual))
+        return (*fit, rec.closed_at_point, hexes(hol.singular_values), hexes(weyl.norm()), hexes([ew.lam, ew.residual]), hexes(ew.dkp_residual))
+
+    readers = (conn.recurrence(), conn.holonomy(), conn.conformal_weyl(), ew_report(structure, conn))
+    return [read(*lane) for lane in zip(*readers)] if in_lanes(conn.point) else read(*readers)
+
+
+def readings_point_by_point(structure, points):
+    """``curvature_readings`` of each point's own depth-2 connection, or the
+    class and text of the first error; numpy's warnings are not errors here,
+    as on the lanes."""
+    try:
+        with np.errstate(all="ignore"):
+            return [curvature_readings(structure, weyl_connection(structure, p, 2)) for p in points]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=structures_at_points())
+@example(case=FALLBACKS[0].values[:2])  # a 0.0 coordinate on one lane: LaneSplit
+@example(case=(_PLAIN, [(0.5, 0.25, -0.75), (0.3, 0.5, 0.7), (-0.5, 0.125, 0.25)]))
+def test_the_lane_readings_are_the_point_by_point_readings(case):
+    """At depth 2, each lane's readings are its point's own, to the bit, or the pass gives None."""
+    structure, points = case
+    lanes = on_lanes(lambda at: curvature_readings(structure, weyl_connection(structure, at, 2)), points)
+    if case[0] is _PLAIN:
+        assert (lanes is None) == (case == FALLBACKS[0].values[:2])
+    if lanes is not None:
+        assert lanes == readings_point_by_point(structure, points)
+
+
+@pytest.fixture(scope="module")
+def catalog_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("catalog")
+    files = {}
+    for key, entry in standard_catalog().items():
+        files[key] = folder / f"{key}.json"
+        files[key].write_text(json.dumps(cli.structure_file_payload(entry)), encoding="utf-8")
+    return {key: str(path) for key, path in files.items()}
+
+
+@pytest.mark.parametrize("order", ["3", "5"])
+@pytest.mark.parametrize("samples", ["1", "3", "5", "20"])
+@pytest.mark.parametrize("key", sorted(standard_catalog()))
+def test_verify_reads_as_point_by_point(catalog_files, capsys, monkeypatch, key, samples, order):
+    """verify's stdout and exit code on lanes are those of the one-by-one
+    path (``on_lanes`` gives None), and the curvature points of every
+    catalog entry take the lanes.  At 5 samples or fewer there are no
+    compatibility-only points, and a curvature pass of 1 to 5 lanes."""
+    argv = ["verify", catalog_files[key], "--samples", samples, "--order", order]
+    lanes = []  # the lane count of each pass that gave readings, None for one that gave None
+
+    def spy(run, points):
+        readings = on_lanes(run, points)
+        lanes.append(None if readings is None else len(points))
+        return readings
+
+    monkeypatch.setattr(cli, "on_lanes", spy)
+    batched = cli_run(capsys, argv)[:2]
+    assert lanes[0] == min(5, int(samples))
+    monkeypatch.setattr(cli, "on_lanes", lambda run, points: None)
+    assert batched == cli_run(capsys, argv)[:2]
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from weylrec import tensor
 from weylrec.catalog import make_dim_ge4, standard_catalog
 
 from dense_curvature import dense_curvature_jets
+from lie_derivative import first_partials
 
 SPECS = ("def,fcab->edcab", "fec,dfab->edcab", "fea,dcfb->edcab", "feb,dcaf->edcab")
 
@@ -74,7 +75,7 @@ def test_nabla_R_sums_over_f_in_increasing_order(structure, point):
     a, b = np.array(pairs).T
     expected = np.zeros((d,) * 5)
     rjets = dense_curvature_jets(conn)
-    expected[..., a, b] = tensor._first_partials([[[rjets[i][c][p][q] for p, q in pairs] for c in range(d)] for i in range(d)])
+    expected[..., a, b] = first_partials([[[rjets[i][c][p][q] for p, q in pairs] for c in range(d)] for i in range(d)])
     expected[..., b, a] = -expected[..., a, b]
     expected += terms[0]
     expected -= terms[1]

@@ -40,7 +40,7 @@ from weylrec.tensor import (
 
 from dense_curvature import dense_curvature_jets
 from extra_fields import extra_fields
-from lie_derivative import lie_derivative_check
+from lie_derivative import first_partials, lie_derivative_check
 
 
 def levi_civita(structure, point, depth=1):
@@ -255,7 +255,7 @@ class TestWeylConnection:
         s = catalog["3d2-inv-u"].structure
         p = (0.3, 0.6, 1.2)
         h = 1e-4
-        dG = tensor._first_partials(weyl_connection(s, p, depth=1).gamma)
+        dG = first_partials(weyl_connection(s, p, depth=1).gamma)
         for e in range(3):
             pp, pm = list(p), list(p)
             pp[e] += h
