@@ -328,13 +328,27 @@ def _check(name: str, ok: bool, **fields) -> Dict:
     return {"name": name, "status": "pass" if ok else "fail", **fields}
 
 
-def _finite_readings(compat, reports, omegas, holonomies, weyl_norms, ews) -> bool:
-    """Every float of the curvature readings, one list of each per point, is finite."""
-    floats = [*compat, *weyl_norms]
-    floats += [x for r in reports for x in (r.max_residual, r.weight, r.weight_residual) if x is not None]
-    floats += [x for r in ews for x in (r.lam, r.residual, r.dkp_residual) if x is not None]
-    arrays = [*omegas, *(r.theta for r in reports if r.theta is not None), *(h.singular_values for h in holonomies)]
-    return bool(np.isfinite(floats).all()) and all(np.isfinite(a).all() for a in arrays)
+def _finite(reading) -> bool:
+    """Every float and array in ``reading``, in the lists and tuples it holds
+    and in the fields of its reports, is finite."""
+    if isinstance(reading, (float, np.ndarray)):
+        return bool(np.isfinite(reading).all())
+    parts = reading if isinstance(reading, (list, tuple)) else getattr(reading, "__dict__", {}).values()
+    return all(map(_finite, parts))
+
+
+def _each_point(path: str, run: Callable, points: Sequence) -> Sequence[list]:
+    """The readings of ``run(at)``, a tuple of them, at each of ``points``
+    (at least one), as one list per reading, in point order.  They are one
+    pass on lanes (``on_lanes``) where that pass gives readings whose every
+    float and array is finite; otherwise ``run`` takes the points one by one,
+    in point order, so that the first point that fails gives its own error,
+    naming the file (``_at_point``), and a numpy warning of the one-by-one
+    path is not hidden."""
+    lanes = on_lanes(run, points)
+    if lanes is not None and _finite(lanes):
+        return lanes
+    return [list(reading) for reading in zip(*(_at_point(path, p, run, p) for p in points))]
 
 
 def _verify_checks(
@@ -342,46 +356,32 @@ def _verify_checks(
 ) -> Tuple[List[Dict], bool]:
     expected = entry.expected
     points = entry.sample_points(samples, seed)
+    conformal = "conformally_flat" in expected
     # the curvature checks run at the first five points, from one Weyl
     # connection (depth order - 1) on lanes, one lane per point, which every
     # check reads lane by lane.  The other points check compatibility alone,
     # which reads only Christoffel values and dg: one depth-0 connection on
-    # lanes serves them all.  Where a pass gives None, or a curvature reading
-    # is not finite, each point's own connection does in turn, in point
-    # order, so that the first point that fails gives its own error, naming
-    # the file, and the scalar path's warnings are not hidden
+    # lanes serves them all.  Both passes go through one point rule
+    # (_each_point), which takes the points one by one where a pass fails or
+    # reads a value that is not finite.  The Weyl norms are taken after the
+    # passes, outside the lanes' numpy error state, so that a numpy warning
+    # there shows the same way on either path
 
-    def curvature_readings(at):
+    def curvature(at):
         conn = weyl_connection(entry.structure, at, order - 1)
-        readings = (
+        return (
             conn.compatibility_residual(),
             conn.recurrence(tol),
             conn.one_form_values,
             conn.holonomy(),
-            [c.norm() for c in conn.conformal_weyl()] if "conformally_flat" in expected else [],
+            conn.conformal_weyl() if conformal else None,
             ew_report(entry.structure, conn),
         )
-        return readings if _finite_readings(*readings) else None
 
-    lanes = on_lanes(curvature_readings, points[:5])
-    if lanes is None:
-        compat, reports, omegas, spans, weyl_norms, ews = [], [], [], [], [], []
-        for p in points[:5]:
-            conn = _at_point(path, p, weyl_connection, entry.structure, p, order - 1)
-            compat.append(conn.compatibility_residual())
-            reports.append(_at_point(path, p, conn.recurrence, tol))
-            omegas.append(conn.one_form_values)
-            spans.append(conn.holonomy().span_dim)
-            if "conformally_flat" in expected:
-                weyl_norms.append(conn.conformal_weyl().norm())
-            ews.append(ew_report(entry.structure, conn))
-            del conn
-    else:
-        compat, reports, omegas, holonomies, weyl_norms, ews = lanes
-        spans = [h.span_dim for h in holonomies]
-    residual = lambda at: weyl_connection(entry.structure, at, 0).compatibility_residual()
-    lanes = on_lanes(residual, points[5:])
-    compat += [_at_point(path, p, residual, p) for p in points[5:]] if lanes is None else lanes
+    compat, reports, omegas, holonomies, weyls, ews = _each_point(path, curvature, points[:5])
+    if points[5:]:
+        residual = lambda at: (weyl_connection(entry.structure, at, 0).compatibility_residual(),)
+        compat += _each_point(path, residual, points[5:])[0]
 
     worst, cut = max(compat), thresholds.COMPATIBILITY_TOL
     checks = [_check("metric_compatibility", worst <= cut, max_residual=worst, tolerance=cut)]
@@ -398,11 +398,11 @@ def _verify_checks(
         ok = ok and weight is not None and not abs(weight - float(expected["weight"])) > thresholds.WEIGHT_TOL
     checks.append(_check("recurrence", ok, tolerance=tol, **rec))
 
-    observed, span = sorted(set(spans)), expected["holonomy_dim"]
+    observed, span = sorted({h.span_dim for h in holonomies}), expected["holonomy_dim"]
     checks.append(_check("holonomy_span_dim", observed == [span], observed=observed, expected=span))
 
-    if "conformally_flat" in expected:
-        flat, worst = bool(expected["conformally_flat"]), max(weyl_norms)
+    if conformal:
+        flat, worst = bool(expected["conformally_flat"]), max(c.norm() for c in weyls)
         ok = (worst <= thresholds.CONFORMALLY_FLAT) == flat
         checks.append(_check("conformal_flatness", ok, max_weyl_norm=worst, expected_flat=flat))
 

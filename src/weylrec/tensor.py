@@ -77,7 +77,11 @@ raises, and the caller of ``on_lanes`` takes the points one by one.  The
 readers then run once per lane on that lane's float arrays
 (``Connection._read``), which are its point's own, so each lane's reading
 is its point's to the bit; the dense nabla R of one lane is dropped before
-the next lane's is made.
+the next lane's is made.  ``verify`` runs both of its passes, the curvature
+readers at depth ``order - 1`` and the compatibility residual at depth 0,
+through one point rule (``cli._each_point``): the same function of a point
+runs on lanes, or, where that pass raises or reads a value that is not
+finite, at each point in turn.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ whatever it raises, so that its caller takes the points one by one
 and each ``except`` clause that catches every exception (``Exception``,
 ``BaseException`` or a bare ``except:``), by the innermost function that
 holds it.  Only the batch rule may hold one: a second copy of the rule is
-a second place where it can drift.
+a second place where it can drift.  In the same way, ``cli`` calls
+``on_lanes`` at one site, its point rule (``cli._each_point``), which both
+of verify's passes go through.
 """
 
 import ast
@@ -16,6 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "weylrec").glob("*.py"))
 BATCH_RULE = [("jets.py", "on_lanes", "errstate"), ("jets.py", "on_lanes", "except Exception")]
+CLI = ROOT / "src" / "weylrec" / "cli.py"
 
 
 def opens_errstate(item: ast.withitem) -> bool:
@@ -40,6 +43,16 @@ def batch_rules(tree: ast.AST, function: str = "<module>"):
             yield function, "except Exception"
         inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
         yield from batch_rules(node, inner)
+
+
+def calls(tree: ast.AST, name: str, function: str = "<module>"):
+    """The innermost function that holds each call of ``name`` (as ``name(...)``
+    or ``module.name(...)``) in ``tree``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call) and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+            yield function
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from calls(node, name, inner)
 
 
 def test_only_the_batch_rule_silences_numpy_or_catches_everything():
@@ -80,3 +93,20 @@ def _curve(points):
         ("on_lanes", "except Exception"),
         ("sample", "errstate"),
     ]
+
+
+def test_cli_calls_on_lanes_only_in_its_point_rule():
+    assert list(calls(ast.parse(CLI.read_text(encoding="utf-8")), "on_lanes")) == ["_each_point"]
+
+
+def test_a_second_call_site_is_caught():
+    source = """
+def _each_point(path, run, points):
+    lanes = on_lanes(run, points)
+
+def _verify_checks(entry):
+    def curvature(at):
+        return jets.on_lanes(run, at)
+    return on_lanes
+"""
+    assert list(calls(ast.parse(source), "on_lanes")) == ["_each_point", "curvature"]

@@ -10,9 +10,10 @@ drawn expressions and grids, and on the grids that force the fallback,
 through the library and through the CLI.  The same holds for verify's
 compatibility-only points: one depth-0 ``weyl_connection`` at a point in
 lanes gives each point's ``weyl_compatibility_residual``, or the batch rule
-gives None and ``verify`` then takes the points one by one; and for its five
-curvature points: each lane of one depth-2 connection reads as its point's
-own connection, and ``verify`` prints the same bytes on lanes as one by one.
+gives None, or a residual that is not finite, and ``verify`` then takes
+the points one by one; and for its five curvature points: each lane of one
+depth-2 connection reads as its point's own connection, and ``verify``
+prints the same bytes on lanes as one by one.
 """
 
 import dataclasses
@@ -690,6 +691,30 @@ def test_a_failing_compatibility_point_reads_as_point_by_point(tmp_path, capsys,
     compatibility_point_by_point(monkeypatch)
     assert batched == cli_run(capsys, ["verify", path])
     assert batched[0] == 2 and batched[1] == "" and "singular" in batched[2]
+
+
+def test_a_residual_that_is_not_finite_on_lanes_reads_as_point_by_point(tmp_path, capsys, monkeypatch):
+    """A compatibility residual that is nan only on the lanes (inside the
+    batch rule's ``np.errstate``) is not kept, where ``max`` would skip it:
+    both passes take their points one by one, each building its own
+    connection, and stdout and the exit code are those of the
+    point-by-point run."""
+    path = structure_file(tmp_path, "dim_ge4", {"psi": "exp(t)"})
+    compatibility, build, builds = tensor._compatibility, cli.weyl_connection, []
+
+    def nan_on_lanes(*arrays):
+        return math.nan if np.geterr()["invalid"] == "ignore" else compatibility(*arrays)
+
+    def counting_build(structure, point, depth=1):
+        builds.append((depth, point[0].array.size if in_lanes(point) else 1))
+        return build(structure, point, depth)
+
+    monkeypatch.setattr(tensor, "_compatibility", nan_on_lanes)
+    monkeypatch.setattr(cli, "weyl_connection", counting_build)
+    batched = cli_run(capsys, ["verify", path])[:2]
+    assert builds == [(2, 5), *[(2, 1)] * 5, (0, 15), *[(0, 1)] * 15]
+    monkeypatch.setattr(cli, "on_lanes", lambda run, points: None)
+    assert batched == cli_run(capsys, ["verify", path])[:2] and batched[0] == 0
 
 
 # ----------------------------------------------------------------------
