@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import exprlang, thresholds
 from .exprlang import Expr, add, call, const, derivative, div, mul, neg, parse, pow_, sub, var
+from .jets import lane_values, on_lanes
 from .tensor import Chart, WeylStructure, make_structure
 
 
@@ -129,18 +130,25 @@ _MUST = {
 def _probe(expr: Expr, what: str, axes: Sequence[str], must: str, box: Box, chart: Optional[Chart] = None) -> None:
     """``expr`` evaluates and is as ``must`` says (``_MUST``) at the 9
     mid-points per axis of ``box`` over ``axes``.  With a ``chart``, only at
-    the points it allows, each coordinate not probed at 0.0."""
+    the points it allows, each coordinate not probed at 0.0.  The grid is one
+    pass on lanes (``on_lanes``); where the pass gives None, the points are
+    evaluated one by one.  Either way the first point in grid order that
+    fails is the one the error names."""
     grids = [[lo + (hi - lo) * (k + 0.5) / 9 for k in range(9)] for lo, hi in (box[a] for a in axes)]
-    points = [dict(zip(axes, values)) for values in itertools.product(*grids)]
+    grid = list(itertools.product(*grids))
     if chart is not None:
         zeros = dict.fromkeys(chart.names, 0.0)
-        points = [env for env in points if chart.violated({**zeros, **env}) is None]
-        if not points:
+        grid = [at for at in grid if chart.violated({**zeros, **dict(zip(axes, at))}) is None]
+        if not grid:
             raise CatalogError("no probe point satisfies the constraints")
-    for env in points:
-        v = exprlang.eval_number(expr, env)
+
+    def value(at):
+        return exprlang.eval_number(expr, dict(zip(axes, at)))
+
+    lanes = on_lanes(value, grid)
+    for at, v in zip(grid, map(value, grid) if lanes is None else lane_values(lanes, len(grid))):
         if not _MUST[must](v):
-            raise CatalogError(f"{what} must be {must} on the domain; value {v} at {env}")
+            raise CatalogError(f"{what} must be {must} on the domain; value {v} at {dict(zip(axes, at))}")
 
 
 def _depends_only(expr: Expr, what: str, *allowed: str) -> None:
@@ -207,6 +215,7 @@ def make_dim_ge4(
     if branch not in (1, -1):
         raise CatalogError("branch must be +1 or -1")
     psi_e = exprlang.as_expr(psi)
+    _depends_only(psi_e, "psi", "t")
     dpsi = derivative(psi_e, "t")
     ddpsi = derivative(dpsi, "t")
     u_plus = add(var("u"), psi_e)

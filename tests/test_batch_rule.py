@@ -9,7 +9,8 @@ and each ``except`` clause that catches every exception (``Exception``,
 holds it.  Only the batch rule may hold one: a second copy of the rule is
 a second place where it can drift.  In the same way, ``cli`` calls
 ``on_lanes`` at one site, its point rule (``cli._each_point``), which both
-of verify's passes go through.
+of verify's passes go through, and ``catalog`` calls it at one site, its
+domain probe (``catalog._probe``), which every family's probes go through.
 """
 
 import ast
@@ -19,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "weylrec").glob("*.py"))
 BATCH_RULE = [("jets.py", "on_lanes", "errstate"), ("jets.py", "on_lanes", "except Exception")]
 CLI = ROOT / "src" / "weylrec" / "cli.py"
+CATALOG = ROOT / "src" / "weylrec" / "catalog.py"
 
 
 def opens_errstate(item: ast.withitem) -> bool:
@@ -110,3 +112,21 @@ def _verify_checks(entry):
     return on_lanes
 """
     assert list(calls(ast.parse(source), "on_lanes")) == ["_each_point", "curvature"]
+
+
+def test_catalog_calls_on_lanes_only_in_its_probe():
+    assert list(calls(ast.parse(CATALOG.read_text(encoding="utf-8")), "on_lanes")) == ["_probe"]
+
+
+def test_a_second_catalog_call_site_is_caught():
+    source = """
+def _probe(expr, what, axes, must, box, chart=None):
+    def value(at):
+        return exprlang.eval_number(expr, dict(zip(axes, at)))
+
+    lanes = on_lanes(value, grid)
+
+def sample_box(chart, box, count, seed=0):
+    return jets.on_lanes(lambda at: chart.violated(at), candidates)
+"""
+    assert list(calls(ast.parse(source), "on_lanes")) == ["_probe", "sample_box"]

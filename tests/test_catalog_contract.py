@@ -1,6 +1,7 @@
 """Contract of the catalog constructors: what each entry holds, the exact
-message of every rejected input, and one domain test shared by sampling and
-by the geometry layer.
+message of every rejected input, the domain probe on lanes against the same
+probe point by point, and one domain test shared by sampling and by the
+geometry layer.
 
 The entry snapshots in ``goldens/catalog_entries.json`` record, for every
 ``standard_catalog()`` entry, the fields a structure file does not carry
@@ -20,8 +21,9 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from weylrec import exprlang, tensor
+from weylrec import catalog, exprlang, tensor
 from weylrec.catalog import (
     CatalogError,
     make_3d_case1,
@@ -110,6 +112,10 @@ REJECTED = [
     ("3d case 1 F", lambda: make_3d_case1("v*u"), "F must depend only on (x, u)"),
     ("3d case 2 a", lambda: make_3d_case2("x", "0"), "a must depend only on u"),
     ("3d case 2 c", lambda: make_3d_case2("1", "v"), "c must depend only on u"),
+    # a psi of another coordinate is refused for what it is, not by the chart or the probe it reaches
+    ("dim_ge4 psi of a name not in the chart", lambda: make_dim_ge4("t+s", 2), "psi must depend only on t"),
+    ("dim_ge4 psi of u", lambda: make_dim_ge4("t+u", 2), "psi must depend only on t"),
+    ("dim_ge4 psi of x1", lambda: make_dim_ge4("t+x1", 2), "psi must depend only on t"),
     (
         "psi'",
         lambda: make_dim_ge4("0-t", 2),
@@ -173,6 +179,66 @@ def test_dim_ge4_probes_are_not_filtered_by_its_constraints():
     """dim_ge4's probes are its chart constraints: a box that crosses u + psi = 0 is rejected."""
     with pytest.raises(CatalogError, match="branch sign"):
         make_dim_ge4("t", 2, box={"u": (-1.0, 0.5)})
+
+
+# ----------------------------------------------------------------------
+# the probe on lanes gives what the probe point by point gives
+# ----------------------------------------------------------------------
+
+_ATOMS = st.sampled_from(["t", "u", "0", "0.0", "1", "2", "1/3", "0.5", "1.2"])
+_SOURCES = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.builds("-({})".format, inner),
+        st.builds("{}({})".format, st.sampled_from(exprlang.FUNCTION_NAMES), inner),
+        st.builds("({}{}{})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("({})^{}".format, inner, st.sampled_from(["2", "3", "-1", "0.5"])),
+    ),
+    max_leaves=6,
+)
+# boxes whose mid-points hold 0.0 ((-1, 1)), cross 0 between mid-points, or stay on one side
+_BOUNDS = st.one_of(
+    st.sampled_from([(-1.0, 1.0), (0.6, 1.8), (-1.0, 0.5), (0.1, 1.2), (-3.0, -2.5)]),
+    st.tuples(st.floats(-3, 3), st.floats(0.01, 3)).map(lambda lw: (lw[0], lw[0] + lw[1])),
+)
+_CHARTS = st.sampled_from([None, "t-u", "u"])
+
+
+def _probe_outcome(source, axes, must, box, constraint):
+    """The error class and text of ``catalog._probe``, or None where it accepts."""
+    chart = None if constraint is None else tensor.Chart(("v", "t", "u"), constraints=(exprlang.parse(constraint),))
+    try:
+        catalog._probe(exprlang.parse(source), "e", axes, must, box, chart)
+    except (CatalogError, exprlang.ExprError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+@given(
+    source=_SOURCES,
+    axes=st.sampled_from([("t",), ("u",), ("t", "u")]),
+    must=st.sampled_from(sorted(catalog._MUST)),
+    t=_BOUNDS,
+    u=_BOUNDS,
+    constraint=_CHARTS,
+)
+@example(source="t", axes=("t",), must="non-vanishing", t=(-1.0, 1.0), u=(0.1, 1.2), constraint=None)  # 0.0 on a lane
+@example(source="t", axes=("t", "u"), must="positive", t=(0.6, 1.8), u=(-1.0, 1.0), constraint="u")  # 0.0 filtered
+@example(source="1", axes=("t",), must="positive", t=(0.6, 1.8), u=(0.1, 1.2), constraint=None)  # psi = t: psi' = 1
+@example(source="1/2", axes=("t",), must="positive", t=(0.6, 1.8), u=(0.1, 1.2), constraint=None)  # psi = t/2
+@example(source="ln(t-1.2)", axes=("t",), must="defined", t=(0.6, 1.8), u=(0.1, 1.2), constraint=None)
+@example(source="ln(1.5-t)", axes=("t",), must="defined", t=(0.6, 1.8), u=(0.1, 1.2), constraint=None)
+@example(source="-(u+t)", axes=("t", "u"), must="positive", t=(0.6, 1.8), u=(-1.0, 0.5), constraint=None)  # 3rd of 81
+def test_the_probe_on_lanes_agrees_with_the_probe_point_by_point(source, axes, must, t, u, constraint):
+    """The same error class and text, naming the same first failing point,
+    or no error on both paths.  The point-by-point probe is the one the lane
+    pass falls back to, taken alone by giving no lane pass."""
+    box = {"t": t, "u": u}
+    by_lanes = _probe_outcome(source, axes, must, box, constraint)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(catalog, "on_lanes", lambda run, points: None)
+        point_by_point = _probe_outcome(source, axes, must, box, constraint)
+    assert by_lanes == point_by_point
 
 
 # ----------------------------------------------------------------------

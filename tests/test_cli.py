@@ -747,6 +747,29 @@ class TestHardInputEndsCleanly:
     VERBS = [["verify", "--samples", "6"], ["signature", "--samples", "8"], ["classify"], ["invariants", "--at", "1.05"]]
 
     @pytest.mark.parametrize("argv", VERBS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            # u + psi crosses 0 inside the box: the lane pass names the third of the 81 probe points,
+            # the first that fails
+            (
+                {"psi": "t", "branch": -1, "box": {"u": [-1, 0.5]}},
+                "the branch sign of u + psi(t) must be positive on the domain; "
+                "value -0.08333333333333337 at {'t': 0.6666666666666666, 'u': -0.5833333333333333}",
+            ),
+            # ln(1.5 - t) is defined at the first seven of the nine t mid-points: the lane pass raises,
+            # and the points one by one name the eighth
+            ({"psi": "ln(1.5-t)"}, "ln: ln of non-positive value -0.10000000000000009"),
+            # refused before any probe runs
+            ({"psi": "t+u"}, "psi must depend only on t"),
+        ],
+        ids=["branch-sign-interior-point", "psi-undefined-at-late-points", "psi-of-u"],
+    )
+    def test_a_probe_failure_is_an_input_error_in_every_verb(self, tmp_path, capsys, payload, message, argv):
+        path = write_json(tmp_path / "probe.json", {"format": 1, "family": "dim_ge4", "n": 2, **payload})
+        assert run(capsys, argv[0], path, *argv[1:]) == (2, "", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("argv", VERBS, ids=lambda argv: argv[0])
     def test_an_expression_at_the_depth_limit_runs_every_verb(self, tmp_path, capsys, argv):
         # k pairs of parentheses around a sum of m terms: k + 1 constructs open at once, a tree m levels deep
         parens = thresholds.EXPRESSION_DEPTH_LIMIT // 2

@@ -1,11 +1,16 @@
 """Domain probes and chart constraints are evaluated on plain numbers: no
 ``exprlang.eval_jet`` call happens under ``catalog._probe`` or
 ``Chart.violated``, whether a catalog is built, a structure file is loaded
-or a box is sampled.
+or a box is sampled.  Each probe is one pass on lanes: one
+``exprlang.eval_number`` call for its whole grid, not one per grid point, for
+every standard-catalog entry and for a structure file whose psi is a Möbius
+image of a cubic.  A probe that fell back to its points one by one would
+give the same answers, slower, so only a count sees it.
 """
 
 import contextlib
 import io
+import json
 import sys
 
 import pytest
@@ -66,3 +71,45 @@ def test_sample_box(calls):
     assert len(catalog.sample_box(entry.structure.chart, entry.box, 20)) == 20
     assert calls["violated"] >= 20
     assert calls["eval_jet"] == 0
+
+
+@pytest.fixture
+def probe_passes(monkeypatch):
+    """The ``exprlang.eval_number`` calls of each ``catalog._probe`` call, in
+    call order; a call under ``Chart.violated`` (the chart filter) is not the probe's."""
+    passes = []
+
+    def probe(*args, **kwargs):
+        passes.append(0)
+        return original_probe(*args, **kwargs)
+
+    def eval_number(*args, **kwargs):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in ORDER0_CALLERS:
+            frame = frame.f_back
+        if frame is not None and frame.f_code is original_probe.__code__:
+            passes[-1] += 1
+        return original_eval_number(*args, **kwargs)
+
+    original_probe, original_eval_number = catalog._probe, exprlang.eval_number
+    monkeypatch.setattr(catalog, "_probe", probe)
+    monkeypatch.setattr(exprlang, "eval_number", eval_number)
+    return passes
+
+
+def test_each_catalog_probe_is_one_pass(probe_passes):
+    catalog.standard_catalog()
+    # three probes for each of the nine dim_ge4 entries, one for each of the six 3D and normal-form entries
+    assert probe_passes == [1] * 33
+
+
+def test_each_probe_of_a_mobius_image_file_is_one_pass(probe_passes, tmp_path):
+    """psi = (2y + 1) / (y + 3), y = w^3 + w, w = 2t - 3/5, on the preimage of the cubic's t box."""
+    w = "(2*t+(-3/5))"
+    y = f"({w}^3+{w})"
+    path = tmp_path / "cubic-g0.json"
+    payload = {"format": 1, "family": "dim_ge4", "psi": f"(2*{y}+(1))/(1*{y}+(3))", "n": 2, "key": "cubic-g0",
+               "box": {"t": [0.6, 1.2]}}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert cli.load_structure_file(str(path)).key == "cubic-g0"
+    assert probe_passes == [1, 1, 1]
