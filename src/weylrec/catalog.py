@@ -132,8 +132,9 @@ def _probe(expr: Expr, what: str, axes: Sequence[str], must: str, box: Box, char
     mid-points per axis of ``box`` over ``axes``.  With a ``chart``, only at
     the points it allows, each coordinate not probed at 0.0.  The grid is one
     pass on lanes (``on_lanes``); where the pass gives None, the points are
-    evaluated one by one.  Either way the first point in grid order that
-    fails is the one the error names."""
+    evaluated one by one, and one that cannot be (``ExprDomainError``) is an
+    error that names ``what`` and the point, as a failed ``must`` is.  Either
+    way the first point in grid order that fails is the one the error names."""
     grids = [[lo + (hi - lo) * (k + 0.5) / 9 for k in range(9)] for lo, hi in (box[a] for a in axes)]
     grid = list(itertools.product(*grids))
     if chart is not None:
@@ -145,8 +146,14 @@ def _probe(expr: Expr, what: str, axes: Sequence[str], must: str, box: Box, char
     def value(at):
         return exprlang.eval_number(expr, dict(zip(axes, at)))
 
+    def named(at):
+        try:
+            return value(at)
+        except exprlang.ExprDomainError as exc:
+            raise CatalogError(f"{what} must be defined on the domain; {exc} at {dict(zip(axes, at))}") from exc
+
     lanes = on_lanes(value, grid)
-    for at, v in zip(grid, map(value, grid) if lanes is None else lane_values(lanes, len(grid))):
+    for at, v in zip(grid, map(named, grid) if lanes is None else lane_values(lanes, len(grid))):
         if not _MUST[must](v):
             raise CatalogError(f"{what} must be {must} on the domain; value {v} at {dict(zip(axes, at))}")
 

@@ -6,7 +6,12 @@ A jet holds the Taylor coefficients (derivative / alpha!) of a function at a
 base point, up to a fixed total degree.  Coefficients may be ints, Fractions,
 floats or ``Lanes`` (below); exact inputs stay exact through +, -, *, / and
 integer powers, which is what makes the exact-rational evaluation mode
-possible.
+possible.  At an exact base point, a product or a quotient of jets whose
+coefficients are all ints and Fractions runs on integers: each operand is
+put over one denominator, the position loop runs on the numerators, and one
+Fraction is made per output coefficient (``_exact_product``,
+``_exact_quotient``), with the values, order and types of the loop on the
+coefficients.
 
 A jet stores its coefficients by *position*: the index of the multi-index
 in the graded-lex list of all multi-indices in its variables
@@ -359,12 +364,20 @@ class JetPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        """The truncated product.  At an exact base point, where every
+        coefficient of both factors is an int or a Fraction, it runs on
+        integers (``_exact_product``), with the values, positions, order and
+        types of the loop below."""
         if isinstance(other, JetPoly):
             self._check_shape(other)
             order = self.order
             table = _TABLES[self.nvars]
+            if self.base and type(self.base[0]) in _EXACT:
+                terms = _exact_product(self.terms, other.terms, order, table)
+                if terms is not None:
+                    return _jet(self.nvars, order, self.base, terms)
             below, degree, sums = table.below, table.degree, table.sums
-            terms: Dict[int, object] = {}
+            terms = {}
             get = terms.get
             for p1, c1 in self.terms.items():
                 budget = order - degree[p1]
@@ -498,15 +511,110 @@ def order0_div(x, y):
     return 0 if exact_zero(x) else quotient(x, y)
 
 
+# ----------------------------------------------------------------------
+# exact jets on cleared denominators, the idea of fraction-free elimination:
+# each operand is scaled by the lcm of its denominators, so that a product or
+# a quotient makes one Fraction per output coefficient in place of a Fraction
+# product and sum per pair.
+# ----------------------------------------------------------------------
+
+_EXACT = (int, Fraction)  # the types of a base coordinate that may take the integer loops
+
+
+def _cleared(terms: Dict[int, object]):
+    """``terms`` over one denominator D: ({position: integer numerator over
+    D}, D, the positions that hold a Fraction); None where a coefficient is
+    neither an int nor a Fraction."""
+    den = 1
+    fractional = set()
+    for p, c in terms.items():
+        if type(c) is Fraction:
+            den = math.lcm(den, c.denominator)
+            fractional.add(p)
+        elif type(c) is not int:
+            return None
+    return {p: c.numerator * (den // c.denominator) for p, c in terms.items()}, den, fractional
+
+
+def _exact_product(x: Dict[int, object], y: Dict[int, object], order: int, table: _Positions) -> Optional[Dict[int, object]]:
+    """The terms of the product of the jets of terms ``x`` and ``y`` on
+    integers; None where a coefficient is not exact.  A coefficient is an
+    int where every pair that fed it was an int times an int, as a sum of
+    their products is, and otherwise a Fraction; exact zeros are dropped."""
+    cx, cy = _cleared(x), _cleared(y)
+    if cx is None or cy is None:
+        return None
+    (xs, dx, fx), (ys, dy, fy) = cx, cy
+    below, degree, sums = table.below, table.degree, table.sums
+    columns = [(p2, n2, p2 in fy) for p2, n2 in ys.items()]
+    acc: Dict[int, int] = {}
+    get = acc.get
+    fed = set()  # the positions that a pair with a Fraction fed
+    for p1, n1 in xs.items():
+        budget = order - degree[p1]
+        if budget < 0:
+            continue
+        cut = below[budget]  # the positions of degree <= budget
+        row = sums[p1]
+        f1 = p1 in fx
+        for p2, n2, f2 in columns:
+            if p2 < cut:
+                q = row[p2]
+                acc[q] = get(q, 0) + n1 * n2
+                if f1 or f2:
+                    fed.add(q)
+    den = dx * dy
+    return {q: Fraction(v, den) if q in fed else v // den for q, v in acc.items() if v}
+
+
+def _exact_quotient(
+    num: Dict[int, object], den: Dict[int, object], order: int, supported: Sequence[int], table: _Positions
+) -> Optional[Dict[int, object]]:
+    """The terms of the quotient of the jets of terms ``num`` and ``den`` on
+    integers, over the positions ``supported``; None where a coefficient is
+    not exact.  With the coefficients n_a / N of num and e_b / E of den, and
+    k_a the degree of a,
+
+        Y_a = e_0^k_a n_a - sum_b e_b e_0^(k_b - 1) Y_(a - b)
+
+    and the coefficient at a is Fraction(Y_a E, e_0^(k_a + 1) N), which is the
+    long division's (n_a / N - sum_b e_b / E c_(a - b)) / (e_0 / E)."""
+    cn, cd = _cleared(num), _cleared(den)
+    if cn is None or cd is None:
+        return None
+    (ns, dn, _), (es, dd, _) = cn, cd
+    degree, differences, e0 = table.degree, table.differences, es[0]
+    powers = [e0**k for k in range(order + 2)]
+    den_rest = [(p, e * e0 ** (degree[p] - 1)) for p, e in es.items() if p]
+    y: Dict[int, int] = {}  # the nonzero Y_a
+    terms: Dict[int, object] = {}
+    for pa in supported:
+        k = degree[pa]
+        acc = ns.get(pa, 0) * powers[k]
+        row = differences[pa]
+        for pb, eb in den_rest:
+            pg = row[pb]
+            if pg is not None:
+                yg = y.get(pg)
+                if yg is not None:
+                    acc -= eb * yg
+        if acc:
+            y[pa] = acc
+            terms[pa] = Fraction(acc * dd, powers[k + 1] * dn)
+    return terms
+
+
 def _divide(num: JetPoly, den: JetPoly) -> JetPoly:
     """Graded long division; requires a nonzero constant term in ``den``.
 
     Only multi-indices over the variables that ``num`` or ``den`` use can get a
-    nonzero coefficient, so the division runs over those alone.
+    nonzero coefficient, so the division runs over those alone.  At an exact
+    base point, where every coefficient of both is an int or a Fraction, the
+    division runs on integers (``_exact_quotient``), with the values,
+    positions, order and types of the loop below.
     """
     b0 = divisor(den.value)
     table = _TABLES[num.nvars]
-    terms: Dict[int, object] = {}
     den_rest = [(p, c) for p, c in den.terms.items() if p]
     masks = table.mask
     used = 0
@@ -514,8 +622,14 @@ def _divide(num: JetPoly, den: JetPoly) -> JetPoly:
         used |= masks[p]
     for p, _ in den_rest:
         used |= masks[p]
+    supported = table.supported[num.order, used]
+    if num.base and type(num.base[0]) in _EXACT:
+        terms = _exact_quotient(num.terms, den.terms, num.order, supported, table)
+        if terms is not None:
+            return _jet(num.nvars, num.order, num.base, terms)
+    terms = {}
     num_terms, differences = num.terms, table.differences
-    for pa in table.supported[num.order, used]:
+    for pa in supported:
         acc = num_terms.get(pa, 0)
         row = differences[pa]
         for pb, cb in den_rest:

@@ -234,13 +234,16 @@ def _flatten(jets) -> Tuple[Tuple[int, ...], list]:
 
 def _values(jets) -> np.ndarray:
     """Float values at the point of a nested list of jets, in an array of its
-    shape; an empty jet reads 0.0 unopened.  A list of numbers (a depth-0
-    connection's) reads float of each, which is 0.0 for an exact zero."""
+    shape; an empty jet reads 0.0 unopened.  A nested list of numbers (a
+    depth-0 connection's, or ``_gradients``) reads float of each, which is
+    0.0 for an exact zero, as numpy takes it from the list unflattened."""
+    leaf = jets
+    while isinstance(leaf, list) and leaf:
+        leaf = leaf[0]
+    if not isinstance(leaf, JetPoly):
+        return np.array(jets, float)
     shape, leaves = _flatten(jets)
-    if leaves and isinstance(leaves[0], JetPoly):
-        floats = (float(jet.value) if jet.terms else 0.0 for jet in leaves)
-    else:
-        floats = map(float, leaves)
+    floats = (float(jet.value) if jet.terms else 0.0 for jet in leaves)
     return np.fromiter(floats, float, len(leaves)).reshape(shape)
 
 
@@ -248,9 +251,10 @@ def _gradients(jets) -> list:
     """A nested list of jets (of order >= 1) with each jet replaced by its
     gradient, the list of its first partials at the point (exact zeros for
     an empty jet, unopened): read as floats, array[...][e] = d_e of each jet."""
-    if isinstance(jets, list):
+    if jets and isinstance(jets[0], list):
         return [_gradients(x) for x in jets]
-    return jets.gradient() if jets.terms else [0] * jets.nvars
+    zeros = [0] * jets[0].nvars if jets else []
+    return [jet.gradient() if jet.terms else zeros for jet in jets]
 
 
 def check_signature(gv: np.ndarray) -> np.ndarray:

@@ -740,8 +740,11 @@ class TestHardInputEndsCleanly:
         code, out, err = run(capsys, "signature", path, "--samples", "2")
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
-        # psi itself is probed before psi', so the error names the power the file wrote
-        assert err == f"error: {path}: '^': integer power 100000 exceeds the limit of 1000 in modulus\n"
+        # psi itself is probed before psi', so the error names psi, the power the file wrote and the first point
+        assert err == (
+            f"error: {path}: psi(t) must be defined on the domain; "
+            "'^': integer power 100000 exceeds the limit of 1000 in modulus at {'t': 0.6666666666666666}\n"
+        )
 
     # every verb of a dim_ge4 file; verify at 6 points, so that the deep trees stay quick
     VERBS = [["verify", "--samples", "6"], ["signature", "--samples", "8"], ["classify"], ["invariants", "--at", "1.05"]]
@@ -758,8 +761,12 @@ class TestHardInputEndsCleanly:
                 "value -0.08333333333333337 at {'t': 0.6666666666666666, 'u': -0.5833333333333333}",
             ),
             # ln(1.5 - t) is defined at the first seven of the nine t mid-points: the lane pass raises,
-            # and the points one by one name the eighth
-            ({"psi": "ln(1.5-t)"}, "ln: ln of non-positive value -0.10000000000000009"),
+            # and the points one by one name the function and the eighth point
+            (
+                {"psi": "ln(1.5-t)"},
+                "psi(t) must be defined on the domain; ln: ln of non-positive value -0.10000000000000009 "
+                "at {'t': 1.6}",
+            ),
             # refused before any probe runs
             ({"psi": "t+u"}, "psi must depend only on t"),
         ],
@@ -811,7 +818,9 @@ class TestHardInputEndsCleanly:
         path = write_json(tmp_path / "big.json", {"format": 1, "family": "dim_ge4", "psi": psi, "n": 2})
         code, out, err = run(capsys, argv[0], path, *argv[1:])
         assert code == 2 and out == ""
-        assert err == f"error: {path}: exp: overflow\n"
+        # the load-time probe of psi names the first of its t mid-points where exp overflows
+        t = {"exp(800*t)": "0.9333333333333333", "exp(710*t)": "1.0666666666666669"}[psi]
+        assert err == f"error: {path}: psi(t) must be defined on the domain; exp: overflow at {{'t': {t}}}\n"
 
     @pytest.mark.parametrize(
         "argv", [["invariants", "--at", "1.85"], ["signature", "--range", "1.6:1.88", "--samples", "8"], ["signature"]]
@@ -845,7 +854,8 @@ class TestHardInputEndsCleanly:
         path = write_json(tmp_path / "big.json", {"format": 1, "family": "dim_ge4", "psi": psi, "n": 2})
         code, out, err = run(capsys, argv[0], path, *argv[1:])
         assert code == 2 and out == ""
-        assert err == f"error: {path}: {node}: overflow\n"
+        # the load-time probe of psi fails at its first t mid-point
+        assert err == f"error: {path}: psi(t) must be defined on the domain; {node}: overflow at {{'t': 0.6666666666666666}}\n"
 
     @pytest.mark.parametrize(
         "payload,argv,message",

@@ -7,7 +7,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from group_actions import compose_univariate, inverse_univariate, jet_from_derivatives
 from tuple_jets import TupleJet, _compose as tuple_compose, _divide as tuple_divide
@@ -400,31 +400,73 @@ def multi_indices(draw, nvars, degree):
     return tuple(alpha)
 
 
-@st.composite
-def both_engines(draw):
-    """(JetPoly, TupleJet) pairs of two sparse jets of one shape, 1-10
-    variables and order 0-6, each pair built from one multi-index dict.  The
-    keys come from a small pool, so that sums and products meet and small
-    exact coefficients cancel; a key may lie one degree above the order."""
-    nvars, order = draw(st.integers(1, 10)), draw(st.integers(0, 6))
-    pool = draw(st.lists(multi_indices(nvars, order + 1), min_size=1, max_size=6, unique=True))
-    if draw(st.booleans()):
-        pool.append((0,) * nvars)
-    base = (0.5,) * nvars
+def engine_case(nvars, order, base, a, b, b0, series):
+    """(JetPoly, TupleJet) pairs of the jets of the multi-index dicts ``a``,
+    ``b`` and ``b`` with constant term ``b0`` (a divisor), and a ``series``."""
 
     def pair(coeffs):
         return JetPoly(nvars, order, base, coeffs), TupleJet(nvars, order, base, dict(coeffs))
 
+    return pair(a), pair(b), pair({**b, (0,) * nvars: b0}), series
+
+
+# the coefficients of a jet at an exact base point: small ones cancel, large denominators do not
+exact_coeff = st.one_of(
+    st.integers(-2, 2),
+    st.fractions(-2, 2, max_denominator=4),
+    st.fractions(-(10**6), 10**6, max_denominator=10**12),
+)
+EXACT_HALF = Fraction(1, 2)
+
+
+@st.composite
+def both_engines(draw):
+    """``engine_case`` of two sparse jets of one shape, 1-10 variables and
+    order 0-6.  The keys come from a small pool, so that sums and products
+    meet and small exact coefficients cancel; a key may lie one degree above
+    the order.  The base point is (0.5,) * nvars with any coefficients, or
+    (Fraction(1, 2),) * nvars with int and Fraction ones alone, where
+    products and quotients take the integer loops."""
+    nvars, order = draw(st.integers(1, 10)), draw(st.integers(0, 6))
+    pool = draw(st.lists(multi_indices(nvars, order + 1), min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):
+        pool.append((0,) * nvars)
+    base, coeff = ((EXACT_HALF,) * nvars, exact_coeff) if draw(st.booleans()) else ((0.5,) * nvars, kernel_coeff)
+
     def jet():
         keys = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
-        return pair({a: draw(kernel_coeff) for a in keys})
+        return {a: draw(coeff) for a in keys}
 
-    return jet(), jet(), pair
+    a, b = jet(), jet()
+    b0 = draw(coeff.filter(lambda c: c != 0))
+    return engine_case(nvars, order, base, a, b, b0, draw(st.lists(coeff, min_size=order + 1, max_size=order + 1)))
 
 
-@given(both_engines(), st.data())
-def test_position_engine_matches_the_tuple_engine(case, data):
-    (a, ta), (b, tb), pair = case
+F = Fraction
+
+
+@given(both_engines())
+# a negative Fraction divisor constant
+@example(engine_case(2, 3, (EXACT_HALF,) * 2, {(1, 0): F(1, 3), (0, 0): 1}, {(0, 1): F(-2, 3), (1, 1): 2}, F(-3, 4), [1, F(1, 2), F(-1, 3), 2]))
+# int coefficients alone: products, sums and derivatives stay ints, quotients are Fractions
+@example(engine_case(2, 3, (EXACT_HALF,) * 2, {(0, 0): 2, (1, 0): -1, (1, 1): 1}, {(0, 1): 1, (2, 0): -2, (0, 0): 1}, -3, [1, -1, 2, 1]))
+# large denominators, which no small Fraction clears
+@example(
+    engine_case(
+        3, 2, (EXACT_HALF,) * 3,
+        {(0, 0, 0): F(10**30 + 7, 3**40), (0, 1, 0): F(-(2**61 - 1), 10**18 + 9), (1, 0, 1): 5},
+        {(1, 0, 0): F(7**25, 2**70 + 1), (0, 0, 1): F(-1, 10**40)},
+        F(-(10**25 + 3), 11**21), [F(1, 3**30), -1, F(2**65, 5)],
+    )
+)
+# order 0, with a key one degree above it
+@example(engine_case(3, 0, (EXACT_HALF,) * 3, {(0, 0, 0): F(5, 7), (1, 0, 0): 1}, {(0, 0, 0): F(-2, 9), (0, 0, 1): 3}, F(4, 5), [F(1, 3)]))
+# a float coefficient at an exact base point takes the loop on the coefficients
+@example(engine_case(2, 2, (EXACT_HALF,) * 2, {(0, 0): F(1, 3), (1, 0): 0.25}, {(0, 1): 1, (1, 0): F(2, 3)}, F(3, 2), [1, 0.5, F(1, 3)]))
+def test_position_engine_matches_the_tuple_engine(case):
+    """Coefficient by coefficient, in the same key order, and of the same
+    type: ``items`` compares reprs, so an int is not a Fraction."""
+    (a, ta), (b, tb), (den, tden), series = case
     for x, tx, y, ty in ((a, ta, b, tb), (b, tb, a, ta), (a, ta, a, ta)):
         assert items(x * y) == items(tx * ty)
         assert items(x + y) == items(tx + ty)
@@ -434,9 +476,7 @@ def test_position_engine_matches_the_tuple_engine(case, data):
     if a.order:
         for index in range(a.nvars):
             assert items(a.derivative(index)) == items(ta.derivative(index))
-    den, tden = pair({**b.coeffs, (0,) * b.nvars: data.draw(kernel_coeff.filter(lambda c: c != 0))})
     assert items(a / den) == items(tuple_divide(ta, tden))
-    series = data.draw(st.lists(kernel_coeff, min_size=a.order + 1, max_size=a.order + 1))
     assert items(jets._compose(a, series)) == items(tuple_compose(ta, series))
 
 
